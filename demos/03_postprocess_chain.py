@@ -1,19 +1,19 @@
 """From raw per-proposal head outputs to an export-ready hypothesis list.
 
-Builds a batch of random proposals, then walks the inference chain:
-expansion into noun x verb pairs, class-aware NMS, and the top-100 cut.
+Builds the head-output tensors of a batch of random proposals, then walks
+the inference chain: expansion into noun x verb pairs, class-aware NMS,
+and the top-10 cut.
 """
 
 import numpy as np
 
 from vista import (
-    Box2D,
     InferenceConfig,
-    ProposalRecord,
     Taxonomy,
     class_aware_nms,
     expand_hypotheses,
     finalize_submission,
+    proposals_from_tensors,
 )
 
 rng = np.random.default_rng(1)
@@ -22,24 +22,26 @@ taxonomy = Taxonomy(
     verb_names=("take", "cut", "place", "stir"),
 )
 
-proposals = []
-for _ in range(40):
-    x1, y1 = rng.uniform(0, 600), rng.uniform(0, 400)
-    proposals.append(
-        ProposalRecord(
-            proposal_box=Box2D(x1, y1, x1 + rng.uniform(30, 200), y1 + rng.uniform(30, 150)),
-            objectness=rng.uniform(0.1, 1.0),
-            noun_logits=rng.standard_normal(taxonomy.n_nouns),
-            verb_logits=rng.standard_normal(taxonomy.n_verbs),
-            box_deltas=rng.standard_normal((taxonomy.n_nouns, 4)) * 0.05,
-            ttc_raw=rng.standard_normal(),
-            quality=rng.uniform(0.1, 1.0),
-        )
-    )
+n_proposals = 40
+x1, y1 = rng.uniform(0, 600, n_proposals), rng.uniform(0, 400, n_proposals)
+batch = proposals_from_tensors(
+    {
+        "proposal_boxes": np.stack(
+            [x1, y1, x1 + rng.uniform(30, 200, n_proposals), y1 + rng.uniform(30, 150, n_proposals)],
+            axis=1,
+        ),
+        "objectness": rng.uniform(0.1, 1.0, n_proposals),
+        "noun_logits": rng.standard_normal((n_proposals, taxonomy.n_nouns)),
+        "verb_logits": rng.standard_normal((n_proposals, taxonomy.n_verbs)),
+        "box_deltas": rng.standard_normal((n_proposals, taxonomy.n_nouns, 4)) * 0.05,
+        "ttc_raw": rng.standard_normal(n_proposals),
+        "quality": rng.uniform(0.1, 1.0, n_proposals),
+    }
+)
 
 cfg = InferenceConfig(k_noun=3, k_verb=3, nms_iou=0.5, max_exports=10)
-expanded = expand_hypotheses(proposals, taxonomy, cfg)
-print(f"{len(proposals)} proposals -> {len(expanded)} expanded hypotheses")
+expanded = expand_hypotheses(batch, taxonomy, cfg)
+print(f"{len(batch)} proposals -> {len(expanded)} expanded hypotheses")
 
 kept = class_aware_nms(expanded, cfg.nms_iou)
 print(f"class-aware NMS keeps {len(kept)}")

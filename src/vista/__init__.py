@@ -38,11 +38,12 @@ from .fusion import (
 from .oracle import brute_force_evaluate
 from .postprocess import (
     InferenceConfig,
-    ProposalRecord,
+    ProposalBatch,
     apply_box_deltas,
     class_aware_nms,
     expand_hypotheses,
     finalize_submission,
+    proposals_from_tensors,
     run_inference_chain,
     softmax,
     ttc_from_raw,
@@ -51,6 +52,7 @@ from .sampling import SamplingPlan, plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from .types import (
     GroundTruthInstance,
+    HypothesisTable,
     PredictionSet,
     StaHypothesis,
     Taxonomy,

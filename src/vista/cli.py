@@ -100,7 +100,7 @@ def cmd_postprocess(args) -> int:
     )
     taxonomy = load_taxonomy(args.taxonomy)
     batches = load_proposal_batches(args.head_outputs, default_uid=Path(args.head_outputs).stem)
-    preds = {uid: run_inference_chain(props, taxonomy, cfg) for uid, props in batches.items()}
+    preds = {uid: run_inference_chain(batch, taxonomy, cfg) for uid, batch in batches.items()}
     out = _out_dir(args, config)
     write_submission(
         preds,

@@ -27,14 +27,16 @@ class EnsembleConfig:
 
     def __post_init__(self):
         problems = []
-        if self.box_iou_min <= 0.0:
+        if not (self.box_iou_min > 0.0):
             problems.append(f"box_iou_min must be positive, got {self.box_iou_min}")
-        if self.ttc_tolerance <= 0.0:
+        if not (self.ttc_tolerance > 0.0):
             problems.append(f"ttc_tolerance must be positive, got {self.ttc_tolerance}")
         if not (0.0 <= self.agreement_weight <= 1.0):
             problems.append(f"agreement_weight must be in [0, 1], got {self.agreement_weight}")
         if self.n_sources < 1:
             problems.append(f"n_sources must be >= 1, got {self.n_sources}")
+        if self.max_exports < 1:
+            problems.append(f"max_exports must be >= 1, got {self.max_exports}")
         if problems:
             raise ValidationError(problems)
 

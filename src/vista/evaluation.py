@@ -60,9 +60,9 @@ class EvalConfig:
 
     def __post_init__(self):
         problems = []
-        if self.iou_min <= 0.0:
+        if not (self.iou_min > 0.0):
             problems.append(f"iou_min must be positive, got {self.iou_min}")
-        if self.ttc_max_error <= 0.0:
+        if not (self.ttc_max_error > 0.0):
             problems.append(f"ttc_max_error must be positive, got {self.ttc_max_error}")
         if self.top_k < 1:
             problems.append(f"top_k must be >= 1, got {self.top_k}")

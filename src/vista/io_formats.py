@@ -45,9 +45,9 @@ def _dump_json(doc, path) -> None:
 
 def _load_json(path):
     try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -270,6 +270,8 @@ def write_tensor_file(tensors: dict[str, np.ndarray], path) -> None:
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
+    """Read every tensor of a container as a read-only float32 view of
+    the file's bytes (no copy is made)."""
     blob = Path(path).read_bytes()
     if blob[:4] != TENSOR_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {TENSOR_MAGIC!r}")
@@ -282,24 +284,30 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
     offset = 8
     out: dict[str, np.ndarray] = {}
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> int:
+        """Claim the next n bytes; returns their start."""
         nonlocal offset
         if offset + n > len(blob):
             raise FormatError(f"{path}: truncated while reading {what}")
-        chunk = blob[offset : offset + n]
         offset += n
-        return chunk
+        return offset - n
 
     while offset < len(blob):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        start = take(name_len, "tensor name")
+        try:
+            name = blob[start : start + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({e.reason})")
+        if name in out:
+            raise FormatError(f"{path}: duplicate tensor name {name!r}")
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name!r}"))
+        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"dims of {name!r}"))
         count = 1
         for d in dims:
             count *= d
-        data = np.frombuffer(take(4 * count, f"data of {name!r}"), dtype="<f4")
-        arr = data.reshape(dims).astype(np.float32)
+        start = take(4 * count, f"data of {name!r}")
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(dims)
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{path}: tensor {name!r} contains non-finite values")
         out[name] = arr

@@ -5,6 +5,15 @@ proposal into its top noun/verb pairs with a class-specific refined box
 and a softplus TTC, rank everything by the product of objectness,
 interaction quality, noun probability and verb probability, suppress
 per-noun-class duplicates, and truncate to the export cap.
+
+Every stage works on the columns of one whole example: a ProposalBatch
+goes in, HypothesisTables pass between the stages, and hypothesis
+objects are built only for the exported rows. The arithmetic is that of
+the scalar definitions, bit for bit: box centres are 0.5 * (x1 + x2),
+the size exp and the softplus go through `math` one value at a time
+(numpy's vectorised exp and log1p differ from it in the last bit for a
+few percent of inputs on some CPUs), and IoU keeps the operation order
+of `boxes.iou`.
 """
 
 from __future__ import annotations
@@ -14,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box2D, iou
 from .errors import ValidationError
-from .types import StaHypothesis, Taxonomy, canonical_key, sort_canonical
+from .types import HypothesisTable, StaHypothesis, Taxonomy, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
+
+# Same-noun IoU pairs evaluated at once by NMS. Bounds its temporaries to
+# a few MB however many hypotheses share one noun class.
+NMS_PAIR_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -44,36 +56,96 @@ class InferenceConfig:
             raise ValidationError(problems)
 
 
-@dataclass(frozen=True)
-class ProposalRecord:
-    """Per-proposal head outputs, before any post-processing."""
+# Tensor names one proposal batch must provide, optionally prefixed
+# "<example_uid>/" when one container carries several examples, and the
+# shape each must have: P proposals, N nouns, V verbs.
+REQUIRED_TENSORS = {
+    "proposal_boxes": ("P", 4),
+    "objectness": ("P",),
+    "noun_logits": ("P", "N"),
+    "verb_logits": ("P", "V"),
+    "box_deltas": ("P", "N", 4),
+    "ttc_raw": ("P",),
+    "quality": ("P",),
+}
 
-    proposal_box: Box2D
-    objectness: float          # (0, 1]
-    noun_logits: np.ndarray    # (n_nouns,)
-    verb_logits: np.ndarray    # (n_verbs,)
-    box_deltas: np.ndarray     # (n_nouns, 4): dx, dy, dw, dh per noun class
-    ttc_raw: float
-    quality: float             # (0, 1]
+
+@dataclass(frozen=True, eq=False)
+class ProposalBatch:
+    """One example's head outputs; row i of every tensor is proposal i.
+
+    Tensors keep the dtype they arrive in (float32 from a VSTF container)
+    and are not copied. The expansion casts only the rows it selects to
+    float64, which is exact. Shapes and values are checked on
+    construction, and every problem is listed.
+    """
+
+    proposal_boxes: np.ndarray   # (P, 4) corners
+    objectness: np.ndarray       # (P,), in (0, 1]
+    noun_logits: np.ndarray      # (P, N)
+    verb_logits: np.ndarray      # (P, V)
+    box_deltas: np.ndarray       # (P, N, 4): dx, dy, dw, dh per noun class
+    ttc_raw: np.ndarray          # (P,)
+    quality: np.ndarray          # (P,), in (0, 1]
 
     def __post_init__(self):
-        problems = []
-        if not (0.0 < self.objectness <= 1.0):
-            problems.append(f"objectness must be in (0, 1], got {self.objectness}")
-        if not (0.0 < self.quality <= 1.0):
-            problems.append(f"quality must be in (0, 1], got {self.quality}")
-        if not math.isfinite(self.ttc_raw):
-            problems.append(f"ttc_raw must be finite, got {self.ttc_raw}")
-        for name in ("noun_logits", "verb_logits", "box_deltas"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                problems.append(f"{name} contains non-finite values")
-        if self.box_deltas.shape != (len(self.noun_logits), 4):
-            problems.append(
-                f"box_deltas shape {self.box_deltas.shape} != "
-                f"({len(self.noun_logits)}, 4)"
-            )
+        for name in REQUIRED_TENSORS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        problems = self._shape_problems()
         if problems:
             raise ValidationError(problems)
+        problems = self._value_problems()
+        if problems:
+            raise ValidationError(problems)
+
+    def __len__(self) -> int:
+        return self.objectness.shape[0]
+
+    def _shape_problems(self) -> list[str]:
+        sizes = {}
+        for symbol, name, axis in (("P", "proposal_boxes", 0), ("N", "noun_logits", 1),
+                                   ("V", "verb_logits", 1)):
+            shape = getattr(self, name).shape
+            if len(shape) > axis:
+                sizes[symbol] = shape[axis]
+        problems = []
+        for name, spec in REQUIRED_TENSORS.items():
+            arr = getattr(self, name)
+            if arr.dtype.kind not in "fiu":
+                problems.append(f"{name} must hold real numbers, got dtype {arr.dtype}")
+            expected = tuple(sizes.get(d, d) if isinstance(d, str) else d for d in spec)
+            if len(arr.shape) != len(spec) or any(
+                isinstance(want, int) and got != want for got, want in zip(arr.shape, expected)
+            ):
+                dims = ", ".join(map(str, spec)) + ("," if len(spec) == 1 else "")
+                where = ", ".join(f"{s}={sizes[s]}" for s in "PNV" if s in spec and s in sizes)
+                problems.append(
+                    f"{name} must have shape ({dims}){f' with {where}' if where else ''}, got {arr.shape}"
+                )
+        return problems
+
+    def _value_problems(self) -> list[str]:
+        boxes = self.proposal_boxes
+        finite_box = np.isfinite(boxes).all(axis=1)
+        checks = [
+            (~finite_box, "box coordinates must be finite", boxes),
+            (finite_box & (boxes[:, 0] > boxes[:, 2]), "box has x1 > x2", boxes),
+            (finite_box & (boxes[:, 1] > boxes[:, 3]), "box has y1 > y2", boxes),
+        ]
+        for name in ("objectness", "quality"):
+            values = getattr(self, name)
+            checks.append((~((values > 0.0) & (values <= 1.0)), f"{name} must be in (0, 1]", values))
+        checks.append((~np.isfinite(self.ttc_raw), "ttc_raw must be finite", self.ttc_raw))
+        for name in ("noun_logits", "verb_logits", "box_deltas"):
+            arr = getattr(self, name)
+            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            checks.append((bad, f"{name} contains non-finite values", None))
+        problems = []
+        for bad, what, values in checks:
+            for i in np.flatnonzero(bad).tolist():
+                got = "" if values is None else f", got {values[i].tolist()}"
+                problems.append(f"proposal {i}: {what}{got}")
+        return problems
 
 
 def softmax(logits) -> np.ndarray:
@@ -83,8 +155,18 @@ def softmax(logits) -> np.ndarray:
         raise ValidationError(f"softmax needs a non-empty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("softmax input contains non-finite values")
-    shifted = np.exp(arr - arr.max())
-    return shifted / shifted.sum()
+    return _softmax_rows(arr[None, :])[0]
+
+
+def _softmax_rows(arr: np.ndarray) -> np.ndarray:
+    """`softmax` of each row of a float64 matrix, bit-identical to it."""
+    shifted = np.exp(arr - arr.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _map_floats(fn, values: np.ndarray) -> np.ndarray:
+    """fn applied to each value as a Python float, in the shape of values."""
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 
 
 def ttc_from_raw(raw: float) -> float:
@@ -95,141 +177,157 @@ def ttc_from_raw(raw: float) -> float:
     return max(raw, 0.0) + math.log1p(math.exp(-abs(raw)))
 
 
-def apply_box_deltas(proposal: Box2D, deltas) -> Box2D:
-    """Decode (dx, dy, dw, dh) against a proposal: center shifts scale with
-    the proposal size, sizes scale by exp of the clamped log deltas."""
-    if proposal.width <= 0.0 or proposal.height <= 0.0:
-        raise ValidationError(f"proposal must have positive size, got {proposal.corners()}")
-    dx, dy, dw, dh = (float(d) for d in deltas)
-    cx, cy = proposal.center
-    w, h = proposal.width, proposal.height
-    cx += dx * w
-    cy += dy * h
-    w *= math.exp(min(dw, BOX_DELTA_CLAMP))
-    h *= math.exp(min(dh, BOX_DELTA_CLAMP))
-    return Box2D(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+def apply_box_deltas(boxes, deltas) -> np.ndarray:
+    """Decode (dx, dy, dw, dh) against proposals: center shifts scale with
+    the proposal size, sizes scale by exp of the clamped log deltas.
+
+    boxes (..., 4) corners and deltas (..., 4) broadcast against each
+    other; the result has their broadcast shape.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    x1, y1, x2, y2 = (boxes[..., i] for i in range(4))
+    w, h = x2 - x1, y2 - y1
+    flat = (w <= 0.0) | (h <= 0.0)
+    if flat.any():
+        raise ValidationError(
+            [f"proposal must have positive size, got {tuple(b)}" for b in boxes[flat].tolist()]
+        )
+    cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    cx = cx + deltas[..., 0] * w
+    cy = cy + deltas[..., 1] * h
+    w = w * _map_floats(math.exp, np.minimum(deltas[..., 2], BOX_DELTA_CLAMP))
+    h = h * _map_floats(math.exp, np.minimum(deltas[..., 3], BOX_DELTA_CLAMP))
+    return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
 
 
 def expand_hypotheses(
-    proposals: list[ProposalRecord],
+    batch: ProposalBatch,
     taxonomy: Taxonomy,
     cfg: InferenceConfig = InferenceConfig(),
-) -> list[StaHypothesis]:
+) -> HypothesisTable:
     """Expand each retained proposal into its top noun x verb pairs.
 
     Proposals beyond cfg.max_proposals are dropped, lowest objectness
     first. Each hypothesis carries the noun-specific refined box,
     ttc = softplus(ttc_raw), and
     score = objectness * quality * p_noun * p_verb.
+    Pairs whose score underflows to 0.0 are dropped: their logits are so
+    peaked that a probability rounds to zero, they would rank below
+    every other hypothesis, and a hypothesis needs a positive score.
     Output sorted canonically.
     """
-    if taxonomy.n_nouns == 0 or taxonomy.n_verbs == 0:
-        raise ValidationError("taxonomy must be non-empty")
-    retained = sorted(proposals, key=lambda p: -p.objectness)[: cfg.max_proposals]
-    k_noun = min(cfg.k_noun, taxonomy.n_nouns)
-    k_verb = min(cfg.k_verb, taxonomy.n_verbs)
+    n_nouns, n_verbs = batch.noun_logits.shape[1], batch.verb_logits.shape[1]
+    if (n_nouns, n_verbs) != (taxonomy.n_nouns, taxonomy.n_verbs):
+        raise ValidationError(
+            f"logit lengths ({n_nouns}, {n_verbs}) do not "
+            f"match taxonomy ({taxonomy.n_nouns}, {taxonomy.n_verbs})"
+        )
+    retained = np.argsort(-batch.objectness.astype(np.float64), kind="stable")[: cfg.max_proposals]
+    k_noun = min(cfg.k_noun, n_nouns)
+    k_verb = min(cfg.k_verb, n_verbs)
 
-    hyps = []
-    for prop in retained:
-        if len(prop.noun_logits) != taxonomy.n_nouns or len(prop.verb_logits) != taxonomy.n_verbs:
-            raise ValidationError(
-                f"logit lengths ({len(prop.noun_logits)}, {len(prop.verb_logits)}) do not "
-                f"match taxonomy ({taxonomy.n_nouns}, {taxonomy.n_verbs})"
-            )
-        p_noun = softmax(prop.noun_logits)
-        p_verb = softmax(prop.verb_logits)
-        # Stable argsort so probability ties resolve to the lower class id.
-        top_nouns = np.argsort(-p_noun, kind="stable")[:k_noun]
-        top_verbs = np.argsort(-p_verb, kind="stable")[:k_verb]
-        ttc = ttc_from_raw(prop.ttc_raw)
-        for ni in top_nouns:
-            refined = apply_box_deltas(prop.proposal_box, prop.box_deltas[ni])
-            for vi in top_verbs:
-                score = prop.objectness * prop.quality * p_noun[ni] * p_verb[vi]
-                hyps.append(
-                    StaHypothesis(
-                        box=refined,
-                        noun_id=int(ni),
-                        verb_id=int(vi),
-                        ttc=ttc,
-                        score=float(score),
-                    )
-                )
-    return sort_canonical(hyps)
+    p_noun = _softmax_rows(batch.noun_logits[retained].astype(np.float64))
+    p_verb = _softmax_rows(batch.verb_logits[retained].astype(np.float64))
+    # Stable argsort so probability ties resolve to the lower class id.
+    top_nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
+    top_verbs = np.argsort(-p_verb, axis=1, kind="stable")[:, :k_verb]
+    refined = apply_box_deltas(
+        batch.proposal_boxes[retained].astype(np.float64)[:, None, :],
+        batch.box_deltas[retained[:, None], top_nouns].astype(np.float64),
+    )
+    ttc = _map_floats(ttc_from_raw, batch.ttc_raw[retained].astype(np.float64))
+    prior = batch.objectness[retained].astype(np.float64) * batch.quality[retained].astype(np.float64)
+    score = (
+        prior[:, None, None]
+        * np.take_along_axis(p_noun, top_nouns, axis=1)[:, :, None]
+        * np.take_along_axis(p_verb, top_verbs, axis=1)[:, None, :]
+    )
+    # Rows in proposal rank, then noun rank, then verb rank order, so the
+    # stable canonical sort breaks full ties as a per-proposal loop would.
+    shape = score.shape
+    positive = score.reshape(-1) > 0.0
+    table = HypothesisTable(
+        boxes=np.broadcast_to(refined[:, :, None, :], shape + (4,)).reshape(-1, 4)[positive],
+        noun=np.broadcast_to(top_nouns[:, :, None], shape).reshape(-1)[positive],
+        verb=np.broadcast_to(top_verbs[:, None, :], shape).reshape(-1)[positive],
+        ttc=np.broadcast_to(ttc[:, None, None], shape).reshape(-1)[positive],
+        score=score.reshape(-1)[positive],
+    )
+    return sort_canonical(table)
 
 
-def class_aware_nms(hyps: list[StaHypothesis], nms_iou: float = 0.5) -> list[StaHypothesis]:
+def class_aware_nms(table: HypothesisTable, nms_iou: float = 0.5) -> HypothesisTable:
     """Greedy suppression run independently within each noun class.
 
     A hypothesis is dropped when a higher-ranked kept hypothesis of the
     same noun class overlaps it with IoU > nms_iou. Verb is not part of
-    the suppression key. Input is re-sorted canonically; output preserves
-    that order and is always a subset of the input.
+    the suppression key. The table must be in canonical order, which is
+    the rank; the output keeps that order and is always a subset of the
+    input. IoU is computed only for same-noun pairs, NMS_PAIR_BLOCK pairs
+    at a time.
     """
-    ordered = sort_canonical(hyps)
-    kept_per_noun: dict[int, list[StaHypothesis]] = {}
-    out = []
-    for h in ordered:
-        kept = kept_per_noun.setdefault(h.noun_id, [])
-        if any(iou(h.box, k.box) > nms_iou for k in kept):
-            continue
-        kept.append(h)
-        out.append(h)
-    return out
+    by_noun = np.argsort(table.noun, kind="stable")  # canonical order within each class
+    nouns = table.noun[by_noun]
+    corners = [np.ascontiguousarray(table.boxes[by_noun, i]) for i in range(4)]
+    x1, y1, x2, y2 = corners
+    area = (x2 - x1) * (y2 - y1)
+    n = len(nouns)
+    # Rows of the same class ranked below each row, and their running total.
+    below = np.searchsorted(nouns, nouns, side="right") - np.arange(n) - 1
+    pairs_through = np.cumsum(below)
+    suppressed = [False] * n
+    start = 0
+    while start < n:
+        budget = pairs_through[start] - below[start] + NMS_PAIR_BLOCK
+        stop = max(start + 1, int(np.searchsorted(pairs_through, budget, side="right")))
+        counts = below[start:stop]
+        higher = np.repeat(np.arange(start, stop), counts)
+        lower = higher + 1 + np.arange(len(higher)) - np.repeat(np.cumsum(counts) - counts, counts)
+        over = _pair_iou(corners, area, lower, higher) > nms_iou
+        # One greedy pass in rank order: a row that survives suppresses
+        # the rows it overlaps; a suppressed row suppresses nothing.
+        for h, low in zip(higher[over].tolist(), lower[over].tolist()):
+            if not suppressed[h]:
+                suppressed[low] = True
+        start = stop
+    keep = np.ones(n, dtype=bool)
+    keep[by_noun[np.array(suppressed, dtype=bool)]] = False
+    return table.take(keep)
 
 
-def finalize_submission(hyps: list[StaHypothesis], max_exports: int = 100) -> list[StaHypothesis]:
-    """Canonical sort, then truncate to the export cap."""
-    return sort_canonical(hyps)[:max_exports]
+def _pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`boxes.iou` of the boxes at rows a[i] and b[i], given the x1, y1,
+    x2, y2 columns and the areas, with its operations in its order."""
+    x1, y1, x2, y2 = corners
+    ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+    iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+    inter = ix * iy
+    union = area[a] + area[b] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), inter / union, 0.0)
 
 
-# Tensor names one proposal batch must provide, optionally prefixed
-# "<example_uid>/" when one container carries several examples.
-REQUIRED_TENSORS = (
-    "proposal_boxes",
-    "objectness",
-    "noun_logits",
-    "verb_logits",
-    "box_deltas",
-    "ttc_raw",
-    "quality",
-)
+def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> list[StaHypothesis]:
+    """The first max_exports rows of a canonical table, as hypotheses."""
+    return table.take(slice(0, max_exports)).to_hypotheses()
 
 
-def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> list[ProposalRecord]:
-    """Assemble ProposalRecords from one batch of named head-output tensors.
+def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
+    """Assemble one example's ProposalBatch from its named head-output tensors.
 
     Expects proposal_boxes (P, 4), objectness/ttc_raw/quality (P,),
     noun_logits (P, N), verb_logits (P, V), box_deltas (P, N, 4).
-    Missing names are reported exhaustively.
+    Missing names are reported exhaustively, then every shape problem,
+    then every bad value.
     """
     missing = [name for name in REQUIRED_TENSORS if name not in tensors]
     if missing:
         raise ValidationError([f"missing tensor {name!r}" for name in missing])
-    boxes = np.asarray(tensors["proposal_boxes"], dtype=np.float64)
-    if boxes.ndim != 2 or boxes.shape[1] != 4:
-        raise ValidationError(f"proposal_boxes must be (P, 4), got {boxes.shape}")
-    p = boxes.shape[0]
-    deltas = np.asarray(tensors["box_deltas"], dtype=np.float64)
-    if deltas.ndim != 3 or deltas.shape[0] != p or deltas.shape[2] != 4:
-        raise ValidationError(f"box_deltas must be (P, n_nouns, 4), got {deltas.shape}")
-    records = []
-    for i in range(p):
-        records.append(
-            ProposalRecord(
-                proposal_box=Box2D(*boxes[i]),
-                objectness=float(tensors["objectness"][i]),
-                noun_logits=np.asarray(tensors["noun_logits"][i], dtype=np.float64),
-                verb_logits=np.asarray(tensors["verb_logits"][i], dtype=np.float64),
-                box_deltas=deltas[i],
-                ttc_raw=float(tensors["ttc_raw"][i]),
-                quality=float(tensors["quality"][i]),
-            )
-        )
-    return records
+    return ProposalBatch(**{name: tensors[name] for name in REQUIRED_TENSORS})
 
 
-def load_proposal_batches(path, default_uid: str) -> dict[str, list[ProposalRecord]]:
+def load_proposal_batches(path, default_uid: str) -> dict[str, ProposalBatch]:
     """Read proposal batches from a tensor container.
 
     Tensor names may be plain (single example, keyed by `default_uid`) or
@@ -255,11 +353,11 @@ def load_proposal_batches(path, default_uid: str) -> dict[str, list[ProposalReco
 
 
 def run_inference_chain(
-    proposals: list[ProposalRecord],
+    batch: ProposalBatch,
     taxonomy: Taxonomy,
     cfg: InferenceConfig = InferenceConfig(),
 ) -> list[StaHypothesis]:
     """expand -> class-aware NMS -> finalize, the full per-example chain."""
-    hyps = expand_hypotheses(proposals, taxonomy, cfg)
-    hyps = class_aware_nms(hyps, cfg.nms_iou)
-    return finalize_submission(hyps, cfg.max_exports)
+    table = expand_hypotheses(batch, taxonomy, cfg)
+    table = class_aware_nms(table, cfg.nms_iou)
+    return finalize_submission(table, cfg.max_exports)

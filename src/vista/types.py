@@ -7,7 +7,9 @@ parallel use; every operation over them is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .boxes import Box2D
 from .errors import ValidationError
@@ -100,6 +102,78 @@ class GroundTruthInstance:
             raise ValidationError(problems)
 
 
+# Column dtypes of a HypothesisTable.
+_TABLE_COLUMNS = {
+    "boxes": np.float64, "noun": np.int64, "verb": np.int64, "ttc": np.float64, "score": np.float64,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class HypothesisTable:
+    """One example's hypotheses as columns; row i is one hypothesis.
+
+    boxes (N, 4) float64 corners, noun and verb (N,) int64 ids, ttc and
+    score (N,) float64. The columns are read-only and are validated as
+    whole arrays, with the rules of StaHypothesis and Box2D. Tables that
+    the postprocess stages pass between them are in canonical order
+    (`sort_canonical`).
+    """
+
+    boxes: np.ndarray
+    noun: np.ndarray
+    verb: np.ndarray
+    ttc: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _TABLE_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        n = len(self.score)
+        problems = [
+            f"{name} must have shape {shape}, got {getattr(self, name).shape}"
+            for name, shape in (
+                ("boxes", (n, 4)), ("noun", (n,)), ("verb", (n,)), ("ttc", (n,)), ("score", (n,))
+            )
+            if getattr(self, name).shape != shape
+        ]
+        if problems:
+            raise ValidationError(problems)
+        x1, y1, x2, y2 = self.boxes.T
+        finite = np.isfinite(self.boxes).all(axis=1)
+        for bad, what in (
+            (~finite, "box coordinates must be finite"),
+            (finite & (x1 > x2), "box has x1 > x2"),
+            (finite & (y1 > y2), "box has y1 > y2"),
+            (~(np.isfinite(self.ttc) & (self.ttc >= 0.0)), "ttc must be finite and >= 0"),
+            (~(np.isfinite(self.score) & (self.score > 0.0)), "score must be finite and > 0"),
+            (self.noun < 0, "noun_id must be >= 0"),
+            (self.verb < 0, "verb_id must be >= 0"),
+        ):
+            problems += [f"row {i}: {what}" for i in np.flatnonzero(bad).tolist()]
+        if problems:
+            raise ValidationError(problems)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, rows) -> HypothesisTable:
+        """The rows selected by a boolean mask, an index array or a slice."""
+        return HypothesisTable(
+            self.boxes[rows], self.noun[rows], self.verb[rows], self.ttc[rows], self.score[rows]
+        )
+
+    def to_hypotheses(self) -> list[StaHypothesis]:
+        return [
+            StaHypothesis(box=Box2D(*box), noun_id=noun, verb_id=verb, ttc=ttc, score=score)
+            for box, noun, verb, ttc, score in zip(
+                self.boxes.tolist(), self.noun.tolist(), self.verb.tolist(),
+                self.ttc.tolist(), self.score.tolist(),
+            )
+        ]
+
+
 def canonical_key(h: StaHypothesis):
     """Total ordering on hypotheses: score descending, then ascending
     (noun_id, verb_id, x1, y1, x2, y2, ttc). Makes every downstream sort,
@@ -107,5 +181,15 @@ def canonical_key(h: StaHypothesis):
     return (-h.score, h.noun_id, h.verb_id, h.box.x1, h.box.y1, h.box.x2, h.box.y2, h.ttc)
 
 
-def sort_canonical(hyps: list[StaHypothesis]) -> list[StaHypothesis]:
+def sort_canonical(hyps):
+    """Put a list of hypotheses or a HypothesisTable in canonical order.
+
+    A table is reordered with one stable lexsort over the `canonical_key`
+    fields, so full ties keep their row order, as `sorted` keeps them.
+    """
+    if isinstance(hyps, HypothesisTable):
+        b = hyps.boxes
+        return hyps.take(
+            np.lexsort((hyps.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], hyps.verb, hyps.noun, -hyps.score))
+        )
     return sorted(hyps, key=canonical_key)

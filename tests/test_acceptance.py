@@ -29,6 +29,7 @@ from vista.postprocess import (
     class_aware_nms,
     expand_hypotheses,
     finalize_submission,
+    proposals_from_tensors,
     run_inference_chain,
     ttc_from_raw,
 )
@@ -37,7 +38,7 @@ from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from vista.types import GroundTruthInstance, StaHypothesis
 
 from test_fusion import probe_oracle, rand_array, zero_residual_mlp
-from test_postprocess import TAXONOMY, make_hypothesis, make_proposal
+from test_postprocess import TAXONOMY, make_hypothesis, make_tensors, table_of
 
 CFG = EvalConfig()
 
@@ -142,23 +143,28 @@ def test_criterion_5_postprocessing_chain(tmp_path):
         for seed in range(1000):
             rng = CounterRng(50_000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(2 + rng.randint(18))]
-            once = class_aware_nms(hyps, 0.5)
-            assert class_aware_nms(once, 0.5) == once
-        # determinism under input permutation, byte-identical exports
+            once = class_aware_nms(table_of(hyps), 0.5)
+            assert class_aware_nms(once, 0.5).to_hypotheses() == once.to_hypotheses()
+        # determinism under input permutation (tensor rows reversed), byte-identical exports
         rng = CounterRng(60_001)
-        props = [make_proposal(rng) for _ in range(40)]
+        tensors = make_tensors(rng, 40)
+        reversed_rows = {name: arr[::-1] for name, arr in tensors.items()}
         cfg = InferenceConfig(k_noun=2, k_verb=2)
         a_path = tmp_path / "a.json"
         b_path = tmp_path / "b.json"
-        write_submission({"ex": run_inference_chain(props, TAXONOMY, cfg)}, a_path)
-        write_submission({"ex": run_inference_chain(props[::-1], TAXONOMY, cfg)}, b_path)
+        write_submission(
+            {"ex": run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg)}, a_path
+        )
+        write_submission(
+            {"ex": run_inference_chain(proposals_from_tensors(reversed_rows), TAXONOMY, cfg)}, b_path
+        )
         assert a_path.read_bytes() == b_path.read_bytes()
         # proposal cap of 300
-        many = [make_proposal(rng) for _ in range(350)]
+        many = proposals_from_tensors(make_tensors(rng, 350))
         capped = expand_hypotheses(many, TAXONOMY, InferenceConfig(k_noun=1, k_verb=1))
         assert len(capped) == 300
         # export cap of 100
-        surplus = [make_hypothesis(rng) for _ in range(250)]
+        surplus = table_of([make_hypothesis(rng) for _ in range(250)])
         assert len(finalize_submission(surplus, 100)) == 100
 
 

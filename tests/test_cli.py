@@ -7,6 +7,8 @@ from vista.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from vista.io_formats import load_predictions, write_tensor_file
 from vista.rng import CounterRng
 
+from test_io_formats import vstf_record
+
 
 @pytest.fixture
 def synth_dir(tmp_path):
@@ -63,15 +65,35 @@ class TestEvaluateCommand:
         assert "line" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [["--iou-min", "nan"], ["--ttc-tol", "nan"]])
+    def test_nan_threshold_exit_2(self, synth_dir, flags, capsys):
+        code = main(
+            ["evaluate", str(synth_dir / "ground_truth.json"),
+             str(synth_dir / "predictions_source_00.json"), *flags]
+        )
+        assert code == EXIT_VALIDATION
+        assert "must be positive, got nan" in capsys.readouterr().err
+
+    def test_non_utf8_json_exit_2(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"taxonomy": {"nouns": ["tasse à café"]}}'.encode("latin-1"))
+        code = main(["evaluate", str(bad), str(synth_dir / "predictions_source_00.json")])
+        assert code == EXIT_VALIDATION
+        assert "not UTF-8" in capsys.readouterr().err
+
+
 class TestPostprocessCommand:
     def make_head_outputs(self, path, n_proposals, n_nouns=3, n_verbs=3):
+        write_tensor_file(self.head_tensors(n_proposals, n_nouns, n_verbs), path)
+
+    def head_tensors(self, n_proposals, n_nouns=3, n_verbs=3):
         rng = CounterRng(5)
         boxes = []
         for _ in range(n_proposals):
             x1 = rng.uniform(0, 500)
             y1 = rng.uniform(0, 300)
             boxes.append([x1, y1, x1 + rng.uniform(20, 200), y1 + rng.uniform(20, 150)])
-        tensors = {
+        return {
             "proposal_boxes": np.array(boxes),
             "objectness": np.array([rng.uniform(0.05, 1.0) for _ in range(n_proposals)]),
             "noun_logits": np.array(
@@ -87,7 +109,6 @@ class TestPostprocessCommand:
             "ttc_raw": np.array([rng.gaussian() for _ in range(n_proposals)]),
             "quality": np.array([rng.uniform(0.05, 1.0) for _ in range(n_proposals)]),
         }
-        write_tensor_file(tensors, path)
 
     def write_taxonomy(self, path, n_nouns=3, n_verbs=3):
         path.write_text(
@@ -142,6 +163,37 @@ class TestPostprocessCommand:
         assert {h.noun_id for h in preds["heads"]} <= argmax_nouns
 
 
+    def test_underflowing_softmax_exit_0(self, tmp_path):
+        # exp(-1000) rounds to 0: the other nouns' probabilities and so
+        # their scores underflow, and those pairs are dropped.
+        heads = tmp_path / "heads.vstf"
+        taxonomy = tmp_path / "taxonomy.json"
+        tensors = self.head_tensors(6)
+        tensors["noun_logits"][2] = [1000.0, 0.0, 0.0]
+        write_tensor_file(tensors, heads)
+        self.write_taxonomy(taxonomy)
+        out = tmp_path / "pp"
+        code = main(["postprocess", str(heads), str(taxonomy), "--nms-iou", "1.0", "--out", str(out)])
+        assert code == EXIT_OK
+        preds = load_predictions(out / "submission.json")
+        assert all(h.score > 0.0 for h in preds["heads"])
+        assert len(preds["heads"]) == 5 * 9 + 3
+
+    def test_mismatched_tensor_shapes_exit_2(self, tmp_path, capsys):
+        heads = tmp_path / "heads.vstf"
+        taxonomy = tmp_path / "taxonomy.json"
+        tensors = self.head_tensors(6)
+        tensors["objectness"] = tensors["objectness"][:4]
+        tensors["quality"] = tensors["quality"][:5]
+        write_tensor_file(tensors, heads)
+        self.write_taxonomy(taxonomy)
+        code = main(["postprocess", str(heads), str(taxonomy), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "objectness must have shape (P,) with P=6, got (4,)" in err
+        assert "quality must have shape (P,) with P=6, got (5,)" in err
+
+
 class TestEnsembleCommand:
     def test_single_input_preserves_order(self, synth_dir, tmp_path):
         out = tmp_path / "ens"
@@ -169,6 +221,16 @@ class TestEnsembleCommand:
             ]
             for ha, hb in zip(a[uid], b[uid]):
                 assert ha.box.corners() == pytest.approx(hb.box.corners(), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags", [["--iou-min", "nan"], ["--ttc-tol", "nan"], ["--max-exports", "-1"],
+                  ["--max-exports", "0"]],
+    )
+    def test_bad_config_exit_2(self, synth_dir, tmp_path, flags, capsys):
+        src = str(synth_dir / "predictions_source_00.json")
+        code = main(["ensemble", src, *flags, "--out", str(tmp_path / "ens")])
+        assert code == EXIT_VALIDATION
+        assert "must be" in capsys.readouterr().err
 
     def test_taxonomy_mismatch_exit_2(self, synth_dir, tmp_path):
         tiny = tmp_path / "tiny_taxonomy.json"
@@ -213,6 +275,18 @@ class TestValidateCommand:
         path = tmp_path / "t.vstf"
         write_tensor_file({"a": np.ones(3, dtype=np.float32)}, path)
         assert main(["validate", str(path)]) == EXIT_OK
+
+    def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"caf\xe9", [1.0]))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_duplicate_tensor_name_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"seq", [1.0]) + vstf_record(b"seq", [2.0])[8:])
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "duplicate tensor name 'seq'" in capsys.readouterr().err
 
     def test_garbage_exit_2(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -305,3 +305,45 @@ class TestTensorContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError):
             read_tensor_file(path)
+
+    def test_tensors_are_read_only_views(self, tmp_path):
+        from vista.io_formats import write_tensor_file
+
+        path = tmp_path / "t.vstf"
+        write_tensor_file({"a": np.ones((2, 3)), "b": np.zeros(4)}, path)
+        loaded = read_tensor_file(path)
+
+        def owner(arr):
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            return arr
+
+        # both tensors view the one buffer the file was read into
+        assert isinstance(owner(loaded["a"]), bytes)
+        assert owner(loaded["a"]) is owner(loaded["b"])
+        for arr in loaded.values():
+            assert arr.dtype == np.float32
+            assert not arr.flags.writeable
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"\xffa", [1.0]))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            read_tensor_file(path)
+
+    def test_duplicate_tensor_name(self, tmp_path):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"score", [1.0]) + vstf_record(b"score", [2.0])[8:])
+        with pytest.raises(FormatError, match="duplicate tensor name 'score'"):
+            read_tensor_file(path)
+
+
+def vstf_record(name: bytes, values) -> bytes:
+    """A version-1 container holding one rank-1 tensor, built byte by byte."""
+    import struct
+
+    data = np.asarray(values, dtype="<f4")
+    return (
+        b"VSTF" + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+        + struct.pack("<I", 1) + struct.pack("<Q", len(data)) + data.tobytes()
+    )

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vista.boxes import Box2D
+import vista.postprocess as postprocess
+from vista.boxes import Box2D, iou
 from vista.errors import ValidationError
+from vista.io_formats import read_tensor_file, write_tensor_file
 from vista.postprocess import (
     BOX_DELTA_CLAMP,
     InferenceConfig,
-    ProposalRecord,
     apply_box_deltas,
     class_aware_nms,
     expand_hypotheses,
@@ -19,7 +21,7 @@ from vista.postprocess import (
     ttc_from_raw,
 )
 from vista.rng import CounterRng
-from vista.types import StaHypothesis, Taxonomy, canonical_key
+from vista.types import HypothesisTable, StaHypothesis, Taxonomy, canonical_key, sort_canonical
 
 TAXONOMY = Taxonomy(
     noun_names=("cup", "knife", "plank", "pan"),
@@ -27,18 +29,41 @@ TAXONOMY = Taxonomy(
 )
 
 
-def make_proposal(rng, n_nouns=4, n_verbs=3):
-    x1 = rng.uniform(0, 500)
-    y1 = rng.uniform(0, 300)
-    return ProposalRecord(
-        proposal_box=Box2D(x1, y1, x1 + rng.uniform(10, 200), y1 + rng.uniform(10, 150)),
-        objectness=rng.uniform(0.05, 1.0),
-        noun_logits=np.array([rng.gaussian() for _ in range(n_nouns)]),
-        verb_logits=np.array([rng.gaussian() for _ in range(n_verbs)]),
-        box_deltas=np.array([[rng.gaussian(0, 0.1) for _ in range(4)] for _ in range(n_nouns)]),
-        ttc_raw=rng.gaussian(),
-        quality=rng.uniform(0.05, 1.0),
-    )
+def make_tensors(rng, n_proposals, n_nouns=4, n_verbs=3):
+    """Head-output tensors of n_proposals random proposals, one row each."""
+    boxes, objectness, noun_logits, verb_logits, deltas, ttc_raw, quality = ([] for _ in range(7))
+    for _ in range(n_proposals):
+        x1 = rng.uniform(0, 500)
+        y1 = rng.uniform(0, 300)
+        boxes.append([x1, y1, x1 + rng.uniform(10, 200), y1 + rng.uniform(10, 150)])
+        objectness.append(rng.uniform(0.05, 1.0))
+        noun_logits.append([rng.gaussian() for _ in range(n_nouns)])
+        verb_logits.append([rng.gaussian() for _ in range(n_verbs)])
+        deltas.append([[rng.gaussian(0, 0.1) for _ in range(4)] for _ in range(n_nouns)])
+        ttc_raw.append(rng.gaussian())
+        quality.append(rng.uniform(0.05, 1.0))
+    return {
+        "proposal_boxes": np.array(boxes).reshape(-1, 4),
+        "objectness": np.array(objectness),
+        "noun_logits": np.array(noun_logits).reshape(-1, n_nouns),
+        "verb_logits": np.array(verb_logits).reshape(-1, n_verbs),
+        "box_deltas": np.array(deltas).reshape(-1, n_nouns, 4),
+        "ttc_raw": np.array(ttc_raw),
+        "quality": np.array(quality),
+    }
+
+
+def rows(tensors, index):
+    """The proposals of a tensor dict selected by index, in that order."""
+    return {name: arr[index] for name, arr in tensors.items()}
+
+
+def expand(tensors, cfg=InferenceConfig()):
+    return expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg)
+
+
+def chain(tensors, cfg=InferenceConfig()):
+    return run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg)
 
 
 def make_hypothesis(rng, n_nouns=4, n_verbs=3):
@@ -51,6 +76,23 @@ def make_hypothesis(rng, n_nouns=4, n_verbs=3):
         ttc=rng.uniform(0.1, 3.0),
         score=rng.uniform(0.01, 1.0),
     )
+
+
+def table_of(hyps):
+    """A HypothesisTable of the hypotheses, in canonical order."""
+    return sort_canonical(
+        HypothesisTable(
+            boxes=np.array([h.box.corners() for h in hyps], dtype=np.float64).reshape(-1, 4),
+            noun=[h.noun_id for h in hyps],
+            verb=[h.verb_id for h in hyps],
+            ttc=[h.ttc for h in hyps],
+            score=[h.score for h in hyps],
+        )
+    )
+
+
+def nms(hyps, nms_iou=0.5):
+    return class_aware_nms(table_of(hyps), nms_iou).to_hypotheses()
 
 
 class TestSoftmax:
@@ -93,119 +135,236 @@ class TestTtcFromRaw:
 
 class TestApplyBoxDeltas:
     def test_identity_deltas(self):
-        box = Box2D(3, 4, 10, 12)
-        assert apply_box_deltas(box, (0, 0, 0, 0)) == box
+        box = [[3.0, 4.0, 10.0, 12.0]]
+        np.testing.assert_array_equal(apply_box_deltas(box, [[0, 0, 0, 0]]), box)
 
     def test_center_shift(self):
-        out = apply_box_deltas(Box2D(0, 0, 2, 2), (0.5, 0, 0, 0))
-        assert out == Box2D(1, 0, 3, 2)
+        out = apply_box_deltas([[0, 0, 2, 2]], [[0.5, 0, 0, 0]])
+        np.testing.assert_array_equal(out, [[1, 0, 3, 2]])
 
     def test_log_size_clamp(self):
-        out = apply_box_deltas(Box2D(0, 0, 2, 2), (0, 0, 100.0, 0))
-        assert out.width == pytest.approx(2 * math.exp(BOX_DELTA_CLAMP))
+        out = apply_box_deltas([[0, 0, 2, 2]], [[0, 0, 100.0, 0]])
+        assert out[0, 2] - out[0, 0] == pytest.approx(2 * math.exp(BOX_DELTA_CLAMP))
 
     def test_zero_size_proposal_rejected(self):
         with pytest.raises(ValidationError):
-            apply_box_deltas(Box2D(1, 1, 1, 5), (0, 0, 0, 0))
+            apply_box_deltas([[1, 1, 1, 5]], [[0, 0, 0, 0]])
+
+    def test_matches_scalar_decode_bit_for_bit(self):
+        # The scalar definition: centre 0.5 * (x1 + x2), math.exp on the
+        # clamped log-size delta. Sigma 0.05 puts many exp arguments where
+        # a vectorised exp may round differently.
+        rng = CounterRng(31)
+        boxes = np.array([[rng.uniform(0, 50), rng.uniform(0, 50), 0, 0] for _ in range(400)])
+        boxes[:, 2:] = boxes[:, :2] + np.array([[rng.uniform(1, 90), rng.uniform(1, 90)] for _ in range(400)])
+        deltas = np.array([[rng.gaussian(0, 0.05) for _ in range(4)] for _ in range(400)])
+        got = apply_box_deltas(boxes, deltas)
+        for (x1, y1, x2, y2), (dx, dy, dw, dh), out in zip(boxes.tolist(), deltas.tolist(), got.tolist()):
+            cx, cy, w, h = 0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1
+            cx += dx * w
+            cy += dy * h
+            w *= math.exp(min(dw, BOX_DELTA_CLAMP))
+            h *= math.exp(min(dh, BOX_DELTA_CLAMP))
+            assert out == [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
 
 
 class TestExpandHypotheses:
     def test_degenerate_expansion_uses_argmax(self):
-        rng = CounterRng(11)
-        prop = make_proposal(rng)
+        tensors = make_tensors(CounterRng(11), 1)
         cfg = InferenceConfig(k_noun=1, k_verb=1)
-        hyps = expand_hypotheses([prop], TAXONOMY, cfg)
+        hyps = expand(tensors, cfg).to_hypotheses()
         assert len(hyps) == 1
-        assert hyps[0].noun_id == int(np.argmax(prop.noun_logits))
-        assert hyps[0].verb_id == int(np.argmax(prop.verb_logits))
+        assert hyps[0].noun_id == int(np.argmax(tensors["noun_logits"][0]))
+        assert hyps[0].verb_id == int(np.argmax(tensors["verb_logits"][0]))
 
     def test_counting(self):
-        rng = CounterRng(12)
-        props = [make_proposal(rng) for _ in range(7)]
-        hyps = expand_hypotheses(props, TAXONOMY, InferenceConfig(k_noun=3, k_verb=3))
+        tensors = make_tensors(CounterRng(12), 7)
+        hyps = expand(tensors, InferenceConfig(k_noun=3, k_verb=3))
         assert len(hyps) == 9 * 7
 
     def test_score_is_product_of_four_factors(self):
-        rng = CounterRng(13)
-        prop = make_proposal(rng)
-        hyps = expand_hypotheses([prop], TAXONOMY, InferenceConfig(k_noun=4, k_verb=3))
-        p_noun = softmax(prop.noun_logits)
-        p_verb = softmax(prop.verb_logits)
+        tensors = make_tensors(CounterRng(13), 1)
+        hyps = expand(tensors, InferenceConfig(k_noun=4, k_verb=3)).to_hypotheses()
+        p_noun = softmax(tensors["noun_logits"][0])
+        p_verb = softmax(tensors["verb_logits"][0])
+        prior = tensors["objectness"][0] * tensors["quality"][0]
         for h in hyps:
-            expected = prop.objectness * prop.quality * p_noun[h.noun_id] * p_verb[h.verb_id]
-            assert h.score == pytest.approx(expected, abs=1e-9)
+            assert h.score == pytest.approx(prior * p_noun[h.noun_id] * p_verb[h.verb_id], abs=1e-9)
 
     def test_proposal_cap_by_objectness(self):
-        rng = CounterRng(14)
-        props = [make_proposal(rng) for _ in range(10)]
+        tensors = make_tensors(CounterRng(14), 10)
         cfg = InferenceConfig(max_proposals=4, k_noun=1, k_verb=1)
-        hyps = expand_hypotheses(props, TAXONOMY, cfg)
+        hyps = expand(tensors, cfg)
         assert len(hyps) == 4
-        kept_objectness = sorted(p.objectness for p in props)[-4:]
+        by_objectness = np.argsort(-tensors["objectness"], kind="stable")
         # every surviving hypothesis traces back to a top-objectness proposal
-        retained = expand_hypotheses(
-            sorted(props, key=lambda p: -p.objectness)[:4], TAXONOMY, cfg
-        )
-        assert hyps == retained
-        assert min(kept_objectness) > max(
-            p.objectness for p in sorted(props, key=lambda p: -p.objectness)[4:]
-        )
+        retained = expand(rows(tensors, by_objectness[:4]), cfg)
+        assert hyps.to_hypotheses() == retained.to_hypotheses()
+        objectness = tensors["objectness"][by_objectness]
+        assert min(objectness[:4]) > max(objectness[4:])
 
     def test_k_clamped_to_vocabulary(self):
-        rng = CounterRng(15)
-        hyps = expand_hypotheses(
-            [make_proposal(rng)], TAXONOMY, InferenceConfig(k_noun=50, k_verb=50)
-        )
+        hyps = expand(make_tensors(CounterRng(15), 1), InferenceConfig(k_noun=50, k_verb=50))
         assert len(hyps) == TAXONOMY.n_nouns * TAXONOMY.n_verbs
+
+    def test_underflowing_scores_dropped(self):
+        tensors = make_tensors(CounterRng(16), 3)
+        tensors["noun_logits"][1] = [1000.0, 0.0, 0.0, 0.0]
+        hyps = expand(tensors, InferenceConfig(k_noun=4, k_verb=3))
+        # proposal 1 keeps only its noun-0 pairs; the others underflow
+        assert len(hyps) == 2 * 12 + 3
+        assert np.all(hyps.score > 0.0)
+
+    def test_output_in_canonical_order(self):
+        hyps = expand(make_tensors(CounterRng(17), 20)).to_hypotheses()
+        assert hyps == sorted(hyps, key=canonical_key)
+
+    def test_no_proposals_no_hypotheses(self):
+        assert len(expand(make_tensors(CounterRng(18), 0))) == 0
+
+    def test_logit_width_must_match_taxonomy(self):
+        with pytest.raises(ValidationError, match="do not match taxonomy"):
+            expand(make_tensors(CounterRng(19), 2, n_nouns=5))
 
 
 class TestClassAwareNms:
     def test_single_hypothesis_unchanged(self):
         rng = CounterRng(16)
         h = make_hypothesis(rng)
-        assert class_aware_nms([h]) == [h]
+        assert nms([h]) == [h]
 
     def test_high_overlap_same_noun_suppressed(self):
         a = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.0, 0.9)
         b = StaHypothesis(Box2D(0.5, 0.5, 10.5, 10.5), 0, 1, 1.0, 0.5)
-        kept = class_aware_nms([a, b], nms_iou=0.5)
-        assert kept == [a]
+        assert nms([a, b], nms_iou=0.5) == [a]
 
     def test_identical_boxes_different_nouns_both_kept(self):
         a = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.0, 0.9)
         b = StaHypothesis(Box2D(0, 0, 10, 10), 1, 0, 1.0, 0.5)
-        assert class_aware_nms([a, b]) == [a, b]
+        assert nms([a, b]) == [a, b]
 
     def test_idempotent_and_subset(self):
         for seed in range(30):
             rng = CounterRng(1000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(40)]
-            once = class_aware_nms(hyps, 0.4)
-            assert class_aware_nms(once, 0.4) == once
-            ids = set(id(h) for h in hyps)
-            assert all(id(h) in ids for h in once)
+            once = class_aware_nms(table_of(hyps), 0.4)
+            assert class_aware_nms(once, 0.4).to_hypotheses() == once.to_hypotheses()
+            assert all(h in hyps for h in once.to_hypotheses())
 
     def test_top_hypothesis_per_class_survives(self):
         rng = CounterRng(17)
         hyps = [make_hypothesis(rng) for _ in range(60)]
-        kept = class_aware_nms(hyps, 0.3)
+        kept = nms(hyps, 0.3)
         for noun in set(h.noun_id for h in hyps):
             best = min((h for h in hyps if h.noun_id == noun), key=canonical_key)
             assert best in kept
+
+
+def brute_force_nms(hyps, nms_iou):
+    """Greedy per-noun NMS over hypothesis objects with the scalar IoU."""
+    kept = []
+    for h in sorted(hyps, key=canonical_key):
+        if not any(k.noun_id == h.noun_id and iou(h.box, k.box) > nms_iou for k in kept):
+            kept.append(h)
+    return kept
+
+
+coordinate = st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
+hypothesis_rows = st.lists(
+    st.tuples(
+        coordinate, coordinate, coordinate, coordinate,
+        st.integers(0, 2), st.integers(0, 1),
+        st.sampled_from([0.5, 1.0]), st.sampled_from([0.25, 0.5, 0.75]),
+    ),
+    max_size=30,
+)
+
+
+def hypotheses_from(raw):
+    return [
+        StaHypothesis(Box2D(min(a, c), min(b, d), max(a, c), max(b, d)), noun, verb, ttc, score)
+        for a, b, c, d, noun, verb, ttc, score in raw
+    ]
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(hypothesis_rows)
+    def test_table_order_equals_sorted_canonical_key(self, raw):
+        # Coarse coordinate and score grids force partial and full ties.
+        hyps = hypotheses_from(raw)
+        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]))
+    def test_nms_equals_brute_force_greedy(self, raw, nms_iou):
+        hyps = hypotheses_from(raw)
+        assert nms(hyps, nms_iou) == brute_force_nms(hyps, nms_iou)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_nms_blocks_do_not_change_the_result(self, monkeypatch, block):
+        rng = CounterRng(40)
+        hyps = [make_hypothesis(rng, n_nouns=2) for _ in range(120)]
+        expected = brute_force_nms(hyps, 0.1)
+        monkeypatch.setattr(postprocess, "NMS_PAIR_BLOCK", block)
+        assert nms(hyps, 0.1) == expected
+
+    def test_zero_area_and_identical_boxes(self):
+        flat = Box2D(5, 5, 5, 9)
+        box = Box2D(0, 0, 10, 10)
+        hyps = [
+            StaHypothesis(flat, 0, 0, 1.0, 0.9),
+            StaHypothesis(flat, 0, 1, 1.0, 0.8),
+            StaHypothesis(box, 0, 0, 1.0, 0.7),
+            StaHypothesis(box, 0, 1, 1.0, 0.6),
+            StaHypothesis(box, 0, 2, 1.0, 0.6),
+        ]
+        for nms_iou in (1e-4, 0.3, 0.5, 0.99, 1.0):
+            assert nms(hyps, nms_iou) == brute_force_nms(hyps, nms_iou)
+        assert nms(hyps, 0.99) == hyps[:3]
+        assert nms(hyps, 1.0) == hyps
+
+
+class TestHypothesisTable:
+    def test_every_bad_row_listed(self):
+        with pytest.raises(ValidationError) as err:
+            HypothesisTable(
+                boxes=[[0, 0, 1, 1], [2, 0, 1, 1], [0, 0, 1, math.nan]],
+                noun=[0, -1, 0], verb=[0, 0, 0], ttc=[-0.5, 1.0, 1.0], score=[0.5, 0.0, 0.2],
+            )
+        assert sorted(err.value.problems) == [
+            "row 0: ttc must be finite and >= 0",
+            "row 1: box has x1 > x2",
+            "row 1: noun_id must be >= 0",
+            "row 1: score must be finite and > 0",
+            "row 2: box coordinates must be finite",
+        ]
+
+    def test_column_shapes_checked(self):
+        with pytest.raises(ValidationError, match="verb must have shape"):
+            HypothesisTable(boxes=[[0, 0, 1, 1]], noun=[0], verb=[0, 1], ttc=[1.0], score=[0.5])
+
+    def test_columns_are_read_only_copies(self):
+        score = np.array([0.5, 0.25])
+        table = HypothesisTable(boxes=np.ones((2, 4)), noun=[0, 1], verb=[0, 0], ttc=[1.0, 2.0], score=score)
+        score[0] = 0.0
+        assert table.score[0] == 0.5
+        with pytest.raises(ValueError):
+            table.score[1] = 1.0
 
 
 class TestFinalizeSubmission:
     def test_truncates_to_cap(self):
         rng = CounterRng(18)
         hyps = [make_hypothesis(rng) for _ in range(150)]
-        out = finalize_submission(hyps, 100)
+        out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 100
         assert out == sorted(hyps, key=canonical_key)[:100]
 
     def test_short_list_kept_whole(self):
         rng = CounterRng(19)
         hyps = [make_hypothesis(rng) for _ in range(5)]
-        out = finalize_submission(hyps, 100)
+        out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 5
         assert out == sorted(hyps, key=canonical_key)
 
@@ -213,35 +372,20 @@ class TestFinalizeSubmission:
         rng = CounterRng(20)
         hyps = [make_hypothesis(rng) for _ in range(30)]
         shuffled = list(reversed(hyps))
-        assert finalize_submission(hyps, 10) == finalize_submission(shuffled, 10)
+        assert finalize_submission(table_of(hyps), 10) == finalize_submission(table_of(shuffled), 10)
 
 
 class TestFullChain:
     def test_permutation_invariance(self):
-        rng = CounterRng(21)
-        props = [make_proposal(rng) for _ in range(25)]
+        tensors = make_tensors(CounterRng(21), 25)
         cfg = InferenceConfig(k_noun=2, k_verb=2, max_exports=20)
-        a = run_inference_chain(props, TAXONOMY, cfg)
-        b = run_inference_chain(list(reversed(props)), TAXONOMY, cfg)
-        assert a == b
+        assert chain(tensors, cfg) == chain(rows(tensors, slice(None, None, -1)), cfg)
 
     def test_ttc_shift_does_not_change_ranking(self):
-        rng = CounterRng(22)
-        props = [make_proposal(rng) for _ in range(10)]
-        shifted = [
-            ProposalRecord(
-                proposal_box=p.proposal_box,
-                objectness=p.objectness,
-                noun_logits=p.noun_logits,
-                verb_logits=p.verb_logits,
-                box_deltas=p.box_deltas,
-                ttc_raw=p.ttc_raw + 1.5,
-                quality=p.quality,
-            )
-            for p in props
-        ]
-        base = run_inference_chain(props, TAXONOMY, InferenceConfig())
-        moved = run_inference_chain(shifted, TAXONOMY, InferenceConfig())
+        tensors = make_tensors(CounterRng(22), 10)
+        shifted = dict(tensors, ttc_raw=tensors["ttc_raw"] + 1.5)
+        base = chain(tensors)
+        moved = chain(shifted)
         assert [(h.noun_id, h.verb_id, h.box) for h in base] == [
             (h.noun_id, h.verb_id, h.box) for h in moved
         ]
@@ -254,20 +398,37 @@ class TestProposalTensors:
         missing = [p for p in err.value.problems if "missing tensor" in p]
         assert len(missing) == 6
 
-    def test_round_trip_through_records(self):
-        rng = CounterRng(23)
-        props = [make_proposal(rng) for _ in range(4)]
-        tensors = {
-            "proposal_boxes": np.array([p.proposal_box.corners() for p in props]),
-            "objectness": np.array([p.objectness for p in props]),
-            "noun_logits": np.array([p.noun_logits for p in props]),
-            "verb_logits": np.array([p.verb_logits for p in props]),
-            "box_deltas": np.array([p.box_deltas for p in props]),
-            "ttc_raw": np.array([p.ttc_raw for p in props]),
-            "quality": np.array([p.quality for p in props]),
-        }
-        records = proposals_from_tensors(tensors)
-        assert len(records) == 4
-        for got, want in zip(records, props):
-            assert got.objectness == pytest.approx(want.objectness, rel=1e-6)
-            assert got.proposal_box.x1 == pytest.approx(want.proposal_box.x1, rel=1e-5)
+    def test_round_trip_through_records(self, tmp_path):
+        tensors = make_tensors(CounterRng(23), 4)
+        write_tensor_file(tensors, tmp_path / "heads.vstf")
+        batch = proposals_from_tensors(read_tensor_file(tmp_path / "heads.vstf"))
+        assert len(batch) == 4
+        np.testing.assert_allclose(batch.objectness, tensors["objectness"], rtol=1e-6)
+        np.testing.assert_allclose(batch.proposal_boxes, tensors["proposal_boxes"], rtol=1e-5)
+
+    def test_every_shape_problem_listed(self):
+        tensors = make_tensors(CounterRng(24), 5)
+        tensors["objectness"] = tensors["objectness"][:3]
+        tensors["box_deltas"] = tensors["box_deltas"][:, :2]
+        tensors["verb_logits"] = tensors["verb_logits"][:4]
+        with pytest.raises(ValidationError) as err:
+            proposals_from_tensors(tensors)
+        named = sorted(p.split()[0] for p in err.value.problems)
+        assert named == ["box_deltas", "objectness", "verb_logits"]
+
+    def test_every_bad_value_listed(self):
+        tensors = make_tensors(CounterRng(25), 5)
+        tensors["objectness"][[1, 3]] = 0.0
+        tensors["quality"][4] = 1.5
+        tensors["box_deltas"][2, 1, 3] = math.nan
+        tensors["proposal_boxes"][0, 0] = tensors["proposal_boxes"][0, 2] + 1.0
+        with pytest.raises(ValidationError) as err:
+            proposals_from_tensors(tensors)
+        assert len(err.value.problems) == 5
+        assert all(p.startswith("proposal ") for p in err.value.problems)
+
+    def test_float32_tensors_are_not_copied(self):
+        tensors = {k: v.astype(np.float32) for k, v in make_tensors(CounterRng(26), 6).items()}
+        batch = proposals_from_tensors(tensors)
+        assert batch.box_deltas.dtype == np.float32
+        assert np.shares_memory(batch.box_deltas, tensors["box_deltas"])
