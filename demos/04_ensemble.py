@@ -34,7 +34,7 @@ print(f"ensemble: Overall mAP = {report.map_overall:6.2f}")
 
 uid = next(iter(merged))
 print(f"\nmerged hypotheses for {uid}:")
-for h in merged[uid]:
+for h in merged[uid].to_hypotheses():
     print(
         f"  noun {h.noun_id} verb {h.verb_id}  ttc {h.ttc:4.2f}  "
         f"score {h.score:.3f}  box ({h.box.x1:.0f}, {h.box.y1:.0f}, "

@@ -10,6 +10,7 @@ be exercised without real data.
 from .boxes import Box2D, clip_box, iou
 from .ensemble import (
     EnsembleConfig,
+    Grouping,
     HypothesisGroup,
     compatible,
     ensemble_predictions,
@@ -56,7 +57,9 @@ from .types import (
     PredictionSet,
     StaHypothesis,
     Taxonomy,
+    as_table,
     canonical_key,
+    canonical_order,
     sort_canonical,
 )
 

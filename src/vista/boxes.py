@@ -3,6 +3,11 @@
 Boxes use corner coordinates with no +1 pixel convention:
 area = (x2 - x1) * (y2 - y1). Zero-area boxes are representable but
 match nothing (their IoU against anything is defined as 0).
+
+`iou` is the scalar definition; `pair_iou` computes it over columns for
+many pairs at once with the same operations in the same order, so both
+give the same bits, and `pair_blocks` enumerates the pairs in bounded
+blocks.
 """
 
 from __future__ import annotations
@@ -10,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
+
+# Box pairs compared at once. Bounds the temporaries of a pairwise pass to
+# a few MB however many boxes share one class.
+PAIR_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,3 +98,49 @@ def clip_box(b: Box2D, width: float, height: float) -> tuple[Box2D, bool]:
         min(max(b.y2, 0.0), height),
     )
     return clipped, clipped.area == 0.0
+
+
+def box_columns(boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The x1, y1, x2, y2 columns of (N, 4) corners, contiguous, and the
+    areas, as `Box2D.area` computes them."""
+    x1, y1, x2, y2 = corners = [np.ascontiguousarray(boxes[:, i]) for i in range(4)]
+    return corners, (x2 - x1) * (y2 - y1)
+
+
+def pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`iou` of the boxes at rows a[i] and b[i], given the `box_columns`
+    of the boxes, with its operations in its order."""
+    x1, y1, x2, y2 = corners
+    ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+    iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+    inter = ix * iy
+    union = area[a] + area[b] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), inter / union, 0.0)
+
+
+def pair_blocks(first: np.ndarray, counts: np.ndarray, block: int = PAIR_BLOCK):
+    """Pair row i with positions first[i], ..., first[i] + counts[i] - 1.
+
+    Yields (rows, positions) index arrays, one entry per pair, in row
+    order and then position order, about `block` pairs at a time (a row
+    with more pairs than that comes alone).
+    """
+    through = np.cumsum(counts)
+    start, n = 0, len(counts)
+    while start < n:
+        budget = through[start] - counts[start] + block
+        stop = max(start + 1, int(np.searchsorted(through, budget, side="right")))
+        taken = counts[start:stop]
+        rows = np.repeat(np.arange(start, stop), taken)
+        offsets = np.repeat(first[start:stop] - (np.cumsum(taken) - taken), taken)
+        yield rows, offsets + np.arange(len(rows))
+        start = stop
+
+
+def same_key_pairs(keys: np.ndarray, block: int = PAIR_BLOCK):
+    """Every pair of rows i < j with keys[i] == keys[j], for sorted keys,
+    as (i, j) index arrays from `pair_blocks`."""
+    n = len(keys)
+    later = np.searchsorted(keys, keys, side="right") - np.arange(n) - 1
+    return pair_blocks(np.arange(1, n + 1), later, block)

@@ -22,6 +22,7 @@ from .ensemble import EnsembleConfig, ensemble_predictions
 from .errors import FormatError, ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .io_formats import (
+    _load_json,
     load_ground_truth,
     load_predictions,
     load_taxonomy,
@@ -43,7 +44,7 @@ EXIT_INTERNAL = 3
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return doc
@@ -70,7 +71,7 @@ def cmd_evaluate(args) -> int:
     cfg = EvalConfig(
         iou_min=_get(args, config, "iou_min", 0.5),
         ttc_max_error=_get(args, config, "ttc_tol", 0.25),
-        top_k=int(_get(args, config, "top_k", 5)),
+        top_k=_get(args, config, "top_k", 5),
     )
     taxonomy, gts = load_ground_truth(args.ground_truth)
     preds = load_predictions(args.predictions, taxonomy)
@@ -92,11 +93,11 @@ def cmd_evaluate(args) -> int:
 def cmd_postprocess(args) -> int:
     config = _load_config(args.config)
     cfg = InferenceConfig(
-        max_proposals=int(_get(args, config, "max_proposals", 300)),
-        k_noun=int(_get(args, config, "k_noun", 3)),
-        k_verb=int(_get(args, config, "k_verb", 3)),
+        max_proposals=_get(args, config, "max_proposals", 300),
+        k_noun=_get(args, config, "k_noun", 3),
+        k_verb=_get(args, config, "k_verb", 3),
         nms_iou=_get(args, config, "nms_iou", 0.5),
-        max_exports=int(_get(args, config, "max_exports", 100)),
+        max_exports=_get(args, config, "max_exports", 100),
     )
     taxonomy = load_taxonomy(args.taxonomy)
     batches = load_proposal_batches(args.head_outputs, default_uid=Path(args.head_outputs).stem)
@@ -130,7 +131,7 @@ def cmd_ensemble(args) -> int:
         ttc_tolerance=_get(args, config, "ttc_tol", 0.25),
         agreement_weight=_get(args, config, "agreement_weight", 0.5),
         n_sources=len(sources),
-        max_exports=int(_get(args, config, "max_exports", 100)),
+        max_exports=_get(args, config, "max_exports", 100),
     )
     merged = ensemble_predictions(sources, cfg)
     out = _out_dir(args, config)
@@ -154,23 +155,22 @@ def cmd_ensemble(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
-    seed = int(_get(args, config, "seed", 0))
-    taxonomy, gts = generate_scenario(
-        n_examples=int(_get(args, config, "n_examples", 10)),
-        n_nouns=int(_get(args, config, "n_nouns", 8)),
-        n_verbs=int(_get(args, config, "n_verbs", 6)),
-        gts_per_example=int(_get(args, config, "gts_per_example", 2)),
-        seed=seed,
-    )
     noise = NoiseConfig(
         box_jitter_sigma=_get(args, config, "box_jitter_sigma", 0.0),
         label_flip_prob=_get(args, config, "label_flip_prob", 0.0),
         verb_flip_prob=_get(args, config, "verb_flip_prob", 0.0),
         ttc_noise_sigma=_get(args, config, "ttc_noise_sigma", 0.0),
         drop_prob=_get(args, config, "drop_prob", 0.0),
-        seed=seed,
+        seed=_get(args, config, "seed", 0),
     )
-    n_sources = int(_get(args, config, "n_sources", 1))
+    taxonomy, gts = generate_scenario(
+        n_examples=_get(args, config, "n_examples", 10),
+        n_nouns=_get(args, config, "n_nouns", 8),
+        n_verbs=_get(args, config, "n_verbs", 6),
+        gts_per_example=_get(args, config, "gts_per_example", 2),
+        seed=noise.seed,
+    )
+    n_sources = _get(args, config, "n_sources", 1)
     sources = perturb_to_predictions(taxonomy, gts, noise, n_sources)
     out = _out_dir(args, config)
     write_ground_truth(taxonomy, gts, out / "ground_truth.json")
@@ -184,7 +184,7 @@ def cmd_plan(args) -> int:
     config = _load_config(args.config)
     plan = plan_frames(
         query_time=args.time,
-        frame_count=int(_get(args, config, "frame_count", 8)),
+        frame_count=_get(args, config, "frame_count", 8),
         sample_rate=_get(args, config, "sample_rate", 2.0),
     )
     print(" ".join(f"{t:g}" for t in plan.frame_times))
@@ -254,7 +254,7 @@ def cmd_validate(args) -> int:
         tensors = read_tensor_file(path)
         print(f"{path}: valid tensor container, {len(tensors)} tensors")
         return EXIT_OK
-    doc = json.loads(path.read_text())
+    doc = _load_json(path)
     if isinstance(doc, dict) and "results" in doc:
         preds = load_predictions(path)
         n = sum(len(v) for v in preds.values())

@@ -6,15 +6,31 @@ TTC proximity. Each group is merged into one hypothesis whose box and
 TTC are score-weighted means and whose score is boosted by cross-source
 agreement. Default thresholds mirror the metric tolerances so grouped
 hypotheses are interchangeable under the strictest matching criterion.
+
+Grouping and merging work on the columns of one example's pooled
+HypothesisTable. The arithmetic is that of the scalar definitions, bit
+for bit: IoU keeps the operation order of `boxes.iou`, and every sum over
+a group's members adds them one at a time in member order, as Python's
+`sum` does (numpy's pairwise summation rounds differently for groups of
+8 or more).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boxes import Box2D, iou
+import numpy as np
+
+from .boxes import PAIR_BLOCK, box_columns, iou, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import PredictionSet, StaHypothesis, canonical_key, sort_canonical
+from .types import (
+    HypothesisTable,
+    PredictionSet,
+    StaHypothesis,
+    as_table,
+    field_type_problems,
+    sort_canonical,
+)
 
 
 @dataclass(frozen=True)
@@ -26,9 +42,11 @@ class EnsembleConfig:
     max_exports: int = 100
 
     def __post_init__(self):
-        problems = []
-        if not (self.box_iou_min > 0.0):
-            problems.append(f"box_iou_min must be positive, got {self.box_iou_min}")
+        problems = field_type_problems(self)
+        if problems:
+            raise ValidationError(problems)
+        if not (0.0 < self.box_iou_min <= 1.0):
+            problems.append(f"box_iou_min must be in (0, 1], got {self.box_iou_min}")
         if not (self.ttc_tolerance > 0.0):
             problems.append(f"ttc_tolerance must be positive, got {self.ttc_tolerance}")
         if not (0.0 <= self.agreement_weight <= 1.0):
@@ -41,14 +59,39 @@ class EnsembleConfig:
             raise ValidationError(problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisGroup:
-    members: tuple[StaHypothesis, ...]
-    seed_index: int
+    """One group: its members in canonical order, the seed first."""
+
+    members: HypothesisTable
 
     @property
     def seed(self) -> StaHypothesis:
-        return self.members[self.seed_index]
+        return self.members.take(slice(0, 1)).to_hypotheses()[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Grouping:
+    """One example's hypotheses partitioned into groups.
+
+    Group g is the rows bounds[g]:bounds[g + 1] of `table`. The groups are
+    in the order of their seeds, and each group's members are in
+    canonical order, so its seed (its highest-ranked member) comes first.
+    """
+
+    table: HypothesisTable
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, g: int) -> HypothesisGroup:
+        g = range(len(self))[g]
+        return HypothesisGroup(self.table.take(slice(self.bounds[g], self.bounds[g + 1])))
+
+    def __iter__(self):
+        bounds = self.bounds.tolist()
+        return (HypothesisGroup(self.table.take(slice(*ends))) for ends in zip(bounds, bounds[1:]))
 
 
 def compatible(a: StaHypothesis, b: StaHypothesis, cfg: EnsembleConfig = EnsembleConfig()) -> bool:
@@ -61,87 +104,126 @@ def compatible(a: StaHypothesis, b: StaHypothesis, cfg: EnsembleConfig = Ensembl
     )
 
 
-def group_hypotheses(
-    hyps: list[StaHypothesis], cfg: EnsembleConfig = EnsembleConfig()
-) -> list[HypothesisGroup]:
+def group_hypotheses(hyps, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
     """Greedy seed-anchored grouping (not transitive closure).
 
-    Repeatedly take the highest-ranked ungrouped hypothesis as seed; every
-    ungrouped hypothesis compatible with that seed joins its group. The
-    result is a partition: each input hypothesis lands in exactly one group.
+    Repeatedly take the highest-ranked ungrouped hypothesis as seed; the
+    seed and every ungrouped hypothesis `compatible` with it form a group.
+    The seed always belongs to its own group, also when it is not
+    compatible with itself (a zero-area box has IoU 0 with itself). The
+    result is a partition: each input hypothesis lands in exactly one
+    group. `hyps` is a HypothesisTable or a list of StaHypothesis.
+
+    Compatibility is computed only for same-(noun, verb) pairs,
+    PAIR_BLOCK pairs at a time; one greedy pass in rank order then
+    assigns the groups.
     """
-    remaining = sort_canonical(hyps)
-    groups = []
-    while remaining:
-        seed = remaining[0]
-        members = [h for h in remaining if compatible(seed, h, cfg)]
-        # The seed is compatible with itself, so members is never empty and
-        # the seed (highest-ranked) sits at index 0.
-        groups.append(HypothesisGroup(members=tuple(members), seed_index=0))
-        taken = set(id(h) for h in members)
-        remaining = [h for h in remaining if id(h) not in taken]
-    return groups
+    table = sort_canonical(as_table(hyps))
+    n = len(table)
+    by_class = np.lexsort((table.verb, table.noun))  # canonical order within each class
+    noun, verb = table.noun[by_class], table.verb[by_class]
+    starts_class = np.ones(n, dtype=bool)
+    starts_class[1:] = (noun[1:] != noun[:-1]) | (verb[1:] != verb[:-1])
+    corners, area = box_columns(table.boxes[by_class])
+    ttc = table.ttc[by_class]
+    # owner[i] is the position of the seed of the group of position i.
+    owner = [-1] * n
+    for higher, lower in same_key_pairs(np.cumsum(starts_class), PAIR_BLOCK):
+        joins = (pair_iou(corners, area, higher, lower) >= cfg.box_iou_min) & (
+            np.abs(ttc[higher] - ttc[lower]) <= cfg.ttc_tolerance
+        )
+        # Pairs come in rank order of their higher row, so a row still
+        # ungrouped when its own pairs come is a seed.
+        for h, low in zip(higher[joins].tolist(), lower[joins].tolist()):
+            if owner[h] < 0:
+                owner[h] = h
+            if owner[h] == h and owner[low] < 0:
+                owner[low] = h
+    owner = np.array(owner, dtype=np.intp)
+    alone = owner < 0
+    owner[alone] = np.flatnonzero(alone)
+    seed_row, member_row = by_class[owner], by_class
+    order = np.lexsort((member_row, seed_row))
+    seed_row = seed_row[order]
+    starts_group = np.ones(n, dtype=bool)
+    starts_group[1:] = seed_row[1:] != seed_row[:-1]
+    return Grouping(table.take(member_row[order]), np.append(np.flatnonzero(starts_group), n))
 
 
-def merge_group(g: HypothesisGroup, cfg: EnsembleConfig = EnsembleConfig()) -> StaHypothesis:
-    """Collapse a group into one hypothesis.
+def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sum of values[bounds[g]:bounds[g + 1]] for every group g, added
+    one at a time in order from 0.0, as Python's `sum` adds floats."""
+    sizes = np.diff(bounds)
+    by_size = np.argsort(-sizes, kind="stable")
+    firsts, larger = bounds[:-1][by_size], -sizes[by_size]  # larger ascends
+    sums = np.zeros(len(sizes))
+    for j in range(int(sizes.max(initial=0))):
+        # Groups with more than j members are a prefix in size order.
+        active = int(np.searchsorted(larger, -j, side="left"))
+        sums[:active] += values[firsts[:active] + j]
+    out = np.empty_like(sums)
+    out[by_size] = sums
+    return out
 
-    Box corners and TTC are score-weighted means over members; noun/verb
-    come from the seed. The merged score is the mean member score times
-    the agreement factor (1 - alpha) + alpha * u / n_sources, where u is
-    the number of distinct sources represented in the group.
+
+def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable:
+    """Collapse every group into one hypothesis; row g of the result is
+    group g.
+
+    Box corners and TTC are score-weighted means over members; noun, verb
+    and source come from the seed. The merged score is the mean member
+    score times the agreement factor (1 - alpha) + alpha * u / n_sources,
+    where u is the number of distinct sources represented in the group
+    (members without a source count as one more).
     """
-    if not g.members:
+    table, bounds = groups.table, groups.bounds
+    sizes = np.diff(bounds)
+    if (sizes < 1).any():
         raise ValidationError("cannot merge an empty group")
-    total = sum(h.score for h in g.members)
-    weights = [h.score / total for h in g.members]
-    corners = tuple(
-        sum(w * h.box.corners()[i] for w, h in zip(weights, g.members)) for i in range(4)
-    )
-    ttc = sum(w * h.ttc for w, h in zip(weights, g.members))
-    sources = {h.source_id for h in g.members}
-    u = len(sources)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    total = _member_sums(table.score, bounds)
+    weight = table.score / total[group]
+    corners = np.stack([_member_sums(weight * table.boxes[:, i], bounds) for i in range(4)], axis=-1)
+    ttc = _member_sums(weight * table.ttc, bounds)
+    has_source = table.has_source
+    source = np.where(has_source, table.source, 0)
+    by_source = np.lexsort((source, has_source, group))
+    first_of_kind = np.ones(len(table), dtype=bool)
+    first_of_kind[1:] = np.diff(np.stack([group, has_source, source])[:, by_source], axis=1).any(axis=0)
+    distinct = np.bincount(group[by_source][first_of_kind], minlength=len(sizes))
     alpha = cfg.agreement_weight
-    agreement = (1.0 - alpha) + alpha * min(u, cfg.n_sources) / cfg.n_sources
-    score = (total / len(g.members)) * agreement
-    seed = g.seed
-    return StaHypothesis(
-        box=Box2D(*corners),
-        noun_id=seed.noun_id,
-        verb_id=seed.verb_id,
+    agreement = (1.0 - alpha) + alpha * np.minimum(distinct, cfg.n_sources) / cfg.n_sources
+    seeds = bounds[:-1]
+    return HypothesisTable(
+        boxes=corners,
+        noun=table.noun[seeds],
+        verb=table.verb[seeds],
         ttc=ttc,
-        score=score,
-        source_id=seed.source_id,
+        score=(total / sizes) * agreement,
+        source=table.source[seeds],
+        has_source=table.has_source[seeds],
     )
 
 
-def ensemble_predictions(
-    sources: list[PredictionSet], cfg: EnsembleConfig | None = None
-) -> PredictionSet:
+def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | None = None) -> PredictionSet:
     """Pool, group, merge and re-rank hypotheses per example across sources.
 
     Hypotheses missing a source_id are tagged with their source's index so
     cross-source agreement can be counted. Uids are unioned across sources.
+    Each source maps uids to HypothesisTables or lists of StaHypothesis.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
     if cfg is None:
         cfg = EnsembleConfig(n_sources=len(sources))
 
-    pooled: dict[str, list[StaHypothesis]] = {}
+    pooled: dict[str, list[HypothesisTable]] = {}
     for idx, src in enumerate(sources):
         for uid, hyps in src.items():
-            bucket = pooled.setdefault(uid, [])
-            for h in hyps:
-                if h.source_id is None:
-                    h = StaHypothesis(
-                        box=h.box, noun_id=h.noun_id, verb_id=h.verb_id,
-                        ttc=h.ttc, score=h.score, source_id=idx,
-                    )
-                bucket.append(h)
+            pooled.setdefault(uid, []).append(as_table(hyps).with_default_source(idx))
 
     out: PredictionSet = {}
     for uid in sorted(pooled):
-        merged = [merge_group(g, cfg) for g in group_hypotheses(pooled[uid], cfg)]
-        out[uid] = sort_canonical(merged)[: cfg.max_exports]
+        merged = merge_group(group_hypotheses(HypothesisTable.concat(pooled[uid]), cfg), cfg)
+        out[uid] = sort_canonical(merged).take(slice(0, cfg.max_exports))
     return out

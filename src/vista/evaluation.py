@@ -16,18 +16,21 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import iou
+from .boxes import PAIR_BLOCK, box_columns, iou, pair_blocks, pair_iou
 from .errors import ValidationError
 from .types import (
     GroundTruthInstance,
+    HypothesisTable,
     PredictionSet,
     StaHypothesis,
     Taxonomy,
-    canonical_key,
+    as_table,
+    canonical_order,
+    field_type_problems,
     sort_canonical,
 )
 
@@ -59,7 +62,9 @@ class EvalConfig:
     top_k: int = 5
 
     def __post_init__(self):
-        problems = []
+        problems = field_type_problems(self)
+        if problems:
+            raise ValidationError(problems)
         if not (self.iou_min > 0.0):
             problems.append(f"iou_min must be positive, got {self.iou_min}")
         if not (self.ttc_max_error > 0.0):
@@ -125,9 +130,10 @@ def matches(
     return True
 
 
-def top_k_filter(preds: list[StaHypothesis], k: int) -> list[StaHypothesis]:
-    """Keep at most the k highest-ranked hypotheses (canonical order)."""
-    return sort_canonical(preds)[:k]
+def top_k_filter(preds, k: int) -> HypothesisTable:
+    """Keep at most the k highest-ranked hypotheses (canonical order) of a
+    HypothesisTable or a list of StaHypothesis."""
+    return sort_canonical(as_table(preds)).take(slice(0, k))
 
 
 def average_precision(tp_flags, n_gt: int) -> float:
@@ -147,57 +153,56 @@ def average_precision(tp_flags, n_gt: int) -> float:
     return float(precision[flags].sum() / n_gt)
 
 
-def _match_variant(
-    preds: PredictionSet,
-    gts: list[GroundTruthInstance],
-    variant: MatchVariant,
-    cfg: EvalConfig,
-) -> tuple[dict[int, list[bool]], dict[str, int]]:
-    """Greedy matching for one variant.
+def _candidates(pred: HypothesisTable, pred_uid: np.ndarray, gts: list[GroundTruthInstance],
+                gt_uid: np.ndarray, cfg: EvalConfig):
+    """The (prediction, ground truth) pairs that can match under some
+    variant: same example, same noun, IoU > iou_min. Returns the pairs
+    sorted by prediction and then ground-truth index, their IoU, and
+    whether each pair agrees on the verb and on the TTC."""
+    gt_boxes = np.array([gt.box.corners() for gt in gts], dtype=np.float64).reshape(-1, 4)
+    gt_noun = np.array([gt.noun_id for gt in gts], dtype=np.int64)
+    nouns, noun_code = np.unique(np.concatenate([pred.noun, gt_noun]), return_inverse=True)
+    key = np.concatenate([pred_uid, gt_uid]) * len(nouns) + noun_code
+    pred_key, gt_key = key[: len(pred)], key[len(pred):]
+    gt_by_key = np.argsort(gt_key, kind="stable")
+    first = np.searchsorted(gt_key[gt_by_key], pred_key, side="left")
+    counts = np.searchsorted(gt_key[gt_by_key], pred_key, side="right") - first
+    corners, area = box_columns(np.concatenate([pred.boxes, gt_boxes]))
+    p_parts, g_parts, iou_parts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for p, position in pair_blocks(first, counts, PAIR_BLOCK):
+        g = gt_by_key[position]
+        overlap = pair_iou(corners, area, p, len(pred) + g)
+        over = overlap > cfg.iou_min
+        p_parts.append(p[over])
+        g_parts.append(g[over])
+        iou_parts.append(overlap[over])
+    p, g, overlap = np.concatenate(p_parts), np.concatenate(g_parts), np.concatenate(iou_parts)
+    gt_verb = np.array([gt.verb_id for gt in gts], dtype=np.int64)
+    gt_ttc = np.array([gt.ttc for gt in gts], dtype=np.float64)
+    same_verb = pred.verb[p] == gt_verb[g]
+    close_ttc = np.abs(pred.ttc[p] - gt_ttc[g]) < cfg.ttc_max_error
+    return p, g, overlap, same_verb, close_ttc
 
-    Returns per-noun-class TP/FP flags in global score order, plus
-    matched/unmatched counts. Predictions are processed globally by
-    canonical order (uid as final tie-break); each takes the unmatched
-    same-class ground truth of its example with the highest IoU among
-    those satisfying the variant criteria.
-    """
-    ordered: list[tuple[StaHypothesis, str]] = []
-    for uid in preds:
-        for h in top_k_filter(preds[uid], cfg.top_k):
-            ordered.append((h, uid))
-    ordered.sort(key=lambda rec: (canonical_key(rec[0]), rec[1]))
 
-    gt_index: dict[tuple[str, int], list[int]] = {}
-    for gi, gt in enumerate(gts):
-        gt_index.setdefault((gt.example_uid, gt.noun_id), []).append(gi)
-
-    matched_gt = [False] * len(gts)
-    flags_per_class: dict[int, list[bool]] = {}
-    n_matched = 0
-    for hyp, uid in ordered:
-        best_gi = -1
-        best_iou = -1.0
-        for gi in gt_index.get((uid, hyp.noun_id), ()):
-            if matched_gt[gi]:
-                continue
-            if not matches(hyp, gts[gi], variant, cfg):
-                continue
-            overlap = iou(hyp.box, gts[gi].box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_gi = gi
-        is_tp = best_gi >= 0
-        if is_tp:
-            matched_gt[best_gi] = True
-            n_matched += 1
-        flags_per_class.setdefault(hyp.noun_id, []).append(is_tp)
-
-    counts = {
-        "matched": n_matched,
-        "unmatched_predictions": len(ordered) - n_matched,
-        "unmatched_ground_truths": len(gts) - n_matched,
-    }
-    return flags_per_class, counts
+def _greedy_match(p: np.ndarray, g: np.ndarray, overlap: np.ndarray, n_pred: int, n_gt: int) -> np.ndarray:
+    """TP flags of greedy matching over candidate pairs sorted by
+    prediction and then ground truth. Predictions take their turn in
+    order; each takes the unmatched ground truth of highest IoU among its
+    candidates, the first in ground-truth order on ties."""
+    taken = [False] * n_gt
+    tp = np.zeros(n_pred, dtype=bool)
+    current, best_g, best = -1, -1, -1.0
+    for pi, gi, v in zip(p.tolist(), g.tolist(), overlap.tolist()):
+        if pi != current:
+            if best_g >= 0:
+                taken[best_g] = True
+                tp[current] = True
+            current, best_g, best = pi, -1, -1.0
+        if v > best and not taken[gi]:
+            best, best_g = v, gi
+    if best_g >= 0:
+        tp[current] = True
+    return tp
 
 
 def evaluate(
@@ -206,32 +211,70 @@ def evaluate(
     cfg: EvalConfig = EvalConfig(),
     taxonomy: Taxonomy | None = None,
 ) -> EvalReport:
-    """Run the four-variant protocol over a prediction set."""
+    """Run the four-variant protocol over a prediction set.
+
+    `preds` maps uids to HypothesisTables or lists of StaHypothesis. Each
+    example keeps its top_k hypotheses; all of them are then ranked by
+    the canonical ordering with the uid as the final tie-break. The
+    candidate pairs are built once and filtered for each variant: Overall
+    keeps the pairs of Noun+Verb that Noun+TTC keeps too, and both keep a
+    subset of Noun's. Per variant, predictions are matched greedily in
+    rank order, each to the unmatched candidate ground truth of highest
+    IoU.
+    """
+    tables = {uid: as_table(hyps) for uid, hyps in preds.items()}
     if taxonomy is not None:
         problems = []
         for gt in gts:
             problems += taxonomy.check_ids(gt.noun_id, gt.verb_id, f"gt {gt.example_uid}")
-        for uid, hyps in preds.items():
-            for h in hyps:
-                problems += taxonomy.check_ids(h.noun_id, h.verb_id, f"prediction {uid}")
+        for uid, table in tables.items():
+            for r in np.flatnonzero(~taxonomy.valid_ids(table.noun, table.verb)).tolist():
+                problems += taxonomy.check_ids(
+                    int(table.noun[r]), int(table.verb[r]), f"prediction {uid}"
+                )
         if problems:
             raise ValidationError(problems)
 
+    kept = [top_k_filter(table, cfg.top_k) for table in tables.values()]
+    uid_code = {uid: c for c, uid in enumerate(sorted(set(tables) | {gt.example_uid for gt in gts}))}
+    pred = HypothesisTable.concat(kept)
+    pred_uid = np.repeat(np.array([uid_code[uid] for uid in tables], dtype=np.int64),
+                         [len(t) for t in kept])
+    rank = canonical_order(pred, tie_break=pred_uid)
+    pred, pred_uid = pred.take(rank), pred_uid[rank]
+    gt_uid = np.array([uid_code[gt.example_uid] for gt in gts], dtype=np.int64)
+    p, g, overlap, same_verb, close_ttc = _candidates(pred, pred_uid, gts, gt_uid, cfg)
+
     n_gt_per_class = Counter(gt.noun_id for gt in gts)
     scored_classes = sorted(c for c, n in n_gt_per_class.items() if n > 0)
+    # Each class's predictions, in rank order, are one slice of by_noun.
+    by_noun = np.argsort(pred.noun, kind="stable")
+    class_first = np.searchsorted(pred.noun[by_noun], scored_classes, side="left")
+    class_end = np.searchsorted(pred.noun[by_noun], scored_classes, side="right")
 
     maps: dict[MatchVariant, float] = {}
     per_noun_ap: dict[int, dict[str, float]] = {c: {} for c in scored_classes}
     all_counts: dict[str, dict[str, int]] = {}
     for variant in ALL_VARIANTS:
-        flags_per_class, counts = _match_variant(preds, gts, variant, cfg)
+        keep = np.ones(len(p), dtype=bool)
+        if variant in (MatchVariant.NOUN_VERB, MatchVariant.OVERALL):
+            keep &= same_verb
+        if variant in (MatchVariant.NOUN_TTC, MatchVariant.OVERALL):
+            keep &= close_ttc
+        tp = _greedy_match(p[keep], g[keep], overlap[keep], len(pred), len(gts))
+        tp_by_noun = tp[by_noun]
         aps = []
-        for cls in scored_classes:
-            ap = average_precision(flags_per_class.get(cls, []), n_gt_per_class[cls])
+        for cls, first, end in zip(scored_classes, class_first.tolist(), class_end.tolist()):
+            ap = average_precision(tp_by_noun[first:end], n_gt_per_class[cls])
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
         maps[variant] = 100.0 * float(np.mean(aps)) if aps else 0.0
-        all_counts[variant.value] = counts
+        n_matched = int(tp.sum())
+        all_counts[variant.value] = {
+            "matched": n_matched,
+            "unmatched_predictions": len(pred) - n_matched,
+            "unmatched_ground_truths": len(gts) - n_matched,
+        }
 
     return EvalReport(
         map_overall=maps[MatchVariant.OVERALL],

@@ -15,13 +15,23 @@ from __future__ import annotations
 import json
 import struct
 import warnings
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import Box2D
 from .errors import FormatError, ValidationError
-from .types import GroundTruthInstance, PredictionSet, StaHypothesis, Taxonomy, sort_canonical
+from .types import (
+    GroundTruthInstance,
+    HypothesisTable,
+    PredictionSet,
+    Taxonomy,
+    as_table,
+    box_rules,
+    hypothesis_rules,
+    sort_canonical,
+)
 
 TENSOR_MAGIC = b"VSTF"
 TENSOR_VERSION = 1
@@ -66,7 +76,7 @@ def _parse_box(raw, where: str, problems: list[str]) -> Box2D | None:
         return None
     try:
         return Box2D(*(float(v) for v in raw))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         problems.append(f"{where}: {e}")
         return None
 
@@ -133,7 +143,7 @@ def load_ground_truth(path) -> tuple[Taxonomy, list[GroundTruthInstance]]:
             noun_id = int(raw["noun_category_id"])
             verb_id = int(raw["verb_category_id"])
             ttc = float(raw["time_to_contact"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             local.append(f"{where}: bad or missing category/ttc field ({e})")
         if box is not None and not local:
             local += [f"{where}: {p}" for p in taxonomy.check_ids(noun_id, verb_id)]
@@ -175,7 +185,36 @@ def write_ground_truth(
 
 # -- predictions / submissions ----------------------------------------------
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _int64_column(values: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Python ints as an int64 column, and a mask of the values outside
+    int64 (None when there are none), which are clamped into it."""
+    try:
+        return np.array(values, dtype=np.int64), None
+    except OverflowError:
+        outside = np.array([not _INT64_MIN <= v <= _INT64_MAX for v in values])
+        return np.array([min(max(v, _INT64_MIN), _INT64_MAX) for v in values], dtype=np.int64), outside
+
+
+def _copy(text: str) -> str:
+    """A new string equal to text. A string of a parsed document that
+    outlives it keeps the memory of the whole document resident, because
+    it shares that memory's allocation pools."""
+    return text.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+
+
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
+    """Read a submission as one HypothesisTable per example uid, in
+    canonical order.
+
+    One pass over the entries checks their keys and converts every value
+    on its own, with `int` for ids and `float` for numbers. Whole columns
+    are then checked against the rules of Box2D and StaHypothesis, the
+    taxonomy's id ranges and the int64 range. Every problem of every bad
+    entry is listed, entry by entry, and nothing is returned.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
@@ -184,64 +223,145 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     if not isinstance(results, dict):
         raise ValidationError(f"{path}: missing or non-object 'results'")
 
-    problems: list[str] = []
-    preds: PredictionSet = {}
-    for uid, entries in results.items():
+    # Problems are keyed (uid position, entry index, stage) so they can be
+    # listed entry by entry; within an entry: box, fields, taxonomy, values.
+    problems: list[tuple[tuple[int, int, int], str]] = []
+    spans: list[tuple[int, str, int]] = []  # (uid position, uid, first row) of each list
+    entry_index: list[int] = []
+    corners: list[float] = []
+    nouns: list[int] = []
+    verbs: list[int] = []
+    ttcs: list[float] = []
+    scores: list[float] = []
+    sources: list[int | None] = []
+    unparsed_box: list[int] = []
+    unparsed: list[int] = []
+    add_index, add_noun, add_verb, add_ttc, add_score, add_source = (
+        entry_index.append, nouns.append, verbs.append, ttcs.append, scores.append, sources.append
+    )
+    for u, (uid, entries) in enumerate(results.items()):
         if not isinstance(entries, list):
-            problems.append(f"{path}: results[{uid!r}] must be a list")
+            problems.append(((u, -1, 0), f"{path}: results[{uid!r}] must be a list"))
             continue
-        hyps = []
+        spans.append((u, _copy(uid), len(entry_index)))
         for i, raw in enumerate(entries):
-            where = f"{path}: results[{uid!r}][{i}]"
             if not isinstance(raw, dict):
-                problems.append(f"{where}: must be an object")
+                problems.append(((u, i, 0), f"{path}: results[{uid!r}][{i}]: must be an object"))
                 continue
-            _warn_unknown(set(raw), _KNOWN_ENTRY_KEYS, where)
-            box = _parse_box(raw.get("box"), where, problems)
-            local: list[str] = []
+            if not _KNOWN_ENTRY_KEYS.issuperset(raw):
+                _warn_unknown(set(raw), _KNOWN_ENTRY_KEYS, f"{path}: results[{uid!r}][{i}]")
+            add_index(i)
+            box = raw.get("box")
+            box_problem = None
+            if isinstance(box, list) and len(box) == 4:
+                try:
+                    corners += (float(box[0]), float(box[1]), float(box[2]), float(box[3]))
+                except (TypeError, ValueError, OverflowError) as e:
+                    box_problem = str(e)
+            else:
+                box_problem = f"box must be a 4-element [x1, y1, x2, y2] list, got {box!r}"
+            if box_problem is not None:
+                problems.append(((u, i, 0), f"{path}: results[{uid!r}][{i}]: {box_problem}"))
+                corners += (0.0, 0.0, 0.0, 0.0)
+                unparsed_box.append(len(entry_index) - 1)
             try:
-                noun_id = int(raw["noun_category_id"])
-                verb_id = int(raw["verb_category_id"])
+                noun = int(raw["noun_category_id"])
+                verb = int(raw["verb_category_id"])
                 ttc = float(raw["time_to_contact"])
                 score = float(raw["score"])
-                source_id = raw.get("source_id")
-                source_id = int(source_id) if source_id is not None else None
-            except (KeyError, TypeError, ValueError) as e:
-                local.append(f"{where}: bad or missing field ({e})")
-            if box is not None and not local:
-                if taxonomy is not None:
-                    local += [f"{where}: {p}" for p in taxonomy.check_ids(noun_id, verb_id)]
-                if not local:
-                    try:
-                        hyps.append(
-                            StaHypothesis(
-                                box=box, noun_id=noun_id, verb_id=verb_id,
-                                ttc=ttc, score=score, source_id=source_id,
-                            )
-                        )
-                    except ValidationError as e:
-                        local += [f"{where}: {p}" for p in e.problems]
-            problems += local
-        preds[uid] = sort_canonical(hyps)
+                source = raw.get("source_id")
+                source = None if source is None else int(source)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                problems.append(((u, i, 1), f"{path}: results[{uid!r}][{i}]: bad or missing field ({e})"))
+                unparsed.append(len(entry_index) - 1)
+                noun, verb, ttc, score, source = 0, 0, 0.0, 1.0, None
+            add_noun(noun)
+            add_verb(verb)
+            add_ttc(ttc)
+            add_score(score)
+            add_source(source)
+    del doc, results  # the lists hold every value the columns need
+
+    has_source = [source is not None for source in sources]
+    sources = [0 if source is None else source for source in sources]
+    n = len(scores)
+    boxes = np.array(corners, dtype=np.float64).reshape(n, 4)
+    (noun, noun_outside), (verb, verb_outside), (source, source_outside) = (
+        _int64_column(nouns), _int64_column(verbs), _int64_column(sources)
+    )
+    ttc = np.array(ttcs, dtype=np.float64)
+    score = np.array(scores, dtype=np.float64)
+    starts = [start for _, _, start in spans]
+
+    def report(r: int, stage: int, message: str) -> None:
+        u, uid, _ = spans[bisect_right(starts, r) - 1]
+        i = entry_index[r]
+        problems.append(((u, i, stage), f"{path}: results[{uid!r}][{i}]: {message}"))
+
+    ok = np.ones(n, dtype=bool)
+    ok[unparsed_box] = False
+    rules = box_rules(boxes)
+    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
+    for r in np.flatnonzero(bad_box).tolist():
+        # The rules a box breaks make one problem, worded as Box2D words it.
+        corners_r = tuple(boxes[r].tolist())
+        report(r, 0, "; ".join(
+            f"{what}, got {corners_r}" if k == 0 else f"{what}: {corners_r}"
+            for k, (bad, what) in enumerate(rules) if bad[r]
+        ))
+    ok &= ~bad_box
+    ok[unparsed] = False
+    if taxonomy is not None:
+        bad_ids = ok & ~taxonomy.valid_ids(noun, verb)
+        for r in np.flatnonzero(bad_ids).tolist():
+            for problem in taxonomy.check_ids(nouns[r], verbs[r]):
+                report(r, 2, problem)
+        ok &= ~bad_ids
+    for (bad, what), values in zip(hypothesis_rules(noun, verb, ttc, score), (ttcs, scores, nouns, verbs)):
+        for r in np.flatnonzero(ok & bad).tolist():
+            report(r, 3, f"{what}, got {values[r]}")
+    # Ids beyond int64 were clamped into it; those below broke a rule above.
+    for name, outside, values in (("noun_id", noun_outside, nouns), ("verb_id", verb_outside, verbs),
+                                  ("source_id", source_outside, sources)):
+        if outside is not None:
+            for r in np.flatnonzero(ok & outside).tolist():
+                if name == "source_id" or values[r] > 0:
+                    report(r, 3, f"{name} must fit in 64 bits, got {values[r]}")
     if problems:
-        raise ValidationError(problems)
-    return preds
+        problems.sort(key=lambda p: p[0])
+        raise ValidationError([message for _, message in problems])
+    # The parsed document, most of the peak memory, is freed with the last
+    # references to its values.
+    whole = HypothesisTable.from_valid(
+        boxes, noun, verb, ttc, score, source, np.array(has_source, dtype=bool)
+    )
+    del corners, nouns, verbs, ttcs, scores, sources, has_source
+    ends = starts[1:] + [n]
+    return {uid: sort_canonical(whole.take(slice(start, end))) for (_, uid, start), end in zip(spans, ends)}
 
 
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:
+    """Write a submission: every example's hypotheses in canonical order.
+    `preds` maps uids to HypothesisTables or lists of StaHypothesis."""
     results = {}
     for uid in sorted(preds):
-        results[uid] = [
+        table = sort_canonical(as_table(preds[uid]))
+        entries = [
             {
-                "box": list(h.box.corners()),
-                "noun_category_id": h.noun_id,
-                "verb_category_id": h.verb_id,
-                "time_to_contact": h.ttc,
-                "score": h.score,
-                **({"source_id": h.source_id} if h.source_id is not None else {}),
+                "box": box,
+                "noun_category_id": noun,
+                "verb_category_id": verb,
+                "time_to_contact": ttc,
+                "score": score,
             }
-            for h in sort_canonical(preds[uid])
+            for box, noun, verb, ttc, score in zip(
+                table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(),
+                table.ttc.tolist(), table.score.tolist(),
+            )
         ]
+        for r in np.flatnonzero(table.has_source).tolist():
+            entries[r]["source_id"] = int(table.source[r])
+        results[uid] = entries
     doc = {
         "version": SUBMISSION_VERSION,
         "challenge": SUBMISSION_CHALLENGE,

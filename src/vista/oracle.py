@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .evaluation import ALL_VARIANTS, EvalConfig, EvalReport, MatchVariant, REPORT_HEADER
-from .types import GroundTruthInstance, PredictionSet, StaHypothesis
+from .types import GroundTruthInstance, StaHypothesis
 
 MAX_PREDS_PER_CLASS = 8
 
@@ -65,7 +65,7 @@ def _ap_from_curve(flags: list[bool], n_gt: int) -> float:
 
 
 def brute_force_evaluate(
-    preds: PredictionSet,
+    preds: dict[str, list[StaHypothesis]],
     gts: list[GroundTruthInstance],
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:

@@ -23,15 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, StaHypothesis, Taxonomy, sort_canonical
+from .types import HypothesisTable, StaHypothesis, Taxonomy, field_type_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
-
-# Same-noun IoU pairs evaluated at once by NMS. Bounds its temporaries to
-# a few MB however many hypotheses share one noun class.
-NMS_PAIR_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,9 @@ class InferenceConfig:
     max_exports: int = 100
 
     def __post_init__(self):
-        problems = []
+        problems = field_type_problems(self)
+        if problems:
+            raise ValidationError(problems)
         if self.max_proposals < 1:
             problems.append(f"max_proposals must be >= 1, got {self.max_proposals}")
         if self.k_noun < 1 or self.k_verb < 1:
@@ -201,6 +200,20 @@ def apply_box_deltas(boxes, deltas) -> np.ndarray:
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
 
 
+def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
+    """The ids of the k highest probabilities of each row, highest first,
+    ties to the lower id: the first k columns of a stable argsort of
+    -probs, found by k first-occurrence argmax passes without sorting
+    the rows."""
+    rest = probs.copy()
+    rows = np.arange(len(rest))
+    ids = np.empty((len(rest), k), dtype=np.intp)
+    for j in range(k):
+        ids[:, j] = rest.argmax(axis=1)
+        rest[rows, ids[:, j]] = -np.inf
+    return ids
+
+
 def expand_hypotheses(
     batch: ProposalBatch,
     taxonomy: Taxonomy,
@@ -229,9 +242,8 @@ def expand_hypotheses(
 
     p_noun = _softmax_rows(batch.noun_logits[retained].astype(np.float64))
     p_verb = _softmax_rows(batch.verb_logits[retained].astype(np.float64))
-    # Stable argsort so probability ties resolve to the lower class id.
-    top_nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
-    top_verbs = np.argsort(-p_verb, axis=1, kind="stable")[:, :k_verb]
+    top_nouns = _top_ids(p_noun, k_noun)
+    top_verbs = _top_ids(p_verb, k_verb)
     refined = apply_box_deltas(
         batch.proposal_boxes[retained].astype(np.float64)[:, None, :],
         batch.box_deltas[retained[:, None], top_nouns].astype(np.float64),
@@ -264,48 +276,22 @@ def class_aware_nms(table: HypothesisTable, nms_iou: float = 0.5) -> HypothesisT
     same noun class overlaps it with IoU > nms_iou. Verb is not part of
     the suppression key. The table must be in canonical order, which is
     the rank; the output keeps that order and is always a subset of the
-    input. IoU is computed only for same-noun pairs, NMS_PAIR_BLOCK pairs
-    at a time.
+    input. IoU is computed only for same-noun pairs, PAIR_BLOCK pairs at
+    a time.
     """
     by_noun = np.argsort(table.noun, kind="stable")  # canonical order within each class
-    nouns = table.noun[by_noun]
-    corners = [np.ascontiguousarray(table.boxes[by_noun, i]) for i in range(4)]
-    x1, y1, x2, y2 = corners
-    area = (x2 - x1) * (y2 - y1)
-    n = len(nouns)
-    # Rows of the same class ranked below each row, and their running total.
-    below = np.searchsorted(nouns, nouns, side="right") - np.arange(n) - 1
-    pairs_through = np.cumsum(below)
-    suppressed = [False] * n
-    start = 0
-    while start < n:
-        budget = pairs_through[start] - below[start] + NMS_PAIR_BLOCK
-        stop = max(start + 1, int(np.searchsorted(pairs_through, budget, side="right")))
-        counts = below[start:stop]
-        higher = np.repeat(np.arange(start, stop), counts)
-        lower = higher + 1 + np.arange(len(higher)) - np.repeat(np.cumsum(counts) - counts, counts)
-        over = _pair_iou(corners, area, lower, higher) > nms_iou
+    corners, area = box_columns(table.boxes[by_noun])
+    suppressed = [False] * len(by_noun)
+    for higher, lower in same_key_pairs(table.noun[by_noun], PAIR_BLOCK):
+        over = pair_iou(corners, area, lower, higher) > nms_iou
         # One greedy pass in rank order: a row that survives suppresses
         # the rows it overlaps; a suppressed row suppresses nothing.
         for h, low in zip(higher[over].tolist(), lower[over].tolist()):
             if not suppressed[h]:
                 suppressed[low] = True
-        start = stop
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(len(by_noun), dtype=bool)
     keep[by_noun[np.array(suppressed, dtype=bool)]] = False
     return table.take(keep)
-
-
-def _pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`boxes.iou` of the boxes at rows a[i] and b[i], given the x1, y1,
-    x2, y2 columns and the areas, with its operations in its order."""
-    x1, y1, x2, y2 = corners
-    ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
-    iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
-    inter = ix * iy
-    union = area[a] + area[b] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), inter / union, 0.0)
 
 
 def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> list[StaHypothesis]:

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .types import number_problems
 
 DEFAULT_FRAME_COUNT = 8
 DEFAULT_SAMPLE_RATE = 2.0
 # Resize metadata carried for provenance only; no resampling happens here.
 TEMPORAL_SHORT_SIDE = 384
-TRAIN_SHORT_SIDE_RANGE = (640, 800)
-INFERENCE_SHORT_SIDE = 800
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,11 @@ def plan_frames(
 
     frame_times[k] = max(0, query_time - (frame_count-1-k)/sample_rate).
     """
+    problems = (number_problems("query_time", query_time)
+                + number_problems("frame_count", frame_count, integer=True)
+                + number_problems("sample_rate", sample_rate))
+    if problems:
+        raise ValidationError(problems)
     if not (math.isfinite(query_time) and query_time >= 0.0):
         raise ValidationError(f"query_time must be finite and >= 0, got {query_time}")
     if frame_count < 1:

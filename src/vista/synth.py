@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from .boxes import Box2D
 from .errors import ValidationError
 from .rng import CounterRng
-from .types import GroundTruthInstance, PredictionSet, StaHypothesis, Taxonomy, sort_canonical
+from .types import (
+    GroundTruthInstance,
+    StaHypothesis,
+    Taxonomy,
+    field_type_problems,
+    number_problems,
+    sort_canonical,
+)
 
 CANVAS_W = 1920.0
 CANVAS_H = 1080.0
@@ -30,7 +37,9 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
+        problems = field_type_problems(self)
+        if problems:
+            raise ValidationError(problems)
         for name in ("label_flip_prob", "verb_flip_prob", "drop_prob"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
@@ -51,6 +60,11 @@ def generate_scenario(
     seed: int,
 ) -> tuple[Taxonomy, list[GroundTruthInstance]]:
     """Random taxonomy and ground truth on a 1920x1080 canvas."""
+    counts = {"n_examples": n_examples, "n_nouns": n_nouns, "n_verbs": n_verbs,
+              "gts_per_example": gts_per_example, "seed": seed}
+    problems = [p for name, value in counts.items() for p in number_problems(name, value, integer=True)]
+    if problems:
+        raise ValidationError(problems)
     if min(n_examples, n_nouns, n_verbs, gts_per_example) < 1:
         raise ValidationError("all scenario counts must be >= 1")
     taxonomy = Taxonomy(
@@ -88,7 +102,7 @@ def perturb_to_predictions(
     gts: list[GroundTruthInstance],
     noise: NoiseConfig,
     n_sources: int = 1,
-) -> list[PredictionSet]:
+) -> list[dict[str, list[StaHypothesis]]]:
     """One independently perturbed prediction set per source.
 
     Each ground truth gets Gaussian corner jitter, category flips to a
@@ -97,11 +111,14 @@ def perturb_to_predictions(
     so less-perturbed hypotheses rank higher; zero noise reproduces the
     ground truth with score exactly 1.0.
     """
+    problems = number_problems("n_sources", n_sources, integer=True)
+    if problems:
+        raise ValidationError(problems)
     if n_sources < 1:
         raise ValidationError(f"n_sources must be >= 1, got {n_sources}")
-    sources: list[PredictionSet] = []
+    sources: list[dict[str, list[StaHypothesis]]] = []
     for s in range(n_sources):
-        preds: PredictionSet = {}
+        preds: dict[str, list[StaHypothesis]] = {}
         for gi, gt in enumerate(gts):
             rng = CounterRng(noise.seed, stream=((s + 1) << 32) ^ (gi + 1))
             if rng.uniform() < noise.drop_prob:

@@ -7,16 +7,36 @@ parallel use; every operation over them is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .boxes import Box2D
 from .errors import ValidationError
 
-# Per-example prediction lists keyed by example uid, each list kept sorted
-# by the canonical hypothesis ordering (see `canonical_key`).
-PredictionSet = dict[str, list["StaHypothesis"]]
+# Per-example predictions keyed by example uid, each a HypothesisTable in
+# the canonical hypothesis ordering (see `canonical_key`). Functions that
+# take one also take lists of StaHypothesis (see `as_table`).
+PredictionSet = dict[str, "HypothesisTable"]
+
+
+def number_problems(name: str, value, integer: bool = False) -> list[str]:
+    """The problem with a value that must be a number, or an integer if
+    `integer`; empty when there is none. A bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        return [f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}"]
+    return []
+
+
+def field_type_problems(config) -> list[str]:
+    """`number_problems` of every field of a config dataclass whose fields
+    are all annotated int or float."""
+    return [
+        problem
+        for f in fields(config)
+        for problem in number_problems(f.name, getattr(config, f.name), integer=f.type == "int")
+    ]
 
 
 @dataclass(frozen=True)
@@ -43,6 +63,10 @@ class Taxonomy:
     @property
     def n_verbs(self) -> int:
         return len(self.verb_names)
+
+    def valid_ids(self, noun: np.ndarray, verb: np.ndarray) -> np.ndarray:
+        """Mask of the rows of id columns whose noun and verb are both in range."""
+        return (noun >= 0) & (noun < self.n_nouns) & (verb >= 0) & (verb < self.n_verbs)
 
     def check_ids(self, noun_id: int, verb_id: int, context: str = "") -> list[str]:
         """Return a list of problems (empty when both ids are in range)."""
@@ -105,7 +129,31 @@ class GroundTruthInstance:
 # Column dtypes of a HypothesisTable.
 _TABLE_COLUMNS = {
     "boxes": np.float64, "noun": np.int64, "verb": np.int64, "ttc": np.float64, "score": np.float64,
+    "source": np.int64, "has_source": np.bool_,
 }
+
+
+def box_rules(boxes: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The rules of Box2D over the rows of (N, 4) corners, in its order:
+    (mask of the rows that break the rule, the rule)."""
+    x1, y1, x2, y2 = boxes.T
+    finite = np.isfinite(boxes).all(axis=1)
+    return [
+        (~finite, "box coordinates must be finite"),
+        (finite & (x1 > x2), "box has x1 > x2"),
+        (finite & (y1 > y2), "box has y1 > y2"),
+    ]
+
+
+def hypothesis_rules(noun, verb, ttc, score) -> list[tuple[np.ndarray, str]]:
+    """The rules of StaHypothesis over columns, in its order: (mask of
+    the rows that break the rule, the rule)."""
+    return [
+        (~(np.isfinite(ttc) & (ttc >= 0.0)), "ttc must be finite and >= 0"),
+        (~(np.isfinite(score) & (score > 0.0)), "score must be finite and > 0"),
+        (noun < 0, "noun_id must be >= 0"),
+        (verb < 0, "verb_id must be >= 0"),
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +161,12 @@ class HypothesisTable:
     """One example's hypotheses as columns; row i is one hypothesis.
 
     boxes (N, 4) float64 corners, noun and verb (N,) int64 ids, ttc and
-    score (N,) float64. The columns are read-only and are validated as
-    whole arrays, with the rules of StaHypothesis and Box2D. Tables that
-    the postprocess stages pass between them are in canonical order
+    score (N,) float64, source (N,) int64 ids and has_source (N,) bool,
+    which marks the rows that have a source id (any int64 is one, -1
+    too). Without a source column no row has one; with one but without
+    has_source every row has one. The columns are read-only and are
+    validated as whole arrays, with the rules of StaHypothesis and Box2D.
+    Tables that the stages pass between them are in canonical order
     (`sort_canonical`).
     """
 
@@ -124,54 +175,96 @@ class HypothesisTable:
     verb: np.ndarray
     ttc: np.ndarray
     score: np.ndarray
+    source: np.ndarray | None = None
+    has_source: np.ndarray | None = None
 
     def __post_init__(self):
+        n = len(np.asarray(self.score))
+        if self.source is None:
+            object.__setattr__(self, "source", np.zeros(n, dtype=np.int64))
+            object.__setattr__(self, "has_source", np.zeros(n, dtype=bool))
+        elif self.has_source is None:
+            object.__setattr__(self, "has_source", np.ones(n, dtype=bool))
         for name, dtype in _TABLE_COLUMNS.items():
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        n = len(self.score)
         problems = [
             f"{name} must have shape {shape}, got {getattr(self, name).shape}"
-            for name, shape in (
-                ("boxes", (n, 4)), ("noun", (n,)), ("verb", (n,)), ("ttc", (n,)), ("score", (n,))
-            )
+            for name, shape in [("boxes", (n, 4))] + [(name, (n,)) for name in list(_TABLE_COLUMNS)[1:]]
             if getattr(self, name).shape != shape
         ]
         if problems:
             raise ValidationError(problems)
-        x1, y1, x2, y2 = self.boxes.T
-        finite = np.isfinite(self.boxes).all(axis=1)
-        for bad, what in (
-            (~finite, "box coordinates must be finite"),
-            (finite & (x1 > x2), "box has x1 > x2"),
-            (finite & (y1 > y2), "box has y1 > y2"),
-            (~(np.isfinite(self.ttc) & (self.ttc >= 0.0)), "ttc must be finite and >= 0"),
-            (~(np.isfinite(self.score) & (self.score > 0.0)), "score must be finite and > 0"),
-            (self.noun < 0, "noun_id must be >= 0"),
-            (self.verb < 0, "verb_id must be >= 0"),
-        ):
+        for bad, what in box_rules(self.boxes) + hypothesis_rules(self.noun, self.verb, self.ttc, self.score):
             problems += [f"row {i}: {what}" for i in np.flatnonzero(bad).tolist()]
         if problems:
             raise ValidationError(problems)
+
+    @classmethod
+    def from_valid(cls, *columns: np.ndarray) -> HypothesisTable:
+        """A table of columns, in field order, that already have their
+        dtypes and shapes and keep every rule, such as the rows of another
+        table: they are marked read-only but not copied or checked again."""
+        table = object.__new__(cls)
+        attributes = table.__dict__
+        for name, column in zip(_TABLE_COLUMNS, columns):
+            if column.flags.writeable:
+                column.flags.writeable = False
+            attributes[name] = column
+        return table
+
+    @classmethod
+    def concat(cls, tables: list[HypothesisTable]) -> HypothesisTable:
+        """The rows of the tables one after another."""
+        if not tables:
+            return cls(boxes=np.empty((0, 4)), noun=[], verb=[], ttc=[], score=[])
+        return cls.from_valid(*(
+            np.concatenate([getattr(t, name) for t in tables]) for name in _TABLE_COLUMNS
+        ))
 
     def __len__(self) -> int:
         return len(self.score)
 
     def take(self, rows) -> HypothesisTable:
         """The rows selected by a boolean mask, an index array or a slice."""
-        return HypothesisTable(
-            self.boxes[rows], self.noun[rows], self.verb[rows], self.ttc[rows], self.score[rows]
+        return HypothesisTable.from_valid(*(getattr(self, name)[rows] for name in _TABLE_COLUMNS))
+
+    def with_default_source(self, source: int) -> HypothesisTable:
+        """The table with `source` as the source of every row that has none."""
+        return HypothesisTable.from_valid(
+            self.boxes, self.noun, self.verb, self.ttc, self.score,
+            np.where(self.has_source, self.source, source), np.ones(len(self), dtype=bool),
         )
 
     def to_hypotheses(self) -> list[StaHypothesis]:
         return [
-            StaHypothesis(box=Box2D(*box), noun_id=noun, verb_id=verb, ttc=ttc, score=score)
-            for box, noun, verb, ttc, score in zip(
+            StaHypothesis(
+                box=Box2D(*box), noun_id=noun, verb_id=verb, ttc=ttc, score=score,
+                source_id=source if has_source else None,
+            )
+            for box, noun, verb, ttc, score, source, has_source in zip(
                 self.boxes.tolist(), self.noun.tolist(), self.verb.tolist(),
-                self.ttc.tolist(), self.score.tolist(),
+                self.ttc.tolist(), self.score.tolist(), self.source.tolist(),
+                self.has_source.tolist(),
             )
         ]
+
+
+def as_table(hyps) -> HypothesisTable:
+    """A HypothesisTable as it is, or a list of StaHypothesis as a table
+    of the same rows in the same order."""
+    if isinstance(hyps, HypothesisTable):
+        return hyps
+    return HypothesisTable(
+        boxes=np.array([h.box.corners() for h in hyps], dtype=np.float64).reshape(-1, 4),
+        noun=[h.noun_id for h in hyps],
+        verb=[h.verb_id for h in hyps],
+        ttc=[h.ttc for h in hyps],
+        score=[h.score for h in hyps],
+        source=[0 if h.source_id is None else h.source_id for h in hyps],
+        has_source=[h.source_id is not None for h in hyps],
+    )
 
 
 def canonical_key(h: StaHypothesis):
@@ -181,15 +274,26 @@ def canonical_key(h: StaHypothesis):
     return (-h.score, h.noun_id, h.verb_id, h.box.x1, h.box.y1, h.box.x2, h.box.y2, h.ttc)
 
 
-def sort_canonical(hyps):
-    """Put a list of hypotheses or a HypothesisTable in canonical order.
+def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
+    """The row indices that put a table in canonical order: a stable
+    lexsort over the `canonical_key` fields, so full ties keep their row
+    order, as `sorted` keeps them, unless a `tie_break` column orders them.
 
-    A table is reordered with one stable lexsort over the `canonical_key`
-    fields, so full ties keep their row order, as `sorted` keeps them.
+    Score comes first in the key, so when no two scores are equal a
+    stable sort by score alone gives the same order; the other fields are
+    sorted on only when scores tie.
     """
+    by_score = np.argsort(-table.score, kind="stable")
+    ranked = table.score[by_score]
+    if not (ranked[1:] == ranked[:-1]).any():
+        return by_score
+    b = table.boxes
+    keys = (table.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], table.verb, table.noun, -table.score)
+    return np.lexsort(keys if tie_break is None else (tie_break,) + keys)
+
+
+def sort_canonical(hyps):
+    """Put a list of hypotheses or a HypothesisTable in canonical order."""
     if isinstance(hyps, HypothesisTable):
-        b = hyps.boxes
-        return hyps.take(
-            np.lexsort((hyps.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], hyps.verb, hyps.noun, -hyps.score))
-        )
+        return hyps.take(canonical_order(hyps))
     return sorted(hyps, key=canonical_key)

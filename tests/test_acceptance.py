@@ -219,10 +219,10 @@ def test_criterion_7_ensemble_sanity():
         single = ensemble_predictions([src])
         quad = ensemble_predictions([src] * 4)
         for uid in single:
-            assert [(h.noun_id, h.verb_id) for h in single[uid]] == [
-                (h.noun_id, h.verb_id) for h in quad[uid]
+            assert [(h.noun_id, h.verb_id) for h in single[uid].to_hypotheses()] == [
+                (h.noun_id, h.verb_id) for h in quad[uid].to_hypotheses()
             ]
-            for a, b in zip(single[uid], quad[uid]):
+            for a, b in zip(single[uid].to_hypotheses(), quad[uid].to_hypotheses()):
                 assert a.box.corners() == pytest.approx(b.box.corners(), abs=1e-9)
         # merged members stay in the convex hull / ttc interval
         for seed in range(30):
@@ -245,12 +245,13 @@ def test_criterion_7_ensemble_sanity():
                 for s in range(1, 4)
             ]
             groups = group_hypotheses(members, EnsembleConfig(n_sources=4))
-            for g in groups:
-                merged = merge_group(g, EnsembleConfig(n_sources=4))
+            merged_rows = merge_group(groups, EnsembleConfig(n_sources=4)).to_hypotheses()
+            for g, merged in zip(groups, merged_rows, strict=True):
+                g_members = g.members.to_hypotheses()
                 for i in range(4):
-                    corners = [m.box.corners()[i] for m in g.members]
+                    corners = [m.box.corners()[i] for m in g_members]
                     assert min(corners) - 1e-9 <= merged.box.corners()[i] <= max(corners) + 1e-9
-                ttcs = [m.ttc for m in g.members]
+                ttcs = [m.ttc for m in g_members]
                 assert min(ttcs) - 1e-9 <= merged.ttc <= max(ttcs) + 1e-9
         # three-hypothesis greedy-grouping trace: A~B, B~C, A!~C
         cfg = EnsembleConfig(box_iou_min=0.3)
@@ -259,7 +260,7 @@ def test_criterion_7_ensemble_sanity():
         c = StaHypothesis(Box2D(8, 0, 18, 10), 0, 0, 1.0, 0.3)
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
         groups = group_hypotheses([a, b, c], cfg)
-        assert [set(g.members) for g in groups] == [{a, b}, {c}]
+        assert [set(g.members.to_hypotheses()) for g in groups] == [{a, b}, {c}]
 
 
 def test_criterion_8_softplus_ttc():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +164,7 @@ class TestPostprocessCommand:
         tensors = read_tensor_file(heads)
         argmax_nouns = {int(np.argmax(softmax(row))) for row in tensors["noun_logits"]}
         preds = load_predictions(out / "submission.json")
-        assert {h.noun_id for h in preds["heads"]} <= argmax_nouns
+        assert set(preds["heads"].noun.tolist()) <= argmax_nouns
 
 
     def test_underflowing_softmax_exit_0(self, tmp_path):
@@ -176,7 +180,7 @@ class TestPostprocessCommand:
         code = main(["postprocess", str(heads), str(taxonomy), "--nms-iou", "1.0", "--out", str(out)])
         assert code == EXIT_OK
         preds = load_predictions(out / "submission.json")
-        assert all(h.score > 0.0 for h in preds["heads"])
+        assert all(h.score > 0.0 for h in preds["heads"].to_hypotheses())
         assert len(preds["heads"]) == 5 * 9 + 3
 
     def test_mismatched_tensor_shapes_exit_2(self, tmp_path, capsys):
@@ -203,8 +207,8 @@ class TestEnsembleCommand:
         merged = load_predictions(out / "ensemble.json")
         original = load_predictions(src)
         for uid in original:
-            assert [(h.noun_id, h.verb_id) for h in merged[uid]] == [
-                (h.noun_id, h.verb_id) for h in original[uid]
+            assert [(h.noun_id, h.verb_id) for h in merged[uid].to_hypotheses()] == [
+                (h.noun_id, h.verb_id) for h in original[uid].to_hypotheses()
             ]
 
     def test_duplicated_input_matches_single_ranking(self, synth_dir, tmp_path):
@@ -216,10 +220,10 @@ class TestEnsembleCommand:
         a = load_predictions(single / "ensemble.json")
         b = load_predictions(double / "ensemble.json")
         for uid in a:
-            assert [(h.noun_id, h.verb_id) for h in a[uid]] == [
-                (h.noun_id, h.verb_id) for h in b[uid]
+            assert [(h.noun_id, h.verb_id) for h in a[uid].to_hypotheses()] == [
+                (h.noun_id, h.verb_id) for h in b[uid].to_hypotheses()
             ]
-            for ha, hb in zip(a[uid], b[uid]):
+            for ha, hb in zip(a[uid].to_hypotheses(), b[uid].to_hypotheses()):
                 assert ha.box.corners() == pytest.approx(hb.box.corners(), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -239,6 +243,63 @@ class TestEnsembleCommand:
             ["ensemble", str(synth_dir / "predictions_source_00.json"), "--taxonomy", str(tiny)]
         )
         assert code == EXIT_VALIDATION
+
+
+def run_cli(*argv, timeout=20):
+    """`vista` in a fresh interpreter, killed after `timeout` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "vista.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestEnsembleTerminates:
+    def test_zero_area_seed(self, tmp_path):
+        # A zero-area box has IoU 0 with itself, so it is not compatible
+        # with itself; it still forms its own group.
+        sub = tmp_path / "flat.json"
+        entry = {"box": [5, 5, 5, 9], "noun_category_id": 0, "verb_category_id": 0,
+                 "time_to_contact": 1.0, "score": 0.5}
+        sub.write_text(json.dumps({"results": {"ex": [entry]}}))
+        done = run_cli("ensemble", sub, "--out", tmp_path / "ens")
+        assert done.returncode == EXIT_OK, done.stderr
+        merged = json.loads((tmp_path / "ens" / "ensemble.json").read_text())["results"]["ex"]
+        assert [e["box"] for e in merged] == [[5.0, 5.0, 5.0, 9.0]]
+
+    def test_iou_min_above_one_exit_2(self, synth_dir, tmp_path):
+        done = run_cli("ensemble", synth_dir / "predictions_source_00.json", "--iou-min", "1.5",
+                       "--out", tmp_path / "ens")
+        assert done.returncode == EXIT_VALIDATION
+        assert "box_iou_min must be in (0, 1], got 1.5" in done.stderr
+
+
+class TestConfigFiles:
+    def run_with_config(self, synth_dir, tmp_path, command, config_bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(config_bytes)
+        inputs = {
+            "evaluate": [synth_dir / "ground_truth.json", synth_dir / "predictions_source_00.json"],
+            "ensemble": [synth_dir / "predictions_source_00.json"],
+        }[command]
+        return main([command, *map(str, inputs), "--config", str(path), "--out", str(tmp_path / "o")])
+
+    def test_non_utf8_config_exit_2(self, synth_dir, tmp_path, capsys):
+        config = '{"top_k": 5, "note": "tasse à café"}'.encode("latin-1")
+        assert self.run_with_config(synth_dir, tmp_path, "evaluate", config) == EXIT_VALIDATION
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, problem", [
+        ("evaluate", {"iou_min": "0.5"}, "iou_min must be a number, got '0.5'"),
+        ("evaluate", {"top_k": True}, "top_k must be an integer, got True"),
+        ("evaluate", {"ttc_tol": [0.25], "top_k": 2.0},
+         "ttc_max_error must be a number, got [0.25]; top_k must be an integer, got 2.0"),
+        ("ensemble", {"agreement_weight": False}, "agreement_weight must be a number, got False"),
+        ("ensemble", {"max_exports": "7"}, "max_exports must be an integer, got '7'"),
+    ])
+    def test_wrongly_typed_value_exit_2(self, synth_dir, tmp_path, capsys, command, config, problem):
+        code = self.run_with_config(synth_dir, tmp_path, command, json.dumps(config).encode())
+        assert code == EXIT_VALIDATION
+        assert problem in capsys.readouterr().err
 
 
 class TestPlanCommand:
@@ -287,6 +348,20 @@ class TestValidateCommand:
         path.write_bytes(vstf_record(b"seq", [1.0]) + vstf_record(b"seq", [2.0])[8:])
         assert main(["validate", str(path)]) == EXIT_VALIDATION
         assert "duplicate tensor name 'seq'" in capsys.readouterr().err
+
+    def test_non_utf8_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"nouns": ["tasse à café"], "verbs": ["prendre"]}'.encode("latin-1"))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_id_beyond_int64_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sub.json"
+        entry = {"box": [0, 0, 1, 1], "noun_category_id": 2**64, "verb_category_id": 0,
+                 "time_to_contact": 1.0, "score": 0.5}
+        path.write_text(json.dumps({"results": {"ex": [entry]}}))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert f"noun_id must fit in 64 bits, got {2**64}" in capsys.readouterr().err
 
     def test_garbage_exit_2(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import vista.ensemble as ensemble
 from vista.boxes import Box2D
 from vista.ensemble import (
     EnsembleConfig,
-    HypothesisGroup,
+    Grouping,
     compatible,
     ensemble_predictions,
     group_hypotheses,
@@ -11,7 +14,7 @@ from vista.ensemble import (
 )
 from vista.errors import ValidationError
 from vista.rng import CounterRng
-from vista.types import StaHypothesis
+from vista.types import StaHypothesis, as_table, canonical_key
 
 
 def hyp(x1=0.0, y1=0.0, x2=10.0, y2=10.0, noun=0, verb=0, ttc=1.0, score=0.5, source=None):
@@ -88,23 +91,130 @@ class TestGroupHypotheses:
             assert sum(len(g.members) for g in groups) == len(hyps)
 
 
+def merge_one(members, cfg=EnsembleConfig()):
+    """merge_group of one group of exactly these members, in this order,
+    the first the seed."""
+    table = as_table(list(members))
+    grouping = Grouping(table, np.array([0, len(table)]))
+    [merged] = merge_group(grouping, cfg).to_hypotheses()
+    return merged
+
+
+def brute_force_groups(hyps, cfg):
+    """Greedy seed-anchored grouping over hypothesis objects with the
+    scalar `compatible`; the seed always joins its own group."""
+    remaining = sorted(hyps, key=canonical_key)
+    groups = []
+    while remaining:
+        seed, rest = remaining[0], remaining[1:]
+        groups.append([seed] + [h for h in rest if compatible(seed, h, cfg)])
+        remaining = [h for h in rest if not compatible(seed, h, cfg)]
+    return groups
+
+
+def scalar_merge(members, cfg):
+    """One group merged with Python floats, member by member."""
+    total = sum(h.score for h in members)
+    weights = [h.score / total for h in members]
+    corners = [sum(w * h.box.corners()[i] for w, h in zip(weights, members)) for i in range(4)]
+    u = len({h.source_id for h in members})
+    alpha = cfg.agreement_weight
+    agreement = (1.0 - alpha) + alpha * min(u, cfg.n_sources) / cfg.n_sources
+    seed = members[0]
+    return StaHypothesis(
+        Box2D(*corners), seed.noun_id, seed.verb_id, sum(w * h.ttc for w, h in zip(weights, members)),
+        (total / len(members)) * agreement, seed.source_id,
+    )
+
+
+coordinate = st.sampled_from([0.0, 2.0, 4.0])
+grouping_rows = st.lists(
+    st.tuples(
+        coordinate, coordinate, coordinate, coordinate,
+        st.integers(0, 1), st.integers(0, 1),
+        st.sampled_from([0.5, 0.75, 1.0, 1.5]), st.sampled_from([0.25, 0.5, 0.75]),
+        st.sampled_from([None, -1, 0, 3]),
+    ),
+    max_size=30,
+)
+
+
+class TestGroupingEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(grouping_rows, st.sampled_from([1e-4, 0.3, 0.5, 1.0]), st.sampled_from([1, 2, 7, 1 << 17]))
+    def test_groups_equal_brute_force_greedy(self, raw, box_iou_min, block):
+        # Coarse grids force zero-area boxes, identical boxes, full ties
+        # and TTC gaps exactly at the tolerance.
+        hyps = [
+            StaHypothesis(Box2D(min(a, c), min(b, d), max(a, c), max(b, d)), noun, verb, ttc, score, source)
+            for a, b, c, d, noun, verb, ttc, score, source in raw
+        ]
+        cfg = EnsembleConfig(box_iou_min=box_iou_min, ttc_tolerance=0.25, n_sources=3)
+        saved = ensemble.PAIR_BLOCK
+        ensemble.PAIR_BLOCK = block
+        try:
+            groups = group_hypotheses(hyps, cfg)
+        finally:
+            ensemble.PAIR_BLOCK = saved
+        expected = brute_force_groups(hyps, cfg)
+        assert [g.members.to_hypotheses() for g in groups] == expected
+        assert merge_group(groups, cfg).to_hypotheses() == [scalar_merge(g, cfg) for g in expected]
+
+    def test_merge_is_bit_identical_to_member_by_member_sums(self):
+        # Groups of up to 24 members: numpy's pairwise summation would
+        # round differently from 8 members on.
+        rng = CounterRng(77)
+        cfg = EnsembleConfig(n_sources=5)
+        for _ in range(40):
+            base = random_hyp(rng)
+            members = [
+                StaHypothesis(
+                    Box2D(base.box.x1 + rng.uniform(0, 1), base.box.y1 + rng.uniform(0, 1),
+                          base.box.x2 + rng.uniform(0, 1), base.box.y2 + rng.uniform(0, 1)),
+                    base.noun_id, base.verb_id, base.ttc + rng.uniform(0, 0.2),
+                    rng.uniform(0.01, 1.0), rng.randint(5),
+                )
+                for _ in range(1 + rng.randint(24))
+            ]
+            groups = group_hypotheses(members, cfg)
+            assert len(groups) == 1
+            expected = scalar_merge(sorted(members, key=canonical_key), cfg)
+            assert merge_group(groups, cfg).to_hypotheses() == [expected]
+
+    def test_thresholds_are_inclusive(self):
+        # IoU exactly 1 (identical boxes) and exactly 0.5, TTC gaps
+        # exactly at the tolerance: all join the seed's group.
+        seed = hyp(x1=0, y1=0, x2=4, y2=4, ttc=1.0, score=0.9)
+        twin = hyp(x1=0, y1=0, x2=4, y2=4, ttc=1.25, score=0.8)
+        half = hyp(x1=0, y1=0, x2=4, y2=2, ttc=0.75, score=0.7)
+        strict = EnsembleConfig(box_iou_min=1.0)
+        assert [len(g.members) for g in group_hypotheses([seed, twin], strict)] == [2]
+        assert [len(g.members) for g in group_hypotheses([seed, twin, half])] == [3]
+
+    def test_zero_area_seed_is_its_own_group(self):
+        flat = hyp(x1=5, y1=5, x2=5, y2=9, score=0.9)
+        groups = group_hypotheses([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)])
+        assert [len(g.members) for g in groups] == [1, 1, 1]
+        assert groups[0].seed == flat
+
+
 class TestMergeGroup:
     def test_singleton_identity(self):
         h = hyp(score=0.7, source=0)
         cfg = EnsembleConfig(n_sources=1)
-        merged = merge_group(HypothesisGroup(members=(h,), seed_index=0), cfg)
+        merged = merge_one([h], cfg)
         assert merged == h
 
     def test_equal_weight_corner_average(self):
         a = hyp(x1=0, y1=0, x2=2, y2=2, score=0.5, source=0)
         b = hyp(x1=0, y1=0, x2=4, y2=4, score=0.5, source=0)
-        merged = merge_group(HypothesisGroup(members=(a, b), seed_index=0))
+        merged = merge_one([a, b])
         assert merged.box == Box2D(0, 0, 3, 3)
 
     def test_weighted_ttc_mean(self):
         a = hyp(ttc=1.0, score=0.6, source=0)
         b = hyp(ttc=2.0, score=0.2, source=0)
-        merged = merge_group(HypothesisGroup(members=(a, b), seed_index=0))
+        merged = merge_one([a, b])
         assert merged.ttc == pytest.approx(1.25)
 
     def test_agreement_factor_monotone_in_sources(self):
@@ -112,8 +222,8 @@ class TestMergeGroup:
         b = hyp(score=0.5, source=0)
         c = hyp(score=0.5, source=1)
         cfg = EnsembleConfig(n_sources=2)
-        same_source = merge_group(HypothesisGroup(members=(a, b), seed_index=0), cfg)
-        cross_source = merge_group(HypothesisGroup(members=(a, c), seed_index=0), cfg)
+        same_source = merge_one([a, b], cfg)
+        cross_source = merge_one([a, c], cfg)
         assert cross_source.score > same_source.score
 
     def test_convex_hull_property(self):
@@ -138,10 +248,7 @@ class TestMergeGroup:
                     )
                 )
             members.sort(key=lambda h: -h.score)
-            merged = merge_group(
-                HypothesisGroup(members=tuple(members), seed_index=0),
-                EnsembleConfig(n_sources=4),
-            )
+            merged = merge_one(members, EnsembleConfig(n_sources=4))
             for i in range(4):
                 corners = [m.box.corners()[i] for m in members]
                 assert min(corners) - 1e-9 <= merged.box.corners()[i] <= max(corners) + 1e-9
@@ -150,7 +257,7 @@ class TestMergeGroup:
 
     def test_empty_group_rejected(self):
         with pytest.raises((ValidationError, IndexError)):
-            merge_group(HypothesisGroup(members=(), seed_index=0))
+            merge_one([])
 
 
 class TestEnsemblePredictions:
@@ -168,10 +275,10 @@ class TestEnsemblePredictions:
         single = ensemble_predictions([src])
         tripled = ensemble_predictions([src, src, src])
         for uid in single:
-            assert [(h.noun_id, h.verb_id) for h in single[uid]] == [
-                (h.noun_id, h.verb_id) for h in tripled[uid]
+            assert [(h.noun_id, h.verb_id) for h in single[uid].to_hypotheses()] == [
+                (h.noun_id, h.verb_id) for h in tripled[uid].to_hypotheses()
             ]
-            for a, b in zip(single[uid], tripled[uid]):
+            for a, b in zip(single[uid].to_hypotheses(), tripled[uid].to_hypotheses()):
                 # duplicate members re-average the corners, so allow float noise
                 assert a.box.corners() == pytest.approx(b.box.corners(), abs=1e-9)
 
@@ -180,7 +287,7 @@ class TestEnsemblePredictions:
         b = {"ex": [hyp(noun=1, score=0.6)]}
         merged = ensemble_predictions([a, b])
         assert len(merged["ex"]) == 2
-        assert {h.noun_id for h in merged["ex"]} == {0, 1}
+        assert set(merged["ex"].noun.tolist()) == {0, 1}
 
     def test_source_order_invariance(self):
         a = self.make_source(41)
@@ -191,10 +298,10 @@ class TestEnsemblePredictions:
         for uid in ab:
             assert [
                 (h.box, h.noun_id, h.verb_id, round(h.ttc, 12), round(h.score, 12))
-                for h in ab[uid]
+                for h in ab[uid].to_hypotheses()
             ] == [
                 (h.box, h.noun_id, h.verb_id, round(h.ttc, 12), round(h.score, 12))
-                for h in ba[uid]
+                for h in ba[uid].to_hypotheses()
             ]
 
     def test_uid_union(self):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vista.boxes import Box2D
 from vista.errors import ValidationError
@@ -14,7 +15,7 @@ from vista.evaluation import (
 from vista.oracle import brute_force_evaluate
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import GroundTruthInstance, StaHypothesis, sort_canonical
+from vista.types import GroundTruthInstance, StaHypothesis, as_table, sort_canonical
 
 CFG = EvalConfig()
 
@@ -75,7 +76,7 @@ class TestTopKFilter:
         hyps = [pred(score=0.1 * (i + 1)) for i in range(7)]
         kept = top_k_filter(hyps, 5)
         assert len(kept) == 5
-        assert kept == sort_canonical(hyps)[:5]
+        assert kept.to_hypotheses() == sort_canonical(hyps)[:5]
 
     def test_short_list_unchanged(self):
         hyps = [pred(score=0.5), pred(score=0.2), pred(score=0.9)]
@@ -83,7 +84,8 @@ class TestTopKFilter:
 
     def test_tie_break_deterministic_under_permutation(self):
         hyps = [pred(noun=n, verb=v, score=0.5) for n in range(3) for v in range(3)]
-        assert top_k_filter(hyps, 5) == top_k_filter(list(reversed(hyps)), 5)
+        assert (top_k_filter(hyps, 5).to_hypotheses()
+                == top_k_filter(list(reversed(hyps)), 5).to_hypotheses())
 
 
 class TestAveragePrecision:
@@ -268,3 +270,63 @@ class TestBruteForceGuard:
         r_bad = brute_force_evaluate(bad, [base], CFG)
         for variant in MatchVariant:
             assert r_bad.variant_map(variant) <= r_good.variant_map(variant)
+
+
+coordinate = st.sampled_from([0.0, 2.0, 5.0, 8.0, 10.0])
+box = st.tuples(coordinate, coordinate, coordinate, coordinate).map(
+    lambda c: Box2D(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+)
+uid = st.sampled_from(["a", "b"])
+tiny_gts = st.lists(
+    st.builds(GroundTruthInstance, uid, box, st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from([0.5, 0.75, 1.0])),
+    max_size=6,
+)
+tiny_preds = st.lists(
+    st.tuples(uid, st.builds(StaHypothesis, box, st.integers(0, 1), st.integers(0, 1),
+                             st.sampled_from([0.5, 0.75, 1.0]), st.sampled_from([0.25, 0.5, 1.0]))),
+    max_size=8,
+)
+
+
+class TestRankingTies:
+    def test_iou_tie_goes_to_the_first_ground_truth(self):
+        # A overlaps both ground truths with IoU 0.5; taking the first
+        # leaves B, which overlaps only the first, unmatched.
+        gts = [gt(x1=0, y1=0, x2=10, y2=5), gt(x1=0, y1=5, x2=10, y2=10)]
+        preds = {"ex": [pred(score=0.9), pred(x1=0, y1=0, x2=10, y2=5, score=0.8)]}
+        cfg = EvalConfig(iou_min=0.4)
+        report = evaluate(preds, gts, cfg)
+        assert report.counts["noun"]["matched"] == 1
+        assert report.counts == brute_force_evaluate(preds, gts, cfg).counts
+
+    def test_full_tie_across_examples_ranks_by_uid(self):
+        # The same hypothesis in two examples, matched only in "b": uid
+        # "a" ranks first whatever the order of the dict, so the class
+        # reads FP then TP.
+        preds = {"b": [pred()], "a": [pred()]}
+        gts = [gt(uid="b")]
+        report = evaluate(preds, gts, CFG)
+        assert report.map_noun == pytest.approx(50.0)
+        assert report.map_noun == brute_force_evaluate(preds, gts, CFG).map_noun
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_gts, tiny_preds, st.sampled_from([1, 2, 5]), st.sampled_from([0.1, 0.5]))
+    def test_evaluate_equals_brute_force_on_lists_and_tables(self, gts, pairs, top_k, iou_min):
+        # Coarse grids give full ties within and across examples, IoU
+        # exactly at iou_min and TTC errors exactly at the tolerance.
+        preds = {}
+        for example, h in pairs:
+            preds.setdefault(example, []).append(h)
+        cfg = EvalConfig(iou_min=iou_min, ttc_max_error=0.25, top_k=top_k)
+        slow = brute_force_evaluate(preds, gts, cfg)
+        for given_preds in (preds, {u: as_table(hyps) for u, hyps in preds.items()}):
+            fast = evaluate(given_preds, gts, cfg)
+            assert fast.counts == slow.counts
+            assert fast.per_noun_ap.keys() == slow.per_noun_ap.keys()
+            for cls, aps in slow.per_noun_ap.items():
+                assert fast.per_noun_ap[cls] == pytest.approx(aps, abs=1e-12)
+            for variant in MatchVariant:
+                assert fast.variant_map(variant) == pytest.approx(slow.variant_map(variant), abs=1e-9)

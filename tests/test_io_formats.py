@@ -119,6 +119,22 @@ class TestGroundTruth:
             load_ground_truth(path)
         assert len(err.value.problems) == 2
 
+    def test_values_beyond_the_number_types_rejected(self, tmp_path):
+        path = tmp_path / "gt.json"
+        good = {"example_uid": "e1", "box": [0, 0, 10, 10], "noun_category_id": 0,
+                "verb_category_id": 0, "time_to_contact": 1.0}
+        path.write_text(json.dumps({
+            "taxonomy": {"nouns": ["cup"], "verbs": ["take"]},
+            "annotations": [dict(good, noun_category_id=float("inf")), dict(good, box=[0, 0, 10**400, 1])],
+        }))
+        with pytest.raises(ValidationError) as err:
+            load_ground_truth(path)
+        assert err.value.problems == [
+            f"{path}: annotation 0 (uid e1): bad or missing category/ttc field "
+            "(cannot convert float infinity to integer)",
+            f"{path}: annotation 1 (uid e1): int too large to convert to float",
+        ]
+
     def test_write_read_write_byte_identical(self, tmp_path):
         taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=1)
         p1 = tmp_path / "a.json"
@@ -148,7 +164,7 @@ class TestSubmissions:
         path = tmp_path / "sub.json"
         write_submission(preds, path)
         loaded = load_predictions(path)
-        assert loaded == preds
+        assert {uid: table.to_hypotheses() for uid, table in loaded.items()} == preds
 
     def test_write_read_write_byte_identical(self, tmp_path):
         preds = self.make_preds()
@@ -238,7 +254,75 @@ class TestSubmissions:
         ]
         path.write_text(json.dumps({"results": {"e1": entries}}))
         preds = load_predictions(path)
-        assert [h.score for h in preds["e1"]] == [0.9, 0.5, 0.2]
+        assert preds["e1"].score.tolist() == [0.9, 0.5, 0.2]
+
+
+def entry(**fields):
+    doc = {"box": [0, 0, 10, 10], "noun_category_id": 1, "verb_category_id": 0,
+           "time_to_contact": 0.5, "score": 0.5}
+    doc.update(fields)
+    return doc
+
+
+class TestSubmissionColumns:
+    def load(self, tmp_path, results, taxonomy=None):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"results": results}))
+        return load_predictions(path, taxonomy)
+
+    def test_source_ids_absent_negative_and_present(self, tmp_path):
+        preds = self.load(tmp_path, {"e": [entry(score=0.9), entry(score=0.8, source_id=-1),
+                                           entry(score=0.7, source_id=4)]})
+        assert preds["e"].has_source.tolist() == [False, True, True]
+        assert [h.source_id for h in preds["e"].to_hypotheses()] == [None, -1, 4]
+        out = tmp_path / "out.json"
+        write_submission(preds, out)
+        written = json.loads(out.read_text())["results"]["e"]
+        assert ["source_id" in e for e in written] == [False, True, True]
+        assert written[1]["source_id"] == -1
+
+    def test_every_problem_listed_entry_by_entry(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            self.load(tmp_path, {
+                "a": [entry(), entry(box=[10, 10, 0, 0], score="x"), "junk",
+                      entry(score=0.0, time_to_contact=-1)],
+                "b": "junk",
+                "c": [entry(box=[0, 0, 1]), entry(noun_category_id=7, verb_category_id=9)],
+            }, Taxonomy(("n0", "n1"), ("v0",)))
+        where = f"{tmp_path / 'sub.json'}: results"
+        assert err.value.problems == [
+            f"{where}['a'][1]: box has x1 > x2: (10.0, 10.0, 0.0, 0.0); "
+            "box has y1 > y2: (10.0, 10.0, 0.0, 0.0)",
+            f"{where}['a'][1]: bad or missing field (could not convert string to float: 'x')",
+            f"{where}['a'][2]: must be an object",
+            f"{where}['a'][3]: ttc must be finite and >= 0, got -1.0",
+            f"{where}['a'][3]: score must be finite and > 0, got 0.0",
+            f"{where}['b'] must be a list",
+            f"{where}['c'][0]: box must be a 4-element [x1, y1, x2, y2] list, got [0, 0, 1]",
+            f"{where}['c'][1]: noun_id 7 out of range [0, 2)",
+            f"{where}['c'][1]: verb_id 9 out of range [0, 1)",
+        ]
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"noun_category_id": 2**70}, f"noun_id must fit in 64 bits, got {2**70}"),
+        ({"verb_category_id": -(2**70)}, f"verb_id must be >= 0, got {-(2**70)}"),
+        ({"source_id": -(2**70)}, f"source_id must fit in 64 bits, got {-(2**70)}"),
+        ({"noun_category_id": float("inf")},
+         "bad or missing field (cannot convert float infinity to integer)"),
+        ({"score": 10**400}, "bad or missing field (int too large to convert to float)"),
+        ({"box": [0, 0, 10**400, 1]}, "int too large to convert to float"),
+    ])
+    def test_values_beyond_the_column_types_rejected(self, tmp_path, fields, problem):
+        with pytest.raises(ValidationError) as err:
+            self.load(tmp_path, {"e": [entry(), entry(**fields)]})
+        assert err.value.problems == [f"{tmp_path / 'sub.json'}: results['e'][1]: {problem}"]
+
+    def test_out_of_int64_id_against_a_taxonomy(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            self.load(tmp_path, {"e": [entry(noun_category_id=2**70)]}, Taxonomy(("n0", "n1"), ("v0",)))
+        assert err.value.problems == [
+            f"{tmp_path / 'sub.json'}: results['e'][0]: noun_id {2**70} out of range [0, 2)"
+        ]
 
 
 class TestTensorContainer:

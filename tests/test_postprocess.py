@@ -219,6 +219,27 @@ class TestExpandHypotheses:
         hyps = expand(make_tensors(CounterRng(17), 20)).to_hypotheses()
         assert hyps == sorted(hyps, key=canonical_key)
 
+    def test_tied_probabilities_pick_the_lower_ids(self):
+        # Logit ties give probability ties; the top k must be those of a
+        # stable sort: the lowest ids first among equals.
+        tensors = make_tensors(CounterRng(20), 6)
+        tensors["noun_logits"][:] = [0.5, 2.0, 2.0, 0.5]
+        tensors["verb_logits"][:3] = 1.0
+        tensors["verb_logits"][3:] = [0.0, 3.0, 3.0]
+        batch = proposals_from_tensors(tensors)
+        for k_noun, k_verb in ((1, 1), (2, 2), (3, 2), (4, 3)):
+            table = expand_hypotheses(batch, TAXONOMY, InferenceConfig(k_noun=k_noun, k_verb=k_verb))
+            p_noun = postprocess._softmax_rows(tensors["noun_logits"])
+            p_verb = postprocess._softmax_rows(tensors["verb_logits"])
+            nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
+            verbs = np.argsort(-p_verb, axis=1, kind="stable")[:, :k_verb]
+            pairs = {(int(n), int(v)) for p in range(6) for n in nouns[p] for v in verbs[p]}
+            assert set(zip(table.noun.tolist(), table.verb.tolist())) == pairs
+            assert postprocess._top_ids(p_noun, k_noun).tolist() == nouns.tolist()
+            assert postprocess._top_ids(p_verb, k_verb).tolist() == verbs.tolist()
+        assert postprocess._top_ids(p_noun, 2).tolist() == [[1, 2]] * 6
+        assert postprocess._top_ids(p_verb, 2).tolist() == [[0, 1]] * 3 + [[1, 2]] * 3
+
     def test_no_proposals_no_hypotheses(self):
         assert len(expand(make_tensors(CounterRng(18), 0))) == 0
 
@@ -295,6 +316,15 @@ class TestKernelEquivalence:
         hyps = hypotheses_from(raw)
         assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate, st.integers(0, 2),
+                              st.integers(0, 1), st.sampled_from([0.5, 1.0]),
+                              st.floats(1e-3, 1.0)), max_size=30))
+    def test_table_order_with_distinct_scores(self, raw):
+        # Scores that rarely tie take the sort-by-score-alone path.
+        hyps = hypotheses_from(raw)
+        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
+
     @settings(max_examples=300, deadline=None)
     @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]))
     def test_nms_equals_brute_force_greedy(self, raw, nms_iou):
@@ -306,7 +336,7 @@ class TestKernelEquivalence:
         rng = CounterRng(40)
         hyps = [make_hypothesis(rng, n_nouns=2) for _ in range(120)]
         expected = brute_force_nms(hyps, 0.1)
-        monkeypatch.setattr(postprocess, "NMS_PAIR_BLOCK", block)
+        monkeypatch.setattr(postprocess, "PAIR_BLOCK", block)
         assert nms(hyps, 0.1) == expected
 
     def test_zero_area_and_identical_boxes(self):
