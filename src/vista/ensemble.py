@@ -10,9 +10,9 @@ hypotheses are interchangeable under the strictest matching criterion.
 Grouping and merging work on the columns of one example's pooled
 HypothesisTable. The arithmetic is that of the scalar definitions, bit
 for bit: IoU keeps the operation order of `boxes.iou`, and every sum over
-a group's members adds them one at a time in member order, as Python's
-`sum` does (numpy's pairwise summation rounds differently for groups of
-8 or more).
+a group's members adds them one at a time in member order from 0.0
+(numpy's pairwise summation rounds differently for groups of 8 or more,
+and Python's own `sum` compensates float rounding from 3.12 on).
 """
 
 from __future__ import annotations
@@ -132,13 +132,19 @@ def group_hypotheses(hyps, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
         joins = (pair_iou(corners, area, higher, lower) >= cfg.box_iou_min) & (
             np.abs(ttc[higher] - ttc[lower]) <= cfg.ttc_tolerance
         )
-        # Pairs come in rank order of their higher row, so a row still
-        # ungrouped when its own pairs come is a seed.
-        for h, low in zip(higher[joins].tolist(), lower[joins].tolist()):
+        higher, lower = higher[joins], lower[joins]
+        # Pairs come in rank order of their higher row, and all pairs of a
+        # row are in one block, so a row still ungrouped when its pairs
+        # come is a seed; the pairs of a grouped row are skipped whole.
+        firsts = np.flatnonzero(np.diff(higher, prepend=-1))
+        lower = lower.tolist()
+        for h, first, end in zip(higher[firsts].tolist(), firsts.tolist(), firsts[1:].tolist() + [len(lower)]):
             if owner[h] < 0:
                 owner[h] = h
-            if owner[h] == h and owner[low] < 0:
-                owner[low] = h
+            if owner[h] == h:
+                for low in lower[first:end]:
+                    if owner[low] < 0:
+                        owner[low] = h
     owner = np.array(owner, dtype=np.intp)
     alone = owner < 0
     owner[alone] = np.flatnonzero(alone)
@@ -152,7 +158,7 @@ def group_hypotheses(hyps, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
 
 def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The sum of values[bounds[g]:bounds[g + 1]] for every group g, added
-    one at a time in order from 0.0, as Python's `sum` adds floats."""
+    one at a time in order from 0.0."""
     sizes = np.diff(bounds)
     by_size = np.argsort(-sizes, kind="stable")
     firsts, larger = bounds[:-1][by_size], -sizes[by_size]  # larger ascends

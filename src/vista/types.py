@@ -163,8 +163,8 @@ class HypothesisTable:
     boxes (N, 4) float64 corners, noun and verb (N,) int64 ids, ttc and
     score (N,) float64, source (N,) int64 ids and has_source (N,) bool,
     which marks the rows that have a source id (any int64 is one, -1
-    too). Without a source column no row has one; with one but without
-    has_source every row has one. The columns are read-only and are
+    too). The two are given together; without them no row has a source.
+    The columns are read-only and are
     validated as whole arrays, with the rules of StaHypothesis and Box2D.
     Tables that the stages pass between them are in canonical order
     (`sort_canonical`).
@@ -180,11 +180,11 @@ class HypothesisTable:
 
     def __post_init__(self):
         n = len(np.asarray(self.score))
+        if (self.source is None) != (self.has_source is None):
+            raise ValidationError("source and has_source must be given together")
         if self.source is None:
             object.__setattr__(self, "source", np.zeros(n, dtype=np.int64))
             object.__setattr__(self, "has_source", np.zeros(n, dtype=bool))
-        elif self.has_source is None:
-            object.__setattr__(self, "has_source", np.ones(n, dtype=bool))
         for name, dtype in _TABLE_COLUMNS.items():
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
@@ -277,16 +277,7 @@ def canonical_key(h: StaHypothesis):
 def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
     """The row indices that put a table in canonical order: a stable
     lexsort over the `canonical_key` fields, so full ties keep their row
-    order, as `sorted` keeps them, unless a `tie_break` column orders them.
-
-    Score comes first in the key, so when no two scores are equal a
-    stable sort by score alone gives the same order; the other fields are
-    sorted on only when scores tie.
-    """
-    by_score = np.argsort(-table.score, kind="stable")
-    ranked = table.score[by_score]
-    if not (ranked[1:] == ranked[:-1]).any():
-        return by_score
+    order, as `sorted` keeps them, unless a `tie_break` column orders them."""
     b = table.boxes
     keys = (table.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], table.verb, table.noun, -table.score)
     return np.lexsort(keys if tie_break is None else (tie_break,) + keys)

@@ -83,6 +83,18 @@ class TestGroupHypotheses:
         assert groups[0].seed == a
         assert groups[1].seed == c
 
+    def test_grouped_member_gathers_nothing(self):
+        # B joins A's group; C and D are compatible with B only, not with
+        # A or with each other, so each seeds a group of its own.
+        a = hyp(x1=0, y1=0, x2=4, y2=4, ttc=0.5, score=0.9)
+        b = hyp(x1=0, y1=0, x2=4, y2=4, ttc=0.75, score=0.8)
+        c = hyp(x1=0, y1=0, x2=4, y2=2, ttc=1.0, score=0.7)
+        d = hyp(x1=0, y1=2, x2=4, y2=4, ttc=1.0, score=0.6)
+        cfg = EnsembleConfig(box_iou_min=0.3)
+        assert compatible(b, c, cfg) and compatible(b, d, cfg) and not compatible(c, d, cfg)
+        groups = group_hypotheses([d, c, b, a], cfg)
+        assert [g.members.to_hypotheses() for g in groups] == [[a, b], [c], [d]]
+
     def test_partition_property(self):
         for seed in range(20):
             rng = CounterRng(2000 + seed)
@@ -112,17 +124,27 @@ def brute_force_groups(hyps, cfg):
     return groups
 
 
+def sequential_sum(values):
+    """Floats added one at a time from 0.0. The builtin `sum` is not used:
+    from Python 3.12 on it compensates float rounding."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def scalar_merge(members, cfg):
     """One group merged with Python floats, member by member."""
-    total = sum(h.score for h in members)
+    total = sequential_sum(h.score for h in members)
     weights = [h.score / total for h in members]
-    corners = [sum(w * h.box.corners()[i] for w, h in zip(weights, members)) for i in range(4)]
+    corners = [sequential_sum(w * h.box.corners()[i] for w, h in zip(weights, members)) for i in range(4)]
     u = len({h.source_id for h in members})
     alpha = cfg.agreement_weight
     agreement = (1.0 - alpha) + alpha * min(u, cfg.n_sources) / cfg.n_sources
     seed = members[0]
     return StaHypothesis(
-        Box2D(*corners), seed.noun_id, seed.verb_id, sum(w * h.ttc for w, h in zip(weights, members)),
+        Box2D(*corners), seed.noun_id, seed.verb_id,
+        sequential_sum(w * h.ttc for w, h in zip(weights, members)),
         (total / len(members)) * agreement, seed.source_id,
     )
 

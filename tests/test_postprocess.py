@@ -316,15 +316,6 @@ class TestKernelEquivalence:
         hyps = hypotheses_from(raw)
         assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate, st.integers(0, 2),
-                              st.integers(0, 1), st.sampled_from([0.5, 1.0]),
-                              st.floats(1e-3, 1.0)), max_size=30))
-    def test_table_order_with_distinct_scores(self, raw):
-        # Scores that rarely tie take the sort-by-score-alone path.
-        hyps = hypotheses_from(raw)
-        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
-
     @settings(max_examples=300, deadline=None)
     @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]))
     def test_nms_equals_brute_force_greedy(self, raw, nms_iou):
@@ -373,6 +364,14 @@ class TestHypothesisTable:
     def test_column_shapes_checked(self):
         with pytest.raises(ValidationError, match="verb must have shape"):
             HypothesisTable(boxes=[[0, 0, 1, 1]], noun=[0], verb=[0, 1], ttc=[1.0], score=[0.5])
+
+    def test_source_needs_its_mask(self):
+        row = dict(boxes=[[0, 0, 1, 1]], noun=[0], verb=[0], ttc=[1.0], score=[0.5])
+        with pytest.raises(ValidationError, match="given together"):
+            HypothesisTable(**row, source=[3])
+        with pytest.raises(ValidationError, match="given together"):
+            HypothesisTable(**row, has_source=[True])
+        assert not HypothesisTable(**row).has_source.any()
 
     def test_columns_are_read_only_copies(self):
         score = np.array([0.5, 0.25])
