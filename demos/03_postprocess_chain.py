@@ -1,4 +1,4 @@
-"""From raw per-proposal head outputs to an export-ready hypothesis list.
+"""From raw per-proposal head outputs to an export-ready hypothesis table.
 
 Builds the head-output tensors of a batch of random proposals, then walks
 the inference chain: expansion into noun x verb pairs, class-aware NMS,
@@ -49,8 +49,10 @@ print(f"class-aware NMS keeps {len(kept)}")
 final = finalize_submission(kept, cfg.max_exports)
 print(f"export cap keeps {len(final)}\n")
 print("rank  noun    verb    ttc    score")
-for i, h in enumerate(final):
+for i, (noun, verb, ttc, score) in enumerate(
+    zip(final.noun.tolist(), final.verb.tolist(), final.ttc.tolist(), final.score.tolist())
+):
     print(
-        f"{i:>4}  {taxonomy.noun_names[h.noun_id]:<6}  "
-        f"{taxonomy.verb_names[h.verb_id]:<6}  {h.ttc:5.2f}  {h.score:.4f}"
+        f"{i:>4}  {taxonomy.noun_names[noun]:<6}  "
+        f"{taxonomy.verb_names[verb]:<6}  {ttc:5.2f}  {score:.4f}"
     )

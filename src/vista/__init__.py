@@ -53,10 +53,12 @@ from .sampling import SamplingPlan, plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from .types import (
     GroundTruthInstance,
+    GroundTruthTable,
     HypothesisTable,
     PredictionSet,
     StaHypothesis,
     Taxonomy,
+    as_gt_table,
     as_table,
     canonical_key,
     canonical_order,

@@ -22,6 +22,7 @@ from .ensemble import EnsembleConfig, ensemble_predictions
 from .errors import FormatError, ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .io_formats import (
+    _dump_json,
     _load_json,
     load_ground_truth,
     load_predictions,
@@ -83,7 +84,7 @@ def cmd_evaluate(args) -> int:
         "predictions": str(args.predictions),
         "config": {"iou_min": cfg.iou_min, "ttc_max_error": cfg.ttc_max_error, "top_k": cfg.top_k},
     }
-    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _dump_json(doc, out / "report.json")
     table = format_report_table(report)
     (out / "report.txt").write_text(table + "\n")
     print(table)

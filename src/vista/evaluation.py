@@ -15,7 +15,6 @@ stand-in. Classes with zero ground truth are excluded from the mean.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,12 @@ from .boxes import PAIR_BLOCK, box_columns, iou, pair_blocks, pair_iou
 from .errors import ValidationError
 from .types import (
     GroundTruthInstance,
+    GroundTruthTable,
     HypothesisTable,
     PredictionSet,
     StaHypothesis,
     Taxonomy,
+    as_gt_table,
     as_table,
     canonical_order,
     field_type_problems,
@@ -153,21 +154,19 @@ def average_precision(tp_flags, n_gt: int) -> float:
     return float(precision[flags].sum() / n_gt)
 
 
-def _candidates(pred: HypothesisTable, pred_uid: np.ndarray, gts: list[GroundTruthInstance],
+def _candidates(pred: HypothesisTable, pred_uid: np.ndarray, gts: GroundTruthTable,
                 gt_uid: np.ndarray, cfg: EvalConfig):
     """The (prediction, ground truth) pairs that can match under some
     variant: same example, same noun, IoU > iou_min. Returns the pairs
     sorted by prediction and then ground-truth index, their IoU, and
     whether each pair agrees on the verb and on the TTC."""
-    gt_boxes = np.array([gt.box.corners() for gt in gts], dtype=np.float64).reshape(-1, 4)
-    gt_noun = np.array([gt.noun_id for gt in gts], dtype=np.int64)
-    nouns, noun_code = np.unique(np.concatenate([pred.noun, gt_noun]), return_inverse=True)
+    nouns, noun_code = np.unique(np.concatenate([pred.noun, gts.noun]), return_inverse=True)
     key = np.concatenate([pred_uid, gt_uid]) * len(nouns) + noun_code
     pred_key, gt_key = key[: len(pred)], key[len(pred):]
     gt_by_key = np.argsort(gt_key, kind="stable")
     first = np.searchsorted(gt_key[gt_by_key], pred_key, side="left")
     counts = np.searchsorted(gt_key[gt_by_key], pred_key, side="right") - first
-    corners, area = box_columns(np.concatenate([pred.boxes, gt_boxes]))
+    corners, area = box_columns(np.concatenate([pred.boxes, gts.boxes]))
     p_parts, g_parts, iou_parts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for p, position in pair_blocks(first, counts, PAIR_BLOCK):
         g = gt_by_key[position]
@@ -177,10 +176,8 @@ def _candidates(pred: HypothesisTable, pred_uid: np.ndarray, gts: list[GroundTru
         g_parts.append(g[over])
         iou_parts.append(overlap[over])
     p, g, overlap = np.concatenate(p_parts), np.concatenate(g_parts), np.concatenate(iou_parts)
-    gt_verb = np.array([gt.verb_id for gt in gts], dtype=np.int64)
-    gt_ttc = np.array([gt.ttc for gt in gts], dtype=np.float64)
-    same_verb = pred.verb[p] == gt_verb[g]
-    close_ttc = np.abs(pred.ttc[p] - gt_ttc[g]) < cfg.ttc_max_error
+    same_verb = pred.verb[p] == gts.verb[g]
+    close_ttc = np.abs(pred.ttc[p] - gts.ttc[g]) < cfg.ttc_max_error
     return p, g, overlap, same_verb, close_ttc
 
 
@@ -207,13 +204,14 @@ def _greedy_match(p: np.ndarray, g: np.ndarray, overlap: np.ndarray, n_pred: int
 
 def evaluate(
     preds: PredictionSet,
-    gts: list[GroundTruthInstance],
+    gts: GroundTruthTable | list[GroundTruthInstance],
     cfg: EvalConfig = EvalConfig(),
     taxonomy: Taxonomy | None = None,
 ) -> EvalReport:
     """Run the four-variant protocol over a prediction set.
 
-    `preds` maps uids to HypothesisTables or lists of StaHypothesis. Each
+    `preds` maps uids to HypothesisTables or lists of StaHypothesis, and
+    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Each
     example keeps its top_k hypotheses; all of them are then ranked by
     the canonical ordering with the uid as the final tie-break. The
     candidate pairs are built once and filtered for each variant: Overall
@@ -223,10 +221,11 @@ def evaluate(
     IoU.
     """
     tables = {uid: as_table(hyps) for uid, hyps in preds.items()}
+    gts = as_gt_table(gts)
     if taxonomy is not None:
         problems = []
-        for gt in gts:
-            problems += taxonomy.check_ids(gt.noun_id, gt.verb_id, f"gt {gt.example_uid}")
+        for r in np.flatnonzero(~taxonomy.valid_ids(gts.noun, gts.verb)).tolist():
+            problems += taxonomy.check_ids(int(gts.noun[r]), int(gts.verb[r]), f"gt {gts.uid[r]}")
         for uid, table in tables.items():
             for r in np.flatnonzero(~taxonomy.valid_ids(table.noun, table.verb)).tolist():
                 problems += taxonomy.check_ids(
@@ -236,17 +235,17 @@ def evaluate(
             raise ValidationError(problems)
 
     kept = [top_k_filter(table, cfg.top_k) for table in tables.values()]
-    uid_code = {uid: c for c, uid in enumerate(sorted(set(tables) | {gt.example_uid for gt in gts}))}
+    uid_code = {uid: c for c, uid in enumerate(sorted(set(tables) | set(gts.uid)))}
     pred = HypothesisTable.concat(kept)
     pred_uid = np.repeat(np.array([uid_code[uid] for uid in tables], dtype=np.int64),
                          [len(t) for t in kept])
     rank = canonical_order(pred, tie_break=pred_uid)
     pred, pred_uid = pred.take(rank), pred_uid[rank]
-    gt_uid = np.array([uid_code[gt.example_uid] for gt in gts], dtype=np.int64)
+    gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
     p, g, overlap, same_verb, close_ttc = _candidates(pred, pred_uid, gts, gt_uid, cfg)
 
-    n_gt_per_class = Counter(gt.noun_id for gt in gts)
-    scored_classes = sorted(c for c, n in n_gt_per_class.items() if n > 0)
+    classes, class_size = np.unique(gts.noun, return_counts=True)
+    scored_classes = classes.tolist()
     # Each class's predictions, in rank order, are one slice of by_noun.
     by_noun = np.argsort(pred.noun, kind="stable")
     class_first = np.searchsorted(pred.noun[by_noun], scored_classes, side="left")
@@ -264,8 +263,9 @@ def evaluate(
         tp = _greedy_match(p[keep], g[keep], overlap[keep], len(pred), len(gts))
         tp_by_noun = tp[by_noun]
         aps = []
-        for cls, first, end in zip(scored_classes, class_first.tolist(), class_end.tolist()):
-            ap = average_precision(tp_by_noun[first:end], n_gt_per_class[cls])
+        for cls, n_gt, first, end in zip(scored_classes, class_size.tolist(), class_first.tolist(),
+                                         class_end.tolist()):
+            ap = average_precision(tp_by_noun[first:end], n_gt)
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
         maps[variant] = 100.0 * float(np.mean(aps)) if aps else 0.0

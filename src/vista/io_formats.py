@@ -16,19 +16,21 @@ import json
 import struct
 import warnings
 from bisect import bisect_right
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import Box2D
 from .errors import FormatError, ValidationError
 from .types import (
-    GroundTruthInstance,
+    GroundTruthTable,
     HypothesisTable,
     PredictionSet,
     Taxonomy,
+    as_gt_table,
     as_table,
     box_rules,
+    ground_truth_rules,
     hypothesis_rules,
     sort_canonical,
 )
@@ -70,15 +72,35 @@ def _warn_unknown(found: set[str], known: set[str], where: str) -> None:
         warnings.warn(f"{where}: ignoring unknown fields {extras}", stacklevel=3)
 
 
-def _parse_box(raw, where: str, problems: list[str]) -> Box2D | None:
-    if not (isinstance(raw, list) and len(raw) == 4):
-        problems.append(f"{where}: box must be a 4-element [x1, y1, x2, y2] list, got {raw!r}")
-        return None
-    try:
-        return Box2D(*(float(v) for v in raw))
-    except (TypeError, ValueError, OverflowError) as e:
-        problems.append(f"{where}: {e}")
-        return None
+def _add_corners(box, corners: list[float]) -> str | None:
+    """Append the four corners of a raw box, each converted by `float`,
+    to `corners`, or four zeros and return the problem if it has none."""
+    if isinstance(box, list) and len(box) == 4:
+        try:
+            corners += (float(box[0]), float(box[1]), float(box[2]), float(box[3]))
+            return None
+        except (TypeError, ValueError, OverflowError) as e:
+            problem = str(e)
+    else:
+        problem = f"box must be a 4-element [x1, y1, x2, y2] list, got {box!r}"
+    corners += (0.0, 0.0, 0.0, 0.0)
+    return problem
+
+
+def _box_problems(boxes: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The mask of the rows among `ok` whose corners break a rule of
+    Box2D, and for each such row one problem naming every rule it breaks,
+    worded as Box2D words it."""
+    rules = box_rules(boxes)
+    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
+    found = []
+    for r in np.flatnonzero(bad_box).tolist():
+        corners = tuple(boxes[r].tolist())
+        found.append((r, "; ".join(
+            f"{what}, got {corners}" if k == 0 else f"{what}: {corners}"
+            for k, (bad, what) in enumerate(rules) if bad[r]
+        )))
+    return bad_box, found
 
 
 # -- taxonomy ---------------------------------------------------------------
@@ -92,6 +114,11 @@ def taxonomy_from_dict(doc, where: str = "taxonomy") -> Taxonomy:
     for key in ("nouns", "verbs"):
         if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
             problems.append(f"{where}: missing or non-list '{key}' array")
+            continue
+        problems += [
+            f"{where}: '{key}'[{i}] must be a string, got {label!r}"
+            for i, label in enumerate(doc[key]) if not isinstance(label, str)
+        ]
     if problems:
         raise ValidationError(problems)
     return Taxonomy(noun_names=tuple(doc["nouns"]), verb_names=tuple(doc["verbs"]))
@@ -107,7 +134,14 @@ def write_taxonomy(taxonomy: Taxonomy, path) -> None:
 
 # -- ground truth -----------------------------------------------------------
 
-def load_ground_truth(path) -> tuple[Taxonomy, list[GroundTruthInstance]]:
+def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
+    """Read a ground truth as its taxonomy and one GroundTruthTable.
+
+    One pass over the annotations checks their keys and converts every
+    value on its own; whole columns are then checked against the rules of
+    Box2D and GroundTruthInstance and the taxonomy's id ranges. Every
+    problem of every bad annotation is listed, annotation by annotation.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: ground-truth document must be a JSON object")
@@ -116,7 +150,10 @@ def load_ground_truth(path) -> tuple[Taxonomy, list[GroundTruthInstance]]:
     if "taxonomy" in doc:
         taxonomy = taxonomy_from_dict(doc["taxonomy"], where=f"{path}: taxonomy")
     elif "taxonomy_path" in doc:
-        taxonomy = load_taxonomy(Path(path).parent / doc["taxonomy_path"])
+        taxonomy_path = doc["taxonomy_path"]
+        if not isinstance(taxonomy_path, str):
+            raise ValidationError(f"{path}: 'taxonomy_path' must be a string, got {taxonomy_path!r}")
+        taxonomy = load_taxonomy(Path(path).parent / taxonomy_path)
     else:
         raise ValidationError(f"{path}: needs 'taxonomy' inline or a 'taxonomy_path'")
 
@@ -124,58 +161,95 @@ def load_ground_truth(path) -> tuple[Taxonomy, list[GroundTruthInstance]]:
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: missing or non-list 'annotations'")
 
-    problems: list[str] = []
-    gts: list[GroundTruthInstance] = []
+    # Problems are keyed (annotation index, stage) so they can be listed
+    # annotation by annotation; within one: uid, box, fields, taxonomy, values.
+    problems: list[tuple[tuple[int, int], str]] = []
+    index: list[int] = []
+    uids: list[str] = []
+    corners: list[float] = []
+    nouns: list[int] = []
+    verbs: list[int] = []
+    ttcs: list[float] = []
+    unparsed_box: list[int] = []
+    unparsed: list[int] = []
     for i, raw in enumerate(annotations):
-        where = f"{path}: annotation {i}"
         if not isinstance(raw, dict):
-            problems.append(f"{where}: must be an object")
+            problems.append(((i, 0), f"{path}: annotation {i}: must be an object"))
             continue
-        _warn_unknown(set(raw), _KNOWN_ANNOTATION_KEYS, where)
+        if not _KNOWN_ANNOTATION_KEYS.issuperset(raw):
+            _warn_unknown(set(raw), _KNOWN_ANNOTATION_KEYS, f"{path}: annotation {i}")
         uid = raw.get("example_uid")
         if not isinstance(uid, str) or not uid:
-            problems.append(f"{where}: missing example_uid")
+            problems.append(((i, 0), f"{path}: annotation {i}: missing example_uid"))
             uid = f"<annotation {i}>"
+        index.append(i)
+        uids.append(uid)
         where = f"{path}: annotation {i} (uid {uid})"
-        box = _parse_box(raw.get("box"), where, problems)
-        local: list[str] = []
+        box_problem = _add_corners(raw.get("box"), corners)
+        if box_problem is not None:
+            problems.append(((i, 1), f"{where}: {box_problem}"))
+            unparsed_box.append(len(index) - 1)
         try:
-            noun_id = int(raw["noun_category_id"])
-            verb_id = int(raw["verb_category_id"])
+            noun = int(raw["noun_category_id"])
+            verb = int(raw["verb_category_id"])
             ttc = float(raw["time_to_contact"])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            local.append(f"{where}: bad or missing category/ttc field ({e})")
-        if box is not None and not local:
-            local += [f"{where}: {p}" for p in taxonomy.check_ids(noun_id, verb_id)]
-            if not local:
-                try:
-                    gts.append(
-                        GroundTruthInstance(
-                            example_uid=uid, box=box, noun_id=noun_id, verb_id=verb_id, ttc=ttc
-                        )
-                    )
-                except ValidationError as e:
-                    local += [f"{where}: {p}" for p in e.problems]
-        problems += local
+            problems.append(((i, 2), f"{where}: bad or missing category/ttc field ({e})"))
+            unparsed.append(len(index) - 1)
+            noun, verb, ttc = 0, 0, 0.0
+        nouns.append(noun)
+        verbs.append(verb)
+        ttcs.append(ttc)
+    del doc, annotations
+
+    n = len(index)
+    boxes = np.array(corners, dtype=np.float64).reshape(n, 4)
+    (noun, _), (verb, _) = _int64_column(nouns), _int64_column(verbs)
+    ttc = np.array(ttcs, dtype=np.float64)
+
+    def report(r: int, stage: int, message: str) -> None:
+        problems.append(((index[r], stage), f"{path}: annotation {index[r]} (uid {uids[r]}): {message}"))
+
+    ok = np.ones(n, dtype=bool)
+    ok[unparsed_box] = False
+    bad_box, box_problems = _box_problems(boxes, ok)
+    for r, message in box_problems:
+        report(r, 1, message)
+    ok &= ~bad_box
+    ok[unparsed] = False
+    # Ids beyond int64 were clamped into it, still outside the taxonomy.
+    bad_ids = ok & ~taxonomy.valid_ids(noun, verb)
+    for r in np.flatnonzero(bad_ids).tolist():
+        for problem in taxonomy.check_ids(nouns[r], verbs[r]):
+            report(r, 3, problem)
+    ok &= ~bad_ids
+    for (bad, what), values in zip(ground_truth_rules(noun, verb, ttc), (ttcs, nouns, verbs)):
+        for r in np.flatnonzero(ok & bad).tolist():
+            report(r, 4, f"{what}, got {values[r]}")
     if problems:
-        raise ValidationError(problems)
-    return taxonomy, gts
+        problems.sort(key=lambda p: p[0])
+        raise ValidationError([message for _, message in problems])
+    return taxonomy, GroundTruthTable(uid=uids, boxes=boxes, noun=noun, verb=verb, ttc=ttc)
 
 
-def write_ground_truth(
-    taxonomy: Taxonomy, gts: list[GroundTruthInstance], path, provenance: dict | None = None
-) -> None:
+def write_ground_truth(taxonomy: Taxonomy, gts, path, provenance: dict | None = None) -> None:
+    """Write a ground truth; `gts` is a GroundTruthTable or a list of
+    GroundTruthInstance."""
+    table = as_gt_table(gts)
     doc = {
         "taxonomy": taxonomy_to_dict(taxonomy),
         "annotations": [
             {
-                "example_uid": gt.example_uid,
-                "box": list(gt.box.corners()),
-                "noun_category_id": gt.noun_id,
-                "verb_category_id": gt.verb_id,
-                "time_to_contact": gt.ttc,
+                "example_uid": uid,
+                "box": box,
+                "noun_category_id": noun,
+                "verb_category_id": verb,
+                "time_to_contact": ttc,
             }
-            for gt in gts
+            for uid, box, noun, verb, ttc in zip(
+                table.uid, table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(),
+                table.ttc.tolist(),
+            )
         ],
     }
     if provenance is not None:
@@ -251,18 +325,9 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
             if not _KNOWN_ENTRY_KEYS.issuperset(raw):
                 _warn_unknown(set(raw), _KNOWN_ENTRY_KEYS, f"{path}: results[{uid!r}][{i}]")
             add_index(i)
-            box = raw.get("box")
-            box_problem = None
-            if isinstance(box, list) and len(box) == 4:
-                try:
-                    corners += (float(box[0]), float(box[1]), float(box[2]), float(box[3]))
-                except (TypeError, ValueError, OverflowError) as e:
-                    box_problem = str(e)
-            else:
-                box_problem = f"box must be a 4-element [x1, y1, x2, y2] list, got {box!r}"
+            box_problem = _add_corners(raw.get("box"), corners)
             if box_problem is not None:
                 problems.append(((u, i, 0), f"{path}: results[{uid!r}][{i}]: {box_problem}"))
-                corners += (0.0, 0.0, 0.0, 0.0)
                 unparsed_box.append(len(entry_index) - 1)
             try:
                 noun = int(raw["noun_category_id"])
@@ -300,15 +365,9 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
 
     ok = np.ones(n, dtype=bool)
     ok[unparsed_box] = False
-    rules = box_rules(boxes)
-    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
-    for r in np.flatnonzero(bad_box).tolist():
-        # The rules a box breaks make one problem, worded as Box2D words it.
-        corners_r = tuple(boxes[r].tolist())
-        report(r, 0, "; ".join(
-            f"{what}, got {corners_r}" if k == 0 else f"{what}: {corners_r}"
-            for k, (bad, what) in enumerate(rules) if bad[r]
-        ))
+    bad_box, box_problems = _box_problems(boxes, ok)
+    for r, message in box_problems:
+        report(r, 0, message)
     ok &= ~bad_box
     ok[unparsed] = False
     if taxonomy is not None:
@@ -340,36 +399,63 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     return {uid: sort_canonical(whole.take(slice(start, end))) for (_, uid, start), end in zip(spans, ends)}
 
 
+# One submission entry as `json.dumps(indent=2, sort_keys=True)` writes it
+# inside a document, from its box corners, ids, score, source line and
+# ttc. The source line is "" for a row without a source id.
+_ENTRY = (
+    '      {\n'
+    '        "box": [\n          %r,\n          %r,\n          %r,\n          %r\n        ],\n'
+    '        "noun_category_id": %r,\n'
+    '        "score": %r,%s\n'
+    '        "time_to_contact": %r,\n'
+    '        "verb_category_id": %r\n'
+    '      }'
+)
+_SOURCE_LINE = '\n        "source_id": %r,'
+
+
+def _entries_text(table: HypothesisTable) -> str:
+    """The entries of a table, in its row order, joined as in a JSON list.
+
+    The values are Python floats and ints (`tolist`), which `%r` writes
+    as the JSON encoder does: finite floats with `float.__repr__`, ints
+    with `int.__repr__`.
+    """
+    x1, y1, x2, y2 = table.boxes.T.tolist()
+    sources = (
+        [_SOURCE_LINE % source if has else "" for source, has in
+         zip(table.source.tolist(), table.has_source.tolist())]
+        if table.has_source.any() else repeat("", len(table))
+    )
+    rows = zip(x1, y1, x2, y2, table.noun.tolist(), table.score.tolist(), sources,
+               table.ttc.tolist(), table.verb.tolist())
+    return ",\n".join(map(_ENTRY.__mod__, rows))
+
+
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:
     """Write a submission: every example's hypotheses in canonical order.
-    `preds` maps uids to HypothesisTables or lists of StaHypothesis."""
-    results = {}
+    `preds` maps uids to HypothesisTables or lists of StaHypothesis.
+
+    The text is the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
+    of the submission document, written from the columns: each entry is
+    one `_ENTRY` template, each uid is written by `json.dumps`, and the
+    provenance is `json.dumps` of its own, shifted one level in (JSON
+    text has no raw newline inside a string, so every newline in it is
+    one of the indentation's).
+    """
+    examples = []
     for uid in sorted(preds):
-        table = sort_canonical(as_table(preds[uid]))
-        entries = [
-            {
-                "box": box,
-                "noun_category_id": noun,
-                "verb_category_id": verb,
-                "time_to_contact": ttc,
-                "score": score,
-            }
-            for box, noun, verb, ttc, score in zip(
-                table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(),
-                table.ttc.tolist(), table.score.tolist(),
-            )
-        ]
-        for r in np.flatnonzero(table.has_source).tolist():
-            entries[r]["source_id"] = int(table.source[r])
-        results[uid] = entries
-    doc = {
-        "version": SUBMISSION_VERSION,
-        "challenge": SUBMISSION_CHALLENGE,
-        "results": results,
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    _dump_json(doc, path)
+        key, entries = json.dumps(uid), _entries_text(sort_canonical(as_table(preds[uid])))
+        examples.append(f"    {key}: [\n{entries}\n    ]" if entries else f"    {key}: []")
+    results = "{\n" + ",\n".join(examples) + "\n  }" if examples else "{}"
+    provenance_line = (
+        "" if provenance is None
+        else '  "provenance": ' + json.dumps(provenance, indent=2, sort_keys=True).replace("\n", "\n  ") + ",\n"
+    )
+    Path(path).write_text(
+        f'{{\n  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},\n{provenance_line}'
+        f'  "results": {results},\n  "version": {json.dumps(SUBMISSION_VERSION)}\n}}\n'
+    )
 
 
 # -- tensor container -------------------------------------------------------

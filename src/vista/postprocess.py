@@ -7,8 +7,8 @@ interaction quality, noun probability and verb probability, suppress
 per-noun-class duplicates, and truncate to the export cap.
 
 Every stage works on the columns of one whole example: a ProposalBatch
-goes in, HypothesisTables pass between the stages, and hypothesis
-objects are built only for the exported rows. The arithmetic is that of
+goes in, HypothesisTables pass between the stages, and the export is
+the first rows of the last one. The arithmetic is that of
 the scalar definitions, bit for bit: box centres are 0.5 * (x1 + x2),
 the size exp and the softplus go through `math` one value at a time
 (numpy's vectorised exp and log1p differ from it in the last bit for a
@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, StaHypothesis, Taxonomy, field_type_problems, sort_canonical
+from .types import HypothesisTable, Taxonomy, field_type_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
@@ -294,9 +294,9 @@ def class_aware_nms(table: HypothesisTable, nms_iou: float = 0.5) -> HypothesisT
     return table.take(keep)
 
 
-def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> list[StaHypothesis]:
-    """The first max_exports rows of a canonical table, as hypotheses."""
-    return table.take(slice(0, max_exports)).to_hypotheses()
+def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> HypothesisTable:
+    """The first max_exports rows of a canonical table."""
+    return table.take(slice(0, max_exports))
 
 
 def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
@@ -342,7 +342,7 @@ def run_inference_chain(
     batch: ProposalBatch,
     taxonomy: Taxonomy,
     cfg: InferenceConfig = InferenceConfig(),
-) -> list[StaHypothesis]:
+) -> HypothesisTable:
     """expand -> class-aware NMS -> finalize, the full per-example chain."""
     table = expand_hypotheses(batch, taxonomy, cfg)
     table = class_aware_nms(table, cfg.nms_iou)

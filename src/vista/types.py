@@ -145,15 +145,22 @@ def box_rules(boxes: np.ndarray) -> list[tuple[np.ndarray, str]]:
     ]
 
 
-def hypothesis_rules(noun, verb, ttc, score) -> list[tuple[np.ndarray, str]]:
-    """The rules of StaHypothesis over columns, in its order: (mask of
-    the rows that break the rule, the rule)."""
+def ground_truth_rules(noun, verb, ttc) -> list[tuple[np.ndarray, str]]:
+    """The rules of GroundTruthInstance over columns, in its order: (mask
+    of the rows that break the rule, the rule)."""
     return [
         (~(np.isfinite(ttc) & (ttc >= 0.0)), "ttc must be finite and >= 0"),
-        (~(np.isfinite(score) & (score > 0.0)), "score must be finite and > 0"),
         (noun < 0, "noun_id must be >= 0"),
         (verb < 0, "verb_id must be >= 0"),
     ]
+
+
+def hypothesis_rules(noun, verb, ttc, score) -> list[tuple[np.ndarray, str]]:
+    """The rules of StaHypothesis over columns, in its order: those of
+    GroundTruthInstance, with the score's rule second."""
+    rules = ground_truth_rules(noun, verb, ttc)
+    rules.insert(1, (~(np.isfinite(score) & (score > 0.0)), "score must be finite and > 0"))
+    return rules
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +274,58 @@ def as_table(hyps) -> HypothesisTable:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class GroundTruthTable:
+    """A ground truth as columns; row i is one annotation.
+
+    uid (N,) tuple of example uids, boxes (N, 4) float64 corners, noun
+    and verb (N,) int64 ids and ttc (N,) float64. The columns are
+    read-only and are validated as whole arrays, with the rules of
+    GroundTruthInstance and Box2D.
+    """
+
+    uid: tuple[str, ...]
+    boxes: np.ndarray
+    noun: np.ndarray
+    verb: np.ndarray
+    ttc: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "uid", tuple(self.uid))
+        n = len(self.uid)
+        problems = []
+        for name, dtype, shape in (("boxes", np.float64, (n, 4)), ("noun", np.int64, (n,)),
+                                   ("verb", np.int64, (n,)), ("ttc", np.float64, (n,))):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            if column.shape != shape:
+                problems.append(f"{name} must have shape {shape}, got {column.shape}")
+        if problems:
+            raise ValidationError(problems)
+        for bad, what in box_rules(self.boxes) + ground_truth_rules(self.noun, self.verb, self.ttc):
+            problems += [f"row {i}: {what}" for i in np.flatnonzero(bad).tolist()]
+        if problems:
+            raise ValidationError(problems)
+
+    def __len__(self) -> int:
+        return len(self.uid)
+
+
+def as_gt_table(gts) -> GroundTruthTable:
+    """A GroundTruthTable as it is, or a list of GroundTruthInstance as a
+    table of the same rows in the same order."""
+    if isinstance(gts, GroundTruthTable):
+        return gts
+    return GroundTruthTable(
+        uid=[gt.example_uid for gt in gts],
+        boxes=np.array([gt.box.corners() for gt in gts], dtype=np.float64).reshape(-1, 4),
+        noun=[gt.noun_id for gt in gts],
+        verb=[gt.verb_id for gt in gts],
+        ttc=[gt.ttc for gt in gts],
+    )
+
+
 def canonical_key(h: StaHypothesis):
     """Total ordering on hypotheses: score descending, then ascending
     (noun_id, verb_id, x1, y1, x2, y2, ttc). Makes every downstream sort,
@@ -277,7 +336,13 @@ def canonical_key(h: StaHypothesis):
 def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
     """The row indices that put a table in canonical order: a stable
     lexsort over the `canonical_key` fields, so full ties keep their row
-    order, as `sorted` keeps them, unless a `tie_break` column orders them."""
+    order, as `sorted` keeps them, unless a `tie_break` column orders them.
+    When no two scores are equal, the score alone orders the rows and one
+    stable argsort of it gives the same indices."""
+    by_score = np.argsort(-table.score, kind="stable")
+    ranked = table.score[by_score]
+    if not (ranked[1:] == ranked[:-1]).any():
+        return by_score
     b = table.boxes
     keys = (table.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], table.verb, table.noun, -table.score)
     return np.lexsort(keys if tie_break is None else (tie_break,) + keys)

@@ -367,3 +367,21 @@ class TestValidateCommand:
         path = tmp_path / "junk.json"
         path.write_text("[1, 2, 3]")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+    def test_unhashable_taxonomy_label_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "taxonomy.json"
+        path.write_text(json.dumps({"nouns": [["a"]], "verbs": ["v"]}))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "'nouns'[0] must be a string, got ['a']" in capsys.readouterr().err
+
+    def test_unhashable_inline_taxonomy_label_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy": {"nouns": ["a"], "verbs": [{"v": 1}]}, "annotations": []}))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "taxonomy: 'verbs'[0] must be a string, got {'v': 1}" in capsys.readouterr().err
+
+    def test_non_string_taxonomy_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy_path": 5, "annotations": []}))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert "'taxonomy_path' must be a string, got 5" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from vista.evaluation import (
 from vista.oracle import brute_force_evaluate
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import GroundTruthInstance, StaHypothesis, as_table, sort_canonical
+from vista.types import GroundTruthInstance, StaHypothesis, as_gt_table, as_table, sort_canonical
 
 CFG = EvalConfig()
 
@@ -230,6 +230,17 @@ class TestEvaluate:
         assert b.map_noun_verb == a.map_noun_verb
         assert b.map_noun_ttc <= a.map_noun_ttc
         assert b.map_overall <= a.map_overall
+
+    def test_ground_truth_list_and_table_score_alike(self):
+        taxonomy, gts = generate_scenario(4, 3, 3, 2, seed=23)
+        preds = perturb_to_predictions(taxonomy, gts, NoiseConfig(box_jitter_sigma=20, seed=23), 1)[0]
+        assert evaluate(preds, gts, CFG, taxonomy) == evaluate(preds, as_gt_table(gts), CFG, taxonomy)
+
+    def test_ground_truth_out_of_taxonomy_rejected(self):
+        taxonomy, gts, preds = self.make_perfect()
+        with pytest.raises(ValidationError) as err:
+            evaluate(preds, gts + [gt(uid="late", noun=7)], CFG, taxonomy)
+        assert err.value.problems == ["noun_id 7 out of range [0, 3) in gt late"]
 
 
 class TestReportRendering:

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vista.errors import FormatError, ValidationError
 from vista.io_formats import (
@@ -15,7 +18,7 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import Taxonomy
+from vista.types import HypothesisTable, Taxonomy, sort_canonical
 
 
 class TestTaxonomy:
@@ -53,7 +56,7 @@ class TestGroundTruth:
         )
         taxonomy, gts = load_ground_truth(path)
         assert len(gts) == 1
-        assert gts[0].example_uid == "e1"
+        assert gts.uid[0] == "e1"
 
     def test_out_of_range_category_names_uid(self, tmp_path):
         path = tmp_path / "gt.json"
@@ -134,6 +137,47 @@ class TestGroundTruth:
             "(cannot convert float infinity to integer)",
             f"{path}: annotation 1 (uid e1): int too large to convert to float",
         ]
+
+    def test_every_problem_listed_annotation_by_annotation(self, tmp_path):
+        path = tmp_path / "gt.json"
+        good = {"example_uid": "e1", "box": [0, 0, 10, 10], "noun_category_id": 0,
+                "verb_category_id": 0, "time_to_contact": 1.0}
+        no_uid = {k: v for k, v in good.items() if k != "example_uid"}
+        path.write_text(json.dumps({
+            "taxonomy": {"nouns": ["cup", "pan"], "verbs": ["take"]},
+            "annotations": [
+                "junk", dict(no_uid, box=[0, 0, 1], time_to_contact="x"),
+                dict(good, box=[10, 10, 0, 0], noun_category_id=9),
+                dict(good, noun_category_id=2**70, verb_category_id=-1),
+                dict(good, time_to_contact=-0.5), good,
+            ],
+        }))
+        with pytest.raises(ValidationError) as err:
+            load_ground_truth(path)
+        assert err.value.problems == [
+            f"{path}: annotation 0: must be an object",
+            f"{path}: annotation 1: missing example_uid",
+            f"{path}: annotation 1 (uid <annotation 1>): box must be a 4-element [x1, y1, x2, y2] list, "
+            "got [0, 0, 1]",
+            f"{path}: annotation 1 (uid <annotation 1>): bad or missing category/ttc field "
+            "(could not convert string to float: 'x')",
+            f"{path}: annotation 2 (uid e1): box has x1 > x2: (10.0, 10.0, 0.0, 0.0); "
+            "box has y1 > y2: (10.0, 10.0, 0.0, 0.0)",
+            f"{path}: annotation 3 (uid e1): noun_id {2**70} out of range [0, 2)",
+            f"{path}: annotation 3 (uid e1): verb_id -1 out of range [0, 1)",
+            f"{path}: annotation 4 (uid e1): ttc must be finite and >= 0, got -0.5",
+        ]
+
+    def test_columns_match_the_annotations(self, tmp_path):
+        taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=4)
+        path = tmp_path / "gt.json"
+        write_ground_truth(taxonomy, gts, path)
+        _, table = load_ground_truth(path)
+        assert table.uid == tuple(gt.example_uid for gt in gts)
+        assert table.boxes.tolist() == [list(gt.box.corners()) for gt in gts]
+        assert table.noun.tolist() == [gt.noun_id for gt in gts]
+        assert table.verb.tolist() == [gt.verb_id for gt in gts]
+        assert table.ttc.tolist() == [gt.ttc for gt in gts]
 
     def test_write_read_write_byte_identical(self, tmp_path):
         taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=1)
@@ -323,6 +367,82 @@ class TestSubmissionColumns:
         assert err.value.problems == [
             f"{tmp_path / 'sub.json'}: results['e'][0]: noun_id {2**70} out of range [0, 2)"
         ]
+
+
+def reference_submission_text(preds, provenance=None) -> str:
+    """A submission's text as the JSON encoder writes its whole document."""
+    results = {}
+    for uid in sorted(preds):
+        table = sort_canonical(preds[uid])
+        entries = [
+            {"box": box, "noun_category_id": noun, "verb_category_id": verb,
+             "time_to_contact": ttc, "score": score}
+            for box, noun, verb, ttc, score in zip(
+                table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(),
+                table.ttc.tolist(), table.score.tolist(),
+            )
+        ]
+        for r in np.flatnonzero(table.has_source).tolist():
+            entries[r]["source_id"] = int(table.source[r])
+        results[uid] = entries
+    doc = {"version": "1.0", "challenge": "ego4d_sta", "results": results}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-7, 1e22, 0.1]
+coordinates = st.one_of(st.sampled_from(EDGE_FLOATS + [-1e16, -1e-7]),
+                        st.floats(-1e30, 1e30, allow_nan=False))
+non_negative = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1e30))
+positive = st.one_of(st.sampled_from([f for f in EDGE_FLOATS if f > 0]), st.floats(5e-324, 1e300))
+ids = st.one_of(st.sampled_from([0, 1, 2**63 - 1]), st.integers(0, 2**63 - 1))
+sources = st.one_of(st.none(), st.sampled_from([-1, 0, -(2**63), 2**63 - 1]), st.integers(-(2**63), 2**63 - 1))
+submission_rows = st.lists(
+    st.tuples(coordinates, coordinates, coordinates, coordinates, ids, ids, non_negative, positive, sources),
+    max_size=5,
+)
+uids = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t", "caf\u00e9", "\u2028\U0001f600", ""]),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def table_from_rows(rows) -> HypothesisTable:
+    return HypothesisTable(
+        boxes=np.array([[min(a, c), min(b, d), max(a, c), max(b, d)] for a, b, c, d, *_ in rows],
+                       dtype=np.float64).reshape(-1, 4),
+        noun=[row[4] for row in rows],
+        verb=[row[5] for row in rows],
+        ttc=[row[6] for row in rows],
+        score=[row[7] for row in rows],
+        source=[0 if row[8] is None else row[8] for row in rows],
+        has_source=[row[8] is not None for row in rows],
+    )
+
+
+class TestSubmissionText:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(uids, submission_rows, max_size=4),
+           st.one_of(st.none(), st.dictionaries(st.text(), json_values, max_size=4)))
+    def test_bytes_equal_the_json_encoders(self, results, provenance):
+        preds = {uid: table_from_rows(rows) for uid, rows in results.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sub.json"
+            write_submission(preds, path, provenance)
+            assert path.read_bytes() == reference_submission_text(preds, provenance).encode("utf-8")
+
+    def test_empty_results_and_empty_lists(self, tmp_path):
+        for preds in ({}, {"e": table_from_rows([])}, {"a": table_from_rows([]), "b": table_from_rows([])}):
+            write_submission(preds, tmp_path / "sub.json", {"é": {"nested": ["ü", 1.5]}})
+            assert (tmp_path / "sub.json").read_text() == reference_submission_text(
+                preds, {"é": {"nested": ["ü", 1.5]}}
+            )
 
 
 class TestTensorContainer:

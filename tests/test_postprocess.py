@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from vista.postprocess import (
     ttc_from_raw,
 )
 from vista.rng import CounterRng
-from vista.types import HypothesisTable, StaHypothesis, Taxonomy, canonical_key, sort_canonical
+from vista.types import (
+    HypothesisTable,
+    StaHypothesis,
+    Taxonomy,
+    as_table,
+    canonical_key,
+    sort_canonical,
+)
 
 TAXONOMY = Taxonomy(
     noun_names=("cup", "knife", "plank", "pan"),
@@ -89,6 +97,12 @@ def table_of(hyps):
             score=[h.score for h in hyps],
         )
     )
+
+
+def columns(table):
+    """Every column of a table as lists, to compare tables row for row."""
+    return {name: getattr(table, name).tolist()
+            for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source")}
 
 
 def nms(hyps, nms_iou=0.5):
@@ -316,6 +330,13 @@ class TestKernelEquivalence:
         hyps = hypotheses_from(raw)
         assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hypothesis_rows, st.lists(st.floats(0.01, 1.0), min_size=30, max_size=30))
+    def test_order_by_distinct_scores_equals_sorted_canonical_key(self, raw, scores):
+        # Scores that are mostly all distinct take the single-argsort path.
+        hyps = [replace(h, score=s) for h, s in zip(hypotheses_from(raw), scores)]
+        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
+
     @settings(max_examples=300, deadline=None)
     @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]))
     def test_nms_equals_brute_force_greedy(self, raw, nms_iou):
@@ -388,36 +409,38 @@ class TestFinalizeSubmission:
         hyps = [make_hypothesis(rng) for _ in range(150)]
         out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 100
-        assert out == sorted(hyps, key=canonical_key)[:100]
+        assert columns(out) == columns(as_table(sorted(hyps, key=canonical_key)[:100]))
 
     def test_short_list_kept_whole(self):
         rng = CounterRng(19)
         hyps = [make_hypothesis(rng) for _ in range(5)]
         out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 5
-        assert out == sorted(hyps, key=canonical_key)
+        assert columns(out) == columns(as_table(sorted(hyps, key=canonical_key)))
 
     def test_deterministic_under_permutation(self):
         rng = CounterRng(20)
         hyps = [make_hypothesis(rng) for _ in range(30)]
         shuffled = list(reversed(hyps))
-        assert finalize_submission(table_of(hyps), 10) == finalize_submission(table_of(shuffled), 10)
+        assert columns(finalize_submission(table_of(hyps), 10)) == columns(
+            finalize_submission(table_of(shuffled), 10)
+        )
 
 
 class TestFullChain:
     def test_permutation_invariance(self):
         tensors = make_tensors(CounterRng(21), 25)
         cfg = InferenceConfig(k_noun=2, k_verb=2, max_exports=20)
-        assert chain(tensors, cfg) == chain(rows(tensors, slice(None, None, -1)), cfg)
+        assert columns(chain(tensors, cfg)) == columns(chain(rows(tensors, slice(None, None, -1)), cfg))
 
     def test_ttc_shift_does_not_change_ranking(self):
         tensors = make_tensors(CounterRng(22), 10)
         shifted = dict(tensors, ttc_raw=tensors["ttc_raw"] + 1.5)
         base = chain(tensors)
         moved = chain(shifted)
-        assert [(h.noun_id, h.verb_id, h.box) for h in base] == [
-            (h.noun_id, h.verb_id, h.box) for h in moved
-        ]
+        assert (base.noun.tolist(), base.verb.tolist(), base.boxes.tolist()) == (
+            moved.noun.tolist(), moved.verb.tolist(), moved.boxes.tolist()
+        )
 
 
 class TestProposalTensors:
