@@ -2,7 +2,9 @@
 
 Builds the head-output tensors of a batch of random proposals, then walks
 the inference chain: expansion into noun x verb pairs, class-aware NMS,
-and the top-10 cut.
+and the top-10 cut. NMS stops once the cap's worth of hypotheses survive,
+so it is run twice here: uncapped (cap = the table's length) to count
+every survivor, and with the export cap as the chain runs it.
 """
 
 import numpy as np
@@ -43,11 +45,12 @@ cfg = InferenceConfig(k_noun=3, k_verb=3, nms_iou=0.5, max_exports=10)
 expanded = expand_hypotheses(batch, taxonomy, cfg)
 print(f"{len(batch)} proposals -> {len(expanded)} expanded hypotheses")
 
-kept = class_aware_nms(expanded, cfg.nms_iou)
-print(f"class-aware NMS keeps {len(kept)}")
+every_survivor = class_aware_nms(expanded, cfg.nms_iou, len(expanded))
+print(f"class-aware NMS keeps {len(every_survivor)} without a cap")
 
+kept = class_aware_nms(expanded, cfg.nms_iou, cfg.max_exports)
 final = finalize_submission(kept, cfg.max_exports)
-print(f"export cap keeps {len(final)}\n")
+print(f"with the export cap ({cfg.max_exports}) it stops at {len(kept)}; export keeps {len(final)}\n")
 print("rank  noun    verb    ttc    score")
 for i, (noun, verb, ttc, score) in enumerate(
     zip(final.noun.tolist(), final.verb.tolist(), final.ttc.tolist(), final.score.tolist())

@@ -42,12 +42,19 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys: tuple[str, ...]) -> dict:
+    """The JSON object at path ({} without a path), whose keys must all be
+    among the keys the command reads."""
     if path is None:
         return {}
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValidationError(
+            [f"{path}: unknown config key {key!r} (known: {', '.join(keys)})" for key in unknown]
+        )
     return doc
 
 
@@ -68,7 +75,7 @@ def _out_dir(args, config) -> Path:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("iou_min", "ttc_tol", "top_k", "out"))
     cfg = EvalConfig(
         iou_min=_get(args, config, "iou_min", 0.5),
         ttc_max_error=_get(args, config, "ttc_tol", 0.25),
@@ -92,7 +99,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(
+        args.config, ("max_proposals", "k_noun", "k_verb", "nms_iou", "max_exports", "out")
+    )
     cfg = InferenceConfig(
         max_proposals=_get(args, config, "max_proposals", 300),
         k_noun=_get(args, config, "k_noun", 3),
@@ -124,7 +133,7 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("iou_min", "ttc_tol", "agreement_weight", "max_exports", "out"))
     taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else None
     sources = [load_predictions(path, taxonomy) for path in args.predictions]
     cfg = EnsembleConfig(
@@ -155,7 +164,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (
+        "box_jitter_sigma", "label_flip_prob", "verb_flip_prob", "ttc_noise_sigma", "drop_prob", "seed",
+        "n_examples", "n_nouns", "n_verbs", "gts_per_example", "n_sources", "out",
+    ))
     noise = NoiseConfig(
         box_jitter_sigma=_get(args, config, "box_jitter_sigma", 0.0),
         label_flip_prob=_get(args, config, "label_flip_prob", 0.0),
@@ -182,7 +194,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("frame_count", "sample_rate"))
     plan = plan_frames(
         query_time=args.time,
         frame_count=_get(args, config, "frame_count", 8),
@@ -204,7 +216,13 @@ def cmd_fuse_demo(args) -> int:
     tensors = read_tensor_file(args.tensors)
     if "seq" not in tensors:
         raise ValidationError(f"{args.tensors}: needs a 'seq' tensor of shape (T, D)")
+    problems = [f"{args.tensors}: {name!r} must have shape ({dims}), got {tensors[name].shape}"
+                for name, dims in (("seq", "T, D"), ("rois", "R, D_roi"))
+                if name in tensors and tensors[name].ndim != 2]
+    if problems:
+        raise ValidationError(problems)
     seq = tensors["seq"]
+    rois = tensors.get("rois", seq)
     t, d_in = seq.shape
     rng = CounterRng(int(args.seed or 0))
     if {"probe/key_proj", "probe/value_proj", "probe/query"} <= set(tensors):
@@ -232,7 +250,6 @@ def cmd_fuse_demo(args) -> int:
     modulated = fusion.film_modulate(fmap, token, identity)
     print(f"film identity max |delta|: {np.max(np.abs(modulated - fmap)):g}")
 
-    rois = tensors.get("rois", np.asarray(seq))
     d_roi = rois.shape[1]
     zero_residual = fusion.ContextMlpParams(
         layer1_w=np.zeros((d_roi + d_token, d_roi)),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
+from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
 from .types import HypothesisTable, Taxonomy, field_type_problems, sort_canonical
 
@@ -269,29 +269,57 @@ def expand_hypotheses(
     return sort_canonical(table)
 
 
-def class_aware_nms(table: HypothesisTable, nms_iou: float = 0.5) -> HypothesisTable:
-    """Greedy suppression run independently within each noun class.
+def class_aware_nms(table: HypothesisTable, nms_iou: float, max_exports: int) -> HypothesisTable:
+    """The first max_exports survivors of greedy suppression run
+    independently within each noun class.
 
     A hypothesis is dropped when a higher-ranked kept hypothesis of the
     same noun class overlaps it with IoU > nms_iou. Verb is not part of
     the suppression key. The table must be in canonical order, which is
     the rank; the output keeps that order and is always a subset of the
-    input. IoU is computed only for same-noun pairs, PAIR_BLOCK pairs at
-    a time.
+    input. Pass len(table) as max_exports for every survivor.
+
+    Whether a row survives depends only on the rows ranked above it, so
+    suppression over the first L rows gives exactly the first survivors
+    of suppression over the whole table. The rows are therefore taken in
+    rank windows, max_exports rows first and then doubling, and each
+    window only compares its own rows against the rows ranked above them,
+    with the suppressed state of the earlier windows carried forward; it
+    stops once max_exports rows survive. IoU is computed only for
+    same-noun pairs, PAIR_BLOCK pairs at a time.
     """
-    by_noun = np.argsort(table.noun, kind="stable")  # canonical order within each class
-    corners, area = box_columns(table.boxes[by_noun])
-    suppressed = [False] * len(by_noun)
-    for higher, lower in same_key_pairs(table.noun[by_noun], PAIR_BLOCK):
-        over = pair_iou(corners, area, lower, higher) > nms_iou
-        # One greedy pass in rank order: a row that survives suppresses
-        # the rows it overlaps; a suppressed row suppresses nothing.
-        for h, low in zip(higher[over].tolist(), lower[over].tolist()):
-            if not suppressed[h]:
-                suppressed[low] = True
-    keep = np.ones(len(by_noun), dtype=bool)
-    keep[by_noun[np.array(suppressed, dtype=bool)]] = False
-    return table.take(keep)
+    n = len(table)
+    nouns = table.noun
+    if n and nouns.max() < 1 << 16:
+        nouns = nouns.astype(np.uint16)  # a stable sort of 16-bit ids is a radix sort
+    suppressed: list[bool] = []  # by rank, for the rows compared so far
+    lo, hi = 0, min(max(max_exports, 1), n)
+    while True:
+        suppressed += [False] * (hi - lo)
+        by_noun = np.argsort(nouns[:hi], kind="stable")  # canonical order within each class
+        noun = nouns[by_noun]
+        corners, area = box_columns(table.boxes[by_noun])
+        # Pair each row with the later rows of its class that rank in
+        # [lo, hi), the tail of the class. class_base + rank ascends along
+        # by_noun (the class's start times hi, plus a rank below hi), so
+        # one search finds where each class's tail begins.
+        class_base = np.searchsorted(noun, noun) * hi
+        first = np.maximum(np.arange(1, hi + 1), np.searchsorted(class_base + by_noun, class_base + lo))
+        counts = np.maximum(np.searchsorted(noun, noun, side="right") - first, 0)
+        for higher, lower in pair_blocks(first, counts, PAIR_BLOCK):
+            over = pair_iou(corners, area, lower, higher) > nms_iou
+            # One greedy pass in rank order: a row that survives suppresses
+            # the rows it overlaps; a suppressed row suppresses nothing.
+            for h, low in zip(by_noun[higher[over]].tolist(), by_noun[lower[over]].tolist()):
+                if not suppressed[h]:
+                    suppressed[low] = True
+        if hi == n or hi - suppressed.count(True) >= max_exports:
+            break
+        # Double the rows compared, or take them all when fewer than one
+        # more window would be left.
+        lo, hi = hi, 2 * hi if 3 * hi < n else n
+    survivors = np.flatnonzero(~np.array(suppressed, dtype=bool))
+    return table.take(survivors[: max(max_exports, 0)])
 
 
 def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> HypothesisTable:
@@ -345,5 +373,5 @@ def run_inference_chain(
 ) -> HypothesisTable:
     """expand -> class-aware NMS -> finalize, the full per-example chain."""
     table = expand_hypotheses(batch, taxonomy, cfg)
-    table = class_aware_nms(table, cfg.nms_iou)
+    table = class_aware_nms(table, cfg.nms_iou, cfg.max_exports)
     return finalize_submission(table, cfg.max_exports)

@@ -143,8 +143,8 @@ def test_criterion_5_postprocessing_chain(tmp_path):
         for seed in range(1000):
             rng = CounterRng(50_000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(2 + rng.randint(18))]
-            once = class_aware_nms(table_of(hyps), 0.5)
-            assert class_aware_nms(once, 0.5).to_hypotheses() == once.to_hypotheses()
+            once = class_aware_nms(table_of(hyps), 0.5, len(hyps))
+            assert class_aware_nms(once, 0.5, len(once)).to_hypotheses() == once.to_hypotheses()
         # determinism under input permutation (tensor rows reversed), byte-identical exports
         rng = CounterRng(60_001)
         tensors = make_tensors(rng, 40)

@@ -302,6 +302,72 @@ class TestConfigFiles:
         assert problem in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    def test_unknown_keys_exit_2(self, synth_dir, tmp_path, capsys, command):
+        config = {"iou_min": 0.5, "bogus": 1, "top-k": 5}
+        code = self.run_with_config(synth_dir, tmp_path, command, json.dumps(config).encode())
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unknown config key 'bogus'" in err
+        assert "unknown config key 'top-k'" in err
+        assert "'iou_min'" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_key_of_postprocess_exit_2(self, tmp_path, capsys):
+        heads, taxonomy = tmp_path / "heads.vstf", tmp_path / "taxonomy.json"
+        TestPostprocessCommand().make_head_outputs(heads, 4)
+        TestPostprocessCommand().write_taxonomy(taxonomy)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nms_iou": 0.4, "max_export": 10}))
+        code = main(["postprocess", str(heads), str(taxonomy), "--config", str(config),
+                     "--out", str(tmp_path / "pp")])
+        assert code == EXIT_VALIDATION
+        assert "unknown config key 'max_export'" in capsys.readouterr().err
+
+    def test_unknown_key_of_synth_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "n_example": 2}))
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "s")])
+        assert code == EXIT_VALIDATION
+        assert "unknown config key 'n_example'" in capsys.readouterr().err
+
+    def test_unknown_key_of_plan_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"frame_count": 4, "out": "run"}))
+        assert main(["plan", "--time", "4.0", "--config", str(config)]) == EXIT_VALIDATION
+        assert "unknown config key 'out'" in capsys.readouterr().err
+
+    def test_every_read_key_accepted(self, synth_dir, tmp_path):
+        # A key the command reads but that its list of known keys misses
+        # would make this exit 2.
+        out = str(tmp_path / "o")
+        configs = {
+            "evaluate": {"iou_min": 0.5, "ttc_tol": 0.25, "top_k": 5, "out": out},
+            "ensemble": {"iou_min": 0.5, "ttc_tol": 0.25, "agreement_weight": 0.5,
+                         "max_exports": 100, "out": out},
+        }
+        for command, config in configs.items():
+            code = self.run_with_config(synth_dir, tmp_path, command, json.dumps(config).encode())
+            assert code == EXIT_OK, command
+        heads, taxonomy = tmp_path / "heads.vstf", tmp_path / "taxonomy.json"
+        TestPostprocessCommand().make_head_outputs(heads, 4)
+        TestPostprocessCommand().write_taxonomy(taxonomy)
+        runs = [
+            (["postprocess", str(heads), str(taxonomy)],
+             {"max_proposals": 300, "k_noun": 3, "k_verb": 3, "nms_iou": 0.5, "max_exports": 100,
+              "out": out}),
+            (["synth"],
+             {"box_jitter_sigma": 0.0, "label_flip_prob": 0.0, "verb_flip_prob": 0.0,
+              "ttc_noise_sigma": 0.0, "drop_prob": 0.0, "seed": 0, "n_examples": 2, "n_nouns": 3,
+              "n_verbs": 3, "gts_per_example": 1, "n_sources": 1, "out": out}),
+            (["plan", "--time", "4.0"], {"frame_count": 8, "sample_rate": 2.0}),
+        ]
+        for argv, config in runs:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            assert main([*argv, "--config", str(path)]) == EXIT_OK, argv[0]
+
+
 class TestPlanCommand:
     def test_paper_example(self, capsys):
         assert main(["plan", "--time", "4.0"]) == EXIT_OK
@@ -322,6 +388,25 @@ class TestFuseDemoCommand:
         assert "probe weights:" in out
         assert "film identity max |delta|: 0" in out
         assert "fused roi 0 norm:" in out
+
+    @pytest.mark.parametrize("tensors, problem", [
+        ({"seq": np.arange(5.0)}, "'seq' must have shape (T, D), got (5,)"),
+        ({"seq": np.ones((2, 2, 2))}, "'seq' must have shape (T, D), got (2, 2, 2)"),
+        ({"seq": np.ones((3, 4)), "rois": np.ones(3)}, "'rois' must have shape (R, D_roi), got (3,)"),
+    ])
+    def test_wrong_rank_exit_2(self, tmp_path, capsys, tensors, problem):
+        path = tmp_path / "fuse.vstf"
+        write_tensor_file(tensors, path)
+        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+        assert problem in capsys.readouterr().err
+
+    def test_both_wrong_ranks_listed(self, tmp_path, capsys):
+        path = tmp_path / "fuse.vstf"
+        write_tensor_file({"seq": np.ones(5), "rois": np.ones(3)}, path)
+        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'seq' must have shape (T, D), got (5,)" in err
+        assert "'rois' must have shape (R, D_roi), got (3,)" in err
 
 
 class TestValidateCommand:

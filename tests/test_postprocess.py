@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vista.postprocess as postprocess
-from vista.boxes import Box2D, iou
+from vista.boxes import Box2D, iou, pair_iou
 from vista.errors import ValidationError
 from vista.io_formats import read_tensor_file, write_tensor_file
 from vista.postprocess import (
@@ -106,7 +106,9 @@ def columns(table):
 
 
 def nms(hyps, nms_iou=0.5):
-    return class_aware_nms(table_of(hyps), nms_iou).to_hypotheses()
+    """Every survivor: the cap is the number of hypotheses."""
+    table = table_of(hyps)
+    return class_aware_nms(table, nms_iou, len(table)).to_hypotheses()
 
 
 class TestSoftmax:
@@ -282,8 +284,8 @@ class TestClassAwareNms:
         for seed in range(30):
             rng = CounterRng(1000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(40)]
-            once = class_aware_nms(table_of(hyps), 0.4)
-            assert class_aware_nms(once, 0.4).to_hypotheses() == once.to_hypotheses()
+            once = class_aware_nms(table_of(hyps), 0.4, len(hyps))
+            assert class_aware_nms(once, 0.4, len(once)).to_hypotheses() == once.to_hypotheses()
             assert all(h in hyps for h in once.to_hypotheses())
 
     def test_top_hypothesis_per_class_survives(self):
@@ -365,6 +367,84 @@ class TestKernelEquivalence:
             assert nms(hyps, nms_iou) == brute_force_nms(hyps, nms_iou)
         assert nms(hyps, 0.99) == hyps[:3]
         assert nms(hyps, 1.0) == hyps
+
+
+def count_compared_pairs(monkeypatch):
+    """Patch the IoU of class_aware_nms to count the row pairs it compares."""
+    compared = [0]
+
+    def counting_pair_iou(corners, area, a, b):
+        compared[0] += len(a)
+        return pair_iou(corners, area, a, b)
+
+    monkeypatch.setattr(postprocess, "pair_iou", counting_pair_iou)
+    return compared
+
+
+def same_noun_pairs(table):
+    nouns = table.noun.tolist()
+    return sum(nouns.count(noun) * (nouns.count(noun) - 1) // 2 for noun in set(nouns))
+
+
+class TestBoundedNms:
+    @settings(max_examples=300, deadline=None)
+    @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]), st.data(),
+           st.sampled_from([1, 7, 1 << 17]))
+    def test_cap_gives_the_first_survivors(self, raw, nms_iou, data, block):
+        # Coarse grids force full ties, zero-area and identical boxes.
+        table = table_of(hypotheses_from(raw))
+        cap = data.draw(st.integers(1, len(table) + 2), label="cap")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(postprocess, "PAIR_BLOCK", block)
+            capped = class_aware_nms(table, nms_iou, cap)
+            every = class_aware_nms(table, nms_iou, len(table))
+        assert columns(capped) == columns(every.take(slice(0, cap)))
+
+    def test_chain_compares_fewer_pairs_once_the_cap_is_reached(self, monkeypatch):
+        tensors = make_tensors(CounterRng(41), 60)
+        cfg = InferenceConfig(k_noun=2, k_verb=3, max_exports=10)
+        expanded = expand(tensors, cfg)
+        every = class_aware_nms(expanded, cfg.nms_iou, len(expanded))
+        assert len(every) > cfg.max_exports
+        compared = count_compared_pairs(monkeypatch)
+        exported = chain(tensors, cfg)
+        assert columns(exported) == columns(every.take(slice(0, cfg.max_exports)))
+        assert 0 < compared[0] < same_noun_pairs(expanded) / 4
+
+    @pytest.mark.parametrize("cap", [1, 5, 100])
+    def test_each_pair_compared_once_when_the_cap_is_not_reached(self, monkeypatch, cap):
+        # Identical boxes: one survivor per noun, fewer than the cap for 5
+        # and 100, so the windows double up to the whole table.
+        box = Box2D(0, 0, 10, 10)
+        hyps = [StaHypothesis(box, i % 3, 0, 1.0, 1.0 - i / 64) for i in range(40)]
+        table = table_of(hyps)
+        compared = count_compared_pairs(monkeypatch)
+        kept = class_aware_nms(table, 0.5, cap)
+        assert len(kept) == min(cap, 3)
+        if cap > 3:
+            assert compared[0] == same_noun_pairs(table)
+        else:
+            assert compared[0] < same_noun_pairs(table)
+
+    def test_noun_ids_beyond_16_bits_suppress_alike(self):
+        # Ids below 2**16 are sorted as 16-bit values, larger ones as int64.
+        rng = CounterRng(43)
+        hyps = [make_hypothesis(rng, n_nouns=3) for _ in range(50)]
+        shifted = [replace(h, noun_id=h.noun_id + (1 << 40)) for h in hyps]
+        for cap in (1, 10, 50):
+            small = class_aware_nms(table_of(hyps), 0.1, cap)
+            large = class_aware_nms(table_of(shifted), 0.1, cap)
+            assert (large.noun - (1 << 40)).tolist() == small.noun.tolist()
+            assert large.boxes.tolist() == small.boxes.tolist()
+            assert large.score.tolist() == small.score.tolist()
+
+    def test_cap_zero_and_empty_table(self):
+        rng = CounterRng(42)
+        table = table_of([make_hypothesis(rng) for _ in range(5)])
+        assert len(class_aware_nms(table, 0.5, 0)) == 0
+        empty = table.take(slice(0, 0))
+        assert len(class_aware_nms(empty, 0.5, len(empty))) == 0
+        assert len(class_aware_nms(empty, 0.5, 3)) == 0
 
 
 class TestHypothesisTable:
