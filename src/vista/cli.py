@@ -75,7 +75,7 @@ def _out_dir(args, config) -> Path:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config, ("iou_min", "ttc_tol", "top_k", "out"))
+    config = _load_config(args.config, args.config_keys)
     cfg = EvalConfig(
         iou_min=_get(args, config, "iou_min", 0.5),
         ttc_max_error=_get(args, config, "ttc_tol", 0.25),
@@ -99,9 +99,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    config = _load_config(
-        args.config, ("max_proposals", "k_noun", "k_verb", "nms_iou", "max_exports", "out")
-    )
+    config = _load_config(args.config, args.config_keys)
     cfg = InferenceConfig(
         max_proposals=_get(args, config, "max_proposals", 300),
         k_noun=_get(args, config, "k_noun", 3),
@@ -133,7 +131,7 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    config = _load_config(args.config, ("iou_min", "ttc_tol", "agreement_weight", "max_exports", "out"))
+    config = _load_config(args.config, args.config_keys)
     taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else None
     sources = [load_predictions(path, taxonomy) for path in args.predictions]
     cfg = EnsembleConfig(
@@ -164,10 +162,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config, (
-        "box_jitter_sigma", "label_flip_prob", "verb_flip_prob", "ttc_noise_sigma", "drop_prob", "seed",
-        "n_examples", "n_nouns", "n_verbs", "gts_per_example", "n_sources", "out",
-    ))
+    config = _load_config(args.config, args.config_keys)
     noise = NoiseConfig(
         box_jitter_sigma=_get(args, config, "box_jitter_sigma", 0.0),
         label_flip_prob=_get(args, config, "label_flip_prob", 0.0),
@@ -194,7 +189,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _load_config(args.config, ("frame_count", "sample_rate"))
+    config = _load_config(args.config, args.config_keys)
     plan = plan_frames(
         query_time=args.time,
         frame_count=_get(args, config, "frame_count", 8),
@@ -292,9 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vista", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def configurable(p):
+        """Add --config. A config may set what the flags added so far set,
+        except the input flags --taxonomy and --time."""
+        p.set_defaults(config_keys=tuple(
+            action.dest for action in p._actions
+            if action.option_strings and action.dest not in ("help", "taxonomy", "time")
+        ))
         p.add_argument("--config", help="JSON config file providing flag defaults")
+
+    def common(p):
         p.add_argument("--out", help="output directory (default: current directory)")
+        configurable(p)
 
     p = sub.add_parser("evaluate", help="score a submission against ground truth")
     p.add_argument("ground_truth")
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--frame-count", dest="frame_count", type=int)
     p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--config", help="JSON config file providing flag defaults")
+    configurable(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("fuse-demo", help="run the fusion kernels on a tensor container")

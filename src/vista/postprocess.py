@@ -282,42 +282,36 @@ def class_aware_nms(table: HypothesisTable, nms_iou: float, max_exports: int) ->
     Whether a row survives depends only on the rows ranked above it, so
     suppression over the first L rows gives exactly the first survivors
     of suppression over the whole table. The rows are therefore taken in
-    rank windows, max_exports rows first and then doubling, and each
-    window only compares its own rows against the rows ranked above them,
-    with the suppressed state of the earlier windows carried forward; it
-    stops once max_exports rows survive. IoU is computed only for
-    same-noun pairs, PAIR_BLOCK pairs at a time.
+    rank windows, max_exports rows first and then doubling; each window
+    compares its own rows with the same-noun rows ranked above them, with
+    the suppressed state of the earlier windows carried forward, and it
+    stops once max_exports rows survive. Each same-noun pair is compared
+    at most once, PAIR_BLOCK pairs at a time.
     """
     n = len(table)
-    nouns = table.noun
-    if n and nouns.max() < 1 << 16:
-        nouns = nouns.astype(np.uint16)  # a stable sort of 16-bit ids is a radix sort
+    by_noun = np.argsort(table.noun, kind="stable")  # canonical order within each class
+    corners, area = box_columns(table.boxes[by_noun])
+    position = np.empty(n, dtype=np.intp)  # of each rank in by_noun
+    position[by_noun] = np.arange(n)
+    noun = table.noun[by_noun]
+    class_start = np.searchsorted(noun, noun)[position]  # by rank
     suppressed: list[bool] = []  # by rank, for the rows compared so far
     lo, hi = 0, min(max(max_exports, 1), n)
     while True:
         suppressed += [False] * (hi - lo)
-        by_noun = np.argsort(nouns[:hi], kind="stable")  # canonical order within each class
-        noun = nouns[by_noun]
-        corners, area = box_columns(table.boxes[by_noun])
-        # Pair each row with the later rows of its class that rank in
-        # [lo, hi), the tail of the class. class_base + rank ascends along
-        # by_noun (the class's start times hi, plus a rank below hi), so
-        # one search finds where each class's tail begins.
-        class_base = np.searchsorted(noun, noun) * hi
-        first = np.maximum(np.arange(1, hi + 1), np.searchsorted(class_base + by_noun, class_base + lo))
-        counts = np.maximum(np.searchsorted(noun, noun, side="right") - first, 0)
-        for higher, lower in pair_blocks(first, counts, PAIR_BLOCK):
-            over = pair_iou(corners, area, lower, higher) > nms_iou
-            # One greedy pass in rank order: a row that survives suppresses
-            # the rows it overlaps; a suppressed row suppresses nothing.
-            for h, low in zip(by_noun[higher[over]].tolist(), by_noun[lower[over]].tolist()):
+        lower_at, first = position[lo:hi], class_start[lo:hi]
+        # Pair each window row with the rows of its class ranked above it.
+        for rows, higher in pair_blocks(first, lower_at - first, PAIR_BLOCK):
+            over = pair_iou(corners, area, lower_at[rows], higher) > nms_iou
+            # One greedy pass in rank order of the lower row: every row
+            # ranked above it is already settled, and a suppressed row
+            # suppresses nothing.
+            for low, h in zip((lo + rows[over]).tolist(), by_noun[higher[over]].tolist()):
                 if not suppressed[h]:
                     suppressed[low] = True
         if hi == n or hi - suppressed.count(True) >= max_exports:
             break
-        # Double the rows compared, or take them all when fewer than one
-        # more window would be left.
-        lo, hi = hi, 2 * hi if 3 * hi < n else n
+        lo, hi = hi, min(2 * hi, n)
     survivors = np.flatnonzero(~np.array(suppressed, dtype=bool))
     return table.take(survivors[: max(max_exports, 0)])
 

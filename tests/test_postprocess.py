@@ -426,18 +426,6 @@ class TestBoundedNms:
         else:
             assert compared[0] < same_noun_pairs(table)
 
-    def test_noun_ids_beyond_16_bits_suppress_alike(self):
-        # Ids below 2**16 are sorted as 16-bit values, larger ones as int64.
-        rng = CounterRng(43)
-        hyps = [make_hypothesis(rng, n_nouns=3) for _ in range(50)]
-        shifted = [replace(h, noun_id=h.noun_id + (1 << 40)) for h in hyps]
-        for cap in (1, 10, 50):
-            small = class_aware_nms(table_of(hyps), 0.1, cap)
-            large = class_aware_nms(table_of(shifted), 0.1, cap)
-            assert (large.noun - (1 << 40)).tolist() == small.noun.tolist()
-            assert large.boxes.tolist() == small.boxes.tolist()
-            assert large.score.tolist() == small.score.tolist()
-
     def test_cap_zero_and_empty_table(self):
         rng = CounterRng(42)
         table = table_of([make_hypothesis(rng) for _ in range(5)])
