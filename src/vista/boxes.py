@@ -58,10 +58,6 @@ class Box2D:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 

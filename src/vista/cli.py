@@ -212,8 +212,11 @@ def cmd_fuse_demo(args) -> int:
     if "seq" not in tensors:
         raise ValidationError(f"{args.tensors}: needs a 'seq' tensor of shape (T, D)")
     problems = [f"{args.tensors}: {name!r} must have shape ({dims}), got {tensors[name].shape}"
-                for name, dims in (("seq", "T, D"), ("rois", "R, D_roi"))
-                if name in tensors and tensors[name].ndim != 2]
+                for name, dims in (("seq", "T, D"), ("rois", "R, D_roi"), ("fpn", "C, H, W"))
+                if name in tensors and tensors[name].ndim != len(dims.split(", "))]
+    # The demo's stand-in parameters and its report need a non-empty seq and fpn.
+    problems += [f"{args.tensors}: {name!r} must have no zero-length dimension, got {tensors[name].shape}"
+                 for name in ("seq", "fpn") if name in tensors and 0 in tensors[name].shape]
     if problems:
         raise ValidationError(problems)
     seq = tensors["seq"]

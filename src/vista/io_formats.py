@@ -8,6 +8,13 @@ name + rank u32 + dims u64 + row-major little-endian float32 data).
 
 All loaders are total: they return a fully validated value or raise a
 structured error listing every problem found, never a partial value.
+
+Ground-truth annotations and submission entries are read by one reader,
+`_read_entries`. An id is any value `int()` takes, a time-to-contact,
+score or box corner any value `float()` takes (bools and numeric strings
+too), a box a 4-element list, a uid a non-empty string; a missing or null
+`source_id` means none. Problems are listed entry by entry, in file order,
+and within an entry: object and uid, box, fields, taxonomy, values.
 """
 
 from __future__ import annotations
@@ -16,8 +23,11 @@ import json
 import struct
 import warnings
 from bisect import bisect_right
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,13 +52,7 @@ SUBMISSION_CHALLENGE = "ego4d_sta"
 SUBMISSION_VERSION = "1.0"
 
 _KNOWN_SUBMISSION_KEYS = {"version", "challenge", "results", "provenance"}
-_KNOWN_ENTRY_KEYS = {
-    "box", "noun_category_id", "verb_category_id", "time_to_contact", "score", "source_id",
-}
 _KNOWN_GT_KEYS = {"taxonomy", "taxonomy_path", "annotations", "provenance"}
-_KNOWN_ANNOTATION_KEYS = {
-    "example_uid", "box", "noun_category_id", "verb_category_id", "time_to_contact",
-}
 
 
 def _dump_json(doc, path) -> None:
@@ -66,41 +70,10 @@ def _load_json(path):
         raise ValidationError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
 
 
-def _warn_unknown(found: set[str], known: set[str], where: str) -> None:
+def _warn_unknown(found: set[str], known: set[str], where: str, stacklevel: int = 3) -> None:
     extras = sorted(found - known)
     if extras:
-        warnings.warn(f"{where}: ignoring unknown fields {extras}", stacklevel=3)
-
-
-def _add_corners(box, corners: list[float]) -> str | None:
-    """Append the four corners of a raw box, each converted by `float`,
-    to `corners`, or four zeros and return the problem if it has none."""
-    if isinstance(box, list) and len(box) == 4:
-        try:
-            corners += (float(box[0]), float(box[1]), float(box[2]), float(box[3]))
-            return None
-        except (TypeError, ValueError, OverflowError) as e:
-            problem = str(e)
-    else:
-        problem = f"box must be a 4-element [x1, y1, x2, y2] list, got {box!r}"
-    corners += (0.0, 0.0, 0.0, 0.0)
-    return problem
-
-
-def _box_problems(boxes: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """The mask of the rows among `ok` whose corners break a rule of
-    Box2D, and for each such row one problem naming every rule it breaks,
-    worded as Box2D words it."""
-    rules = box_rules(boxes)
-    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
-    found = []
-    for r in np.flatnonzero(bad_box).tolist():
-        corners = tuple(boxes[r].tolist())
-        found.append((r, "; ".join(
-            f"{what}, got {corners}" if k == 0 else f"{what}: {corners}"
-            for k, (bad, what) in enumerate(rules) if bad[r]
-        )))
-    return bad_box, found
+        warnings.warn(f"{where}: ignoring unknown fields {extras}", stacklevel=stacklevel)
 
 
 # -- taxonomy ---------------------------------------------------------------
@@ -132,16 +105,195 @@ def write_taxonomy(taxonomy: Taxonomy, path) -> None:
     _dump_json(taxonomy_to_dict(taxonomy), path)
 
 
+# -- entries ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _EntrySpec:
+    """How `_read_entries` reads one kind of entry."""
+
+    keys: frozenset[str]  # the fields an entry may have; others are warned about
+    numbers: tuple[tuple[str, str, type], ...]  # (field, column, int or float), in conversion order
+    field_problem: str  # how the problem of the first number field that fails is worded
+    rules: Callable  # the value rules, given the required number columns by name
+    rule_values: tuple[str, ...]  # the column whose value each rule's problem names
+    name: Callable[[str | None, int], str]  # an entry's name, from its list's name and its index
+    optional: frozenset[str] = frozenset()  # number fields that may be missing or null
+    uid_field: str | None = None  # the field that holds an entry's uid
+
+
+_IDS_AND_TTC = (("noun_category_id", "noun", int), ("verb_category_id", "verb", int),
+                ("time_to_contact", "ttc", float))
+_SUBMISSION = _EntrySpec(
+    keys=frozenset({"box", "noun_category_id", "verb_category_id", "time_to_contact", "score", "source_id"}),
+    numbers=_IDS_AND_TTC + (("score", "score", float), ("source_id", "source", int)),
+    field_problem="bad or missing field", name=lambda uid, i: f"results[{uid!r}][{i}]",
+    rules=hypothesis_rules, rule_values=("ttc", "score", "noun", "verb"), optional=frozenset({"source_id"}),
+)
+_GROUND_TRUTH = _EntrySpec(
+    keys=frozenset({"example_uid", "box", "noun_category_id", "verb_category_id", "time_to_contact"}),
+    numbers=_IDS_AND_TTC, field_problem="bad or missing category/ttc field", uid_field="example_uid",
+    name=lambda _, i: f"annotation {i}", rules=ground_truth_rules, rule_values=("ttc", "noun", "verb"),
+)
+
+_MISSING = object()  # the value of a required field an entry does not have
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _number_column(values: list, kind: type, field: str) -> tuple[list, dict[int, str]]:
+    """The values of one number field converted by `kind` (int or float),
+    and the problem of each row whose value `kind` does not take (its
+    value becomes `kind()`). A column of values of exactly that type is
+    returned as it is, since `kind` gives each of them back unchanged."""
+    if set(map(type, values)) <= {kind}:
+        return values, {}
+    converted, problems = [], {}
+    for r, value in enumerate(values):
+        try:
+            if value is _MISSING:
+                raise KeyError(field)
+            converted.append(kind(value))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            problems[r] = str(e)
+            converted.append(kind())
+    return converted, problems
+
+
+def _box_column(boxes: list) -> tuple[np.ndarray, dict[int, str]]:
+    """Raw boxes as (N, 4) corners, each converted by `float`, and the
+    problem of each row that is not a 4-element list of values `float`
+    takes (its corners become zeros). Lists of floats are taken as they
+    are, since `float` gives each of them back unchanged."""
+    if set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}:
+        corners = list(chain.from_iterable(boxes))
+        if set(map(type, corners)) <= {float}:
+            return np.array(corners, dtype=np.float64).reshape(len(boxes), 4), {}
+    corners, problems = [], {}
+    for r, box in enumerate(boxes):
+        try:
+            if not (isinstance(box, list) and len(box) == 4):
+                raise ValueError(f"box must be a 4-element [x1, y1, x2, y2] list, got {box!r}")
+            corners += tuple(map(float, box))
+        except (TypeError, ValueError, OverflowError) as e:
+            problems[r] = str(e)
+            corners += (0.0, 0.0, 0.0, 0.0)
+    return np.array(corners, dtype=np.float64).reshape(len(boxes), 4), problems
+
+
+def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
+                  taxonomy: Taxonomy | None) -> tuple[dict, list[tuple[str | None, int, int]]]:
+    """Read the entries of `lists`, (position, name, entries) triples that
+    it empties, as columns: each field of every entry at once, then whole
+    columns against the rules of Box2D and `spec.rules`, the taxonomy's id
+    ranges (if one is given) and int64. Every problem, the caller's
+    `problems` too, is keyed (list position, entry index, stage), with
+    stages object/uid 0, box 1, fields 2, taxonomy 3 and values 4, and all
+    are raised sorted by key. Otherwise this returns the columns, by
+    column name, and each list's (name, first row, end row)."""
+    rows: list[dict] = []
+    spans = []  # (position, name, first row, entry index of each row, None if all are objects)
+    for position, name, entries in lists:
+        kept = None
+        if not all(map(isinstance, entries, repeat(dict))):
+            kept = [i for i, raw in enumerate(entries) if isinstance(raw, dict)]
+            problems += [((position, i, 0), f"{path}: {spec.name(name, i)}: must be an object")
+                         for i, raw in enumerate(entries) if not isinstance(raw, dict)]
+            entries = [entries[i] for i in kept]
+        spans.append((position, name, len(rows), kept))
+        rows += entries
+    starts = [start for _, _, start, _ in spans]
+    uids = None
+
+    def locate(r: int) -> tuple[int, str, int]:  # list position, list name, entry index
+        position, name, start, kept = spans[bisect_right(starts, r) - 1]
+        return position, name, r - start if kept is None else kept[r - start]
+
+    def report(r: int, stage: int, message: str) -> None:
+        position, name, i = locate(r)
+        where = spec.name(name, i) if uids is None or stage == 0 else f"{spec.name(name, i)} (uid {uids[r]})"
+        problems.append(((position, i, stage), f"{path}: {where}: {message}"))
+
+    if not all(map(spec.keys.issuperset, rows)):
+        for r, raw in enumerate(rows):
+            if not spec.keys.issuperset(raw):
+                _warn_unknown(set(raw), spec.keys, f"{path}: {spec.name(*locate(r)[1:])}", stacklevel=4)
+    if spec.uid_field is not None:
+        column = list(map(dict.get, rows, repeat(spec.uid_field)))
+        if not (set(map(type, column)) <= {str} and all(column)):
+            for r in [r for r, uid in enumerate(column) if not (isinstance(uid, str) and uid)]:
+                report(r, 0, f"missing {spec.uid_field}")
+                column[r] = f"<{spec.name(*locate(r)[1:])}>"
+        uids = column
+
+    n = len(rows)
+    boxes, box_problems = _box_column(list(map(dict.get, rows, repeat("box"))))
+    columns: dict = {"boxes": boxes} if uids is None else {"uid": uids, "boxes": boxes}
+    values: dict[str, list] = {}  # each number column's values, as its problems word them
+    outside: dict[str, np.ndarray] = {}  # the rows of an id column beyond int64, clamped into it
+    field_problems: dict[int, str] = {}
+    for field, column, kind in spec.numbers:
+        optional = field in spec.optional
+        raw = list(map(dict.get, rows, repeat(field), repeat(None if optional else _MISSING)))
+        if optional:
+            columns["has_" + column] = has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
+            if not has.all():
+                raw = [0 if value is None else value for value in raw]
+        values[column], failed = _number_column(raw, kind, field)
+        for r, message in failed.items():
+            field_problems.setdefault(r, message)
+    del rows
+    lists.clear()  # the last references to the entries, which are most of the memory
+    for field, column, kind in spec.numbers:
+        try:
+            columns[column] = np.array(values[column], dtype=np.int64 if kind is int else np.float64)
+        except OverflowError:
+            wide = np.array(values[column], dtype=object)
+            columns[column] = wide.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
+            outside[column] = columns[column] != wide
+
+    for r, message in box_problems.items():
+        report(r, 1, message)
+    for r, message in field_problems.items():
+        report(r, 2, f"{spec.field_problem} ({message})")
+    ok = np.ones(n, dtype=bool)
+    ok[list(box_problems)] = False
+    rules = box_rules(boxes)  # each bad box gets one problem, worded as Box2D words it
+    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
+    for r in np.flatnonzero(bad_box).tolist():
+        corners = tuple(boxes[r].tolist())
+        report(r, 1, "; ".join(f"{what}, got {corners}" if k == 0 else f"{what}: {corners}"
+                               for k, (bad, what) in enumerate(rules) if bad[r]))
+    ok &= ~bad_box
+    ok[list(field_problems)] = False
+    if taxonomy is not None:
+        # Ids beyond int64 were clamped into it, still outside the taxonomy.
+        bad_ids = ok & ~taxonomy.valid_ids(columns["noun"], columns["verb"])
+        for r in np.flatnonzero(bad_ids).tolist():
+            for problem in taxonomy.check_ids(values["noun"][r], values["verb"][r]):
+                report(r, 3, problem)
+        ok &= ~bad_ids
+    rules = spec.rules(**{column: columns[column] for field, column, _ in spec.numbers
+                          if field not in spec.optional})
+    for (bad, what), column in zip(rules, spec.rule_values):
+        for r in np.flatnonzero(ok & bad).tolist():
+            report(r, 4, f"{what}, got {values[column][r]}")
+    # Ids below int64 broke a rule above, unless they are optional ids,
+    # which may be negative.
+    for field, column, _ in spec.numbers:
+        for r in np.flatnonzero(ok & outside[column]).tolist() if column in outside else []:
+            if field in spec.optional or values[column][r] > 0:
+                report(r, 4, f"{column}_id must fit in 64 bits, got {values[column][r]}")
+    if problems:
+        problems.sort(key=itemgetter(0))
+        raise ValidationError([message for _, message in problems])
+    ends = starts[1:] + [n]
+    return columns, [(name, start, end) for (_, name, start, _), end in zip(spans, ends)]
+
+
 # -- ground truth -----------------------------------------------------------
 
 def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
-    """Read a ground truth as its taxonomy and one GroundTruthTable.
-
-    One pass over the annotations checks their keys and converts every
-    value on its own; whole columns are then checked against the rules of
-    Box2D and GroundTruthInstance and the taxonomy's id ranges. Every
-    problem of every bad annotation is listed, annotation by annotation.
-    """
+    """Read a ground truth as its taxonomy and one GroundTruthTable, with
+    `_read_entries`."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: ground-truth document must be a JSON object")
@@ -160,76 +312,10 @@ def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
     annotations = doc.get("annotations")
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: missing or non-list 'annotations'")
-
-    # Problems are keyed (annotation index, stage) so they can be listed
-    # annotation by annotation; within one: uid, box, fields, taxonomy, values.
-    problems: list[tuple[tuple[int, int], str]] = []
-    index: list[int] = []
-    uids: list[str] = []
-    corners: list[float] = []
-    nouns: list[int] = []
-    verbs: list[int] = []
-    ttcs: list[float] = []
-    unparsed_box: list[int] = []
-    unparsed: list[int] = []
-    for i, raw in enumerate(annotations):
-        if not isinstance(raw, dict):
-            problems.append(((i, 0), f"{path}: annotation {i}: must be an object"))
-            continue
-        if not _KNOWN_ANNOTATION_KEYS.issuperset(raw):
-            _warn_unknown(set(raw), _KNOWN_ANNOTATION_KEYS, f"{path}: annotation {i}")
-        uid = raw.get("example_uid")
-        if not isinstance(uid, str) or not uid:
-            problems.append(((i, 0), f"{path}: annotation {i}: missing example_uid"))
-            uid = f"<annotation {i}>"
-        index.append(i)
-        uids.append(uid)
-        where = f"{path}: annotation {i} (uid {uid})"
-        box_problem = _add_corners(raw.get("box"), corners)
-        if box_problem is not None:
-            problems.append(((i, 1), f"{where}: {box_problem}"))
-            unparsed_box.append(len(index) - 1)
-        try:
-            noun = int(raw["noun_category_id"])
-            verb = int(raw["verb_category_id"])
-            ttc = float(raw["time_to_contact"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            problems.append(((i, 2), f"{where}: bad or missing category/ttc field ({e})"))
-            unparsed.append(len(index) - 1)
-            noun, verb, ttc = 0, 0, 0.0
-        nouns.append(noun)
-        verbs.append(verb)
-        ttcs.append(ttc)
-    del doc, annotations
-
-    n = len(index)
-    boxes = np.array(corners, dtype=np.float64).reshape(n, 4)
-    (noun, _), (verb, _) = _int64_column(nouns), _int64_column(verbs)
-    ttc = np.array(ttcs, dtype=np.float64)
-
-    def report(r: int, stage: int, message: str) -> None:
-        problems.append(((index[r], stage), f"{path}: annotation {index[r]} (uid {uids[r]}): {message}"))
-
-    ok = np.ones(n, dtype=bool)
-    ok[unparsed_box] = False
-    bad_box, box_problems = _box_problems(boxes, ok)
-    for r, message in box_problems:
-        report(r, 1, message)
-    ok &= ~bad_box
-    ok[unparsed] = False
-    # Ids beyond int64 were clamped into it, still outside the taxonomy.
-    bad_ids = ok & ~taxonomy.valid_ids(noun, verb)
-    for r in np.flatnonzero(bad_ids).tolist():
-        for problem in taxonomy.check_ids(nouns[r], verbs[r]):
-            report(r, 3, problem)
-    ok &= ~bad_ids
-    for (bad, what), values in zip(ground_truth_rules(noun, verb, ttc), (ttcs, nouns, verbs)):
-        for r in np.flatnonzero(ok & bad).tolist():
-            report(r, 4, f"{what}, got {values[r]}")
-    if problems:
-        problems.sort(key=lambda p: p[0])
-        raise ValidationError([message for _, message in problems])
-    return taxonomy, GroundTruthTable(uid=uids, boxes=boxes, noun=noun, verb=verb, ttc=ttc)
+    lists = [(0, None, annotations)]
+    del doc, annotations  # the reader frees the annotations once it has read them
+    columns, _ = _read_entries(path, [], lists, _GROUND_TRUTH, taxonomy)
+    return taxonomy, GroundTruthTable(**columns)
 
 
 def write_ground_truth(taxonomy: Taxonomy, gts, path, provenance: dict | None = None) -> None:
@@ -259,19 +345,6 @@ def write_ground_truth(taxonomy: Taxonomy, gts, path, provenance: dict | None = 
 
 # -- predictions / submissions ----------------------------------------------
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _int64_column(values: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Python ints as an int64 column, and a mask of the values outside
-    int64 (None when there are none), which are clamped into it."""
-    try:
-        return np.array(values, dtype=np.int64), None
-    except OverflowError:
-        outside = np.array([not _INT64_MIN <= v <= _INT64_MAX for v in values])
-        return np.array([min(max(v, _INT64_MIN), _INT64_MAX) for v in values], dtype=np.int64), outside
-
-
 def _copy(text: str) -> str:
     """A new string equal to text. A string of a parsed document that
     outlives it keeps the memory of the whole document resident, because
@@ -281,14 +354,8 @@ def _copy(text: str) -> str:
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     """Read a submission as one HypothesisTable per example uid, in
-    canonical order.
-
-    One pass over the entries checks their keys and converts every value
-    on its own, with `int` for ids and `float` for numbers. Whole columns
-    are then checked against the rules of Box2D and StaHypothesis, the
-    taxonomy's id ranges and the int64 range. Every problem of every bad
-    entry is listed, entry by entry, and nothing is returned.
-    """
+    canonical order, with `_read_entries`; the ids are checked against
+    the taxonomy's ranges only if one is given."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
@@ -297,106 +364,15 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     if not isinstance(results, dict):
         raise ValidationError(f"{path}: missing or non-object 'results'")
 
-    # Problems are keyed (uid position, entry index, stage) so they can be
-    # listed entry by entry; within an entry: box, fields, taxonomy, values.
-    problems: list[tuple[tuple[int, int, int], str]] = []
-    spans: list[tuple[int, str, int]] = []  # (uid position, uid, first row) of each list
-    entry_index: list[int] = []
-    corners: list[float] = []
-    nouns: list[int] = []
-    verbs: list[int] = []
-    ttcs: list[float] = []
-    scores: list[float] = []
-    sources: list[int | None] = []
-    unparsed_box: list[int] = []
-    unparsed: list[int] = []
-    add_index, add_noun, add_verb, add_ttc, add_score, add_source = (
-        entry_index.append, nouns.append, verbs.append, ttcs.append, scores.append, sources.append
-    )
-    for u, (uid, entries) in enumerate(results.items()):
-        if not isinstance(entries, list):
-            problems.append(((u, -1, 0), f"{path}: results[{uid!r}] must be a list"))
-            continue
-        spans.append((u, _copy(uid), len(entry_index)))
-        for i, raw in enumerate(entries):
-            if not isinstance(raw, dict):
-                problems.append(((u, i, 0), f"{path}: results[{uid!r}][{i}]: must be an object"))
-                continue
-            if not _KNOWN_ENTRY_KEYS.issuperset(raw):
-                _warn_unknown(set(raw), _KNOWN_ENTRY_KEYS, f"{path}: results[{uid!r}][{i}]")
-            add_index(i)
-            box_problem = _add_corners(raw.get("box"), corners)
-            if box_problem is not None:
-                problems.append(((u, i, 0), f"{path}: results[{uid!r}][{i}]: {box_problem}"))
-                unparsed_box.append(len(entry_index) - 1)
-            try:
-                noun = int(raw["noun_category_id"])
-                verb = int(raw["verb_category_id"])
-                ttc = float(raw["time_to_contact"])
-                score = float(raw["score"])
-                source = raw.get("source_id")
-                source = None if source is None else int(source)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                problems.append(((u, i, 1), f"{path}: results[{uid!r}][{i}]: bad or missing field ({e})"))
-                unparsed.append(len(entry_index) - 1)
-                noun, verb, ttc, score, source = 0, 0, 0.0, 1.0, None
-            add_noun(noun)
-            add_verb(verb)
-            add_ttc(ttc)
-            add_score(score)
-            add_source(source)
-    del doc, results  # the lists hold every value the columns need
-
-    has_source = [source is not None for source in sources]
-    sources = [0 if source is None else source for source in sources]
-    n = len(scores)
-    boxes = np.array(corners, dtype=np.float64).reshape(n, 4)
-    (noun, noun_outside), (verb, verb_outside), (source, source_outside) = (
-        _int64_column(nouns), _int64_column(verbs), _int64_column(sources)
-    )
-    ttc = np.array(ttcs, dtype=np.float64)
-    score = np.array(scores, dtype=np.float64)
-    starts = [start for _, _, start in spans]
-
-    def report(r: int, stage: int, message: str) -> None:
-        u, uid, _ = spans[bisect_right(starts, r) - 1]
-        i = entry_index[r]
-        problems.append(((u, i, stage), f"{path}: results[{uid!r}][{i}]: {message}"))
-
-    ok = np.ones(n, dtype=bool)
-    ok[unparsed_box] = False
-    bad_box, box_problems = _box_problems(boxes, ok)
-    for r, message in box_problems:
-        report(r, 0, message)
-    ok &= ~bad_box
-    ok[unparsed] = False
-    if taxonomy is not None:
-        bad_ids = ok & ~taxonomy.valid_ids(noun, verb)
-        for r in np.flatnonzero(bad_ids).tolist():
-            for problem in taxonomy.check_ids(nouns[r], verbs[r]):
-                report(r, 2, problem)
-        ok &= ~bad_ids
-    for (bad, what), values in zip(hypothesis_rules(noun, verb, ttc, score), (ttcs, scores, nouns, verbs)):
-        for r in np.flatnonzero(ok & bad).tolist():
-            report(r, 3, f"{what}, got {values[r]}")
-    # Ids beyond int64 were clamped into it; those below broke a rule above.
-    for name, outside, values in (("noun_id", noun_outside, nouns), ("verb_id", verb_outside, verbs),
-                                  ("source_id", source_outside, sources)):
-        if outside is not None:
-            for r in np.flatnonzero(ok & outside).tolist():
-                if name == "source_id" or values[r] > 0:
-                    report(r, 3, f"{name} must fit in 64 bits, got {values[r]}")
-    if problems:
-        problems.sort(key=lambda p: p[0])
-        raise ValidationError([message for _, message in problems])
-    # The parsed document, most of the peak memory, is freed with the last
-    # references to its values.
-    whole = HypothesisTable.from_valid(
-        boxes, noun, verb, ttc, score, source, np.array(has_source, dtype=bool)
-    )
-    del corners, nouns, verbs, ttcs, scores, sources, has_source
-    ends = starts[1:] + [n]
-    return {uid: sort_canonical(whole.take(slice(start, end))) for (_, uid, start), end in zip(spans, ends)}
+    problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
+                for u, (uid, entries) in enumerate(results.items()) if not isinstance(entries, list)]
+    lists = [(u, _copy(uid), entries)
+             for u, (uid, entries) in enumerate(results.items()) if isinstance(entries, list)]
+    del doc, results
+    columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy)
+    whole = HypothesisTable.from_valid(*itemgetter(
+        "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
+    return {uid: sort_canonical(whole.take(slice(start, end))) for uid, start, end in spans}
 
 
 # One submission entry as `json.dumps(indent=2, sort_keys=True)` writes it
@@ -513,7 +489,10 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         for d in dims:
             count *= d
         start = take(4 * count, f"data of {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(dims)
+        try:
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(dims)
+        except ValueError as e:  # an empty tensor whose other dims numpy cannot hold
+            raise FormatError(f"{path}: tensor {name!r} has dims {dims}, which numpy cannot hold ({e})")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{path}: tensor {name!r} contains non-finite values")
         out[name] = arr

@@ -17,8 +17,6 @@ from .types import number_problems
 
 DEFAULT_FRAME_COUNT = 8
 DEFAULT_SAMPLE_RATE = 2.0
-# Resize metadata carried for provenance only; no resampling happens here.
-TEMPORAL_SHORT_SIDE = 384
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class SamplingPlan:
     frame_times: tuple[float, ...]
     sample_rate: float = DEFAULT_SAMPLE_RATE
     frame_count: int = DEFAULT_FRAME_COUNT
-    short_side: int = TEMPORAL_SHORT_SIDE
 
 
 def plan_frames(

@@ -393,6 +393,7 @@ class TestFuseDemoCommand:
         ({"seq": np.arange(5.0)}, "'seq' must have shape (T, D), got (5,)"),
         ({"seq": np.ones((2, 2, 2))}, "'seq' must have shape (T, D), got (2, 2, 2)"),
         ({"seq": np.ones((3, 4)), "rois": np.ones(3)}, "'rois' must have shape (R, D_roi), got (3,)"),
+        ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 2))}, "'fpn' must have shape (C, H, W), got (2, 2)"),
     ])
     def test_wrong_rank_exit_2(self, tmp_path, capsys, tensors, problem):
         path = tmp_path / "fuse.vstf"
@@ -407,6 +408,21 @@ class TestFuseDemoCommand:
         err = capsys.readouterr().err
         assert "'seq' must have shape (T, D), got (5,)" in err
         assert "'rois' must have shape (R, D_roi), got (3,)" in err
+
+    @pytest.mark.parametrize("tensors, problem", [
+        ({"seq": np.ones((3, 0))}, "'seq' must have no zero-length dimension, got (3, 0)"),
+        ({"seq": np.ones((3, 4)), "fpn": np.ones((0, 2, 2))},
+         "'fpn' must have no zero-length dimension, got (0, 2, 2)"),
+        ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 0, 2))},
+         "'fpn' must have no zero-length dimension, got (2, 0, 2)"),
+    ])
+    def test_zero_length_dimension_exit_2(self, tmp_path, capsys, tensors, problem):
+        path = tmp_path / "fuse.vstf"
+        write_tensor_file(tensors, path)
+        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "key_proj" not in err
 
 
 class TestValidateCommand:

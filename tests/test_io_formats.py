@@ -168,6 +168,30 @@ class TestGroundTruth:
             f"{path}: annotation 4 (uid e1): ttc must be finite and >= 0, got -0.5",
         ]
 
+    def test_columns_mixing_exact_and_other_types_convert_per_value(self, tmp_path):
+        good = {"example_uid": "e1", "box": [0.0, 0.0, 10.0, 10.0], "noun_category_id": 0,
+                "verb_category_id": 0, "time_to_contact": 1.0}
+        raw = [good, dict(good, verb_category_id=True, time_to_contact="0.5", box=[0, 1, 2, 3]),
+               dict(good, noun_category_id="1", time_to_contact=2)]
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy": {"nouns": ["cup", "pan"], "verbs": ["take", "put"]},
+                                    "annotations": raw}))
+        _, table = load_ground_truth(path)
+        assert table.noun.tolist() == [int(a["noun_category_id"]) for a in raw]
+        assert table.verb.tolist() == [int(a["verb_category_id"]) for a in raw]
+        assert table.ttc.tolist() == [float(a["time_to_contact"]) for a in raw]
+        assert table.boxes.tolist() == [[float(v) for v in a["box"]] for a in raw]
+
+    def test_annotations_warn_about_submission_fields(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy": {"nouns": ["cup"], "verbs": ["take"]}, "annotations": [
+            {"example_uid": "e1", "box": [0, 0, 10, 10], "noun_category_id": 0, "verb_category_id": 0,
+             "time_to_contact": 1.0, "score": 0.5},
+        ]}))
+        with pytest.warns(UserWarning, match=r"annotation 0: ignoring unknown fields \['score'\]"):
+            _, table = load_ground_truth(path)
+        assert len(table) == 1
+
     def test_columns_match_the_annotations(self, tmp_path):
         taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=4)
         path = tmp_path / "gt.json"
@@ -361,6 +385,44 @@ class TestSubmissionColumns:
             self.load(tmp_path, {"e": [entry(), entry(**fields)]})
         assert err.value.problems == [f"{tmp_path / 'sub.json'}: results['e'][1]: {problem}"]
 
+    def test_columns_mixing_exact_and_other_types_convert_per_value(self, tmp_path):
+        raw = [entry(), entry(noun_category_id=True, time_to_contact="0.5", score=1, box=[0, 1, 2, 3]),
+               entry(verb_category_id=False, score="0.25", source_id=True), entry(score=0.75, source_id=3)]
+        preds = self.load(tmp_path, {"e": raw})
+        rows = list(zip(preds["e"].score.tolist(), preds["e"].noun.tolist(), preds["e"].verb.tolist(),
+                        preds["e"].ttc.tolist(), preds["e"].boxes.tolist(),
+                        [h.source_id for h in preds["e"].to_hypotheses()]))
+        expected = sorted((
+            (float(e["score"]), int(e["noun_category_id"]), int(e["verb_category_id"]),
+             float(e["time_to_contact"]), [float(v) for v in e["box"]],
+             None if "source_id" not in e else int(e["source_id"]))
+            for e in raw
+        ), key=lambda row: -row[0])
+        assert rows == expected
+        assert [type(v) for row in rows for v in row[:4]] == [float, int, int, float] * 4
+
+    def test_problems_word_values_as_converted(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            self.load(tmp_path, {"e": [entry(), entry(score=False), entry(noun_category_id=True),
+                                       entry(noun_category_id="x", score="y")]},
+                      Taxonomy(("n0",), ("v0",)))
+        where = f"{tmp_path / 'sub.json'}: results['e']"
+        assert err.value.problems == [
+            f"{where}[0]: noun_id 1 out of range [0, 1)",
+            f"{where}[1]: noun_id 1 out of range [0, 1)",
+            f"{where}[2]: noun_id 1 out of range [0, 1)",
+            f"{where}[3]: bad or missing field (invalid literal for int() with base 10: 'x')",
+        ]
+        with pytest.raises(ValidationError) as err:
+            self.load(tmp_path, {"e": [entry(), entry(score=False, time_to_contact=True)]})
+        assert err.value.problems == [f"{where}[1]: score must be finite and > 0, got 0.0"]
+
+    def test_entries_warn_about_ground_truth_fields(self, tmp_path):
+        warning = r"results\['e'\]\[1\]: ignoring unknown fields \['example_uid'\]"
+        with pytest.warns(UserWarning, match=warning):
+            preds = self.load(tmp_path, {"e": [entry(), entry(example_uid="e")]})
+        assert len(preds["e"]) == 2
+
     def test_out_of_int64_id_against_a_taxonomy(self, tmp_path):
         with pytest.raises(ValidationError) as err:
             self.load(tmp_path, {"e": [entry(noun_category_id=2**70)]}, Taxonomy(("n0", "n1"), ("v0",)))
@@ -533,6 +595,16 @@ class TestTensorContainer:
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"\xffa", [1.0]))
         with pytest.raises(FormatError, match="not UTF-8"):
+            read_tensor_file(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2**62), (2**32, 2**32, 0)])
+    def test_empty_tensor_with_dims_numpy_cannot_hold(self, tmp_path, dims):
+        import struct
+
+        path = tmp_path / "t.vstf"
+        path.write_bytes(b"VSTF" + struct.pack("<II", 1, 1) + b"t" + struct.pack("<I", len(dims))
+                         + struct.pack(f"<{len(dims)}Q", *dims))
+        with pytest.raises(FormatError, match=rf"tensor 't' has dims \({dims[0]}, .*numpy cannot hold"):
             read_tensor_file(path)
 
     def test_duplicate_tensor_name(self, tmp_path):
