@@ -1,15 +1,18 @@
 """Command-line entry point: `vista <subcommand>`.
 
 Subcommands: evaluate, postprocess, ensemble, synth, plan, fuse-demo,
-validate. A JSON config file (--config) supplies defaults; explicit flags
-override it. Exit codes: 0 success, 1 I/O error, 2 validation error,
-3 internal error. Outputs are deterministic given config + inputs; no
-timestamps are written.
+validate. Each setting's flag, config key and default come from the
+signature of the class or function it configures. A JSON config file
+(--config) supplies defaults; explicit flags override it. Exit codes:
+0 success, 1 I/O error, 2 validation error, 3 internal error. Outputs
+are deterministic given config + inputs; no timestamps are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 import traceback
@@ -24,10 +27,13 @@ from .evaluation import EvalConfig, evaluate, format_report_table
 from .io_formats import (
     _dump_json,
     _load_json,
+    ground_truth_from_dict,
     load_ground_truth,
     load_predictions,
     load_taxonomy,
+    predictions_from_dict,
     read_tensor_file,
+    taxonomy_from_dict,
     write_ground_truth,
     write_submission,
 )
@@ -42,45 +48,62 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
-def _load_config(path, keys: tuple[str, ...]) -> dict:
-    """The JSON object at path ({} without a path), whose keys must all be
-    among the keys the command reads."""
+# The config keys (and so flags) whose names differ from the parameters
+# they set.
+_KEYS = {"ttc_max_error": "ttc_tol", "ttc_tolerance": "ttc_tol", "box_iou_min": "iou_min"}
+# The defaulted parameters that are not settings: the command passes them.
+_PASSED = {EnsembleConfig: ("n_sources",), generate_scenario: ("seed",)}
+
+
+def _parameters(callee) -> list[tuple[str, inspect.Parameter]]:
+    """Each setting of `callee` with its config key: every defaulted
+    parameter, except those in `_PASSED`."""
+    return [(_KEYS.get(name, name), param)
+            for name, param in inspect.signature(callee).parameters.items()
+            if param.default is not param.empty and name not in _PASSED.get(callee, ())]
+
+
+def _load_config(args) -> dict:
+    """The JSON object at args.config ({} without one). Its keys must all
+    be among the keys the command reads, and its `out` a string."""
+    path, keys = args.config, args.config_keys
     if path is None:
         return {}
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ValidationError(
-            [f"{path}: unknown config key {key!r} (known: {', '.join(keys)})" for key in unknown]
-        )
+    problems = [f"{path}: unknown config key {key!r} (known: {', '.join(keys)})"
+                for key in doc if key not in keys]
+    if "out" in keys and not isinstance(doc.get("out", ""), str):
+        problems.append(f"{path}: out must be a string, got {doc['out']!r}")
+    if problems:
+        raise ValidationError(problems)
     return doc
 
 
-def _get(args, config: dict, key: str, default):
-    """Flag (if given) beats config file beats built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _settings(args, config: dict, callee) -> dict:
+    """The settings of `callee` given by a flag or the config file, by
+    parameter name. A flag beats the config file; a setting neither gives
+    is left to `callee`'s own default."""
+    given = {}
+    for key, param in _parameters(callee):
+        flag = getattr(args, key)
+        if flag is not None:
+            given[param.name] = flag
+        elif key in config:
+            given[param.name] = config[key]
+    return given
 
 
 def _out_dir(args, config) -> Path:
-    out = Path(_get(args, config, "out", "."))
+    out = Path(args.out if args.out is not None else config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config, args.config_keys)
-    cfg = EvalConfig(
-        iou_min=_get(args, config, "iou_min", 0.5),
-        ttc_max_error=_get(args, config, "ttc_tol", 0.25),
-        top_k=_get(args, config, "top_k", 5),
-    )
+    config = _load_config(args)
+    cfg = EvalConfig(**_settings(args, config, EvalConfig))
     taxonomy, gts = load_ground_truth(args.ground_truth)
     preds = load_predictions(args.predictions, taxonomy)
     report = evaluate(preds, gts, cfg, taxonomy)
@@ -89,7 +112,7 @@ def cmd_evaluate(args) -> int:
     doc["provenance"] = {
         "ground_truth": str(args.ground_truth),
         "predictions": str(args.predictions),
-        "config": {"iou_min": cfg.iou_min, "ttc_max_error": cfg.ttc_max_error, "top_k": cfg.top_k},
+        "config": dataclasses.asdict(cfg),
     }
     _dump_json(doc, out / "report.json")
     table = format_report_table(report)
@@ -99,87 +122,37 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    config = _load_config(args.config, args.config_keys)
-    cfg = InferenceConfig(
-        max_proposals=_get(args, config, "max_proposals", 300),
-        k_noun=_get(args, config, "k_noun", 3),
-        k_verb=_get(args, config, "k_verb", 3),
-        nms_iou=_get(args, config, "nms_iou", 0.5),
-        max_exports=_get(args, config, "max_exports", 100),
-    )
+    config = _load_config(args)
+    cfg = InferenceConfig(**_settings(args, config, InferenceConfig))
     taxonomy = load_taxonomy(args.taxonomy)
     batches = load_proposal_batches(args.head_outputs, default_uid=Path(args.head_outputs).stem)
     preds = {uid: run_inference_chain(batch, taxonomy, cfg) for uid, batch in batches.items()}
     out = _out_dir(args, config)
-    write_submission(
-        preds,
-        out / "submission.json",
-        provenance={
-            "head_outputs": str(args.head_outputs),
-            "taxonomy": str(args.taxonomy),
-            "config": {
-                "max_proposals": cfg.max_proposals,
-                "k_noun": cfg.k_noun,
-                "k_verb": cfg.k_verb,
-                "nms_iou": cfg.nms_iou,
-                "max_exports": cfg.max_exports,
-            },
-        },
-    )
+    provenance = {"head_outputs": str(args.head_outputs), "taxonomy": str(args.taxonomy),
+                  "config": dataclasses.asdict(cfg)}
+    write_submission(preds, out / "submission.json", provenance=provenance)
     print(out / "submission.json")
     return EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
-    config = _load_config(args.config, args.config_keys)
+    config = _load_config(args)
+    cfg = EnsembleConfig(n_sources=len(args.predictions), **_settings(args, config, EnsembleConfig))
     taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else None
     sources = [load_predictions(path, taxonomy) for path in args.predictions]
-    cfg = EnsembleConfig(
-        box_iou_min=_get(args, config, "iou_min", 0.5),
-        ttc_tolerance=_get(args, config, "ttc_tol", 0.25),
-        agreement_weight=_get(args, config, "agreement_weight", 0.5),
-        n_sources=len(sources),
-        max_exports=_get(args, config, "max_exports", 100),
-    )
     merged = ensemble_predictions(sources, cfg)
     out = _out_dir(args, config)
-    write_submission(
-        merged,
-        out / "ensemble.json",
-        provenance={
-            "inputs": [str(p) for p in args.predictions],
-            "config": {
-                "box_iou_min": cfg.box_iou_min,
-                "ttc_tolerance": cfg.ttc_tolerance,
-                "agreement_weight": cfg.agreement_weight,
-                "n_sources": cfg.n_sources,
-                "max_exports": cfg.max_exports,
-            },
-        },
-    )
+    provenance = {"inputs": [str(p) for p in args.predictions], "config": dataclasses.asdict(cfg)}
+    write_submission(merged, out / "ensemble.json", provenance=provenance)
     print(out / "ensemble.json")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config, args.config_keys)
-    noise = NoiseConfig(
-        box_jitter_sigma=_get(args, config, "box_jitter_sigma", 0.0),
-        label_flip_prob=_get(args, config, "label_flip_prob", 0.0),
-        verb_flip_prob=_get(args, config, "verb_flip_prob", 0.0),
-        ttc_noise_sigma=_get(args, config, "ttc_noise_sigma", 0.0),
-        drop_prob=_get(args, config, "drop_prob", 0.0),
-        seed=_get(args, config, "seed", 0),
-    )
-    taxonomy, gts = generate_scenario(
-        n_examples=_get(args, config, "n_examples", 10),
-        n_nouns=_get(args, config, "n_nouns", 8),
-        n_verbs=_get(args, config, "n_verbs", 6),
-        gts_per_example=_get(args, config, "gts_per_example", 2),
-        seed=noise.seed,
-    )
-    n_sources = _get(args, config, "n_sources", 1)
-    sources = perturb_to_predictions(taxonomy, gts, noise, n_sources)
+    config = _load_config(args)
+    noise = NoiseConfig(**_settings(args, config, NoiseConfig))
+    taxonomy, gts = generate_scenario(seed=noise.seed, **_settings(args, config, generate_scenario))
+    sources = perturb_to_predictions(taxonomy, gts, noise, **_settings(args, config, perturb_to_predictions))
     out = _out_dir(args, config)
     write_ground_truth(taxonomy, gts, out / "ground_truth.json")
     for s, preds in enumerate(sources):
@@ -189,12 +162,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _load_config(args.config, args.config_keys)
-    plan = plan_frames(
-        query_time=args.time,
-        frame_count=_get(args, config, "frame_count", 8),
-        sample_rate=_get(args, config, "sample_rate", 2.0),
-    )
+    config = _load_config(args)
+    plan = plan_frames(query_time=args.time, **_settings(args, config, plan_frames))
     print(" ".join(f"{t:g}" for t in plan.frame_times))
     return EXIT_OK
 
@@ -272,14 +241,14 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     doc = _load_json(path)
     if isinstance(doc, dict) and "results" in doc:
-        preds = load_predictions(path)
+        preds = predictions_from_dict(doc, path)
         n = sum(len(v) for v in preds.values())
         print(f"{path}: valid submission, {len(preds)} examples, {n} hypotheses")
     elif isinstance(doc, dict) and "annotations" in doc:
-        _, gts = load_ground_truth(path)
+        _, gts = ground_truth_from_dict(doc, path)
         print(f"{path}: valid ground truth, {len(gts)} annotations")
     elif isinstance(doc, dict) and "nouns" in doc:
-        taxonomy = load_taxonomy(path)
+        taxonomy = taxonomy_from_dict(doc, where=str(path))
         print(f"{path}: valid taxonomy, {taxonomy.n_nouns} nouns / {taxonomy.n_verbs} verbs")
     else:
         raise ValidationError(f"{path}: unrecognized document type")
@@ -290,70 +259,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vista", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def configurable(p):
-        """Add --config. A config may set what the flags added so far set,
-        except the input flags --taxonomy and --time."""
-        p.set_defaults(config_keys=tuple(
-            action.dest for action in p._actions
-            if action.option_strings and action.dest not in ("help", "taxonomy", "time")
-        ))
+    def configurable(p, func, *callees, writes=True):
+        """Add a flag for each setting of the callees, then --out if the
+        command writes files, then --config, which may set the same keys."""
+        keys = []
+        for callee in callees:
+            for key, param in _parameters(callee):
+                sets = "" if key == param.name else f"sets {param.name} "
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type={"int": int, "float": float}[param.annotation],
+                               help=f"{sets}(default: {param.default})")
+                keys.append(key)
+        if writes:
+            p.add_argument("--out", help="output directory (default: current directory)")
+            keys.append("out")
         p.add_argument("--config", help="JSON config file providing flag defaults")
-
-    def common(p):
-        p.add_argument("--out", help="output directory (default: current directory)")
-        configurable(p)
+        p.set_defaults(func=func, config_keys=tuple(keys))
 
     p = sub.add_parser("evaluate", help="score a submission against ground truth")
     p.add_argument("ground_truth")
     p.add_argument("predictions")
-    p.add_argument("--iou-min", dest="iou_min", type=float)
-    p.add_argument("--ttc-tol", dest="ttc_tol", type=float)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
+    configurable(p, cmd_evaluate, EvalConfig)
 
     p = sub.add_parser("postprocess", help="head outputs -> ranked submission")
     p.add_argument("head_outputs", help="tensor container with proposal head outputs")
     p.add_argument("taxonomy")
-    p.add_argument("--max-proposals", dest="max_proposals", type=int)
-    p.add_argument("--k-noun", dest="k_noun", type=int)
-    p.add_argument("--k-verb", dest="k_verb", type=int)
-    p.add_argument("--nms-iou", dest="nms_iou", type=float)
-    p.add_argument("--max-exports", dest="max_exports", type=int)
-    common(p)
-    p.set_defaults(func=cmd_postprocess)
+    configurable(p, cmd_postprocess, InferenceConfig)
 
     p = sub.add_parser("ensemble", help="merge several prediction sets")
     p.add_argument("predictions", nargs="+")
     p.add_argument("--taxonomy")
-    p.add_argument("--iou-min", dest="iou_min", type=float)
-    p.add_argument("--ttc-tol", dest="ttc_tol", type=float)
-    p.add_argument("--agreement-weight", dest="agreement_weight", type=float)
-    p.add_argument("--max-exports", dest="max_exports", type=int)
-    common(p)
-    p.set_defaults(func=cmd_ensemble)
+    configurable(p, cmd_ensemble, EnsembleConfig)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-examples", dest="n_examples", type=int)
-    p.add_argument("--n-nouns", dest="n_nouns", type=int)
-    p.add_argument("--n-verbs", dest="n_verbs", type=int)
-    p.add_argument("--gts-per-example", dest="gts_per_example", type=int)
-    p.add_argument("--n-sources", dest="n_sources", type=int)
-    p.add_argument("--box-jitter-sigma", dest="box_jitter_sigma", type=float)
-    p.add_argument("--label-flip-prob", dest="label_flip_prob", type=float)
-    p.add_argument("--verb-flip-prob", dest="verb_flip_prob", type=float)
-    p.add_argument("--ttc-noise-sigma", dest="ttc_noise_sigma", type=float)
-    p.add_argument("--drop-prob", dest="drop_prob", type=float)
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    configurable(p, cmd_synth, NoiseConfig, generate_scenario, perturb_to_predictions)
 
     p = sub.add_parser("plan", help="observed-frame timestamps for a query time")
     p.add_argument("--time", type=float, required=True)
-    p.add_argument("--frame-count", dest="frame_count", type=int)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    configurable(p)
-    p.set_defaults(func=cmd_plan)
+    configurable(p, cmd_plan, plan_frames, writes=False)
 
     p = sub.add_parser("fuse-demo", help="run the fusion kernels on a tensor container")
     p.add_argument("tensors")

@@ -292,9 +292,15 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
 # -- ground truth -----------------------------------------------------------
 
 def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
-    """Read a ground truth as its taxonomy and one GroundTruthTable, with
-    `_read_entries`."""
-    doc = _load_json(path)
+    """Read a ground truth as its taxonomy and one GroundTruthTable."""
+    return ground_truth_from_dict(_load_json(path), path)
+
+
+def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
+    """A parsed ground-truth document as its taxonomy and one
+    GroundTruthTable, with `_read_entries`. `path` names the document in
+    problems and locates its `taxonomy_path`. The annotations are taken
+    out of `doc`, so they are freed as they are read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: ground-truth document must be a JSON object")
     _warn_unknown(set(doc), _KNOWN_GT_KEYS, str(path))
@@ -309,11 +315,11 @@ def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
     else:
         raise ValidationError(f"{path}: needs 'taxonomy' inline or a 'taxonomy_path'")
 
-    annotations = doc.get("annotations")
+    annotations = doc.pop("annotations", None)
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: missing or non-list 'annotations'")
     lists = [(0, None, annotations)]
-    del doc, annotations  # the reader frees the annotations once it has read them
+    del annotations  # the reader frees the annotations once it has read them
     columns, _ = _read_entries(path, [], lists, _GROUND_TRUTH, taxonomy)
     return taxonomy, GroundTruthTable(**columns)
 
@@ -353,14 +359,20 @@ def _copy(text: str) -> str:
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Read a submission as one HypothesisTable per example uid, in
-    canonical order, with `_read_entries`; the ids are checked against
-    the taxonomy's ranges only if one is given."""
-    doc = _load_json(path)
+    """Read a submission as one HypothesisTable per example uid."""
+    return predictions_from_dict(_load_json(path), path, taxonomy)
+
+
+def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> PredictionSet:
+    """A parsed submission document as one HypothesisTable per example
+    uid, in canonical order, with `_read_entries`; the ids are checked
+    against the taxonomy's ranges only if one is given. `path` names the
+    document in problems. The results are taken out of `doc`, so their
+    entries are freed as they are read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
     _warn_unknown(set(doc), _KNOWN_SUBMISSION_KEYS, str(path))
-    results = doc.get("results")
+    results = doc.pop("results", None)
     if not isinstance(results, dict):
         raise ValidationError(f"{path}: missing or non-object 'results'")
 
@@ -368,7 +380,7 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
                 for u, (uid, entries) in enumerate(results.items()) if not isinstance(entries, list)]
     lists = [(u, _copy(uid), entries)
              for u, (uid, entries) in enumerate(results.items()) if isinstance(entries, list)]
-    del doc, results
+    del results
     columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy)
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))

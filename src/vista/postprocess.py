@@ -316,7 +316,7 @@ def class_aware_nms(table: HypothesisTable, nms_iou: float, max_exports: int) ->
     return table.take(survivors[: max(max_exports, 0)])
 
 
-def finalize_submission(table: HypothesisTable, max_exports: int = 100) -> HypothesisTable:
+def finalize_submission(table: HypothesisTable, max_exports: int) -> HypothesisTable:
     """The first max_exports rows of a canonical table."""
     return table.take(slice(0, max_exports))
 

@@ -53,13 +53,14 @@ class NoiseConfig:
 
 
 def generate_scenario(
-    n_examples: int,
-    n_nouns: int,
-    n_verbs: int,
-    gts_per_example: int,
-    seed: int,
+    n_examples: int = 10,
+    n_nouns: int = 8,
+    n_verbs: int = 6,
+    gts_per_example: int = 2,
+    seed: int = NoiseConfig.seed,
 ) -> tuple[Taxonomy, list[GroundTruthInstance]]:
-    """Random taxonomy and ground truth on a 1920x1080 canvas."""
+    """Random taxonomy and ground truth on a 1920x1080 canvas. The seed
+    defaults to the noise's, which `vista synth` passes for both."""
     counts = {"n_examples": n_examples, "n_nouns": n_nouns, "n_verbs": n_verbs,
               "gts_per_example": gts_per_example, "seed": seed}
     problems = [p for name, value in counts.items() for p in number_problems(name, value, integer=True)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vista.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from vista.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from vista.io_formats import load_predictions, write_tensor_file
 from vista.rng import CounterRng
 
@@ -486,3 +487,134 @@ class TestValidateCommand:
         path.write_text(json.dumps({"taxonomy_path": 5, "annotations": []}))
         assert main(["validate", str(path)]) == EXIT_VALIDATION
         assert "'taxonomy_path' must be a string, got 5" in capsys.readouterr().err
+
+
+# Each configurable command's flags (option strings, dest, type) in
+# order, and its config keys, as the hand-written parser declared them.
+# Synth's flags and keys may come in another order, but not another set.
+SURFACE = {
+    "evaluate": (
+        [("-h --help", "help", None), ("--iou-min", "iou_min", float), ("--ttc-tol", "ttc_tol", float),
+         ("--top-k", "top_k", int), ("--out", "out", None), ("--config", "config", None)],
+        ("iou_min", "ttc_tol", "top_k", "out"),
+    ),
+    "postprocess": (
+        [("-h --help", "help", None), ("--max-proposals", "max_proposals", int), ("--k-noun", "k_noun", int),
+         ("--k-verb", "k_verb", int), ("--nms-iou", "nms_iou", float), ("--max-exports", "max_exports", int),
+         ("--out", "out", None), ("--config", "config", None)],
+        ("max_proposals", "k_noun", "k_verb", "nms_iou", "max_exports", "out"),
+    ),
+    "ensemble": (
+        [("-h --help", "help", None), ("--taxonomy", "taxonomy", None), ("--iou-min", "iou_min", float),
+         ("--ttc-tol", "ttc_tol", float), ("--agreement-weight", "agreement_weight", float),
+         ("--max-exports", "max_exports", int), ("--out", "out", None), ("--config", "config", None)],
+        ("iou_min", "ttc_tol", "agreement_weight", "max_exports", "out"),
+    ),
+    "synth": (
+        [("-h --help", "help", None), ("--seed", "seed", int), ("--n-examples", "n_examples", int),
+         ("--n-nouns", "n_nouns", int), ("--n-verbs", "n_verbs", int),
+         ("--gts-per-example", "gts_per_example", int), ("--n-sources", "n_sources", int),
+         ("--box-jitter-sigma", "box_jitter_sigma", float), ("--label-flip-prob", "label_flip_prob", float),
+         ("--verb-flip-prob", "verb_flip_prob", float), ("--ttc-noise-sigma", "ttc_noise_sigma", float),
+         ("--drop-prob", "drop_prob", float), ("--out", "out", None), ("--config", "config", None)],
+        ("seed", "n_examples", "n_nouns", "n_verbs", "gts_per_example", "n_sources", "box_jitter_sigma",
+         "label_flip_prob", "verb_flip_prob", "ttc_noise_sigma", "drop_prob", "out"),
+    ),
+    "plan": (
+        [("-h --help", "help", None), ("--time", "time", float), ("--frame-count", "frame_count", int),
+         ("--sample-rate", "sample_rate", float), ("--config", "config", None)],
+        ("frame_count", "sample_rate"),
+    ),
+}
+
+
+def subparser(command):
+    parser = build_parser()
+    choices = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return choices[command]
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_flags_and_config_keys_are_pinned(self, command):
+        p = subparser(command)
+        flags = [(" ".join(a.option_strings), a.dest, a.type) for a in p._actions if a.option_strings]
+        keys = p.get_default("config_keys")
+        pinned_flags, pinned_keys = SURFACE[command]
+        if command == "synth":
+            flags, pinned_flags = sorted(flags, key=str), sorted(pinned_flags, key=str)
+            keys, pinned_keys = sorted(keys), sorted(pinned_keys)
+        assert flags == pinned_flags
+        assert keys == pinned_keys
+
+    @pytest.mark.parametrize("command, flag, help_text", [
+        ("evaluate", "--ttc-tol", "sets ttc_max_error (default: 0.25)"),
+        ("evaluate", "--top-k", "(default: 5)"),
+        ("postprocess", "--max-proposals", "(default: 300)"),
+        ("ensemble", "--iou-min", "sets box_iou_min (default: 0.5)"),
+        ("synth", "--n-examples", "(default: 10)"),
+        ("synth", "--seed", "(default: 0)"),
+        ("plan", "--sample-rate", "(default: 2.0)"),
+    ])
+    def test_help_shows_the_callee_default(self, command, flag, help_text):
+        action = next(a for a in subparser(command)._actions if flag in a.option_strings)
+        assert action.help == help_text
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_every_setting_flag_shows_a_default(self, command):
+        p = subparser(command)
+        settings = [a for a in p._actions if a.dest in p.get_default("config_keys") and a.dest != "out"]
+        assert settings and all("(default: " in a.help for a in settings)
+
+
+class TestOutMustBeAString:
+    # The inputs do not exist: a command that read them before checking
+    # its config would exit 1, not 2.
+    ARGV = {
+        "evaluate": ["evaluate", "missing_gt.json", "missing_preds.json"],
+        "postprocess": ["postprocess", "missing.vstf", "missing_taxonomy.json"],
+        "ensemble": ["ensemble", "missing_a.json", "missing_b.json"],
+        "synth": ["synth", "--n-examples", "2"],
+    }
+
+    @pytest.mark.parametrize("out", [5, None])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_non_string_out_exit_2(self, tmp_path, monkeypatch, capsys, command, out):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({"out": out}))
+        assert main([*self.ARGV[command], "--config", "config.json"]) == EXIT_VALIDATION
+        assert f"config.json: out must be a string, got {out!r}" in capsys.readouterr().err
+        assert sorted(os.listdir()) == ["config.json"]
+
+    def test_out_listed_with_unknown_keys(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": [], "bogus": 1}))
+        assert main(["synth", "--config", str(config)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unknown config key 'bogus'" in err
+        assert "out must be a string, got []" in err
+
+    def test_ensemble_config_checked_before_sources_are_read(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"agreement_weight": False}))
+        code = main(["ensemble", str(tmp_path / "missing.json"), "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        assert "agreement_weight must be a number, got False" in capsys.readouterr().err
+
+
+class TestValidateParsesOnce:
+    @pytest.mark.parametrize("name, kind", [
+        ("predictions_source_00.json", "valid submission"),
+        ("ground_truth.json", "valid ground truth"),
+        ("taxonomy.json", "valid taxonomy"),
+    ])
+    def test_one_json_loads_per_file(self, synth_dir, monkeypatch, capsys, name, kind):
+        if name == "taxonomy.json":
+            doc = json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]
+            (synth_dir / name).write_text(json.dumps(doc))
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(1) or loads(text, **kw))
+        assert main(["validate", str(synth_dir / name)]) == EXIT_OK
+        assert kind in capsys.readouterr().out
+        assert len(calls) == 1

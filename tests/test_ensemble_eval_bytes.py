@@ -170,3 +170,22 @@ def test_inputs_cover_the_pinned_cases(inputs):
 
 def test_ensemble_and_report_bytes_are_pinned(inputs):
     assert digests(inputs) == GOLDEN
+
+
+# Pinned runs with their settings in a config file: the same settings as
+# the flags of RUNS give, and for evaluate a flag that beats a conflicting
+# config value.
+CONFIG_RUNS = {
+    "ensemble-export7": (["ensemble", *SOURCES], {"max_exports": 7, "out": "ens7"}, "ens7/ensemble.json"),
+    "evaluate-source0-top5": (["evaluate", "gt.json", "s0.json", "--top-k", "5"],
+                              {"top_k": 3, "iou_min": 0.5, "ttc_tol": 0.25, "out": "ev0"},
+                              "ev0/report.json"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_RUNS))
+def test_config_file_gives_the_pinned_bytes(inputs, name):
+    argv, config, output = CONFIG_RUNS[name]
+    (inputs / "config.json").write_text(json.dumps(config))
+    assert main([*argv, "--config", "config.json"]) == EXIT_OK
+    assert hashlib.sha256((inputs / output).read_bytes()).hexdigest() == GOLDEN[name]

@@ -85,3 +85,23 @@ def test_submission_bytes_are_pinned(inputs, flags):
     assert code == EXIT_OK
     digest = hashlib.sha256((inputs / "pp" / "submission.json").read_bytes()).hexdigest()
     assert digest == GOLDEN[flags]
+
+
+# The settings of the second pinned run, split between a config file and
+# flags. In the second case each flag beats a conflicting config value.
+PINNED = ("--k-noun", "5", "--k-verb", "2", "--nms-iou", "0.3", "--max-exports", "7")
+VIA_CONFIG = [
+    ((), {"k_noun": 5, "k_verb": 2, "nms_iou": 0.3, "max_exports": 7, "out": "pp"}),
+    (("--k-noun", "5", "--nms-iou", "0.3", "--out", "pp"),
+     {"k_noun": 1, "k_verb": 2, "nms_iou": 0.9, "max_exports": 7, "out": "elsewhere"}),
+]
+
+
+@pytest.mark.parametrize("flags, config", VIA_CONFIG, ids=["config", "flags-beat-config"])
+def test_config_file_gives_the_pinned_bytes(inputs, flags, config):
+    (inputs / "config.json").write_text(json.dumps(config))
+    code = main(["postprocess", "heads.vstf", "taxonomy.json", *flags, "--config", "config.json"])
+    assert code == EXIT_OK
+    digest = hashlib.sha256((inputs / "pp" / "submission.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN[PINNED]
+    assert not (inputs / "elsewhere").exists()
