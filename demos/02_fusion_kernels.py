@@ -3,6 +3,9 @@
 1. The attentive probe pools a (T, D) feature sequence into one token.
 2. FiLM scales and shifts every feature-map channel using that token.
 3. The context MLP adds a token-conditioned residual to each ROI vector.
+
+It also writes the inputs and parameters as `fusion_inputs.vstf` in the
+working directory, a container that `vista fuse` reads.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from vista import (
     film_modulate,
     roi_context_fuse,
 )
+from vista.io_formats import write_tensor_file
 
 rng = np.random.default_rng(0)
 T, D_IN, D_ATT, D_OUT = 8, 16, 8, 12
@@ -59,3 +63,9 @@ roi = rng.standard_normal(D_ROI)
 fused = roi_context_fuse(roi, token, mlp)
 print(f"\nroi norm {np.linalg.norm(roi):.3f} -> fused norm {np.linalg.norm(fused):.3f}")
 print("residual magnitude:", f"{np.linalg.norm(fused - roi):.3f}")
+
+tensors = {"seq": seq, "rois": roi[None, :], "fpn": fmap}
+for prefix, params in (("probe", probe), ("film", film), ("context", mlp)):
+    tensors.update({f"{prefix}/{name}": value for name, value in vars(params).items()})
+write_tensor_file(tensors, "fusion_inputs.vstf")
+print("\nwrote fusion_inputs.vstf; fuse it with: vista fuse fusion_inputs.vstf --out run")

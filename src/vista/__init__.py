@@ -7,7 +7,7 @@ evaluation protocol, plus a seeded synthetic harness so every stage can
 be exercised without real data.
 """
 
-from .boxes import Box2D, clip_box, iou
+from .boxes import Box2D, iou
 from .ensemble import (
     EnsembleConfig,
     Grouping,
@@ -34,6 +34,7 @@ from .fusion import (
     ProbeParams,
     attentive_probe,
     film_modulate,
+    fuse_tensors,
     roi_context_fuse,
 )
 from .oracle import brute_force_evaluate

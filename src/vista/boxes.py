@@ -78,24 +78,6 @@ def iou(a: Box2D, b: Box2D) -> float:
     return inter / union
 
 
-def clip_box(b: Box2D, width: float, height: float) -> tuple[Box2D, bool]:
-    """Clamp a box into [0, width] x [0, height].
-
-    Returns (clipped_box, degenerate) where degenerate is True when the
-    clipped box has zero area (the original box lay entirely outside, or
-    collapsed onto the border). The caller decides whether to drop it.
-    """
-    if not (width > 0 and height > 0):
-        raise ValidationError(f"image size must be positive, got {width}x{height}")
-    clipped = Box2D(
-        min(max(b.x1, 0.0), width),
-        min(max(b.y1, 0.0), height),
-        min(max(b.x2, 0.0), width),
-        min(max(b.y2, 0.0), height),
-    )
-    return clipped, clipped.area == 0.0
-
-
 def box_columns(boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The x1, y1, x2, y2 columns of (N, 4) corners, contiguous, and the
     areas, as `Box2D.area` computes them."""

@@ -1,6 +1,6 @@
 """Command-line entry point: `vista <subcommand>`.
 
-Subcommands: evaluate, postprocess, ensemble, synth, plan, fuse-demo,
+Subcommands: evaluate, postprocess, ensemble, synth, plan, fuse,
 validate. Each setting's flag, config key and default come from the
 signature of the class or function it configures. A JSON config file
 (--config) supplies defaults; explicit flags override it. Exit codes:
@@ -18,12 +18,10 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
-from . import fusion
 from .ensemble import EnsembleConfig, ensemble_predictions
 from .errors import FormatError, ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
+from .fusion import fuse_tensors
 from .io_formats import (
     _dump_json,
     _load_json,
@@ -36,9 +34,9 @@ from .io_formats import (
     taxonomy_from_dict,
     write_ground_truth,
     write_submission,
+    write_tensor_file,
 )
 from .postprocess import InferenceConfig, load_proposal_batches, run_inference_chain
-from .rng import CounterRng
 from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 
@@ -168,67 +166,12 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _demo_probe_params(rng: CounterRng, d_in: int) -> fusion.ProbeParams:
-    return fusion.ProbeParams(
-        key_proj=np.array([[rng.gaussian() for _ in range(d_in)] for _ in range(d_in)]),
-        value_proj=np.array([[rng.gaussian() for _ in range(d_in)] for _ in range(d_in)]),
-        query=np.array([rng.gaussian() for _ in range(d_in)]),
-    )
-
-
-def cmd_fuse_demo(args) -> int:
-    tensors = read_tensor_file(args.tensors)
-    if "seq" not in tensors:
-        raise ValidationError(f"{args.tensors}: needs a 'seq' tensor of shape (T, D)")
-    problems = [f"{args.tensors}: {name!r} must have shape ({dims}), got {tensors[name].shape}"
-                for name, dims in (("seq", "T, D"), ("rois", "R, D_roi"), ("fpn", "C, H, W"))
-                if name in tensors and tensors[name].ndim != len(dims.split(", "))]
-    # The demo's stand-in parameters and its report need a non-empty seq and fpn.
-    problems += [f"{args.tensors}: {name!r} must have no zero-length dimension, got {tensors[name].shape}"
-                 for name in ("seq", "fpn") if name in tensors and 0 in tensors[name].shape]
-    if problems:
-        raise ValidationError(problems)
-    seq = tensors["seq"]
-    rois = tensors.get("rois", seq)
-    t, d_in = seq.shape
-    rng = CounterRng(int(args.seed or 0))
-    if {"probe/key_proj", "probe/value_proj", "probe/query"} <= set(tensors):
-        probe = fusion.ProbeParams(
-            key_proj=tensors["probe/key_proj"],
-            value_proj=tensors["probe/value_proj"],
-            query=tensors["probe/query"],
-        )
-    else:
-        probe = _demo_probe_params(rng, d_in)
-    token, weights = fusion.attentive_probe(seq, probe)
-    print("probe weights:", " ".join(f"{w:.6f}" for w in weights))
-
-    fmap = tensors.get("fpn")
-    if fmap is None:
-        fmap = np.asarray(seq, dtype=np.float64).reshape(t, 1, d_in)
-    c = fmap.shape[0]
-    d_token = token.shape[0]
-    identity = fusion.FilmParams(
-        gamma_proj=np.zeros((d_token, c)),
-        gamma_bias=np.ones(c),
-        beta_proj=np.zeros((d_token, c)),
-        beta_bias=np.zeros(c),
-    )
-    modulated = fusion.film_modulate(fmap, token, identity)
-    print(f"film identity max |delta|: {np.max(np.abs(modulated - fmap)):g}")
-
-    d_roi = rois.shape[1]
-    zero_residual = fusion.ContextMlpParams(
-        layer1_w=np.zeros((d_roi + d_token, d_roi)),
-        layer1_b=np.zeros(d_roi),
-        layer2_w=np.zeros((d_roi, d_roi)),
-        layer2_b=np.zeros(d_roi),
-        token_proj=np.eye(d_token),
-        token_bias=np.zeros(d_token),
-    )
-    for i, roi in enumerate(rois):
-        fused = fusion.roi_context_fuse(roi, token, zero_residual)
-        print(f"fused roi {i} norm: {np.linalg.norm(fused):.6f}")
+def cmd_fuse(args) -> int:
+    config = _load_config(args)
+    fused = fuse_tensors(read_tensor_file(args.tensors))
+    out = _out_dir(args, config)
+    write_tensor_file(fused, out / "fused.vstf")
+    print(out / "fused.vstf")
     return EXIT_OK
 
 
@@ -298,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, required=True)
     configurable(p, cmd_plan, plan_frames, writes=False)
 
-    p = sub.add_parser("fuse-demo", help="run the fusion kernels on a tensor container")
+    p = sub.add_parser("fuse", help="fuse the temporal token into fpn and rois, all read from a container")
     p.add_argument("tensors")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_fuse_demo)
+    configurable(p, cmd_fuse)
 
     p = sub.add_parser("validate", help="check a toolkit file for well-formedness")
     p.add_argument("path")

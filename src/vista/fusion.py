@@ -4,12 +4,13 @@ Three kernels: a single-query attentive probe that pools a cached feature
 sequence into one temporal token, feature-wise (per-channel) linear
 modulation of a feature map by that token, and a residual context MLP
 that fuses the token into each ROI feature vector. Parameters come from
-files; nothing here trains.
+files; nothing here trains. `fuse_tensors` runs all three on the named
+tensors of one container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,6 +79,8 @@ def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
             f"key_proj {key_proj.shape}, value_proj {value_proj.shape}"
         )
     d_att = key_proj.shape[1]
+    if d_att < 1:
+        raise ValidationError(f"key_proj must have at least one column (D_att >= 1), got shape {key_proj.shape}")
     if query.shape[0] != d_att:
         raise ValidationError(f"query dim {query.shape[0]} != key dim {d_att}")
 
@@ -147,3 +150,32 @@ def roi_context_fuse(roi, token, params: ContextMlpParams) -> np.ndarray:
     projected = token @ tp + tb
     hidden = np.maximum(np.concatenate([roi, projected]) @ w1 + b1, 0.0)
     return roi + hidden @ w2 + b2
+
+
+# The inputs of a fusion container and their shapes. Its parameters are
+# the fields of each parameter class, named "<prefix>/<field>".
+INPUT_TENSORS = {"seq": ("T", "D"), "rois": ("R", "D_roi"), "fpn": ("C", "H", "W")}
+PARAMETER_PREFIXES = {"probe": ProbeParams, "film": FilmParams, "context": ContextMlpParams}
+
+
+def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Run the three kernels on the named tensors of one container.
+
+    Every missing tensor is listed, then every input of the wrong rank;
+    the kernels check the other sizes against each other. Returns the
+    token and weights of the probe, the FiLM-modulated fpn and the rois
+    fused one by one with the token, (R, D_roi).
+    """
+    names = [*INPUT_TENSORS, *(f"{prefix}/{f.name}" for prefix, cls in PARAMETER_PREFIXES.items()
+                                for f in fields(cls))]
+    problems = [f"missing tensor {name!r}" for name in names if name not in tensors]
+    problems += [f"{name!r} must have shape ({', '.join(dims)}), got {tensors[name].shape}"
+                 for name, dims in INPUT_TENSORS.items() if name in tensors and tensors[name].ndim != len(dims)]
+    if problems:
+        raise ValidationError(problems)
+    probe, film, context = (cls(**{f.name: tensors[f"{prefix}/{f.name}"] for f in fields(cls)})
+                            for prefix, cls in PARAMETER_PREFIXES.items())
+    token, weights = attentive_probe(tensors["seq"], probe)
+    rois = tensors["rois"]
+    fused = np.array([roi_context_fuse(roi, token, context) for roi in rois]).reshape(rois.shape)
+    return {"token": token, "weights": weights, "fpn": film_modulate(tensors["fpn"], token, film), "rois": fused}

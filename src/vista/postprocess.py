@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
-from .types import HypothesisTable, Taxonomy, field_type_problems, sort_canonical
+from .types import HypothesisTable, Taxonomy, box_rules, field_type_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
@@ -125,12 +125,7 @@ class ProposalBatch:
 
     def _value_problems(self) -> list[str]:
         boxes = self.proposal_boxes
-        finite_box = np.isfinite(boxes).all(axis=1)
-        checks = [
-            (~finite_box, "box coordinates must be finite", boxes),
-            (finite_box & (boxes[:, 0] > boxes[:, 2]), "box has x1 > x2", boxes),
-            (finite_box & (boxes[:, 1] > boxes[:, 3]), "box has y1 > y2", boxes),
-        ]
+        checks = [(bad, rule, boxes) for bad, rule in box_rules(boxes)]
         for name in ("objectness", "quality"):
             values = getattr(self, name)
             checks.append((~((values > 0.0) & (values <= 1.0)), f"{name} must be in (0, 1]", values))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from vista.boxes import Box2D, clip_box, iou
+from vista.boxes import Box2D, iou
 from vista.errors import ValidationError
 
 
@@ -87,30 +87,3 @@ class TestIou:
     def test_self_iou_is_one_for_positive_area(self, b):
         if b.area > 0:
             assert iou(b, b) == 1.0
-
-
-class TestClipBox:
-    def test_already_inside(self):
-        clipped, degenerate = clip_box(Box2D(1, 1, 4, 4), 10, 10)
-        assert clipped == Box2D(1, 1, 4, 4)
-        assert not degenerate
-
-    def test_clamp_both_sides(self):
-        clipped, degenerate = clip_box(Box2D(-5, -5, 12, 12), 10, 10)
-        assert clipped == Box2D(0, 0, 10, 10)
-        assert not degenerate
-
-    def test_fully_outside_is_degenerate(self):
-        clipped, degenerate = clip_box(Box2D(11, 11, 12, 12), 10, 10)
-        assert degenerate
-        assert clipped.area == 0.0
-
-    @given(boxes)
-    def test_idempotent(self, b):
-        once, _ = clip_box(b, 60, 60)
-        twice, _ = clip_box(once, 60, 60)
-        assert once == twice
-
-    def test_bad_image_size(self):
-        with pytest.raises(ValidationError):
-            clip_box(Box2D(0, 0, 1, 1), 0, 10)

@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 
 from vista.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from vista.io_formats import load_predictions, write_tensor_file
+from vista.fusion import (
+    ContextMlpParams,
+    FilmParams,
+    ProbeParams,
+    attentive_probe,
+    film_modulate,
+    roi_context_fuse,
+)
+from vista.io_formats import load_predictions, read_tensor_file, write_tensor_file
 from vista.rng import CounterRng
 
+from test_fusion import rand_array
 from test_io_formats import vstf_record
 
 
@@ -378,17 +387,52 @@ class TestPlanCommand:
         assert main(["plan", "--time", "-1.0"]) == EXIT_VALIDATION
 
 
-class TestFuseDemoCommand:
-    def test_prints_kernel_diagnostics(self, tmp_path, capsys):
-        rng = CounterRng(6)
-        seq = np.array([[rng.gaussian() for _ in range(4)] for _ in range(3)])
+def fusion_tensors(t=3, d=4, d_att=2, d_token=3, c=2, h=2, w=2, r=2, d_roi=4, d_proj=2, hidden=3):
+    """A complete `vista fuse` container with random values, as float32."""
+    shapes = {
+        "seq": (t, d), "rois": (r, d_roi), "fpn": (c, h, w),
+        "probe/key_proj": (d, d_att), "probe/value_proj": (d, d_token), "probe/query": (d_att,),
+        "film/gamma_proj": (d_token, c), "film/gamma_bias": (c,),
+        "film/beta_proj": (d_token, c), "film/beta_bias": (c,),
+        "context/layer1_w": (d_roi + d_proj, hidden), "context/layer1_b": (hidden,),
+        "context/layer2_w": (hidden, d_roi), "context/layer2_b": (d_roi,),
+        "context/token_proj": (d_token, d_proj), "context/token_bias": (d_proj,),
+    }
+    rng = CounterRng(6)
+    return {name: rand_array(rng, *shape).astype(np.float32) for name, shape in shapes.items()}
+
+
+class TestFuseCommand:
+    def fuse(self, tmp_path, tensors, *flags):
         path = tmp_path / "fuse.vstf"
-        write_tensor_file({"seq": seq}, path)
-        assert main(["fuse-demo", str(path), "--seed", "1"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "probe weights:" in out
-        assert "film identity max |delta|: 0" in out
-        assert "fused roi 0 norm:" in out
+        write_tensor_file(tensors, path)
+        return main(["fuse", str(path), *flags])
+
+    def test_writes_the_fused_container(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "run")}))
+        assert self.fuse(tmp_path, fusion_tensors(), "--config", str(config)) == EXIT_OK
+        assert capsys.readouterr().out.strip() == str(tmp_path / "run" / "fused.vstf")
+        fused = read_tensor_file(tmp_path / "run" / "fused.vstf")
+        assert {name: arr.shape for name, arr in fused.items()} == {
+            "token": (3,), "weights": (3,), "fpn": (2, 2, 2), "rois": (2, 4)}
+
+    def test_outputs_equal_the_kernels(self, tmp_path):
+        assert self.fuse(tmp_path, fusion_tensors(), "--out", str(tmp_path)) == EXIT_OK
+        given = read_tensor_file(tmp_path / "fuse.vstf")
+        params = {prefix: {name.partition("/")[2]: arr for name, arr in given.items() if name.startswith(prefix)}
+                  for prefix in ("probe/", "film/", "context/")}
+        token, weights = attentive_probe(given["seq"], ProbeParams(**params["probe/"]))
+        expected = {
+            "token": token,
+            "weights": weights,
+            "fpn": film_modulate(given["fpn"], token, FilmParams(**params["film/"])),
+            "rois": [roi_context_fuse(roi, token, ContextMlpParams(**params["context/"])) for roi in given["rois"]],
+        }
+        fused = read_tensor_file(tmp_path / "fused.vstf")
+        assert list(fused) == list(expected)
+        for name, arr in expected.items():
+            assert np.array_equal(fused[name], np.asarray(arr, dtype=np.float32)), name
 
     @pytest.mark.parametrize("tensors, problem", [
         ({"seq": np.arange(5.0)}, "'seq' must have shape (T, D), got (5,)"),
@@ -397,33 +441,54 @@ class TestFuseDemoCommand:
         ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 2))}, "'fpn' must have shape (C, H, W), got (2, 2)"),
     ])
     def test_wrong_rank_exit_2(self, tmp_path, capsys, tensors, problem):
-        path = tmp_path / "fuse.vstf"
-        write_tensor_file(tensors, path)
-        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+        assert self.fuse(tmp_path, {**fusion_tensors(), **tensors}) == EXIT_VALIDATION
         assert problem in capsys.readouterr().err
 
     def test_both_wrong_ranks_listed(self, tmp_path, capsys):
-        path = tmp_path / "fuse.vstf"
-        write_tensor_file({"seq": np.ones(5), "rois": np.ones(3)}, path)
-        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+        assert self.fuse(tmp_path, {**fusion_tensors(), "seq": np.ones(5), "rois": np.ones(3)}) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "'seq' must have shape (T, D), got (5,)" in err
         assert "'rois' must have shape (R, D_roi), got (3,)" in err
 
-    @pytest.mark.parametrize("tensors, problem", [
-        ({"seq": np.ones((3, 0))}, "'seq' must have no zero-length dimension, got (3, 0)"),
-        ({"seq": np.ones((3, 4)), "fpn": np.ones((0, 2, 2))},
-         "'fpn' must have no zero-length dimension, got (0, 2, 2)"),
-        ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 0, 2))},
-         "'fpn' must have no zero-length dimension, got (2, 0, 2)"),
+    @pytest.mark.parametrize("sizes, shapes", [
+        ({"d": 0}, {"token": (3,), "weights": (3,), "fpn": (2, 2, 2), "rois": (2, 4)}),
+        ({"c": 0}, {"token": (3,), "weights": (3,), "fpn": (0, 2, 2), "rois": (2, 4)}),
+        ({"h": 0}, {"token": (3,), "weights": (3,), "fpn": (2, 0, 2), "rois": (2, 4)}),
+        ({"r": 0}, {"token": (3,), "weights": (3,), "fpn": (2, 2, 2), "rois": (0, 4)}),
+        ({"d_token": 0}, {"token": (0,), "weights": (3,), "fpn": (2, 2, 2), "rois": (2, 4)}),
+    ], ids=["D=0", "C=0", "H=0", "R=0", "D_token=0"])
+    def test_zero_length_dimension_exit_0(self, tmp_path, sizes, shapes):
+        assert self.fuse(tmp_path, fusion_tensors(**sizes), "--out", str(tmp_path)) == EXIT_OK
+        fused = read_tensor_file(tmp_path / "fused.vstf")
+        assert {name: arr.shape for name, arr in fused.items()} == shapes
+
+    @pytest.mark.parametrize("sizes, problem", [
+        ({"d_att": 0}, "key_proj must have at least one column (D_att >= 1), got shape (4, 0)"),
+        ({"t": 0}, "sequence must contain at least one row"),
     ])
-    def test_zero_length_dimension_exit_2(self, tmp_path, capsys, tensors, problem):
-        path = tmp_path / "fuse.vstf"
-        write_tensor_file(tensors, path)
-        assert main(["fuse-demo", str(path)]) == EXIT_VALIDATION
+    def test_degenerate_probe_exit_2(self, tmp_path, capsys, sizes, problem):
+        assert self.fuse(tmp_path, fusion_tensors(**sizes)) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert problem in err
-        assert "key_proj" not in err
+        assert "token" not in err
+
+    def test_every_missing_tensor_listed(self, tmp_path, capsys):
+        tensors = fusion_tensors()
+        for name in ("rois", "film/gamma_bias", "context/token_proj"):
+            del tensors[name]
+        assert self.fuse(tmp_path, {**tensors, "fpn": np.ones(2)}) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: missing tensor 'rois'; missing tensor 'film/gamma_bias'; missing tensor 'context/token_proj'; "
+            "'fpn' must have shape (C, H, W), got (2,)\n")
+
+    def test_partial_probe_exit_2(self, tmp_path, capsys):
+        tensors = fusion_tensors()
+        partial = {name: tensors[name] for name in ("seq", "rois", "fpn", "probe/key_proj")}
+        assert self.fuse(tmp_path, partial, "--out", str(tmp_path)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "missing tensor 'probe/value_proj'" in err
+        assert "missing tensor 'probe/query'" in err
+        assert not (tmp_path / "fused.vstf").exists()
 
 
 class TestValidateCommand:
@@ -525,6 +590,10 @@ SURFACE = {
          ("--sample-rate", "sample_rate", float), ("--config", "config", None)],
         ("frame_count", "sample_rate"),
     ),
+    "fuse": (
+        [("-h --help", "help", None), ("--out", "out", None), ("--config", "config", None)],
+        ("out",),
+    ),
 }
 
 
@@ -560,7 +629,7 @@ class TestCliSurface:
         action = next(a for a in subparser(command)._actions if flag in a.option_strings)
         assert action.help == help_text
 
-    @pytest.mark.parametrize("command", list(SURFACE))
+    @pytest.mark.parametrize("command", [command for command in SURFACE if command != "fuse"])
     def test_every_setting_flag_shows_a_default(self, command):
         p = subparser(command)
         settings = [a for a in p._actions if a.dest in p.get_default("config_keys") and a.dest != "out"]
@@ -575,6 +644,7 @@ class TestOutMustBeAString:
         "postprocess": ["postprocess", "missing.vstf", "missing_taxonomy.json"],
         "ensemble": ["ensemble", "missing_a.json", "missing_b.json"],
         "synth": ["synth", "--n-examples", "2"],
+        "fuse": ["fuse", "missing.vstf"],
     }
 
     @pytest.mark.parametrize("out", [5, None])

@@ -91,6 +91,12 @@ class TestAttentiveProbe:
         with pytest.raises(ValidationError):
             attentive_probe(np.zeros((2, 4)), params)
 
+    def test_zero_attention_width_rejected(self):
+        # softmax over logits divided by sqrt(0) would give NaN weights
+        params = ProbeParams(np.zeros((2, 0)), np.zeros((2, 2)), np.zeros(0))
+        with pytest.raises(ValidationError, match=r"key_proj must have at least one column"):
+            attentive_probe(np.ones((3, 2)), params)
+
     def test_non_finite_rejected(self):
         params = ProbeParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ValidationError):
