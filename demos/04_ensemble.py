@@ -34,9 +34,11 @@ print(f"ensemble: Overall mAP = {report.map_overall:6.2f}")
 
 uid = next(iter(merged))
 print(f"\nmerged hypotheses for {uid}:")
-for h in merged[uid].to_hypotheses():
+table = merged[uid]
+for (x1, y1, x2, y2), noun, verb, ttc, score in zip(
+    table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(), table.ttc.tolist(), table.score.tolist()
+):
     print(
-        f"  noun {h.noun_id} verb {h.verb_id}  ttc {h.ttc:4.2f}  "
-        f"score {h.score:.3f}  box ({h.box.x1:.0f}, {h.box.y1:.0f}, "
-        f"{h.box.x2:.0f}, {h.box.y2:.0f})"
+        f"  noun {noun} verb {verb}  ttc {ttc:4.2f}  "
+        f"score {score:.3f}  box ({x1:.0f}, {y1:.0f}, {x2:.0f}, {y2:.0f})"
     )

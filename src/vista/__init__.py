@@ -12,7 +12,6 @@ from .ensemble import (
     EnsembleConfig,
     Grouping,
     HypothesisGroup,
-    compatible,
     ensemble_predictions,
     group_hypotheses,
     merge_group,
@@ -25,7 +24,6 @@ from .evaluation import (
     average_precision,
     evaluate,
     format_report_table,
-    matches,
     top_k_filter,
 )
 from .fusion import (
@@ -61,7 +59,6 @@ from .types import (
     Taxonomy,
     as_gt_table,
     as_table,
-    canonical_key,
     canonical_order,
     sort_canonical,
 )

@@ -4,7 +4,8 @@ Boxes use corner coordinates with no +1 pixel convention:
 area = (x2 - x1) * (y2 - y1). Zero-area boxes are representable but
 match nothing (their IoU against anything is defined as 0).
 
-`iou` is the scalar definition; `pair_iou` computes it over columns for
+`iou` is the scalar definition, kept as the bit-exact reference that
+`pair_iou` is tested against; `pair_iou` computes it over columns for
 many pairs at once with the same operations in the same order, so both
 give the same bits, and `pair_blocks` enumerates the pairs in bounded
 blocks.

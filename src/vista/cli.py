@@ -32,9 +32,9 @@ from .io_formats import (
     predictions_from_dict,
     read_tensor_file,
     taxonomy_from_dict,
+    tensor_file_bytes,
     write_ground_truth,
     write_submission,
-    write_tensor_file,
 )
 from .postprocess import InferenceConfig, load_proposal_batches, run_inference_chain
 from .sampling import plan_frames
@@ -104,7 +104,7 @@ def cmd_evaluate(args) -> int:
     cfg = EvalConfig(**_settings(args, config, EvalConfig))
     taxonomy, gts = load_ground_truth(args.ground_truth)
     preds = load_predictions(args.predictions, taxonomy)
-    report = evaluate(preds, gts, cfg, taxonomy)
+    report = evaluate(preds, gts, cfg)
     out = _out_dir(args, config)
     doc = report.to_dict()
     doc["provenance"] = {
@@ -168,9 +168,9 @@ def cmd_plan(args) -> int:
 
 def cmd_fuse(args) -> int:
     config = _load_config(args)
-    fused = fuse_tensors(read_tensor_file(args.tensors))
+    fused = tensor_file_bytes(fuse_tensors(read_tensor_file(args.tensors)))
     out = _out_dir(args, config)
-    write_tensor_file(fused, out / "fused.vstf")
+    (out / "fused.vstf").write_bytes(fused)
     print(out / "fused.vstf")
     return EXIT_OK
 

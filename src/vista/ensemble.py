@@ -21,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, iou, pair_iou, same_key_pairs
+from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import (
-    HypothesisTable,
-    PredictionSet,
-    StaHypothesis,
-    as_table,
-    field_type_problems,
-    sort_canonical,
-)
+from .types import HypothesisTable, PredictionSet, as_table, field_type_problems, sort_canonical
 
 
 @dataclass(frozen=True)
@@ -65,10 +58,6 @@ class HypothesisGroup:
 
     members: HypothesisTable
 
-    @property
-    def seed(self) -> StaHypothesis:
-        return self.members.take(slice(0, 1)).to_hypotheses()[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Grouping:
@@ -94,25 +83,18 @@ class Grouping:
         return (HypothesisGroup(self.table.take(slice(*ends))) for ends in zip(bounds, bounds[1:]))
 
 
-def compatible(a: StaHypothesis, b: StaHypothesis, cfg: EnsembleConfig = EnsembleConfig()) -> bool:
-    """Same noun, same verb, IoU >= box_iou_min, |ttc difference| <= tolerance."""
-    return (
-        a.noun_id == b.noun_id
-        and a.verb_id == b.verb_id
-        and iou(a.box, b.box) >= cfg.box_iou_min
-        and abs(a.ttc - b.ttc) <= cfg.ttc_tolerance
-    )
-
-
 def group_hypotheses(hyps, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
     """Greedy seed-anchored grouping (not transitive closure).
 
     Repeatedly take the highest-ranked ungrouped hypothesis as seed; the
-    seed and every ungrouped hypothesis `compatible` with it form a group.
-    The seed always belongs to its own group, also when it is not
-    compatible with itself (a zero-area box has IoU 0 with itself). The
-    result is a partition: each input hypothesis lands in exactly one
-    group. `hyps` is a HypothesisTable or a list of StaHypothesis.
+    seed and every ungrouped hypothesis compatible with it form a group.
+    Two hypotheses are compatible when they have the same noun and verb,
+    an IoU >= box_iou_min (as `boxes.iou` computes it) and a TTC gap
+    <= ttc_tolerance. The seed always belongs to its own group, also when
+    it is not compatible with itself (a zero-area box has IoU 0 with
+    itself). The result is a partition: each input hypothesis lands in
+    exactly one group. `hyps` is a HypothesisTable or a list of
+    StaHypothesis.
 
     Compatibility is computed only for same-(noun, verb) pairs,
     PAIR_BLOCK pairs at a time; one greedy pass in rank order then

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, iou, pair_blocks, pair_iou
+from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
 from .types import (
     GroundTruthInstance,
     GroundTruthTable,
     HypothesisTable,
     PredictionSet,
-    StaHypothesis,
-    Taxonomy,
     as_gt_table,
     as_table,
     canonical_order,
@@ -109,28 +107,6 @@ class EvalReport:
         }
 
 
-def matches(
-    pred: StaHypothesis,
-    gt: GroundTruthInstance,
-    variant: MatchVariant,
-    cfg: EvalConfig = EvalConfig(),
-) -> bool:
-    """Variant-specific matching predicate. Thresholds are strict
-    inequalities: IoU must exceed iou_min, TTC error must be below
-    ttc_max_error."""
-    if iou(pred.box, gt.box) <= cfg.iou_min:
-        return False
-    if pred.noun_id != gt.noun_id:
-        return False
-    if variant in (MatchVariant.NOUN_VERB, MatchVariant.OVERALL) and pred.verb_id != gt.verb_id:
-        return False
-    if variant in (MatchVariant.NOUN_TTC, MatchVariant.OVERALL) and not (
-        abs(pred.ttc - gt.ttc) < cfg.ttc_max_error
-    ):
-        return False
-    return True
-
-
 def top_k_filter(preds, k: int) -> HypothesisTable:
     """Keep at most the k highest-ranked hypotheses (canonical order) of a
     HypothesisTable or a list of StaHypothesis."""
@@ -206,7 +182,6 @@ def evaluate(
     preds: PredictionSet,
     gts: GroundTruthTable | list[GroundTruthInstance],
     cfg: EvalConfig = EvalConfig(),
-    taxonomy: Taxonomy | None = None,
 ) -> EvalReport:
     """Run the four-variant protocol over a prediction set.
 
@@ -222,18 +197,6 @@ def evaluate(
     """
     tables = {uid: as_table(hyps) for uid, hyps in preds.items()}
     gts = as_gt_table(gts)
-    if taxonomy is not None:
-        problems = []
-        for r in np.flatnonzero(~taxonomy.valid_ids(gts.noun, gts.verb)).tolist():
-            problems += taxonomy.check_ids(int(gts.noun[r]), int(gts.verb[r]), f"gt {gts.uid[r]}")
-        for uid, table in tables.items():
-            for r in np.flatnonzero(~taxonomy.valid_ids(table.noun, table.verb)).tolist():
-                problems += taxonomy.check_ids(
-                    int(table.noun[r]), int(table.verb[r]), f"prediction {uid}"
-                )
-        if problems:
-            raise ValidationError(problems)
-
     kept = [top_k_filter(table, cfg.top_k) for table in tables.values()]
     uid_code = {uid: c for c, uid in enumerate(sorted(set(tables) | set(gts.uid)))}
     pred = HypothesisTable.concat(kept)

@@ -448,19 +448,28 @@ def write_submission(preds: PredictionSet, path, provenance: dict | None = None)
 
 # -- tensor container -------------------------------------------------------
 
-def write_tensor_file(tensors: dict[str, np.ndarray], path) -> None:
+def tensor_file_bytes(tensors: dict[str, np.ndarray]) -> bytes:
+    """The container of the tensors as float32, checked before any byte is
+    written: every value must be finite, in float32 too."""
     parts = [TENSOR_MAGIC, struct.pack("<I", TENSOR_VERSION)]
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+    for name, given in tensors.items():
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(given, dtype=np.float32)
         if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"tensor {name!r} contains non-finite values")
+            beyond = np.all(np.isfinite(given))
+            raise ValidationError(f"tensor {name!r} " + (
+                "has values that exceed the float32 range" if beyond else "contains non-finite values"))
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    return b"".join(parts)
+
+
+def write_tensor_file(tensors: dict[str, np.ndarray], path) -> None:
+    Path(path).write_bytes(tensor_file_bytes(tensors))
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:

@@ -8,6 +8,7 @@ the counter-based RNG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .boxes import Box2D
@@ -46,8 +47,8 @@ class NoiseConfig:
                 problems.append(f"{name} must be in [0, 1], got {p}")
         for name in ("box_jitter_sigma", "ttc_noise_sigma"):
             s = getattr(self, name)
-            if s < 0.0:
-                problems.append(f"{name} must be >= 0, got {s}")
+            if not (math.isfinite(s) and s >= 0.0):
+                problems.append(f"{name} must be finite and >= 0, got {s}")
         if problems:
             raise ValidationError(problems)
 

@@ -16,8 +16,9 @@ from .boxes import Box2D
 from .errors import ValidationError
 
 # Per-example predictions keyed by example uid, each a HypothesisTable in
-# the canonical hypothesis ordering (see `canonical_key`). Functions that
-# take one also take lists of StaHypothesis (see `as_table`).
+# the canonical hypothesis ordering (see `canonical_order`). Functions that
+# take one also take lists of StaHypothesis, the form `synth` returns
+# (see `as_table`).
 PredictionSet = dict[str, "HypothesisTable"]
 
 
@@ -68,20 +69,23 @@ class Taxonomy:
         """Mask of the rows of id columns whose noun and verb are both in range."""
         return (noun >= 0) & (noun < self.n_nouns) & (verb >= 0) & (verb < self.n_verbs)
 
-    def check_ids(self, noun_id: int, verb_id: int, context: str = "") -> list[str]:
+    def check_ids(self, noun_id: int, verb_id: int) -> list[str]:
         """Return a list of problems (empty when both ids are in range)."""
         problems = []
-        where = f" in {context}" if context else ""
         if not (0 <= noun_id < self.n_nouns):
-            problems.append(f"noun_id {noun_id} out of range [0, {self.n_nouns}){where}")
+            problems.append(f"noun_id {noun_id} out of range [0, {self.n_nouns})")
         if not (0 <= verb_id < self.n_verbs):
-            problems.append(f"verb_id {verb_id} out of range [0, {self.n_verbs}){where}")
+            problems.append(f"verb_id {verb_id} out of range [0, {self.n_verbs})")
         return problems
 
 
 @dataclass(frozen=True)
 class StaHypothesis:
-    """One anticipation hypothesis: where, what, how, when, and how sure."""
+    """One anticipation hypothesis: where, what, how, when, and how sure.
+
+    Objects only enter the library: `synth` builds them and the oracle
+    reads them, and `as_table` turns a list of them into the
+    HypothesisTable every computation runs on."""
 
     box: Box2D
     noun_id: int
@@ -106,7 +110,8 @@ class StaHypothesis:
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """One annotated future interaction for an example."""
+    """One annotated future interaction for an example. Like
+    StaHypothesis, it only enters the library (`as_gt_table`)."""
 
     example_uid: str
     box: Box2D
@@ -244,23 +249,10 @@ class HypothesisTable:
             np.where(self.has_source, self.source, source), np.ones(len(self), dtype=bool),
         )
 
-    def to_hypotheses(self) -> list[StaHypothesis]:
-        return [
-            StaHypothesis(
-                box=Box2D(*box), noun_id=noun, verb_id=verb, ttc=ttc, score=score,
-                source_id=source if has_source else None,
-            )
-            for box, noun, verb, ttc, score, source, has_source in zip(
-                self.boxes.tolist(), self.noun.tolist(), self.verb.tolist(),
-                self.ttc.tolist(), self.score.tolist(), self.source.tolist(),
-                self.has_source.tolist(),
-            )
-        ]
-
 
 def as_table(hyps) -> HypothesisTable:
-    """A HypothesisTable as it is, or a list of StaHypothesis as a table
-    of the same rows in the same order."""
+    """A HypothesisTable as it is, or a list of StaHypothesis (`synth`'s
+    output) as a table of the same rows in the same order."""
     if isinstance(hyps, HypothesisTable):
         return hyps
     return HypothesisTable(
@@ -313,8 +305,8 @@ class GroundTruthTable:
 
 
 def as_gt_table(gts) -> GroundTruthTable:
-    """A GroundTruthTable as it is, or a list of GroundTruthInstance as a
-    table of the same rows in the same order."""
+    """A GroundTruthTable as it is, or a list of GroundTruthInstance
+    (`synth`'s output) as a table of the same rows in the same order."""
     if isinstance(gts, GroundTruthTable):
         return gts
     return GroundTruthTable(
@@ -326,17 +318,12 @@ def as_gt_table(gts) -> GroundTruthTable:
     )
 
 
-def canonical_key(h: StaHypothesis):
-    """Total ordering on hypotheses: score descending, then ascending
-    (noun_id, verb_id, x1, y1, x2, y2, ttc). Makes every downstream sort,
-    truncation, and tie-break bitwise reproducible."""
-    return (-h.score, h.noun_id, h.verb_id, h.box.x1, h.box.y1, h.box.x2, h.box.y2, h.ttc)
-
-
 def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
-    """The row indices that put a table in canonical order: a stable
-    lexsort over the `canonical_key` fields, so full ties keep their row
-    order, as `sorted` keeps them, unless a `tie_break` column orders them.
+    """The row indices that put a table in canonical order, the total
+    order on hypotheses: score descending, then ascending (noun, verb, x1,
+    y1, x2, y2, ttc). It makes every downstream sort, truncation and
+    tie-break bitwise reproducible. The sort is a stable lexsort, so full
+    ties keep their row order unless a `tie_break` column orders them.
     When no two scores are equal, the score alone orders the rows and one
     stable argsort of it gives the same indices."""
     by_score = np.argsort(-table.score, kind="stable")
@@ -349,7 +336,9 @@ def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
 
 
 def sort_canonical(hyps):
-    """Put a list of hypotheses or a HypothesisTable in canonical order."""
+    """Put a HypothesisTable, or a list of StaHypothesis, in canonical
+    order. A list comes back as the same objects reordered: `synth` sorts
+    its lists with it."""
     if isinstance(hyps, HypothesisTable):
         return hyps.take(canonical_order(hyps))
-    return sorted(hyps, key=canonical_key)
+    return [hyps[i] for i in canonical_order(as_table(hyps)).tolist()]

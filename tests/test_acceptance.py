@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from vista.boxes import Box2D, iou
-from vista.ensemble import EnsembleConfig, compatible, ensemble_predictions, group_hypotheses, merge_group
+from vista.ensemble import EnsembleConfig, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import FormatError, ValidationError
-from vista.evaluation import EvalConfig, MatchVariant, evaluate, matches
+from vista.evaluation import EvalConfig, MatchVariant, evaluate
 from vista.fusion import FilmParams, ProbeParams, attentive_probe, film_modulate, roi_context_fuse
 from vista.io_formats import (
     load_ground_truth,
@@ -35,10 +35,12 @@ from vista.postprocess import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import GroundTruthInstance, StaHypothesis
+from vista.types import GroundTruthInstance, StaHypothesis, as_table
 
+from test_ensemble import compatible
+from test_evaluation import matches
 from test_fusion import probe_oracle, rand_array, zero_residual_mlp
-from test_postprocess import TAXONOMY, make_hypothesis, make_tensors, table_of
+from test_postprocess import TAXONOMY, columns, make_hypothesis, make_tensors, row_set, table_of
 
 CFG = EvalConfig()
 
@@ -144,7 +146,7 @@ def test_criterion_5_postprocessing_chain(tmp_path):
             rng = CounterRng(50_000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(2 + rng.randint(18))]
             once = class_aware_nms(table_of(hyps), 0.5, len(hyps))
-            assert class_aware_nms(once, 0.5, len(once)).to_hypotheses() == once.to_hypotheses()
+            assert columns(class_aware_nms(once, 0.5, len(once))) == columns(once)
         # determinism under input permutation (tensor rows reversed), byte-identical exports
         rng = CounterRng(60_001)
         tensors = make_tensors(rng, 40)
@@ -219,11 +221,10 @@ def test_criterion_7_ensemble_sanity():
         single = ensemble_predictions([src])
         quad = ensemble_predictions([src] * 4)
         for uid in single:
-            assert [(h.noun_id, h.verb_id) for h in single[uid].to_hypotheses()] == [
-                (h.noun_id, h.verb_id) for h in quad[uid].to_hypotheses()
-            ]
-            for a, b in zip(single[uid].to_hypotheses(), quad[uid].to_hypotheses()):
-                assert a.box.corners() == pytest.approx(b.box.corners(), abs=1e-9)
+            assert single[uid].noun.tolist() == quad[uid].noun.tolist()
+            assert single[uid].verb.tolist() == quad[uid].verb.tolist()
+            for a, b in zip(single[uid].boxes.tolist(), quad[uid].boxes.tolist()):
+                assert a == pytest.approx(b, abs=1e-9)
         # merged members stay in the convex hull / ttc interval
         for seed in range(30):
             rng = CounterRng(80_000 + seed)
@@ -245,14 +246,13 @@ def test_criterion_7_ensemble_sanity():
                 for s in range(1, 4)
             ]
             groups = group_hypotheses(members, EnsembleConfig(n_sources=4))
-            merged_rows = merge_group(groups, EnsembleConfig(n_sources=4)).to_hypotheses()
-            for g, merged in zip(groups, merged_rows, strict=True):
-                g_members = g.members.to_hypotheses()
+            merged = merge_group(groups, EnsembleConfig(n_sources=4))
+            for g, box, ttc in zip(groups, merged.boxes.tolist(), merged.ttc.tolist(), strict=True):
                 for i in range(4):
-                    corners = [m.box.corners()[i] for m in g_members]
-                    assert min(corners) - 1e-9 <= merged.box.corners()[i] <= max(corners) + 1e-9
-                ttcs = [m.ttc for m in g_members]
-                assert min(ttcs) - 1e-9 <= merged.ttc <= max(ttcs) + 1e-9
+                    corners = g.members.boxes[:, i].tolist()
+                    assert min(corners) - 1e-9 <= box[i] <= max(corners) + 1e-9
+                ttcs = g.members.ttc.tolist()
+                assert min(ttcs) - 1e-9 <= ttc <= max(ttcs) + 1e-9
         # three-hypothesis greedy-grouping trace: A~B, B~C, A!~C
         cfg = EnsembleConfig(box_iou_min=0.3)
         a = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.0, 0.9)
@@ -260,7 +260,7 @@ def test_criterion_7_ensemble_sanity():
         c = StaHypothesis(Box2D(8, 0, 18, 10), 0, 0, 1.0, 0.3)
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
         groups = group_hypotheses([a, b, c], cfg)
-        assert [set(g.members.to_hypotheses()) for g in groups] == [{a, b}, {c}]
+        assert [row_set(g.members) for g in groups] == [row_set(as_table([a, b])), row_set(as_table([c]))]
 
 
 def test_criterion_8_softplus_ttc():

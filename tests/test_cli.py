@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,14 @@ class TestSynthCommand:
             outs.append(out)
         for fname in ("ground_truth.json", "predictions_source_00.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--box-jitter-sigma", "--ttc-noise-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_named_exit_2(self, tmp_path, capsys, flag, value):
+        assert main(["synth", flag, value, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be finite and >= 0, got {value}\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvaluateCommand:
@@ -94,6 +103,18 @@ class TestEvaluateCommand:
         code = main(["evaluate", str(bad), str(synth_dir / "predictions_source_00.json")])
         assert code == EXIT_VALIDATION
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_noun_outside_the_ground_truth_taxonomy_exit_2(self, synth_dir, tmp_path, capsys):
+        doc = json.loads((synth_dir / "predictions_source_00.json").read_text())
+        entries = doc["results"]["ex_0001"]
+        entries.append({**entries[0], "noun_category_id": 3})
+        submission = tmp_path / "submission.json"
+        submission.write_text(json.dumps(doc))
+        code = main(["evaluate", str(synth_dir / "ground_truth.json"), str(submission), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {submission}: results['ex_0001'][{len(entries) - 1}]: noun_id 3 out of range [0, 3)\n")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestPostprocessCommand:
@@ -190,7 +211,7 @@ class TestPostprocessCommand:
         code = main(["postprocess", str(heads), str(taxonomy), "--nms-iou", "1.0", "--out", str(out)])
         assert code == EXIT_OK
         preds = load_predictions(out / "submission.json")
-        assert all(h.score > 0.0 for h in preds["heads"].to_hypotheses())
+        assert all(score > 0.0 for score in preds["heads"].score.tolist())
         assert len(preds["heads"]) == 5 * 9 + 3
 
     def test_mismatched_tensor_shapes_exit_2(self, tmp_path, capsys):
@@ -217,9 +238,8 @@ class TestEnsembleCommand:
         merged = load_predictions(out / "ensemble.json")
         original = load_predictions(src)
         for uid in original:
-            assert [(h.noun_id, h.verb_id) for h in merged[uid].to_hypotheses()] == [
-                (h.noun_id, h.verb_id) for h in original[uid].to_hypotheses()
-            ]
+            assert merged[uid].noun.tolist() == original[uid].noun.tolist()
+            assert merged[uid].verb.tolist() == original[uid].verb.tolist()
 
     def test_duplicated_input_matches_single_ranking(self, synth_dir, tmp_path):
         src = synth_dir / "predictions_source_00.json"
@@ -230,11 +250,10 @@ class TestEnsembleCommand:
         a = load_predictions(single / "ensemble.json")
         b = load_predictions(double / "ensemble.json")
         for uid in a:
-            assert [(h.noun_id, h.verb_id) for h in a[uid].to_hypotheses()] == [
-                (h.noun_id, h.verb_id) for h in b[uid].to_hypotheses()
-            ]
-            for ha, hb in zip(a[uid].to_hypotheses(), b[uid].to_hypotheses()):
-                assert ha.box.corners() == pytest.approx(hb.box.corners(), abs=1e-9)
+            assert a[uid].noun.tolist() == b[uid].noun.tolist()
+            assert a[uid].verb.tolist() == b[uid].verb.tolist()
+            for box_a, box_b in zip(a[uid].boxes.tolist(), b[uid].boxes.tolist()):
+                assert box_a == pytest.approx(box_b, abs=1e-9)
 
     @pytest.mark.parametrize(
         "flags", [["--iou-min", "nan"], ["--ttc-tol", "nan"], ["--max-exports", "-1"],
@@ -489,6 +508,18 @@ class TestFuseCommand:
         assert "missing tensor 'probe/value_proj'" in err
         assert "missing tensor 'probe/query'" in err
         assert not (tmp_path / "fused.vstf").exists()
+
+    def test_values_beyond_float32_exit_2(self, tmp_path, capsys):
+        # Every input is finite float32; FiLM multiplies two values of 1e30
+        # or so, which float32 cannot hold.
+        tensors = fusion_tensors()
+        for name in ("fpn", "film/gamma_bias"):
+            tensors[name] = tensors[name] * np.float32(1e30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.fuse(tmp_path, tensors, "--out", str(tmp_path / "run")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: tensor 'fpn' has values that exceed the float32 range\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestValidateCommand:

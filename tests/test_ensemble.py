@@ -3,18 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vista.ensemble as ensemble
-from vista.boxes import Box2D
-from vista.ensemble import (
-    EnsembleConfig,
-    Grouping,
-    compatible,
-    ensemble_predictions,
-    group_hypotheses,
-    merge_group,
-)
+from vista.boxes import Box2D, iou
+from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import ValidationError
 from vista.rng import CounterRng
-from vista.types import StaHypothesis, as_table, canonical_key
+from vista.types import StaHypothesis, as_table
+
+from test_postprocess import columns, rank_key
 
 
 def hyp(x1=0.0, y1=0.0, x2=10.0, y2=10.0, noun=0, verb=0, ttc=1.0, score=0.5, source=None):
@@ -35,6 +30,11 @@ def random_hyp(rng, n_nouns=3, n_verbs=3, source=None):
         score=rng.uniform(0.01, 1.0),
         source_id=source,
     )
+
+
+def compatible(a, b, cfg=EnsembleConfig()):
+    """Whether grouping puts the two hypotheses in one group."""
+    return len(group_hypotheses([a, b], cfg)) == 1
 
 
 class TestCompatible:
@@ -64,7 +64,7 @@ class TestGroupHypotheses:
         groups = group_hypotheses(hyps)
         assert len(groups) == 1
         assert len(groups[0].members) == 3
-        assert groups[0].seed.score == 0.9
+        assert groups[0].members.score[0] == 0.9
 
     def test_disjoint_clusters_split(self):
         hyps = [hyp(), hyp(x1=100, x2=110, y1=100, y2=110)]
@@ -80,8 +80,8 @@ class TestGroupHypotheses:
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
         groups = group_hypotheses([a, b, c], cfg)
         assert [len(g.members) for g in groups] == [2, 1]
-        assert groups[0].seed == a
-        assert groups[1].seed == c
+        assert columns(groups[0].members.take([0])) == columns(as_table([a]))
+        assert columns(groups[1].members.take([0])) == columns(as_table([c]))
 
     def test_grouped_member_gathers_nothing(self):
         # B joins A's group; C and D are compatible with B only, not with
@@ -93,7 +93,7 @@ class TestGroupHypotheses:
         cfg = EnsembleConfig(box_iou_min=0.3)
         assert compatible(b, c, cfg) and compatible(b, d, cfg) and not compatible(c, d, cfg)
         groups = group_hypotheses([d, c, b, a], cfg)
-        assert [g.members.to_hypotheses() for g in groups] == [[a, b], [c], [d]]
+        assert [columns(g.members) for g in groups] == [columns(as_table(m)) for m in ([a, b], [c], [d])]
 
     def test_partition_property(self):
         for seed in range(20):
@@ -105,22 +105,32 @@ class TestGroupHypotheses:
 
 def merge_one(members, cfg=EnsembleConfig()):
     """merge_group of one group of exactly these members, in this order,
-    the first the seed."""
+    the first the seed: a table of one row."""
     table = as_table(list(members))
-    grouping = Grouping(table, np.array([0, len(table)]))
-    [merged] = merge_group(grouping, cfg).to_hypotheses()
+    merged = merge_group(Grouping(table, np.array([0, len(table)])), cfg)
+    assert len(merged) == 1
     return merged
+
+
+def scalar_compatible(a, b, cfg):
+    """Same noun, same verb, IoU >= box_iou_min, |TTC gap| <= tolerance."""
+    return (
+        a.noun_id == b.noun_id
+        and a.verb_id == b.verb_id
+        and iou(a.box, b.box) >= cfg.box_iou_min
+        and abs(a.ttc - b.ttc) <= cfg.ttc_tolerance
+    )
 
 
 def brute_force_groups(hyps, cfg):
     """Greedy seed-anchored grouping over hypothesis objects with the
-    scalar `compatible`; the seed always joins its own group."""
-    remaining = sorted(hyps, key=canonical_key)
+    scalar `scalar_compatible`; the seed always joins its own group."""
+    remaining = sorted(hyps, key=rank_key)
     groups = []
     while remaining:
         seed, rest = remaining[0], remaining[1:]
-        groups.append([seed] + [h for h in rest if compatible(seed, h, cfg)])
-        remaining = [h for h in rest if not compatible(seed, h, cfg)]
+        groups.append([seed] + [h for h in rest if scalar_compatible(seed, h, cfg)])
+        remaining = [h for h in rest if not scalar_compatible(seed, h, cfg)]
     return groups
 
 
@@ -179,8 +189,8 @@ class TestGroupingEquivalence:
         finally:
             ensemble.PAIR_BLOCK = saved
         expected = brute_force_groups(hyps, cfg)
-        assert [g.members.to_hypotheses() for g in groups] == expected
-        assert merge_group(groups, cfg).to_hypotheses() == [scalar_merge(g, cfg) for g in expected]
+        assert [columns(g.members) for g in groups] == [columns(as_table(g)) for g in expected]
+        assert columns(merge_group(groups, cfg)) == columns(as_table([scalar_merge(g, cfg) for g in expected]))
 
     def test_merge_is_bit_identical_to_member_by_member_sums(self):
         # Groups of up to 24 members: numpy's pairwise summation would
@@ -200,8 +210,8 @@ class TestGroupingEquivalence:
             ]
             groups = group_hypotheses(members, cfg)
             assert len(groups) == 1
-            expected = scalar_merge(sorted(members, key=canonical_key), cfg)
-            assert merge_group(groups, cfg).to_hypotheses() == [expected]
+            expected = scalar_merge(sorted(members, key=rank_key), cfg)
+            assert columns(merge_group(groups, cfg)) == columns(as_table([expected]))
 
     def test_thresholds_are_inclusive(self):
         # IoU exactly 1 (identical boxes) and exactly 0.5, TTC gaps
@@ -217,7 +227,7 @@ class TestGroupingEquivalence:
         flat = hyp(x1=5, y1=5, x2=5, y2=9, score=0.9)
         groups = group_hypotheses([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)])
         assert [len(g.members) for g in groups] == [1, 1, 1]
-        assert groups[0].seed == flat
+        assert columns(groups[0].members.take([0])) == columns(as_table([flat]))
 
 
 class TestMergeGroup:
@@ -225,19 +235,19 @@ class TestMergeGroup:
         h = hyp(score=0.7, source=0)
         cfg = EnsembleConfig(n_sources=1)
         merged = merge_one([h], cfg)
-        assert merged == h
+        assert columns(merged) == columns(as_table([h]))
 
     def test_equal_weight_corner_average(self):
         a = hyp(x1=0, y1=0, x2=2, y2=2, score=0.5, source=0)
         b = hyp(x1=0, y1=0, x2=4, y2=4, score=0.5, source=0)
         merged = merge_one([a, b])
-        assert merged.box == Box2D(0, 0, 3, 3)
+        assert merged.boxes.tolist() == [[0, 0, 3, 3]]
 
     def test_weighted_ttc_mean(self):
         a = hyp(ttc=1.0, score=0.6, source=0)
         b = hyp(ttc=2.0, score=0.2, source=0)
         merged = merge_one([a, b])
-        assert merged.ttc == pytest.approx(1.25)
+        assert merged.ttc[0] == pytest.approx(1.25)
 
     def test_agreement_factor_monotone_in_sources(self):
         a = hyp(score=0.5, source=0)
@@ -246,7 +256,7 @@ class TestMergeGroup:
         cfg = EnsembleConfig(n_sources=2)
         same_source = merge_one([a, b], cfg)
         cross_source = merge_one([a, c], cfg)
-        assert cross_source.score > same_source.score
+        assert cross_source.score[0] > same_source.score[0]
 
     def test_convex_hull_property(self):
         for seed in range(20):
@@ -273,9 +283,9 @@ class TestMergeGroup:
             merged = merge_one(members, EnsembleConfig(n_sources=4))
             for i in range(4):
                 corners = [m.box.corners()[i] for m in members]
-                assert min(corners) - 1e-9 <= merged.box.corners()[i] <= max(corners) + 1e-9
-            assert min(m.ttc for m in members) - 1e-9 <= merged.ttc
-            assert merged.ttc <= max(m.ttc for m in members) + 1e-9
+                assert min(corners) - 1e-9 <= merged.boxes[0, i] <= max(corners) + 1e-9
+            assert min(m.ttc for m in members) - 1e-9 <= merged.ttc[0]
+            assert merged.ttc[0] <= max(m.ttc for m in members) + 1e-9
 
     def test_empty_group_rejected(self):
         with pytest.raises((ValidationError, IndexError)):
@@ -297,12 +307,11 @@ class TestEnsemblePredictions:
         single = ensemble_predictions([src])
         tripled = ensemble_predictions([src, src, src])
         for uid in single:
-            assert [(h.noun_id, h.verb_id) for h in single[uid].to_hypotheses()] == [
-                (h.noun_id, h.verb_id) for h in tripled[uid].to_hypotheses()
-            ]
-            for a, b in zip(single[uid].to_hypotheses(), tripled[uid].to_hypotheses()):
+            assert single[uid].noun.tolist() == tripled[uid].noun.tolist()
+            assert single[uid].verb.tolist() == tripled[uid].verb.tolist()
+            for a, b in zip(single[uid].boxes.tolist(), tripled[uid].boxes.tolist()):
                 # duplicate members re-average the corners, so allow float noise
-                assert a.box.corners() == pytest.approx(b.box.corners(), abs=1e-9)
+                assert a == pytest.approx(b, abs=1e-9)
 
     def test_disagreeing_nouns_both_survive(self):
         a = {"ex": [hyp(noun=0, score=0.8)]}
@@ -317,14 +326,14 @@ class TestEnsemblePredictions:
         ab = ensemble_predictions([a, b])
         # swapping sources relabels source_id, so compare everything else
         ba = ensemble_predictions([b, a])
+
+        def unsourced(table):
+            return [(box, noun, verb, round(ttc, 12), round(score, 12)) for box, noun, verb, ttc, score in zip(
+                table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(), table.ttc.tolist(),
+                table.score.tolist())]
+
         for uid in ab:
-            assert [
-                (h.box, h.noun_id, h.verb_id, round(h.ttc, 12), round(h.score, 12))
-                for h in ab[uid].to_hypotheses()
-            ] == [
-                (h.box, h.noun_id, h.verb_id, round(h.ttc, 12), round(h.score, 12))
-                for h in ba[uid].to_hypotheses()
-            ]
+            assert unsourced(ab[uid]) == unsourced(ba[uid])
 
     def test_uid_union(self):
         a = {"only_a": [hyp()]}

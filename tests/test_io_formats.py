@@ -18,7 +18,9 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import HypothesisTable, Taxonomy, sort_canonical
+from vista.types import HypothesisTable, Taxonomy, as_table, sort_canonical
+
+from test_postprocess import columns
 
 
 class TestTaxonomy:
@@ -232,7 +234,8 @@ class TestSubmissions:
         path = tmp_path / "sub.json"
         write_submission(preds, path)
         loaded = load_predictions(path)
-        assert {uid: table.to_hypotheses() for uid, table in loaded.items()} == preds
+        assert {uid: columns(table) for uid, table in loaded.items()} == {
+            uid: columns(as_table(hyps)) for uid, hyps in preds.items()}
 
     def test_write_read_write_byte_identical(self, tmp_path):
         preds = self.make_preds()
@@ -332,6 +335,11 @@ def entry(**fields):
     return doc
 
 
+def source_ids(table):
+    """Each row's source id, None where the row has none."""
+    return [source if has else None for source, has in zip(table.source.tolist(), table.has_source.tolist())]
+
+
 class TestSubmissionColumns:
     def load(self, tmp_path, results, taxonomy=None):
         path = tmp_path / "sub.json"
@@ -342,7 +350,7 @@ class TestSubmissionColumns:
         preds = self.load(tmp_path, {"e": [entry(score=0.9), entry(score=0.8, source_id=-1),
                                            entry(score=0.7, source_id=4)]})
         assert preds["e"].has_source.tolist() == [False, True, True]
-        assert [h.source_id for h in preds["e"].to_hypotheses()] == [None, -1, 4]
+        assert source_ids(preds["e"]) == [None, -1, 4]
         out = tmp_path / "out.json"
         write_submission(preds, out)
         written = json.loads(out.read_text())["results"]["e"]
@@ -391,7 +399,7 @@ class TestSubmissionColumns:
         preds = self.load(tmp_path, {"e": raw})
         rows = list(zip(preds["e"].score.tolist(), preds["e"].noun.tolist(), preds["e"].verb.tolist(),
                         preds["e"].ttc.tolist(), preds["e"].boxes.tolist(),
-                        [h.source_id for h in preds["e"].to_hypotheses()]))
+                        source_ids(preds["e"])))
         expected = sorted((
             (float(e["score"]), int(e["noun_category_id"]), int(e["verb_category_id"]),
              float(e["time_to_contact"]), [float(v) for v in e["box"]],

@@ -27,7 +27,6 @@ from vista.types import (
     StaHypothesis,
     Taxonomy,
     as_table,
-    canonical_key,
     sort_canonical,
 )
 
@@ -105,10 +104,22 @@ def columns(table):
             for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source")}
 
 
+def row_set(table):
+    """The rows of a table as a set of tuples, to compare tables in any row order."""
+    return set(zip(map(tuple, table.boxes.tolist()), table.noun.tolist(), table.verb.tolist(),
+                   table.ttc.tolist(), table.score.tolist(), table.source.tolist(), table.has_source.tolist()))
+
+
+def rank_key(h):
+    """The canonical order of one hypothesis: score descending, then
+    ascending noun, verb, corners and TTC."""
+    return (-h.score, h.noun_id, h.verb_id, h.box.x1, h.box.y1, h.box.x2, h.box.y2, h.ttc)
+
+
 def nms(hyps, nms_iou=0.5):
-    """Every survivor: the cap is the number of hypotheses."""
+    """The columns of every survivor: the cap is the number of hypotheses."""
     table = table_of(hyps)
-    return class_aware_nms(table, nms_iou, len(table)).to_hypotheses()
+    return columns(class_aware_nms(table, nms_iou, len(table)))
 
 
 class TestSoftmax:
@@ -188,10 +199,10 @@ class TestExpandHypotheses:
     def test_degenerate_expansion_uses_argmax(self):
         tensors = make_tensors(CounterRng(11), 1)
         cfg = InferenceConfig(k_noun=1, k_verb=1)
-        hyps = expand(tensors, cfg).to_hypotheses()
+        hyps = expand(tensors, cfg)
         assert len(hyps) == 1
-        assert hyps[0].noun_id == int(np.argmax(tensors["noun_logits"][0]))
-        assert hyps[0].verb_id == int(np.argmax(tensors["verb_logits"][0]))
+        assert hyps.noun[0] == int(np.argmax(tensors["noun_logits"][0]))
+        assert hyps.verb[0] == int(np.argmax(tensors["verb_logits"][0]))
 
     def test_counting(self):
         tensors = make_tensors(CounterRng(12), 7)
@@ -200,12 +211,12 @@ class TestExpandHypotheses:
 
     def test_score_is_product_of_four_factors(self):
         tensors = make_tensors(CounterRng(13), 1)
-        hyps = expand(tensors, InferenceConfig(k_noun=4, k_verb=3)).to_hypotheses()
+        hyps = expand(tensors, InferenceConfig(k_noun=4, k_verb=3))
         p_noun = softmax(tensors["noun_logits"][0])
         p_verb = softmax(tensors["verb_logits"][0])
         prior = tensors["objectness"][0] * tensors["quality"][0]
-        for h in hyps:
-            assert h.score == pytest.approx(prior * p_noun[h.noun_id] * p_verb[h.verb_id], abs=1e-9)
+        for score, noun, verb in zip(hyps.score.tolist(), hyps.noun.tolist(), hyps.verb.tolist()):
+            assert score == pytest.approx(prior * p_noun[noun] * p_verb[verb], abs=1e-9)
 
     def test_proposal_cap_by_objectness(self):
         tensors = make_tensors(CounterRng(14), 10)
@@ -215,7 +226,7 @@ class TestExpandHypotheses:
         by_objectness = np.argsort(-tensors["objectness"], kind="stable")
         # every surviving hypothesis traces back to a top-objectness proposal
         retained = expand(rows(tensors, by_objectness[:4]), cfg)
-        assert hyps.to_hypotheses() == retained.to_hypotheses()
+        assert columns(hyps) == columns(retained)
         objectness = tensors["objectness"][by_objectness]
         assert min(objectness[:4]) > max(objectness[4:])
 
@@ -232,8 +243,10 @@ class TestExpandHypotheses:
         assert np.all(hyps.score > 0.0)
 
     def test_output_in_canonical_order(self):
-        hyps = expand(make_tensors(CounterRng(17), 20)).to_hypotheses()
-        assert hyps == sorted(hyps, key=canonical_key)
+        hyps = expand(make_tensors(CounterRng(17), 20))
+        keys = [(-score, noun, verb, *box, ttc) for box, noun, verb, ttc, score in zip(
+            hyps.boxes.tolist(), hyps.noun.tolist(), hyps.verb.tolist(), hyps.ttc.tolist(), hyps.score.tolist())]
+        assert keys == sorted(keys)
 
     def test_tied_probabilities_pick_the_lower_ids(self):
         # Logit ties give probability ties; the top k must be those of a
@@ -268,42 +281,44 @@ class TestClassAwareNms:
     def test_single_hypothesis_unchanged(self):
         rng = CounterRng(16)
         h = make_hypothesis(rng)
-        assert nms([h]) == [h]
+        assert nms([h]) == columns(as_table([h]))
 
     def test_high_overlap_same_noun_suppressed(self):
         a = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.0, 0.9)
         b = StaHypothesis(Box2D(0.5, 0.5, 10.5, 10.5), 0, 1, 1.0, 0.5)
-        assert nms([a, b], nms_iou=0.5) == [a]
+        assert nms([a, b], nms_iou=0.5) == columns(as_table([a]))
 
     def test_identical_boxes_different_nouns_both_kept(self):
         a = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.0, 0.9)
         b = StaHypothesis(Box2D(0, 0, 10, 10), 1, 0, 1.0, 0.5)
-        assert nms([a, b]) == [a, b]
+        assert nms([a, b]) == columns(as_table([a, b]))
 
     def test_idempotent_and_subset(self):
         for seed in range(30):
             rng = CounterRng(1000 + seed)
             hyps = [make_hypothesis(rng) for _ in range(40)]
             once = class_aware_nms(table_of(hyps), 0.4, len(hyps))
-            assert class_aware_nms(once, 0.4, len(once)).to_hypotheses() == once.to_hypotheses()
-            assert all(h in hyps for h in once.to_hypotheses())
+            assert columns(class_aware_nms(once, 0.4, len(once))) == columns(once)
+            assert row_set(once) <= row_set(as_table(hyps))
 
     def test_top_hypothesis_per_class_survives(self):
         rng = CounterRng(17)
         hyps = [make_hypothesis(rng) for _ in range(60)]
-        kept = nms(hyps, 0.3)
+        table = table_of(hyps)
+        kept = row_set(class_aware_nms(table, 0.3, len(table)))
         for noun in set(h.noun_id for h in hyps):
-            best = min((h for h in hyps if h.noun_id == noun), key=canonical_key)
-            assert best in kept
+            best = min((h for h in hyps if h.noun_id == noun), key=rank_key)
+            assert row_set(as_table([best])) <= kept
 
 
 def brute_force_nms(hyps, nms_iou):
-    """Greedy per-noun NMS over hypothesis objects with the scalar IoU."""
+    """The columns of greedy per-noun NMS over hypothesis objects with the
+    scalar IoU."""
     kept = []
-    for h in sorted(hyps, key=canonical_key):
+    for h in sorted(hyps, key=rank_key):
         if not any(k.noun_id == h.noun_id and iou(h.box, k.box) > nms_iou for k in kept):
             kept.append(h)
-    return kept
+    return columns(as_table(kept))
 
 
 coordinate = st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0, 10.0])
@@ -317,6 +332,16 @@ hypothesis_rows = st.lists(
 )
 
 
+# Ints and -0.0 next to their float equals: the key tuples compare them
+# as equal numbers, and so must the table order.
+mixed = st.sampled_from([0, 0.0, -0.0, 1, 2.5, 4, 4.0])
+mixed_rows = st.lists(
+    st.tuples(mixed, mixed, mixed, mixed, st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from([0, -0.0, 0.5, 1, 1.0]), st.sampled_from([0.25, 0.5, 1, 1.0])),
+    max_size=30,
+)
+
+
 def hypotheses_from(raw):
     return [
         StaHypothesis(Box2D(min(a, c), min(b, d), max(a, c), max(b, d)), noun, verb, ttc, score)
@@ -326,18 +351,23 @@ def hypotheses_from(raw):
 
 class TestKernelEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(hypothesis_rows)
+    @given(st.one_of(hypothesis_rows, mixed_rows))
     def test_table_order_equals_sorted_canonical_key(self, raw):
-        # Coarse coordinate and score grids force partial and full ties.
-        hyps = hypotheses_from(raw)
-        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
+        # Coarse coordinate and score grids force partial and full ties;
+        # the repeated rows are full ties of distinct objects.
+        hyps = hypotheses_from(raw + raw[::3])
+        expected = sorted(hyps, key=rank_key)
+        assert columns(table_of(hyps)) == columns(as_table(expected))
+        ordered = sort_canonical(hyps)
+        assert ordered == expected
+        assert [id(h) for h in ordered] == [id(h) for h in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(hypothesis_rows, st.lists(st.floats(0.01, 1.0), min_size=30, max_size=30))
     def test_order_by_distinct_scores_equals_sorted_canonical_key(self, raw, scores):
         # Scores that are mostly all distinct take the single-argsort path.
         hyps = [replace(h, score=s) for h, s in zip(hypotheses_from(raw), scores)]
-        assert table_of(hyps).to_hypotheses() == sorted(hyps, key=canonical_key)
+        assert columns(table_of(hyps)) == columns(as_table(sorted(hyps, key=rank_key)))
 
     @settings(max_examples=300, deadline=None)
     @given(hypothesis_rows, st.sampled_from([1e-4, 0.3, 0.5, 0.99, 1.0]))
@@ -365,8 +395,8 @@ class TestKernelEquivalence:
         ]
         for nms_iou in (1e-4, 0.3, 0.5, 0.99, 1.0):
             assert nms(hyps, nms_iou) == brute_force_nms(hyps, nms_iou)
-        assert nms(hyps, 0.99) == hyps[:3]
-        assert nms(hyps, 1.0) == hyps
+        assert nms(hyps, 0.99) == columns(as_table(hyps[:3]))
+        assert nms(hyps, 1.0) == columns(as_table(hyps))
 
 
 def count_compared_pairs(monkeypatch):
@@ -477,14 +507,14 @@ class TestFinalizeSubmission:
         hyps = [make_hypothesis(rng) for _ in range(150)]
         out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 100
-        assert columns(out) == columns(as_table(sorted(hyps, key=canonical_key)[:100]))
+        assert columns(out) == columns(as_table(sorted(hyps, key=rank_key)[:100]))
 
     def test_short_list_kept_whole(self):
         rng = CounterRng(19)
         hyps = [make_hypothesis(rng) for _ in range(5)]
         out = finalize_submission(table_of(hyps), 100)
         assert len(out) == 5
-        assert columns(out) == columns(as_table(sorted(hyps, key=canonical_key)))
+        assert columns(out) == columns(as_table(sorted(hyps, key=rank_key)))
 
     def test_deterministic_under_permutation(self):
         rng = CounterRng(20)
