@@ -39,6 +39,7 @@ from .oracle import brute_force_evaluate
 from .postprocess import (
     InferenceConfig,
     ProposalBatch,
+    RankedHypotheses,
     apply_box_deltas,
     class_aware_nms,
     expand_hypotheses,

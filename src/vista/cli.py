@@ -36,7 +36,7 @@ from .io_formats import (
     write_ground_truth,
     write_submission,
 )
-from .postprocess import InferenceConfig, load_proposal_batches, run_inference_chain
+from .postprocess import InferenceConfig, load_proposal_batches, map_examples, run_inference_chain
 from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 
@@ -124,7 +124,7 @@ def cmd_postprocess(args) -> int:
     cfg = InferenceConfig(**_settings(args, config, InferenceConfig))
     taxonomy = load_taxonomy(args.taxonomy)
     batches = load_proposal_batches(args.head_outputs, default_uid=Path(args.head_outputs).stem)
-    preds = {uid: run_inference_chain(batch, taxonomy, cfg) for uid, batch in batches.items()}
+    preds = map_examples(lambda batch: run_inference_chain(batch, taxonomy, cfg), batches)
     out = _out_dir(args, config)
     provenance = {"head_outputs": str(args.head_outputs), "taxonomy": str(args.taxonomy),
                   "config": dataclasses.asdict(cfg)}

@@ -7,13 +7,14 @@ interaction quality, noun probability and verb probability, suppress
 per-noun-class duplicates, and truncate to the export cap.
 
 Every stage works on the columns of one whole example: a ProposalBatch
-goes in, HypothesisTables pass between the stages, and the export is
-the first rows of the last one. The arithmetic is that of
-the scalar definitions, bit for bit: box centres are 0.5 * (x1 + x2),
-the size exp and the softplus go through `math` one value at a time
-(numpy's vectorised exp and log1p differ from it in the last bit for a
-few percent of inputs on some CPUs), and IoU keeps the operation order
-of `boxes.iou`.
+goes in, expansion scores every pair and hands NMS a RankedHypotheses
+that builds rows in rank order only as deep as NMS reads, NMS passes a
+HypothesisTable on, and the export is its first rows. The arithmetic is
+that of the scalar definitions, bit for bit: box centres are
+0.5 * (x1 + x2), the size exp and the softplus go through `math` one
+value at a time (numpy's vectorised exp and log1p differ from it in the
+last bit for a few percent of inputs on some CPUs), and IoU keeps the
+operation order of `boxes.iou`.
 """
 
 from __future__ import annotations
@@ -171,28 +172,36 @@ def ttc_from_raw(raw: float) -> float:
     return max(raw, 0.0) + math.log1p(math.exp(-abs(raw)))
 
 
+def _flat(boxes: np.ndarray) -> np.ndarray:
+    """Mask of the boxes, (..., 4) corners, without positive width and height."""
+    return (boxes[..., 2] - boxes[..., 0] <= 0.0) | (boxes[..., 3] - boxes[..., 1] <= 0.0)
+
+
 def apply_box_deltas(boxes, deltas) -> np.ndarray:
     """Decode (dx, dy, dw, dh) against proposals: center shifts scale with
     the proposal size, sizes scale by exp of the clamped log deltas.
 
     boxes (..., 4) corners and deltas (..., 4) broadcast against each
-    other; the result has their broadcast shape.
+    other; the result has their broadcast shape. Corners beyond the
+    float64 range come out infinite or NaN, without a warning; the
+    HypothesisTable rules reject them.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     x1, y1, x2, y2 = (boxes[..., i] for i in range(4))
     w, h = x2 - x1, y2 - y1
-    flat = (w <= 0.0) | (h <= 0.0)
+    flat = _flat(boxes)
     if flat.any():
         raise ValidationError(
             [f"proposal must have positive size, got {tuple(b)}" for b in boxes[flat].tolist()]
         )
-    cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-    cx = cx + deltas[..., 0] * w
-    cy = cy + deltas[..., 1] * h
-    w = w * _map_floats(math.exp, np.minimum(deltas[..., 2], BOX_DELTA_CLAMP))
-    h = h * _map_floats(math.exp, np.minimum(deltas[..., 3], BOX_DELTA_CLAMP))
-    return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        cx = cx + deltas[..., 0] * w
+        cy = cy + deltas[..., 1] * h
+        w = w * _map_floats(math.exp, np.minimum(deltas[..., 2], BOX_DELTA_CLAMP))
+        h = h * _map_floats(math.exp, np.minimum(deltas[..., 3], BOX_DELTA_CLAMP))
+        return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
 
 
 def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
@@ -209,11 +218,108 @@ def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
     return ids
 
 
+class RankedHypotheses:
+    """The expanded hypotheses of one example, built in rank order on demand.
+
+    Every score is known from the start; a row's refined box and TTC are
+    decoded, and the row checked and put in canonical order, only when
+    `head` first reaches it. len() is the number of rows, one per pair
+    with a positive score. head(n) is the first n rows in canonical
+    order: the rows of the whole expansion sorted canonically, cut to n.
+
+    head(n) builds the rows scoring at least the n-th highest score, ties
+    included, in ascending (proposal, noun, verb) rank order, and sorts
+    them stably. That is exact: the canonical key starts with -score, so
+    the rows scoring at least s, in canonical order, are a prefix of the
+    whole sorted table, and rows with equal scores keep the relative order
+    they would have there. A deeper head adds only rows scoring below
+    every row already built, so it extends the built prefix; no row is
+    built twice, and each (proposal, noun) box and each proposal's TTC is
+    decoded at most once.
+
+    The built rows are checked with the HypothesisTable rules. Derived
+    rows can break them: float64 proposals near the float64 range give
+    refined corners that overflow. A row that is never built is never
+    checked, and never exported either.
+    """
+
+    def __init__(self, batch: ProposalBatch, retained: np.ndarray, top_nouns: np.ndarray,
+                 top_verbs: np.ndarray, score: np.ndarray):
+        self._batch, self._retained = batch, retained
+        self._top_nouns, self._top_verbs = top_nouns, top_verbs
+        # Row r is the pair at np.unravel_index(r, score.shape): (proposal,
+        # noun, verb) ranks, so ascending r is proposal, noun, verb order.
+        self._score = score.reshape(-1)
+        self._len = int(np.count_nonzero(self._score > 0.0))
+        self._boxes = np.empty((top_nouns.size, 4))  # decoded, by (proposal, noun) pair
+        self._boxes_done = np.zeros(top_nouns.size, dtype=bool)
+        self._ttc = np.empty(len(retained))  # decoded, by proposal
+        self._ttc_done = np.zeros(len(retained), dtype=bool)
+        self._built = HypothesisTable(boxes=np.empty((0, 4)), noun=[], verb=[], ttc=[], score=[])
+
+    def __len__(self) -> int:
+        return self._len
+
+    @property
+    def n_built(self) -> int:
+        """The number of rows built so far."""
+        return len(self._built)
+
+    def head(self, n: int) -> HypothesisTable:
+        """The first n rows in canonical order (all of them if n >= len)."""
+        if n > len(self._built) and len(self._built) < self._len:
+            self._build(n)
+        return self._built.head(n)
+
+    def _build(self, n: int) -> None:
+        score, built = self._score, self._built
+        if n < self._len:
+            new = score >= np.partition(score, score.size - n)[score.size - n]
+        else:
+            new = score > 0.0
+        if len(built):
+            new &= score < built.score[-1]
+        rows = np.flatnonzero(new)
+        pair, verb_rank = np.divmod(rows, self._top_verbs.shape[1])
+        proposal = pair // self._top_nouns.shape[1]
+        table = HypothesisTable(
+            boxes=_decode_once(self._boxes, self._boxes_done, pair, self._decode_boxes),
+            noun=self._top_nouns.reshape(-1)[pair],
+            verb=self._top_verbs[proposal, verb_rank],
+            ttc=_decode_once(self._ttc, self._ttc_done, proposal, self._decode_ttc),
+            score=score[rows],
+        )
+        table = sort_canonical(table)
+        self._built = HypothesisTable.concat([built, table]) if len(built) else table
+
+    def _decode_boxes(self, pairs: np.ndarray) -> np.ndarray:
+        proposals = self._retained[pairs // self._top_nouns.shape[1]]
+        return apply_box_deltas(
+            self._batch.proposal_boxes[proposals].astype(np.float64),
+            self._batch.box_deltas[proposals, self._top_nouns.reshape(-1)[pairs]].astype(np.float64),
+        )
+
+    def _decode_ttc(self, proposals: np.ndarray) -> np.ndarray:
+        return _map_floats(ttc_from_raw, self._batch.ttc_raw[self._retained[proposals]].astype(np.float64))
+
+
+def _decode_once(values: np.ndarray, done: np.ndarray, ids: np.ndarray, decode) -> np.ndarray:
+    """values[ids], filling in first, with decode(new ids), the ids that
+    `done` does not yet mark."""
+    todo = np.zeros(len(done), dtype=bool)
+    todo[ids] = True
+    todo[done] = False
+    new = np.flatnonzero(todo)
+    values[new] = decode(new)
+    done[new] = True
+    return values[ids]
+
+
 def expand_hypotheses(
     batch: ProposalBatch,
     taxonomy: Taxonomy,
     cfg: InferenceConfig = InferenceConfig(),
-) -> HypothesisTable:
+) -> RankedHypotheses:
     """Expand each retained proposal into its top noun x verb pairs.
 
     Proposals beyond cfg.max_proposals are dropped, lowest objectness
@@ -223,7 +329,11 @@ def expand_hypotheses(
     Pairs whose score underflows to 0.0 are dropped: their logits are so
     peaked that a probability rounds to zero, they would rank below
     every other hypothesis, and a hypothesis needs a positive score.
-    Output sorted canonically.
+
+    The scores are computed here for every pair; the rows are built in
+    canonical order as they are read (RankedHypotheses). Every retained
+    proposal must have positive width and height, however deep the rows
+    are read.
     """
     n_nouns, n_verbs = batch.noun_logits.shape[1], batch.verb_logits.shape[1]
     if (n_nouns, n_verbs) != (taxonomy.n_nouns, taxonomy.n_verbs):
@@ -232,6 +342,12 @@ def expand_hypotheses(
             f"match taxonomy ({taxonomy.n_nouns}, {taxonomy.n_verbs})"
         )
     retained = np.argsort(-batch.objectness.astype(np.float64), kind="stable")[: cfg.max_proposals]
+    flat = np.sort(retained[_flat(batch.proposal_boxes[retained])])
+    if len(flat):
+        raise ValidationError([
+            f"proposal {i}: must have positive size, got {batch.proposal_boxes[i].tolist()}"
+            for i in flat.tolist()
+        ])
     k_noun = min(cfg.k_noun, n_nouns)
     k_verb = min(cfg.k_verb, n_verbs)
 
@@ -239,62 +355,49 @@ def expand_hypotheses(
     p_verb = _softmax_rows(batch.verb_logits[retained].astype(np.float64))
     top_nouns = _top_ids(p_noun, k_noun)
     top_verbs = _top_ids(p_verb, k_verb)
-    refined = apply_box_deltas(
-        batch.proposal_boxes[retained].astype(np.float64)[:, None, :],
-        batch.box_deltas[retained[:, None], top_nouns].astype(np.float64),
-    )
-    ttc = _map_floats(ttc_from_raw, batch.ttc_raw[retained].astype(np.float64))
     prior = batch.objectness[retained].astype(np.float64) * batch.quality[retained].astype(np.float64)
     score = (
         prior[:, None, None]
         * np.take_along_axis(p_noun, top_nouns, axis=1)[:, :, None]
         * np.take_along_axis(p_verb, top_verbs, axis=1)[:, None, :]
     )
-    # Rows in proposal rank, then noun rank, then verb rank order, so the
-    # stable canonical sort breaks full ties as a per-proposal loop would.
-    shape = score.shape
-    positive = score.reshape(-1) > 0.0
-    table = HypothesisTable(
-        boxes=np.broadcast_to(refined[:, :, None, :], shape + (4,)).reshape(-1, 4)[positive],
-        noun=np.broadcast_to(top_nouns[:, :, None], shape).reshape(-1)[positive],
-        verb=np.broadcast_to(top_verbs[:, None, :], shape).reshape(-1)[positive],
-        ttc=np.broadcast_to(ttc[:, None, None], shape).reshape(-1)[positive],
-        score=score.reshape(-1)[positive],
-    )
-    return sort_canonical(table)
+    return RankedHypotheses(batch, retained, top_nouns, top_verbs, score)
 
 
-def class_aware_nms(table: HypothesisTable, nms_iou: float, max_exports: int) -> HypothesisTable:
+def class_aware_nms(ranked, nms_iou: float, max_exports: int) -> HypothesisTable:
     """The first max_exports survivors of greedy suppression run
     independently within each noun class.
 
-    A hypothesis is dropped when a higher-ranked kept hypothesis of the
-    same noun class overlaps it with IoU > nms_iou. Verb is not part of
-    the suppression key. The table must be in canonical order, which is
-    the rank; the output keeps that order and is always a subset of the
-    input. Pass len(table) as max_exports for every survivor.
+    `ranked` is a HypothesisTable in canonical order, which is the rank,
+    or the RankedHypotheses of `expand_hypotheses`; NMS reads either
+    through len() and head(). A hypothesis is dropped when a
+    higher-ranked kept hypothesis of the same noun class overlaps it with
+    IoU > nms_iou. Verb is not part of the suppression key. The output
+    keeps the rank order and is always a subset of the rows. Pass
+    len(ranked) as max_exports for every survivor.
 
     Whether a row survives depends only on the rows ranked above it, so
     suppression over the first L rows gives exactly the first survivors
-    of suppression over the whole table. The rows are therefore taken in
-    rank windows, max_exports rows first and then doubling; each window
+    of suppression over all of them. The rows are therefore read in rank
+    windows, max_exports rows first and then doubling; each window sorts
+    its prefix by noun (stably, so canonical order within each class),
     compares its own rows with the same-noun rows ranked above them, with
     the suppressed state of the earlier windows carried forward, and it
     stops once max_exports rows survive. Each same-noun pair is compared
     at most once, PAIR_BLOCK pairs at a time.
     """
-    n = len(table)
-    by_noun = np.argsort(table.noun, kind="stable")  # canonical order within each class
-    corners, area = box_columns(table.boxes[by_noun])
-    position = np.empty(n, dtype=np.intp)  # of each rank in by_noun
-    position[by_noun] = np.arange(n)
-    noun = table.noun[by_noun]
-    class_start = np.searchsorted(noun, noun)[position]  # by rank
+    n = len(ranked)
     suppressed: list[bool] = []  # by rank, for the rows compared so far
     lo, hi = 0, min(max(max_exports, 1), n)
     while True:
+        table = ranked.head(hi)
+        by_noun = np.argsort(table.noun, kind="stable")
+        corners, area = box_columns(table.boxes[by_noun])
+        position = np.empty(hi, dtype=np.intp)  # of each rank in by_noun
+        position[by_noun] = np.arange(hi)
         suppressed += [False] * (hi - lo)
-        lower_at, first = position[lo:hi], class_start[lo:hi]
+        lower_at = position[lo:hi]
+        first = np.searchsorted(table.noun[by_noun], table.noun[lo:hi])
         # Pair each window row with the rows of its class ranked above it.
         for rows, higher in pair_blocks(first, lower_at - first, PAIR_BLOCK):
             over = pair_iou(corners, area, lower_at[rows], higher) > nms_iou
@@ -313,7 +416,7 @@ def class_aware_nms(table: HypothesisTable, nms_iou: float, max_exports: int) ->
 
 def finalize_submission(table: HypothesisTable, max_exports: int) -> HypothesisTable:
     """The first max_exports rows of a canonical table."""
-    return table.take(slice(0, max_exports))
+    return table.head(max_exports)
 
 
 def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
@@ -343,16 +446,21 @@ def load_proposal_batches(path, default_uid: str) -> dict[str, ProposalBatch]:
     for name, arr in tensors.items():
         uid, _, base = name.rpartition("/")
         per_uid.setdefault(uid or default_uid, {})[base] = arr
-    batches = {}
-    problems = []
-    for uid in sorted(per_uid):
+    return map_examples(proposals_from_tensors, dict(sorted(per_uid.items())))
+
+
+def map_examples(fn, items: dict) -> dict:
+    """{uid: fn(item)} for every item; if any fail, every problem of every
+    failing example, each prefixed by the example's uid."""
+    results, problems = {}, []
+    for uid, item in items.items():
         try:
-            batches[uid] = proposals_from_tensors(per_uid[uid])
+            results[uid] = fn(item)
         except ValidationError as e:
             problems += [f"example {uid!r}: {p}" for p in e.problems]
     if problems:
         raise ValidationError(problems)
-    return batches
+    return results
 
 
 def run_inference_chain(

@@ -242,6 +242,10 @@ class HypothesisTable:
         """The rows selected by a boolean mask, an index array or a slice."""
         return HypothesisTable.from_valid(*(getattr(self, name)[rows] for name in _TABLE_COLUMNS))
 
+    def head(self, n: int) -> HypothesisTable:
+        """The first n rows; of a canonical table, the n highest ranked."""
+        return self.take(slice(0, n))
+
     def with_default_source(self, source: int) -> HypothesisTable:
         """The table with `source` as the source of every row that has none."""
         return HypothesisTable.from_valid(

@@ -228,6 +228,28 @@ class TestPostprocessCommand:
         assert "objectness must have shape (P,) with P=6, got (4,)" in err
         assert "quality must have shape (P,) with P=6, got (5,)" in err
 
+    def test_every_problem_of_every_example_named(self, tmp_path, capsys):
+        # Two flat proposals in one example and a logit width the taxonomy
+        # does not have in another: each problem names its example and
+        # its proposal, and the good example does not hide the others.
+        heads = tmp_path / "heads.vstf"
+        taxonomy = tmp_path / "taxonomy.json"
+        flat = self.head_tensors(6)
+        flat["proposal_boxes"][2] = [3.0, 3.0, 3.0, 9.0]
+        flat["proposal_boxes"][4] = [1.0, 7.0, 2.0, 7.0]
+        examples = {"ex0": self.head_tensors(6), "ex1": flat, "ex2": self.head_tensors(6, n_nouns=4)}
+        write_tensor_file({f"{uid}/{name}": arr for uid, tensors in examples.items()
+                           for name, arr in tensors.items()}, heads)
+        self.write_taxonomy(taxonomy)
+        code = main(["postprocess", str(heads), str(taxonomy), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: example 'ex1': proposal 2: must have positive size, got [3.0, 3.0, 3.0, 9.0]; "
+            "example 'ex1': proposal 4: must have positive size, got [1.0, 7.0, 2.0, 7.0]; "
+            "example 'ex2': logit lengths (4, 3) do not match taxonomy (3, 3)\n"
+        )
+        assert not (tmp_path / "pp" / "submission.json").exists()
+
 
 class TestEnsembleCommand:
     def test_single_input_preserves_order(self, synth_dir, tmp_path):

@@ -1,10 +1,11 @@
 """Pins the exact bytes `vista ensemble` and `vista evaluate` write.
 
-The digests below were recorded with the per-object implementation (one
-StaHypothesis per entry, grouping by repeated scans over the scalar
-`compatible`, merged means summed member by member with Python's `sum`,
-and four passes of scalar matching). Any rewrite must reproduce them bit
-for bit. The inputs cover:
+The digests below were recorded with an earlier, per-object
+implementation, since replaced by columnar tables: one StaHypothesis per
+entry, grouping by repeated scans with a scalar per-pair compatibility
+test (a `compatible` function that no longer exists), merged means
+summed member by member with Python's `sum`, and four passes of scalar
+matching. Any rewrite must reproduce them bit for bit. The inputs cover:
 
 - full canonical-key ties across sources (the same entry in two files),
   so the seed of a group depends on the stable pooling order;

@@ -66,7 +66,9 @@ def rows(tensors, index):
 
 
 def expand(tensors, cfg=InferenceConfig()):
-    return expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg)
+    """Every expanded row, as one table in canonical order."""
+    ranked = expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg)
+    return ranked.head(len(ranked))
 
 
 def chain(tensors, cfg=InferenceConfig()):
@@ -257,7 +259,8 @@ class TestExpandHypotheses:
         tensors["verb_logits"][3:] = [0.0, 3.0, 3.0]
         batch = proposals_from_tensors(tensors)
         for k_noun, k_verb in ((1, 1), (2, 2), (3, 2), (4, 3)):
-            table = expand_hypotheses(batch, TAXONOMY, InferenceConfig(k_noun=k_noun, k_verb=k_verb))
+            ranked = expand_hypotheses(batch, TAXONOMY, InferenceConfig(k_noun=k_noun, k_verb=k_verb))
+            table = ranked.head(len(ranked))
             p_noun = postprocess._softmax_rows(tensors["noun_logits"])
             p_verb = postprocess._softmax_rows(tensors["verb_logits"])
             nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
@@ -463,6 +466,159 @@ class TestBoundedNms:
         empty = table.take(slice(0, 0))
         assert len(class_aware_nms(empty, 0.5, len(empty))) == 0
         assert len(class_aware_nms(empty, 0.5, 3)) == 0
+
+
+def full_expansion(batch, taxonomy, cfg):
+    """Every expanded row at once, in canonical order: each retained
+    proposal's boxes and TTC decoded, the whole grid checked by the table
+    rules and sorted. The reference that the rows built on demand must
+    reproduce, bit for bit."""
+    retained = np.argsort(-batch.objectness.astype(np.float64), kind="stable")[: cfg.max_proposals]
+    k_noun = min(cfg.k_noun, taxonomy.n_nouns)
+    k_verb = min(cfg.k_verb, taxonomy.n_verbs)
+    p_noun = postprocess._softmax_rows(batch.noun_logits[retained].astype(np.float64))
+    p_verb = postprocess._softmax_rows(batch.verb_logits[retained].astype(np.float64))
+    top_nouns = postprocess._top_ids(p_noun, k_noun)
+    top_verbs = postprocess._top_ids(p_verb, k_verb)
+    refined = apply_box_deltas(
+        batch.proposal_boxes[retained].astype(np.float64)[:, None, :],
+        batch.box_deltas[retained[:, None], top_nouns].astype(np.float64),
+    )
+    ttc = np.array([ttc_from_raw(t) for t in batch.ttc_raw[retained].astype(np.float64).tolist()])
+    prior = batch.objectness[retained].astype(np.float64) * batch.quality[retained].astype(np.float64)
+    score = (
+        prior[:, None, None]
+        * np.take_along_axis(p_noun, top_nouns, axis=1)[:, :, None]
+        * np.take_along_axis(p_verb, top_verbs, axis=1)[:, None, :]
+    )
+    shape = score.shape
+    positive = score.reshape(-1) > 0.0
+    return sort_canonical(HypothesisTable(
+        boxes=np.broadcast_to(refined[:, :, None, :], shape + (4,)).reshape(-1, 4)[positive],
+        noun=np.broadcast_to(top_nouns[:, :, None], shape).reshape(-1)[positive],
+        verb=np.broadcast_to(top_verbs[:, None, :], shape).reshape(-1)[positive],
+        ttc=np.broadcast_to(ttc[:, None, None], shape).reshape(-1)[positive],
+        score=score.reshape(-1)[positive],
+    ))
+
+
+def column_bytes(table):
+    """Every column of a table as bytes, to compare tables bit for bit."""
+    return {name: getattr(table, name).tobytes()
+            for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source")}
+
+
+@st.composite
+def expansion_inputs(draw):
+    """Head outputs with coarse values, so that scores tie across window
+    boundaries (equal priors and logits) and underflow (logit gaps of
+    800), and with repeated proposals, so that whole rows tie; plus a
+    config with expansion widths of 1 to 5."""
+    n_nouns, n_verbs = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.sampled_from
+    proposal = st.tuples(
+        value([0.0, 1.0, 5.0]), value([0.0, 2.0]), value([1.0, 4.0]), value([1.0, 3.0]),
+        value([0.25, 0.5, 1.0]), value([0.5, 1.0]), value([-1.0, 0.0, 2.0]),
+        st.lists(value([0.0, 0.0, 1.0, 2.0, -800.0]), min_size=n_nouns, max_size=n_nouns),
+        st.lists(value([0.0, 1.0, -800.0]), min_size=n_verbs, max_size=n_verbs),
+        st.lists(st.lists(value([0.0, 0.1, -0.25, 20.0]), min_size=4, max_size=4),
+                 min_size=n_nouns, max_size=n_nouns),
+    )
+    raw = draw(st.lists(proposal, max_size=8))
+    raw += raw[::2]
+    dtype = draw(value([np.float32, np.float64]))
+    x1, y1, w, h, objectness, quality, ttc_raw, nouns, verbs, deltas = list(zip(*raw)) or [()] * 10
+    tensors = {
+        "proposal_boxes": np.array([[a, b, a + c, b + d] for a, b, c, d in zip(x1, y1, w, h)], dtype).reshape(-1, 4),
+        "objectness": np.array(objectness, dtype), "quality": np.array(quality, dtype),
+        "ttc_raw": np.array(ttc_raw, dtype),
+        "noun_logits": np.array(nouns, dtype).reshape(-1, n_nouns),
+        "verb_logits": np.array(verbs, dtype).reshape(-1, n_verbs),
+        "box_deltas": np.array(deltas, dtype).reshape(-1, n_nouns, 4),
+    }
+    taxonomy = Taxonomy(tuple(f"n{i}" for i in range(n_nouns)), tuple(f"v{i}" for i in range(n_verbs)))
+    cfg = InferenceConfig(max_proposals=draw(st.integers(1, 12)), k_noun=draw(st.integers(1, 5)),
+                          k_verb=draw(st.integers(1, 5)))
+    return proposals_from_tensors(tensors), taxonomy, cfg
+
+
+def count_decoded_boxes(monkeypatch):
+    """Patch the box decode of expand_hypotheses to record each (proposal
+    box, deltas) input it decodes."""
+    decoded = []
+
+    def counting_apply_box_deltas(boxes, deltas):
+        decoded.extend(zip(map(tuple, np.asarray(boxes).tolist()), map(tuple, np.asarray(deltas).tolist())))
+        return apply_box_deltas(boxes, deltas)
+
+    monkeypatch.setattr(postprocess, "apply_box_deltas", counting_apply_box_deltas)
+    return decoded
+
+
+class TestRankedExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(expansion_inputs(), st.data())
+    def test_head_is_the_prefix_of_the_full_expansion(self, inputs, data):
+        batch, taxonomy, cfg = inputs
+        full = full_expansion(batch, taxonomy, cfg)
+        ranked = expand_hypotheses(batch, taxonomy, cfg)
+        assert len(ranked) == len(full)
+        depths = data.draw(st.lists(st.integers(0, len(full) + 2), max_size=4), label="depths")
+        for n in depths + [len(ranked)] + depths[:1]:
+            assert column_bytes(ranked.head(n)) == column_bytes(full.head(n))
+        assert ranked.n_built == len(full)
+
+    def test_head_in_any_order(self):
+        tensors = make_tensors(CounterRng(45), 12)
+        tensors["objectness"][:] = tensors["quality"][:] = 0.5  # ties between proposals
+        batch = proposals_from_tensors(tensors)
+        cfg = InferenceConfig(k_noun=3, k_verb=2)
+        full = full_expansion(batch, TAXONOMY, cfg)
+        ranked = expand_hypotheses(batch, TAXONOMY, cfg)
+        for n in (7, 3, len(ranked), 5):
+            assert column_bytes(ranked.head(n)) == column_bytes(full.head(n))
+
+    def test_chain_decodes_few_boxes_each_at_most_once(self, monkeypatch):
+        # Nearly equal verb probabilities: the three rows of a (proposal,
+        # noun) box rank next to each other, suppress each other, and some
+        # straddle a window boundary, so a later window needs a box that
+        # an earlier one decoded.
+        tensors = make_tensors(CounterRng(41), 60)
+        tensors["verb_logits"][:] = [0.0, -0.01, -0.02]
+        cfg = InferenceConfig(k_noun=2, k_verb=3, max_exports=10)
+        decoded = count_decoded_boxes(monkeypatch)
+        exported = chain(tensors, cfg)
+        assert len(exported) == cfg.max_exports
+        assert cfg.max_exports < len(decoded) < 60 * 2 * 3 / 4
+        assert len(set(decoded)) == len(decoded)
+
+    def test_flat_proposal_ranked_past_every_window_rejected(self):
+        tensors = make_tensors(CounterRng(43), 60)
+        last = int(np.argmin(tensors["objectness"]))
+        tensors["objectness"][last] = tensors["quality"][last] = 1e-3
+        cfg = InferenceConfig(k_noun=2, k_verb=3, max_exports=10)
+        ranked = expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg)
+        class_aware_nms(ranked, cfg.nms_iou, cfg.max_exports)
+        # NMS read no row of the last proposal: each scores below 1e-6.
+        assert ranked.head(ranked.n_built).score[-1] > 1e-6
+        tensors["proposal_boxes"][last] = [3.0, 3.0, 3.0, 9.0]
+        with pytest.raises(ValidationError) as err:
+            chain(tensors, cfg)
+        assert err.value.problems == [f"proposal {last}: must have positive size, got [3.0, 3.0, 3.0, 9.0]"]
+        # A proposal the cap drops is never expanded, and never checked.
+        assert len(chain(tensors, replace(cfg, max_proposals=59))) == cfg.max_exports
+
+    def test_overflowing_float64_row_in_the_export_rejected(self):
+        # Finite float64 corners, but exp(4) times the width of 1e307
+        # overflows: the refined box of the top-ranked row is infinite.
+        tensors = make_tensors(CounterRng(44), 6)
+        tensors["proposal_boxes"][2] = [0.0, 0.0, 1e307, 1e307]
+        tensors["box_deltas"][2, :, 2] = 4.0
+        tensors["objectness"][2] = tensors["quality"][2] = 1.0
+        tensors["noun_logits"][2] = [6.0, 0.0, 0.0, 0.0]
+        tensors["verb_logits"][2] = [6.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="box coordinates must be finite"):
+            chain(tensors, InferenceConfig(max_exports=10))
 
 
 class TestHypothesisTable:
