@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -256,7 +255,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FormatError, json.JSONDecodeError) as e:
+    except (ValidationError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -68,6 +68,10 @@ def _load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply to parse")
+    except ValueError as e:  # an integer beyond the interpreter's digit limit
+        raise ValidationError(f"{path}: invalid JSON: {str(e).partition(';')[0]}")
 
 
 def _warn_unknown(found: set[str], known: set[str], where: str, stacklevel: int = 3) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
-from .types import HypothesisTable, Taxonomy, box_rules, field_type_problems, sort_canonical
+from .types import HypothesisTable, Taxonomy, box_rules, field_type_problems, shape_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
@@ -76,22 +76,28 @@ class ProposalBatch:
 
     Tensors keep the dtype they arrive in (float32 from a VSTF container)
     and are not copied. The expansion casts only the rows it selects to
-    float64, which is exact. Shapes and values are checked on
-    construction, and every problem is listed.
+    float64, which is exact. Shapes (`REQUIRED_TENSORS`) and values are
+    checked on construction, and every problem is listed.
     """
 
-    proposal_boxes: np.ndarray   # (P, 4) corners
-    objectness: np.ndarray       # (P,), in (0, 1]
-    noun_logits: np.ndarray      # (P, N)
-    verb_logits: np.ndarray      # (P, V)
-    box_deltas: np.ndarray       # (P, N, 4): dx, dy, dw, dh per noun class
-    ttc_raw: np.ndarray          # (P,)
-    quality: np.ndarray          # (P,), in (0, 1]
+    proposal_boxes: np.ndarray   # corners
+    objectness: np.ndarray       # in (0, 1]
+    noun_logits: np.ndarray
+    verb_logits: np.ndarray
+    box_deltas: np.ndarray       # dx, dy, dw, dh per noun class
+    ttc_raw: np.ndarray
+    quality: np.ndarray          # in (0, 1]
 
     def __post_init__(self):
-        for name in REQUIRED_TENSORS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        problems = self._shape_problems()
+        arrays = {name: np.asarray(getattr(self, name)) for name in REQUIRED_TENSORS}
+        self.__dict__.update(arrays)
+        bad_shapes = shape_problems(REQUIRED_TENSORS, arrays)
+        problems = []
+        for name, arr in arrays.items():
+            if arr.dtype.kind not in "fiu":
+                problems.append(f"{name} must hold real numbers, got dtype {arr.dtype}")
+            if name in bad_shapes:
+                problems.append(bad_shapes[name])
         if problems:
             raise ValidationError(problems)
         problems = self._value_problems()
@@ -100,29 +106,6 @@ class ProposalBatch:
 
     def __len__(self) -> int:
         return self.objectness.shape[0]
-
-    def _shape_problems(self) -> list[str]:
-        sizes = {}
-        for symbol, name, axis in (("P", "proposal_boxes", 0), ("N", "noun_logits", 1),
-                                   ("V", "verb_logits", 1)):
-            shape = getattr(self, name).shape
-            if len(shape) > axis:
-                sizes[symbol] = shape[axis]
-        problems = []
-        for name, spec in REQUIRED_TENSORS.items():
-            arr = getattr(self, name)
-            if arr.dtype.kind not in "fiu":
-                problems.append(f"{name} must hold real numbers, got dtype {arr.dtype}")
-            expected = tuple(sizes.get(d, d) if isinstance(d, str) else d for d in spec)
-            if len(arr.shape) != len(spec) or any(
-                isinstance(want, int) and got != want for got, want in zip(arr.shape, expected)
-            ):
-                dims = ", ".join(map(str, spec)) + ("," if len(spec) == 1 else "")
-                where = ", ".join(f"{s}={sizes[s]}" for s in "PNV" if s in spec and s in sizes)
-                problems.append(
-                    f"{name} must have shape ({dims}){f' with {where}' if where else ''}, got {arr.shape}"
-                )
-        return problems
 
     def _value_problems(self) -> list[str]:
         boxes = self.proposal_boxes
@@ -422,10 +405,8 @@ def finalize_submission(table: HypothesisTable, max_exports: int) -> HypothesisT
 def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
     """Assemble one example's ProposalBatch from its named head-output tensors.
 
-    Expects proposal_boxes (P, 4), objectness/ttc_raw/quality (P,),
-    noun_logits (P, N), verb_logits (P, V), box_deltas (P, N, 4).
-    Missing names are reported exhaustively, then every shape problem,
-    then every bad value.
+    Expects the tensors of `REQUIRED_TENSORS`. Missing names are reported
+    exhaustively, then every dtype and shape problem, then every bad value.
     """
     missing = [name for name in REQUIRED_TENSORS if name not in tensors]
     if missing:
@@ -437,16 +418,23 @@ def load_proposal_batches(path, default_uid: str) -> dict[str, ProposalBatch]:
     """Read proposal batches from a tensor container.
 
     Tensor names may be plain (single example, keyed by `default_uid`) or
-    prefixed "<uid>/<name>" for multi-example containers.
+    prefixed "<uid>/<name>" for multi-example containers. Every tensor
+    of an example that more than one name gives is listed.
     """
     from .io_formats import read_tensor_file
 
     tensors = read_tensor_file(path)
-    per_uid: dict[str, dict[str, np.ndarray]] = {}
-    for name, arr in tensors.items():
+    per_uid: dict[str, dict[str, list[str]]] = {}
+    for name in tensors:
         uid, _, base = name.rpartition("/")
-        per_uid.setdefault(uid or default_uid, {})[base] = arr
-    return map_examples(proposals_from_tensors, dict(sorted(per_uid.items())))
+        per_uid.setdefault(uid or default_uid, {}).setdefault(base, []).append(name)
+    per_uid = dict(sorted(per_uid.items()))
+    problems = [f"example {uid!r}: tensor {base!r} given as {' and '.join(map(repr, names))}"
+                for uid, named in per_uid.items() for base, names in named.items() if len(names) > 1]
+    if problems:
+        raise ValidationError(problems)
+    batches = {uid: {base: tensors[names[0]] for base, names in named.items()} for uid, named in per_uid.items()}
+    return map_examples(proposals_from_tensors, batches)
 
 
 def map_examples(fn, items: dict) -> dict:

@@ -40,6 +40,32 @@ def field_type_problems(config) -> list[str]:
     ]
 
 
+def shape_problems(contract: dict[str, tuple], arrays: dict[str, np.ndarray]) -> dict[str, str]:
+    """The shape problem of each array that breaks its contract, by name,
+    in contract order. The contract gives each array's dims: an int is a
+    fixed size, a symbol a size every use shares and a tuple of symbols
+    their sum. A symbol takes its size from the first array in contract
+    order that names it outside a sum, at that axis if the array has it.
+    Names missing from `arrays` are skipped."""
+    shapes = {name: arrays[name].shape for name in contract if name in arrays}
+    sizes = {}
+    for name, shape in shapes.items():
+        for axis, dim in enumerate(contract[name]):
+            if isinstance(dim, str):
+                sizes.setdefault(dim, shape[axis] if axis < len(shape) else None)
+    problems = {}
+    for name, shape in shapes.items():
+        terms = [(dim,) if isinstance(dim, str) else dim for dim in contract[name]]
+        parts = [[term] if isinstance(term, int) else [sizes.get(s) for s in term] for term in terms]
+        if len(shape) != len(terms) or any(None not in part and got != sum(part) for got, part in zip(shape, parts)):
+            text = ", ".join(str(t) if isinstance(t, int) else " + ".join(t) for t in terms)
+            text += "," if len(terms) == 1 else ""
+            symbols = dict.fromkeys(s for term in terms if not isinstance(term, int) for s in term)
+            where = ", ".join(f"{s}={sizes[s]}" for s in symbols if sizes.get(s) is not None)
+            problems[name] = f"{name} must have shape ({text}){f' with {where}' if where else ''}, got {shape}"
+    return problems
+
+
 @dataclass(frozen=True)
 class Taxonomy:
     """Noun and verb vocabularies; category ids are indices into these lists."""

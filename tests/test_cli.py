@@ -250,6 +250,23 @@ class TestPostprocessCommand:
         )
         assert not (tmp_path / "pp" / "submission.json").exists()
 
+    def test_names_of_one_tensor_that_collide_exit_2(self, tmp_path, capsys):
+        # A plain name is filed under the file stem, as is "/name": in h2.vstf
+        # "quality", "/quality" and "h2/quality" are one tensor, and
+        # "ex/quality" is another example's.
+        heads = tmp_path / "h2.vstf"
+        taxonomy = tmp_path / "taxonomy.json"
+        tensors = self.head_tensors(4)
+        write_tensor_file({**tensors, **{f"h2/{name}": arr for name, arr in tensors.items()},
+                           "/quality": tensors["quality"], "ex/quality": tensors["quality"]}, heads)
+        self.write_taxonomy(taxonomy)
+        code = main(["postprocess", str(heads), str(taxonomy), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: " + "; ".join(
+            f"example 'h2': tensor {name!r} given as {name!r} and 'h2/{name}'"
+            + (" and '/quality'" if name == "quality" else "") for name in tensors) + "\n"
+        assert not (tmp_path / "pp" / "submission.json").exists()
+
 
 class TestEnsembleCommand:
     def test_single_input_preserves_order(self, synth_dir, tmp_path):
@@ -476,10 +493,10 @@ class TestFuseCommand:
             assert np.array_equal(fused[name], np.asarray(arr, dtype=np.float32)), name
 
     @pytest.mark.parametrize("tensors, problem", [
-        ({"seq": np.arange(5.0)}, "'seq' must have shape (T, D), got (5,)"),
-        ({"seq": np.ones((2, 2, 2))}, "'seq' must have shape (T, D), got (2, 2, 2)"),
-        ({"seq": np.ones((3, 4)), "rois": np.ones(3)}, "'rois' must have shape (R, D_roi), got (3,)"),
-        ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 2))}, "'fpn' must have shape (C, H, W), got (2, 2)"),
+        ({"seq": np.arange(5.0)}, "seq must have shape (T, D) with T=5, got (5,)"),
+        ({"seq": np.ones((2, 2, 2))}, "seq must have shape (T, D) with T=2, D=2, got (2, 2, 2)"),
+        ({"seq": np.ones((3, 4)), "rois": np.ones(3)}, "rois must have shape (R, D_roi) with R=3, got (3,)"),
+        ({"seq": np.ones((3, 4)), "fpn": np.ones((2, 2))}, "fpn must have shape (C, H, W) with C=2, H=2, got (2, 2)"),
     ])
     def test_wrong_rank_exit_2(self, tmp_path, capsys, tensors, problem):
         assert self.fuse(tmp_path, {**fusion_tensors(), **tensors}) == EXIT_VALIDATION
@@ -488,8 +505,8 @@ class TestFuseCommand:
     def test_both_wrong_ranks_listed(self, tmp_path, capsys):
         assert self.fuse(tmp_path, {**fusion_tensors(), "seq": np.ones(5), "rois": np.ones(3)}) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "'seq' must have shape (T, D), got (5,)" in err
-        assert "'rois' must have shape (R, D_roi), got (3,)" in err
+        assert "seq must have shape (T, D) with T=5, got (5,)" in err
+        assert "rois must have shape (R, D_roi) with R=3, got (3,)" in err
 
     @pytest.mark.parametrize("sizes, shapes", [
         ({"d": 0}, {"token": (3,), "weights": (3,), "fpn": (2, 2, 2), "rois": (2, 4)}),
@@ -520,7 +537,16 @@ class TestFuseCommand:
         assert self.fuse(tmp_path, {**tensors, "fpn": np.ones(2)}) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "error: missing tensor 'rois'; missing tensor 'film/gamma_bias'; missing tensor 'context/token_proj'; "
-            "'fpn' must have shape (C, H, W), got (2,)\n")
+            "fpn must have shape (C, H, W) with C=2, got (2,)\n")
+
+    def test_every_shape_fault_of_every_kernel_listed(self, tmp_path, capsys):
+        tensors = {**fusion_tensors(), "probe/key_proj": np.ones((5, 2)), "film/gamma_proj": np.ones((3, 7)),
+                   "context/layer1_w": np.ones((5, 3))}
+        assert self.fuse(tmp_path, tensors) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: probe/key_proj must have shape (D, D_att) with D=4, D_att=2, got (5, 2); "
+            "film/gamma_proj must have shape (D_token, C) with D_token=3, C=2, got (3, 7); "
+            "context/layer1_w must have shape (D_roi + D_proj, H_mlp) with D_roi=4, D_proj=2, H_mlp=3, got (5, 3)\n")
 
     def test_partial_probe_exit_2(self, tmp_path, capsys):
         tensors = fusion_tensors()

@@ -8,6 +8,7 @@ its problems on stderr.
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -83,16 +84,45 @@ def corrupt(blob: bytes, swaps, cut) -> bytes:
 @settings(max_examples=40, deadline=None)
 @given(edit=edits())
 def test_corrupted_input_exits_0_1_or_2(valid, target, argv, edit):
+    code, err = run_with(valid, target, corrupt((valid / target).read_bytes(), *edit), argv)
+    assert code in (0, 1, 2), err
+    if code == EXIT_VALIDATION:
+        assert err.startswith("error: ") and err.strip() != "error:"
+
+
+def run_with(valid, target, blob: bytes, argv) -> tuple[int, str]:
+    """Run argv on the valid files, with `target` replaced by blob; the
+    exit code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         bad = Path(tmp) / target
-        bad.write_bytes(corrupt((valid / target).read_bytes(), *edit))
+        bad.write_bytes(blob)
         paths = [str(bad if arg == target else valid / arg) if arg.endswith((".json", ".vstf")) else arg
                  for arg in argv]
         out = ["--out", tmp] if argv[0] != "validate" else []
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             code = main([*paths, *out])
-    err = stderr.getvalue()
-    assert code in (0, 1, 2), err
-    if code == EXIT_VALIDATION:
-        assert err.startswith("error: ") and err.strip() != "error:"
+        return code, stderr.getvalue().replace(str(bad), target)
+
+
+@pytest.mark.parametrize("target, argv", [
+    (GT, ["validate", GT]),
+    (GT, ["evaluate", GT, SUB]),
+    (SUB, ["evaluate", GT, SUB]),
+    (SUB, ["ensemble", SUB, OTHER, "--taxonomy", TAXONOMY]),
+    ("evaluate.json", ["evaluate", GT, SUB, "--config", "evaluate.json"]),
+], ids=["validate", "evaluate-ground-truth", "evaluate-predictions", "ensemble", "config"])
+def test_deeply_nested_json_exits_2(valid, target, argv):
+    code, err = run_with(valid, target, b"[" * 100_000, argv)
+    assert (code, err) == (EXIT_VALIDATION, f"error: {target}: invalid JSON: nested too deeply to parse\n")
+
+
+@pytest.mark.parametrize("target", [SUB, GT])
+def test_id_of_5000_digits_exits_2(valid, target):
+    # Past the interpreter's int-digit limit the parse fails; without the
+    # limit the id breaks the int64 rule. Either way the file is named.
+    text = (valid / target).read_text()
+    blob = re.sub(r'"noun_category_id": \d+', f'"noun_category_id": {"7" * 5000}', text, count=1).encode()
+    code, err = run_with(valid, target, blob, ["validate", target])
+    assert code == EXIT_VALIDATION
+    assert err.startswith(f"error: {target}: ")

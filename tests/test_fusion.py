@@ -102,6 +102,16 @@ class TestAttentiveProbe:
         with pytest.raises(ValidationError):
             attentive_probe(np.array([[1.0, np.nan]]), params)
 
+    def test_every_mismatched_argument_listed(self):
+        params = ProbeParams(np.zeros((3, 2)), np.zeros((5, 3)), np.zeros(4))
+        with pytest.raises(ValidationError) as e:
+            attentive_probe(np.zeros((2, 4)), params)
+        assert e.value.problems == [
+            "key_proj must have shape (D, D_att) with D=4, D_att=2, got (3, 2)",
+            "value_proj must have shape (D, D_token) with D=4, D_token=3, got (5, 3)",
+            "query must have shape (D_att,) with D_att=2, got (4,)",
+        ]
+
 
 def identity_film(d_token, c):
     return FilmParams(
@@ -164,6 +174,16 @@ class TestFilmModulate:
     def test_channel_mismatch(self):
         with pytest.raises(ValidationError):
             film_modulate(np.zeros((3, 2, 2)), np.zeros(4), identity_film(4, 2))
+
+    def test_every_mismatched_argument_listed(self):
+        params = FilmParams(np.zeros((4, 2)), np.zeros(2), np.zeros((5, 3)), np.zeros(3))
+        with pytest.raises(ValidationError) as e:
+            film_modulate(np.zeros((3, 2, 2)), np.zeros(4), params)
+        assert e.value.problems == [
+            "gamma_proj must have shape (D_token, C) with D_token=4, C=3, got (4, 2)",
+            "gamma_bias must have shape (C,) with C=3, got (2,)",
+            "beta_proj must have shape (D_token, C) with D_token=4, C=3, got (5, 3)",
+        ]
 
 
 def zero_residual_mlp(d_roi, d_token, d_proj=None, hidden=None):
@@ -257,3 +277,14 @@ class TestRoiContextFuse:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             roi_context_fuse(np.zeros(4), np.zeros(3), zero_residual_mlp(5, 3))
+
+    def test_every_mismatched_argument_listed(self):
+        params = ContextMlpParams(np.zeros((7, 5)), np.zeros(5), np.zeros((5, 3)), np.zeros(4),
+                                  np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValidationError) as e:
+            roi_context_fuse(np.zeros(4), np.zeros(3), params)
+        assert e.value.problems == [
+            "layer1_w must have shape (D_roi + D_proj, H_mlp) with D_roi=4, D_proj=2, H_mlp=5, got (7, 5)",
+            "layer2_w must have shape (H_mlp, D_roi) with H_mlp=5, D_roi=4, got (5, 3)",
+            "token_proj must have shape (D_token, D_proj) with D_token=3, D_proj=2, got (2, 2)",
+        ]
