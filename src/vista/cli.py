@@ -22,6 +22,8 @@ from .errors import FormatError, ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .fusion import fuse_tensors
 from .io_formats import (
+    TENSOR_MAGIC,
+    TensorFile,
     _dump_json,
     _load_json,
     ground_truth_from_dict,
@@ -35,7 +37,7 @@ from .io_formats import (
     write_ground_truth,
     write_submission,
 )
-from .postprocess import InferenceConfig, load_proposal_batches, map_examples, run_inference_chain
+from .postprocess import InferenceConfig, postprocess_container
 from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 
@@ -122,8 +124,7 @@ def cmd_postprocess(args) -> int:
     config = _load_config(args)
     cfg = InferenceConfig(**_settings(args, config, InferenceConfig))
     taxonomy = load_taxonomy(args.taxonomy)
-    batches = load_proposal_batches(args.head_outputs, default_uid=Path(args.head_outputs).stem)
-    preds = map_examples(lambda batch: run_inference_chain(batch, taxonomy, cfg), batches)
+    preds = postprocess_container(args.head_outputs, taxonomy, cfg, default_uid=Path(args.head_outputs).stem)
     out = _out_dir(args, config)
     provenance = {"head_outputs": str(args.head_outputs), "taxonomy": str(args.taxonomy),
                   "config": dataclasses.asdict(cfg)}
@@ -176,10 +177,12 @@ def cmd_fuse(args) -> int:
 
 def cmd_validate(args) -> int:
     path = Path(args.path)
-    head = path.read_bytes()[:4]
-    if head == b"VSTF":
-        tensors = read_tensor_file(path)
-        print(f"{path}: valid tensor container, {len(tensors)} tensors")
+    with open(path, "rb") as file:
+        head = file.read(4)
+    if head == TENSOR_MAGIC:
+        with TensorFile(path) as container:
+            container.check_finite()
+        print(f"{path}: valid tensor container, {len(container.index)} tensors")
         return EXIT_OK
     doc = _load_json(path)
     if isinstance(doc, dict) and "results" in doc:

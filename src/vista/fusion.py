@@ -124,12 +124,17 @@ def roi_context_fuse(roi, token, params: ContextMlpParams) -> np.ndarray:
     out = roi + W2 @ relu(W1 @ concat(roi, proj(token)) + b1) + b2.
     A zero final layer makes this an exact identity on roi.
     """
-    roi, token, w1, b1, w2, b2, tp, tb = _checked(
+    roi, token, *mlp = _checked(
         {"roi": ("D_roi",), "token": ("D_token",), **_contract(ContextMlpParams)},
         roi=roi, token=token, **vars(params))
+    return _fuse_rows(roi[None, :], token, *mlp)[0]
+
+
+def _fuse_rows(rois, token, w1, b1, w2, b2, tp, tb) -> list[np.ndarray]:
+    """`roi_context_fuse` of each row of checked (R, D_roi) rois, one row
+    at a time, so each row's arithmetic is that of one call."""
     projected = token @ tp + tb
-    hidden = np.maximum(np.concatenate([roi, projected]) @ w1 + b1, 0.0)
-    return roi + hidden @ w2 + b2
+    return [roi + np.maximum(np.concatenate([roi, projected]) @ w1 + b1, 0.0) @ w2 + b2 for roi in rois]
 
 
 # The tensors of a fusion container and their dims: the inputs, then the
@@ -155,6 +160,8 @@ def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     probe, film, context = (cls(**{name: tensors[f"{prefix}/{name}"] for name in _contract(cls)})
                             for prefix, cls in PARAMETER_PREFIXES.items())
     token, weights = attentive_probe(tensors["seq"], probe)
-    rois = tensors["rois"]
-    fused = np.array([roi_context_fuse(roi, token, context) for roi in rois]).reshape(rois.shape)
+    rois, token, *mlp = _checked(
+        {"rois": ("R", "D_roi"), "token": ("D_token",), **_contract(ContextMlpParams)},
+        rois=tensors["rois"], token=token, **vars(context))
+    fused = np.array(_fuse_rows(rois, token, *mlp)).reshape(rois.shape)
     return {"token": token, "weights": weights, "fpn": film_modulate(tensors["fpn"], token, film), "rois": fused}

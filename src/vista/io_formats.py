@@ -4,7 +4,8 @@ Human-facing documents (taxonomy, ground truth, submissions, reports) are
 JSON, serialized deterministically (sorted keys, fixed indentation) so
 reruns are byte-identical. Dense tensors use a small binary container:
 magic "VSTF", version u32, then named tensors (name length u32 + UTF-8
-name + rank u32 + dims u64 + row-major little-endian float32 data).
+name + rank u32 + dims u64 + row-major little-endian float32 data),
+parsed in one place, `TensorFile`, which reads one tensor at a time.
 
 All loaders are total: they return a fully validated value or raise a
 structured error listing every problem found, never a partial value.
@@ -20,6 +21,9 @@ and within an entry: object and uid, box, fields, taxonomy, values.
 from __future__ import annotations
 
 import json
+import math
+import os
+import stat
 import struct
 import warnings
 from bisect import bisect_right
@@ -476,49 +480,115 @@ def write_tensor_file(tensors: dict[str, np.ndarray], path) -> None:
     Path(path).write_bytes(tensor_file_bytes(tensors))
 
 
-def read_tensor_file(path) -> dict[str, np.ndarray]:
-    """Read every tensor of a container as a read-only float32 view of
-    the file's bytes (no copy is made)."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {TENSOR_MAGIC!r}")
-    if len(blob) < 8:
-        raise FormatError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != TENSOR_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
+class TensorFile:
+    """An open tensor container, read one tensor at a time.
 
-    offset = 8
-    out: dict[str, np.ndarray] = {}
+    Opening it scans the record headers only, seeking past the data, and
+    runs every format check: the magic and the version, truncation against
+    the file size, UTF-8 and unique names, and dims that numpy can hold.
+    `index` maps each name, in file order, to the offset and dims of its
+    data. `read` gives one tensor, once all of its values are finite.
 
-    def take(n: int, what: str) -> int:
-        """Claim the next n bytes; returns their start."""
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated while reading {what}")
-        offset += n
-        return offset - n
+    The problem raised is always the first in file order: before a
+    structural fault is raised, the tensors ahead of it are read, and the
+    first non-finite one is raised instead (`check_finite`).
+    """
 
-    while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
-        start = take(name_len, "tensor name")
+    def __init__(self, path):
+        self.path = path
+        self.index: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._file = open(path, "rb")
         try:
-            name = blob[start : start + name_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({e.reason})")
-        if name in out:
-            raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name!r}"))
-        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"dims of {name!r}"))
-        count = 1
-        for d in dims:
-            count *= d
-        start = take(4 * count, f"data of {name!r}")
-        try:
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(dims)
-        except ValueError as e:  # an empty tensor whose other dims numpy cannot hold
-            raise FormatError(f"{path}: tensor {name!r} has dims {dims}, which numpy cannot hold ({e})")
+            try:
+                self._scan()
+            except FormatError:
+                self.check_finite()  # a non-finite tensor ahead of the fault is raised instead
+                raise
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> TensorFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def _scan(self) -> None:
+        path, file, index = self.path, self._file, self.index
+        status = os.fstat(file.fileno())
+        if not stat.S_ISREG(status.st_mode):  # a pipe has no size to check against and cannot seek
+            raise FormatError(f"{path}: not a regular file; a tensor container is read by seeking")
+        size = status.st_size
+        head = file.read(8)
+        if head[:4] != TENSOR_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {TENSOR_MAGIC!r}")
+        if len(head) < 8:
+            raise FormatError(f"{path}: truncated header")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != TENSOR_VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+
+        offset = 8
+
+        def claim(n: int, what: str) -> int:
+            """Claim the next n bytes; returns their start."""
+            nonlocal offset
+            if offset + n > size:
+                raise FormatError(f"{path}: truncated while reading {what}")
+            offset += n
+            return offset - n
+
+        def read(n: int, what: str) -> bytes:
+            file.seek(claim(n, what))
+            data = file.read(n)
+            if len(data) < n:  # the file shrank after it was opened
+                raise FormatError(f"{path}: truncated while reading {what}")
+            return data
+
+        while offset < size:
+            (name_len,) = struct.unpack("<I", read(4, "name length"))
+            start = offset
+            try:
+                name = read(name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({e.reason})")
+            if name in index:
+                raise FormatError(f"{path}: duplicate tensor name {name!r}")
+            (rank,) = struct.unpack("<I", read(4, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"dims of {name!r}"))
+            count = math.prod(dims)
+            start = claim(4 * count, f"data of {name!r}")
+            try:  # on a stand-in of count values that holds no memory
+                np.broadcast_to(np.float32(0), (count,)).reshape(dims)
+            except ValueError as e:  # an empty tensor whose other dims numpy cannot hold
+                raise FormatError(f"{path}: tensor {name!r} has dims {dims}, which numpy cannot hold ({e})")
+            index[name] = (start, dims)
+
+    def read(self, name: str) -> np.ndarray:
+        """The tensor `name` as a new read-only float32 array, read into a
+        fresh buffer, once every value is finite."""
+        start, dims = self.index[name]
+        arr = np.empty(math.prod(dims), dtype="<f4")
+        self._file.seek(start)
+        if self._file.readinto(arr) != arr.nbytes:  # the file shrank after it was opened
+            raise FormatError(f"{self.path}: truncated while reading data of {name!r}")
         if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{path}: tensor {name!r} contains non-finite values")
-        out[name] = arr
-    return out
+            raise ValidationError(f"{self.path}: tensor {name!r} contains non-finite values")
+        arr = arr.reshape(dims)
+        arr.flags.writeable = False
+        return arr
+
+    def check_finite(self) -> None:
+        """Read the tensors of `index` in file order, one at a time; the
+        first with a non-finite value is raised."""
+        for name in self.index:
+            self.read(name)
+
+
+def read_tensor_file(path) -> dict[str, np.ndarray]:
+    """Every tensor of a container, in file order, each a new read-only
+    float32 array (`TensorFile`). The first problem in file order is
+    raised, a non-finite tensor included."""
+    with TensorFile(path) as container:
+        return {name: container.read(name) for name in container.index}

@@ -15,6 +15,9 @@ that of the scalar definitions, bit for bit: box centres are
 value at a time (numpy's vectorised exp and log1p differ from it in the
 last bit for a few percent of inputs on some CPUs), and IoU keeps the
 operation order of `boxes.iou`.
+
+`postprocess_container` runs the chain over a tensor container one
+example at a time, so only one example's tensors are held at once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
+from .io_formats import TensorFile
 from .types import HypothesisTable, Taxonomy, box_rules, field_type_problems, shape_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
@@ -414,41 +418,67 @@ def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
     return ProposalBatch(**{name: tensors[name] for name in REQUIRED_TENSORS})
 
 
-def load_proposal_batches(path, default_uid: str) -> dict[str, ProposalBatch]:
-    """Read proposal batches from a tensor container.
+def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig,
+                          default_uid: str) -> dict[str, HypothesisTable]:
+    """The export of every example of a tensor container, by uid.
 
     Tensor names may be plain (single example, keyed by `default_uid`) or
-    prefixed "<uid>/<name>" for multi-example containers. Every tensor
-    of an example that more than one name gives is listed.
+    prefixed "<uid>/<name>" for multi-example containers. The examples are
+    run one at a time in uid order: each one's tensors are read
+    (`TensorFile`), checked, made into a batch and run through the chain,
+    and only its export is kept. The problems raised are those that
+    reading the whole container first would find, of the first stage
+    that finds any:
+
+    1. the first structural or non-finite fault in file order, alone;
+    2. every tensor of an example that more than one name gives;
+    3. every problem of every example's batch, prefixed by its uid;
+    4. every problem of every example's chain, prefixed by its uid.
+
+    A non-finite tensor is met in uid order, so before one is raised, or
+    a stage 2 problem, the container is read in file order and its first
+    non-finite tensor raised instead.
     """
-    from .io_formats import read_tensor_file
+    with TensorFile(path) as container:
+        names: dict[str, dict[str, list[str]]] = {}
+        for name in container.index:
+            uid, _, base = name.rpartition("/")
+            names.setdefault(uid or default_uid, {}).setdefault(base, []).append(name)
+        names = dict(sorted(names.items()))
+        given_twice = [f"example {uid!r}: tensor {base!r} given as {' and '.join(map(repr, given))}"
+                       for uid, named in names.items() for base, given in named.items() if len(given) > 1]
+        if given_twice:
+            container.check_finite()
+            raise ValidationError(given_twice)
 
-    tensors = read_tensor_file(path)
-    per_uid: dict[str, dict[str, list[str]]] = {}
-    for name in tensors:
-        uid, _, base = name.rpartition("/")
-        per_uid.setdefault(uid or default_uid, {}).setdefault(base, []).append(name)
-    per_uid = dict(sorted(per_uid.items()))
-    problems = [f"example {uid!r}: tensor {base!r} given as {' and '.join(map(repr, names))}"
-                for uid, named in per_uid.items() for base, names in named.items() if len(names) > 1]
-    if problems:
-        raise ValidationError(problems)
-    batches = {uid: {base: tensors[names[0]] for base, names in named.items()} for uid, named in per_uid.items()}
-    return map_examples(proposals_from_tensors, batches)
+        exports: dict[str, HypothesisTable] = {}
+        batch_problems: list[str] = []
+        chain_problems: list[str] = []
 
+        def run(uid: str, named: dict[str, list[str]]) -> None:
+            """Read, check and run one example; its tensors are freed on return."""
+            try:
+                tensors = {base: container.read(given[0]) for base, given in named.items()}
+            except ValidationError:  # a non-finite tensor; the first in file order is raised
+                container.check_finite()
+                raise
+            try:
+                batch = proposals_from_tensors(tensors)
+            except ValidationError as e:
+                batch_problems.extend(f"example {uid!r}: {p}" for p in e.problems)
+                return
+            if batch_problems:  # a batch problem hides every chain problem
+                return
+            try:
+                exports[uid] = run_inference_chain(batch, taxonomy, cfg)
+            except ValidationError as e:
+                chain_problems.extend(f"example {uid!r}: {p}" for p in e.problems)
 
-def map_examples(fn, items: dict) -> dict:
-    """{uid: fn(item)} for every item; if any fail, every problem of every
-    failing example, each prefixed by the example's uid."""
-    results, problems = {}, []
-    for uid, item in items.items():
-        try:
-            results[uid] = fn(item)
-        except ValidationError as e:
-            problems += [f"example {uid!r}: {p}" for p in e.problems]
-    if problems:
-        raise ValidationError(problems)
-    return results
+        for uid, named in names.items():
+            run(uid, named)
+    if batch_problems or chain_problems:
+        raise ValidationError(batch_problems or chain_problems)
+    return exports
 
 
 def run_inference_chain(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,28 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             f"error: {submission}: results['ex_0001'][{len(entries) - 1}]: noun_id 3 out of range [0, 3)\n")
         assert not (tmp_path / "report.json").exists()
+
+
+def track_tensor_reads(monkeypatch):
+    """Track every tensor `TensorFile.read` gives until the memory it was
+    read into is freed. Returns the names read, in order, and a function
+    giving the most tensors held at once."""
+    from vista.io_formats import TensorFile
+
+    read, reads, live, most = TensorFile.read, [], set(), [0]
+
+    def tracked(container, name):
+        arr = owner = read(container, name)
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        reads.append(name)
+        live.add(name)
+        weakref.finalize(owner, live.discard, name)
+        most[0] = max(most[0], len(live))
+        return arr
+
+    monkeypatch.setattr(TensorFile, "read", tracked)
+    return reads, lambda: most[0]
 
 
 class TestPostprocessCommand:
@@ -266,6 +289,82 @@ class TestPostprocessCommand:
             f"example 'h2': tensor {name!r} given as {name!r} and 'h2/{name}'"
             + (" and '/quality'" if name == "quality" else "") for name in tensors) + "\n"
         assert not (tmp_path / "pp" / "submission.json").exists()
+
+    def test_one_example_held_at_a_time(self, tmp_path, monkeypatch):
+        heads = tmp_path / "heads.vstf"
+        taxonomy = tmp_path / "taxonomy.json"
+        self.write_examples(heads, {f"ex{i}": self.head_tensors(5) for i in range(3)})
+        self.write_taxonomy(taxonomy)
+        names = list(read_tensor_file(heads))
+        reads, most_held = track_tensor_reads(monkeypatch)
+        assert main(["postprocess", str(heads), str(taxonomy), "--out", str(tmp_path / "pp")]) == EXIT_OK
+        assert sorted(reads) == sorted(names)
+        assert most_held() == len(self.head_tensors(5))
+
+    # Which problem a bad container reports: the first structural or
+    # non-finite fault in file order, alone; else every tensor given by two
+    # names; else every batch problem of every example; else every chain
+    # problem.
+
+    def write_examples(self, path, examples, nan_in=()):
+        """Write {uid: tensors} as "<uid>/<name>" tensors (plain names for
+        uid ""), with the first value of each tensor named in `nan_in` made
+        NaN on disk, since the writer rejects non-finite values."""
+        tensors = {f"{uid}/{name}" if uid else name: np.array(arr) for uid, named in examples.items()
+                   for name, arr in named.items()}
+        sentinel = np.float32(0.4321).tobytes()
+        for name in nan_in:
+            tensors[name].flat[0] = 0.4321
+        write_tensor_file(tensors, path)
+        blob = path.read_bytes()
+        assert blob.count(sentinel) == len(nan_in)
+        path.write_bytes(blob.replace(sentinel, np.float32(np.nan).tobytes()))
+
+    def postprocess_error(self, tmp_path, heads, capsys) -> str:
+        taxonomy = tmp_path / "taxonomy.json"
+        self.write_taxonomy(taxonomy)
+        code = main(["postprocess", str(heads), str(taxonomy), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "pp" / "submission.json").exists()
+        return capsys.readouterr().err
+
+    def test_non_finite_tensor_before_a_truncation_reported_alone(self, tmp_path, capsys):
+        heads = tmp_path / "heads.vstf"
+        self.write_examples(heads, {"ex0": self.head_tensors(4), "ex1": self.head_tensors(4)}, ["ex0/quality"])
+        heads.write_bytes(heads.read_bytes()[:-10])
+        assert self.postprocess_error(tmp_path, heads, capsys) == (
+            f"error: {heads}: tensor 'ex0/quality' contains non-finite values\n")
+
+    def test_nan_in_the_last_example_hides_a_batch_problem_in_the_first(self, tmp_path, capsys):
+        heads = tmp_path / "heads.vstf"
+        bad = self.head_tensors(4)
+        bad["objectness"][1] = 0.0
+        self.write_examples(heads, {"ex0": bad, "ex1": self.head_tensors(4), "ex2": self.head_tensors(4)},
+                            ["ex2/quality"])
+        assert self.postprocess_error(tmp_path, heads, capsys) == (
+            f"error: {heads}: tensor 'ex2/quality' contains non-finite values\n")
+
+    def test_nan_hides_a_duplicate_base(self, tmp_path, capsys):
+        heads = tmp_path / "h.vstf"
+        tensors = self.head_tensors(4)
+        self.write_examples(heads, {"": tensors, "h": {"objectness": tensors["objectness"]}}, ["ttc_raw"])
+        assert self.postprocess_error(tmp_path, heads, capsys) == (
+            f"error: {heads}: tensor 'ttc_raw' contains non-finite values\n")
+
+    def test_first_nan_in_file_order_reported_not_in_uid_order(self, tmp_path, capsys):
+        heads = tmp_path / "heads.vstf"
+        self.write_examples(heads, {"b": self.head_tensors(4), "a": self.head_tensors(4)},
+                            ["b/ttc_raw", "a/objectness"])
+        assert self.postprocess_error(tmp_path, heads, capsys) == (
+            f"error: {heads}: tensor 'b/ttc_raw' contains non-finite values\n")
+
+    def test_batch_problem_in_a_later_example_hides_a_chain_problem_in_an_earlier(self, tmp_path, capsys):
+        heads = tmp_path / "heads.vstf"
+        bad = self.head_tensors(4)
+        bad["quality"][2] = 1.5
+        self.write_examples(heads, {"ex0": self.head_tensors(4, n_nouns=4), "ex1": bad})
+        assert self.postprocess_error(tmp_path, heads, capsys) == (
+            "error: example 'ex1': proposal 2: quality must be in (0, 1], got 1.5\n")
 
 
 class TestEnsembleCommand:
@@ -582,6 +681,32 @@ class TestValidateCommand:
         path = tmp_path / "t.vstf"
         write_tensor_file({"a": np.ones(3, dtype=np.float32)}, path)
         assert main(["validate", str(path)]) == EXIT_OK
+
+    def test_tensor_container_validated_one_tensor_at_a_time(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "t.vstf"
+        write_tensor_file({"a": np.ones(3), "b": np.zeros((2, 2)), "c": np.ones(1)}, path)
+        reads, most_held = track_tensor_reads(monkeypatch)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == f"{path}: valid tensor container, 3 tensors\n"
+        assert (reads, most_held()) == (["a", "b", "c"], 1)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("command", ["validate", "postprocess"])
+    def test_container_through_a_pipe_exit_2(self, tmp_path, capsys, command):
+        # A pipe cannot be scanned by seeking; it must not read as an empty container.
+        TestPostprocessCommand().write_taxonomy(tmp_path / "taxonomy.json")
+        blob = vstf_record(b"a", [1.0])
+        read_end, write_end = os.pipe()
+        os.write(write_end, blob)
+        os.close(write_end)
+        try:
+            path = f"/dev/fd/{read_end}"
+            argv = [path] if command == "validate" else [path, str(tmp_path / "taxonomy.json"), "--out", str(tmp_path)]
+            assert main([command, *argv]) == EXIT_VALIDATION
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a regular file; a tensor container is read by seeking\n")
 
     def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.vstf"

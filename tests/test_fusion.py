@@ -288,3 +288,33 @@ class TestRoiContextFuse:
             "layer2_w must have shape (H_mlp, D_roi) with H_mlp=5, D_roi=4, got (5, 3)",
             "token_proj must have shape (D_token, D_proj) with D_token=3, D_proj=2, got (2, 2)",
         ]
+
+
+class TestFuseTensors:
+    def test_rois_equal_one_kernel_call_per_row_bit_for_bit(self):
+        from test_cli import fusion_tensors
+        from vista.fusion import fuse_tensors
+
+        tensors = fusion_tensors(r=40, d_roi=6, d_proj=3, hidden=5)
+        context = ContextMlpParams(**{name.partition("/")[2]: arr for name, arr in tensors.items()
+                                      if name.startswith("context/")})
+        fused = fuse_tensors(tensors)
+        expected = [roi_context_fuse(roi, fused["token"], context) for roi in tensors["rois"]]
+        assert fused["rois"].dtype == np.float64
+        assert fused["rois"].tobytes() == np.array(expected).tobytes()
+
+    def test_parameters_checked_once_whatever_the_roi_count(self, monkeypatch):
+        from test_cli import fusion_tensors
+        from vista import fusion
+
+        calls, checked = [], fusion._checked
+
+        def counted(contract, **arrays):
+            calls.append(contract)
+            return checked(contract, **arrays)
+
+        monkeypatch.setattr(fusion, "_checked", counted)
+        for r in (1, 50):
+            calls.clear()
+            fusion.fuse_tensors(fusion_tensors(r=r))
+            assert len(calls) == 3  # the probe, the context MLP and FiLM

@@ -580,24 +580,19 @@ class TestTensorContainer:
         with pytest.raises(ValidationError):
             read_tensor_file(path)
 
-    def test_tensors_are_read_only_views(self, tmp_path):
+    def test_each_tensor_is_a_read_only_array_of_its_own(self, tmp_path):
         from vista.io_formats import write_tensor_file
 
         path = tmp_path / "t.vstf"
         write_tensor_file({"a": np.ones((2, 3)), "b": np.zeros(4)}, path)
         loaded = read_tensor_file(path)
 
-        def owner(arr):
-            while isinstance(arr, np.ndarray):
-                arr = arr.base
-            return arr
-
-        # both tensors view the one buffer the file was read into
-        assert isinstance(owner(loaded["a"]), bytes)
-        assert owner(loaded["a"]) is owner(loaded["b"])
+        # each tensor was read into a buffer of its own, not a view of the file's bytes
+        assert not np.shares_memory(loaded["a"], loaded["b"])
         for arr in loaded.values():
             assert arr.dtype == np.float32
             assert not arr.flags.writeable
+            assert not isinstance(arr.base, bytes) and arr.base.base is None
 
     def test_non_utf8_tensor_name(self, tmp_path):
         path = tmp_path / "t.vstf"
@@ -620,6 +615,28 @@ class TestTensorContainer:
         path.write_bytes(vstf_record(b"score", [1.0]) + vstf_record(b"score", [2.0])[8:])
         with pytest.raises(FormatError, match="duplicate tensor name 'score'"):
             read_tensor_file(path)
+
+    def test_non_finite_tensor_before_a_truncation_reported_alone(self, tmp_path):
+        path = tmp_path / "t.vstf"
+        blob = vstf_record(b"a", [1.0, float("nan")]) + vstf_record(b"b", [2.0, 3.0])[8:]
+        path.write_bytes(blob[:-3])
+        with pytest.raises(ValidationError) as err:
+            read_tensor_file(path)
+        assert err.value.problems == [f"{path}: tensor 'a' contains non-finite values"]
+
+    def test_structural_fault_before_a_non_finite_tensor_reported(self, tmp_path):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"a", [1.0]) + vstf_record(b"a", [2.0])[8:]
+                         + vstf_record(b"b", [float("inf")])[8:])
+        with pytest.raises(FormatError, match="duplicate tensor name 'a'"):
+            read_tensor_file(path)
+
+    def test_first_non_finite_tensor_in_file_order_reported(self, tmp_path):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(vstf_record(b"z", [float("inf")]) + vstf_record(b"a", [float("nan")])[8:])
+        with pytest.raises(ValidationError) as err:
+            read_tensor_file(path)
+        assert err.value.problems == [f"{path}: tensor 'z' contains non-finite values"]
 
 
 def vstf_record(name: bytes, values) -> bytes:
