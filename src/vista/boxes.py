@@ -13,12 +13,9 @@ blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ValidationError
 
 # Box pairs compared at once. Bounds the temporaries of a pairwise pass to
 # a few MB however many boxes share one class.
@@ -27,25 +24,15 @@ PAIR_BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class Box2D:
-    """Axis-aligned box: (x1, y1) top-left, (x2, y2) bottom-right, pixels."""
+    """Axis-aligned box: (x1, y1) top-left, (x2, y2) bottom-right, pixels.
+
+    A box is checked where it becomes a table row (`types.box_rules`):
+    its corners must be finite, with x1 <= x2 and y1 <= y2."""
 
     x1: float
     y1: float
     x2: float
     y2: float
-
-    def __post_init__(self):
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        problems = []
-        if not all(math.isfinite(c) for c in coords):
-            problems.append(f"box coordinates must be finite, got {coords}")
-        else:
-            if self.x1 > self.x2:
-                problems.append(f"box has x1 > x2: {coords}")
-            if self.y1 > self.y2:
-                problems.append(f"box has y1 > y2: {coords}")
-        if problems:
-            raise ValidationError(problems)
 
     @property
     def width(self) -> float:

@@ -23,33 +23,18 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, as_table, field_type_problems, sort_canonical
+from .types import HypothesisTable, PredictionSet, as_table, check_fields, setting, sort_canonical
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    box_iou_min: float = 0.5
-    ttc_tolerance: float = 0.25
-    agreement_weight: float = 0.5   # alpha in the agreement factor
-    n_sources: int = 1
-    max_exports: int = 100
+    box_iou_min: float = setting(0.5, "in (0, 1]")
+    ttc_tolerance: float = setting(0.25, "positive")
+    agreement_weight: float = setting(0.5, "in [0, 1]")   # alpha in the agreement factor
+    n_sources: int = setting(1, ">= 1")
+    max_exports: int = setting(100, ">= 1")
 
-    def __post_init__(self):
-        problems = field_type_problems(self)
-        if problems:
-            raise ValidationError(problems)
-        if not (0.0 < self.box_iou_min <= 1.0):
-            problems.append(f"box_iou_min must be in (0, 1], got {self.box_iou_min}")
-        if not (self.ttc_tolerance > 0.0):
-            problems.append(f"ttc_tolerance must be positive, got {self.ttc_tolerance}")
-        if not (0.0 <= self.agreement_weight <= 1.0):
-            problems.append(f"agreement_weight must be in [0, 1], got {self.agreement_weight}")
-        if self.n_sources < 1:
-            problems.append(f"n_sources must be >= 1, got {self.n_sources}")
-        if self.max_exports < 1:
-            problems.append(f"max_exports must be >= 1, got {self.max_exports}")
-        if problems:
-            raise ValidationError(problems)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, eq=False)

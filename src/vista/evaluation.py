@@ -29,7 +29,8 @@ from .types import (
     as_gt_table,
     as_table,
     canonical_order,
-    field_type_problems,
+    check_fields,
+    setting,
     sort_canonical,
 )
 
@@ -56,22 +57,11 @@ ALL_VARIANTS = (
 
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_min: float = 0.5
-    ttc_max_error: float = 0.25
-    top_k: int = 5
+    iou_min: float = setting(0.5, "in (0, 1)")   # a match needs IoU > iou_min, and IoU is at most 1
+    ttc_max_error: float = setting(0.25, "positive")
+    top_k: int = setting(5, ">= 1")
 
-    def __post_init__(self):
-        problems = field_type_problems(self)
-        if problems:
-            raise ValidationError(problems)
-        if not (self.iou_min > 0.0):
-            problems.append(f"iou_min must be positive, got {self.iou_min}")
-        if not (self.ttc_max_error > 0.0):
-            problems.append(f"ttc_max_error must be positive, got {self.ttc_max_error}")
-        if self.top_k < 1:
-            problems.append(f"top_k must be >= 1, got {self.top_k}")
-        if problems:
-            raise ValidationError(problems)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
                   taxonomy: Taxonomy | None) -> tuple[dict, list[tuple[str | None, int, int]]]:
     """Read the entries of `lists`, (position, name, entries) triples that
     it empties, as columns: each field of every entry at once, then whole
-    columns against the rules of Box2D and `spec.rules`, the taxonomy's id
+    columns against `box_rules` and `spec.rules`, the taxonomy's id
     ranges (if one is given) and int64. Every problem, the caller's
     `problems` too, is keyed (list position, entry index, stage), with
     stages object/uid 0, box 1, fields 2, taxonomy 3 and values 4, and all
@@ -264,7 +264,7 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
         report(r, 2, f"{spec.field_problem} ({message})")
     ok = np.ones(n, dtype=bool)
     ok[list(box_problems)] = False
-    rules = box_rules(boxes)  # each bad box gets one problem, worded as Box2D words it
+    rules = box_rules(boxes)  # each bad box gets one problem, naming its rules and its corners
     bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
     for r in np.flatnonzero(bad_box).tolist():
         corners = tuple(boxes[r].tolist())
@@ -274,11 +274,11 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
     ok[list(field_problems)] = False
     if taxonomy is not None:
         # Ids beyond int64 were clamped into it, still outside the taxonomy.
-        bad_ids = ok & ~taxonomy.valid_ids(columns["noun"], columns["verb"])
-        for r in np.flatnonzero(bad_ids).tolist():
-            for problem in taxonomy.check_ids(values["noun"][r], values["verb"][r]):
-                report(r, 3, problem)
-        ok &= ~bad_ids
+        off_taxonomy = taxonomy.outside_ids(columns["noun"], columns["verb"])
+        for column, bad, size in off_taxonomy:
+            for r in np.flatnonzero(ok & bad).tolist():
+                report(r, 3, f"{column}_id {values[column][r]} out of range [0, {size})")
+        ok &= ~np.any([bad for _, bad, _ in off_taxonomy], axis=0)
     rules = spec.rules(**{column: columns[column] for field, column, _ in spec.numbers
                           if field not in spec.optional})
     for (bad, what), column in zip(rules, spec.rule_values):

@@ -10,7 +10,7 @@ checked against an independent derivation. Guarded to small instances.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .evaluation import ALL_VARIANTS, EvalConfig, EvalReport, MatchVariant, REPORT_HEADER
+from .evaluation import ALL_VARIANTS, EvalConfig, EvalReport, MatchVariant
 from .types import GroundTruthInstance, StaHypothesis
 
 MAX_PREDS_PER_CLASS = 8

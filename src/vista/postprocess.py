@@ -30,7 +30,7 @@ import numpy as np
 from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
 from .io_formats import TensorFile
-from .types import HypothesisTable, Taxonomy, box_rules, field_type_problems, shape_problems, sort_canonical
+from .types import HypothesisTable, Taxonomy, box_rules, check_fields, setting, shape_problems, sort_canonical
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
@@ -38,26 +38,13 @@ BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    max_proposals: int = 300
-    k_noun: int = 3
-    k_verb: int = 3
-    nms_iou: float = 0.5
-    max_exports: int = 100
+    max_proposals: int = setting(300, ">= 1")
+    k_noun: int = setting(3, ">= 1")
+    k_verb: int = setting(3, ">= 1")
+    nms_iou: float = setting(0.5, "positive")
+    max_exports: int = setting(100, ">= 1")
 
-    def __post_init__(self):
-        problems = field_type_problems(self)
-        if problems:
-            raise ValidationError(problems)
-        if self.max_proposals < 1:
-            problems.append(f"max_proposals must be >= 1, got {self.max_proposals}")
-        if self.k_noun < 1 or self.k_verb < 1:
-            problems.append(f"expansion widths must be >= 1, got {self.k_noun}/{self.k_verb}")
-        if not (0.0 < self.nms_iou):
-            problems.append(f"nms_iou must be positive, got {self.nms_iou}")
-        if self.max_exports < 1:
-            problems.append(f"max_exports must be >= 1, got {self.max_exports}")
-        if problems:
-            raise ValidationError(problems)
+    __post_init__ = check_fields
 
 
 # Tensor names one proposal batch must provide, optionally prefixed

@@ -9,11 +9,9 @@ touched; this is pure timestamp arithmetic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ValidationError
-from .types import number_problems
+from .types import check_settings
 
 DEFAULT_FRAME_COUNT = 8
 DEFAULT_SAMPLE_RATE = 2.0
@@ -36,17 +34,9 @@ def plan_frames(
 
     frame_times[k] = max(0, query_time - (frame_count-1-k)/sample_rate).
     """
-    problems = (number_problems("query_time", query_time)
-                + number_problems("frame_count", frame_count, integer=True)
-                + number_problems("sample_rate", sample_rate))
-    if problems:
-        raise ValidationError(problems)
-    if not (math.isfinite(query_time) and query_time >= 0.0):
-        raise ValidationError(f"query_time must be finite and >= 0, got {query_time}")
-    if frame_count < 1:
-        raise ValidationError(f"frame_count must be >= 1, got {frame_count}")
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise ValidationError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    check_settings([("query_time", query_time, "float", "finite and >= 0"),
+                    ("frame_count", frame_count, "int", ">= 1"),
+                    ("sample_rate", sample_rate, "float", "finite and > 0")])
     times = tuple(
         max(0.0, query_time - (frame_count - 1 - k) / sample_rate)
         for k in range(frame_count)

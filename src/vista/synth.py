@@ -8,20 +8,11 @@ the counter-based RNG.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .boxes import Box2D
-from .errors import ValidationError
 from .rng import CounterRng
-from .types import (
-    GroundTruthInstance,
-    StaHypothesis,
-    Taxonomy,
-    field_type_problems,
-    number_problems,
-    sort_canonical,
-)
+from .types import GroundTruthInstance, StaHypothesis, Taxonomy, check_fields, check_settings, setting, sort_canonical
 
 CANVAS_W = 1920.0
 CANVAS_H = 1080.0
@@ -30,27 +21,14 @@ TTC_RANGE = (0.1, 3.0)
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    box_jitter_sigma: float = 0.0   # pixels, per corner
-    label_flip_prob: float = 0.0
-    verb_flip_prob: float = 0.0
-    ttc_noise_sigma: float = 0.0    # seconds
-    drop_prob: float = 0.0
+    box_jitter_sigma: float = setting(0.0, "finite and >= 0")   # pixels, per corner
+    label_flip_prob: float = setting(0.0, "in [0, 1]")
+    verb_flip_prob: float = setting(0.0, "in [0, 1]")
+    ttc_noise_sigma: float = setting(0.0, "finite and >= 0")    # seconds
+    drop_prob: float = setting(0.0, "in [0, 1]")
     seed: int = 0
 
-    def __post_init__(self):
-        problems = field_type_problems(self)
-        if problems:
-            raise ValidationError(problems)
-        for name in ("label_flip_prob", "verb_flip_prob", "drop_prob"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                problems.append(f"{name} must be in [0, 1], got {p}")
-        for name in ("box_jitter_sigma", "ttc_noise_sigma"):
-            s = getattr(self, name)
-            if not (math.isfinite(s) and s >= 0.0):
-                problems.append(f"{name} must be finite and >= 0, got {s}")
-        if problems:
-            raise ValidationError(problems)
+    __post_init__ = check_fields
 
 
 def generate_scenario(
@@ -62,13 +40,9 @@ def generate_scenario(
 ) -> tuple[Taxonomy, list[GroundTruthInstance]]:
     """Random taxonomy and ground truth on a 1920x1080 canvas. The seed
     defaults to the noise's, which `vista synth` passes for both."""
-    counts = {"n_examples": n_examples, "n_nouns": n_nouns, "n_verbs": n_verbs,
-              "gts_per_example": gts_per_example, "seed": seed}
-    problems = [p for name, value in counts.items() for p in number_problems(name, value, integer=True)]
-    if problems:
-        raise ValidationError(problems)
-    if min(n_examples, n_nouns, n_verbs, gts_per_example) < 1:
-        raise ValidationError("all scenario counts must be >= 1")
+    check_settings([("n_examples", n_examples, "int", ">= 1"), ("n_nouns", n_nouns, "int", ">= 1"),
+                    ("n_verbs", n_verbs, "int", ">= 1"), ("gts_per_example", gts_per_example, "int", ">= 1"),
+                    ("seed", seed, "int", None)])
     taxonomy = Taxonomy(
         noun_names=tuple(f"noun_{i:03d}" for i in range(n_nouns)),
         verb_names=tuple(f"verb_{i:03d}" for i in range(n_verbs)),
@@ -113,11 +87,7 @@ def perturb_to_predictions(
     so less-perturbed hypotheses rank higher; zero noise reproduces the
     ground truth with score exactly 1.0.
     """
-    problems = number_problems("n_sources", n_sources, integer=True)
-    if problems:
-        raise ValidationError(problems)
-    if n_sources < 1:
-        raise ValidationError(f"n_sources must be >= 1, got {n_sources}")
+    check_settings([("n_sources", n_sources, "int", ">= 1")])
     sources: list[dict[str, list[StaHypothesis]]] = []
     for s in range(n_sources):
         preds: dict[str, list[StaHypothesis]] = {}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,31 +24,70 @@ PredictionSet = dict[str, "HypothesisTable"]
 
 def number_problems(name: str, value, integer: bool = False) -> list[str]:
     """The problem with a value that must be a number, or an integer if
-    `integer`; empty when there is none. A bool is not a number here."""
+    `integer`; empty when there is none. A bool is not a number here, and
+    an int too large for a float is not one either: arithmetic with
+    floats would overflow on it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         return [f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}"]
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            return [f"{name} must be a number within the float range, got {value!r}"]
     return []
 
 
-def field_type_problems(config) -> list[str]:
-    """`number_problems` of every field of a config dataclass whose fields
-    are all annotated int or float."""
-    return [
-        problem
-        for f in fields(config)
-        for problem in number_problems(f.name, getattr(config, f.name), integer=f.type == "int")
-    ]
+# The rules a setting can declare, by the words its problem names them
+# with; a value keeps a rule when its test is true. NaN keeps none.
+RULES = {
+    ">= 1": lambda v: v >= 1,
+    "positive": lambda v: v > 0.0,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+}
 
 
-def shape_problems(contract: dict[str, tuple], arrays: dict[str, np.ndarray]) -> dict[str, str]:
+def setting(default, rule: str):
+    """A config field with its default and the `RULES` key of the rule
+    its value must keep. A field without one takes any number of its
+    type."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_settings(settings: list[tuple[str, object, str, str | None]]) -> None:
+    """Check settings given as (name, value, type, rule), the type "int"
+    or "float" and the rule a `RULES` key or None. Raises a
+    ValidationError listing every value not of its type, worded by
+    `number_problems`, or if there is none every value that breaks its
+    rule, as "<name> must be <rule>, got <value>"."""
+    problems = [problem for name, value, kind, _ in settings
+                for problem in number_problems(name, value, integer=kind == "int")]
+    if not problems:
+        problems = [f"{name} must be {rule}, got {value}" for name, value, _, rule in settings
+                    if rule is not None and not RULES[rule](value)]
+    if problems:
+        raise ValidationError(problems)
+
+
+def check_fields(config) -> None:
+    """`check_settings` of every field of a config dataclass, annotated
+    int or float and declared with `setting`: its `__post_init__`."""
+    check_settings([(f.name, getattr(config, f.name), f.type, f.metadata.get("rule")) for f in fields(config)])
+
+
+def shape_problems(contract: dict[str, tuple], arrays: dict[str, np.ndarray],
+                   sizes: dict[str, int] | None = None) -> dict[str, str]:
     """The shape problem of each array that breaks its contract, by name,
     in contract order. The contract gives each array's dims: an int is a
     fixed size, a symbol a size every use shares and a tuple of symbols
-    their sum. A symbol takes its size from the first array in contract
-    order that names it outside a sum, at that axis if the array has it.
-    Names missing from `arrays` are skipped."""
+    their sum. A symbol takes its size from `sizes`, or else from the
+    first array in contract order that names it outside a sum, at that
+    axis if the array has it. Names missing from `arrays` are skipped."""
     shapes = {name: arrays[name].shape for name in contract if name in arrays}
-    sizes = {}
+    sizes = dict(sizes or {})
     for name, shape in shapes.items():
         for axis, dim in enumerate(contract[name]):
             if isinstance(dim, str):
@@ -91,18 +130,11 @@ class Taxonomy:
     def n_verbs(self) -> int:
         return len(self.verb_names)
 
-    def valid_ids(self, noun: np.ndarray, verb: np.ndarray) -> np.ndarray:
-        """Mask of the rows of id columns whose noun and verb are both in range."""
-        return (noun >= 0) & (noun < self.n_nouns) & (verb >= 0) & (verb < self.n_verbs)
-
-    def check_ids(self, noun_id: int, verb_id: int) -> list[str]:
-        """Return a list of problems (empty when both ids are in range)."""
-        problems = []
-        if not (0 <= noun_id < self.n_nouns):
-            problems.append(f"noun_id {noun_id} out of range [0, {self.n_nouns})")
-        if not (0 <= verb_id < self.n_verbs):
-            problems.append(f"verb_id {verb_id} out of range [0, {self.n_verbs})")
-        return problems
+    def outside_ids(self, noun: np.ndarray, verb: np.ndarray) -> list[tuple[str, np.ndarray, int]]:
+        """For the noun and then the verb id column: its name, the mask of
+        its rows whose id is out of range and the size of the range."""
+        return [(name, (ids < 0) | (ids >= size), size)
+                for name, ids, size in (("noun", noun, self.n_nouns), ("verb", verb, self.n_verbs))]
 
 
 @dataclass(frozen=True)
@@ -111,7 +143,8 @@ class StaHypothesis:
 
     Objects only enter the library: `synth` builds them and the oracle
     reads them, and `as_table` turns a list of them into the
-    HypothesisTable every computation runs on."""
+    HypothesisTable every computation runs on. They are not checked on
+    their own: the table checks every row."""
 
     box: Box2D
     noun_id: int
@@ -120,24 +153,12 @@ class StaHypothesis:
     score: float
     source_id: int | None = None
 
-    def __post_init__(self):
-        problems = []
-        if not (math.isfinite(self.ttc) and self.ttc >= 0.0):
-            problems.append(f"ttc must be finite and >= 0, got {self.ttc}")
-        if not (math.isfinite(self.score) and self.score > 0.0):
-            problems.append(f"score must be finite and > 0, got {self.score}")
-        if self.noun_id < 0:
-            problems.append(f"noun_id must be >= 0, got {self.noun_id}")
-        if self.verb_id < 0:
-            problems.append(f"verb_id must be >= 0, got {self.verb_id}")
-        if problems:
-            raise ValidationError(problems)
-
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
     """One annotated future interaction for an example. Like
-    StaHypothesis, it only enters the library (`as_gt_table`)."""
+    StaHypothesis, it only enters the library, and `as_gt_table` checks
+    it as a row of a GroundTruthTable."""
 
     example_uid: str
     box: Box2D
@@ -145,28 +166,10 @@ class GroundTruthInstance:
     verb_id: int
     ttc: float
 
-    def __post_init__(self):
-        problems = []
-        if not (math.isfinite(self.ttc) and self.ttc >= 0.0):
-            problems.append(f"ttc must be finite and >= 0, got {self.ttc}")
-        if self.noun_id < 0:
-            problems.append(f"noun_id must be >= 0, got {self.noun_id}")
-        if self.verb_id < 0:
-            problems.append(f"verb_id must be >= 0, got {self.verb_id}")
-        if problems:
-            raise ValidationError(problems)
-
-
-# Column dtypes of a HypothesisTable.
-_TABLE_COLUMNS = {
-    "boxes": np.float64, "noun": np.int64, "verb": np.int64, "ttc": np.float64, "score": np.float64,
-    "source": np.int64, "has_source": np.bool_,
-}
-
 
 def box_rules(boxes: np.ndarray) -> list[tuple[np.ndarray, str]]:
-    """The rules of Box2D over the rows of (N, 4) corners, in its order:
-    (mask of the rows that break the rule, the rule)."""
+    """The rules of a box over the rows of (N, 4) corners: (mask of the
+    rows that break the rule, the rule)."""
     x1, y1, x2, y2 = boxes.T
     finite = np.isfinite(boxes).all(axis=1)
     return [
@@ -177,8 +180,8 @@ def box_rules(boxes: np.ndarray) -> list[tuple[np.ndarray, str]]:
 
 
 def ground_truth_rules(noun, verb, ttc) -> list[tuple[np.ndarray, str]]:
-    """The rules of GroundTruthInstance over columns, in its order: (mask
-    of the rows that break the rule, the rule)."""
+    """The value rules of an annotation over the columns of its ids and
+    time-to-contact: (mask of the rows that break the rule, the rule)."""
     return [
         (~(np.isfinite(ttc) & (ttc >= 0.0)), "ttc must be finite and >= 0"),
         (noun < 0, "noun_id must be >= 0"),
@@ -187,11 +190,37 @@ def ground_truth_rules(noun, verb, ttc) -> list[tuple[np.ndarray, str]]:
 
 
 def hypothesis_rules(noun, verb, ttc, score) -> list[tuple[np.ndarray, str]]:
-    """The rules of StaHypothesis over columns, in its order: those of
-    GroundTruthInstance, with the score's rule second."""
+    """The value rules of a hypothesis over columns: those of an
+    annotation, with the score's rule second."""
     rules = ground_truth_rules(noun, verb, ttc)
     rules.insert(1, (~(np.isfinite(score) & (score > 0.0)), "score must be finite and > 0"))
     return rules
+
+
+def _set_columns(table, columns: dict[str, tuple], n: int, rules) -> None:
+    """Set the columns of a frozen table, given by name with their dtype
+    and dims (N the rows) in `columns`, as read-only arrays of their
+    dtypes. Raises a ValidationError listing every column whose shape is
+    not its dims with N = n (`shape_problems`), or if there is none every
+    row that breaks one of `rules(table)`, rule by rule, as "row <i>:
+    <rule>"."""
+    arrays = {name: np.array(getattr(table, name), dtype=dtype) for name, (dtype, _) in columns.items()}
+    for column in arrays.values():
+        column.flags.writeable = False
+    table.__dict__.update(arrays)
+    problems = list(shape_problems({name: dims for name, (_, dims) in columns.items()}, arrays, {"N": n}).values())
+    if not problems:
+        problems = [f"row {i}: {rule}" for bad, rule in rules(table) for i in np.flatnonzero(bad).tolist()]
+    if problems:
+        raise ValidationError(problems)
+
+
+# The columns of a HypothesisTable, in field order: dtype and dims.
+_TABLE_COLUMNS = {
+    "boxes": (np.float64, ("N", 4)), "noun": (np.int64, ("N",)), "verb": (np.int64, ("N",)),
+    "ttc": (np.float64, ("N",)), "score": (np.float64, ("N",)), "source": (np.int64, ("N",)),
+    "has_source": (np.bool_, ("N",)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +231,9 @@ class HypothesisTable:
     score (N,) float64, source (N,) int64 ids and has_source (N,) bool,
     which marks the rows that have a source id (any int64 is one, -1
     too). The two are given together; without them no row has a source.
-    The columns are read-only and are
-    validated as whole arrays, with the rules of StaHypothesis and Box2D.
-    Tables that the stages pass between them are in canonical order
-    (`sort_canonical`).
+    The columns are read-only and are validated as whole arrays, with
+    `box_rules` and `hypothesis_rules`. Tables that the stages pass
+    between them are in canonical order (`sort_canonical`).
     """
 
     boxes: np.ndarray
@@ -223,21 +251,8 @@ class HypothesisTable:
         if self.source is None:
             object.__setattr__(self, "source", np.zeros(n, dtype=np.int64))
             object.__setattr__(self, "has_source", np.zeros(n, dtype=bool))
-        for name, dtype in _TABLE_COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        problems = [
-            f"{name} must have shape {shape}, got {getattr(self, name).shape}"
-            for name, shape in [("boxes", (n, 4))] + [(name, (n,)) for name in list(_TABLE_COLUMNS)[1:]]
-            if getattr(self, name).shape != shape
-        ]
-        if problems:
-            raise ValidationError(problems)
-        for bad, what in box_rules(self.boxes) + hypothesis_rules(self.noun, self.verb, self.ttc, self.score):
-            problems += [f"row {i}: {what}" for i in np.flatnonzero(bad).tolist()]
-        if problems:
-            raise ValidationError(problems)
+        _set_columns(self, _TABLE_COLUMNS, n, lambda t: (
+            box_rules(t.boxes) + hypothesis_rules(t.noun, t.verb, t.ttc, t.score)))
 
     @classmethod
     def from_valid(cls, *columns: np.ndarray) -> HypothesisTable:
@@ -282,7 +297,8 @@ class HypothesisTable:
 
 def as_table(hyps) -> HypothesisTable:
     """A HypothesisTable as it is, or a list of StaHypothesis (`synth`'s
-    output) as a table of the same rows in the same order."""
+    output) as a table of the same rows in the same order. The table's
+    rules check the objects: a bad one is named by its row."""
     if isinstance(hyps, HypothesisTable):
         return hyps
     return HypothesisTable(
@@ -296,14 +312,21 @@ def as_table(hyps) -> HypothesisTable:
     )
 
 
+# The columns of a GroundTruthTable after its uids: dtype and dims.
+_GT_COLUMNS = {
+    "boxes": (np.float64, ("N", 4)), "noun": (np.int64, ("N",)), "verb": (np.int64, ("N",)),
+    "ttc": (np.float64, ("N",)),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruthTable:
     """A ground truth as columns; row i is one annotation.
 
     uid (N,) tuple of example uids, boxes (N, 4) float64 corners, noun
     and verb (N,) int64 ids and ttc (N,) float64. The columns are
-    read-only and are validated as whole arrays, with the rules of
-    GroundTruthInstance and Box2D.
+    read-only and are validated as whole arrays, with `box_rules` and
+    `ground_truth_rules`.
     """
 
     uid: tuple[str, ...]
@@ -314,21 +337,8 @@ class GroundTruthTable:
 
     def __post_init__(self):
         object.__setattr__(self, "uid", tuple(self.uid))
-        n = len(self.uid)
-        problems = []
-        for name, dtype, shape in (("boxes", np.float64, (n, 4)), ("noun", np.int64, (n,)),
-                                   ("verb", np.int64, (n,)), ("ttc", np.float64, (n,))):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-            if column.shape != shape:
-                problems.append(f"{name} must have shape {shape}, got {column.shape}")
-        if problems:
-            raise ValidationError(problems)
-        for bad, what in box_rules(self.boxes) + ground_truth_rules(self.noun, self.verb, self.ttc):
-            problems += [f"row {i}: {what}" for i in np.flatnonzero(bad).tolist()]
-        if problems:
-            raise ValidationError(problems)
+        _set_columns(self, _GT_COLUMNS, len(self.uid), lambda t: (
+            box_rules(t.boxes) + ground_truth_rules(t.noun, t.verb, t.ttc)))
 
     def __len__(self) -> int:
         return len(self.uid)
@@ -336,7 +346,8 @@ class GroundTruthTable:
 
 def as_gt_table(gts) -> GroundTruthTable:
     """A GroundTruthTable as it is, or a list of GroundTruthInstance
-    (`synth`'s output) as a table of the same rows in the same order."""
+    (`synth`'s output) as a table of the same rows in the same order. The
+    table's rules check the objects: a bad one is named by its row."""
     if isinstance(gts, GroundTruthTable):
         return gts
     return GroundTruthTable(

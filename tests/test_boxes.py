@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from vista.boxes import Box2D, iou
 from vista.errors import ValidationError
+from vista.types import StaHypothesis, as_table
 
 
 def grid_iou(a: Box2D, b: Box2D, cells: int = 600) -> float:
@@ -66,10 +67,12 @@ class TestIou:
         assert iou(point, Box2D(0, 0, 2, 2)) == 0.0
 
     def test_invalid_box_rejected(self):
-        with pytest.raises(ValidationError):
-            Box2D(2, 0, 1, 1)
-        with pytest.raises(ValidationError):
-            Box2D(0, 0, math.nan, 1)
+        # A box is checked where it becomes a table row.
+        for box, rule in ((Box2D(2, 0, 1, 1), "box has x1 > x2"),
+                          (Box2D(0, 0, math.nan, 1), "box coordinates must be finite")):
+            with pytest.raises(ValidationError) as err:
+                as_table([StaHypothesis(box, 0, 0, 1.0, 0.5)])
+            assert err.value.problems == [f"row 0: {rule}"]
 
     @given(boxes, boxes)
     def test_symmetric_and_bounded(self, a, b):

@@ -96,7 +96,23 @@ class TestEvaluateCommand:
              str(synth_dir / "predictions_source_00.json"), *flags]
         )
         assert code == EXIT_VALIDATION
-        assert "must be positive, got nan" in capsys.readouterr().err
+        problem = {"--iou-min": "iou_min must be in (0, 1)", "--ttc-tol": "ttc_max_error must be positive"}[flags[0]]
+        assert capsys.readouterr().err == f"error: {problem}, got nan\n"
+
+    @pytest.mark.parametrize("iou_min", ["1.0", "1.5"])
+    def test_iou_min_of_1_or_more_exit_2(self, synth_dir, tmp_path, capsys, iou_min):
+        # A match needs IoU > iou_min and IoU is at most 1, so no prediction could match.
+        code = main(["evaluate", str(synth_dir / "ground_truth.json"), str(synth_dir / "predictions_source_00.json"),
+                     "--iou-min", iou_min, "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: iou_min must be in (0, 1), got {iou_min}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_iou_min_just_below_1_matches_exact_boxes(self, synth_dir, tmp_path, capsys):
+        code = main(["evaluate", str(synth_dir / "ground_truth.json"), str(synth_dir / "predictions_source_00.json"),
+                     "--iou-min", "0.999", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.count("100.00") == 4
 
     def test_non_utf8_json_exit_2(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
@@ -462,6 +478,7 @@ class TestConfigFiles:
          "ttc_max_error must be a number, got [0.25]; top_k must be an integer, got 2.0"),
         ("ensemble", {"agreement_weight": False}, "agreement_weight must be a number, got False"),
         ("ensemble", {"max_exports": "7"}, "max_exports must be an integer, got '7'"),
+        ("ensemble", {"ttc_tol": 2**1024}, "ttc_tolerance must be a number within the float range, got 17976931"),
     ])
     def test_wrongly_typed_value_exit_2(self, synth_dir, tmp_path, capsys, command, config, problem):
         code = self.run_with_config(synth_dir, tmp_path, command, json.dumps(config).encode())

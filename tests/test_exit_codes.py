@@ -34,6 +34,8 @@ def valid(tmp_path_factory) -> Path:
     write_tensor_file(test_cli.TestPostprocessCommand().head_tensors(4), root / "heads.vstf")
     # "out" is checked but not used: every case passes --out.
     (root / "evaluate.json").write_text(json.dumps({"iou_min": 0.5, "ttc_tol": 0.25, "top_k": 5, "out": "run"}))
+    (root / "ensemble.json").write_text(json.dumps(
+        {"iou_min": 0.5, "ttc_tol": 0.25, "agreement_weight": 0.5, "max_exports": 100, "out": "run"}))
     (root / "postprocess.json").write_text(json.dumps({"k_noun": 2, "nms_iou": 0.5, "max_exports": 10}))
     write_tensor_file(test_cli.fusion_tensors(), root / "fuse.vstf")
     return root
@@ -54,7 +56,7 @@ CASES = [
     (TAXONOMY, ["validate", TAXONOMY]),
     (TAXONOMY, ["postprocess", HEADS, TAXONOMY]),
     ("evaluate.json", ["evaluate", GT, SUB, "--config", "evaluate.json"]),
-    ("evaluate.json", ["ensemble", SUB, OTHER, "--config", "evaluate.json"]),
+    ("ensemble.json", ["ensemble", SUB, OTHER, "--config", "ensemble.json"]),
     ("postprocess.json", ["postprocess", HEADS, TAXONOMY, "--config", "postprocess.json"]),
     ("fuse.vstf", ["fuse", "fuse.vstf"]),
     ("fuse.vstf", ["validate", "fuse.vstf"]),

@@ -1,7 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
-from vista.types import shape_problems
+from vista.boxes import Box2D
+from vista.errors import ValidationError
+from vista.types import (
+    GroundTruthInstance,
+    GroundTruthTable,
+    HypothesisTable,
+    StaHypothesis,
+    as_gt_table,
+    as_table,
+    shape_problems,
+)
 
 BOXES = {"proposal_boxes": ("P", 4), "objectness": ("P",)}
 CONTEXT = {"roi": ("D_roi",), "token_proj": ("D_token", "D_proj"), "layer1_w": (("D_roi", "D_proj"), "H")}
@@ -40,3 +52,84 @@ class TestShapeProblems:
         contract = {"c": ("P",), "a": ("P", 2), "b": (1,)}
         arrays = {"b": np.zeros(2), "a": np.zeros(3), "c": np.zeros(3)}
         assert list(shape_problems(contract, arrays)) == ["a", "b"]
+
+
+GOOD_BOX = Box2D(0.0, 0.0, 10.0, 10.0)
+# Each box rule, with a box that breaks it.
+BAD_BOXES = [
+    (Box2D(0.0, 0.0, math.nan, 10.0), "box coordinates must be finite"),
+    (Box2D(0.0, -math.inf, 10.0, 10.0), "box coordinates must be finite"),
+    (Box2D(10.0, 0.0, 5.0, 10.0), "box has x1 > x2"),
+    (Box2D(0.0, 10.0, 10.0, 5.0), "box has y1 > y2"),
+]
+# Each value rule, with a field value that breaks it.
+BAD_VALUES = [
+    ("ttc", -0.5, "ttc must be finite and >= 0"),
+    ("ttc", math.nan, "ttc must be finite and >= 0"),
+    ("ttc", math.inf, "ttc must be finite and >= 0"),
+    ("score", 0.0, "score must be finite and > 0"),
+    ("score", -1.0, "score must be finite and > 0"),
+    ("score", math.nan, "score must be finite and > 0"),
+    ("score", math.inf, "score must be finite and > 0"),
+    ("noun_id", -1, "noun_id must be >= 0"),
+    ("verb_id", -1, "verb_id must be >= 0"),
+]
+
+
+class TestObjectsCheckedAsRows:
+    """Objects are not checked on their own: the table they become
+    checks them, and names a bad one by its row."""
+
+    def hypothesis(self, **fields):
+        return StaHypothesis(**{"box": GOOD_BOX, "noun_id": 0, "verb_id": 0, "ttc": 1.0, "score": 0.5, **fields})
+
+    def annotation(self, **fields):
+        return GroundTruthInstance(**{"example_uid": "ex", "box": GOOD_BOX, "noun_id": 0, "verb_id": 0,
+                                      "ttc": 1.0, **fields})
+
+    @pytest.mark.parametrize("box, rule", BAD_BOXES)
+    def test_bad_box(self, box, rule):
+        with pytest.raises(ValidationError) as err:
+            as_table([self.hypothesis(), self.hypothesis(box=box)])
+        assert err.value.problems == [f"row 1: {rule}"]
+        with pytest.raises(ValidationError) as err:
+            as_gt_table([self.annotation(), self.annotation(box=box)])
+        assert err.value.problems == [f"row 1: {rule}"]
+
+    @pytest.mark.parametrize("name, value, rule", BAD_VALUES)
+    def test_bad_value(self, name, value, rule):
+        with pytest.raises(ValidationError) as err:
+            as_table([self.hypothesis(), self.hypothesis(**{name: value})])
+        assert err.value.problems == [f"row 1: {rule}"]
+        if name != "score":
+            with pytest.raises(ValidationError) as err:
+                as_gt_table([self.annotation(), self.annotation(**{name: value})])
+            assert err.value.problems == [f"row 1: {rule}"]
+
+    def test_every_bad_field_of_a_row_listed(self):
+        with pytest.raises(ValidationError) as err:
+            as_table([self.hypothesis(box=Box2D(1.0, 0.0, 0.0, 1.0), noun_id=-2, score=0.0)])
+        assert err.value.problems == [
+            "row 0: box has x1 > x2", "row 0: score must be finite and > 0", "row 0: noun_id must be >= 0"]
+
+    def test_good_objects_pass(self):
+        assert len(as_table([self.hypothesis(), self.hypothesis(box=Box2D(1.0, 1.0, 1.0, 1.0), ttc=0.0)])) == 2
+        assert len(as_gt_table([self.annotation(), self.annotation(ttc=0.0)])) == 2
+
+
+class TestTableShapes:
+    def test_hypothesis_table_rows_come_from_score(self):
+        with pytest.raises(ValidationError) as err:
+            HypothesisTable(boxes=np.zeros((3, 4)), noun=[0, 0], verb=[0], ttc=[1.0, 1.0], score=[0.5, 0.5])
+        assert err.value.problems == [
+            "boxes must have shape (N, 4) with N=2, got (3, 4)",
+            "verb must have shape (N,) with N=2, got (1,)",
+        ]
+
+    def test_ground_truth_table_rows_come_from_uid(self):
+        with pytest.raises(ValidationError) as err:
+            GroundTruthTable(uid=["a", "b"], boxes=np.zeros((2, 3)), noun=[0, 0], verb=[0, 0], ttc=[[1.0], [1.0]])
+        assert err.value.problems == [
+            "boxes must have shape (N, 4) with N=2, got (2, 3)",
+            "ttc must have shape (N,) with N=2, got (2, 1)",
+        ]
