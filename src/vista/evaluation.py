@@ -189,9 +189,10 @@ def evaluate(
     gts = as_gt_table(gts)
     kept = [top_k_filter(table, cfg.top_k) for table in tables.values()]
     uid_code = {uid: c for c, uid in enumerate(sorted(set(tables) | set(gts.uid)))}
+    sizes = list(map(len, kept))
     pred = HypothesisTable.concat(kept)
-    pred_uid = np.repeat(np.array([uid_code[uid] for uid in tables], dtype=np.int64),
-                         [len(t) for t in kept])
+    del kept  # each example's sorted copy, as large as the predictions
+    pred_uid = np.repeat(np.array([uid_code[uid] for uid in tables], dtype=np.int64), sizes)
     rank = canonical_order(pred, tie_break=pred_uid)
     pred, pred_uid = pred.take(rank), pred_uid[rank]
     gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)

@@ -16,10 +16,22 @@ score or box corner any value `float()` takes (bools and numeric strings
 too), a box a 4-element list, a uid a non-empty string; a missing or null
 `source_id` means none. Problems are listed entry by entry, in file order,
 and within an entry: object and uid, box, fields, taxonomy, values.
+
+`load_predictions` streams a submission: it reads the file `_CHUNK` bytes
+at a time and walks the top-level object and `results` member by member,
+so it holds about one chunk of text, the entries decoded since the last
+chunk and the tables read so far, never the whole text or all of its
+entries.
+A document it cannot walk that way (invalid JSON or UTF-8, a top level or
+`results` that is not an object, a repeated key), and a file that cannot
+be read twice, such as a pipe, is read whole by `predictions_from_dict`,
+which words its problems. The other JSON files are small and are read
+whole.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -64,10 +76,16 @@ def _dump_json(doc, path) -> None:
 
 
 def _load_json(path):
+    return _parse_json(Path(path).read_bytes(), path)
+
+
+def _parse_json(data: bytes, path):
+    """The document of a JSON file's bytes; `path` names it in problems."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})")
+    del data  # the last reference to the bytes, which are as large as the text
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -187,8 +205,8 @@ def _box_column(boxes: list) -> tuple[np.ndarray, dict[int, str]]:
     return np.array(corners, dtype=np.float64).reshape(len(boxes), 4), problems
 
 
-def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
-                  taxonomy: Taxonomy | None) -> tuple[dict, list[tuple[str | None, int, int]]]:
+def _read_entries(path, problems: list, lists: list, spec: _EntrySpec, taxonomy: Taxonomy | None,
+                  unknown: list | None = None) -> tuple[dict, list[tuple[str | None, int, int]]]:
     """Read the entries of `lists`, (position, name, entries) triples that
     it empties, as columns: each field of every entry at once, then whole
     columns against `box_rules` and `spec.rules`, the taxonomy's id
@@ -196,7 +214,9 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
     `problems` too, is keyed (list position, entry index, stage), with
     stages object/uid 0, box 1, fields 2, taxonomy 3 and values 4, and all
     are raised sorted by key. Otherwise this returns the columns, by
-    column name, and each list's (name, first row, end row)."""
+    column name, and each list's (name, first row, end row). Entries with
+    unknown fields are warned about, or, if `unknown` is a list, appended
+    to it as (fields, where) for the caller to warn about later."""
     rows: list[dict] = []
     spans = []  # (position, name, first row, entry index of each row, None if all are objects)
     for position, name, entries in lists:
@@ -223,7 +243,11 @@ def _read_entries(path, problems: list, lists: list, spec: _EntrySpec,
     if not all(map(spec.keys.issuperset, rows)):
         for r, raw in enumerate(rows):
             if not spec.keys.issuperset(raw):
-                _warn_unknown(set(raw), spec.keys, f"{path}: {spec.name(*locate(r)[1:])}", stacklevel=4)
+                where = f"{path}: {spec.name(*locate(r)[1:])}"
+                if unknown is None:
+                    _warn_unknown(set(raw), spec.keys, where, stacklevel=4)
+                else:
+                    unknown.append((set(raw), where))
     if spec.uid_field is not None:
         column = list(map(dict.get, rows, repeat(spec.uid_field)))
         if not (set(map(type, column)) <= {str} and all(column)):
@@ -367,32 +391,240 @@ def _copy(text: str) -> str:
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Read a submission as one HypothesisTable per example uid."""
+    """Read a submission as one HypothesisTable per example uid, in
+    canonical order; the ids are checked against the taxonomy's ranges
+    only if one is given.
+
+    A regular file is streamed (`_stream_predictions`). A document the
+    stream cannot walk, and a file that cannot be read twice, such as a
+    pipe, are read whole by `predictions_from_dict`, which words their
+    problems exactly as it words every submission's."""
+    with open(path, "rb") as file:
+        if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            return predictions_from_dict(_parse_json(file.read(), path), path, taxonomy)
+        try:
+            return _stream_predictions(file, path, taxonomy)
+        except _Unwalkable:
+            pass
     return predictions_from_dict(_load_json(path), path, taxonomy)
 
 
 def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     """A parsed submission document as one HypothesisTable per example
-    uid, in canonical order, with `_read_entries`; the ids are checked
-    against the taxonomy's ranges only if one is given. `path` names the
-    document in problems. The results are taken out of `doc`, so their
-    entries are freed as they are read."""
+    uid, as `load_predictions` reads it. `path` names the document in
+    problems. The results are taken out of `doc`, so their entries are
+    freed as they are read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
     _warn_unknown(set(doc), _KNOWN_SUBMISSION_KEYS, str(path))
     results = doc.pop("results", None)
     if not isinstance(results, dict):
         raise ValidationError(f"{path}: missing or non-object 'results'")
-
-    problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
-                for u, (uid, entries) in enumerate(results.items()) if not isinstance(entries, list)]
-    lists = [(u, _copy(uid), entries)
-             for u, (uid, entries) in enumerate(results.items()) if isinstance(entries, list)]
+    members = list(results.items())
     del results
-    columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy)
+    return _read_results(path, members, taxonomy)
+
+
+def _read_results(path, members: list, taxonomy: Taxonomy | None,
+                  unknown: list | None = None) -> PredictionSet:
+    """(uid, entries) members of a submission's `results`, in file order,
+    as one canonical HypothesisTable per uid, with `_read_entries` (which
+    `unknown` is passed on to). Every problem is raised, a value that is
+    not a list too. The members are emptied, so their entries are freed
+    as they are read."""
+    problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
+                for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
+    lists = [(u, _copy(uid), entries)
+             for u, (uid, entries) in enumerate(members) if isinstance(entries, list)]
+    members.clear()
+    columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy, unknown)
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
     return {uid: sort_canonical(whole.take(slice(start, end))) for uid, start, end in spans}
+
+
+def _stream_predictions(file, path, taxonomy: Taxonomy | None) -> PredictionSet:
+    """`load_predictions` of a submission read by `_walk_submission`: the
+    members of `results` are read by `_read_results` each time a chunk is
+    read, so only one chunk's entries are alive next to the tables. The
+    problems of every batch are raised together, and the unknown fields
+    are warned about (top level first, then entries in file order) only
+    once the whole text has been walked, so that a document that is
+    then read whole raises its first problem before any warning."""
+    preds: PredictionSet = {}
+    problems: list[str] = []  # each batch's, sorted, so all of them are sorted
+    unknown: list[tuple[set, str]] = []
+
+    def flush(members: list) -> None:
+        if not members:
+            return
+        try:
+            tables = _read_results(path, members, taxonomy, unknown)
+        except ValidationError as e:
+            problems.extend(e.problems)
+        else:
+            preds.update(tables)
+
+    keys = _walk_submission(file, flush)
+    _warn_unknown(keys, _KNOWN_SUBMISSION_KEYS, str(path))
+    for found, where in unknown:
+        _warn_unknown(found, _SUBMISSION.keys, where)
+    if problems:
+        raise ValidationError(problems)
+    return preds
+
+
+_CHUNK = 1 << 20  # the bytes of a submission that `_walk_submission` reads at a time
+_WHITESPACE = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
+_DECODER = json.JSONDecoder()
+
+
+class _Unwalkable(Exception):
+    """The submission is not one `_walk_submission` walks; it is read whole."""
+
+
+class _Short(Exception):
+    """A step of `_walk_submission` needs more text than has been read."""
+
+
+def _punctuation(text: str, pos: int) -> tuple[str, int]:
+    """The character after the whitespace at pos, and the position after it."""
+    pos = _WHITESPACE(text, pos).end()
+    if pos == len(text):
+        raise _Short
+    return text[pos], pos + 1
+
+
+def _key(text: str, pos: int) -> tuple[str, int]:
+    """The key whose string starts after the quote before pos, and the
+    position after the colon that follows it."""
+    try:
+        key, pos = json.decoder.scanstring(text, pos)
+    except json.JSONDecodeError:
+        raise _Short
+    colon, pos = _punctuation(text, pos)
+    if colon != ":":
+        raise _Unwalkable
+    return key, pos
+
+
+def _value(text: str, pos: int) -> tuple[object, str, int]:
+    """The value after the whitespace at pos and the comma or closing brace
+    after it, and the position after that brace or comma. The end of a
+    number is known only from the character after it, so a value is
+    taken only once that punctuation has been read."""
+    try:
+        value, pos = _DECODER.raw_decode(text, _WHITESPACE(text, pos).end())
+    except json.JSONDecodeError:
+        raise _Short
+    except (ValueError, RecursionError):  # an int beyond the digit limit; nesting too deep
+        raise _Unwalkable
+    after, pos = _punctuation(text, pos)
+    if after not in ",}":
+        raise _Short
+    return value, after, pos
+
+
+def _walk_submission(file, flush) -> set[str]:
+    """Walk the text of a submission's binary file, decoded `_CHUNK` bytes
+    at a time: the top-level object and `results` token by token
+    (whitespace, braces, commas, colons, keys by `scanstring`), each
+    other value at once with `raw_decode`. Before each chunk is read, and
+    at the end, `flush` is given the list of (uid, value) members of
+    `results` decoded since it was last given them, which it empties.
+    Returns the top-level keys.
+
+    The next chunk is read once less than a sixteenth of a chunk of text
+    is left ahead of the walk, so a value crosses the end of the text
+    only if it is longer than that. A step the text read so far does not
+    complete is tried again with one more chunk, so a token may cross
+    any number of chunks. At what `json.loads` rejects, and at documents
+    this walk does not cover (a top level or `results` that is not an
+    object, a repeated key, no `results`), this raises `_Unwalkable`."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    text, eof, members = "", False, []
+
+    def read_more(pos: int) -> None:
+        """Drop the text before pos, flush the members and add the next
+        chunk's text. The walked text is freed first, because reading
+        the members is when the most memory is held."""
+        nonlocal text, eof
+        if eof:
+            raise _Unwalkable
+        text = text[pos:]
+        flush(members)
+        chunk = file.read(_CHUNK)
+        eof = not chunk
+        try:
+            text += decoder.decode(chunk, final=eof)
+        except UnicodeDecodeError:
+            raise _Unwalkable
+
+    def take(step, pos: int):
+        if len(text) - pos < _CHUNK // 16 and not eof:
+            read_more(pos)
+            pos = 0
+        while True:
+            try:
+                return step(text, pos)
+            except _Short:
+                read_more(pos)
+                pos = 0
+
+    def walk_object(pos: int, member) -> tuple[set[str], int]:
+        """The keys of the object whose brace ends before pos, each passed
+        with the position after its colon to `member`, which gives the
+        punctuation after the value and the position after that; and the
+        position after the object's closing brace."""
+        keys: set[str] = set()
+        mark, pos = take(_punctuation, pos)
+        if mark == "}":
+            return keys, pos
+        while True:
+            if mark != '"':
+                raise _Unwalkable
+            key, pos = take(_key, pos)
+            if key in keys:
+                raise _Unwalkable
+            keys.add(key)
+            mark, pos = member(key, pos)
+            if mark == "}":
+                return keys, pos
+            if mark != ",":
+                raise _Unwalkable
+            mark, pos = take(_punctuation, pos)
+
+    def result(uid: str, pos: int) -> tuple[str, int]:
+        entries, after, pos = take(_value, pos)
+        members.append((uid, entries))
+        return after, pos
+
+    def top_level(key: str, pos: int) -> tuple[str, int]:
+        if key != "results":
+            _, after, pos = take(_value, pos)
+            return after, pos
+        mark, pos = take(_punctuation, pos)
+        if mark != "{":
+            raise _Unwalkable
+        _, pos = walk_object(pos, result)
+        return take(_punctuation, pos)
+
+    mark, pos = take(_punctuation, 0)
+    if mark != "{":
+        raise _Unwalkable
+    keys, pos = walk_object(pos, top_level)
+    while True:  # nothing but whitespace may follow
+        pos = _WHITESPACE(text, pos).end()
+        if pos < len(text):
+            raise _Unwalkable
+        if eof:
+            break
+        read_more(pos)
+        pos = 0
+    if "results" not in keys:
+        raise _Unwalkable
+    flush(members)
+    return keys
 
 
 # One submission entry as `json.dumps(indent=2, sort_keys=True)` writes it

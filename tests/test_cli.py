@@ -725,6 +725,37 @@ class TestValidateCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: not a regular file; a tensor container is read by seeking\n")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_submission_through_a_pipe_as_from_a_file(self, synth_dir, tmp_path, capsys, cut):
+        # A pipe cannot be read twice, so a submission through one is read
+        # whole; it must score, or fail, exactly as the same bytes in a file.
+        data = (synth_dir / "predictions_source_00.json").read_bytes()
+        if cut:
+            data = data[: len(data) // 2]
+        (tmp_path / "sub.json").write_bytes(data)
+        gt = str(synth_dir / "ground_truth.json")
+        from_file = main(["evaluate", gt, str(tmp_path / "sub.json"), "--out", str(tmp_path / "file")])
+        file_output = capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # it fits in the pipe's buffer
+        os.close(write_end)
+        try:
+            path = f"/dev/fd/{read_end}"
+            from_pipe = main(["evaluate", gt, path, "--out", str(tmp_path / "pipe")])
+        finally:
+            os.close(read_end)
+        pipe_output = capsys.readouterr()
+        assert (from_pipe, pipe_output.out) == (from_file, file_output.out)
+        assert pipe_output.err == file_output.err.replace(str(tmp_path / "sub.json"), path)
+        if cut:
+            assert from_pipe == EXIT_VALIDATION and "invalid JSON" in pipe_output.err
+            return
+        reports = [json.loads((tmp_path / out / "report.json").read_text()) for out in ("file", "pipe")]
+        for report in reports:
+            del report["provenance"]
+        assert reports[0] == reports[1] and from_pipe == EXIT_OK
+
     def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"caf\xe9", [1.0]))

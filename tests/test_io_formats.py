@@ -1,16 +1,21 @@
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vista import io_formats
 from vista.errors import FormatError, ValidationError
 from vista.io_formats import (
+    _load_json,
     load_ground_truth,
     load_predictions,
     load_taxonomy,
+    predictions_from_dict,
     read_tensor_file,
     write_ground_truth,
     write_submission,
@@ -513,6 +518,199 @@ class TestSubmissionText:
             assert (tmp_path / "sub.json").read_text() == reference_submission_text(
                 preds, {"é": {"nested": ["ü", 1.5]}}
             )
+
+
+# -- the streamed submission reader -----------------------------------------
+
+STREAM_TAXONOMY = Taxonomy(("n0", "n1", "n2"), ("v0", "v1"))
+
+
+def stream_entries(rng, n: int, unknown: bool = False) -> list[dict]:
+    entries = []
+    for i in range(n):
+        x, y = rng.uniform(0, 500, 2).tolist()
+        raw = {"box": [x, y, x + 10.5, y + float(rng.uniform(1, 50))],
+               "noun_category_id": int(rng.integers(3)), "verb_category_id": int(rng.integers(2)),
+               "time_to_contact": float(rng.uniform(0, 2)), "score": float(rng.uniform(0.01, 1))}
+        if i % 3 == 1:
+            raw["source_id"] = int(rng.integers(-1, 4))
+        if unknown and i == 1:
+            raw["comment"] = "ünknown"
+        entries.append(raw)
+    return entries
+
+
+def stream_corpus() -> dict[str, tuple[bool, list[bytes]]]:
+    """Submission files by kind: whether the streamed reader must walk
+    them (not read them whole), and their bytes."""
+    rng = np.random.default_rng(14)
+    uids = ["ex_0", "café", "\U0001f600 smile", 'q"b\\s', " \t", "é" * 3]
+    doc = {"version": "1.0", "challenge": "ego4d_sta", "future": {"a": [1, None]}, "count": -1.5e-300,
+           "results": {uid: stream_entries(rng, 3, unknown=k == 2) for k, uid in enumerate(uids)},
+           "provenance": {"note": "ß", "values": [1, 2.5, None, True, "\U0001f600"]}, "n": 1024}
+    written = [
+        json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        json.dumps(doc, separators=(",", ":")),
+        json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+        json.dumps(doc, indent=2).replace("\n", "\r\n"),
+        json.dumps(doc, indent="\t", ensure_ascii=False),
+        json.dumps(doc, indent=" \r\n\t") + " \n\t\r ",
+    ]
+    texts = [text.encode("utf-8") for text in written]
+    one = json.dumps(stream_entries(rng, 2))
+    nan_entries = stream_entries(rng, 3)
+    nan_entries[0]["score"] = float("nan")
+    nan_entries[1]["extra"] = [float("nan"), float("inf"), -float("inf")]
+    bad_entries = stream_entries(rng, 4)
+    bad_entries[1].update(time_to_contact=-1, noun_category_id=7)
+    bad_entries[2] = "junk"
+    bad_entries[3]["box"] = [0, 0, 1]
+    good = {"results": {"a": stream_entries(rng, 2), "b": [], "c": stream_entries(rng, 1)}}
+    late_problem = {"version": "1.0", "results": {f"u{k}": stream_entries(rng, 2, unknown=True) for k in range(4)}}
+    late_problem["results"]["u3"][0]["score"] = 0.0
+
+    def flip(data: bytes, k: int, value: int) -> bytes:
+        return data[:k] + bytes([value]) + data[k + 1:]
+
+    deep = "[" * 100_000
+    long_int = "7" * 5000
+    return {
+        "valid": (True, texts + [json.dumps(d).encode() for d in (
+            {"results": {}}, {"results": {}, "version": "1.0"}, {"results": {"e": []}}, good)]),
+        "entry problems": (True, [json.dumps(d).encode() for d in (
+            {"results": {"a": nan_entries}}, {"results": {"a": bad_entries, "b": nan_entries}},
+            {"results": {"a": 5, "b": stream_entries(rng, 1), "c": {"x": 1}, "d": None, "e": "s"}},
+            late_problem,
+            {"results": {"a": [{"box": [0, 0, 1, 1], "noun_category_id": 2**70, "verb_category_id": 0,
+                                "time_to_contact": 1, "score": 1, "source_id": -(2**70)}]}})]),
+        "truncated": (False, [data[:k] for data in texts[:3]
+                              for k in rng.integers(0, len(data), 8).tolist() + [len(data) - 2]]),
+        "flipped": (False, [flip(data, k, v) for data in texts[:3] for k, v in zip(
+            rng.integers(0, len(data), 8).tolist(), rng.integers(0, 256, 8).tolist())]),
+        "invalid utf-8": (False, [data[:k] + b"\xff" + data[k:] for data in texts[:2]
+                                  for k in rng.integers(0, len(data), 3).tolist()]
+                          + [texts[2].replace("é".encode(), b"\xc3x", 1), texts[1] + b"\xf0\x9f",
+                             texts[2][:texts[2].index("\U0001f600".encode()) + 2]]),
+        "bom": (False, [b"\xef\xbb\xbf" + data for data in texts[:2]]),
+        "trailing": (False, [texts[0] + b"x", texts[1] + b" {}", texts[1] + b"\x00", texts[0] + b"]"]),
+        "structure": (False, [text.encode() for text in (
+            "", "  ", "null", "[1, 2, 3]", '"results"', "{}", '{"version": "1.0"}', '{"results": []}',
+            '{"results": null}', '{"results": "x"}', '{"results": {"a": [],}}', '{"results": {"a" []}}',
+            '{"results": {}, }', '{"results": {} "version": 1}', '{"results": {"a": 1.}}', "{'results': {}}",
+            '{"results": "a": []}}', '{"results": {"a": []}}}', '{"results" {}}', '{"results": {}}]',
+            '["results": {}}', '{\'results": {}}', '{"results" , {}}', '{"results": ["a": []}}',
+            '{"results": {}; "version": 1}',
+        )]),
+        "repeated keys": (False, [text.encode() for text in (
+            f'{{"results": {{"a": [], "b": {one}, "a": {one}}}}}',
+            f'{{"results": {{"a": {one}}}, "version": "1.0", "results": {{"b": []}}}}',
+            f'{{"version": "1", "results": {{"a": {one}}}, "version": "2"}}',
+            f'{{"results": {{"a": {one}, "b": [], "caf\\u00e9": [], "café": {one}}}}}',
+        )]),
+        "deep": (False, [text.encode() for text in (
+            f'{{"results": {{"a": {deep}}}}}',
+            f'{{"results": {{"a": [{{"box": {deep}{"]" * 100_000}}}]}}}}',
+            f'{{"provenance": {deep}{"]" * 100_000}, "results": {{}}}}',
+        )]),
+        "long ints": (False, [text.encode() for text in (
+            f'{{"version": {long_int}, "results": {{}}}}',
+            f'{{"results": {{"a": [{{"noun_category_id": {long_int}}}]}}}}',
+            f'{{"results": {{"a": {one}, "b": {long_int}}}}}',
+        )]),
+    }
+
+
+STREAM_CORPUS = stream_corpus()
+
+
+def read_whole(path, taxonomy):
+    return predictions_from_dict(_load_json(path), path, taxonomy)
+
+
+def outcome(read, path):
+    """What a reader makes of a file: each table's columns bit for bit, or
+    the exception's type and problems; and the warnings, in order. Any
+    other exception fails the test (the command would exit 3)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            preds = read(path, STREAM_TAXONOMY)
+        except (ValidationError, FormatError) as e:
+            result = (type(e), getattr(e, "problems", str(e)))
+        else:
+            result = [(uid, [(name, column.dtype.str, column.shape, column.tobytes())
+                             for name, column in vars(table).items()])
+                      for uid, table in preds.items()]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestStreamedSubmissions:
+    """`load_predictions` walks a submission chunk by chunk; whatever the
+    file, it must read it as `predictions_from_dict` reads the whole
+    document: the same tables, or the same exception and problems, and
+    the same warnings in the same order."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, io_formats._CHUNK])
+    @pytest.mark.parametrize("kind", list(STREAM_CORPUS))
+    def test_read_as_the_whole_document(self, tmp_path, monkeypatch, kind, chunk):
+        # A chunk of 1 or 3 bytes makes every token and every multi-byte
+        # character cross a chunk boundary.
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        wholes = []
+        monkeypatch.setattr(io_formats, "_load_json", lambda path: wholes.append(path) or _load_json(path))
+        walked, files = STREAM_CORPUS[kind]
+        path = tmp_path / "sub.json"
+        for data in files:
+            path.write_bytes(data)
+            wholes.clear()
+            assert outcome(load_predictions, path) == outcome(read_whole, path), data[:300]
+            if walked:
+                assert wholes == [], data[:300]
+
+    def test_problems_and_warnings_of_every_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_formats, "_CHUNK", 64)
+        _, files = STREAM_CORPUS["entry problems"]
+        path = tmp_path / "sub.json"
+        path.write_bytes(files[3])  # unknown fields in every list, a bad score in the last
+        result, caught = outcome(load_predictions, path)
+        assert result == (ValidationError, [f"{path}: results['u3'][0]: score must be finite and > 0, got 0.0"])
+        assert [message for _, message in caught] == [
+            f"{path}: results['u{k}'][1]: ignoring unknown fields ['comment']" for k in range(4)]
+
+    def test_no_warning_before_a_later_syntax_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_formats, "_CHUNK", 16)
+        _, texts = STREAM_CORPUS["valid"]
+        path = tmp_path / "sub.json"
+        path.write_bytes(texts[0][:-3])  # unknown fields throughout, then the closing brace cut
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="invalid JSON at line"):
+                load_predictions(path)
+
+    def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch):
+        # Reading the whole document peaks at 2.4-2.6 times the file size.
+        rng = np.random.default_rng(3)
+        preds = {}
+        for u in range(100):
+            corners = rng.uniform(0, 500, (100, 4))
+            preds[f"ex_{u:03d}"] = HypothesisTable(
+                boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
+                noun=rng.integers(0, 10, 100), verb=rng.integers(0, 10, 100),
+                ttc=rng.uniform(0, 2, 100), score=rng.uniform(0.01, 1, 100))
+        path = tmp_path / "sub.json"
+        write_submission(preds, path)
+        size = path.stat().st_size
+        assert size > 2_500_000
+        monkeypatch.setattr(io_formats, "_CHUNK", 64 * 1024)
+        tracemalloc.start()
+        try:
+            loaded = load_predictions(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {uid: columns(table) for uid, table in loaded.items()} == {
+            uid: columns(sort_canonical(table)) for uid, table in preds.items()}
+        assert peak < size, f"peak {peak} bytes for a file of {size}"
 
 
 class TestTensorContainer:
