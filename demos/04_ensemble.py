@@ -9,19 +9,26 @@ from vista import (
     EnsembleConfig,
     EvalConfig,
     NoiseConfig,
+    as_gt_table,
+    as_table,
     ensemble_predictions,
     evaluate,
     generate_scenario,
     perturb_to_predictions,
 )
 
-taxonomy, gts = generate_scenario(
+taxonomy, annotations = generate_scenario(
     n_examples=12, n_nouns=6, n_verbs=5, gts_per_example=2, seed=21
 )
 noise = NoiseConfig(
     box_jitter_sigma=25, label_flip_prob=0.15, ttc_noise_sigma=0.15, drop_prob=0.1, seed=21
 )
-sources = perturb_to_predictions(taxonomy, gts, noise, n_sources=3)
+# synth gives lists of objects; the stages take tables.
+gts = as_gt_table(annotations)
+sources = [
+    {uid: as_table(hyps) for uid, hyps in source.items()}
+    for source in perturb_to_predictions(taxonomy, annotations, noise, n_sources=3)
+]
 
 cfg = EvalConfig()
 for i, src in enumerate(sources):

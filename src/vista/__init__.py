@@ -7,7 +7,7 @@ evaluation protocol, plus a seeded synthetic harness so every stage can
 be exercised without real data.
 """
 
-from .boxes import Box2D, iou
+from .boxes import Box2D
 from .ensemble import (
     EnsembleConfig,
     Grouping,

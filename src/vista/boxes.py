@@ -4,11 +4,11 @@ Boxes use corner coordinates with no +1 pixel convention:
 area = (x2 - x1) * (y2 - y1). Zero-area boxes are representable but
 match nothing (their IoU against anything is defined as 0).
 
-`iou` is the scalar definition, kept as the bit-exact reference that
-`pair_iou` is tested against; `pair_iou` computes it over columns for
-many pairs at once with the same operations in the same order, so both
-give the same bits, and `pair_blocks` enumerates the pairs in bounded
-blocks.
+The scalar definition of IoU is the oracle's (`oracle._iou_scalar`),
+kept as the bit-exact reference that `pair_iou` is tested against;
+`pair_iou` computes it over columns for many pairs at once with the
+same operations in the same order, so both give the same bits, and
+`pair_blocks` enumerates the pairs in bounded blocks.
 """
 
 from __future__ import annotations
@@ -34,48 +34,21 @@ class Box2D:
     x2: float
     y2: float
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two boxes, in [0, 1].
-
-    Two boxes whose union has zero area (both degenerate) score 0.
-    """
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def box_columns(boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The x1, y1, x2, y2 columns of (N, 4) corners, contiguous, and the
-    areas, as `Box2D.area` computes them."""
+    areas, (x2 - x1) * (y2 - y1)."""
     x1, y1, x2, y2 = corners = [np.ascontiguousarray(boxes[:, i]) for i in range(4)]
     return corners, (x2 - x1) * (y2 - y1)
 
 
 def pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`iou` of the boxes at rows a[i] and b[i], given the `box_columns`
-    of the boxes, with its operations in its order."""
+    """The IoU of the boxes at rows a[i] and b[i], given the `box_columns`
+    of the boxes, with the operations of `oracle._iou_scalar` in its
+    order."""
     x1, y1, x2, y2 = corners
     ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
     iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])

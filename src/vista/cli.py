@@ -40,6 +40,7 @@ from .io_formats import (
 from .postprocess import InferenceConfig, postprocess_container
 from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
+from .types import as_gt_table, as_table
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -152,9 +153,10 @@ def cmd_synth(args) -> int:
     taxonomy, gts = generate_scenario(seed=noise.seed, **_settings(args, config, generate_scenario))
     sources = perturb_to_predictions(taxonomy, gts, noise, **_settings(args, config, perturb_to_predictions))
     out = _out_dir(args, config)
-    write_ground_truth(taxonomy, gts, out / "ground_truth.json")
+    write_ground_truth(taxonomy, as_gt_table(gts), out / "ground_truth.json")
     for s, preds in enumerate(sources):
-        write_submission(preds, out / f"predictions_source_{s:02d}.json")
+        write_submission({uid: as_table(hyps) for uid, hyps in preds.items()},
+                         out / f"predictions_source_{s:02d}.json")
     print(out / "ground_truth.json")
     return EXIT_OK
 

@@ -9,10 +9,11 @@ hypotheses are interchangeable under the strictest matching criterion.
 
 Grouping and merging work on the columns of one example's pooled
 HypothesisTable. The arithmetic is that of the scalar definitions, bit
-for bit: IoU keeps the operation order of `boxes.iou`, and every sum over
-a group's members adds them one at a time in member order from 0.0
-(numpy's pairwise summation rounds differently for groups of 8 or more,
-and Python's own `sum` compensates float rounding from 3.12 on).
+for bit: IoU keeps the operation order of the oracle's scalar IoU
+(`oracle._iou_scalar`), and every sum over a group's members adds them
+one at a time in member order from 0.0 (numpy's pairwise summation
+rounds differently for groups of 8 or more, and Python's own `sum`
+compensates float rounding from 3.12 on).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, as_table, check_fields, setting, sort_canonical
+from .types import HypothesisTable, PredictionSet, check_fields, setting, sort_canonical
 
 
 @dataclass(frozen=True)
@@ -68,24 +69,23 @@ class Grouping:
         return (HypothesisGroup(self.table.take(slice(*ends))) for ends in zip(bounds, bounds[1:]))
 
 
-def group_hypotheses(hyps, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
+def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
     """Greedy seed-anchored grouping (not transitive closure).
 
     Repeatedly take the highest-ranked ungrouped hypothesis as seed; the
     seed and every ungrouped hypothesis compatible with it form a group.
     Two hypotheses are compatible when they have the same noun and verb,
-    an IoU >= box_iou_min (as `boxes.iou` computes it) and a TTC gap
-    <= ttc_tolerance. The seed always belongs to its own group, also when
-    it is not compatible with itself (a zero-area box has IoU 0 with
-    itself). The result is a partition: each input hypothesis lands in
-    exactly one group. `hyps` is a HypothesisTable or a list of
-    StaHypothesis.
+    an IoU >= box_iou_min (as `oracle._iou_scalar` computes it) and a
+    TTC gap <= ttc_tolerance. The seed always belongs to its own group,
+    also when it is not compatible with itself (a zero-area box has IoU 0
+    with itself). The result is a partition: each input hypothesis lands
+    in exactly one group.
 
     Compatibility is computed only for same-(noun, verb) pairs,
     PAIR_BLOCK pairs at a time; one greedy pass in rank order then
     assigns the groups.
     """
-    table = sort_canonical(as_table(hyps))
+    table = sort_canonical(hyps)
     n = len(table)
     by_class = np.lexsort((table.verb, table.noun))  # canonical order within each class
     noun, verb = table.noun[by_class], table.verb[by_class]
@@ -140,14 +140,16 @@ def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable:
-    """Collapse every group into one hypothesis; row g of the result is
-    group g.
+    """Collapse every group into one hypothesis, the rows of the result
+    in group order.
 
     Box corners and TTC are score-weighted means over members; noun, verb
     and source come from the seed. The merged score is the mean member
     score times the agreement factor (1 - alpha) + alpha * u / n_sources,
     where u is the number of distinct sources represented in the group
-    (members without a source count as one more).
+    (members without a source count as one more). A group whose merged
+    score underflows to 0.0 is dropped, as `expand_hypotheses` drops such
+    pairs: it would rank below every other hypothesis.
     """
     table, bounds = groups.table, groups.bounds
     sizes = np.diff(bounds)
@@ -166,13 +168,15 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
     distinct = np.bincount(group[by_source][first_of_kind], minlength=len(sizes))
     alpha = cfg.agreement_weight
     agreement = (1.0 - alpha) + alpha * np.minimum(distinct, cfg.n_sources) / cfg.n_sources
-    seeds = bounds[:-1]
+    score = (total / sizes) * agreement
+    kept = np.flatnonzero(score > 0.0)
+    seeds = bounds[kept]
     return HypothesisTable(
-        boxes=corners,
+        boxes=corners[kept],
         noun=table.noun[seeds],
         verb=table.verb[seeds],
-        ttc=ttc,
-        score=(total / sizes) * agreement,
+        ttc=ttc[kept],
+        score=score[kept],
         source=table.source[seeds],
         has_source=table.has_source[seeds],
     )
@@ -183,7 +187,6 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
 
     Hypotheses missing a source_id are tagged with their source's index so
     cross-source agreement can be counted. Uids are unioned across sources.
-    Each source maps uids to HypothesisTables or lists of StaHypothesis.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
@@ -193,7 +196,7 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     pooled: dict[str, list[HypothesisTable]] = {}
     for idx, src in enumerate(sources):
         for uid, hyps in src.items():
-            pooled.setdefault(uid, []).append(as_table(hyps).with_default_source(idx))
+            pooled.setdefault(uid, []).append(hyps.with_default_source(idx))
 
     out: PredictionSet = {}
     for uid in sorted(pooled):

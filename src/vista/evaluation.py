@@ -97,10 +97,10 @@ class EvalReport:
         }
 
 
-def top_k_filter(preds, k: int) -> HypothesisTable:
+def top_k_filter(preds: HypothesisTable, k: int) -> HypothesisTable:
     """Keep at most the k highest-ranked hypotheses (canonical order) of a
-    HypothesisTable or a list of StaHypothesis."""
-    return sort_canonical(as_table(preds)).take(slice(0, k))
+    HypothesisTable."""
+    return sort_canonical(preds).take(slice(0, k))
 
 
 def average_precision(tp_flags, n_gt: int) -> float:
@@ -185,6 +185,7 @@ def evaluate(
     rank order, each to the unmatched candidate ground truth of highest
     IoU.
     """
+    # Lists stay accepted: the benchmark's oracle check passes synth's lists.
     tables = {uid: as_table(hyps) for uid, hyps in preds.items()}
     gts = as_gt_table(gts)
     kept = [top_k_filter(table, cfg.top_k) for table in tables.values()]

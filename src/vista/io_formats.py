@@ -53,8 +53,6 @@ from .types import (
     HypothesisTable,
     PredictionSet,
     Taxonomy,
-    as_gt_table,
-    as_table,
     box_rules,
     ground_truth_rules,
     hypothesis_rules,
@@ -356,10 +354,8 @@ def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
     return taxonomy, GroundTruthTable(**columns)
 
 
-def write_ground_truth(taxonomy: Taxonomy, gts, path, provenance: dict | None = None) -> None:
-    """Write a ground truth; `gts` is a GroundTruthTable or a list of
-    GroundTruthInstance."""
-    table = as_gt_table(gts)
+def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path, provenance: dict | None = None) -> None:
+    """Write a ground truth."""
     doc = {
         "taxonomy": taxonomy_to_dict(taxonomy),
         "annotations": [
@@ -371,8 +367,7 @@ def write_ground_truth(taxonomy: Taxonomy, gts, path, provenance: dict | None = 
                 "time_to_contact": ttc,
             }
             for uid, box, noun, verb, ttc in zip(
-                table.uid, table.boxes.tolist(), table.noun.tolist(), table.verb.tolist(),
-                table.ttc.tolist(),
+                gts.uid, gts.boxes.tolist(), gts.noun.tolist(), gts.verb.tolist(), gts.ttc.tolist(),
             )
         ],
     }
@@ -662,7 +657,6 @@ def _entries_text(table: HypothesisTable) -> str:
 
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:
     """Write a submission: every example's hypotheses in canonical order.
-    `preds` maps uids to HypothesisTables or lists of StaHypothesis.
 
     The text is the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
     of the submission document, written from the columns: each entry is
@@ -673,7 +667,7 @@ def write_submission(preds: PredictionSet, path, provenance: dict | None = None)
     """
     examples = []
     for uid in sorted(preds):
-        key, entries = json.dumps(uid), _entries_text(sort_canonical(as_table(preds[uid])))
+        key, entries = json.dumps(uid), _entries_text(sort_canonical(preds[uid]))
         examples.append(f"    {key}: [\n{entries}\n    ]" if entries else f"    {key}: []")
     results = "{\n" + ",\n".join(examples) + "\n  }" if examples else "{}"
     provenance_line = (

@@ -14,7 +14,7 @@ that of the scalar definitions, bit for bit: box centres are
 0.5 * (x1 + x2), the size exp and the softplus go through `math` one
 value at a time (numpy's vectorised exp and log1p differ from it in the
 last bit for a few percent of inputs on some CPUs), and IoU keeps the
-operation order of `boxes.iou`.
+operation order of the oracle's scalar IoU (`oracle._iou_scalar`).
 
 `postprocess_container` runs the chain over a tensor container one
 example at a time, so only one example's tensors are held at once.

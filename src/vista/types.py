@@ -16,9 +16,10 @@ from .boxes import Box2D
 from .errors import ValidationError
 
 # Per-example predictions keyed by example uid, each a HypothesisTable in
-# the canonical hypothesis ordering (see `canonical_order`). Functions that
-# take one also take lists of StaHypothesis, the form `synth` returns
-# (see `as_table`).
+# the canonical hypothesis ordering (see `canonical_order`). Lists of
+# StaHypothesis in its place are accepted only where objects enter the
+# library: `synth`'s output, `as_table`, `evaluation.evaluate`,
+# `sort_canonical` (of one list) and the oracle.
 PredictionSet = dict[str, "HypothesisTable"]
 
 
@@ -141,10 +142,11 @@ class Taxonomy:
 class StaHypothesis:
     """One anticipation hypothesis: where, what, how, when, and how sure.
 
-    Objects only enter the library: `synth` builds them and the oracle
-    reads them, and `as_table` turns a list of them into the
-    HypothesisTable every computation runs on. They are not checked on
-    their own: the table checks every row."""
+    Objects are accepted only where they enter the library: `synth`
+    returns them, `as_table` turns a list of them into the
+    HypothesisTable every other stage takes, and `evaluation.evaluate`,
+    `sort_canonical` and the oracle also take lists of them. They are not
+    checked on their own: the table checks every row."""
 
     box: Box2D
     noun_id: int
@@ -157,8 +159,10 @@ class StaHypothesis:
 @dataclass(frozen=True)
 class GroundTruthInstance:
     """One annotated future interaction for an example. Like
-    StaHypothesis, it only enters the library, and `as_gt_table` checks
-    it as a row of a GroundTruthTable."""
+    StaHypothesis, it is accepted only where it enters the library:
+    `synth` returns it, `as_gt_table` checks it as a row of a
+    GroundTruthTable, and `evaluation.evaluate` and the oracle also take
+    lists of it."""
 
     example_uid: str
     box: Box2D
@@ -382,4 +386,5 @@ def sort_canonical(hyps):
     its lists with it."""
     if isinstance(hyps, HypothesisTable):
         return hyps.take(canonical_order(hyps))
+    # Lists stay accepted: synth and the benchmark's oracle check sort them.
     return [hyps[i] for i in canonical_order(as_table(hyps)).tolist()]

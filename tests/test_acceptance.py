@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from vista.boxes import Box2D, iou
+from vista.boxes import Box2D
 from vista.ensemble import EnsembleConfig, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import FormatError, ValidationError
 from vista.evaluation import EvalConfig, MatchVariant, evaluate
@@ -23,7 +23,7 @@ from vista.io_formats import (
     write_submission,
     write_tensor_file,
 )
-from vista.oracle import brute_force_evaluate
+from vista.oracle import _iou_scalar, brute_force_evaluate
 from vista.postprocess import (
     InferenceConfig,
     class_aware_nms,
@@ -35,7 +35,7 @@ from vista.postprocess import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import GroundTruthInstance, StaHypothesis, as_table
+from vista.types import GroundTruthInstance, StaHypothesis, as_gt_table, as_table
 
 from test_ensemble import compatible
 from test_evaluation import matches
@@ -98,7 +98,7 @@ def test_criterion_2_protocol_fidelity():
         g = GroundTruthInstance("ex", Box2D(0, 0, 10, 10), 0, 0, 1.0)
         # IoU exactly 0.5 must not match (strict inequality)
         half = StaHypothesis(Box2D(0, 0, 10, 5), 0, 0, 1.0, 0.9)
-        assert iou(half.box, g.box) == pytest.approx(0.5)
+        assert _iou_scalar(half.box, g.box) == pytest.approx(0.5)
         assert all(not matches(half, g, v, CFG) for v in MatchVariant)
         # TTC error 0.30 fails only the TTC-constrained variants
         late = StaHypothesis(Box2D(0, 0, 10, 10), 0, 0, 1.30, 0.9)
@@ -217,7 +217,7 @@ def test_criterion_7_ensemble_sanity():
         # N identical sources preserve single-source ranking
         taxonomy, gts = generate_scenario(4, 3, 3, 3, seed=31)
         noise = NoiseConfig(box_jitter_sigma=15, ttc_noise_sigma=0.1, seed=31)
-        src = perturb_to_predictions(taxonomy, gts, noise, 1)[0]
+        src = {uid: as_table(hyps) for uid, hyps in perturb_to_predictions(taxonomy, gts, noise, 1)[0].items()}
         single = ensemble_predictions([src])
         quad = ensemble_predictions([src] * 4)
         for uid in single:
@@ -245,7 +245,7 @@ def test_criterion_7_ensemble_sanity():
                 )
                 for s in range(1, 4)
             ]
-            groups = group_hypotheses(members, EnsembleConfig(n_sources=4))
+            groups = group_hypotheses(as_table(members), EnsembleConfig(n_sources=4))
             merged = merge_group(groups, EnsembleConfig(n_sources=4))
             for g, box, ttc in zip(groups, merged.boxes.tolist(), merged.ttc.tolist(), strict=True):
                 for i in range(4):
@@ -259,7 +259,7 @@ def test_criterion_7_ensemble_sanity():
         b = StaHypothesis(Box2D(4, 0, 14, 10), 0, 0, 1.0, 0.6)
         c = StaHypothesis(Box2D(8, 0, 18, 10), 0, 0, 1.0, 0.3)
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
-        groups = group_hypotheses([a, b, c], cfg)
+        groups = group_hypotheses(as_table([a, b, c]), cfg)
         assert [row_set(g.members) for g in groups] == [row_set(as_table([a, b])), row_set(as_table([c]))]
 
 
@@ -283,13 +283,13 @@ def test_criterion_9_io_round_trips(tmp_path):
             preds = perturb_to_predictions(taxonomy, gts, noise, 1)[0]
 
             g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
-            write_ground_truth(taxonomy, gts, g1)
+            write_ground_truth(taxonomy, as_gt_table(gts), g1)
             t2, gts2 = load_ground_truth(g1)
             write_ground_truth(t2, gts2, g2)
             assert g1.read_bytes() == g2.read_bytes()
 
             s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
-            write_submission(preds, s1)
+            write_submission({uid: as_table(hyps) for uid, hyps in preds.items()}, s1)
             write_submission(load_predictions(s1), s2)
             assert s1.read_bytes() == s2.read_bytes()
 

@@ -1,11 +1,21 @@
 import math
+import struct
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from vista.boxes import Box2D, iou
+from vista.boxes import Box2D, box_columns, pair_iou
 from vista.errors import ValidationError
+from vista.oracle import _iou_scalar
 from vista.types import StaHypothesis, as_table
+
+
+def iou(a: Box2D, b: Box2D) -> float:
+    """`pair_iou` of one pair of boxes."""
+    corners, area = box_columns(np.array([a.corners(), b.corners()], dtype=np.float64))
+    return float(pair_iou(corners, area, np.array([0]), np.array([1]))[0])
 
 
 def grid_iou(a: Box2D, b: Box2D, cells: int = 600) -> float:
@@ -88,5 +98,34 @@ class TestIou:
 
     @given(boxes)
     def test_self_iou_is_one_for_positive_area(self, b):
-        if b.area > 0:
+        if (b.x2 - b.x1) * (b.y2 - b.y1) > 0:
             assert iou(b, b) == 1.0
+
+
+BIG = sys.float_info.max
+# Corners drawn from these meet, touch and nest often, span zero widths,
+# and overflow a width or an area near the float64 maximum.
+SPECIAL = [0.0, -0.0, 1.0, 2.0, 3.0, 0.1, 0.3, 1e-300, 5e-324, 1e154, 1e200, BIG / 2, BIG, -BIG]
+corner = st.one_of(dyadic(-100, 100), st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+any_boxes = st.tuples(corner, corner, corner, corner).map(
+    lambda c: Box2D(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3])))
+
+
+class TestPairIouIsTheOracleIou:
+    """`pair_iou` gives the bits of the oracle's scalar IoU, pair by pair,
+    also where a width, an area or the union overflows."""
+
+    @given(st.lists(st.one_of(boxes, any_boxes), min_size=1, max_size=6))
+    @example([Box2D(0, 0, 1, 1), Box2D(1, 0, 2, 1), Box2D(0, 1, 1, 2)])    # touching
+    @example([Box2D(1, 1, 1, 1), Box2D(0, 0, 2, 2), Box2D(0, 1, 2, 1)])    # zero area
+    @example([Box2D(-BIG, -BIG, BIG, BIG), Box2D(-BIG, 0, BIG, BIG), Box2D(0, 0, BIG, BIG)])
+    @example([Box2D(0, 0, BIG, BIG), Box2D(BIG / 2, BIG / 2, BIG, BIG)])
+    def test_bit_for_bit(self, box_list):
+        n = len(box_list)
+        a, b = (index.ravel() for index in np.indices((n, n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners, area = box_columns(np.array([box.corners() for box in box_list], dtype=np.float64))
+            got = pair_iou(corners, area, a, b).tolist()
+        want = [_iou_scalar(box_list[i], box_list[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]

@@ -419,6 +419,21 @@ class TestEnsembleCommand:
         assert code == EXIT_VALIDATION
         assert "must be" in capsys.readouterr().err
 
+    def test_underflowed_merged_score_is_dropped(self, tmp_path):
+        # u's one hypothesis is a group of one source out of four, so its
+        # merged score is 5e-324 * 1/4, which underflows to 0.0.
+        entry = {"box": [0, 0, 10, 10], "noun_category_id": 0, "verb_category_id": 0,
+                 "time_to_contact": 1.0}
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"results": {"u": [{**entry, "score": 5e-324}]}}))
+        b.write_text(json.dumps({"results": {"v": [{**entry, "score": 0.5}]}}))
+        code = main(["ensemble", str(a), str(b), str(b), str(b), "--agreement-weight", "1.0",
+                     "--out", str(tmp_path / "ens")])
+        assert code == EXIT_OK
+        results = json.loads((tmp_path / "ens" / "ensemble.json").read_text())["results"]
+        assert results["u"] == []
+        assert [e["score"] for e in results["v"]] == [0.375]
+
     def test_taxonomy_mismatch_exit_2(self, synth_dir, tmp_path):
         tiny = tmp_path / "tiny_taxonomy.json"
         tiny.write_text(json.dumps({"nouns": ["only"], "verbs": ["one"]}))

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vista.ensemble as ensemble
-from vista.boxes import Box2D, iou
+from vista.boxes import Box2D
 from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import ValidationError
+from vista.oracle import _iou_scalar
 from vista.rng import CounterRng
 from vista.types import StaHypothesis, as_table
 
@@ -34,7 +35,7 @@ def random_hyp(rng, n_nouns=3, n_verbs=3, source=None):
 
 def compatible(a, b, cfg=EnsembleConfig()):
     """Whether grouping puts the two hypotheses in one group."""
-    return len(group_hypotheses([a, b], cfg)) == 1
+    return len(group_hypotheses(as_table([a, b]), cfg)) == 1
 
 
 class TestCompatible:
@@ -61,14 +62,14 @@ class TestCompatible:
 class TestGroupHypotheses:
     def test_all_compatible_single_group(self):
         hyps = [hyp(score=s, source=i) for i, s in enumerate((0.9, 0.6, 0.3))]
-        groups = group_hypotheses(hyps)
+        groups = group_hypotheses(as_table(hyps))
         assert len(groups) == 1
         assert len(groups[0].members) == 3
         assert groups[0].members.score[0] == 0.9
 
     def test_disjoint_clusters_split(self):
         hyps = [hyp(), hyp(x1=100, x2=110, y1=100, y2=110)]
-        assert len(group_hypotheses(hyps)) == 2
+        assert len(group_hypotheses(as_table(hyps))) == 2
 
     def test_seed_anchored_not_transitive(self):
         # A~B and B~C but A and C overlap too little; grouping is tested
@@ -78,7 +79,7 @@ class TestGroupHypotheses:
         c = hyp(x1=8, x2=18, score=0.3)
         cfg = EnsembleConfig(box_iou_min=0.3)
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
-        groups = group_hypotheses([a, b, c], cfg)
+        groups = group_hypotheses(as_table([a, b, c]), cfg)
         assert [len(g.members) for g in groups] == [2, 1]
         assert columns(groups[0].members.take([0])) == columns(as_table([a]))
         assert columns(groups[1].members.take([0])) == columns(as_table([c]))
@@ -92,14 +93,14 @@ class TestGroupHypotheses:
         d = hyp(x1=0, y1=2, x2=4, y2=4, ttc=1.0, score=0.6)
         cfg = EnsembleConfig(box_iou_min=0.3)
         assert compatible(b, c, cfg) and compatible(b, d, cfg) and not compatible(c, d, cfg)
-        groups = group_hypotheses([d, c, b, a], cfg)
+        groups = group_hypotheses(as_table([d, c, b, a]), cfg)
         assert [columns(g.members) for g in groups] == [columns(as_table(m)) for m in ([a, b], [c], [d])]
 
     def test_partition_property(self):
         for seed in range(20):
             rng = CounterRng(2000 + seed)
             hyps = [random_hyp(rng) for _ in range(30)]
-            groups = group_hypotheses(hyps)
+            groups = group_hypotheses(as_table(hyps))
             assert sum(len(g.members) for g in groups) == len(hyps)
 
 
@@ -113,11 +114,12 @@ def merge_one(members, cfg=EnsembleConfig()):
 
 
 def scalar_compatible(a, b, cfg):
-    """Same noun, same verb, IoU >= box_iou_min, |TTC gap| <= tolerance."""
+    """Same noun, same verb, IoU >= box_iou_min (the oracle's scalar IoU),
+    |TTC gap| <= tolerance."""
     return (
         a.noun_id == b.noun_id
         and a.verb_id == b.verb_id
-        and iou(a.box, b.box) >= cfg.box_iou_min
+        and _iou_scalar(a.box, b.box) >= cfg.box_iou_min
         and abs(a.ttc - b.ttc) <= cfg.ttc_tolerance
     )
 
@@ -185,7 +187,7 @@ class TestGroupingEquivalence:
         saved = ensemble.PAIR_BLOCK
         ensemble.PAIR_BLOCK = block
         try:
-            groups = group_hypotheses(hyps, cfg)
+            groups = group_hypotheses(as_table(hyps), cfg)
         finally:
             ensemble.PAIR_BLOCK = saved
         expected = brute_force_groups(hyps, cfg)
@@ -208,7 +210,7 @@ class TestGroupingEquivalence:
                 )
                 for _ in range(1 + rng.randint(24))
             ]
-            groups = group_hypotheses(members, cfg)
+            groups = group_hypotheses(as_table(members), cfg)
             assert len(groups) == 1
             expected = scalar_merge(sorted(members, key=rank_key), cfg)
             assert columns(merge_group(groups, cfg)) == columns(as_table([expected]))
@@ -220,12 +222,12 @@ class TestGroupingEquivalence:
         twin = hyp(x1=0, y1=0, x2=4, y2=4, ttc=1.25, score=0.8)
         half = hyp(x1=0, y1=0, x2=4, y2=2, ttc=0.75, score=0.7)
         strict = EnsembleConfig(box_iou_min=1.0)
-        assert [len(g.members) for g in group_hypotheses([seed, twin], strict)] == [2]
-        assert [len(g.members) for g in group_hypotheses([seed, twin, half])] == [3]
+        assert [len(g.members) for g in group_hypotheses(as_table([seed, twin]), strict)] == [2]
+        assert [len(g.members) for g in group_hypotheses(as_table([seed, twin, half]))] == [3]
 
     def test_zero_area_seed_is_its_own_group(self):
         flat = hyp(x1=5, y1=5, x2=5, y2=9, score=0.9)
-        groups = group_hypotheses([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)])
+        groups = group_hypotheses(as_table([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)]))
         assert [len(g.members) for g in groups] == [1, 1, 1]
         assert columns(groups[0].members.take([0])) == columns(as_table([flat]))
 
@@ -297,9 +299,9 @@ class TestEnsemblePredictions:
         rng = CounterRng(seed)
         out = {}
         for e in range(n_examples):
-            out[f"ex_{e}"] = sorted(
+            out[f"ex_{e}"] = as_table(sorted(
                 (random_hyp(rng) for _ in range(per_example)), key=lambda h: -h.score
-            )
+            ))
         return out
 
     def test_identical_sources_preserve_ranking(self):
@@ -314,8 +316,8 @@ class TestEnsemblePredictions:
                 assert a == pytest.approx(b, abs=1e-9)
 
     def test_disagreeing_nouns_both_survive(self):
-        a = {"ex": [hyp(noun=0, score=0.8)]}
-        b = {"ex": [hyp(noun=1, score=0.6)]}
+        a = {"ex": as_table([hyp(noun=0, score=0.8)])}
+        b = {"ex": as_table([hyp(noun=1, score=0.6)])}
         merged = ensemble_predictions([a, b])
         assert len(merged["ex"]) == 2
         assert set(merged["ex"].noun.tolist()) == {0, 1}
@@ -336,8 +338,8 @@ class TestEnsemblePredictions:
             assert unsourced(ab[uid]) == unsourced(ba[uid])
 
     def test_uid_union(self):
-        a = {"only_a": [hyp()]}
-        b = {"only_b": [hyp()]}
+        a = {"only_a": as_table([hyp()])}
+        b = {"only_b": as_table([hyp()])}
         merged = ensemble_predictions([a, b])
         assert set(merged) == {"only_a", "only_b"}
 

@@ -26,7 +26,7 @@ from vista.boxes import Box2D
 from vista.cli import EXIT_OK, main
 from vista.ensemble import group_hypotheses
 from vista.rng import CounterRng
-from vista.types import StaHypothesis
+from vista.types import StaHypothesis, as_table
 
 N_NOUNS = 6
 N_VERBS = 4
@@ -166,7 +166,7 @@ def test_inputs_cover_the_pinned_cases(inputs):
                       e["time_to_contact"], e["score"], s)
         for s, doc in enumerate(docs) for e in doc["ex_0"]
     ]
-    assert max(len(g.members) for g in group_hypotheses(pooled)) >= 8
+    assert max(len(g.members) for g in group_hypotheses(as_table(pooled))) >= 8
 
 
 def test_ensemble_and_report_bytes_are_pinned(inputs):

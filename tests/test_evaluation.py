@@ -11,7 +11,7 @@ from vista.evaluation import (
     format_report_table,
     top_k_filter,
 )
-from vista.oracle import brute_force_evaluate
+from vista.oracle import _iou_scalar, brute_force_evaluate
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from vista.types import GroundTruthInstance, StaHypothesis, as_gt_table, as_table, sort_canonical
@@ -53,9 +53,7 @@ class TestMatches:
         g = gt(x1=0, y1=0, x2=10, y2=10)
         # (0,0,10,5) vs (0,0,10,10): intersection 50, union 100 -> IoU 0.5
         p = pred(x1=0, y1=0, x2=10, y2=5)
-        from vista.boxes import iou
-
-        assert iou(p.box, g.box) == pytest.approx(0.5)
+        assert _iou_scalar(p.box, g.box) == pytest.approx(0.5)
         for variant in MatchVariant:
             assert not matches(p, g, variant, CFG)
 
@@ -82,17 +80,17 @@ class TestMatches:
 class TestTopKFilter:
     def test_truncates_to_k(self):
         hyps = [pred(score=0.1 * (i + 1)) for i in range(7)]
-        kept = top_k_filter(hyps, 5)
+        kept = top_k_filter(as_table(hyps), 5)
         assert len(kept) == 5
         assert columns(kept) == columns(as_table(sort_canonical(hyps)[:5]))
 
     def test_short_list_unchanged(self):
         hyps = [pred(score=0.5), pred(score=0.2), pred(score=0.9)]
-        assert len(top_k_filter(hyps, 5)) == 3
+        assert len(top_k_filter(as_table(hyps), 5)) == 3
 
     def test_tie_break_deterministic_under_permutation(self):
         hyps = [pred(noun=n, verb=v, score=0.5) for n in range(3) for v in range(3)]
-        assert columns(top_k_filter(hyps, 5)) == columns(top_k_filter(list(reversed(hyps)), 5))
+        assert columns(top_k_filter(as_table(hyps), 5)) == columns(top_k_filter(as_table(list(reversed(hyps))), 5))
 
 
 class TestAveragePrecision:

@@ -23,7 +23,7 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import HypothesisTable, Taxonomy, as_table, sort_canonical
+from vista.types import HypothesisTable, Taxonomy, as_gt_table, as_table, sort_canonical
 
 from test_postprocess import columns
 
@@ -202,7 +202,7 @@ class TestGroundTruth:
     def test_columns_match_the_annotations(self, tmp_path):
         taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=4)
         path = tmp_path / "gt.json"
-        write_ground_truth(taxonomy, gts, path)
+        write_ground_truth(taxonomy, as_gt_table(gts), path)
         _, table = load_ground_truth(path)
         assert table.uid == tuple(gt.example_uid for gt in gts)
         assert table.boxes.tolist() == [list(gt.box.corners()) for gt in gts]
@@ -214,7 +214,7 @@ class TestGroundTruth:
         taxonomy, gts = generate_scenario(3, 2, 2, 2, seed=1)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        write_ground_truth(taxonomy, gts, p1)
+        write_ground_truth(taxonomy, as_gt_table(gts), p1)
         taxonomy2, gts2 = load_ground_truth(p1)
         write_ground_truth(taxonomy2, gts2, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -237,7 +237,7 @@ class TestSubmissions:
     def test_round_trip_values(self, tmp_path):
         preds = self.make_preds()
         path = tmp_path / "sub.json"
-        write_submission(preds, path)
+        write_submission({uid: as_table(hyps) for uid, hyps in preds.items()}, path)
         loaded = load_predictions(path)
         assert {uid: columns(table) for uid, table in loaded.items()} == {
             uid: columns(as_table(hyps)) for uid, hyps in preds.items()}
@@ -246,7 +246,7 @@ class TestSubmissions:
         preds = self.make_preds()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        write_submission(preds, p1)
+        write_submission({uid: as_table(hyps) for uid, hyps in preds.items()}, p1)
         write_submission(load_predictions(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 

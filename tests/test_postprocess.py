@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vista.postprocess as postprocess
-from vista.boxes import Box2D, iou, pair_iou
+from vista.boxes import Box2D, pair_iou
 from vista.errors import ValidationError
 from vista.io_formats import read_tensor_file, write_tensor_file
+from vista.oracle import _iou_scalar
 from vista.postprocess import (
     BOX_DELTA_CLAMP,
     InferenceConfig,
@@ -316,10 +317,10 @@ class TestClassAwareNms:
 
 def brute_force_nms(hyps, nms_iou):
     """The columns of greedy per-noun NMS over hypothesis objects with the
-    scalar IoU."""
+    oracle's scalar IoU."""
     kept = []
     for h in sorted(hyps, key=rank_key):
-        if not any(k.noun_id == h.noun_id and iou(h.box, k.box) > nms_iou for k in kept):
+        if not any(k.noun_id == h.noun_id and _iou_scalar(h.box, k.box) > nms_iou for k in kept):
             kept.append(h)
     return columns(as_table(kept))
 

@@ -1,11 +1,12 @@
 """Pins the exact bytes `vista postprocess` writes.
 
 The digests below were recorded with the per-object reference chain
-(one Box2D / StaHypothesis per row, scalar `math.exp` decode, scalar
-`boxes.iou` NMS). Any rewrite of the chain must reproduce them bit for
-bit. Deltas are drawn with sigma 0.05, where numpy's vectorised `exp`
-and `math.exp` disagree in the last bit for a few percent of values, and
-a few proposals are exact duplicates, so full canonical-key ties occur.
+(one Box2D / StaHypothesis per row, scalar `math.exp` decode, NMS with
+a scalar IoU, `boxes.iou`, since deleted). Any rewrite of the chain must
+reproduce them bit for bit. Deltas are drawn with sigma 0.05, where
+numpy's vectorised `exp` and `math.exp` disagree in the last bit for a
+few percent of values, and a few proposals are exact duplicates, so full
+canonical-key ties occur.
 """
 
 import hashlib
