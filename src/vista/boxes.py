@@ -40,22 +40,31 @@ class Box2D:
 
 def box_columns(boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The x1, y1, x2, y2 columns of (N, 4) corners, contiguous, and the
-    areas, (x2 - x1) * (y2 - y1)."""
+    areas, (x2 - x1) * (y2 - y1). A box whose width or area passes the
+    float maximum has an area of inf, or NaN if it has no height, without
+    a warning: `pair_iou` gives every pair of it IoU 0."""
     x1, y1, x2, y2 = corners = [np.ascontiguousarray(boxes[:, i]) for i in range(4)]
-    return corners, (x2 - x1) * (y2 - y1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return corners, (x2 - x1) * (y2 - y1)
 
 
 def pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The IoU of the boxes at rows a[i] and b[i], given the `box_columns`
     of the boxes, with the operations of `oracle._iou_scalar` in its
-    order."""
+    order. Near the float maximum a difference, product or sum may
+    overflow to inf or turn NaN, and numpy is kept from warning of it: the
+    comparisons and the division that follow give such a pair IoU 0, as
+    `oracle._iou_scalar` does. A NaN fails the comparisons, an
+    intersection that overflows leaves a union that is NaN or -inf, and a
+    finite one over an inf union is 0."""
     x1, y1, x2, y2 = corners
-    ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
-    iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
-    inter = ix * iy
-    union = area[a] + area[b] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((ix > 0.0) & (iy > 0.0) & (union > 0.0), inter / union, 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ix = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+        iy = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+        inter = ix * iy
+        union = area[a] + area[b] - inter
+        keep = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+        return np.where(keep, inter / union, 0.0)
 
 
 def pair_blocks(first: np.ndarray, counts: np.ndarray, block: int = PAIR_BLOCK):

@@ -22,17 +22,13 @@ from .errors import FormatError, ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .fusion import fuse_tensors
 from .io_formats import (
-    TENSOR_MAGIC,
-    TensorFile,
     _dump_json,
     _load_json,
-    ground_truth_from_dict,
     load_ground_truth,
     load_predictions,
     load_taxonomy,
-    predictions_from_dict,
+    read_document,
     read_tensor_file,
-    taxonomy_from_dict,
     tensor_file_bytes,
     write_ground_truth,
     write_submission,
@@ -179,26 +175,14 @@ def cmd_fuse(args) -> int:
 
 def cmd_validate(args) -> int:
     path = Path(args.path)
-    with open(path, "rb") as file:
-        head = file.read(4)
-    if head == TENSOR_MAGIC:
-        with TensorFile(path) as container:
-            container.check_finite()
-        print(f"{path}: valid tensor container, {len(container.index)} tensors")
-        return EXIT_OK
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "results" in doc:
-        preds = predictions_from_dict(doc, path)
-        n = sum(len(v) for v in preds.values())
-        print(f"{path}: valid submission, {len(preds)} examples, {n} hypotheses")
-    elif isinstance(doc, dict) and "annotations" in doc:
-        _, gts = ground_truth_from_dict(doc, path)
-        print(f"{path}: valid ground truth, {len(gts)} annotations")
-    elif isinstance(doc, dict) and "nouns" in doc:
-        taxonomy = taxonomy_from_dict(doc, where=str(path))
-        print(f"{path}: valid taxonomy, {taxonomy.n_nouns} nouns / {taxonomy.n_verbs} verbs")
-    else:
-        raise ValidationError(f"{path}: unrecognized document type")
+    kind, value = read_document(path)
+    counts = {
+        "tensor container": lambda: f"{len(value)} tensors",
+        "submission": lambda: f"{len(value)} examples, {sum(map(len, value.values()))} hypotheses",
+        "ground truth": lambda: f"{len(value[1])} annotations",
+        "taxonomy": lambda: f"{value.n_nouns} nouns / {value.n_verbs} verbs",
+    }[kind]()
+    print(f"{path}: valid {kind}, {counts}")
     return EXIT_OK
 
 

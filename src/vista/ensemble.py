@@ -125,18 +125,36 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
 
 def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The sum of values[bounds[g]:bounds[g + 1]] for every group g, added
-    one at a time in order from 0.0."""
+    one at a time in order from 0.0. A sum past the float maximum is inf,
+    without a warning."""
     sizes = np.diff(bounds)
     by_size = np.argsort(-sizes, kind="stable")
     firsts, larger = bounds[:-1][by_size], -sizes[by_size]  # larger ascends
     sums = np.zeros(len(sizes))
-    for j in range(int(sizes.max(initial=0))):
-        # Groups with more than j members are a prefix in size order.
-        active = int(np.searchsorted(larger, -j, side="left"))
-        sums[:active] += values[firsts[:active] + j]
+    with np.errstate(over="ignore"):
+        for j in range(int(sizes.max(initial=0))):
+            # Groups with more than j members are a prefix in size order.
+            active = int(np.searchsorted(larger, -j, side="left"))
+            sums[:active] += values[firsts[:active] + j]
     out = np.empty_like(sums)
     out[by_size] = sums
     return out
+
+
+def _member_means(weight: np.ndarray, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sum of weight * values over every group (`_member_sums`), whose
+    weights add up to 1, so that it lies within the group's values. Near
+    the float maximum the rounding can carry it past that maximum all the
+    same; such a sum is taken again over the halved values, held within
+    them and doubled. Halving and doubling are exact, and only the sums
+    that are not finite are replaced."""
+    means = _member_sums(weight * values, bounds)
+    over = ~np.isfinite(means)
+    if over.any():
+        half = values / 2
+        low, high = np.minimum.reduceat(half, bounds[:-1]), np.maximum.reduceat(half, bounds[:-1])
+        means[over] = 2 * np.clip(_member_sums(weight * half, bounds), low, high)[over]
+    return means
 
 
 def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable:
@@ -150,6 +168,12 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
     (members without a source count as one more). A group whose merged
     score underflows to 0.0 is dropped, as `expand_hypotheses` drops such
     pairs: it would rank below every other hypothesis.
+
+    Every mean is finite, since it lies within finite values. Near the
+    float maximum, a group whose score sum overflows takes its mean score
+    as the sum of score / n, and its weights as score / mean / n; a
+    weighted mean that the rounding carries past the maximum is taken
+    again by `_member_means`. The other groups keep their bits.
     """
     table, bounds = groups.table, groups.bounds
     sizes = np.diff(bounds)
@@ -157,9 +181,15 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
         raise ValidationError("cannot merge an empty group")
     group = np.repeat(np.arange(len(sizes)), sizes)
     total = _member_sums(table.score, bounds)
+    mean = total / sizes
     weight = table.score / total[group]
-    corners = np.stack([_member_sums(weight * table.boxes[:, i], bounds) for i in range(4)], axis=-1)
-    ttc = _member_sums(weight * table.ttc, bounds)
+    over = np.isinf(total)
+    if over.any():
+        mean[over] = _member_means(1.0 / sizes[group], table.score, bounds)[over]
+        rows = over[group]
+        weight[rows] = table.score[rows] / mean[group[rows]] / sizes[group[rows]]
+    corners = np.stack([_member_means(weight, table.boxes[:, i], bounds) for i in range(4)], axis=-1)
+    ttc = _member_means(weight, table.ttc, bounds)
     has_source = table.has_source
     source = np.where(has_source, table.source, 0)
     by_source = np.lexsort((source, has_source, group))
@@ -168,7 +198,7 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
     distinct = np.bincount(group[by_source][first_of_kind], minlength=len(sizes))
     alpha = cfg.agreement_weight
     agreement = (1.0 - alpha) + alpha * np.minimum(distinct, cfg.n_sources) / cfg.n_sources
-    score = (total / sizes) * agreement
+    score = mean * agreement
     kept = np.flatnonzero(score > 0.0)
     seeds = bounds[kept]
     return HypothesisTable(

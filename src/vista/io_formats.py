@@ -23,10 +23,17 @@ so it holds about one chunk of text, the entries decoded since the last
 chunk and the tables read so far, never the whole text or all of its
 entries.
 A document it cannot walk that way (invalid JSON or UTF-8, a top level or
-`results` that is not an object, a repeated key), and a file that cannot
-be read twice, such as a pipe, is read whole by `predictions_from_dict`,
-which words its problems. The other JSON files are small and are read
-whole.
+`results` that is not an object, a repeated key, a top-level key of a
+ground truth or taxonomy) is parsed whole from the start of the same
+open file, and a file that cannot be read twice, such as a pipe, is
+parsed whole at once; `predictions_from_dict` words its problems. The
+other JSON files are small and are read whole.
+
+`read_document` alone tells what a file is, for `vista validate`: a
+tensor container by its magic, any other file as JSON, read as above and
+told by its top-level `results`, `annotations` or `nouns` key, in that
+order. Each kind is read by the loader the other commands use, so a file
+gets the same verdict from every command.
 """
 
 from __future__ import annotations
@@ -386,22 +393,45 @@ def _copy(text: str) -> str:
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Read a submission as one HypothesisTable per example uid, in
-    canonical order; the ids are checked against the taxonomy's ranges
-    only if one is given.
-
-    A regular file is streamed (`_stream_predictions`). A document the
-    stream cannot walk, and a file that cannot be read twice, such as a
-    pipe, are read whole by `predictions_from_dict`, which words their
-    problems exactly as it words every submission's."""
+    """Read a submission, once (`_read_json`), as one HypothesisTable per
+    example uid, in canonical order; the ids are checked against the
+    taxonomy's ranges only if one is given."""
     with open(path, "rb") as file:
-        if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-            return predictions_from_dict(_parse_json(file.read(), path), path, taxonomy)
+        streamed, value = _read_json(file, path, taxonomy)
+    return value if streamed else predictions_from_dict(value, path, taxonomy)
+
+
+def _read_json(file, path, taxonomy: Taxonomy | None, head: bytes = b"") -> tuple[bool, object]:
+    """An open JSON file, `head` read of it already: (True, its tables) if
+    `_stream_predictions` walks it, else (False, its document, read whole)."""
+    if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
         try:
-            return _stream_predictions(file, path, taxonomy)
+            file.seek(0)
+            return True, _stream_predictions(file, path, taxonomy)
         except _Unwalkable:
-            pass
-    return predictions_from_dict(_load_json(path), path, taxonomy)
+            file.seek(0)
+            head = b""
+    return False, _parse_json(head + file.read(), path)
+
+
+def read_document(path) -> tuple[str, object]:
+    """The kind of the file at path and its value, read once: a "tensor
+    container" (its index, every tensor checked), else JSON (`_read_json`)
+    told by the top-level key `results`, `annotations` or `nouns`, in that
+    order: a "submission", "ground truth" or "taxonomy"."""
+    with open(path, "rb") as file:
+        if (head := file.read(len(TENSOR_MAGIC))) == TENSOR_MAGIC:
+            container = TensorFile(path, file)
+            container.check_finite()
+            return "tensor container", container.index
+        streamed, doc = _read_json(file, path, None, head)
+    if streamed or isinstance(doc, dict) and "results" in doc:
+        return "submission", doc if streamed else predictions_from_dict(doc, path)
+    if isinstance(doc, dict) and "annotations" in doc:
+        return "ground truth", ground_truth_from_dict(doc, path)
+    if isinstance(doc, dict) and "nouns" in doc:
+        return "taxonomy", taxonomy_from_dict(doc, where=str(path))
+    raise ValidationError(f"{path}: unrecognized document type")
 
 
 def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> PredictionSet:
@@ -535,7 +565,8 @@ def _walk_submission(file, flush) -> set[str]:
     complete is tried again with one more chunk, so a token may cross
     any number of chunks. At what `json.loads` rejects, and at documents
     this walk does not cover (a top level or `results` that is not an
-    object, a repeated key, no `results`), this raises `_Unwalkable`."""
+    object, a repeated key, no `results`, a top-level key of a ground
+    truth or taxonomy), this raises `_Unwalkable`."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     text, eof, members = "", False, []
 
@@ -595,6 +626,8 @@ def _walk_submission(file, flush) -> set[str]:
         return after, pos
 
     def top_level(key: str, pos: int) -> tuple[str, int]:
+        if key in (_KNOWN_GT_KEYS | {"nouns", "verbs"}) - _KNOWN_SUBMISSION_KEYS:
+            raise _Unwalkable  # a ground truth or taxonomy, read whole undecoded
         if key != "results":
             _, after, pos = take(_value, pos)
             return after, pos
@@ -720,10 +753,10 @@ class TensorFile:
     first non-finite one is raised instead (`check_finite`).
     """
 
-    def __init__(self, path):
+    def __init__(self, path, file=None):
         self.path = path
         self.index: dict[str, tuple[int, tuple[int, ...]]] = {}
-        self._file = open(path, "rb")
+        self._file = open(path, "rb") if file is None else file  # the file at path, if already open
         try:
             try:
                 self._scan()
@@ -746,6 +779,7 @@ class TensorFile:
         if not stat.S_ISREG(status.st_mode):  # a pipe has no size to check against and cannot seek
             raise FormatError(f"{path}: not a regular file; a tensor container is read by seeking")
         size = status.st_size
+        file.seek(0)
         head = file.read(8)
         if head[:4] != TENSOR_MAGIC:
             raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {TENSOR_MAGIC!r}")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vista import io_formats
 from vista.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from vista.fusion import (
     ContextMlpParams,
@@ -19,11 +21,11 @@ from vista.fusion import (
     film_modulate,
     roi_context_fuse,
 )
-from vista.io_formats import load_predictions, read_tensor_file, write_tensor_file
+from vista.io_formats import load_predictions, read_tensor_file, write_submission, write_tensor_file
 from vista.rng import CounterRng
 
 from test_fusion import rand_array
-from test_io_formats import vstf_record
+from test_io_formats import large_submission, opened_paths, vstf_record
 
 
 @pytest.fixture
@@ -443,6 +445,60 @@ class TestEnsembleCommand:
         assert code == EXIT_VALIDATION
 
 
+FLOAT_MAX = sys.float_info.max
+
+
+def one_example(path, *entries):
+    """Write a submission of one example, "u", of (box, ttc, score)
+    entries with noun and verb 0."""
+    path.write_text(json.dumps({"results": {"u": [
+        {"box": box, "noun_category_id": 0, "verb_category_id": 0, "time_to_contact": ttc, "score": score}
+        for box, ttc, score in entries]}}))
+
+
+def run_strict(argv, capsys) -> tuple[int, str]:
+    """main(argv) with every warning an error; the exit code and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestFloatEdges:
+    """Valid values near the float maximum: the commands exit 0, and numpy
+    does not warn."""
+
+    def test_ensemble_of_scores_whose_sum_overflows(self, tmp_path, capsys):
+        one_example(tmp_path / "big.json", ([0, 0, 10, 10], 1.0, 1e308))
+        big, out = str(tmp_path / "big.json"), tmp_path / "ens"
+        assert run_strict(["ensemble", big, big, "--out", str(out)], capsys) == (EXIT_OK, "")
+        merged = json.loads((out / "ensemble.json").read_text())["results"]["u"]
+        assert [(e["box"], e["time_to_contact"], e["score"]) for e in merged] == [([0, 0, 10, 10], 1.0, 1e308)]
+
+    def test_ensemble_of_ttcs_at_the_float_maximum(self, tmp_path, capsys):
+        # The weights 0.3 / 0.65 and 0.35 / 0.65 add up to 1 only up to
+        # rounding; the mean of two float maxima is the float maximum.
+        one_example(tmp_path / "a.json", ([0, 0, 10, 10], FLOAT_MAX, 0.3))
+        one_example(tmp_path / "b.json", ([0, 0, 10, 10], FLOAT_MAX, 0.35))
+        out = tmp_path / "ens"
+        argv = ["ensemble", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]
+        assert run_strict(argv, capsys) == (EXIT_OK, "")
+        merged = json.loads((out / "ensemble.json").read_text())["results"]["u"]
+        assert [(e["box"], e["time_to_contact"]) for e in merged] == [([0, 0, 10, 10], FLOAT_MAX)]
+
+    @pytest.mark.parametrize("command", ["ensemble", "evaluate"])
+    def test_boxes_whose_width_overflows(self, tmp_path, capsys, command):
+        huge = [-1e308, -1e308, 1e308, 1e308]
+        one_example(tmp_path / "huge.json", (huge, 1.0, 0.5))
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"taxonomy": {"nouns": ["n"], "verbs": ["v"]}, "annotations": [
+            {"example_uid": "u", "box": huge, "noun_category_id": 0, "verb_category_id": 0,
+             "time_to_contact": 1.0}]}))
+        sub = str(tmp_path / "huge.json")
+        inputs = [sub, sub] if command == "ensemble" else [str(gt), sub]
+        assert run_strict([command, *inputs, "--out", str(tmp_path / "out")], capsys) == (EXIT_OK, "")
+
+
 def run_cli(*argv, timeout=20):
     """`vista` in a fresh interpreter, killed after `timeout` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -771,6 +827,44 @@ class TestValidateCommand:
             del report["provenance"]
         assert reports[0] == reports[1] and from_pipe == EXIT_OK
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("name, kind", [
+        ("predictions_source_00.json", "submission, 4 examples"),
+        ("ground_truth.json", "ground truth, 8 annotations"),
+        ("taxonomy.json", "taxonomy, 3 nouns / 3 verbs"),
+    ])
+    def test_json_through_a_pipe_validates(self, synth_dir, capsys, name, kind):
+        # A pipe is read once: no byte may be spent on telling what it holds.
+        if name == "taxonomy.json":
+            data = json.dumps(json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]).encode()
+        else:
+            data = (synth_dir / name).read_bytes()
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # it fits in the pipe's buffer
+        os.close(write_end)
+        try:
+            path = f"/dev/fd/{read_end}"
+            assert main(["validate", path]) == EXIT_OK
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().out.startswith(f"{path}: valid {kind}")
+
+    def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch, capsys):
+        # Reading the whole document peaks at 2.4-2.6 times the file size.
+        path = tmp_path / "sub.json"
+        write_submission(large_submission(), path)
+        size = path.stat().st_size
+        assert size > 2_500_000
+        monkeypatch.setattr(io_formats, "_CHUNK", 64 * 1024)
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(path)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == f"{path}: valid submission, 100 examples, 10000 hypotheses\n"
+        assert peak < size, f"peak {peak} bytes for a file of {size}"
+
     def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"caf\xe9", [1.0]))
@@ -940,18 +1034,45 @@ class TestOutMustBeAString:
 
 
 class TestValidateParsesOnce:
+    @pytest.mark.parametrize("name", ["t.vstf", "predictions_source_00.json", "ground_truth.json", "taxonomy.json"])
+    def test_each_file_opened_once(self, synth_dir, capsys, name):
+        path = synth_dir / name
+        if name == "t.vstf":
+            write_tensor_file({"a": np.ones(3)}, path)
+        if name == "taxonomy.json":
+            path.write_text(json.dumps(json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]))
+        assert opened_paths(lambda: main(["validate", str(path)])) == [str(path)]
+        assert capsys.readouterr().out.startswith(f"{path}: valid ")
+
     @pytest.mark.parametrize("name, kind", [
         ("predictions_source_00.json", "valid submission"),
         ("ground_truth.json", "valid ground truth"),
         ("taxonomy.json", "valid taxonomy"),
     ])
     def test_one_json_loads_per_file(self, synth_dir, monkeypatch, capsys, name, kind):
+        # A submission is walked: each top-level value and each member of
+        # `results` is decoded once, in file order, and nothing is parsed
+        # whole. A ground truth or taxonomy is parsed whole, once, and the
+        # walk decodes none of its values first.
         if name == "taxonomy.json":
             doc = json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]
             (synth_dir / name).write_text(json.dumps(doc))
-        calls = []
+        doc = json.loads((synth_dir / name).read_text())
+        calls, decoded = [], []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(1) or loads(text, **kw))
+
+        class Recording(json.JSONDecoder):
+            def raw_decode(self, text, idx=0):
+                value, end = super().raw_decode(text, idx)
+                decoded.append(value)
+                return value, end
+
+        monkeypatch.setattr(io_formats, "_DECODER", Recording())
         assert main(["validate", str(synth_dir / name)]) == EXIT_OK
         assert kind in capsys.readouterr().out
-        assert len(calls) == 1
+        if kind == "valid submission":
+            assert list(doc) == ["challenge", "results", "version"]
+            assert (calls, decoded) == ([], [doc["challenge"], *doc["results"].values(), doc["version"]])
+        else:
+            assert (calls, decoded) == ([1], [])

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -623,6 +625,19 @@ def stream_corpus() -> dict[str, tuple[bool, list[bytes]]]:
 STREAM_CORPUS = stream_corpus()
 
 
+def large_submission() -> dict[str, HypothesisTable]:
+    """100 examples of 100 random hypotheses, about 3 MB as a file."""
+    rng = np.random.default_rng(3)
+    preds = {}
+    for u in range(100):
+        corners = rng.uniform(0, 500, (100, 4))
+        preds[f"ex_{u:03d}"] = HypothesisTable(
+            boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
+            noun=rng.integers(0, 10, 100), verb=rng.integers(0, 10, 100),
+            ttc=rng.uniform(0, 2, 100), score=rng.uniform(0.01, 1, 100))
+    return preds
+
+
 def read_whole(path, taxonomy):
     return predictions_from_dict(_load_json(path), path, taxonomy)
 
@@ -644,6 +659,29 @@ def outcome(read, path):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+_opens: list | None = None  # the paths opened while `opened_paths` runs
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _opens is not None and not isinstance(args[0], int):
+        _opens.append(os.fspath(args[0]))
+
+
+def opened_paths(call) -> list[str]:
+    """The paths of the files opened while call() runs, in order, as the
+    interpreter's "open" audit event names them."""
+    global _opens
+    if not getattr(opened_paths, "hooked", False):
+        sys.addaudithook(_record_open)  # a hook cannot be removed; it records only in here
+        opened_paths.hooked = True
+    _opens = []
+    try:
+        call()
+        return _opens
+    finally:
+        _opens = None
+
+
 class TestStreamedSubmissions:
     """`load_predictions` walks a submission chunk by chunk; whatever the
     file, it must read it as `predictions_from_dict` reads the whole
@@ -657,15 +695,17 @@ class TestStreamedSubmissions:
         # character cross a chunk boundary.
         monkeypatch.setattr(io_formats, "_CHUNK", chunk)
         wholes = []
-        monkeypatch.setattr(io_formats, "_load_json", lambda path: wholes.append(path) or _load_json(path))
+        parse = io_formats._parse_json
+        monkeypatch.setattr(io_formats, "_parse_json", lambda data, path: wholes.append(path) or parse(data, path))
         walked, files = STREAM_CORPUS[kind]
         path = tmp_path / "sub.json"
         for data in files:
             path.write_bytes(data)
             wholes.clear()
-            assert outcome(load_predictions, path) == outcome(read_whole, path), data[:300]
+            streamed = outcome(load_predictions, path)
             if walked:
                 assert wholes == [], data[:300]
+            assert streamed == outcome(read_whole, path), data[:300]
 
     def test_problems_and_warnings_of_every_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io_formats, "_CHUNK", 64)
@@ -676,6 +716,13 @@ class TestStreamedSubmissions:
         assert result == (ValidationError, [f"{path}: results['u3'][0]: score must be finite and > 0, got 0.0"])
         assert [message for _, message in caught] == [
             f"{path}: results['u{k}'][1]: ignoring unknown fields ['comment']" for k in range(4)]
+
+    @pytest.mark.parametrize("kind", ["valid", "repeated keys", "invalid utf-8"])
+    def test_opened_once(self, tmp_path, kind):
+        # A document the walk stops in is parsed whole from the same open file.
+        path = tmp_path / "sub.json"
+        path.write_bytes(STREAM_CORPUS[kind][1][0])
+        assert opened_paths(lambda: outcome(load_predictions, path)) == [str(path)]
 
     def test_no_warning_before_a_later_syntax_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io_formats, "_CHUNK", 16)
@@ -689,14 +736,7 @@ class TestStreamedSubmissions:
 
     def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch):
         # Reading the whole document peaks at 2.4-2.6 times the file size.
-        rng = np.random.default_rng(3)
-        preds = {}
-        for u in range(100):
-            corners = rng.uniform(0, 500, (100, 4))
-            preds[f"ex_{u:03d}"] = HypothesisTable(
-                boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
-                noun=rng.integers(0, 10, 100), verb=rng.integers(0, 10, 100),
-                ttc=rng.uniform(0, 2, 100), score=rng.uniform(0.01, 1, 100))
+        preds = large_submission()
         path = tmp_path / "sub.json"
         write_submission(preds, path)
         size = path.stat().st_size
