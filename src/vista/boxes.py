@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Box pairs compared at once. Bounds the temporaries of a pairwise pass to
-# a few MB however many boxes share one class.
-PAIR_BLOCK = 1 << 17
+# Box pairs compared at once. Bounds the temporaries of a pairwise pass
+# however many boxes share one class: about 75 bytes a pair, 1.2 MB for a
+# block of 2^14 (9.6 MB at 2^17), by tracemalloc over one `pair_blocks`
+# block scored with `pair_iou`.
+PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,13 @@ class Box2D:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-def box_columns(boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The x1, y1, x2, y2 columns of (N, 4) corners, contiguous, and the
-    areas, (x2 - x1) * (y2 - y1). A box whose width or area passes the
-    float maximum has an area of inf, or NaN if it has no height, without
-    a warning: `pair_iou` gives every pair of it IoU 0."""
-    x1, y1, x2, y2 = corners = [np.ascontiguousarray(boxes[:, i]) for i in range(4)]
+def box_columns(*boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The x1, y1, x2, y2 columns of the rows of (N, 4) corners, of one
+    array or of several one after another, contiguous, and the areas,
+    (x2 - x1) * (y2 - y1). A box whose width or area passes the float
+    maximum has an area of inf, or NaN if it has no height, without a
+    warning: `pair_iou` gives every pair of it IoU 0."""
+    x1, y1, x2, y2 = corners = [np.concatenate([b[:, i] for b in boxes]) for i in range(4)]
     with np.errstate(over="ignore", invalid="ignore"):
         return corners, (x2 - x1) * (y2 - y1)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, check_fields, setting, sort_canonical
+from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, setting, sort_canonical
 
 
 @dataclass(frozen=True)
@@ -231,5 +231,5 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     out: PredictionSet = {}
     for uid in sorted(pooled):
         merged = merge_group(group_hypotheses(HypothesisTable.concat(pooled[uid]), cfg), cfg)
-        out[uid] = sort_canonical(merged).take(slice(0, cfg.max_exports))
+        out[uid] = merged.take(canonical_order(merged)[: cfg.max_exports])
     return out

@@ -454,7 +454,9 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
                   unknown: list | None = None) -> PredictionSet:
     """(uid, entries) members of a submission's `results`, in file order,
     as one canonical HypothesisTable per uid, with `_read_entries` (which
-    `unknown` is passed on to). Every problem is raised, a value that is
+    `unknown` is passed on to). Rows that tie on the whole canonical key
+    are ordered by source id, rows without one first, so no table depends
+    on the order of its entries. Every problem is raised, a value that is
     not a list too. The members are emptied, so their entries are freed
     as they are read."""
     problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
@@ -465,7 +467,8 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
     columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy, unknown)
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
-    return {uid: sort_canonical(whole.take(slice(start, end))) for uid, start, end in spans}
+    tables = ((uid, whole.take(slice(start, end))) for uid, start, end in spans)
+    return {uid: sort_canonical(table, tie_break=(table.source, table.has_source)) for uid, table in tables}
 
 
 def _stream_predictions(file, path, taxonomy: Taxonomy | None) -> PredictionSet:

@@ -274,11 +274,14 @@ class HypothesisTable:
     @classmethod
     def concat(cls, tables: list[HypothesisTable]) -> HypothesisTable:
         """The rows of the tables one after another."""
-        if not tables:
-            return cls(boxes=np.empty((0, 4)), noun=[], verb=[], ttc=[], score=[])
-        return cls.from_valid(*(
-            np.concatenate([getattr(t, name) for t in tables]) for name in _TABLE_COLUMNS
-        ))
+        return cls.from_valid(*(cls.column(tables, name) for name in _TABLE_COLUMNS))
+
+    @staticmethod
+    def column(tables: list[HypothesisTable], name: str) -> np.ndarray:
+        """One column of the rows of the tables one after another."""
+        dtype, dims = _TABLE_COLUMNS[name]
+        empty = np.empty([0 if dim == "N" else dim for dim in dims], dtype=dtype)
+        return np.concatenate([getattr(t, name) for t in tables] + [empty])
 
     def __len__(self) -> int:
         return len(self.score)
@@ -363,28 +366,38 @@ def as_gt_table(gts) -> GroundTruthTable:
     )
 
 
-def canonical_order(table: HypothesisTable, tie_break=None) -> np.ndarray:
+def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: tuple = ()) -> np.ndarray:
     """The row indices that put a table in canonical order, the total
     order on hypotheses: score descending, then ascending (noun, verb, x1,
     y1, x2, y2, ttc). It makes every downstream sort, truncation and
     tie-break bitwise reproducible. The sort is a stable lexsort, so full
-    ties keep their row order unless a `tie_break` column orders them.
-    When no two scores are equal, the score alone orders the rows and one
-    stable argsort of it gives the same indices."""
-    by_score = np.argsort(-table.score, kind="stable")
-    ranked = table.score[by_score]
+    ties keep their row order unless the `tie_break` columns order them,
+    the last the most significant, as in `np.lexsort`. When no two scores
+    are equal, the score alone orders the rows and one stable argsort of
+    it gives the same indices.
+
+    Given a list of tables, it orders their rows one after another, and
+    pools the key columns other than the score only when two scores are
+    equal."""
+    def column(name: str) -> np.ndarray:
+        return getattr(table, name) if isinstance(table, HypothesisTable) else HypothesisTable.column(table, name)
+
+    score = column("score")
+    by_score = np.argsort(-score, kind="stable")
+    ranked = score[by_score]
     if not (ranked[1:] == ranked[:-1]).any():
         return by_score
-    b = table.boxes
-    keys = (table.ttc, b[:, 3], b[:, 2], b[:, 1], b[:, 0], table.verb, table.noun, -table.score)
-    return np.lexsort(keys if tie_break is None else (tie_break,) + keys)
+    b = column("boxes")
+    keys = (column("ttc"), b[:, 3], b[:, 2], b[:, 1], b[:, 0], column("verb"), column("noun"), -score)
+    return np.lexsort(tie_break + keys)
 
 
-def sort_canonical(hyps):
+def sort_canonical(hyps, tie_break: tuple = ()):
     """Put a HypothesisTable, or a list of StaHypothesis, in canonical
-    order. A list comes back as the same objects reordered: `synth` sorts
-    its lists with it."""
+    order, full ties of a table ordered by its `tie_break` columns
+    (`canonical_order`). A list comes back as the same objects reordered:
+    `synth` sorts its lists with it."""
     if isinstance(hyps, HypothesisTable):
-        return hyps.take(canonical_order(hyps))
+        return hyps.take(canonical_order(hyps, tie_break))
     # Lists stay accepted: synth and the benchmark's oracle check sort them.
     return [hyps[i] for i in canonical_order(as_table(hyps)).tolist()]

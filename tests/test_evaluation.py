@@ -1,6 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vista import evaluation
 from vista.boxes import Box2D
 from vista.errors import ValidationError
 from vista.evaluation import (
@@ -14,7 +18,15 @@ from vista.evaluation import (
 from vista.oracle import _iou_scalar, brute_force_evaluate
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import GroundTruthInstance, StaHypothesis, as_gt_table, as_table, sort_canonical
+from vista.types import (
+    GroundTruthInstance,
+    GroundTruthTable,
+    HypothesisTable,
+    StaHypothesis,
+    as_gt_table,
+    as_table,
+    sort_canonical,
+)
 
 from test_postprocess import columns
 
@@ -313,22 +325,105 @@ class TestRankingTies:
         assert report.map_noun == brute_force_evaluate(preds, gts, CFG).map_noun
 
 
+def assert_as_oracle(fast, slow):
+    assert fast.counts == slow.counts
+    assert fast.per_noun_ap.keys() == slow.per_noun_ap.keys()
+    for cls, aps in slow.per_noun_ap.items():
+        assert fast.per_noun_ap[cls] == pytest.approx(aps, abs=1e-12)
+    for variant in MatchVariant:
+        assert fast.variant_map(variant) == pytest.approx(slow.variant_map(variant), abs=1e-9)
+
+
+def preds_of(pairs) -> dict:
+    preds = {}
+    for example, h in pairs:
+        preds.setdefault(example, []).append(h)
+    return preds
+
+
+def evaluate_in_blocks(preds, gts, cfg, block):
+    """evaluate with PAIR_BLOCK set to block."""
+    saved = evaluation.PAIR_BLOCK
+    evaluation.PAIR_BLOCK = block
+    try:
+        return evaluate(preds, gts, cfg)
+    finally:
+        evaluation.PAIR_BLOCK = saved
+
+
 class TestOracleEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(tiny_gts, tiny_preds, st.sampled_from([1, 2, 5]), st.sampled_from([0.1, 0.5]))
     def test_evaluate_equals_brute_force_on_lists_and_tables(self, gts, pairs, top_k, iou_min):
         # Coarse grids give full ties within and across examples, IoU
         # exactly at iou_min and TTC errors exactly at the tolerance.
-        preds = {}
-        for example, h in pairs:
-            preds.setdefault(example, []).append(h)
+        preds = preds_of(pairs)
         cfg = EvalConfig(iou_min=iou_min, ttc_max_error=0.25, top_k=top_k)
         slow = brute_force_evaluate(preds, gts, cfg)
         for given_preds in (preds, {u: as_table(hyps) for u, hyps in preds.items()}):
-            fast = evaluate(given_preds, gts, cfg)
-            assert fast.counts == slow.counts
-            assert fast.per_noun_ap.keys() == slow.per_noun_ap.keys()
-            for cls, aps in slow.per_noun_ap.items():
-                assert fast.per_noun_ap[cls] == pytest.approx(aps, abs=1e-12)
-            for variant in MatchVariant:
-                assert fast.variant_map(variant) == pytest.approx(slow.variant_map(variant), abs=1e-9)
+            assert_as_oracle(evaluate(given_preds, gts, cfg), slow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_gts, tiny_preds, st.sampled_from([1, 2, 5]), st.sampled_from([1, 7, 1 << 17]))
+    def test_blocks_do_not_change_the_report(self, gts, pairs, top_k, block):
+        preds = preds_of(pairs)
+        cfg = EvalConfig(iou_min=0.1, top_k=top_k)
+        blocked = evaluate_in_blocks(preds, gts, cfg, block)
+        assert blocked == evaluate(preds, gts, cfg)
+        assert_as_oracle(blocked, brute_force_evaluate(preds, gts, cfg))
+
+
+def crowded_instance(n_examples: int, n_preds: int = 100, n_gts: int = 8, seed: int = 0):
+    """A score-like instance built from numpy columns: each example has
+    n_gts annotations over 128 nouns and 81 verbs, and n_preds hypotheses
+    jittered around them, each with the right noun and the right verb
+    with probability 0.7."""
+    rng = np.random.default_rng(seed)
+    uids = [f"ex{i:04d}" for i in range(n_examples)]
+    n = n_examples * n_gts
+    corner = rng.uniform(0.0, 1600.0, (n, 2))
+    gt_boxes = np.hstack([corner, corner + rng.uniform(40.0, 300.0, (n, 2))])
+    gt_noun, gt_verb, gt_ttc = rng.integers(0, 128, n), rng.integers(0, 81, n), rng.uniform(0.0, 2.0, n)
+    gts = GroundTruthTable(uid=np.repeat(uids, n_gts).tolist(), boxes=gt_boxes, noun=gt_noun, verb=gt_verb,
+                           ttc=gt_ttc)
+    preds = {}
+    for e, uid in enumerate(uids):
+        of = e * n_gts + rng.integers(0, n_gts, n_preds)
+        boxes = gt_boxes[of] + rng.normal(0.0, 15.0, (n_preds, 4))
+        right = rng.random((2, n_preds)) < 0.7
+        preds[uid] = sort_canonical(HypothesisTable(
+            boxes=np.hstack([np.minimum(boxes[:, :2], boxes[:, 2:]), np.maximum(boxes[:, :2], boxes[:, 2:])]),
+            noun=np.where(right[0], gt_noun[of], rng.integers(0, 128, n_preds)),
+            verb=np.where(right[1], gt_verb[of], rng.integers(0, 81, n_preds)),
+            ttc=np.abs(gt_ttc[of] + rng.normal(0.0, 0.2, n_preds)),
+            score=rng.uniform(0.01, 1.0, n_preds),
+        ))
+    return preds, gts
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 17])
+    def test_blocks_do_not_change_a_crowded_report(self, block):
+        preds, gts = crowded_instance(40)
+        for top_k in (5, 100):
+            cfg = EvalConfig(top_k=top_k)
+            assert evaluate_in_blocks(preds, gts, cfg, block).to_dict() == evaluate(preds, gts, cfg).to_dict()
+
+    # On this instance (100k hypotheses, 7.75 MB of tables) the peak was
+    # 3.15x the tables at top-k 100 and 1.24x at top-5 while evaluate
+    # copied each example's sorted top-k and then all of them, and 1.57x
+    # and 0.71x with one ranking, the kept rows' columns gathered alone and
+    # the pairs in blocks of 2^14.
+    @pytest.mark.parametrize("top_k, bound", [(100, 2.0), (5, 1.0)])
+    def test_peak_allocation_within_a_multiple_of_the_tables(self, top_k, bound):
+        preds, gts = crowded_instance(1000)
+        table_bytes = sum(getattr(table, name).nbytes for table in preds.values()
+                          for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source"))
+        table_bytes += sum(column.nbytes for column in (gts.boxes, gts.noun, gts.verb, gts.ttc))
+        tracemalloc.start()
+        try:
+            evaluate(preds, gts, EvalConfig(top_k=top_k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * table_bytes

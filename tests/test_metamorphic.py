@@ -159,13 +159,20 @@ plain_annotations = st.lists(st.fixed_dictionaries({
     "verb_category_id": st.integers(0, 1), "time_to_contact": st.sampled_from([0.5, 1.0])}), max_size=6)
 
 
+# Each drawn entry once per source id drawn for it (None: no source_id),
+# so that rows tie on the whole canonical key yet differ in their source.
+source_ids = st.lists(st.sampled_from([None, 0, 1, 2]), min_size=1, max_size=3)
+sourced_results = st.dictionaries(st.sampled_from(["a", "b", "c"]), st.lists(
+    st.tuples(st.one_of(plain_entry, edge_entry), source_ids), max_size=4,
+).map(lambda drawn: [entry if source is None else {**entry, "source_id": source}
+                     for entry, sources in drawn for source in sources]))
+
+
 class TestMetamorphicRelations:
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(plain_results, edge_results), st.one_of(plain_results, edge_results),
-           st.one_of(plain_annotations, edge_annotations), st.randoms(use_true_random=False))
+    @given(sourced_results, sourced_results, st.one_of(plain_annotations, edge_annotations),
+           st.randoms(use_true_random=False))
     def test_shuffled_uids_and_entries(self, results, other, annotations, rng):
-        # No entry has a source_id: rows that tie on the whole canonical key
-        # are then alike in every field the outputs write.
         def shuffled(results: dict) -> dict:
             uids = list(results)
             rng.shuffle(uids)
