@@ -1,10 +1,9 @@
-"""Top-5 mAP evaluation in four variants: Noun, Noun+Verb, Noun+TTC, Overall.
+"""Top-5 mAP evaluation in the four Ego4D STA variants of `MatchVariant`.
 
 Matching rules: a prediction can match a ground truth only when box IoU
 is strictly greater than iou_min (all variants) and the noun labels agree;
-Noun+Verb and Overall additionally require verb equality; Noun+TTC and
-Overall additionally require the absolute TTC error to be strictly less
-than ttc_max_error.
+a variant may additionally require verb equality, the absolute TTC error
+to be strictly less than ttc_max_error, or both.
 
 Top-5 semantics here are per-example truncation to the top_k
 highest-scored hypotheses before class-wise AP; the official server-side
@@ -41,18 +40,24 @@ REPORT_HEADER = (
 
 
 class MatchVariant(enum.Enum):
-    NOUN = "noun"
-    NOUN_VERB = "noun_verb"
-    NOUN_TTC = "noun_ttc"
-    OVERALL = "overall"
+    """The variants in report order. Each has its value, which names it
+    in the report, its column label, and whether a match needs the same
+    verb and a TTC within the tolerance; `map_key` is the EvalReport
+    field and report key of its mAP."""
+
+    OVERALL = "overall", "Overall", True, True
+    NOUN = "noun", "Noun", False, False
+    NOUN_VERB = "noun_verb", "Noun+Verb", True, False
+    NOUN_TTC = "noun_ttc", "Noun+TTC", False, True
+
+    def __new__(cls, value: str, label: str, needs_verb: bool, needs_ttc: bool):
+        variant = object.__new__(cls)
+        variant._value_, variant.label, variant.needs_verb, variant.needs_ttc = value, label, needs_verb, needs_ttc
+        variant.map_key = f"map_{value}"
+        return variant
 
 
-ALL_VARIANTS = (
-    MatchVariant.OVERALL,
-    MatchVariant.NOUN,
-    MatchVariant.NOUN_VERB,
-    MatchVariant.NOUN_TTC,
-)
+ALL_VARIANTS = tuple(MatchVariant)
 
 
 @dataclass(frozen=True)
@@ -78,20 +83,12 @@ class EvalReport:
     counts: dict[str, dict[str, int]]
 
     def variant_map(self, variant: MatchVariant) -> float:
-        return {
-            MatchVariant.OVERALL: self.map_overall,
-            MatchVariant.NOUN: self.map_noun,
-            MatchVariant.NOUN_VERB: self.map_noun_verb,
-            MatchVariant.NOUN_TTC: self.map_noun_ttc,
-        }[variant]
+        return getattr(self, variant.map_key)
 
     def to_dict(self) -> dict:
         return {
             "header": REPORT_HEADER,
-            "map_overall": self.map_overall,
-            "map_noun": self.map_noun,
-            "map_noun_verb": self.map_noun_verb,
-            "map_noun_ttc": self.map_noun_ttc,
+            **{variant.map_key: self.variant_map(variant) for variant in ALL_VARIANTS},
             "per_noun_ap": {str(k): v for k, v in sorted(self.per_noun_ap.items())},
             "counts": self.counts,
         }
@@ -190,9 +187,9 @@ def _variant_pairs(pairs, variant: MatchVariant):
     to the pairs that can match under the variant."""
     for p, g, overlap, same_verb, close_ttc in pairs:
         keep = np.ones(len(p), dtype=bool)
-        if variant in (MatchVariant.NOUN_VERB, MatchVariant.OVERALL):
+        if variant.needs_verb:
             keep &= same_verb
-        if variant in (MatchVariant.NOUN_TTC, MatchVariant.OVERALL):
+        if variant.needs_ttc:
             keep &= close_ttc
         yield p[keep], g[keep], overlap[keep]
 
@@ -209,8 +206,7 @@ def evaluate(
     hypothesis is ranked once by the canonical ordering with the uid as
     the final tie-break, and each example keeps its first top_k. The
     candidate pairs (same example, same noun, IoU > iou_min) are built
-    once and filtered for each variant: Overall keeps the pairs of
-    Noun+Verb that Noun+TTC keeps too, and both keep a subset of Noun's.
+    once and filtered for each variant by its verb and TTC needs.
     Per variant, predictions are matched greedily in rank order, each to
     the unmatched candidate ground truth of highest IoU.
 
@@ -252,7 +248,7 @@ def evaluate(
     class_first = np.searchsorted(pred_noun[by_noun], scored_classes, side="left")
     class_end = np.searchsorted(pred_noun[by_noun], scored_classes, side="right")
 
-    maps: dict[MatchVariant, float] = {}
+    maps: dict[str, float] = {}  # by map_key
     per_noun_ap: dict[int, dict[str, float]] = {c: {} for c in scored_classes}
     all_counts: dict[str, dict[str, int]] = {}
     for variant in ALL_VARIANTS:
@@ -264,7 +260,7 @@ def evaluate(
             ap = average_precision(tp_by_noun[first:end], n_gt_cls)
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
-        maps[variant] = 100.0 * float(np.mean(aps)) if aps else 0.0
+        maps[variant.map_key] = 100.0 * float(np.mean(aps)) if aps else 0.0
         n_matched = int(tp.sum())
         all_counts[variant.value] = {
             "matched": n_matched,
@@ -272,26 +268,13 @@ def evaluate(
             "unmatched_ground_truths": n_gt - n_matched,
         }
 
-    return EvalReport(
-        map_overall=maps[MatchVariant.OVERALL],
-        map_noun=maps[MatchVariant.NOUN],
-        map_noun_verb=maps[MatchVariant.NOUN_VERB],
-        map_noun_ttc=maps[MatchVariant.NOUN_TTC],
-        per_noun_ap=per_noun_ap,
-        counts=all_counts,
-    )
+    return EvalReport(**maps, per_noun_ap=per_noun_ap, counts=all_counts)
 
 
 def format_report_table(report: EvalReport) -> str:
-    """Aligned text table with the Overall / Noun / Noun+Verb / Noun+TTC columns."""
-    headers = ["Overall", "Noun", "Noun+Verb", "Noun+TTC"]
-    values = [
-        report.map_overall,
-        report.map_noun,
-        report.map_noun_verb,
-        report.map_noun_ttc,
-    ]
-    cells = [f"{v:.2f}" for v in values]
+    """Aligned text table with one column per variant, in report order."""
+    headers = [variant.label for variant in ALL_VARIANTS]
+    cells = [f"{report.variant_map(variant):.2f}" for variant in ALL_VARIANTS]
     widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
     head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
     row = "  ".join(c.rjust(w) for c, w in zip(cells, widths))

@@ -8,28 +8,19 @@ files; nothing here trains. `fuse_tensors` runs all three on the named
 tensors of one container.
 
 Each parameter class declares the dims of its fields once, in the
-README's symbols. `types.shape_problems` checks every kernel's arguments
-and all 16 tensors of a container against them, listing every mismatch.
+README's symbols, with `types.array_field`. `types.shape_problems` checks
+every kernel's arguments and all 16 tensors of a container against them,
+listing every mismatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .types import shape_problems
-
-
-def _dims(*dims):
-    """A parameter field and its dims, in the symbols of `shape_problems`."""
-    return field(metadata={"dims": dims})
-
-
-def _contract(cls, prefix: str = "") -> dict[str, tuple]:
-    """The dims of every field of a parameter class, by prefixed name."""
-    return {prefix + f.name: f.metadata["dims"] for f in fields(cls)}
+from .types import array_field, contract, shape_problems
 
 
 def _checked(contract: dict[str, tuple], **arrays) -> list[np.ndarray]:
@@ -50,31 +41,31 @@ class ProbeParams:
     """Single-head attention pooling: key projection, value projection,
     and one learned query vector."""
 
-    key_proj: np.ndarray = _dims("D", "D_att")
-    value_proj: np.ndarray = _dims("D", "D_token")
-    query: np.ndarray = _dims("D_att")
+    key_proj: np.ndarray = array_field("D", "D_att")
+    value_proj: np.ndarray = array_field("D", "D_token")
+    query: np.ndarray = array_field("D_att")
 
 
 @dataclass(frozen=True)
 class FilmParams:
     """Per-channel scale/bias generators driven by the temporal token."""
 
-    gamma_proj: np.ndarray = _dims("D_token", "C")
-    gamma_bias: np.ndarray = _dims("C")
-    beta_proj: np.ndarray = _dims("D_token", "C")
-    beta_bias: np.ndarray = _dims("C")
+    gamma_proj: np.ndarray = array_field("D_token", "C")
+    gamma_bias: np.ndarray = array_field("C")
+    beta_proj: np.ndarray = array_field("D_token", "C")
+    beta_bias: np.ndarray = array_field("C")
 
 
 @dataclass(frozen=True)
 class ContextMlpParams:
     """Two-layer ReLU MLP over concat(roi, projected token), residual output."""
 
-    layer1_w: np.ndarray = _dims(("D_roi", "D_proj"), "H_mlp")
-    layer1_b: np.ndarray = _dims("H_mlp")
-    layer2_w: np.ndarray = _dims("H_mlp", "D_roi")
-    layer2_b: np.ndarray = _dims("D_roi")
-    token_proj: np.ndarray = _dims("D_token", "D_proj")
-    token_bias: np.ndarray = _dims("D_proj")
+    layer1_w: np.ndarray = array_field(("D_roi", "D_proj"), "H_mlp")
+    layer1_b: np.ndarray = array_field("H_mlp")
+    layer2_w: np.ndarray = array_field("H_mlp", "D_roi")
+    layer2_b: np.ndarray = array_field("D_roi")
+    token_proj: np.ndarray = array_field("D_token", "D_proj")
+    token_bias: np.ndarray = array_field("D_proj")
 
 
 def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +77,7 @@ def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
     the token is invariant to permuting the sequence rows.
     """
     seq, key_proj, value_proj, query = _checked(
-        {"seq": ("T", "D"), **_contract(ProbeParams)}, seq=seq, **vars(params))
+        {"seq": ("T", "D"), **contract(ProbeParams)}, seq=seq, **vars(params))
     d_att = key_proj.shape[1]
     problems = []
     if seq.shape[0] < 1:
@@ -112,7 +103,7 @@ def film_modulate(x, token, params: FilmParams) -> np.ndarray:
     no-op.
     """
     x, token, gamma_proj, gamma_bias, beta_proj, beta_bias = _checked(
-        {"x": ("C", "H", "W"), "token": ("D_token",), **_contract(FilmParams)}, x=x, token=token, **vars(params))
+        {"x": ("C", "H", "W"), "token": ("D_token",), **contract(FilmParams)}, x=x, token=token, **vars(params))
     gamma = token @ gamma_proj + gamma_bias
     beta = token @ beta_proj + beta_bias
     return gamma[:, None, None] * x + beta[:, None, None]
@@ -125,7 +116,7 @@ def roi_context_fuse(roi, token, params: ContextMlpParams) -> np.ndarray:
     A zero final layer makes this an exact identity on roi.
     """
     roi, token, *mlp = _checked(
-        {"roi": ("D_roi",), "token": ("D_token",), **_contract(ContextMlpParams)},
+        {"roi": ("D_roi",), "token": ("D_token",), **contract(ContextMlpParams)},
         roi=roi, token=token, **vars(params))
     return _fuse_rows(roi[None, :], token, *mlp)[0]
 
@@ -142,7 +133,7 @@ def _fuse_rows(rois, token, w1, b1, w2, b2, tp, tb) -> list[np.ndarray]:
 INPUT_TENSORS = {"seq": ("T", "D"), "rois": ("R", "D_roi"), "fpn": ("C", "H", "W")}
 PARAMETER_PREFIXES = {"probe": ProbeParams, "film": FilmParams, "context": ContextMlpParams}
 CONTAINER_TENSORS = INPUT_TENSORS | {name: dims for prefix, cls in PARAMETER_PREFIXES.items()
-                                     for name, dims in _contract(cls, f"{prefix}/").items()}
+                                     for name, dims in contract(cls, f"{prefix}/").items()}
 
 
 def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -157,11 +148,11 @@ def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     problems += shape_problems(CONTAINER_TENSORS, tensors).values()
     if problems:
         raise ValidationError(problems)
-    probe, film, context = (cls(**{name: tensors[f"{prefix}/{name}"] for name in _contract(cls)})
+    probe, film, context = (cls(**{name: tensors[f"{prefix}/{name}"] for name in contract(cls)})
                             for prefix, cls in PARAMETER_PREFIXES.items())
     token, weights = attentive_probe(tensors["seq"], probe)
     rois, token, *mlp = _checked(
-        {"rois": ("R", "D_roi"), "token": ("D_token",), **_contract(ContextMlpParams)},
+        {"rois": ("R", "D_roi"), "token": ("D_token",), **contract(ContextMlpParams)},
         rois=tensors["rois"], token=token, **vars(context))
     fused = np.array(_fuse_rows(rois, token, *mlp)).reshape(rois.shape)
     return {"token": token, "weights": weights, "fpn": film_modulate(tensors["fpn"], token, film), "rois": fused}

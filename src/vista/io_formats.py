@@ -44,6 +44,7 @@ import math
 import os
 import stat
 import struct
+import threading
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -92,13 +93,39 @@ def _parse_json(data: bytes, path):
         raise FormatError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})")
     del data  # the last reference to the bytes, which are as large as the text
     try:
-        return json.loads(text)
+        return _loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     except RecursionError:
         raise ValidationError(f"{path}: invalid JSON: nested too deeply to parse")
     except ValueError as e:  # an integer beyond the interpreter's digit limit
         raise ValidationError(f"{path}: invalid JSON: {str(e).partition(';')[0]}")
+
+
+def _loads(text: str):
+    """`json.loads` of text. The json scanner counts the caller's frames
+    against the recursion limit, so a text nested too deeply for this
+    call's stack is parsed once more at the bottom of a fresh thread's,
+    and that verdict holds: how deeply a file may nest does not depend on
+    how deep in the stack it is read."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        pass
+    outcome = {}
+
+    def parse() -> None:
+        try:
+            outcome["value"] = json.loads(text)
+        except Exception as e:  # raised again in the calling thread
+            outcome["error"] = e
+
+    thread = threading.Thread(target=parse)
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def _warn_unknown(found: set[str], known: set[str], where: str, stacklevel: int = 3) -> None:

@@ -96,7 +96,7 @@ def brute_force_evaluate(
         n_gt_per_class[gt.noun_id] = n_gt_per_class.get(gt.noun_id, 0) + 1
     scored_classes = sorted(n_gt_per_class)
 
-    maps: dict[MatchVariant, float] = {}
+    maps: dict[str, float] = {}  # by map_key
     per_noun_ap: dict[int, dict[str, float]] = {c: {} for c in scored_classes}
     counts: dict[str, dict[str, int]] = {}
     for variant in ALL_VARIANTS:
@@ -123,18 +123,11 @@ def brute_force_evaluate(
             ap = _ap_from_curve(flags_per_class.get(cls, []), n_gt_per_class[cls])
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
-        maps[variant] = 100.0 * (sum(aps) / len(aps)) if aps else 0.0
+        maps[variant.map_key] = 100.0 * (sum(aps) / len(aps)) if aps else 0.0
         counts[variant.value] = {
             "matched": matched,
             "unmatched_predictions": len(ranked) - matched,
             "unmatched_ground_truths": len(gts) - matched,
         }
 
-    return EvalReport(
-        map_overall=maps[MatchVariant.OVERALL],
-        map_noun=maps[MatchVariant.NOUN],
-        map_noun_verb=maps[MatchVariant.NOUN_VERB],
-        map_noun_ttc=maps[MatchVariant.NOUN_TTC],
-        per_noun_ap=per_noun_ap,
-        counts=counts,
-    )
+    return EvalReport(**maps, per_noun_ap=per_noun_ap, counts=counts)

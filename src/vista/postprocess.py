@@ -30,7 +30,8 @@ import numpy as np
 from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
 from .errors import ValidationError
 from .io_formats import TensorFile
-from .types import HypothesisTable, Taxonomy, box_rules, check_fields, setting, shape_problems, sort_canonical
+from .types import (HypothesisTable, Taxonomy, array_field, box_rules, check_fields, contract, setting, shape_problems,
+                    sort_canonical)
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
 BOX_DELTA_CLAMP = math.log(1000.0 / 16.0)
@@ -47,37 +48,24 @@ class InferenceConfig:
     __post_init__ = check_fields
 
 
-# Tensor names one proposal batch must provide, optionally prefixed
-# "<example_uid>/" when one container carries several examples, and the
-# shape each must have: P proposals, N nouns, V verbs.
-REQUIRED_TENSORS = {
-    "proposal_boxes": ("P", 4),
-    "objectness": ("P",),
-    "noun_logits": ("P", "N"),
-    "verb_logits": ("P", "V"),
-    "box_deltas": ("P", "N", 4),
-    "ttc_raw": ("P",),
-    "quality": ("P",),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ProposalBatch:
     """One example's head outputs; row i of every tensor is proposal i.
 
-    Tensors keep the dtype they arrive in (float32 from a VSTF container)
-    and are not copied. The expansion casts only the rows it selects to
-    float64, which is exact. Shapes (`REQUIRED_TENSORS`) and values are
-    checked on construction, and every problem is listed.
+    The fields are the tensors, with their dims: P proposals, N nouns, V
+    verbs. Tensors keep the dtype they arrive in (float32 from a VSTF
+    container) and are not copied. The expansion casts only the rows it
+    selects to float64, which is exact. Shapes and values are checked on
+    construction, and every problem is listed.
     """
 
-    proposal_boxes: np.ndarray   # corners
-    objectness: np.ndarray       # in (0, 1]
-    noun_logits: np.ndarray
-    verb_logits: np.ndarray
-    box_deltas: np.ndarray       # dx, dy, dw, dh per noun class
-    ttc_raw: np.ndarray
-    quality: np.ndarray          # in (0, 1]
+    proposal_boxes: np.ndarray = array_field("P", 4)   # corners
+    objectness: np.ndarray = array_field("P")          # in (0, 1]
+    noun_logits: np.ndarray = array_field("P", "N")
+    verb_logits: np.ndarray = array_field("P", "V")
+    box_deltas: np.ndarray = array_field("P", "N", 4)  # dx, dy, dw, dh per noun class
+    ttc_raw: np.ndarray = array_field("P")
+    quality: np.ndarray = array_field("P")             # in (0, 1]
 
     def __post_init__(self):
         arrays = {name: np.asarray(getattr(self, name)) for name in REQUIRED_TENSORS}
@@ -115,6 +103,10 @@ class ProposalBatch:
                 got = "" if values is None else f", got {values[i].tolist()}"
                 problems.append(f"proposal {i}: {what}{got}")
         return problems
+
+
+# The tensors of one example, ProposalBatch's fields, and their dims.
+REQUIRED_TENSORS = contract(ProposalBatch)
 
 
 def softmax(logits) -> np.ndarray:
@@ -229,7 +221,7 @@ class RankedHypotheses:
         self._boxes_done = np.zeros(top_nouns.size, dtype=bool)
         self._ttc = np.empty(len(retained))  # decoded, by proposal
         self._ttc_done = np.zeros(len(retained), dtype=bool)
-        self._built = HypothesisTable(boxes=np.empty((0, 4)), noun=[], verb=[], ttc=[], score=[])
+        self._built = HypothesisTable.concat([])
 
     def __len__(self) -> int:
         return self._len

@@ -2,13 +2,17 @@
 
 All types are immutable after construction and safe for unrestricted
 parallel use; every operation over them is a pure function.
+
+Every array container, the tables here, `postprocess.ProposalBatch` and
+the fusion parameters, declares its arrays' dims and fixed dtypes once,
+on their fields (`array_field`); `shape_problems` checks against them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +81,17 @@ def check_fields(config) -> None:
     """`check_settings` of every field of a config dataclass, annotated
     int or float and declared with `setting`: its `__post_init__`."""
     check_settings([(f.name, getattr(config, f.name), f.type, f.metadata.get("rule")) for f in fields(config)])
+
+
+def array_field(*dims, dtype=None, default=MISSING):
+    """An array field with its dims, in the symbols of `shape_problems`,
+    and its dtype where its class fixes one."""
+    return field(default=default, metadata={"dims": dims, "dtype": dtype})
+
+
+def contract(cls, prefix: str = "") -> dict[str, tuple]:
+    """The dims of every array field of a class, by prefixed name."""
+    return {prefix + f.name: f.metadata["dims"] for f in fields(cls) if "dims" in f.metadata}
 
 
 def shape_problems(contract: dict[str, tuple], arrays: dict[str, np.ndarray],
@@ -201,13 +216,17 @@ def hypothesis_rules(noun, verb, ttc, score) -> list[tuple[np.ndarray, str]]:
     return rules
 
 
+def _columns(cls) -> dict[str, tuple]:
+    """The array fields of a table class, in field order: dtype and dims."""
+    return {f.name: (f.metadata["dtype"], f.metadata["dims"]) for f in fields(cls) if "dims" in f.metadata}
+
+
 def _set_columns(table, columns: dict[str, tuple], n: int, rules) -> None:
-    """Set the columns of a frozen table, given by name with their dtype
-    and dims (N the rows) in `columns`, as read-only arrays of their
-    dtypes. Raises a ValidationError listing every column whose shape is
-    not its dims with N = n (`shape_problems`), or if there is none every
-    row that breaks one of `rules(table)`, rule by rule, as "row <i>:
-    <rule>"."""
+    """Set the columns of a frozen table, `_columns` of its class, as
+    read-only arrays of their dtypes. Raises a ValidationError listing
+    every column whose shape is not its dims with N = n (`shape_problems`),
+    or if there is none every row that breaks one of `rules(table)`, rule
+    by rule, as "row <i>: <rule>"."""
     arrays = {name: np.array(getattr(table, name), dtype=dtype) for name, (dtype, _) in columns.items()}
     for column in arrays.values():
         column.flags.writeable = False
@@ -219,34 +238,26 @@ def _set_columns(table, columns: dict[str, tuple], n: int, rules) -> None:
         raise ValidationError(problems)
 
 
-# The columns of a HypothesisTable, in field order: dtype and dims.
-_TABLE_COLUMNS = {
-    "boxes": (np.float64, ("N", 4)), "noun": (np.int64, ("N",)), "verb": (np.int64, ("N",)),
-    "ttc": (np.float64, ("N",)), "score": (np.float64, ("N",)), "source": (np.int64, ("N",)),
-    "has_source": (np.bool_, ("N",)),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class HypothesisTable:
     """One example's hypotheses as columns; row i is one hypothesis.
 
-    boxes (N, 4) float64 corners, noun and verb (N,) int64 ids, ttc and
-    score (N,) float64, source (N,) int64 ids and has_source (N,) bool,
-    which marks the rows that have a source id (any int64 is one, -1
+    Each column is an array field with its dtype and dims (N the rows):
+    box corners, noun and verb ids, ttc, score, and source ids with
+    has_source, which marks the rows that have one (any int64 is one, -1
     too). The two are given together; without them no row has a source.
     The columns are read-only and are validated as whole arrays, with
     `box_rules` and `hypothesis_rules`. Tables that the stages pass
     between them are in canonical order (`sort_canonical`).
     """
 
-    boxes: np.ndarray
-    noun: np.ndarray
-    verb: np.ndarray
-    ttc: np.ndarray
-    score: np.ndarray
-    source: np.ndarray | None = None
-    has_source: np.ndarray | None = None
+    boxes: np.ndarray = array_field("N", 4, dtype=np.float64)
+    noun: np.ndarray = array_field("N", dtype=np.int64)
+    verb: np.ndarray = array_field("N", dtype=np.int64)
+    ttc: np.ndarray = array_field("N", dtype=np.float64)
+    score: np.ndarray = array_field("N", dtype=np.float64)
+    source: np.ndarray | None = array_field("N", dtype=np.int64, default=None)
+    has_source: np.ndarray | None = array_field("N", dtype=np.bool_, default=None)
 
     def __post_init__(self):
         n = len(np.asarray(self.score))
@@ -302,6 +313,9 @@ class HypothesisTable:
         )
 
 
+_TABLE_COLUMNS = _columns(HypothesisTable)
+
+
 def as_table(hyps) -> HypothesisTable:
     """A HypothesisTable as it is, or a list of StaHypothesis (`synth`'s
     output) as a table of the same rows in the same order. The table's
@@ -319,28 +333,21 @@ def as_table(hyps) -> HypothesisTable:
     )
 
 
-# The columns of a GroundTruthTable after its uids: dtype and dims.
-_GT_COLUMNS = {
-    "boxes": (np.float64, ("N", 4)), "noun": (np.int64, ("N",)), "verb": (np.int64, ("N",)),
-    "ttc": (np.float64, ("N",)),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruthTable:
     """A ground truth as columns; row i is one annotation.
 
-    uid (N,) tuple of example uids, boxes (N, 4) float64 corners, noun
-    and verb (N,) int64 ids and ttc (N,) float64. The columns are
-    read-only and are validated as whole arrays, with `box_rules` and
-    `ground_truth_rules`.
+    uid is a tuple of example uids, and each other column an array field
+    with its dtype and dims (N the rows): box corners, noun and verb ids
+    and ttc. The columns are read-only and are validated as whole arrays,
+    with `box_rules` and `ground_truth_rules`.
     """
 
     uid: tuple[str, ...]
-    boxes: np.ndarray
-    noun: np.ndarray
-    verb: np.ndarray
-    ttc: np.ndarray
+    boxes: np.ndarray = array_field("N", 4, dtype=np.float64)
+    noun: np.ndarray = array_field("N", dtype=np.int64)
+    verb: np.ndarray = array_field("N", dtype=np.int64)
+    ttc: np.ndarray = array_field("N", dtype=np.float64)
 
     def __post_init__(self):
         object.__setattr__(self, "uid", tuple(self.uid))
@@ -349,6 +356,9 @@ class GroundTruthTable:
 
     def __len__(self) -> int:
         return len(self.uid)
+
+
+_GT_COLUMNS = _columns(GroundTruthTable)
 
 
 def as_gt_table(gts) -> GroundTruthTable:

@@ -254,6 +254,19 @@ class TestReportRendering:
         assert "Overall" in table and "Noun+Verb" in table and "Noun+TTC" in table
         assert "100.00" in table
 
+    def test_text_is_pinned_byte_for_byte(self):
+        # The header, the labels in report order and the column widths:
+        # each column is as wide as its label or its value, right-aligned.
+        report = evaluation.EvalReport(map_overall=7.5, map_noun=100.0, map_noun_verb=0.0, map_noun_ttc=100 / 3,
+                                       per_noun_ap={}, counts={})
+        assert format_report_table(report) == (
+            "Top-5 mAP report (local protocol: per-example top-5 truncation stand-in "
+            "for the official server aggregation)\n"
+            "Overall    Noun  Noun+Verb  Noun+TTC\n"
+            "   7.50  100.00       0.00     33.33"
+        )
+        assert list(report.to_dict())[:5] == ["header", "map_overall", "map_noun", "map_noun_verb", "map_noun_ttc"]
+
     def test_report_dict_round_trips_variants(self):
         taxonomy, gts = generate_scenario(2, 2, 2, 1, seed=4)
         preds = perturb_to_predictions(taxonomy, gts, NoiseConfig(seed=4), 1)[0]

@@ -753,6 +753,43 @@ class TestStreamedSubmissions:
         assert peak < size, f"peak {peak} bytes for a file of {size}"
 
 
+def read_at_depth(load, path, frames: int):
+    """What load(path) makes of a file when called `frames` frames deeper
+    than here: "read", or the problems it raises."""
+    if frames:
+        return read_at_depth(load, path, frames - 1)
+    try:
+        load(path)
+    except ValidationError as e:
+        return e.problems
+    return "read"
+
+
+class TestNestingLimit:
+    """How deeply a file may nest does not depend on how deep in the stack
+    it is read. The json scanner counts the caller's frames against the
+    recursion limit, so a file too deep for them is parsed again on a
+    fresh thread, whose verdict holds."""
+
+    @pytest.mark.parametrize("load", [load_predictions, load_ground_truth])
+    def test_same_verdict_at_two_stack_depths(self, tmp_path, load):
+        path = tmp_path / "doc.json"
+        fields = ('"results": {}' if load is load_predictions
+                  else '"taxonomy": {"nouns": ["n"], "verbs": ["v"]}, "annotations": []')
+
+        def verdict(nesting: int, frames: int):
+            path.write_text(f'{{{fields}, "provenance": {"[" * nesting}{"]" * nesting}}}')
+            return read_at_depth(load, path, frames)
+
+        lo, hi = 1, 1 << 16  # the shallowest nesting refused when read from here
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if verdict(mid, 0) == "read" else (lo, mid)
+        assert verdict(lo, 0) == [f"{path}: invalid JSON: nested too deeply to parse"]
+        for nesting in range(lo - 40, lo + 41, 4):
+            assert verdict(nesting, 300) == verdict(nesting, 0), nesting
+
+
 class TestTensorContainer:
     def test_round_trip(self, tmp_path):
         from vista.io_formats import write_tensor_file
