@@ -7,11 +7,9 @@ back at the sampling interval and clamp to 0 near the stream start.
 from vista import plan_frames
 
 for query in (4.0, 1.0, 0.0):
-    plan = plan_frames(query, frame_count=8, sample_rate=2.0)
-    stamps = ", ".join(f"{t:.2f}" for t in plan.frame_times)
+    stamps = ", ".join(f"{t:.2f}" for t in plan_frames(query, frame_count=8, sample_rate=2.0))
     print(f"t = {query:>4.1f} s  ->  [{stamps}]")
 
 print()
 print("denser sampling (4 FPS):")
-plan = plan_frames(4.0, frame_count=8, sample_rate=4.0)
-print("  ", ", ".join(f"{t:.2f}" for t in plan.frame_times))
+print("  ", ", ".join(f"{t:.2f}" for t in plan_frames(4.0, frame_count=8, sample_rate=4.0)))

@@ -16,7 +16,7 @@ from .ensemble import (
     group_hypotheses,
     merge_group,
 )
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .evaluation import (
     EvalConfig,
     EvalReport,
@@ -49,7 +49,7 @@ from .postprocess import (
     softmax,
     ttc_from_raw,
 )
-from .sampling import SamplingPlan, plan_frames
+from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from .types import (
     GroundTruthInstance,

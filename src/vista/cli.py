@@ -18,7 +18,7 @@ import traceback
 from pathlib import Path
 
 from .ensemble import EnsembleConfig, ensemble_predictions
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .fusion import fuse_tensors
 from .io_formats import (
@@ -159,8 +159,8 @@ def cmd_synth(args) -> int:
 
 def cmd_plan(args) -> int:
     config = _load_config(args)
-    plan = plan_frames(query_time=args.time, **_settings(args, config, plan_frames))
-    print(" ".join(f"{t:g}" for t in plan.frame_times))
+    times = plan_frames(query_time=args.time, **_settings(args, config, plan_frames))
+    print(" ".join(f"{t:g}" for t in times))
     return EXIT_OK
 
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FormatError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -60,10 +60,6 @@ class Grouping:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, g: int) -> HypothesisGroup:
-        g = range(len(self))[g]
-        return HypothesisGroup(self.table.take(slice(self.bounds[g], self.bounds[g + 1])))
-
     def __iter__(self):
         bounds = self.bounds.tolist()
         return (HypothesisGroup(self.table.take(slice(*ends))) for ends in zip(bounds, bounds[1:]))

@@ -1,4 +1,4 @@
-"""Error types shared across the toolkit."""
+"""The one error type for bad input, whether malformed or invalid."""
 
 from __future__ import annotations
 
@@ -15,8 +15,3 @@ class ValidationError(ValueError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class FormatError(ValueError):
-    """Raised when a binary or JSON container is structurally malformed
-    (bad magic, truncation, unparseable payload)."""

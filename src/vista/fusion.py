@@ -8,9 +8,10 @@ files; nothing here trains. `fuse_tensors` runs all three on the named
 tensors of one container.
 
 Each parameter class declares the dims of its fields once, in the
-README's symbols, with `types.array_field`. `types.shape_problems` checks
-every kernel's arguments and all 16 tensors of a container against them,
-listing every mismatch.
+README's symbols, with `types.array_field`, and `INPUT_TENSORS` and
+`TOKEN_DIMS` declare those of the other arguments. `types.shape_problems`
+checks every kernel's arguments and all 16 tensors of a container
+against them, listing every mismatch.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ class ContextMlpParams:
     token_bias: np.ndarray = array_field("D_proj")
 
 
+# The tensors of a fusion container and their dims: the inputs, then the
+# fields of each parameter class, named "<prefix>/<field>".
+INPUT_TENSORS = {"seq": ("T", "D"), "rois": ("R", "D_roi"), "fpn": ("C", "H", "W")}
+PARAMETER_PREFIXES = {"probe": ProbeParams, "film": FilmParams, "context": ContextMlpParams}
+CONTAINER_TENSORS = INPUT_TENSORS | {name: dims for prefix, cls in PARAMETER_PREFIXES.items()
+                                     for name, dims in contract(cls, f"{prefix}/").items()}
+
+TOKEN_DIMS = ("D_token",)  # the temporal token the probe makes and the other kernels take
+
+
 def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
     """Pool a (T, D) feature sequence into a single token.
 
@@ -77,7 +88,7 @@ def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
     the token is invariant to permuting the sequence rows.
     """
     seq, key_proj, value_proj, query = _checked(
-        {"seq": ("T", "D"), **contract(ProbeParams)}, seq=seq, **vars(params))
+        {"seq": INPUT_TENSORS["seq"], **contract(ProbeParams)}, seq=seq, **vars(params))
     d_att = key_proj.shape[1]
     problems = []
     if seq.shape[0] < 1:
@@ -103,7 +114,7 @@ def film_modulate(x, token, params: FilmParams) -> np.ndarray:
     no-op.
     """
     x, token, gamma_proj, gamma_bias, beta_proj, beta_bias = _checked(
-        {"x": ("C", "H", "W"), "token": ("D_token",), **contract(FilmParams)}, x=x, token=token, **vars(params))
+        {"x": INPUT_TENSORS["fpn"], "token": TOKEN_DIMS, **contract(FilmParams)}, x=x, token=token, **vars(params))
     gamma = token @ gamma_proj + gamma_bias
     beta = token @ beta_proj + beta_bias
     return gamma[:, None, None] * x + beta[:, None, None]
@@ -116,7 +127,7 @@ def roi_context_fuse(roi, token, params: ContextMlpParams) -> np.ndarray:
     A zero final layer makes this an exact identity on roi.
     """
     roi, token, *mlp = _checked(
-        {"roi": ("D_roi",), "token": ("D_token",), **contract(ContextMlpParams)},
+        {"roi": INPUT_TENSORS["rois"][1:], "token": TOKEN_DIMS, **contract(ContextMlpParams)},
         roi=roi, token=token, **vars(params))
     return _fuse_rows(roi[None, :], token, *mlp)[0]
 
@@ -126,14 +137,6 @@ def _fuse_rows(rois, token, w1, b1, w2, b2, tp, tb) -> list[np.ndarray]:
     at a time, so each row's arithmetic is that of one call."""
     projected = token @ tp + tb
     return [roi + np.maximum(np.concatenate([roi, projected]) @ w1 + b1, 0.0) @ w2 + b2 for roi in rois]
-
-
-# The tensors of a fusion container and their dims: the inputs, then the
-# fields of each parameter class, named "<prefix>/<field>".
-INPUT_TENSORS = {"seq": ("T", "D"), "rois": ("R", "D_roi"), "fpn": ("C", "H", "W")}
-PARAMETER_PREFIXES = {"probe": ProbeParams, "film": FilmParams, "context": ContextMlpParams}
-CONTAINER_TENSORS = INPUT_TENSORS | {name: dims for prefix, cls in PARAMETER_PREFIXES.items()
-                                     for name, dims in contract(cls, f"{prefix}/").items()}
 
 
 def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -152,7 +155,7 @@ def fuse_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
                             for prefix, cls in PARAMETER_PREFIXES.items())
     token, weights = attentive_probe(tensors["seq"], probe)
     rois, token, *mlp = _checked(
-        {"rois": ("R", "D_roi"), "token": ("D_token",), **contract(ContextMlpParams)},
+        {"rois": INPUT_TENSORS["rois"], "token": TOKEN_DIMS, **contract(ContextMlpParams)},
         rois=tensors["rois"], token=token, **vars(context))
     fused = np.array(_fuse_rows(rois, token, *mlp)).reshape(rois.shape)
     return {"token": token, "weights": weights, "fpn": film_modulate(tensors["fpn"], token, film), "rois": fused}

@@ -11,11 +11,12 @@ All loaders are total: they return a fully validated value or raise a
 structured error listing every problem found, never a partial value.
 
 Ground-truth annotations and submission entries are read by one reader,
-`_read_entries`. An id is any value `int()` takes, a time-to-contact,
-score or box corner any value `float()` takes (bools and numeric strings
-too), a box a 4-element list, a uid a non-empty string; a missing or null
-`source_id` means none. Problems are listed entry by entry, in file order,
-and within an entry: object and uid, box, fields, taxonomy, values.
+`_read_entries`. An id is any value `int()` takes, but not a float with a
+fractional part, a time-to-contact, score or box corner any value
+`float()` takes (bools and numeric strings too), a box a 4-element list,
+a uid a non-empty string; a missing or null `source_id` means none.
+Problems are listed entry by entry, in file order, and within an entry:
+object and uid, box, fields, taxonomy, values.
 
 `load_predictions` streams a submission: it reads the file `_CHUNK` bytes
 at a time and walks the top-level object and `results` member by member,
@@ -48,6 +49,7 @@ import threading
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import is_not, itemgetter
 from pathlib import Path
@@ -55,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .types import (
     GroundTruthTable,
     HypothesisTable,
@@ -90,7 +92,7 @@ def _parse_json(data: bytes, path):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})")
+        raise ValidationError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})")
     del data  # the last reference to the bytes, which are as large as the text
     try:
         return _loads(text)
@@ -169,7 +171,6 @@ def write_taxonomy(taxonomy: Taxonomy, path) -> None:
 class _EntrySpec:
     """How `_read_entries` reads one kind of entry."""
 
-    keys: frozenset[str]  # the fields an entry may have; others are warned about
     numbers: tuple[tuple[str, str, type], ...]  # (field, column, int or float), in conversion order
     field_problem: str  # how the problem of the first number field that fails is worded
     rules: Callable  # the value rules, given the required number columns by name
@@ -178,17 +179,20 @@ class _EntrySpec:
     optional: frozenset[str] = frozenset()  # number fields that may be missing or null
     uid_field: str | None = None  # the field that holds an entry's uid
 
+    @cached_property
+    def keys(self) -> frozenset[str]:
+        """The fields an entry may have; others are warned about."""
+        return frozenset({"box", self.uid_field, *(field for field, _, _ in self.numbers)}) - {None}
+
 
 _IDS_AND_TTC = (("noun_category_id", "noun", int), ("verb_category_id", "verb", int),
                 ("time_to_contact", "ttc", float))
 _SUBMISSION = _EntrySpec(
-    keys=frozenset({"box", "noun_category_id", "verb_category_id", "time_to_contact", "score", "source_id"}),
     numbers=_IDS_AND_TTC + (("score", "score", float), ("source_id", "source", int)),
     field_problem="bad or missing field", name=lambda uid, i: f"results[{uid!r}][{i}]",
     rules=hypothesis_rules, rule_values=("ttc", "score", "noun", "verb"), optional=frozenset({"source_id"}),
 )
 _GROUND_TRUTH = _EntrySpec(
-    keys=frozenset({"example_uid", "box", "noun_category_id", "verb_category_id", "time_to_contact"}),
     numbers=_IDS_AND_TTC, field_problem="bad or missing category/ttc field", uid_field="example_uid",
     name=lambda _, i: f"annotation {i}", rules=ground_truth_rules, rule_values=("ttc", "noun", "verb"),
 )
@@ -199,9 +203,10 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 def _number_column(values: list, kind: type, field: str) -> tuple[list, dict[int, str]]:
     """The values of one number field converted by `kind` (int or float),
-    and the problem of each row whose value `kind` does not take (its
-    value becomes `kind()`). A column of values of exactly that type is
-    returned as it is, since `kind` gives each of them back unchanged."""
+    and the problem of each row whose value `kind` does not take, or, for
+    int, a float with a fractional part (its value becomes `kind()`). A
+    column of values of exactly that type is returned as it is, since
+    `kind` gives each of them back unchanged."""
     if set(map(type, values)) <= {kind}:
         return values, {}
     converted, problems = [], {}
@@ -209,7 +214,10 @@ def _number_column(values: list, kind: type, field: str) -> tuple[list, dict[int
         try:
             if value is _MISSING:
                 raise KeyError(field)
-            converted.append(kind(value))
+            number = kind(value)
+            if kind is int and isinstance(value, float) and number != value:
+                raise ValueError(f"{field} must be a whole number, got {value!r}")
+            converted.append(number)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             problems[r] = str(e)
             converted.append(kind())
@@ -388,9 +396,9 @@ def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
     return taxonomy, GroundTruthTable(**columns)
 
 
-def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path, provenance: dict | None = None) -> None:
+def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path) -> None:
     """Write a ground truth."""
-    doc = {
+    _dump_json({
         "taxonomy": taxonomy_to_dict(taxonomy),
         "annotations": [
             {
@@ -404,10 +412,7 @@ def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path, provenan
                 gts.uid, gts.boxes.tolist(), gts.noun.tolist(), gts.verb.tolist(), gts.ttc.tolist(),
             )
         ],
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    _dump_json(doc, path)
+    }, path)
 
 
 # -- predictions / submissions ----------------------------------------------
@@ -790,7 +795,7 @@ class TensorFile:
         try:
             try:
                 self._scan()
-            except FormatError:
+            except ValidationError:
                 self.check_finite()  # a non-finite tensor ahead of the fault is raised instead
                 raise
         except BaseException:
@@ -807,17 +812,17 @@ class TensorFile:
         path, file, index = self.path, self._file, self.index
         status = os.fstat(file.fileno())
         if not stat.S_ISREG(status.st_mode):  # a pipe has no size to check against and cannot seek
-            raise FormatError(f"{path}: not a regular file; a tensor container is read by seeking")
+            raise ValidationError(f"{path}: not a regular file; a tensor container is read by seeking")
         size = status.st_size
         file.seek(0)
         head = file.read(8)
         if head[:4] != TENSOR_MAGIC:
-            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {TENSOR_MAGIC!r}")
+            raise ValidationError(f"{path}: bad magic {head[:4]!r}, expected {TENSOR_MAGIC!r}")
         if len(head) < 8:
-            raise FormatError(f"{path}: truncated header")
+            raise ValidationError(f"{path}: truncated header")
         (version,) = struct.unpack_from("<I", head, 4)
         if version != TENSOR_VERSION:
-            raise FormatError(f"{path}: unsupported container version {version}")
+            raise ValidationError(f"{path}: unsupported container version {version}")
 
         offset = 8
 
@@ -825,7 +830,7 @@ class TensorFile:
             """Claim the next n bytes; returns their start."""
             nonlocal offset
             if offset + n > size:
-                raise FormatError(f"{path}: truncated while reading {what}")
+                raise ValidationError(f"{path}: truncated while reading {what}")
             offset += n
             return offset - n
 
@@ -833,7 +838,7 @@ class TensorFile:
             file.seek(claim(n, what))
             data = file.read(n)
             if len(data) < n:  # the file shrank after it was opened
-                raise FormatError(f"{path}: truncated while reading {what}")
+                raise ValidationError(f"{path}: truncated while reading {what}")
             return data
 
         while offset < size:
@@ -842,9 +847,9 @@ class TensorFile:
             try:
                 name = read(name_len, "tensor name").decode("utf-8")
             except UnicodeDecodeError as e:
-                raise FormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({e.reason})")
+                raise ValidationError(f"{path}: tensor name at byte {start} is not UTF-8 ({e.reason})")
             if name in index:
-                raise FormatError(f"{path}: duplicate tensor name {name!r}")
+                raise ValidationError(f"{path}: duplicate tensor name {name!r}")
             (rank,) = struct.unpack("<I", read(4, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"dims of {name!r}"))
             count = math.prod(dims)
@@ -852,7 +857,7 @@ class TensorFile:
             try:  # on a stand-in of count values that holds no memory
                 np.broadcast_to(np.float32(0), (count,)).reshape(dims)
             except ValueError as e:  # an empty tensor whose other dims numpy cannot hold
-                raise FormatError(f"{path}: tensor {name!r} has dims {dims}, which numpy cannot hold ({e})")
+                raise ValidationError(f"{path}: tensor {name!r} has dims {dims}, which numpy cannot hold ({e})")
             index[name] = (start, dims)
 
     def read(self, name: str) -> np.ndarray:
@@ -862,7 +867,7 @@ class TensorFile:
         arr = np.empty(math.prod(dims), dtype="<f4")
         self._file.seek(start)
         if self._file.readinto(arr) != arr.nbytes:  # the file shrank after it was opened
-            raise FormatError(f"{self.path}: truncated while reading data of {name!r}")
+            raise ValidationError(f"{self.path}: truncated while reading data of {name!r}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{self.path}: tensor {name!r} contains non-finite values")
         arr = arr.reshape(dims)

@@ -1,15 +1,13 @@
 """Observed-frame sampling arithmetic for the temporal branch.
 
-Given a query timestamp, computes the timestamps of the observed frames
-the temporal pathway consumes: the last frame is anchored exactly at the
-query time, earlier frames step backward at the sampling interval, and
-times before stream start clamp to 0 (frame duplication). No video is
-touched; this is pure timestamp arithmetic.
+Given a query timestamp, `plan_frames` returns the timestamps of the
+observed frames the temporal pathway consumes: the last frame is
+anchored exactly at the query time, earlier frames step backward at the
+sampling interval, and times before stream start clamp to 0 (frame
+duplication). No video is touched; this is pure timestamp arithmetic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .types import check_settings
 
@@ -17,33 +15,19 @@ DEFAULT_FRAME_COUNT = 8
 DEFAULT_SAMPLE_RATE = 2.0
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    query_time: float
-    frame_times: tuple[float, ...]
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    frame_count: int = DEFAULT_FRAME_COUNT
-
-
 def plan_frames(
     query_time: float,
     frame_count: int = DEFAULT_FRAME_COUNT,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
-) -> SamplingPlan:
+) -> tuple[float, ...]:
     """Frame timestamps ending at `query_time`, spaced 1/sample_rate apart.
 
-    frame_times[k] = max(0, query_time - (frame_count-1-k)/sample_rate).
+    times[k] = max(0, query_time - (frame_count-1-k)/sample_rate).
     """
     check_settings([("query_time", query_time, "float", "finite and >= 0"),
                     ("frame_count", frame_count, "int", ">= 1"),
                     ("sample_rate", sample_rate, "float", "finite and > 0")])
-    times = tuple(
+    return tuple(
         max(0.0, query_time - (frame_count - 1 - k) / sample_rate)
         for k in range(frame_count)
-    )
-    return SamplingPlan(
-        query_time=query_time,
-        frame_times=times,
-        sample_rate=sample_rate,
-        frame_count=frame_count,
     )

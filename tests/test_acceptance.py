@@ -12,7 +12,7 @@ import pytest
 
 from vista.boxes import Box2D
 from vista.ensemble import EnsembleConfig, ensemble_predictions, group_hypotheses, merge_group
-from vista.errors import FormatError, ValidationError
+from vista.errors import ValidationError
 from vista.evaluation import EvalConfig, MatchVariant, evaluate
 from vista.fusion import FilmParams, ProbeParams, attentive_probe, film_modulate, roi_context_fuse
 from vista.io_formats import (
@@ -312,7 +312,7 @@ def test_criterion_9_io_round_trips(tmp_path):
             load_predictions(bad_json)
         bad_tensor = tmp_path / "bad.vstf"
         bad_tensor.write_bytes(b"VSTF" + b"\x01\x00\x00\x00" + b"\x40\x00\x00\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             read_tensor_file(bad_tensor)
 
 

@@ -1076,3 +1076,101 @@ class TestValidateParsesOnce:
             assert (calls, decoded) == ([], [doc["challenge"], *doc["results"].values(), doc["version"]])
         else:
             assert (calls, decoded) == ([1], [])
+
+
+def run_argv(capsys, *argv) -> tuple[int, str, str]:
+    """main(argv) on argv made strings: the exit code, stdout and stderr."""
+    code = main([str(arg) for arg in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestFractionalIds:
+    """An id that is a float with a fractional part is a problem of its
+    field, not an id truncated to another class."""
+
+    def test_submission(self, tmp_path, capsys):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"results": {"u": [
+            {"box": [0, 0, 1, 1], "noun_category_id": 2.7, "verb_category_id": 0, "time_to_contact": 1.0,
+             "score": 0.5, "source_id": 0.9},
+            {"box": [0, 0, 1, 1], "noun_category_id": 2.0, "verb_category_id": -0.5, "time_to_contact": 1.0,
+             "score": 0.5},
+            {"box": [0, 0, 1, 1], "noun_category_id": 2.0, "verb_category_id": 1, "time_to_contact": 1.0,
+             "score": 0.5, "source_id": 0.9},
+        ]}}))
+        where = f"{path}: results['u']"
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", (
+            f"error: {where}[0]: bad or missing field (noun_category_id must be a whole number, got 2.7); "
+            f"{where}[1]: bad or missing field (verb_category_id must be a whole number, got -0.5); "
+            f"{where}[2]: bad or missing field (source_id must be a whole number, got 0.9)\n"))
+
+    def test_ground_truth(self, tmp_path, capsys):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy": {"nouns": ["a", "b", "c"], "verbs": ["v"]}, "annotations": [
+            {"example_uid": "e", "box": [0, 0, 1, 1], "noun_category_id": 2.0, "verb_category_id": 0,
+             "time_to_contact": 1.0},
+            {"example_uid": "e", "box": [0, 0, 1, 1], "noun_category_id": 1.5, "verb_category_id": 0,
+             "time_to_contact": 1.0},
+        ]}))
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", (
+            f"error: {path}: annotation 1 (uid e): bad or missing category/ttc field "
+            "(noun_category_id must be a whole number, got 1.5)\n"))
+
+
+class TestInputFaultsExit2:
+    """Faults that each have a check of their own: the command exits 2
+    with the check's words, or 0 where the file is valid."""
+
+    @pytest.mark.parametrize("vocabulary, problems", [
+        ({"nouns": [], "verbs": ["take"]}, "noun vocabulary is empty"),
+        ({"nouns": ["cup"], "verbs": []}, "verb vocabulary is empty"),
+        ({"nouns": ["cup", "pan", "cup"], "verbs": ["take", "take"]},
+         "noun vocabulary has duplicate labels; verb vocabulary has duplicate labels"),
+    ])
+    def test_empty_or_duplicate_vocabulary(self, tmp_path, capsys, vocabulary, problems):
+        path = tmp_path / "taxonomy.json"
+        path.write_text(json.dumps(vocabulary))
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", f"error: {problems}\n")
+
+    def test_ground_truth_that_is_not_an_object(self, tmp_path, capsys):
+        gt, sub = tmp_path / "gt.json", tmp_path / "sub.json"
+        gt.write_text("[]")
+        sub.write_text(json.dumps({"results": {}}))
+        assert run_argv(capsys, "evaluate", gt, sub, "--out", tmp_path) == (
+            EXIT_VALIDATION, "", f"error: {gt}: ground-truth document must be a JSON object\n")
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({"annotations": []}, "needs 'taxonomy' inline or a 'taxonomy_path'"),
+        ({"taxonomy": {"nouns": ["cup"], "verbs": ["take"]}, "annotations": {}}, "missing or non-list 'annotations'"),
+    ])
+    def test_ground_truth_without_taxonomy_or_annotation_list(self, tmp_path, capsys, doc, problem):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", f"error: {path}: {problem}\n")
+
+    def test_relative_taxonomy_path_is_read_next_to_the_file(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "taxonomy.json").write_text(json.dumps({"nouns": ["cup"], "verbs": ["take"]}))
+        path = data / "gt.json"
+        path.write_text(json.dumps({"taxonomy_path": "taxonomy.json", "annotations": [
+            {"example_uid": "e", "box": [0, 0, 1, 1], "noun_category_id": 0, "verb_category_id": 0,
+             "time_to_contact": 1.0}]}))
+        monkeypatch.chdir(tmp_path)  # the taxonomy is not in the working directory
+        assert run_argv(capsys, "validate", path) == (EXIT_OK, f"{path}: valid ground truth, 1 annotations\n", "")
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"VSTF\x01\x00", "truncated header"),
+        (b"VSTF" + (2).to_bytes(4, "little"), "unsupported container version 2"),
+    ])
+    def test_container_header_faults(self, tmp_path, capsys, blob, problem):
+        path = tmp_path / "t.vstf"
+        path.write_bytes(blob)
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", f"error: {path}: {problem}\n")
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('["out"]')
+        assert run_argv(capsys, "plan", "--time", "1", "--config", config) == (
+            EXIT_VALIDATION, "", f"error: {config}: config must be a JSON object\n")

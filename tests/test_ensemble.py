@@ -62,7 +62,7 @@ class TestCompatible:
 class TestGroupHypotheses:
     def test_all_compatible_single_group(self):
         hyps = [hyp(score=s, source=i) for i, s in enumerate((0.9, 0.6, 0.3))]
-        groups = group_hypotheses(as_table(hyps))
+        groups = list(group_hypotheses(as_table(hyps)))
         assert len(groups) == 1
         assert len(groups[0].members) == 3
         assert groups[0].members.score[0] == 0.9
@@ -79,7 +79,7 @@ class TestGroupHypotheses:
         c = hyp(x1=8, x2=18, score=0.3)
         cfg = EnsembleConfig(box_iou_min=0.3)
         assert compatible(a, b, cfg) and compatible(b, c, cfg) and not compatible(a, c, cfg)
-        groups = group_hypotheses(as_table([a, b, c]), cfg)
+        groups = list(group_hypotheses(as_table([a, b, c]), cfg))
         assert [len(g.members) for g in groups] == [2, 1]
         assert columns(groups[0].members.take([0])) == columns(as_table([a]))
         assert columns(groups[1].members.take([0])) == columns(as_table([c]))
@@ -227,7 +227,7 @@ class TestGroupingEquivalence:
 
     def test_zero_area_seed_is_its_own_group(self):
         flat = hyp(x1=5, y1=5, x2=5, y2=9, score=0.9)
-        groups = group_hypotheses(as_table([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)]))
+        groups = list(group_hypotheses(as_table([flat, hyp(x1=5, y1=5, x2=5, y2=9, score=0.5), hyp(score=0.4)])))
         assert [len(g.members) for g in groups] == [1, 1, 1]
         assert columns(groups[0].members.take([0])) == columns(as_table([flat]))
 

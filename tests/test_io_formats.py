@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vista import io_formats
-from vista.errors import FormatError, ValidationError
+from vista.errors import ValidationError
 from vista.io_formats import (
     _load_json,
     load_ground_truth,
@@ -402,7 +402,8 @@ class TestSubmissionColumns:
 
     def test_columns_mixing_exact_and_other_types_convert_per_value(self, tmp_path):
         raw = [entry(), entry(noun_category_id=True, time_to_contact="0.5", score=1, box=[0, 1, 2, 3]),
-               entry(verb_category_id=False, score="0.25", source_id=True), entry(score=0.75, source_id=3)]
+               entry(verb_category_id=False, score="0.25", source_id=True),
+               entry(score=0.75, noun_category_id=0.0, source_id=3.0)]
         preds = self.load(tmp_path, {"e": raw})
         rows = list(zip(preds["e"].score.tolist(), preds["e"].noun.tolist(), preds["e"].verb.tolist(),
                         preds["e"].ttc.tolist(), preds["e"].boxes.tolist(),
@@ -650,8 +651,8 @@ def outcome(read, path):
         warnings.simplefilter("always")
         try:
             preds = read(path, STREAM_TAXONOMY)
-        except (ValidationError, FormatError) as e:
-            result = (type(e), getattr(e, "problems", str(e)))
+        except ValidationError as e:
+            result = (type(e), e.problems)
         else:
             result = [(uid, [(name, column.dtype.str, column.shape, column.tobytes())
                              for name, column in vars(table).items()])
@@ -828,7 +829,7 @@ class TestTensorContainer:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vstf"
         path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             read_tensor_file(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -838,7 +839,7 @@ class TestTensorContainer:
         write_tensor_file({"a": np.ones((4, 4), dtype=np.float32)}, path)
         truncated = tmp_path / "trunc.vstf"
         truncated.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             read_tensor_file(truncated)
 
     def test_nan_payload_rejected(self, tmp_path):
@@ -872,7 +873,7 @@ class TestTensorContainer:
     def test_non_utf8_tensor_name(self, tmp_path):
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"\xffa", [1.0]))
-        with pytest.raises(FormatError, match="not UTF-8"):
+        with pytest.raises(ValidationError, match="not UTF-8"):
             read_tensor_file(path)
 
     @pytest.mark.parametrize("dims", [(0, 2**62), (2**32, 2**32, 0)])
@@ -882,13 +883,13 @@ class TestTensorContainer:
         path = tmp_path / "t.vstf"
         path.write_bytes(b"VSTF" + struct.pack("<II", 1, 1) + b"t" + struct.pack("<I", len(dims))
                          + struct.pack(f"<{len(dims)}Q", *dims))
-        with pytest.raises(FormatError, match=rf"tensor 't' has dims \({dims[0]}, .*numpy cannot hold"):
+        with pytest.raises(ValidationError, match=rf"tensor 't' has dims \({dims[0]}, .*numpy cannot hold"):
             read_tensor_file(path)
 
     def test_duplicate_tensor_name(self, tmp_path):
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"score", [1.0]) + vstf_record(b"score", [2.0])[8:])
-        with pytest.raises(FormatError, match="duplicate tensor name 'score'"):
+        with pytest.raises(ValidationError, match="duplicate tensor name 'score'"):
             read_tensor_file(path)
 
     def test_non_finite_tensor_before_a_truncation_reported_alone(self, tmp_path):
@@ -903,7 +904,7 @@ class TestTensorContainer:
         path = tmp_path / "t.vstf"
         path.write_bytes(vstf_record(b"a", [1.0]) + vstf_record(b"a", [2.0])[8:]
                          + vstf_record(b"b", [float("inf")])[8:])
-        with pytest.raises(FormatError, match="duplicate tensor name 'a'"):
+        with pytest.raises(ValidationError, match="duplicate tensor name 'a'"):
             read_tensor_file(path)
 
     def test_first_non_finite_tensor_in_file_order_reported(self, tmp_path):

@@ -723,6 +723,18 @@ class TestProposalTensors:
         named = sorted(p.split()[0] for p in err.value.problems)
         assert named == ["box_deltas", "objectness", "verb_logits"]
 
+    def test_tensors_that_are_not_real_rejected(self):
+        tensors = make_tensors(CounterRng(27), 5)
+        tensors["quality"] = tensors["quality"] + 0j
+        tensors["ttc_raw"] = tensors["ttc_raw"].astype(str)[:4]
+        with pytest.raises(ValidationError) as err:
+            proposals_from_tensors(tensors)
+        assert err.value.problems == [
+            f"ttc_raw must hold real numbers, got dtype {tensors['ttc_raw'].dtype}",
+            "ttc_raw must have shape (P,) with P=5, got (4,)",
+            "quality must hold real numbers, got dtype complex128",
+        ]
+
     def test_every_bad_value_listed(self):
         tensors = make_tensors(CounterRng(25), 5)
         tensors["objectness"][[1, 3]] = 0.0
