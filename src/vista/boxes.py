@@ -70,23 +70,34 @@ def pair_iou(corners: list[np.ndarray], area: np.ndarray, a: np.ndarray, b: np.n
         return np.where(keep, inter / union, 0.0)
 
 
-def pair_blocks(first: np.ndarray, counts: np.ndarray, block: int = PAIR_BLOCK):
-    """Pair row i with positions first[i], ..., first[i] + counts[i] - 1.
+def count_blocks(counts: np.ndarray, block: int):
+    """Cut items 0, ..., n - 1, item i counting counts[i], into runs.
 
-    Yields (rows, positions) index arrays, one entry per pair, in row
-    order and then position order, about `block` pairs at a time (a row
-    with more pairs than that comes alone).
+    Yields (start, stop) for each run of items start, ..., stop - 1, in
+    order: the most items from start whose counts add up to at most
+    `block`, or the item at start alone if it counts more.
     """
     through = np.cumsum(counts)
     start, n = 0, len(counts)
     while start < n:
         budget = through[start] - counts[start] + block
         stop = max(start + 1, int(np.searchsorted(through, budget, side="right")))
+        yield start, stop
+        start = stop
+
+
+def pair_blocks(first: np.ndarray, counts: np.ndarray, block: int = PAIR_BLOCK):
+    """Pair row i with positions first[i], ..., first[i] + counts[i] - 1.
+
+    Yields (rows, positions) index arrays, one entry per pair, in row
+    order and then position order, about `block` pairs at a time (a row
+    with more pairs than that comes alone, as in `count_blocks`).
+    """
+    for start, stop in count_blocks(counts, block):
         taken = counts[start:stop]
         rows = np.repeat(np.arange(start, stop), taken)
         offsets = np.repeat(first[start:stop] - (np.cumsum(taken) - taken), taken)
         yield rows, offsets + np.arange(len(rows))
-        start = stop
 
 
 def same_key_pairs(keys: np.ndarray, block: int = PAIR_BLOCK):

@@ -7,13 +7,14 @@ TTC are score-weighted means and whose score is boosted by cross-source
 agreement. Default thresholds mirror the metric tolerances so grouped
 hypotheses are interchangeable under the strictest matching criterion.
 
-Grouping and merging work on the columns of one example's pooled
-HypothesisTable. The arithmetic is that of the scalar definitions, bit
-for bit: IoU keeps the operation order of the oracle's scalar IoU
-(`oracle._iou_scalar`), and every sum over a group's members adds them
-one at a time in member order from 0.0 (numpy's pairwise summation
-rounds differently for groups of 8 or more, and Python's own `sum`
-compensates float rounding from 3.12 on).
+Grouping, merging and ranking work on the columns of a pooled
+HypothesisTable of a block of whole examples (`EXAMPLE_BLOCK`), with the
+example code leading every class key. The arithmetic is that of the
+scalar definitions, bit for bit: IoU keeps the operation order of the
+oracle's scalar IoU (`oracle._iou_scalar`), and every sum over a
+group's members adds them one at a time in member order from 0.0
+(numpy's pairwise summation rounds differently for groups of 8 or more,
+and Python's own `sum` compensates float rounding from 3.12 on).
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, pair_iou, same_key_pairs
+from .boxes import PAIR_BLOCK, box_columns, count_blocks, pair_iou, same_key_pairs
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, setting, sort_canonical
+from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, setting
+from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
+
+# Pooled hypotheses grouped, merged and ranked at once, in blocks of whole
+# examples. Bounds the temporaries of `ensemble_predictions` however many
+# examples it is given: about 600 bytes a hypothesis, 2.5 MB for a block
+# of 2^12 (12.6 MB for the 32,000 of 64 examples at once), by tracemalloc
+# over the call. Blocks of 2^10 hold 1.0 MB but make twice the numpy calls.
+EXAMPLE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -47,15 +56,18 @@ class HypothesisGroup:
 
 @dataclass(frozen=True, eq=False)
 class Grouping:
-    """One example's hypotheses partitioned into groups.
+    """Hypotheses partitioned into groups.
 
     Group g is the rows bounds[g]:bounds[g + 1] of `table`. The groups are
     in the order of their seeds, and each group's members are in
     canonical order, so its seed (its highest-ranked member) comes first.
+    The hypotheses are one example's, or those of several examples with
+    the example code of each row in `example`; no group spans two.
     """
 
     table: HypothesisTable
     bounds: np.ndarray
+    example: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -65,8 +77,11 @@ class Grouping:
         return (HypothesisGroup(self.table.take(slice(*ends))) for ends in zip(bounds, bounds[1:]))
 
 
-def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig()) -> Grouping:
-    """Greedy seed-anchored grouping (not transitive closure).
+def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig(),
+                     example: np.ndarray | None = None) -> Grouping:
+    """Greedy seed-anchored grouping (not transitive closure), of one
+    example's hypotheses or of several examples' with the example code of
+    each row in `example`, each example as it would be grouped alone.
 
     Repeatedly take the highest-ranked ungrouped hypothesis as seed; the
     seed and every ungrouped hypothesis compatible with it form a group.
@@ -77,16 +92,18 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
     with itself). The result is a partition: each input hypothesis lands
     in exactly one group.
 
-    Compatibility is computed only for same-(noun, verb) pairs,
-    PAIR_BLOCK pairs at a time; one greedy pass in rank order then
-    assigns the groups.
+    Compatibility is computed only for pairs of the same example, noun
+    and verb, PAIR_BLOCK pairs at a time; one greedy pass in rank order
+    then assigns the groups.
     """
-    table = sort_canonical(hyps)
+    rank = canonical_order(hyps)
+    table = hyps.take(rank)
     n = len(table)
-    by_class = np.lexsort((table.verb, table.noun))  # canonical order within each class
-    noun, verb = table.noun[by_class], table.verb[by_class]
+    code = np.zeros(n, dtype=np.int64) if example is None else example[rank]
+    by_class = np.lexsort((table.verb, table.noun, code))  # canonical order within each class
+    code_c, noun, verb = code[by_class], table.noun[by_class], table.verb[by_class]
     starts_class = np.ones(n, dtype=bool)
-    starts_class[1:] = (noun[1:] != noun[:-1]) | (verb[1:] != verb[:-1])
+    starts_class[1:] = (code_c[1:] != code_c[:-1]) | (noun[1:] != noun[:-1]) | (verb[1:] != verb[:-1])
     corners, area = box_columns(table.boxes[by_class])
     ttc = table.ttc[by_class]
     # owner[i] is the position of the seed of the group of position i.
@@ -113,10 +130,11 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
     owner[alone] = np.flatnonzero(alone)
     seed_row, member_row = by_class[owner], by_class
     order = np.lexsort((member_row, seed_row))
-    seed_row = seed_row[order]
+    seed_row, member_row = seed_row[order], member_row[order]
     starts_group = np.ones(n, dtype=bool)
     starts_group[1:] = seed_row[1:] != seed_row[:-1]
-    return Grouping(table.take(member_row[order]), np.append(np.flatnonzero(starts_group), n))
+    return Grouping(table.take(member_row), np.append(np.flatnonzero(starts_group), n),
+                    None if example is None else code[member_row])
 
 
 def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -153,9 +171,11 @@ def _member_means(weight: np.ndarray, values: np.ndarray, bounds: np.ndarray) ->
     return means
 
 
-def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable:
+def merge_group(groups: Grouping,
+                cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable | tuple[HypothesisTable, np.ndarray]:
     """Collapse every group into one hypothesis, the rows of the result
-    in group order.
+    in group order. Of a Grouping of several examples, the result is the
+    table and the example code of each of its rows.
 
     Box corners and TTC are score-weighted means over members; noun, verb
     and source come from the seed. The merged score is the mean member
@@ -197,7 +217,7 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
     score = mean * agreement
     kept = np.flatnonzero(score > 0.0)
     seeds = bounds[kept]
-    return HypothesisTable(
+    merged = HypothesisTable(
         boxes=corners[kept],
         noun=table.noun[seeds],
         verb=table.verb[seeds],
@@ -206,6 +226,7 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> Hyp
         source=table.source[seeds],
         has_source=table.has_source[seeds],
     )
+    return merged if groups.example is None else (merged, groups.example[seeds])
 
 
 def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | None = None) -> PredictionSet:
@@ -213,19 +234,41 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
 
     Hypotheses missing a source_id are tagged with their source's index so
     cross-source agreement can be counted. Uids are unioned across sources.
+
+    The examples, in uid order, are taken in blocks of whole examples
+    whose pools add up to at most EXAMPLE_BLOCK hypotheses (an example of
+    more comes alone). A block is grouped, merged and ranked at once, with
+    the example code of each row: no group spans two examples, and a
+    stable sort by example after the ranking keeps each example's rows in
+    its own canonical order, ties in group order. So each example gets
+    the rows it gets alone, in the same order.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
     if cfg is None:
         cfg = EnsembleConfig(n_sources=len(sources))
 
-    pooled: dict[str, list[HypothesisTable]] = {}
+    pooled: dict[str, list[tuple[int, HypothesisTable]]] = {}
     for idx, src in enumerate(sources):
         for uid, hyps in src.items():
-            pooled.setdefault(uid, []).append(hyps.with_default_source(idx))
+            pooled.setdefault(uid, []).append((idx, hyps))
+    uids = sorted(pooled)
+    sizes = np.array([sum(len(hyps) for _, hyps in pooled[uid]) for uid in uids], dtype=np.int64)
 
     out: PredictionSet = {}
-    for uid in sorted(pooled):
-        merged = merge_group(group_hypotheses(HypothesisTable.concat(pooled[uid]), cfg), cfg)
-        out[uid] = merged.take(canonical_order(merged)[: cfg.max_exports])
+    for start, stop in count_blocks(sizes, EXAMPLE_BLOCK):
+        block = uids[start:stop]
+        tables = [hyps.with_default_source(idx) for uid in block for idx, hyps in pooled[uid]]
+        example = np.repeat(np.arange(len(block)), sizes[start:stop])
+        merged, example = merge_group(group_hypotheses(HypothesisTable.concat(tables), cfg, example), cfg)
+        # Each example's rows in rank order, one example after another, and
+        # the first max_exports of each.
+        rank = canonical_order(merged)
+        rank = rank[np.argsort(example[rank], kind="stable")]
+        ranked_example = example[rank]
+        first = np.searchsorted(ranked_example, np.arange(len(block) + 1))
+        top = merged.take(rank[np.arange(len(rank)) - first[ranked_example] < cfg.max_exports])
+        ends = np.cumsum(np.minimum(np.diff(first), cfg.max_exports)).tolist()
+        for uid, begin, end in zip(block, [0] + ends, ends):
+            out[uid] = top.take(slice(begin, end))
     return out

@@ -154,7 +154,10 @@ def taxonomy_from_dict(doc, where: str = "taxonomy") -> Taxonomy:
         ]
     if problems:
         raise ValidationError(problems)
-    return Taxonomy(noun_names=tuple(doc["nouns"]), verb_names=tuple(doc["verbs"]))
+    try:
+        return Taxonomy(noun_names=tuple(doc["nouns"]), verb_names=tuple(doc["verbs"]))
+    except ValidationError as e:
+        raise ValidationError([f"{where}: {problem}" for problem in e.problems]) from None
 
 
 def load_taxonomy(path) -> Taxonomy:
@@ -731,21 +734,26 @@ def write_submission(preds: PredictionSet, path, provenance: dict | None = None)
     one `_ENTRY` template, each uid is written by `json.dumps`, and the
     provenance is `json.dumps` of its own, shifted one level in (JSON
     text has no raw newline inside a string, so every newline in it is
-    one of the indentation's).
+    one of the indentation's). It is written one example at a time,
+    straight to the file, so only one example's text is held.
     """
-    examples = []
-    for uid in sorted(preds):
-        key, entries = json.dumps(uid), _entries_text(sort_canonical(preds[uid]))
-        examples.append(f"    {key}: [\n{entries}\n    ]" if entries else f"    {key}: []")
-    results = "{\n" + ",\n".join(examples) + "\n  }" if examples else "{}"
     provenance_line = (
         "" if provenance is None
         else '  "provenance": ' + json.dumps(provenance, indent=2, sort_keys=True).replace("\n", "\n  ") + ",\n"
     )
-    Path(path).write_text(
-        f'{{\n  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},\n{provenance_line}'
-        f'  "results": {results},\n  "version": {json.dumps(SUBMISSION_VERSION)}\n}}\n'
-    )
+    with Path(path).open("w") as file:
+        file.write(f'{{\n  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},\n{provenance_line}  "results": {{')
+        separator = "\n"
+        for uid in sorted(preds):
+            entries = _entries_text(sort_canonical(preds[uid]))
+            file.write(f"{separator}    {json.dumps(uid)}: [")
+            if entries:
+                file.write("\n")
+                file.write(entries)
+                file.write("\n    ")
+            file.write("]")
+            separator = ",\n"
+        file.write(("\n  }" if preds else "}") + f',\n  "version": {json.dumps(SUBMISSION_VERSION)}\n}}\n')
 
 
 # -- tensor container -------------------------------------------------------

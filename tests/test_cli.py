@@ -1131,7 +1131,15 @@ class TestInputFaultsExit2:
     def test_empty_or_duplicate_vocabulary(self, tmp_path, capsys, vocabulary, problems):
         path = tmp_path / "taxonomy.json"
         path.write_text(json.dumps(vocabulary))
-        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", f"error: {problems}\n")
+        named = "; ".join(f"{path}: {problem}" for problem in problems.split("; "))
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", f"error: {named}\n")
+
+    def test_inline_vocabulary_of_a_ground_truth_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"taxonomy": {"nouns": ["cup", "cup"], "verbs": []}, "annotations": []}))
+        assert run_argv(capsys, "validate", path) == (EXIT_VALIDATION, "", (
+            f"error: {path}: taxonomy: noun vocabulary has duplicate labels; "
+            f"{path}: taxonomy: verb vocabulary is empty\n"))
 
     def test_ground_truth_that_is_not_an_object(self, tmp_path, capsys):
         gt, sub = tmp_path / "gt.json", tmp_path / "sub.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group
 from vista.errors import ValidationError
 from vista.oracle import _iou_scalar
 from vista.rng import CounterRng
-from vista.types import StaHypothesis, as_table
+from vista.types import HypothesisTable, StaHypothesis, as_table, sort_canonical
 
 from test_postprocess import columns, rank_key
 
@@ -346,3 +348,110 @@ class TestEnsemblePredictions:
     def test_needs_at_least_one_source(self):
         with pytest.raises(ValidationError):
             ensemble_predictions([])
+
+
+# One example's rows in one source: coarse corners, two nouns and verbs,
+# and scores from a few values, so that full ties across examples are
+# common; 5e-324 merges to a score that underflows when few sources agree.
+source_rows = st.lists(
+    st.tuples(
+        coordinate, coordinate, coordinate, coordinate,
+        st.integers(0, 1), st.integers(0, 1),
+        st.sampled_from([0.5, 0.75]), st.sampled_from([5e-324, 0.25, 0.5]),
+        st.sampled_from([None, 0, 3]),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def ensemble_instances(draw):
+    """Sources over up to 8 uids, each uid in some of them (a uid may have
+    no rows anywhere), and an ensemble config."""
+    n_sources = draw(st.integers(1, 3))
+    sources = [{} for _ in range(n_sources)]
+    for u in range(draw(st.integers(0, 8))):
+        for source in sources:
+            if draw(st.booleans()):
+                source[f"u{u}"] = sort_canonical(as_table([
+                    StaHypothesis(Box2D(min(a, c), min(b, d), max(a, c), max(b, d)), noun, verb, ttc, score, src)
+                    for a, b, c, d, noun, verb, ttc, score, src in draw(source_rows)
+                ]))
+    cfg = EnsembleConfig(agreement_weight=draw(st.sampled_from([0.5, 1.0])),
+                         n_sources=n_sources + draw(st.integers(0, 1)), max_exports=draw(st.sampled_from([1, 2, 100])))
+    return sources, cfg
+
+
+def concatenated(preds):
+    """The uids of a prediction set, the rows of each, and every column of
+    their tables one after another."""
+    uids = sorted(preds)
+    return uids, [len(preds[uid]) for uid in uids], columns(HypothesisTable.concat([preds[uid] for uid in uids]))
+
+
+class TestExampleBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(ensemble_instances(), st.sampled_from([1, 3, 1 << 17]))
+    def test_blocks_equal_each_example_alone(self, instance, block):
+        sources, cfg = instance
+        uids = sorted(set().union(*sources))
+        alone = {uid: ensemble_predictions([{uid: s[uid]} if uid in s else {} for s in sources], cfg)[uid]
+                 for uid in uids}
+        saved = ensemble.EXAMPLE_BLOCK
+        ensemble.EXAMPLE_BLOCK = block
+        try:
+            blocked = ensemble_predictions(sources, cfg)
+        finally:
+            ensemble.EXAMPLE_BLOCK = saved
+        assert concatenated(blocked) == concatenated(alone)
+
+    def test_an_underflowing_group_is_dropped_in_its_block(self, monkeypatch):
+        # u0's one hypothesis merges to 5e-324 * 1/4, which underflows;
+        # u1's and u2's tie with each other and keep their rows.
+        tiny, half = as_table([hyp(score=5e-324)]), as_table([hyp(score=0.5)])
+        cfg = EnsembleConfig(agreement_weight=1.0, n_sources=4)
+        for block in (1, 1 << 17):
+            monkeypatch.setattr(ensemble, "EXAMPLE_BLOCK", block)
+            merged = ensemble_predictions([{"u0": tiny, "u1": half, "u2": half}], cfg)
+            assert [len(merged[uid]) for uid in ("u0", "u1", "u2")] == [0, 1, 1]
+            assert merged["u1"].score.tolist() == merged["u2"].score.tolist() == [0.125]
+
+
+def crowded_sources(n_examples: int, n_sources: int = 3, per_example: int = 100, seed: int = 0):
+    """Sources of n_examples uids, each uid's hypotheses jittered around
+    20 objects so that they group across sources."""
+    rng = np.random.default_rng(seed)
+    sources = [{} for _ in range(n_sources)]
+    for e in range(n_examples):
+        corner = rng.uniform(0, 500, (20, 2))
+        objects = np.hstack([corner, corner + rng.uniform(20, 100, (20, 2))])
+        noun, verb, ttc = rng.integers(0, 5, 20), rng.integers(0, 3, 20), rng.uniform(0, 2, 20)
+        for source in sources:
+            of = rng.integers(0, 20, per_example)
+            boxes = objects[of] + rng.normal(0, 2, (per_example, 4))
+            source[f"ex{e:04d}"] = sort_canonical(HypothesisTable(
+                boxes=np.hstack([np.minimum(boxes[:, :2], boxes[:, 2:]), np.maximum(boxes[:, :2], boxes[:, 2:])]),
+                noun=noun[of], verb=verb[of], ttc=np.abs(ttc[of] + rng.normal(0, 0.05, per_example)),
+                score=rng.uniform(0.01, 1.0, per_example),
+            ))
+    return sources
+
+
+class TestBoundedMemory:
+    def temporaries(self, sources) -> int:
+        """The allocation peak of ensemble_predictions beyond what its
+        result holds."""
+        ensemble_predictions(sources)  # numpy's lazily made state is not counted
+        tracemalloc.start()
+        try:
+            merged = ensemble_predictions(sources)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(merged) == len(sources[0])
+        return peak - held
+
+    def test_peak_does_not_grow_with_the_examples(self):
+        # 40 examples of 300 pooled hypotheses are 3 blocks, 160 are 12.
+        few, many = self.temporaries(crowded_sources(40)), self.temporaries(crowded_sources(160))
+        assert many < 1.2 * few, f"{many} bytes for 160 examples, {few} for 40"

@@ -523,6 +523,44 @@ class TestSubmissionText:
             )
 
 
+WITH_SOURCE = [(0.0, 0.0, 4.0, 2.0, 1, 0, 0.5, 0.9, 3), (1.0, 1.0, 2.0, 2.0, 0, 1, 1.5, 0.4, -1)]
+WITHOUT_SOURCE = [(0.0, 0.0, 4.0, 2.0, 1, 0, 0.5, 0.9, None), (1.0, 1.0, 2.0, 2.0, 0, 1, 1.5, 0.4, None)]
+
+
+class TestStreamedWriter:
+    """The submission is written one example at a time: the same bytes as
+    the JSON encoder's, holding one example's text."""
+
+    @pytest.mark.parametrize("results", [
+        {},
+        {"empty": []},
+        {"a": WITH_SOURCE},
+        {"a": WITHOUT_SOURCE},
+        {"a": WITHOUT_SOURCE, "b": [], "c": WITH_SOURCE[:1] + WITHOUT_SOURCE[1:]},
+    ], ids=["no uids", "a uid with no rows", "with source_id", "without source_id", "mixed"])
+    @pytest.mark.parametrize("provenance", [None, {"config": {"k": 1.5}, "inputs": ["a.json"]}],
+                             ids=["without provenance", "with provenance"])
+    def test_bytes_equal_the_json_encoders(self, tmp_path, results, provenance):
+        preds = {uid: table_from_rows(rows) for uid, rows in results.items()}
+        write_submission(preds, tmp_path / "sub.json", provenance)
+        assert (tmp_path / "sub.json").read_bytes() == reference_submission_text(preds, provenance).encode()
+
+    def test_peak_allocation_below_a_quarter_of_the_file_size(self, tmp_path):
+        # Building the whole text peaked at four times the file size.
+        preds = large_submission()
+        path = tmp_path / "sub.json"
+        tracemalloc.start()
+        try:
+            write_submission(preds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert len(preds) >= 50 and size > 2_500_000
+        assert path.read_bytes() == reference_submission_text(preds).encode()
+        assert peak < size / 4, f"peak {peak} bytes for a file of {size}"
+
+
 # -- the streamed submission reader -----------------------------------------
 
 STREAM_TAXONOMY = Taxonomy(("n0", "n1", "n2"), ("v0", "v1"))
