@@ -8,7 +8,9 @@ The scalar definition of IoU is the oracle's (`oracle._iou_scalar`),
 kept as the bit-exact reference that `pair_iou` is tested against;
 `pair_iou` computes it over columns for many pairs at once with the
 same operations in the same order, so both give the same bits, and
-`pair_blocks` enumerates the pairs in bounded blocks.
+`pair_blocks` enumerates the pairs in bounded blocks. `greedy_owners`
+is the one greedy pass over such pairs that NMS and ensemble grouping
+share.
 """
 
 from __future__ import annotations
@@ -100,9 +102,39 @@ def pair_blocks(first: np.ndarray, counts: np.ndarray, block: int = PAIR_BLOCK):
         yield rows, offsets + np.arange(len(rows))
 
 
-def same_key_pairs(keys: np.ndarray, block: int = PAIR_BLOCK):
-    """Every pair of rows i < j with keys[i] == keys[j], for sorted keys,
-    as (i, j) index arrays from `pair_blocks`."""
-    n = len(keys)
-    later = np.searchsorted(keys, keys, side="right") - np.arange(n) - 1
-    return pair_blocks(np.arange(1, n + 1), later, block)
+def greedy_owners(keys: tuple[np.ndarray, ...], joins, owner: list[int]) -> list[int]:
+    """Settle rows len(owner), ..., n - 1 by the greedy seed rule, in rank
+    order, appending their owners to `owner`, which is returned.
+
+    Rows rank by index, and `keys` splits them into classes (key columns
+    as `np.lexsort` takes them). A row is a seed, with owner -1, unless a
+    seed ranked above it in its class joins it; its owner is then the
+    highest-ranked such seed. The seeds are the survivors of greedy NMS,
+    and a seed with the rows it owns is a group of seed-anchored grouping.
+    A row's owner depends only on the rows ranked above it, so settling a
+    table one growing prefix per call gives the owners of one call.
+
+    joins(higher, lower) tells, for arrays of same-class row pairs, whether
+    the higher row joins the lower. It is asked once of each pair of a new
+    row and a row of its class above it, never of a row with itself, in
+    the `pair_blocks` of PAIR_BLOCK pairs (as it is at the call).
+    """
+    n, settled = len(keys[0]), len(owner)
+    by_class = np.lexsort(keys)  # stable: rank order within each class
+    position = np.empty(n, dtype=np.intp)  # of each row in by_class
+    position[by_class] = np.arange(n)
+    starts = np.arange(n) == 0  # of the classes, in by_class
+    for key in keys:
+        sorted_key = key[by_class]
+        starts[1:] |= sorted_key[1:] != sorted_key[:-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))[position[settled:]]
+    owner += [-1] * (n - settled)
+    for rows, above in pair_blocks(first, position[settled:] - first, PAIR_BLOCK):
+        lower, higher = settled + rows, by_class[above]
+        joined = joins(higher, lower)
+        # Pairs come in rank order of the lower row, then of the higher:
+        # every row ranked above a lower row is settled when its pairs come.
+        for low, high in zip(lower[joined].tolist(), higher[joined].tolist()):
+            if owner[low] < 0 and owner[high] < 0:
+                owner[low] = high
+    return owner

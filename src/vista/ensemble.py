@@ -1,11 +1,12 @@
 """Merging prediction sets from multiple heads or checkpoints.
 
-Hypotheses are greedily grouped around high-confidence seeds: two
-hypotheses are compatible when they agree on noun, verb, box overlap and
-TTC proximity. Each group is merged into one hypothesis whose box and
-TTC are score-weighted means and whose score is boosted by cross-source
-agreement. Default thresholds mirror the metric tolerances so grouped
-hypotheses are interchangeable under the strictest matching criterion.
+Hypotheses are grouped around high-confidence seeds by the greedy rule
+of `boxes.greedy_owners`: two hypotheses are compatible when they agree
+on noun, verb, box overlap and TTC proximity. Each group is merged into
+one hypothesis whose box and TTC are score-weighted means and whose
+score is boosted by cross-source agreement. Default thresholds mirror
+the metric tolerances so grouped hypotheses are interchangeable under
+the strictest matching criterion.
 
 Grouping, merging and ranking work on the columns of a pooled
 HypothesisTable of a block of whole examples (`EXAMPLE_BLOCK`), with the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, count_blocks, pair_iou, same_key_pairs
+from .boxes import box_columns, count_blocks, greedy_owners, pair_iou
 from .errors import ValidationError
 from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, setting
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
@@ -83,57 +84,30 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
     example's hypotheses or of several examples' with the example code of
     each row in `example`, each example as it would be grouped alone.
 
-    Repeatedly take the highest-ranked ungrouped hypothesis as seed; the
-    seed and every ungrouped hypothesis compatible with it form a group.
-    Two hypotheses are compatible when they have the same noun and verb,
-    an IoU >= box_iou_min (as `oracle._iou_scalar` computes it) and a
-    TTC gap <= ttc_tolerance. The seed always belongs to its own group,
-    also when it is not compatible with itself (a zero-area box has IoU 0
-    with itself). The result is a partition: each input hypothesis lands
-    in exactly one group.
-
-    Compatibility is computed only for pairs of the same example, noun
-    and verb, PAIR_BLOCK pairs at a time; one greedy pass in rank order
-    then assigns the groups.
+    The groups are those of `boxes.greedy_owners` over the hypotheses in
+    canonical order: each seed and the hypotheses it owns form a group.
+    The class is the example, noun and verb, and a hypothesis joins a
+    lower-ranked one with an IoU >= box_iou_min (as `oracle._iou_scalar`
+    computes it) and a TTC gap <= ttc_tolerance. The seed always belongs
+    to its own group, also when it is not compatible with itself (a
+    zero-area box has IoU 0 with itself). The result is a partition: each
+    input hypothesis lands in exactly one group.
     """
     rank = canonical_order(hyps)
     table = hyps.take(rank)
     n = len(table)
     code = np.zeros(n, dtype=np.int64) if example is None else example[rank]
-    by_class = np.lexsort((table.verb, table.noun, code))  # canonical order within each class
-    code_c, noun, verb = code[by_class], table.noun[by_class], table.verb[by_class]
-    starts_class = np.ones(n, dtype=bool)
-    starts_class[1:] = (code_c[1:] != code_c[:-1]) | (noun[1:] != noun[:-1]) | (verb[1:] != verb[:-1])
-    corners, area = box_columns(table.boxes[by_class])
-    ttc = table.ttc[by_class]
-    # owner[i] is the position of the seed of the group of position i.
-    owner = [-1] * n
-    for higher, lower in same_key_pairs(np.cumsum(starts_class), PAIR_BLOCK):
-        joins = (pair_iou(corners, area, higher, lower) >= cfg.box_iou_min) & (
-            np.abs(ttc[higher] - ttc[lower]) <= cfg.ttc_tolerance
+    corners, area = box_columns(table.boxes)
+
+    def joins(higher: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return (pair_iou(corners, area, higher, lower) >= cfg.box_iou_min) & (
+            np.abs(table.ttc[higher] - table.ttc[lower]) <= cfg.ttc_tolerance
         )
-        higher, lower = higher[joins], lower[joins]
-        # Pairs come in rank order of their higher row, and all pairs of a
-        # row are in one block, so a row still ungrouped when its pairs
-        # come is a seed; the pairs of a grouped row are skipped whole.
-        firsts = np.flatnonzero(np.diff(higher, prepend=-1))
-        lower = lower.tolist()
-        for h, first, end in zip(higher[firsts].tolist(), firsts.tolist(), firsts[1:].tolist() + [len(lower)]):
-            if owner[h] < 0:
-                owner[h] = h
-            if owner[h] == h:
-                for low in lower[first:end]:
-                    if owner[low] < 0:
-                        owner[low] = h
-    owner = np.array(owner, dtype=np.intp)
-    alone = owner < 0
-    owner[alone] = np.flatnonzero(alone)
-    seed_row, member_row = by_class[owner], by_class
-    order = np.lexsort((member_row, seed_row))
-    seed_row, member_row = seed_row[order], member_row[order]
-    starts_group = np.ones(n, dtype=bool)
-    starts_group[1:] = seed_row[1:] != seed_row[:-1]
-    return Grouping(table.take(member_row), np.append(np.flatnonzero(starts_group), n),
+
+    owner = np.array(greedy_owners((table.verb, table.noun, code), joins, []), dtype=np.intp)
+    seed = np.where(owner < 0, np.arange(n), owner)
+    member_row = np.argsort(seed, kind="stable")  # by seed, each group in rank order, its seed first
+    return Grouping(table.take(member_row), np.append(np.flatnonzero(owner[member_row] < 0), n),
                     None if example is None else code[member_row])
 
 

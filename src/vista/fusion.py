@@ -85,7 +85,9 @@ def attentive_probe(seq, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
     weights = softmax_t((seq @ key_proj) @ query / sqrt(D_att));
     token = sum_t weights[t] * (seq @ value_proj)[t].
     Returns (token, weights); weights sum to 1. No positional encoding, so
-    the token is invariant to permuting the sequence rows.
+    the token is invariant to permuting the sequence rows. The softmax's
+    numpy exp picks a SIMD kernel by CPU, so `vista fuse` bytes can
+    differ between x86 hosts with and without AVX-512.
     """
     seq, key_proj, value_proj, query = _checked(
         {"seq": INPUT_TENSORS["seq"], **contract(ProbeParams)}, seq=seq, **vars(params))

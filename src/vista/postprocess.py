@@ -4,7 +4,8 @@ The inference chain: cap proposals by objectness, expand each retained
 proposal into its top noun/verb pairs with a class-specific refined box
 and a softplus TTC, rank everything by the product of objectness,
 interaction quality, noun probability and verb probability, suppress
-per-noun-class duplicates, and truncate to the export cap.
+per-noun-class duplicates by the greedy rule of `boxes.greedy_owners`,
+and truncate to the export cap.
 
 Every stage works on the columns of one whole example: a ProposalBatch
 goes in, expansion scores every pair and hands NMS a RankedHypotheses
@@ -14,7 +15,8 @@ that of the scalar definitions, bit for bit: box centres are
 0.5 * (x1 + x2), the size exp and the softplus go through `math` one
 value at a time (numpy's vectorised exp and log1p differ from it in the
 last bit for a few percent of inputs on some CPUs), and IoU keeps the
-operation order of the oracle's scalar IoU (`oracle._iou_scalar`).
+operation order of the oracle's scalar IoU (`oracle._iou_scalar`). The
+softmax is the exception: it uses numpy's exp (`_softmax_rows`).
 
 `postprocess_container` runs the chain over a tensor container one
 example at a time, so only one example's tensors are held at once.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
+from .boxes import box_columns, greedy_owners, pair_iou
 from .errors import ValidationError
 from .io_formats import TensorFile
 from .types import (HypothesisTable, Taxonomy, array_field, box_rules, check_fields, contract, setting, shape_problems,
@@ -120,7 +122,9 @@ def softmax(logits) -> np.ndarray:
 
 
 def _softmax_rows(arr: np.ndarray) -> np.ndarray:
-    """`softmax` of each row of a float64 matrix, bit-identical to it."""
+    """`softmax` of each row of a float64 matrix, bit-identical to it. Its
+    numpy exp picks a SIMD kernel by CPU, so the last bits, and the bytes
+    of `submission.json`, can differ with and without AVX-512 on x86."""
     shifted = np.exp(arr - arr.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -336,47 +340,28 @@ def class_aware_nms(ranked, nms_iou: float, max_exports: int) -> HypothesisTable
 
     `ranked` is a HypothesisTable in canonical order, which is the rank,
     or the RankedHypotheses of `expand_hypotheses`; NMS reads either
-    through len() and head(). A hypothesis is dropped when a
-    higher-ranked kept hypothesis of the same noun class overlaps it with
-    IoU > nms_iou. Verb is not part of the suppression key. The output
+    through len() and head(). The survivors are the seeds of
+    `boxes.greedy_owners` with the noun as the class and IoU > nms_iou
+    as the join; verb is not part of the suppression key. The output
     keeps the rank order and is always a subset of the rows. Pass
     len(ranked) as max_exports for every survivor.
 
-    Whether a row survives depends only on the rows ranked above it, so
-    suppression over the first L rows gives exactly the first survivors
-    of suppression over all of them. The rows are therefore read in rank
-    windows, max_exports rows first and then doubling; each window sorts
-    its prefix by noun (stably, so canonical order within each class),
-    compares its own rows with the same-noun rows ranked above them, with
-    the suppressed state of the earlier windows carried forward, and it
-    stops once max_exports rows survive. Each same-noun pair is compared
-    at most once, PAIR_BLOCK pairs at a time.
+    The rows are read in rank windows, max_exports rows first and then
+    doubling; each window settles its new rows after those of the earlier
+    windows, and NMS stops once max_exports rows survive. Each same-noun
+    pair is compared at most once.
     """
     n = len(ranked)
-    suppressed: list[bool] = []  # by rank, for the rows compared so far
-    lo, hi = 0, min(max(max_exports, 1), n)
+    owner: list[int] = []  # by rank, for the rows settled so far
+    hi = min(max(max_exports, 1), n)
     while True:
         table = ranked.head(hi)
-        by_noun = np.argsort(table.noun, kind="stable")
-        corners, area = box_columns(table.boxes[by_noun])
-        position = np.empty(hi, dtype=np.intp)  # of each rank in by_noun
-        position[by_noun] = np.arange(hi)
-        suppressed += [False] * (hi - lo)
-        lower_at = position[lo:hi]
-        first = np.searchsorted(table.noun[by_noun], table.noun[lo:hi])
-        # Pair each window row with the rows of its class ranked above it.
-        for rows, higher in pair_blocks(first, lower_at - first, PAIR_BLOCK):
-            over = pair_iou(corners, area, lower_at[rows], higher) > nms_iou
-            # One greedy pass in rank order of the lower row: every row
-            # ranked above it is already settled, and a suppressed row
-            # suppresses nothing.
-            for low, h in zip((lo + rows[over]).tolist(), by_noun[higher[over]].tolist()):
-                if not suppressed[h]:
-                    suppressed[low] = True
-        if hi == n or hi - suppressed.count(True) >= max_exports:
+        corners, area = box_columns(table.boxes)
+        greedy_owners((table.noun,), lambda higher, lower: pair_iou(corners, area, higher, lower) > nms_iou, owner)
+        if hi == n or owner.count(-1) >= max_exports:
             break
-        lo, hi = hi, min(2 * hi, n)
-    survivors = np.flatnonzero(~np.array(suppressed, dtype=bool))
+        hi = min(2 * hi, n)
+    survivors = np.flatnonzero(np.array(owner, dtype=np.intp) < 0)
     return table.take(survivors[: max(max_exports, 0)])
 
 

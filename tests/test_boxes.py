@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vista.boxes import Box2D, box_columns, pair_iou
+import vista.boxes as vista_boxes
+from vista.boxes import Box2D, box_columns, greedy_owners, pair_iou
 from vista.errors import ValidationError
 from vista.oracle import _iou_scalar
 from vista.types import StaHypothesis, as_table
@@ -129,3 +130,98 @@ class TestPairIouIsTheOracleIou:
             got = pair_iou(corners, area, a, b).tolist()
         want = [_iou_scalar(box_list[i], box_list[j]) for i, j in zip(a.tolist(), b.tolist())]
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+def seed_first_owners(classes, joined):
+    """The greedy rule taken seed first, over rows 0, ..., n - 1 in rank
+    order: the highest-ranked remaining row is a seed, and it claims every
+    remaining row of its class that it joins. classes[i] is the class of
+    row i; (h, l) in joined says that row h joins row l. -1 marks a seed."""
+    owner = [-1] * len(classes)
+    remaining = list(range(len(classes)))
+    while remaining:
+        seed, remaining = remaining[0], remaining[1:]
+        for row in remaining:
+            if classes[row] == classes[seed] and (seed, row) in joined:
+                owner[row] = seed
+        remaining = [row for row in remaining if owner[row] < 0]
+    return owner
+
+
+def pair_joins(joined, asked):
+    """A joins predicate over the set of pairs `joined`, recording every
+    pair it is asked of in `asked`."""
+    def joins(higher, lower):
+        pairs = list(zip(higher.tolist(), lower.tolist()))
+        asked.extend(pairs)
+        return np.array([pair in joined for pair in pairs], dtype=bool)
+    return joins
+
+
+# Rows with one to three key columns of few values, so classes repeat,
+# and a random set of joined pairs, any row joining any other.
+key_tables = st.integers(0, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=1, max_size=3),
+    st.sets(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=4 * n),
+))
+
+
+class TestGreedyOwners:
+    """`greedy_owners` settles rows as the seed-first greedy rule does."""
+
+    @settings(deadline=None)
+    @given(key_tables, st.sampled_from([1, 3, 1 << 14]))
+    def test_equals_seed_first_reference(self, table, block):
+        columns, joined = table
+        keys = tuple(np.array(column, dtype=np.int64) for column in columns)
+        classes = list(zip(*columns))
+        asked = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vista_boxes, "PAIR_BLOCK", block)
+            owner = greedy_owners(keys, pair_joins(joined, asked), [])
+        assert owner == seed_first_owners(classes, joined)
+        # Each pair of a row and a row of its class ranked above it, once,
+        # in rank order of the lower row and then of the higher.
+        assert asked == [(h, low) for low in range(len(classes)) for h in range(low)
+                         if classes[h] == classes[low]]
+
+    @settings(deadline=None)
+    @given(key_tables, st.lists(st.integers(0, 24), max_size=4))
+    def test_settling_growing_prefixes_equals_one_call(self, table, cuts):
+        columns, joined = table
+        keys = tuple(np.array(column, dtype=np.int64) for column in columns)
+        n = len(keys[0])
+        owner = []
+        for cut in sorted(min(cut, n) for cut in cuts) + [n]:
+            greedy_owners(tuple(key[:cut] for key in keys), pair_joins(joined, []), owner)
+            assert len(owner) == cut
+        assert owner == greedy_owners(keys, pair_joins(joined, []), [])
+
+    def test_chain_alternates_seeds(self):
+        # Each row is joined only by the row above it: a claimed row claims
+        # nothing, so every other row is a seed.
+        joined = {(i, i + 1) for i in range(6)}
+        owner = greedy_owners((np.zeros(7, dtype=np.int64),), pair_joins(joined, []), [])
+        assert owner == [-1, 0, -1, 2, -1, 4, -1] == seed_first_owners([0] * 7, joined)
+
+    def test_rows_nothing_joins_are_seeds(self):
+        keys = (np.array([0, 1, 0, 1, 0]),)
+        assert greedy_owners(keys, pair_joins(set(), []), []) == [-1] * 5
+
+    def test_empty_table(self):
+        asked = []
+        assert greedy_owners((np.array([], dtype=np.int64),), pair_joins(set(), asked), []) == []
+        assert asked == []
+
+    @given(st.lists(st.one_of(boxes, st.sampled_from([Box2D(5, 5, 5, 9), Box2D(0, 0, 0, 0), Box2D(0, 0, 10, 10)])),
+                    max_size=12),
+           st.sampled_from([1e-4, 0.5, 1.0]))
+    def test_seeds_that_do_not_join_themselves(self, box_list, threshold):
+        # A zero-area box has IoU 0 with every box, itself included: as a
+        # seed it claims nothing, and the rows below it fall to later seeds.
+        corners, area = box_columns(np.array([b.corners() for b in box_list], dtype=np.float64).reshape(-1, 4))
+        owner = greedy_owners((np.zeros(len(box_list), dtype=np.int64),),
+                              lambda higher, lower: pair_iou(corners, area, higher, lower) >= threshold, [])
+        joined = {(h, low) for h in range(len(box_list)) for low in range(len(box_list))
+                  if _iou_scalar(box_list[h], box_list[low]) >= threshold}
+        assert owner == seed_first_owners([0] * len(box_list), joined)

@@ -12,7 +12,7 @@ from vista.oracle import _iou_scalar
 from vista.rng import CounterRng
 from vista.types import HypothesisTable, StaHypothesis, as_table, sort_canonical
 
-from test_postprocess import columns, rank_key
+from test_postprocess import columns, in_blocks, rank_key, record_pair_blocks
 
 
 def hyp(x1=0.0, y1=0.0, x2=10.0, y2=10.0, noun=0, verb=0, ttc=1.0, score=0.5, source=None):
@@ -186,15 +186,13 @@ class TestGroupingEquivalence:
             for a, b, c, d, noun, verb, ttc, score, source in raw
         ]
         cfg = EnsembleConfig(box_iou_min=box_iou_min, ttc_tolerance=0.25, n_sources=3)
-        saved = ensemble.PAIR_BLOCK
-        ensemble.PAIR_BLOCK = block
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            lowers = record_pair_blocks(patch, ensemble, block)
             groups = group_hypotheses(as_table(hyps), cfg)
-        finally:
-            ensemble.PAIR_BLOCK = saved
         expected = brute_force_groups(hyps, cfg)
         assert [columns(g.members) for g in groups] == [columns(as_table(g)) for g in expected]
         assert columns(merge_group(groups, cfg)) == columns(as_table([scalar_merge(g, cfg) for g in expected]))
+        assert in_blocks(lowers, block)
 
     def test_merge_is_bit_identical_to_member_by_member_sums(self):
         # Groups of up to 24 members: numpy's pairwise summation would

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vista.boxes as boxes
 import vista.postprocess as postprocess
 from vista.boxes import Box2D, pair_iou
 from vista.errors import ValidationError
@@ -384,8 +385,9 @@ class TestKernelEquivalence:
         rng = CounterRng(40)
         hyps = [make_hypothesis(rng, n_nouns=2) for _ in range(120)]
         expected = brute_force_nms(hyps, 0.1)
-        monkeypatch.setattr(postprocess, "PAIR_BLOCK", block)
+        lowers = record_pair_blocks(monkeypatch, postprocess, block)
         assert nms(hyps, 0.1) == expected
+        assert len(lowers) > 1 and in_blocks(lowers, block)
 
     def test_zero_area_and_identical_boxes(self):
         flat = Box2D(5, 5, 5, 9)
@@ -401,6 +403,27 @@ class TestKernelEquivalence:
             assert nms(hyps, nms_iou) == brute_force_nms(hyps, nms_iou)
         assert nms(hyps, 0.99) == columns(as_table(hyps[:3]))
         assert nms(hyps, 1.0) == columns(as_table(hyps))
+
+
+def record_pair_blocks(patch, module, block):
+    """Set the pair block size of `boxes.greedy_owners` to block, and
+    record the lower rows (the last argument) of each `module.pair_iou`
+    call."""
+    lowers = []
+
+    def recording_pair_iou(corners, area, higher, lower):
+        lowers.append(lower.tolist())
+        return pair_iou(corners, area, higher, lower)
+
+    patch.setattr(boxes, "PAIR_BLOCK", block)
+    patch.setattr(module, "pair_iou", recording_pair_iou)
+    return lowers
+
+
+def in_blocks(lowers, block):
+    """Whether each recorded call compared at most block pairs, or the
+    pairs of one lower row: a block of `boxes.pair_blocks`."""
+    return all(len(lower) <= block or len(set(lower)) == 1 for lower in lowers)
 
 
 def count_compared_pairs(monkeypatch):
@@ -429,10 +452,11 @@ class TestBoundedNms:
         table = table_of(hypotheses_from(raw))
         cap = data.draw(st.integers(1, len(table) + 2), label="cap")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(postprocess, "PAIR_BLOCK", block)
+            lowers = record_pair_blocks(patch, postprocess, block)
             capped = class_aware_nms(table, nms_iou, cap)
             every = class_aware_nms(table, nms_iou, len(table))
         assert columns(capped) == columns(every.take(slice(0, cap)))
+        assert in_blocks(lowers, block)
 
     def test_chain_compares_fewer_pairs_once_the_cap_is_reached(self, monkeypatch):
         tensors = make_tensors(CounterRng(41), 60)
