@@ -61,6 +61,7 @@ from .types import (
     as_gt_table,
     as_table,
     canonical_order,
+    rank_within,
     sort_canonical,
 )
 

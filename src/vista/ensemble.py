@@ -26,7 +26,7 @@ import numpy as np
 
 from .boxes import box_columns, count_blocks, greedy_owners, pair_iou
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, setting
+from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, rank_within, setting
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
 
 # Pooled hypotheses grouped, merged and ranked at once, in blocks of whole
@@ -212,10 +212,10 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     The examples, in uid order, are taken in blocks of whole examples
     whose pools add up to at most EXAMPLE_BLOCK hypotheses (an example of
     more comes alone). A block is grouped, merged and ranked at once, with
-    the example code of each row: no group spans two examples, and a
-    stable sort by example after the ranking keeps each example's rows in
-    its own canonical order, ties in group order. So each example gets
-    the rows it gets alone, in the same order.
+    the example code of each row: no group spans two examples, and each
+    example keeps its first max_exports merged rows (`rank_within`), ties
+    in group order. So each example gets the rows it gets alone, in the
+    same order.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
@@ -235,14 +235,10 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
         tables = [hyps.with_default_source(idx) for uid in block for idx, hyps in pooled[uid]]
         example = np.repeat(np.arange(len(block)), sizes[start:stop])
         merged, example = merge_group(group_hypotheses(HypothesisTable.concat(tables), cfg, example), cfg)
-        # Each example's rows in rank order, one example after another, and
-        # the first max_exports of each.
-        rank = canonical_order(merged)
-        rank = rank[np.argsort(example[rank], kind="stable")]
-        ranked_example = example[rank]
-        first = np.searchsorted(ranked_example, np.arange(len(block) + 1))
-        top = merged.take(rank[np.arange(len(rank)) - first[ranked_example] < cfg.max_exports])
-        ends = np.cumsum(np.minimum(np.diff(first), cfg.max_exports)).tolist()
+        rows = rank_within(merged, example, cfg.max_exports)
+        rows = rows[np.argsort(example[rows], kind="stable")]  # one example after another
+        ends = np.cumsum(np.bincount(example[rows], minlength=len(block))).tolist()
+        top = merged.take(rows)
         for uid, begin, end in zip(block, [0] + ends, ends):
             out[uid] = top.take(slice(begin, end))
     return out

@@ -29,6 +29,7 @@ from .types import (
     as_table,
     canonical_order,
     check_fields,
+    rank_within,
     setting,
 )
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
@@ -117,24 +118,6 @@ def average_precision(tp_flags, n_gt: int) -> float:
     return float(precision[flags].sum() / n_gt)
 
 
-def _ranked_top_k(tables: list[HypothesisTable], codes: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows that the examples keep, as indices into the rows of the
-    tables one after another, in rank order, and their uid codes, given
-    each table's in `codes`. Every row is ranked once by the canonical
-    ordering, with its uid as the final tie-break, and a row is kept when
-    fewer than top_k rows of its uid rank above it. That order restricted
-    to one uid is the uid's own canonical order, ties included, so each
-    example keeps its top_k."""
-    row_uid = np.repeat(codes, [len(table) for table in tables])
-    rank = canonical_order(tables, tie_break=(row_uid,))
-    # The rank positions grouped by uid, each uid's in rank order.
-    by_uid = np.argsort(row_uid[rank], kind="stable")
-    grouped = row_uid[rank[by_uid]]
-    place = np.arange(len(rank)) - np.searchsorted(grouped, grouped, side="left")
-    rows = rank[np.sort(by_uid[place < top_k])]
-    return rows, row_uid[rows]
-
-
 def _candidates(key: np.ndarray, rows: np.ndarray, corners: list[np.ndarray], area: np.ndarray, iou_min: float):
     """The (prediction, ground truth) pairs of equal keys whose IoU is
     greater than iou_min, sorted by prediction and then ground truth, in
@@ -202,9 +185,8 @@ def evaluate(
     """Run the four-variant protocol over a prediction set.
 
     `preds` maps uids to HypothesisTables or lists of StaHypothesis, and
-    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Every
-    hypothesis is ranked once by the canonical ordering with the uid as
-    the final tie-break, and each example keeps its first top_k. The
+    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Each
+    example keeps its first top_k hypotheses (`rank_within`). The
     candidate pairs (same example, same noun, IoU > iou_min) are built
     once and filtered for each variant by its verb and TTC needs.
     Per variant, predictions are matched greedily in rank order, each to
@@ -218,8 +200,10 @@ def evaluate(
     tables = [as_table(hyps) for hyps in preds.values()]
     gts = as_gt_table(gts)
     uid_code = {uid: c for c, uid in enumerate(sorted(set(preds) | set(gts.uid)))}
-    codes = np.array([uid_code[uid] for uid in preds], dtype=np.int64)
-    rows, pred_uid = _ranked_top_k(tables, codes, cfg.top_k)
+    row_uid = np.repeat(np.array([uid_code[uid] for uid in preds], dtype=np.int64),
+                        [len(table) for table in tables])
+    rows = rank_within(tables, row_uid, cfg.top_k)
+    pred_uid = row_uid[rows]
     n_pred, n_gt = len(rows), len(gts)
 
     def kept(name: str) -> np.ndarray:
@@ -230,7 +214,7 @@ def evaluate(
     gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
     nouns, noun_code = np.unique(np.concatenate([pred_noun, gts.noun]), return_inverse=True)
     key = np.concatenate([pred_uid, gt_uid]) * len(nouns) + noun_code
-    del pred_uid, noun_code  # the pairs are made next, the peak of the call
+    del row_uid, pred_uid, noun_code  # the pairs are made next, the peak of the call
     # The boxes of every row, kept or not, and then of the ground truths:
     # gathering only the kept rows' would copy them twice on the way. They
     # are freed once the pairs are made, before the verbs and TTCs are

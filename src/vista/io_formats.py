@@ -66,6 +66,7 @@ from .types import (
     box_rules,
     ground_truth_rules,
     hypothesis_rules,
+    rank_within,
     sort_canonical,
 )
 
@@ -488,12 +489,12 @@ def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> Predic
 def _read_results(path, members: list, taxonomy: Taxonomy | None,
                   unknown: list | None = None) -> PredictionSet:
     """(uid, entries) members of a submission's `results`, in file order,
-    as one canonical HypothesisTable per uid, with `_read_entries` (which
-    `unknown` is passed on to). Rows that tie on the whole canonical key
-    are ordered by source id, rows without one first, so no table depends
-    on the order of its entries. Every problem is raised, a value that is
-    not a list too. The members are emptied, so their entries are freed
-    as they are read."""
+    as one HypothesisTable per uid, with `_read_entries` (which `unknown`
+    is passed on to), ranked by `rank_within` with the source id as the
+    tie-break, rows without one first, so no table depends on the order
+    of its entries. Every problem is raised, a value that is not a list
+    too. The members are emptied, so their entries are freed as they are
+    read."""
     problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                 for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
     lists = [(u, _copy(uid), entries)
@@ -502,8 +503,10 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
     columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy, unknown)
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
-    tables = ((uid, whole.take(slice(start, end))) for uid, start, end in spans)
-    return {uid: sort_canonical(table, tie_break=(table.source, table.has_source)) for uid, table in tables}
+    code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
+    rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))
+    rows = rows[np.argsort(code[rows], kind="stable")]  # each uid's rows in its file span
+    return {uid: whole.take(rows[start:end]) for uid, start, end in spans}
 
 
 def _stream_predictions(file, path, taxonomy: Taxonomy | None) -> PredictionSet:

@@ -402,12 +402,32 @@ def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: t
     return np.lexsort(tie_break + keys)
 
 
-def sort_canonical(hyps, tie_break: tuple = ()):
+def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarray, top_k: int | None = None,
+                tie_break: tuple = ()) -> np.ndarray:
+    """The rows that each example keeps, as indices into the rows of the
+    tables one after another, in rank order; `code` gives each row's
+    example. Every row is ranked once by `canonical_order`, with the
+    `tie_break` columns and then the code as the last tie-breaks, and a
+    row is kept when fewer than top_k rows of its code rank above it
+    (every row when top_k is None). That order restricted to one code is
+    the code's own canonical order, ties included, so each example keeps
+    its first top_k rows. This is the one ranking within examples: the
+    reader, the ensemble's export cut and evaluate's top-k use it."""
+    rank = canonical_order(tables, (code,) + tie_break)
+    if top_k is None or top_k >= len(rank):
+        return rank
+    ranked_code = code[rank]
+    by_code = np.argsort(ranked_code, kind="stable")  # each code's rank positions, in rank order
+    grouped = ranked_code[by_code]
+    place = np.arange(len(rank)) - np.searchsorted(grouped, grouped, side="left")
+    return rank[np.sort(by_code[place < top_k])]
+
+
+def sort_canonical(hyps):
     """Put a HypothesisTable, or a list of StaHypothesis, in canonical
-    order, full ties of a table ordered by its `tie_break` columns
-    (`canonical_order`). A list comes back as the same objects reordered:
-    `synth` sorts its lists with it."""
+    order (`canonical_order`). A list comes back as the same objects
+    reordered: `synth` sorts its lists with it."""
     if isinstance(hyps, HypothesisTable):
-        return hyps.take(canonical_order(hyps, tie_break))
+        return hyps.take(canonical_order(hyps))
     # Lists stay accepted: synth and the benchmark's oracle check sort them.
     return [hyps[i] for i in canonical_order(as_table(hyps)).tolist()]

@@ -445,6 +445,51 @@ class TestEnsembleCommand:
         assert code == EXIT_VALIDATION
 
 
+class TestCapsBeyondInt64:
+    """A cap beyond int64 keeps every row, as a cap above the row count
+    does: given as a flag or in --config, each command exits 0 and writes
+    the results (the report, but for its provenance) that it writes with
+    a cap of 100000."""
+
+    COMMANDS = {  # the flag, the config key and the output compared
+        "ensemble": ("--max-exports", "max_exports", "ensemble.json"),
+        "evaluate": ("--top-k", "top_k", "report.json"),
+        "postprocess": ("--max-exports", "max_exports", "submission.json"),
+    }
+
+    def output(self, tmp_path, argv, command, cap, given):
+        flag, key, name = self.COMMANDS[command]
+        out = tmp_path / f"{given}_{cap}"
+        if given == "flag":
+            argv = [*argv, flag, str(cap)]
+        else:
+            config = tmp_path / f"config_{cap}.json"
+            config.write_text(json.dumps({key: cap}))
+            argv = [*argv, "--config", str(config)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / name).read_text())
+        if command == "evaluate":
+            del doc["provenance"]  # it names the cap
+            return doc
+        return doc["results"]
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("cap", [2**63, 10**30])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_same_output_as_a_cap_of_100000(self, synth_dir, tmp_path, command, cap, given):
+        if command == "postprocess":
+            heads, taxonomy = tmp_path / "heads.vstf", tmp_path / "taxonomy.json"
+            TestPostprocessCommand().make_head_outputs(heads, 300)
+            TestPostprocessCommand().write_taxonomy(taxonomy)
+            argv = ["postprocess", str(heads), str(taxonomy)]
+        else:
+            sources = sorted(synth_dir.glob("predictions_source_*.json"))
+            argv = ["ensemble", *map(str, sources)] if command == "ensemble" else [
+                "evaluate", str(synth_dir / "ground_truth.json"), str(sources[0])]
+        assert self.output(tmp_path, argv, command, cap, given) == self.output(
+            tmp_path, argv, command, 100000, given)
+
+
 FLOAT_MAX = sys.float_info.max
 
 

@@ -25,7 +25,7 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import HypothesisTable, Taxonomy, as_gt_table, as_table, sort_canonical
+from vista.types import HypothesisTable, Taxonomy, as_gt_table, as_table, canonical_order, sort_canonical
 
 from test_postprocess import columns
 
@@ -790,6 +790,36 @@ class TestStreamedSubmissions:
         assert {uid: columns(table) for uid, table in loaded.items()} == {
             uid: columns(sort_canonical(table)) for uid, table in preds.items()}
         assert peak < size, f"peak {peak} bytes for a file of {size}"
+
+    def test_full_ties_ordered_within_each_uid_of_one_batch(self, tmp_path, monkeypatch):
+        # Both uids have rows of score 0.5, and each has full ties that only
+        # the source id splits, in an order that is not theirs; the whole
+        # file is one batch, ranked at once.
+        tie = {"box": [0, 0, 10, 10], "score": 0.5}
+        results = {
+            "a": [entry(**tie, source_id=3), entry(score=0.75), entry(**tie), entry(**tie, source_id=-1),
+                  entry(**tie, source_id=3), entry(**tie, noun_category_id=0, source_id=9)],
+            "b": [entry(**tie, source_id=2), entry(**tie, source_id=0), entry(**tie), entry(score=0.25),
+                  entry(**tie, source_id=0)],
+        }
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"results": results}))
+        batches = []
+        read = io_formats._read_results
+        monkeypatch.setattr(io_formats, "_read_results",
+                            lambda path, members, *rest: batches.append(len(members)) or read(path, members, *rest))
+        preds = load_predictions(path)
+        assert batches == [2]
+        for uid, entries in results.items():
+            table = HypothesisTable(
+                boxes=[e["box"] for e in entries], noun=[e["noun_category_id"] for e in entries],
+                verb=[e["verb_category_id"] for e in entries], ttc=[e["time_to_contact"] for e in entries],
+                score=[e["score"] for e in entries], source=[e.get("source_id", 0) for e in entries],
+                has_source=["source_id" in e for e in entries])
+            alone = table.take(canonical_order(table, (table.source, table.has_source)))
+            assert columns(preds[uid]) == columns(alone), uid
+        assert source_ids(preds["a"]) == [None, 9, None, -1, 3, 3]
+        assert source_ids(preds["b"]) == [None, 0, 0, 2, None]
 
 
 def read_at_depth(load, path, frames: int):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vista.boxes import Box2D
 from vista.errors import ValidationError
@@ -12,6 +14,7 @@ from vista.types import (
     StaHypothesis,
     as_gt_table,
     as_table,
+    rank_within,
     shape_problems,
 )
 
@@ -133,3 +136,64 @@ class TestTableShapes:
             "boxes must have shape (N, 4) with N=2, got (2, 3)",
             "ttc must have shape (N,) with N=2, got (2, 1)",
         ]
+
+
+# One row: corners on a coarse grid, few ids, ttcs and scores, a source
+# id or none, and an example code from three, so that scores tie within
+# and across codes and full ties are split only by the tie-break columns.
+ranked_rows = st.lists(
+    st.tuples(
+        st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+        st.integers(0, 1), st.integers(0, 1),
+        st.sampled_from([0.5, 1.0]), st.sampled_from([0.25, 0.5]),
+        st.integers(-1, 1), st.booleans(), st.integers(0, 2),
+    ),
+    max_size=12,
+)
+
+
+def reference_rank_within(rows, top_k, tie_break: bool) -> list[int]:
+    """Each code's rows sorted by the canonical key tuple, then the
+    source (rows without one first) when `tie_break`, then row index, cut
+    to top_k; the rows kept, ranked by the same key with the code before
+    the row index."""
+    def key(i):
+        x1, y1, w, h, noun, verb, ttc, score, source, has_source, code = rows[i]
+        canonical = (-score, noun, verb, x1, y1, x1 + w, y1 + h, ttc)
+        return canonical + ((has_source, source) if tie_break else ()) + (code, i)
+
+    kept = []
+    for code in {row[-1] for row in rows}:
+        ranked = sorted((i for i, row in enumerate(rows) if row[-1] == code), key=key)
+        kept += ranked if top_k is None else ranked[:top_k]
+    return sorted(kept, key=key)
+
+
+def ranked_tables(rows, cuts: list[int]) -> list[HypothesisTable]:
+    """The rows as tables, split at `cuts`."""
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    return [HypothesisTable(
+        boxes=np.array([[x1, y1, x1 + w, y1 + h] for x1, y1, w, h, *_ in part], dtype=np.float64).reshape(-1, 4),
+        noun=[row[4] for row in part], verb=[row[5] for row in part], ttc=[row[6] for row in part],
+        score=[row[7] for row in part], source=[row[8] for row in part], has_source=[row[9] for row in part],
+    ) for part in (rows[a:b] for a, b in zip(bounds, bounds[1:]))]
+
+
+class TestRankWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans(),
+           st.sampled_from([None, 1, 2, 3, 12, 2**63, 10**30]))
+    def test_equals_the_scalar_reference(self, rows, cuts, tie_break, top_k):
+        tables = ranked_tables(rows, cuts)
+        code = np.array([row[-1] for row in rows], dtype=np.int64)
+        source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
+        got = rank_within(tables if cuts else tables[0], code, top_k, source if tie_break else ())
+        assert got.tolist() == reference_rank_within(rows, top_k, tie_break)
+
+    @pytest.mark.parametrize("top_k", [None, 1, 2**63])
+    def test_empty(self, top_k):
+        empty = ranked_tables([], [])
+        code = np.zeros(0, dtype=np.int64)
+        assert rank_within(empty[0], code, top_k).tolist() == []
+        assert rank_within([], code, top_k).tolist() == []
+        assert rank_within(empty * 2, code, top_k).tolist() == []
