@@ -9,9 +9,9 @@ the metric tolerances so grouped hypotheses are interchangeable under
 the strictest matching criterion.
 
 Grouping, merging and ranking work on the columns of a pooled
-HypothesisTable of a block of whole examples (`EXAMPLE_BLOCK`), with the
-example code leading every class key. The arithmetic is that of the
-scalar definitions, bit for bit: IoU keeps the operation order of the
+HypothesisTable of a block of whole examples (`boxes.EXAMPLE_BLOCK`),
+with the example code leading every class key. The arithmetic is that
+of the scalar definitions, bit for bit: IoU keeps the operation order of the
 oracle's scalar IoU (`oracle._iou_scalar`), and every sum over a
 group's members adds them one at a time in member order from 0.0
 (numpy's pairwise summation rounds differently for groups of 8 or more,
@@ -24,17 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import boxes
 from .boxes import box_columns, count_blocks, greedy_owners, pair_iou
 from .errors import ValidationError
 from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, rank_within, setting
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
-
-# Pooled hypotheses grouped, merged and ranked at once, in blocks of whole
-# examples. Bounds the temporaries of `ensemble_predictions` however many
-# examples it is given: about 600 bytes a hypothesis, 2.5 MB for a block
-# of 2^12 (12.6 MB for the 32,000 of 64 examples at once), by tracemalloc
-# over the call. Blocks of 2^10 hold 1.0 MB but make twice the numpy calls.
-EXAMPLE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,8 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     cross-source agreement can be counted. Uids are unioned across sources.
 
     The examples, in uid order, are taken in blocks of whole examples
-    whose pools add up to at most EXAMPLE_BLOCK hypotheses (an example of
-    more comes alone). A block is grouped, merged and ranked at once, with
+    whose pools add up to at most `boxes.EXAMPLE_BLOCK` hypotheses (an
+    example of more comes alone). A block is grouped, merged and ranked at once, with
     the example code of each row: no group spans two examples, and each
     example keeps its first max_exports merged rows (`rank_within`), ties
     in group order. So each example gets the rows it gets alone, in the
@@ -230,7 +224,7 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     sizes = np.array([sum(len(hyps) for _, hyps in pooled[uid]) for uid in uids], dtype=np.int64)
 
     out: PredictionSet = {}
-    for start, stop in count_blocks(sizes, EXAMPLE_BLOCK):
+    for start, stop in count_blocks(sizes, boxes.EXAMPLE_BLOCK):
         block = uids[start:stop]
         tables = [hyps.with_default_source(idx) for uid in block for idx, hyps in pooled[uid]]
         example = np.repeat(np.arange(len(block)), sizes[start:stop])

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PAIR_BLOCK, box_columns, pair_blocks, pair_iou
+from . import boxes
+from .boxes import PAIR_BLOCK, box_columns, count_blocks, pair_blocks, pair_iou
 from .errors import ValidationError
 from .types import (
     GroundTruthInstance,
@@ -118,37 +119,36 @@ def average_precision(tp_flags, n_gt: int) -> float:
     return float(precision[flags].sum() / n_gt)
 
 
-def _candidates(key: np.ndarray, rows: np.ndarray, corners: list[np.ndarray], area: np.ndarray, iou_min: float):
+def _candidates(pred_key: np.ndarray, gt_key: np.ndarray, corners: list[np.ndarray], area: np.ndarray,
+                iou_min: float):
     """The (prediction, ground truth) pairs of equal keys whose IoU is
-    greater than iou_min, sorted by prediction and then ground truth, in
-    blocks of (prediction indices, ground-truth indices, IoU), each cut
-    from about PAIR_BLOCK pairs compared at once. The first len(rows) keys
-    are the predictions', whose boxes are the `box_columns` rows `rows`;
-    the keys after them are the ground truths', whose boxes are the rows
-    after the last prediction's."""
-    n_pred = len(rows)
-    gt_by_key = np.argsort(key[n_pred:], kind="stable")
-    sorted_key = key[n_pred:][gt_by_key]
-    first = np.searchsorted(sorted_key, key[:n_pred], side="left")
-    counts = np.searchsorted(sorted_key, key[:n_pred], side="right") - first
-    first_gt = len(area) - len(gt_by_key)
+    greater than iou_min, grouped by prediction in the predictions' order
+    and then in ground-truth order, in blocks of (prediction indices,
+    ground-truth indices, IoU), each cut from about PAIR_BLOCK pairs
+    compared at once. The boxes are the `box_columns` rows of the
+    predictions and then of the ground truths."""
+    gt_by_key = np.argsort(gt_key, kind="stable")
+    sorted_key = gt_key[gt_by_key]
+    first = np.searchsorted(sorted_key, pred_key, side="left")
+    counts = np.searchsorted(sorted_key, pred_key, side="right") - first
     for p, position in pair_blocks(first, counts, PAIR_BLOCK):
         g = gt_by_key[position]
-        overlap = pair_iou(corners, area, rows[p], first_gt + g)
+        overlap = pair_iou(corners, area, p, len(pred_key) + g)
         over = overlap > iou_min
         yield p[over], g[over], overlap[over]
 
 
-def _greedy_match(blocks, n_pred: int, n_gt: int) -> np.ndarray:
-    """TP flags of greedy matching over blocks of candidate pairs, each
-    (prediction indices, ground-truth indices, IoU), sorted by prediction
-    and then ground truth across blocks. Predictions take their turn in
-    order; each takes the unmatched ground truth of highest IoU among its
-    candidates, the first in ground-truth order on ties. The state carries
-    from one block to the next, so where the blocks are cut does not
-    change the flags."""
+def _greedy_match(blocks, tp: np.ndarray, n_gt: int) -> None:
+    """Greedy matching over blocks of candidate pairs, each (prediction
+    indices, ground-truth indices, IoU), grouped by prediction across
+    blocks; evaluate gives the pairs of one example block, one example
+    after another, in rank order within an example. Predictions take
+    their turn in that order; each takes the unmatched ground truth of
+    highest IoU among its candidates, the first in ground-truth order on
+    ties, and sets its TP flag in tp. The ground truths are 0, ...,
+    n_gt - 1. The state carries from one block to the next, so where the
+    blocks are cut does not change the flags."""
     taken = [False] * n_gt
-    tp = np.zeros(n_pred, dtype=bool)
     current, best_g, best = -1, -1, -1.0
     for p, g, overlap in blocks:
         for pi, gi, v in zip(p.tolist(), g.tolist(), overlap.tolist()):
@@ -161,7 +161,6 @@ def _greedy_match(blocks, n_pred: int, n_gt: int) -> np.ndarray:
                 best, best_g = v, gi
     if best_g >= 0:
         tp[current] = True
-    return tp
 
 
 def _variant_pairs(pairs, variant: MatchVariant):
@@ -177,6 +176,15 @@ def _variant_pairs(pairs, variant: MatchVariant):
         yield p[keep], g[keep], overlap[keep]
 
 
+def _by_example(code: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """The indices of `code`, codes 0, ..., n - 1, grouped by code in
+    index order, and the bounds of the groups: code c's indices are at
+    bounds[c], ..., bounds[c + 1] - 1."""
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=n), out=bounds[1:])
+    return np.argsort(code, kind="stable"), bounds.tolist()
+
+
 def evaluate(
     preds: PredictionSet,
     gts: GroundTruthTable | list[GroundTruthInstance],
@@ -185,45 +193,61 @@ def evaluate(
     """Run the four-variant protocol over a prediction set.
 
     `preds` maps uids to HypothesisTables or lists of StaHypothesis, and
-    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Each
-    example keeps its first top_k hypotheses (`rank_within`). The
-    candidate pairs (same example, same noun, IoU > iou_min) are built
-    once and filtered for each variant by its verb and TTC needs.
-    Per variant, predictions are matched greedily in rank order, each to
-    the unmatched candidate ground truth of highest IoU.
+    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Every
+    row is ranked once (`rank_within`) and each example keeps its first
+    top_k; each class's AP reads its kept rows in that ranking. A match
+    never crosses an example, so the examples, in uid order, are matched
+    in blocks of whole examples whose hypotheses and ground truths add up
+    to at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone).
+    A block's candidate pairs (same example, same noun, IoU > iou_min)
+    are built once, grouped by prediction, one example after another, in
+    rank order within an example, and filtered for each variant by its
+    verb and TTC needs. Per variant, predictions are matched greedily in
+    that order, each to the unmatched candidate ground truth of highest
+    IoU, and set their TP flags in the variant's one array of flags.
 
-    Next to its inputs, it holds the kept rows' ids and TTCs, the corners
-    of every row and ground truth, the candidate pairs, and temporaries
-    of at most about PAIR_BLOCK pairs.
+    Next to its inputs, it holds the ranking, the kept rows' example
+    codes and nouns and the flags, and for one block at a time the
+    corners, verbs and TTCs of its kept rows and ground truths, its
+    candidate pairs, and temporaries of at most about PAIR_BLOCK pairs.
     """
     # Lists stay accepted: the benchmark's oracle check passes synth's lists.
-    tables = [as_table(hyps) for hyps in preds.values()]
+    by_uid = {uid: as_table(hyps) for uid, hyps in preds.items()}
     gts = as_gt_table(gts)
-    uid_code = {uid: c for c, uid in enumerate(sorted(set(preds) | set(gts.uid)))}
-    row_uid = np.repeat(np.array([uid_code[uid] for uid in preds], dtype=np.int64),
-                        [len(table) for table in tables])
+    uids = sorted(set(by_uid) | set(gts.uid))
+    # One table per example, in uid order: an example's rows are one run
+    # of the rows of the tables one after another.
+    no_rows = HypothesisTable.concat([])
+    tables = [by_uid.get(uid, no_rows) for uid in uids]
+    sizes = np.array([len(table) for table in tables], dtype=np.int64)
+    row_first = (np.cumsum(sizes) - sizes).tolist()
+    row_uid = np.repeat(np.arange(len(uids)), sizes)
     rows = rank_within(tables, row_uid, cfg.top_k)
     pred_uid = row_uid[rows]
+    del row_uid
+    pred_noun = HypothesisTable.column(tables, "noun")[rows]
+    uid_code = {uid: c for c, uid in enumerate(uids)}
+    gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
     n_pred, n_gt = len(rows), len(gts)
 
-    def kept(name: str) -> np.ndarray:
-        # One column of the kept rows in rank order, gathered on its own.
-        return HypothesisTable.column(tables, name)[rows]
-
-    pred_noun = kept("noun")
-    gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
-    nouns, noun_code = np.unique(np.concatenate([pred_noun, gts.noun]), return_inverse=True)
-    key = np.concatenate([pred_uid, gt_uid]) * len(nouns) + noun_code
-    del row_uid, pred_uid, noun_code  # the pairs are made next, the peak of the call
-    # The boxes of every row, kept or not, and then of the ground truths:
-    # gathering only the kept rows' would copy them twice on the way. They
-    # are freed once the pairs are made, before the verbs and TTCs are
-    # gathered.
-    blocks = list(_candidates(key, rows, *box_columns(*(table.boxes for table in tables), gts.boxes),
-                              cfg.iou_min))
-    pred_verb, pred_ttc = kept("verb"), kept("ttc")
-    pairs = [(p, g, overlap, pred_verb[p] == gts.verb[g], np.abs(pred_ttc[p] - gts.ttc[g]) < cfg.ttc_max_error)
-             for p, g, overlap in blocks]
+    tp = {variant: np.zeros(n_pred, dtype=bool) for variant in ALL_VARIANTS}
+    pred_by_example, pred_bounds = _by_example(pred_uid, len(uids))
+    gt_by_example, gt_bounds = _by_example(gt_uid, len(uids))
+    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(uids)), boxes.EXAMPLE_BLOCK):
+        p = pred_by_example[pred_bounds[start]:pred_bounds[stop]]  # rank positions
+        g = gt_by_example[gt_bounds[start]:gt_bounds[stop]]
+        local = rows[p] - row_first[start]  # into the rows of the block's tables
+        pred_boxes, pred_verb, pred_ttc = (HypothesisTable.column(tables[start:stop], name)[local]
+                                           for name in ("boxes", "verb", "ttc"))
+        nouns, noun_code = np.unique(np.concatenate([pred_noun[p], gts.noun[g]]), return_inverse=True)
+        key = (np.concatenate([pred_uid[p], gt_uid[g]]) - start) * len(nouns) + noun_code
+        corners, area = box_columns(pred_boxes, gts.boxes[g])
+        gt_verb, gt_ttc = gts.verb[g], gts.ttc[g]
+        pairs = [(p[i], j, overlap, pred_verb[i] == gt_verb[j], np.abs(pred_ttc[i] - gt_ttc[j]) < cfg.ttc_max_error)
+                 for i, j, overlap in _candidates(key[:len(p)], key[len(p):], corners, area, cfg.iou_min)]
+        for variant in ALL_VARIANTS:
+            _greedy_match(_variant_pairs(pairs, variant), tp[variant], len(g))
+    del rows, pred_uid, pred_by_example  # before the class order is made
 
     classes, class_size = np.unique(gts.noun, return_counts=True)
     scored_classes = classes.tolist()
@@ -236,8 +260,7 @@ def evaluate(
     per_noun_ap: dict[int, dict[str, float]] = {c: {} for c in scored_classes}
     all_counts: dict[str, dict[str, int]] = {}
     for variant in ALL_VARIANTS:
-        tp = _greedy_match(_variant_pairs(pairs, variant), n_pred, n_gt)
-        tp_by_noun = tp[by_noun]
+        tp_by_noun = tp[variant][by_noun]
         aps = []
         for cls, n_gt_cls, first, end in zip(scored_classes, class_size.tolist(), class_first.tolist(),
                                              class_end.tolist()):
@@ -245,7 +268,7 @@ def evaluate(
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
         maps[variant.map_key] = 100.0 * float(np.mean(aps)) if aps else 0.0
-        n_matched = int(tp.sum())
+        n_matched = int(tp[variant].sum())
         all_counts[variant.value] = {
             "matched": n_matched,
             "unmatched_predictions": n_pred - n_matched,

@@ -419,8 +419,14 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
     ranked_code = code[rank]
     by_code = np.argsort(ranked_code, kind="stable")  # each code's rank positions, in rank order
     grouped = ranked_code[by_code]
-    place = np.arange(len(rank)) - np.searchsorted(grouped, grouped, side="left")
-    return rank[np.sort(by_code[place < top_k])]
+    # Each temporary is freed once used: the cut runs over every row given.
+    del ranked_code
+    first = np.searchsorted(grouped, grouped, side="left")  # where each code's run starts
+    del grouped
+    kept = np.empty(len(rank), dtype=bool)  # by rank position
+    kept[by_code] = np.arange(len(rank)) - first < top_k
+    del by_code, first
+    return rank[kept]
 
 
 def sort_canonical(hyps):

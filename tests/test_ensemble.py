@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vista.ensemble as ensemble
+from vista import boxes
 from vista.boxes import Box2D
 from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import ValidationError
@@ -395,12 +396,12 @@ class TestExampleBlocks:
         uids = sorted(set().union(*sources))
         alone = {uid: ensemble_predictions([{uid: s[uid]} if uid in s else {} for s in sources], cfg)[uid]
                  for uid in uids}
-        saved = ensemble.EXAMPLE_BLOCK
-        ensemble.EXAMPLE_BLOCK = block
+        saved = boxes.EXAMPLE_BLOCK
+        boxes.EXAMPLE_BLOCK = block
         try:
             blocked = ensemble_predictions(sources, cfg)
         finally:
-            ensemble.EXAMPLE_BLOCK = saved
+            boxes.EXAMPLE_BLOCK = saved
         assert concatenated(blocked) == concatenated(alone)
 
     def test_an_underflowing_group_is_dropped_in_its_block(self, monkeypatch):
@@ -409,7 +410,7 @@ class TestExampleBlocks:
         tiny, half = as_table([hyp(score=5e-324)]), as_table([hyp(score=0.5)])
         cfg = EnsembleConfig(agreement_weight=1.0, n_sources=4)
         for block in (1, 1 << 17):
-            monkeypatch.setattr(ensemble, "EXAMPLE_BLOCK", block)
+            monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", block)
             merged = ensemble_predictions([{"u0": tiny, "u1": half, "u2": half}], cfg)
             assert [len(merged[uid]) for uid in ("u0", "u1", "u2")] == [0, 1, 1]
             assert merged["u1"].score.tolist() == merged["u2"].score.tolist() == [0.125]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vista import evaluation
-from vista.boxes import Box2D
+from vista import boxes, evaluation
+from vista.boxes import Box2D, count_blocks
 from vista.errors import ValidationError
 from vista.evaluation import (
     EvalConfig,
@@ -354,14 +354,25 @@ def preds_of(pairs) -> dict:
     return preds
 
 
-def evaluate_in_blocks(preds, gts, cfg, block):
-    """evaluate with PAIR_BLOCK set to block."""
-    saved = evaluation.PAIR_BLOCK
-    evaluation.PAIR_BLOCK = block
+def evaluate_in_blocks(preds, gts, cfg, pair_block, example_block):
+    """evaluate with PAIR_BLOCK set to pair_block and boxes.EXAMPLE_BLOCK
+    to example_block, and the (block size, blocks) of each of its
+    `count_blocks` calls: the example blocks it matches, which shows that
+    the size took effect."""
+    saved = evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK
+    calls = []
+
+    def recording_count_blocks(counts, block):
+        calls.append((block, list(count_blocks(counts, block))))
+        return iter(calls[-1][1])
+
+    evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK = pair_block, example_block
+    evaluation.count_blocks = recording_count_blocks
     try:
-        return evaluate(preds, gts, cfg)
+        return evaluate(preds, gts, cfg), calls
     finally:
-        evaluation.PAIR_BLOCK = saved
+        evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK = saved
+        evaluation.count_blocks = count_blocks
 
 
 class TestOracleEquivalence:
@@ -377,11 +388,18 @@ class TestOracleEquivalence:
             assert_as_oracle(evaluate(given_preds, gts, cfg), slow)
 
     @settings(max_examples=200, deadline=None)
-    @given(tiny_gts, tiny_preds, st.sampled_from([1, 2, 5]), st.sampled_from([1, 7, 1 << 17]))
-    def test_blocks_do_not_change_the_report(self, gts, pairs, top_k, block):
+    @given(tiny_gts, tiny_preds, st.sampled_from([1, 2, 5]), st.sampled_from([1, 7, 1 << 17]),
+           st.sampled_from([1, 7, 1 << 17]))
+    def test_blocks_do_not_change_the_report(self, gts, pairs, top_k, block, example_block):
         preds = preds_of(pairs)
         cfg = EvalConfig(iou_min=0.1, top_k=top_k)
-        blocked = evaluate_in_blocks(preds, gts, cfg, block)
+        blocked, calls = evaluate_in_blocks(preds, gts, cfg, block, example_block)
+        ((size, cut),) = calls
+        assert size == example_block
+        n_examples = len(set(preds) | {g.example_uid for g in gts})
+        assert [start for start, _ in cut] + [n_examples] == [0] + [stop for _, stop in cut]
+        if example_block == 1:
+            assert len(cut) == n_examples
         assert blocked == evaluate(preds, gts, cfg)
         assert_as_oracle(blocked, brute_force_evaluate(preds, gts, cfg))
 
@@ -417,17 +435,21 @@ def crowded_instance(n_examples: int, n_preds: int = 100, n_gts: int = 8, seed: 
 class TestBoundedMemory:
     @pytest.mark.parametrize("block", [1, 7, 1 << 17])
     def test_blocks_do_not_change_a_crowded_report(self, block):
+        # Each example has 108 rows: blocks of 1 or 7 take them one at a time.
         preds, gts = crowded_instance(40)
         for top_k in (5, 100):
             cfg = EvalConfig(top_k=top_k)
-            assert evaluate_in_blocks(preds, gts, cfg, block).to_dict() == evaluate(preds, gts, cfg).to_dict()
+            blocked, calls = evaluate_in_blocks(preds, gts, cfg, block, block)
+            assert [(size, len(cut)) for size, cut in calls] == [(block, 1 if block == 1 << 17 else 40)]
+            assert blocked.to_dict() == evaluate(preds, gts, cfg).to_dict()
 
     # On this instance (100k hypotheses, 7.75 MB of tables) the peak was
     # 3.15x the tables at top-k 100 and 1.24x at top-5 while evaluate
-    # copied each example's sorted top-k and then all of them, and 1.57x
-    # and 0.71x with one ranking, the kept rows' columns gathered alone and
-    # the pairs in blocks of 2^14.
-    @pytest.mark.parametrize("top_k, bound", [(100, 2.0), (5, 1.0)])
+    # copied each example's sorted top-k and then all of them; 1.57x and
+    # 0.73x with one ranking, the kept rows' columns gathered alone and the
+    # pairs in blocks of 2^14; and 0.62x and 0.55x with the pairs, corners,
+    # ids and TTCs made one block of whole examples at a time.
+    @pytest.mark.parametrize("top_k, bound", [(100, 1.0), (5, 0.75)], ids=["100", "5"])
     def test_peak_allocation_within_a_multiple_of_the_tables(self, top_k, bound):
         preds, gts = crowded_instance(1000)
         table_bytes = sum(getattr(table, name).nbytes for table in preds.values()
