@@ -44,9 +44,11 @@ from .postprocess import (
     class_aware_nms,
     expand_hypotheses,
     finalize_submission,
+    nms_block,
     proposals_from_tensors,
     run_inference_chain,
     softmax,
+    ttc_column,
     ttc_from_raw,
 )
 from .sampling import plan_frames

@@ -27,12 +27,18 @@ PAIR_BLOCK = 1 << 14
 
 # Rows taken at once, in blocks of whole examples, by the passes that work
 # example by example: an example's count is its pooled hypotheses in
-# `ensemble.ensemble_predictions`, and its hypotheses and ground truths in
-# `evaluation.evaluate`. Bounds what such a pass holds at once however
-# many examples it is given. In the ensemble, about 600 bytes a
-# hypothesis, 2.5 MB for a block of 2^12 (12.6 MB for the 32,000 of 64
-# examples at once), by tracemalloc over the call; blocks of 2^10 hold
-# 1.0 MB but make twice the numpy calls. Both read it at the call.
+# `ensemble.ensemble_predictions`, its hypotheses and ground truths in
+# `evaluation.evaluate`, and its retained proposals in
+# `postprocess.postprocess_container`. Bounds what such a pass holds at
+# once however many examples it is given. In the ensemble, about 600
+# bytes a hypothesis, 2.5 MB for a block of 2^12 (12.6 MB for the 32,000
+# of 64 examples at once), by tracemalloc over the call; blocks of 2^10
+# hold 1.0 MB but make twice the numpy calls. In postprocess, about 200
+# bytes a proposal held from its example's expansion until its block is
+# suppressed, and about 620 at the peak of the block's pass: 2.4 MB for
+# the 3,900 proposals of 13 examples of 300 with 3 nouns and 3 verbs each,
+# by tracemalloc over `RankedHypotheses.concat` and `nms_block`. All three
+# read it at the call.
 EXAMPLE_BLOCK = 1 << 12
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +15,17 @@ from vista.oracle import _iou_scalar
 from vista.postprocess import (
     BOX_DELTA_CLAMP,
     InferenceConfig,
+    RankedHypotheses,
     apply_box_deltas,
     class_aware_nms,
     expand_hypotheses,
     finalize_submission,
+    nms_block,
+    postprocess_container,
     proposals_from_tensors,
     run_inference_chain,
     softmax,
+    ttc_column,
     ttc_from_raw,
 )
 from vista.rng import CounterRng
@@ -162,6 +167,17 @@ class TestTtcFromRaw:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             ttc_from_raw(math.inf)
+
+    def test_column_form_is_bit_identical(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 36.0, -36.0,
+                 745.0, -745.0, 746.0, -746.0, 1e308, -1e308]
+        draws = np.random.default_rng(7)
+        raw = np.concatenate([
+            edges, draws.normal(0.0, 3.0, 2000), draws.normal(0.0, 400.0, 2000),
+            draws.choice([-1.0, 1.0], 2000) * 10.0 ** draws.uniform(-323.0, 308.0, 2000),
+        ])
+        expected = np.array([ttc_from_raw(value) for value in raw.tolist()])
+        assert ttc_column(raw).tobytes() == expected.tobytes()
 
 
 class TestApplyBoxDeltas:
@@ -533,13 +549,10 @@ def column_bytes(table):
             for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source")}
 
 
-@st.composite
-def expansion_inputs(draw):
+def coarse_batch(draw, n_nouns, n_verbs):
     """Head outputs with coarse values, so that scores tie across window
     boundaries (equal priors and logits) and underflow (logit gaps of
-    800), and with repeated proposals, so that whole rows tie; plus a
-    config with expansion widths of 1 to 5."""
-    n_nouns, n_verbs = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    800), and with repeated proposals, so that whole rows tie."""
     value = st.sampled_from
     proposal = st.tuples(
         value([0.0, 1.0, 5.0]), value([0.0, 2.0]), value([1.0, 4.0]), value([1.0, 3.0]),
@@ -561,10 +574,32 @@ def expansion_inputs(draw):
         "verb_logits": np.array(verbs, dtype).reshape(-1, n_verbs),
         "box_deltas": np.array(deltas, dtype).reshape(-1, n_nouns, 4),
     }
+    return proposals_from_tensors(tensors)
+
+
+def coarse_setting(draw):
+    """The noun and verb counts of a taxonomy of 1 to 5 of each, the
+    taxonomy, and a config with expansion widths of 1 to 5."""
+    n_nouns, n_verbs = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     taxonomy = Taxonomy(tuple(f"n{i}" for i in range(n_nouns)), tuple(f"v{i}" for i in range(n_verbs)))
     cfg = InferenceConfig(max_proposals=draw(st.integers(1, 12)), k_noun=draw(st.integers(1, 5)),
                           k_verb=draw(st.integers(1, 5)))
-    return proposals_from_tensors(tensors), taxonomy, cfg
+    return n_nouns, n_verbs, taxonomy, cfg
+
+
+@st.composite
+def expansion_inputs(draw):
+    """One coarse batch (`coarse_batch`), its taxonomy and a config."""
+    n_nouns, n_verbs, taxonomy, cfg = coarse_setting(draw)
+    return coarse_batch(draw, n_nouns, n_verbs), taxonomy, cfg
+
+
+@st.composite
+def block_inputs(draw):
+    """One to five coarse batches of one taxonomy, so that scores and
+    whole rows also tie across examples, the taxonomy and a config."""
+    n_nouns, n_verbs, taxonomy, cfg = coarse_setting(draw)
+    return [coarse_batch(draw, n_nouns, n_verbs) for _ in range(draw(st.integers(1, 5)))], taxonomy, cfg
 
 
 def count_decoded_boxes(monkeypatch):
@@ -634,16 +669,198 @@ class TestRankedExpansion:
         assert len(chain(tensors, replace(cfg, max_proposals=59))) == cfg.max_exports
 
     def test_overflowing_float64_row_in_the_export_rejected(self):
-        # Finite float64 corners, but exp(4) times the width of 1e307
-        # overflows: the refined box of the top-ranked row is infinite.
-        tensors = make_tensors(CounterRng(44), 6)
-        tensors["proposal_boxes"][2] = [0.0, 0.0, 1e307, 1e307]
-        tensors["box_deltas"][2, :, 2] = 4.0
-        tensors["objectness"][2] = tensors["quality"][2] = 1.0
-        tensors["noun_logits"][2] = [6.0, 0.0, 0.0, 0.0]
-        tensors["verb_logits"][2] = [6.0, 0.0, 0.0]
         with pytest.raises(ValidationError, match="box coordinates must be finite"):
-            chain(tensors, InferenceConfig(max_exports=10))
+            chain(overflowing(44), InferenceConfig(max_exports=10))
+
+
+def identical_boxes(rng, n_proposals):
+    """Head outputs of proposals with one box and one favoured noun: the
+    rows of a noun suppress each other, so fewer rows survive than a cap
+    of 10 and NMS reads every window. Each proposal's deltas differ a
+    little, so no two decode the same inputs."""
+    tensors = make_tensors(rng, n_proposals)
+    tensors["proposal_boxes"][:] = [10.0, 10.0, 60.0, 60.0]
+    tensors["noun_logits"][:, 0] += 3.0
+    tensors["box_deltas"] *= 0.01
+    return tensors
+
+
+def overflowing(seed):
+    """Head outputs whose four rows of proposal 2 rank high and have
+    refined boxes that overflow: finite float64 corners, but exp(4) times
+    the width of 1e307."""
+    tensors = make_tensors(CounterRng(seed), 6)
+    tensors["proposal_boxes"][2] = [0.0, 0.0, 1e307, 1e307]
+    tensors["box_deltas"][2, :, 2] = 4.0
+    tensors["objectness"][2] = tensors["quality"][2] = 0.9
+    tensors["noun_logits"][2] = [6.0, 0.0, 6.0, 0.0]
+    tensors["verb_logits"][2] = [6.0, 6.0, 0.0]
+    return tensors
+
+
+def read_as_given(monkeypatch, path, examples):
+    """Write {uid: tensors} to a container at path, and make
+    postprocess_container read each tensor back as the float64 array it
+    was given. A container holds float32, within whose range no score
+    underflows and no refined box overflows, so this is how a container
+    reaches the row checks; the values written are clipped to that range."""
+    given = {f"{uid}/{name}": np.asarray(arr, dtype=np.float64)
+             for uid, tensors in examples.items() for name, arr in tensors.items()}
+    write_tensor_file({name: np.clip(arr, -1e30, 1e30) for name, arr in given.items()}, path)
+
+    class AsGiven(postprocess.TensorFile):
+        def read(self, name):
+            super().read(name)
+            return given[name]
+
+    monkeypatch.setattr(postprocess, "TensorFile", AsGiven)
+
+
+def record_blocks(monkeypatch):
+    """Record the retained proposals of each example of each block that
+    postprocess_container suppresses."""
+    blocks = []
+
+    def recording_nms_block(ranked, nms_iou, max_exports):
+        blocks.append(ranked.sizes.tolist())
+        return nms_block(ranked, nms_iou, max_exports)
+
+    monkeypatch.setattr(postprocess, "nms_block", recording_nms_block)
+    return blocks
+
+
+def alone(tensors, cfg):
+    """The column bytes of run_inference_chain of one example alone."""
+    return column_bytes(run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg))
+
+
+BLOCK_CFG = InferenceConfig(k_noun=2, k_verb=3, max_exports=10)
+
+
+class TestExampleBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(block_inputs(), st.integers(0, 40))
+    def test_a_block_gives_each_example_its_export_alone(self, inputs, max_exports):
+        batches, taxonomy, cfg = inputs
+        expected = [column_bytes(class_aware_nms(expand_hypotheses(batch, taxonomy, cfg), cfg.nms_iou, max_exports))
+                    for batch in batches]
+        ranked = RankedHypotheses.concat([expand_hypotheses(batch, taxonomy, cfg) for batch in batches])
+        assert [column_bytes(export) for export in nms_block(ranked, cfg.nms_iou, max_exports)] == expected
+
+    def test_container_blocks_give_each_example_its_export_alone(self, tmp_path, monkeypatch):
+        underflowing = make_tensors(CounterRng(61), 20)
+        underflowing["objectness"][:] = underflowing["quality"][:] = 1e-200  # every score is 1e-400 or less
+        examples = {
+            "a_empty": make_tensors(CounterRng(60), 0),
+            "b_underflowing": underflowing,
+            "c_identical": identical_boxes(CounterRng(62), 40),
+            "d_few_rows": make_tensors(CounterRng(63), 1),  # 6 rows, fewer than the cap
+            **{f"e{i}_random": make_tensors(CounterRng(64 + i), 30) for i in range(4)},
+        }
+        expected = {uid: alone(tensors, BLOCK_CFG) for uid, tensors in examples.items()}
+        assert len(expand(examples["b_underflowing"], BLOCK_CFG)) == 0
+        assert len(expand(examples["c_identical"], BLOCK_CFG)) == 40 * 6
+        read_as_given(monkeypatch, tmp_path / "heads.vstf", examples)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 40)
+        blocks = record_blocks(monkeypatch)
+        decoded = count_decoded_boxes(monkeypatch)
+        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG, "heads")
+        assert {uid: column_bytes(export) for uid, export in exports.items()} == expected
+        assert blocks == [[0, 20], [40], [1, 30], [30], [30], [30]]
+        assert len(decoded) > 0 and len(set(decoded)) == len(decoded)
+
+
+class TestBlockProblems:
+    def test_an_unread_overflowing_row_next_to_a_deep_reader_passes(self, tmp_path, monkeypatch):
+        quiet = make_tensors(CounterRng(43), 60)
+        last = int(np.argmin(quiet["objectness"]))
+        quiet["objectness"][last] = quiet["quality"][last] = 1e-3
+        quiet["proposal_boxes"][last] = [0.0, 0.0, 1e307, 1e307]
+        quiet["box_deltas"][last, :, 2] = 4.0
+        with pytest.raises(ValidationError, match="box coordinates must be finite"):
+            expand(quiet, BLOCK_CFG)  # read to the end, its last rows overflow
+        examples = {"a_quiet": quiet, "b_deep": identical_boxes(CounterRng(62), 40)}
+        expected = {uid: alone(tensors, BLOCK_CFG) for uid, tensors in examples.items()}
+        read_as_given(monkeypatch, tmp_path / "heads.vstf", examples)
+        blocks = record_blocks(monkeypatch)
+        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG, "heads")
+        assert blocks == [[60, 40]]
+        assert {uid: column_bytes(export) for uid, export in exports.items()} == expected
+        assert len(exports["b_deep"]) < BLOCK_CFG.max_exports  # so it read every window
+
+    def test_row_problems_of_two_blocks_listed_in_uid_order(self, tmp_path, monkeypatch):
+        examples = {"a": make_tensors(CounterRng(70), 6), "b": overflowing(44), "c": make_tensors(CounterRng(71), 6),
+                    "d": overflowing(45)}
+        read_as_given(monkeypatch, tmp_path / "heads.vstf", examples)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 12)
+        blocks = record_blocks(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10), "heads")
+        assert blocks == [[6, 6], [6, 6]]
+        assert err.value.problems == ROW_PROBLEMS
+
+    def test_a_batch_problem_in_a_later_block_hides_every_chain_problem(self, tmp_path, monkeypatch):
+        bad = make_tensors(CounterRng(72), 6)
+        bad["quality"][2] = 1.5
+        examples = {"a": overflowing(44), "b": make_tensors(CounterRng(73), 6, n_nouns=5),
+                    "c": make_tensors(CounterRng(74), 6), "d": make_tensors(CounterRng(75), 6), "e": bad}
+        read_as_given(monkeypatch, tmp_path / "heads.vstf", examples)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 6)
+        blocks = record_blocks(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10), "heads")
+        assert blocks == [[6], [6]]  # a and c; d's block is never suppressed
+        assert err.value.problems == ["example 'e': proposal 2: quality must be in (0, 1], got 1.5"]
+
+
+# The problems of test_row_problems_of_two_blocks_listed_in_uid_order, as
+# postprocess_container gave them when it ran one example at a time.
+ROW_PROBLEMS = [f"example {uid!r}: row {i}: box coordinates must be finite"
+                for uid, rows in (("b", range(0, 4)), ("d", range(3, 7))) for i in rows]
+
+
+class TestBlockMemory:
+    def peak(self, path, taxonomy) -> int:
+        """The allocation peak of postprocess_container beyond what its
+        result holds."""
+        cfg = InferenceConfig()
+        postprocess_container(path, taxonomy, cfg, "heads")  # numpy's lazily made state is not counted
+        tracemalloc.start()
+        try:
+            exports = postprocess_container(path, taxonomy, cfg, "heads")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(exports) > 0
+        return peak - held
+
+    def test_three_blocks_hold_less_than_one_more_example(self, tmp_path, monkeypatch):
+        # 200 proposals over 128 nouns and 81 verbs: 0.58 MB of float32
+        # tensors an example, of which the rows need about 30 KB.
+        n_proposals, n_nouns, n_verbs = 200, 128, 81
+        taxonomy = Taxonomy(tuple(f"n{i}" for i in range(n_nouns)), tuple(f"v{i}" for i in range(n_verbs)))
+        rng = np.random.default_rng(5)
+
+        def container(name, n_examples):
+            tensors = {}
+            for e in range(n_examples):
+                corner = rng.uniform(0.0, 1000.0, (n_proposals, 2))
+                tensors.update({f"ex{e}/{name}": arr for name, arr in {
+                    "proposal_boxes": np.hstack([corner, corner + rng.uniform(20.0, 300.0, (n_proposals, 2))]),
+                    "objectness": rng.uniform(0.05, 1.0, n_proposals), "quality": rng.uniform(0.05, 1.0, n_proposals),
+                    "noun_logits": rng.normal(0.0, 2.0, (n_proposals, n_nouns)),
+                    "verb_logits": rng.normal(0.0, 2.0, (n_proposals, n_verbs)),
+                    "box_deltas": rng.normal(0.0, 0.1, (n_proposals, n_nouns, 4)),
+                    "ttc_raw": rng.normal(0.0, 1.0, n_proposals)}.items()})
+            write_tensor_file(tensors, tmp_path / name)
+            return tmp_path / name
+
+        one_example, three_blocks = container("one.vstf", 1), container("three.vstf", 6)
+        example_bytes = 4 * n_proposals * (4 + 1 + n_nouns + n_verbs + 4 * n_nouns + 1 + 1)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 2 * n_proposals)
+        blocks = record_blocks(monkeypatch)
+        assert self.peak(three_blocks, taxonomy) - self.peak(one_example, taxonomy) < example_bytes
+        assert blocks[:3] == [[n_proposals] * 2] * 3
 
 
 class TestHypothesisTable:
