@@ -11,24 +11,26 @@ All loaders are total: they return a fully validated value or raise a
 structured error listing every problem found, never a partial value.
 
 Ground-truth annotations and submission entries are read by one reader,
-`_read_entries`. An id is any value `int()` takes, but not a float with a
+`_Entries`. An id is any value `int()` takes, but not a float with a
 fractional part, a time-to-contact, score or box corner any value
 `float()` takes (bools and numeric strings too), a box a 4-element list,
 a uid a non-empty string; a missing or null `source_id` means none.
 Problems are listed entry by entry, in file order, and within an entry:
 object and uid, box, fields, taxonomy, values.
 
-`load_predictions` streams a submission: it reads the file `_CHUNK` bytes
-at a time and walks the top-level object and `results` member by member,
-so it holds about one chunk of text, the entries decoded since the last
-chunk and the tables read so far, never the whole text or all of its
-entries.
-A document it cannot walk that way (invalid JSON or UTF-8, a top level or
-`results` that is not an object, a repeated key, a top-level key of a
-ground truth or taxonomy) is parsed whole from the start of the same
-open file, and a file that cannot be read twice, such as a pipe, is
-parsed whole at once; `predictions_from_dict` words its problems. The
-other JSON files are small and are read whole.
+`load_predictions` and `load_ground_truth` stream their document with
+one walker, `_walk_document`: it reads the file `_CHUNK` bytes at a time
+and walks the top-level object, and a submission's `results` member by
+member or a ground truth's `annotations` value by value, so a reader
+holds about one chunk of text, the entries decoded since the last chunk
+and what it has read so far, never the whole text or all of its
+entries. A document it cannot walk that way (invalid JSON or UTF-8, a
+top level that is not an object, a repeated key, a list member of
+another type, a top-level key of a taxonomy) is parsed whole from the
+start of the same open file, and a file that cannot be read twice, such
+as a pipe, is parsed whole at once; `predictions_from_dict` and
+`ground_truth_from_dict` word its problems. The other JSON files are
+small and are read whole.
 
 `read_document` alone tells what a file is, for `vista validate`: a
 tensor container by its magic, any other file as JSON, read as above and
@@ -173,7 +175,7 @@ def write_taxonomy(taxonomy: Taxonomy, path) -> None:
 
 @dataclass(frozen=True)
 class _EntrySpec:
-    """How `_read_entries` reads one kind of entry."""
+    """How `_Entries` reads one kind of entry."""
 
     numbers: tuple[tuple[str, str, type], ...]  # (field, column, int or float), in conversion order
     field_problem: str  # how the problem of the first number field that fails is worded
@@ -249,127 +251,214 @@ def _box_column(boxes: list) -> tuple[np.ndarray, dict[int, str]]:
     return np.array(corners, dtype=np.float64).reshape(len(boxes), 4), problems
 
 
-def _read_entries(path, problems: list, lists: list, spec: _EntrySpec, taxonomy: Taxonomy | None,
-                  unknown: list | None = None) -> tuple[dict, list[tuple[str | None, int, int]]]:
-    """Read the entries of `lists`, (position, name, entries) triples that
-    it empties, as columns: each field of every entry at once, then whole
-    columns against `box_rules` and `spec.rules`, the taxonomy's id
-    ranges (if one is given) and int64. Every problem, the caller's
-    `problems` too, is keyed (list position, entry index, stage), with
-    stages object/uid 0, box 1, fields 2, taxonomy 3 and values 4, and all
-    are raised sorted by key. Otherwise this returns the columns, by
-    column name, and each list's (name, first row, end row). Entries with
-    unknown fields are warned about, or, if `unknown` is a list, appended
-    to it as (fields, where) for the caller to warn about later."""
-    rows: list[dict] = []
-    spans = []  # (position, name, first row, entry index of each row, None if all are objects)
-    for position, name, entries in lists:
-        kept = None
-        if not all(map(isinstance, entries, repeat(dict))):
-            kept = [i for i, raw in enumerate(entries) if isinstance(raw, dict)]
-            problems += [((position, i, 0), f"{path}: {spec.name(name, i)}: must be an object")
-                         for i, raw in enumerate(entries) if not isinstance(raw, dict)]
-            entries = [entries[i] for i in kept]
-        spans.append((position, name, len(rows), kept))
-        rows += entries
-    starts = [start for _, _, start, _ in spans]
-    uids = None
+class _Entries:
+    """Entries read as columns. `read` takes some lists of entries, each
+    field of every entry at once, and the rules of single fields and boxes
+    (problem stages object/uid 0, box 1 and fields 2); `check` holds the
+    whole columns to the taxonomy's id ranges (stage 3), `spec.rules` and
+    int64 (stage 4). A ground truth's batches are read one at a time and
+    checked once, after its taxonomy is known (`concat`).
 
-    def locate(r: int) -> tuple[int, str, int]:  # list position, list name, entry index
-        position, name, start, kept = spans[bisect_right(starts, r) - 1]
-        return position, name, r - start if kept is None else kept[r - start]
+    Every problem is appended to the caller's `problems`, keyed (list
+    position, entry index, stage) for `_raise_sorted`. A row's index is its
+    place in the columns; non-objects get none."""
 
-    def report(r: int, stage: int, message: str) -> None:
-        position, name, i = locate(r)
-        where = spec.name(name, i) if uids is None or stage == 0 else f"{spec.name(name, i)} (uid {uids[r]})"
-        problems.append(((position, i, stage), f"{path}: {where}: {message}"))
+    def __init__(self, path, problems: list, spec: _EntrySpec, spans: list):
+        self.path, self.problems, self.spec = path, problems, spec
+        # (list position, list name, first row, index of the list's first
+        # entry, each row's entry index from there, None if all are objects)
+        self.spans = spans
+        self.starts = [start for _, _, start, _, _ in spans]
+        self.columns: dict = {}  # by column name
+        self.ok = np.ones(0, dtype=bool)  # the rows without a problem so far
+        self.outside: dict[str, dict[int, int]] = {}  # by id column, its rows beyond int64 and their ids
 
-    if not all(map(spec.keys.issuperset, rows)):
-        for r, raw in enumerate(rows):
-            if not spec.keys.issuperset(raw):
-                where = f"{path}: {spec.name(*locate(r)[1:])}"
-                if unknown is None:
-                    _warn_unknown(set(raw), spec.keys, where, stacklevel=4)
-                else:
-                    unknown.append((set(raw), where))
-    if spec.uid_field is not None:
-        column = list(map(dict.get, rows, repeat(spec.uid_field)))
-        if not (set(map(type, column)) <= {str} and all(column)):
-            for r in [r for r, uid in enumerate(column) if not (isinstance(uid, str) and uid)]:
-                report(r, 0, f"missing {spec.uid_field}")
-                column[r] = f"<{spec.name(*locate(r)[1:])}>"
-        uids = column
+    def locate(self, r: int) -> tuple[int, str | None, int]:
+        """The list position, list name and entry index of row r."""
+        position, name, start, first, kept = self.spans[bisect_right(self.starts, r) - 1]
+        return position, name, first + (r - start if kept is None else kept[r - start])
 
-    n = len(rows)
-    boxes, box_problems = _box_column(list(map(dict.get, rows, repeat("box"))))
-    columns: dict = {"boxes": boxes} if uids is None else {"uid": uids, "boxes": boxes}
-    values: dict[str, list] = {}  # each number column's values, as its problems word them
-    outside: dict[str, np.ndarray] = {}  # the rows of an id column beyond int64, clamped into it
-    field_problems: dict[int, str] = {}
-    for field, column, kind in spec.numbers:
-        optional = field in spec.optional
-        raw = list(map(dict.get, rows, repeat(field), repeat(None if optional else _MISSING)))
-        if optional:
-            columns["has_" + column] = has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
-            if not has.all():
-                raw = [0 if value is None else value for value in raw]
-        values[column], failed = _number_column(raw, kind, field)
-        for r, message in failed.items():
-            field_problems.setdefault(r, message)
-    del rows
-    lists.clear()  # the last references to the entries, which are most of the memory
-    for field, column, kind in spec.numbers:
-        try:
-            columns[column] = np.array(values[column], dtype=np.int64 if kind is int else np.float64)
-        except OverflowError:
-            wide = np.array(values[column], dtype=object)
-            columns[column] = wide.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
-            outside[column] = columns[column] != wide
+    def report(self, r: int, stage: int, message: str) -> None:
+        position, name, i = self.locate(r)
+        where = self.spec.name(name, i)
+        if stage > 0 and "uid" in self.columns:
+            where += f" (uid {self.columns['uid'][r]})"
+        self.problems.append(((position, i, stage), f"{self.path}: {where}: {message}"))
 
-    for r, message in box_problems.items():
-        report(r, 1, message)
-    for r, message in field_problems.items():
-        report(r, 2, f"{spec.field_problem} ({message})")
-    ok = np.ones(n, dtype=bool)
-    ok[list(box_problems)] = False
-    rules = box_rules(boxes)  # each bad box gets one problem, naming its rules and its corners
-    bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
-    for r in np.flatnonzero(bad_box).tolist():
-        corners = tuple(boxes[r].tolist())
-        report(r, 1, "; ".join(f"{what}, got {corners}" if k == 0 else f"{what}: {corners}"
-                               for k, (bad, what) in enumerate(rules) if bad[r]))
-    ok &= ~bad_box
-    ok[list(field_problems)] = False
-    if taxonomy is not None:
-        # Ids beyond int64 were clamped into it, still outside the taxonomy.
-        off_taxonomy = taxonomy.outside_ids(columns["noun"], columns["verb"])
-        for column, bad, size in off_taxonomy:
+    def value(self, column: str, r: int):
+        """Row r's value of a number column, as its problems word it."""
+        wide = self.outside.get(column, {})
+        return wide[r] if r in wide else self.columns[column][r].item()
+
+    @classmethod
+    def read(cls, path, problems: list, lists: list, spec: _EntrySpec, unknown: list | None = None) -> _Entries:
+        """The entries of `lists`, (position, name, index of the first entry,
+        entries) tuples that it empties, read as columns. Entries with
+        unknown fields are warned about, or, if `unknown` is a list,
+        appended to it as (fields, where) for the caller to warn about
+        later."""
+        rows: list[dict] = []
+        spans = []
+        for position, name, first, entries in lists:
+            kept = None
+            if not all(map(isinstance, entries, repeat(dict))):
+                kept = [i for i, raw in enumerate(entries) if isinstance(raw, dict)]
+                problems += [((position, first + i, 0), f"{path}: {spec.name(name, first + i)}: must be an object")
+                             for i, raw in enumerate(entries) if not isinstance(raw, dict)]
+                entries = [entries[i] for i in kept]
+            spans.append((position, name, len(rows), first, kept))
+            rows += entries
+        self = cls(path, problems, spec, spans)
+
+        if not all(map(spec.keys.issuperset, rows)):
+            for r, raw in enumerate(rows):
+                if not spec.keys.issuperset(raw):
+                    where = f"{path}: {spec.name(*self.locate(r)[1:])}"
+                    if unknown is None:
+                        _warn_unknown(set(raw), spec.keys, where, stacklevel=5)
+                    else:
+                        unknown.append((set(raw), where))
+        if spec.uid_field is not None:
+            column = list(map(dict.get, rows, repeat(spec.uid_field)))
+            if not (set(map(type, column)) <= {str} and all(column)):
+                for r in [r for r, uid in enumerate(column) if not (isinstance(uid, str) and uid)]:
+                    self.report(r, 0, f"missing {spec.uid_field}")
+                    column[r] = f"<{spec.name(*self.locate(r)[1:])}>"
+            self.columns["uid"] = column
+
+        n = len(rows)
+        boxes, box_problems = _box_column(list(map(dict.get, rows, repeat("box"))))
+        self.columns["boxes"] = boxes
+        values: dict[str, list] = {}  # each number column's values, as its problems word them
+        field_problems: dict[int, str] = {}
+        for field, column, kind in spec.numbers:
+            optional = field in spec.optional
+            raw = list(map(dict.get, rows, repeat(field), repeat(None if optional else _MISSING)))
+            if optional:
+                self.columns["has_" + column] = has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
+                if not has.all():
+                    raw = [0 if value is None else value for value in raw]
+            values[column], failed = _number_column(raw, kind, field)
+            for r, message in failed.items():
+                field_problems.setdefault(r, message)
+        del rows
+        lists.clear()  # the last references to the entries, which are most of the memory
+        for field, column, kind in spec.numbers:
+            try:
+                self.columns[column] = np.array(values[column], dtype=np.int64 if kind is int else np.float64)
+            except OverflowError:
+                wide = np.array(values[column], dtype=object)
+                self.columns[column] = wide.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
+                beyond = np.flatnonzero(self.columns[column] != wide).tolist()
+                self.outside[column] = {r: values[column][r] for r in beyond}
+
+        for r, message in box_problems.items():
+            self.report(r, 1, message)
+        for r, message in field_problems.items():
+            self.report(r, 2, f"{spec.field_problem} ({message})")
+        ok = np.ones(n, dtype=bool)
+        ok[list(box_problems)] = False
+        rules = box_rules(boxes)  # each bad box gets one problem, naming its rules and its corners
+        bad_box = ok & np.any([bad for bad, _ in rules], axis=0)
+        for r in np.flatnonzero(bad_box).tolist():
+            corners = tuple(boxes[r].tolist())
+            self.report(r, 1, "; ".join(f"{what}, got {corners}" if k == 0 else f"{what}: {corners}"
+                                        for k, (bad, what) in enumerate(rules) if bad[r]))
+        ok &= ~bad_box
+        ok[list(field_problems)] = False
+        self.ok = ok
+        return self
+
+    @classmethod
+    def concat(cls, parts: list[_Entries]) -> _Entries:
+        """The rows of parts, read with the same `problems`, one after
+        another."""
+        offsets = np.cumsum([0] + [len(part.ok) for part in parts]).tolist()
+        spans = [(position, name, start + offset, first, kept)
+                 for part, offset in zip(parts, offsets) for position, name, start, first, kept in part.spans]
+        whole = cls(parts[0].path, parts[0].problems, parts[0].spec, spans)
+        for name, column in parts[0].columns.items():
+            pieces = [part.columns[name] for part in parts]
+            whole.columns[name] = (list(chain.from_iterable(pieces)) if isinstance(column, list)
+                                   else np.concatenate(pieces))
+        whole.ok = np.concatenate([part.ok for part in parts])
+        for part, offset in zip(parts, offsets):
+            for column, wide in part.outside.items():
+                whole.outside.setdefault(column, {}).update((r + offset, value) for r, value in wide.items())
+        return whole
+
+    def check(self, taxonomy: Taxonomy | None) -> None:
+        """Hold the rows without a problem yet to the taxonomy's id ranges,
+        if one is given, then to `spec.rules` and int64."""
+        spec, columns, ok = self.spec, self.columns, self.ok
+        if taxonomy is not None:
+            # Ids beyond int64 were clamped into it, still outside the taxonomy.
+            off_taxonomy = taxonomy.outside_ids(columns["noun"], columns["verb"])
+            for column, bad, size in off_taxonomy:
+                for r in np.flatnonzero(ok & bad).tolist():
+                    self.report(r, 3, f"{column}_id {self.value(column, r)} out of range [0, {size})")
+            ok = ok & ~np.any([bad for _, bad, _ in off_taxonomy], axis=0)
+        rules = spec.rules(**{column: columns[column] for field, column, _ in spec.numbers
+                              if field not in spec.optional})
+        for (bad, what), column in zip(rules, spec.rule_values):
             for r in np.flatnonzero(ok & bad).tolist():
-                report(r, 3, f"{column}_id {values[column][r]} out of range [0, {size})")
-        ok &= ~np.any([bad for _, bad, _ in off_taxonomy], axis=0)
-    rules = spec.rules(**{column: columns[column] for field, column, _ in spec.numbers
-                          if field not in spec.optional})
-    for (bad, what), column in zip(rules, spec.rule_values):
-        for r in np.flatnonzero(ok & bad).tolist():
-            report(r, 4, f"{what}, got {values[column][r]}")
-    # Ids below int64 broke a rule above, unless they are optional ids,
-    # which may be negative.
-    for field, column, _ in spec.numbers:
-        for r in np.flatnonzero(ok & outside[column]).tolist() if column in outside else []:
-            if field in spec.optional or values[column][r] > 0:
-                report(r, 4, f"{column}_id must fit in 64 bits, got {values[column][r]}")
+                self.report(r, 4, f"{what}, got {self.value(column, r)}")
+        # Ids below int64 broke a rule above, unless they are optional ids,
+        # which may be negative.
+        for field, column, _ in spec.numbers:
+            for r, value in self.outside.get(column, {}).items():
+                if ok[r] and (field in spec.optional or value > 0):
+                    self.report(r, 4, f"{column}_id must fit in 64 bits, got {value}")
+
+    def list_spans(self) -> list[tuple[str | None, int, int]]:
+        """Each list's (name, first row, end row)."""
+        ends = self.starts[1:] + [len(self.ok)]
+        return [(name, start, end) for (_, name, start, _, _), end in zip(self.spans, ends)]
+
+
+def _raise_sorted(problems: list) -> None:
+    """Raise the keyed problems, if any, sorted by key."""
     if problems:
         problems.sort(key=itemgetter(0))
         raise ValidationError([message for _, message in problems])
-    ends = starts[1:] + [n]
-    return columns, [(name, start, end) for (_, name, start, _), end in zip(spans, ends)]
+
+
+def _read_entries(path, problems: list, lists: list, spec: _EntrySpec, taxonomy: Taxonomy | None,
+                  unknown: list | None = None) -> tuple[dict, list[tuple[str | None, int, int]]]:
+    """The entries of `lists` read (`_Entries.read`, which `unknown` is
+    passed on to) and checked (`_Entries.check`): every problem, the
+    caller's `problems` too, raised sorted, or else the columns, by column
+    name, and each list's (name, first row, end row)."""
+    entries = _Entries.read(path, problems, lists, spec, unknown)
+    entries.check(taxonomy)
+    _raise_sorted(problems)
+    return entries.columns, entries.list_spans()
 
 
 # -- ground truth -----------------------------------------------------------
 
 def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
-    """Read a ground truth as its taxonomy and one GroundTruthTable."""
-    return ground_truth_from_dict(_load_json(path), path)
+    """Read a ground truth, once (`_read_json`), as its taxonomy and one
+    GroundTruthTable."""
+    with open(path, "rb") as file:
+        walked, value = _read_json(file, path, {"annotations": _GroundTruthStream(path)})
+    return value if walked else ground_truth_from_dict(value, path)
+
+
+def _ground_truth_taxonomy(doc, path) -> Taxonomy:
+    """The taxonomy of a ground truth's top level, inline or at its
+    `taxonomy_path`, once its unknown top-level fields are warned about."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: ground-truth document must be a JSON object")
+    _warn_unknown(set(doc), _KNOWN_GT_KEYS, str(path), stacklevel=4)
+    if "taxonomy" in doc:
+        return taxonomy_from_dict(doc["taxonomy"], where=f"{path}: taxonomy")
+    if "taxonomy_path" in doc:
+        taxonomy_path = doc["taxonomy_path"]
+        if not isinstance(taxonomy_path, str):
+            raise ValidationError(f"{path}: 'taxonomy_path' must be a string, got {taxonomy_path!r}")
+        return load_taxonomy(Path(path).parent / taxonomy_path)
+    raise ValidationError(f"{path}: needs 'taxonomy' inline or a 'taxonomy_path'")
 
 
 def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
@@ -377,27 +466,50 @@ def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
     GroundTruthTable, with `_read_entries`. `path` names the document in
     problems and locates its `taxonomy_path`. The annotations are taken
     out of `doc`, so they are freed as they are read."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: ground-truth document must be a JSON object")
-    _warn_unknown(set(doc), _KNOWN_GT_KEYS, str(path))
-
-    if "taxonomy" in doc:
-        taxonomy = taxonomy_from_dict(doc["taxonomy"], where=f"{path}: taxonomy")
-    elif "taxonomy_path" in doc:
-        taxonomy_path = doc["taxonomy_path"]
-        if not isinstance(taxonomy_path, str):
-            raise ValidationError(f"{path}: 'taxonomy_path' must be a string, got {taxonomy_path!r}")
-        taxonomy = load_taxonomy(Path(path).parent / taxonomy_path)
-    else:
-        raise ValidationError(f"{path}: needs 'taxonomy' inline or a 'taxonomy_path'")
-
+    taxonomy = _ground_truth_taxonomy(doc, path)
     annotations = doc.pop("annotations", None)
     if not isinstance(annotations, list):
         raise ValidationError(f"{path}: missing or non-list 'annotations'")
-    lists = [(0, None, annotations)]
+    lists = [(0, None, 0, annotations)]
     del annotations  # the reader frees the annotations once it has read them
     columns, _ = _read_entries(path, [], lists, _GROUND_TRUTH, taxonomy)
     return taxonomy, GroundTruthTable(**columns)
+
+
+class _GroundTruthStream:
+    """`load_ground_truth` of a ground truth that `_walk_document` walks.
+    Each batch of annotations is read (`_Entries.read`) when it is
+    flushed, so only one chunk's annotations are alive next to the
+    columns. Once the whole text has been walked, and the taxonomy is
+    known (`json.dumps(sort_keys=True)` writes it after the annotations),
+    the columns are checked at once, the unknown fields warned about (top
+    level first, then annotations in file order) and every problem raised
+    in file order, as `ground_truth_from_dict` raises them."""
+
+    def __init__(self, path):
+        self.path = path
+        self.problems: list = []
+        self.unknown: list[tuple[set, str]] = []
+        self.parts: list[_Entries] = []
+        self.count = 0  # the annotations read so far
+
+    def flush(self, entries: list) -> None:
+        lists = [(0, None, self.count, entries.copy())]
+        self.count += len(entries)
+        entries.clear()
+        self.parts.append(_Entries.read(self.path, self.problems, lists, _GROUND_TRUTH, self.unknown))
+
+    def finish(self, header: dict) -> tuple[Taxonomy, GroundTruthTable]:
+        taxonomy = _ground_truth_taxonomy(header, self.path)
+        for found, where in self.unknown:
+            _warn_unknown(found, _GROUND_TRUTH.keys, where)
+        if not self.parts:
+            self.flush([])
+        entries = _Entries.concat(self.parts)
+        self.parts.clear()
+        entries.check(taxonomy)
+        _raise_sorted(self.problems)
+        return taxonomy, GroundTruthTable(**entries.columns)
 
 
 def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path) -> None:
@@ -433,21 +545,24 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     example uid, in canonical order; the ids are checked against the
     taxonomy's ranges only if one is given."""
     with open(path, "rb") as file:
-        streamed, value = _read_json(file, path, taxonomy)
-    return value if streamed else predictions_from_dict(value, path, taxonomy)
+        walked, value = _read_json(file, path, {"results": _SubmissionStream(path, taxonomy)})
+    return value if walked else predictions_from_dict(value, path, taxonomy)
 
 
-def _read_json(file, path, taxonomy: Taxonomy | None, head: bytes = b"") -> tuple[bool, object]:
-    """An open JSON file, `head` read of it already: (True, its tables) if
-    `_stream_predictions` walks it, else (False, its document, read whole)."""
+def _read_json(file, path, readers: dict, head: bytes = b"") -> tuple[str | None, object]:
+    """An open JSON file, `head` read of it already: if `_walk_document`
+    walks it, the key of `readers` whose list it walks and what that
+    reader makes of the document, else (None, its document, read whole)."""
     if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
         try:
             file.seek(0)
-            return True, _stream_predictions(file, path, taxonomy)
+            walked, header = _walk_document(file, {key: reader.flush for key, reader in readers.items()})
         except _Unwalkable:
             file.seek(0)
             head = b""
-    return False, _parse_json(head + file.read(), path)
+        else:
+            return walked, readers[walked].finish(header)
+    return None, _parse_json(head + file.read(), path)
 
 
 def read_document(path) -> tuple[str, object]:
@@ -460,9 +575,12 @@ def read_document(path) -> tuple[str, object]:
             container = TensorFile(path, file)
             container.check_finite()
             return "tensor container", container.index
-        streamed, doc = _read_json(file, path, None, head)
-    if streamed or isinstance(doc, dict) and "results" in doc:
-        return "submission", doc if streamed else predictions_from_dict(doc, path)
+        readers = {"results": _SubmissionStream(path, None), "annotations": _GroundTruthStream(path)}
+        walked, doc = _read_json(file, path, readers, head)
+    if walked is not None:  # a walked document has one of the two keys, not both
+        return ("submission" if walked == "results" else "ground truth"), doc
+    if isinstance(doc, dict) and "results" in doc:
+        return "submission", predictions_from_dict(doc, path)
     if isinstance(doc, dict) and "annotations" in doc:
         return "ground truth", ground_truth_from_dict(doc, path)
     if isinstance(doc, dict) and "nouns" in doc:
@@ -497,7 +615,7 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
     read."""
     problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                 for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
-    lists = [(u, _copy(uid), entries)
+    lists = [(u, _copy(uid), 0, entries)
              for u, (uid, entries) in enumerate(members) if isinstance(entries, list)]
     members.clear()
     columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy, unknown)
@@ -509,48 +627,59 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
     return {uid: whole.take(rows[start:end]) for uid, start, end in spans}
 
 
-def _stream_predictions(file, path, taxonomy: Taxonomy | None) -> PredictionSet:
-    """`load_predictions` of a submission read by `_walk_submission`: the
-    members of `results` are read by `_read_results` each time a chunk is
-    read, so only one chunk's entries are alive next to the tables. The
-    problems of every batch are raised together, and the unknown fields
-    are warned about (top level first, then entries in file order) only
-    once the whole text has been walked, so that a document that is
+class _SubmissionStream:
+    """`load_predictions` of a submission that `_walk_document` walks: the
+    members of `results` are read by `_read_results` each time they are
+    flushed, so only one chunk's entries are alive next to the tables.
+    The problems of every batch are raised together, and the unknown
+    fields are warned about (top level first, then entries in file order)
+    only once the whole text has been walked, so that a document that is
     then read whole raises its first problem before any warning."""
-    preds: PredictionSet = {}
-    problems: list[str] = []  # each batch's, sorted, so all of them are sorted
-    unknown: list[tuple[set, str]] = []
 
-    def flush(members: list) -> None:
-        if not members:
-            return
+    def __init__(self, path, taxonomy: Taxonomy | None):
+        self.path, self.taxonomy = path, taxonomy
+        self.preds: PredictionSet = {}
+        self.problems: list[str] = []  # each batch's, sorted, so all of them are sorted
+        self.unknown: list[tuple[set, str]] = []
+
+    def flush(self, members: list) -> None:
         try:
-            tables = _read_results(path, members, taxonomy, unknown)
+            tables = _read_results(self.path, members, self.taxonomy, self.unknown)
         except ValidationError as e:
-            problems.extend(e.problems)
+            self.problems.extend(e.problems)
         else:
-            preds.update(tables)
+            self.preds.update(tables)
 
-    keys = _walk_submission(file, flush)
-    _warn_unknown(keys, _KNOWN_SUBMISSION_KEYS, str(path))
-    for found, where in unknown:
-        _warn_unknown(found, _SUBMISSION.keys, where)
-    if problems:
-        raise ValidationError(problems)
-    return preds
+    def finish(self, header: dict) -> PredictionSet:
+        _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path), stacklevel=4)
+        for found, where in self.unknown:
+            _warn_unknown(found, _SUBMISSION.keys, where)
+        if self.problems:
+            raise ValidationError(self.problems)
+        return self.preds
 
 
-_CHUNK = 1 << 20  # the bytes of a submission that `_walk_submission` reads at a time
+# -- the streamed JSON reader -----------------------------------------------
+
+# The bytes `_walk_document` reads at a time, of a submission or a ground
+# truth. The entries decoded from one chunk take 2-3 times the memory of
+# its text and live until the next chunk is read, so the chunk sets a
+# reader's peak: at 256 KiB, about 1 MB next to what it has read. Each
+# chunk's entries are one batch, which has a fixed cost: a 31 MB
+# submission read 8 uids at a time (a chunk of 256 KiB) takes 185 ms of
+# reading batches, 201 ms 4 at a time and 172 ms 32 at a time.
+_CHUNK = 1 << 18
 _WHITESPACE = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
-_DECODER = json.JSONDecoder()
+_SCAN = json.JSONDecoder().scan_once  # a value and the position after it, as json.loads decodes it
+_LISTS = {"results": "{", "annotations": "["}  # the members walked, by the mark that opens them
 
 
 class _Unwalkable(Exception):
-    """The submission is not one `_walk_submission` walks; it is read whole."""
+    """The document is not one `_walk_document` walks; it is read whole."""
 
 
 class _Short(Exception):
-    """A step of `_walk_submission` needs more text than has been read."""
+    """A step of `_walk_document` needs more text than has been read."""
 
 
 def _punctuation(text: str, pos: int) -> tuple[str, int]:
@@ -580,8 +709,8 @@ def _value(text: str, pos: int) -> tuple[object, str, int]:
     number is known only from the character after it, so a value is
     taken only once that punctuation has been read."""
     try:
-        value, pos = _DECODER.raw_decode(text, _WHITESPACE(text, pos).end())
-    except json.JSONDecodeError:
+        value, pos = _SCAN(text, _WHITESPACE(text, pos).end())
+    except (json.JSONDecodeError, StopIteration):
         raise _Short
     except (ValueError, RecursionError):  # an int beyond the digit limit; nesting too deep
         raise _Unwalkable
@@ -591,35 +720,44 @@ def _value(text: str, pos: int) -> tuple[object, str, int]:
     return value, after, pos
 
 
-def _walk_submission(file, flush) -> set[str]:
-    """Walk the text of a submission's binary file, decoded `_CHUNK` bytes
-    at a time: the top-level object and `results` token by token
-    (whitespace, braces, commas, colons, keys by `scanstring`), each
-    other value at once with `raw_decode`. Before each chunk is read, and
-    at the end, `flush` is given the list of (uid, value) members of
-    `results` decoded since it was last given them, which it empties.
-    Returns the top-level keys.
+def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
+    """Walk the text of a binary JSON file, decoded `_CHUNK` bytes at a
+    time: the top-level object token by token (whitespace, braces,
+    commas, colons, keys by `scanstring`), and the one member of
+    `_LISTS` that a key of `flushes` names, element by element: the
+    (uid, value) members of `results`, an object, or the values of
+    `annotations`, an array. Each other value is decoded at once by
+    `_SCAN`. Before each chunk is read, and at the end, the walked key's
+    flush is given the list of its elements decoded since it was last
+    given them, which it empties. Returns that key and the other
+    top-level members, by key.
 
-    The next chunk is read once less than a sixteenth of a chunk of text
+    The next chunk is read once less than a quarter of a chunk of text
     is left ahead of the walk, so a value crosses the end of the text
-    only if it is longer than that. A step the text read so far does not
+    only if it is longer than that: at 256 KiB, longer than a 100-entry
+    uid list (about 31 KB), which a sixteenth cut and decoded again in
+    one of about 19 lists. A step the text read so far does not
     complete is tried again with one more chunk, so a token may cross
     any number of chunks. At what `json.loads` rejects, and at documents
-    this walk does not cover (a top level or `results` that is not an
-    object, a repeated key, no `results`, a top-level key of a ground
-    truth or taxonomy), this raises `_Unwalkable`."""
+    this walk does not cover (a top level that is not an object, a
+    repeated key, a walked member of another type, no member or two
+    members of `_LISTS`, one that `flushes` does not name, a top-level
+    key of a taxonomy), this raises `_Unwalkable`."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    text, eof, members = "", False, []
+    text, eof, elements, walked = "", False, [], None
+    header: dict = {}
+    margin = _CHUNK // 4  # the text left ahead of the walk when the next chunk is read
 
     def read_more(pos: int) -> None:
-        """Drop the text before pos, flush the members and add the next
+        """Drop the text before pos, flush the elements and add the next
         chunk's text. The walked text is freed first, because reading
-        the members is when the most memory is held."""
+        the elements is when the most memory is held."""
         nonlocal text, eof
         if eof:
             raise _Unwalkable
         text = text[pos:]
-        flush(members)
+        if elements:
+            flushes[walked](elements)
         chunk = file.read(_CHUNK)
         eof = not chunk
         try:
@@ -628,7 +766,7 @@ def _walk_submission(file, flush) -> set[str]:
             raise _Unwalkable
 
     def take(step, pos: int):
-        if len(text) - pos < _CHUNK // 16 and not eof:
+        if len(text) - pos < margin and not eof:
             read_more(pos)
             pos = 0
         while True:
@@ -638,15 +776,15 @@ def _walk_submission(file, flush) -> set[str]:
                 read_more(pos)
                 pos = 0
 
-    def walk_object(pos: int, member) -> tuple[set[str], int]:
-        """The keys of the object whose brace ends before pos, each passed
-        with the position after its colon to `member`, which gives the
-        punctuation after the value and the position after that; and the
-        position after the object's closing brace."""
+    def walk_object(pos: int, member) -> int:
+        """Walk the object whose brace ends before pos, passing each key
+        and the position after its colon to `member`, which gives the
+        punctuation after the value and the position after that; returns
+        the position after the object's closing brace."""
         keys: set[str] = set()
         mark, pos = take(_punctuation, pos)
         if mark == "}":
-            return keys, pos
+            return pos
         while True:
             if mark != '"':
                 raise _Unwalkable
@@ -656,32 +794,68 @@ def _walk_submission(file, flush) -> set[str]:
             keys.add(key)
             mark, pos = member(key, pos)
             if mark == "}":
-                return keys, pos
+                return pos
             if mark != ",":
                 raise _Unwalkable
             mark, pos = take(_punctuation, pos)
 
+    def walk_array(pos: int) -> int:
+        """Walk the array whose bracket ends before pos; returns the
+        position after its closing bracket. Each value is taken as `take`
+        takes a `_value`, with a comma or closing bracket after it, but
+        written out here, without a call per step: the array has a value
+        per annotation, thousands of them."""
+        mark, pos = take(_punctuation, pos)
+        if mark == "]":
+            return pos
+        pos -= 1  # the first value starts at the mark
+        while True:
+            if len(text) - pos < margin and not eof:
+                read_more(pos)
+                pos = 0
+            try:
+                value, end = _SCAN(text, _WHITESPACE(text, pos).end())
+                end = _WHITESPACE(text, end).end()
+                mark = text[end]  # an IndexError at the end of the text
+            except (json.JSONDecodeError, StopIteration, IndexError):
+                mark = None
+            except (ValueError, RecursionError):
+                raise _Unwalkable
+            if mark == ",":
+                elements.append(value)
+                pos = end + 1
+            elif mark == "]":
+                elements.append(value)
+                return end + 1
+            else:  # short of text, or not JSON: the next chunk tells
+                read_more(pos)
+                pos = 0
+
     def result(uid: str, pos: int) -> tuple[str, int]:
         entries, after, pos = take(_value, pos)
-        members.append((uid, entries))
+        elements.append((uid, entries))
         return after, pos
 
     def top_level(key: str, pos: int) -> tuple[str, int]:
-        if key in (_KNOWN_GT_KEYS | {"nouns", "verbs"}) - _KNOWN_SUBMISSION_KEYS:
-            raise _Unwalkable  # a ground truth or taxonomy, read whole undecoded
-        if key != "results":
-            _, after, pos = take(_value, pos)
+        nonlocal walked
+        if key in ("nouns", "verbs"):
+            raise _Unwalkable  # a taxonomy, read whole undecoded
+        if key not in _LISTS:
+            header[key], after, pos = take(_value, pos)
             return after, pos
-        mark, pos = take(_punctuation, pos)
-        if mark != "{":
+        if walked is not None or key not in flushes:
             raise _Unwalkable
-        _, pos = walk_object(pos, result)
+        walked = key
+        mark, pos = take(_punctuation, pos)
+        if mark != _LISTS[key]:
+            raise _Unwalkable
+        pos = walk_object(pos, result) if mark == "{" else walk_array(pos)
         return take(_punctuation, pos)
 
     mark, pos = take(_punctuation, 0)
     if mark != "{":
         raise _Unwalkable
-    keys, pos = walk_object(pos, top_level)
+    pos = walk_object(pos, top_level)
     while True:  # nothing but whitespace may follow
         pos = _WHITESPACE(text, pos).end()
         if pos < len(text):
@@ -690,10 +864,11 @@ def _walk_submission(file, flush) -> set[str]:
             break
         read_more(pos)
         pos = 0
-    if "results" not in keys:
+    if walked is None:
         raise _Unwalkable
-    flush(members)
-    return keys
+    if elements:
+        flushes[walked](elements)
+    return walked, header
 
 
 # One submission entry as `json.dumps(indent=2, sort_keys=True)` writes it

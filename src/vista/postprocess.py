@@ -121,7 +121,7 @@ REQUIRED_TENSORS = contract(ProposalBatch)
 
 def softmax(logits) -> np.ndarray:
     """Stable softmax (max-subtracted) over a 1-D logit vector."""
-    arr = np.asarray(logits, dtype=np.float64)
+    arr = np.array(logits, dtype=np.float64)  # a copy: the softmax overwrites it
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"softmax needs a non-empty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -130,11 +130,14 @@ def softmax(logits) -> np.ndarray:
 
 
 def _softmax_rows(arr: np.ndarray) -> np.ndarray:
-    """`softmax` of each row of a float64 matrix, bit-identical to it. Its
-    numpy exp picks a SIMD kernel by CPU, so the last bits, and the bytes
-    of `submission.json`, can differ with and without AVX-512 on x86."""
-    shifted = np.exp(arr - arr.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    """`softmax` of each row of a float64 matrix, bit-identical to it,
+    computed in place: the matrix is returned, overwritten. Its numpy exp
+    picks a SIMD kernel by CPU, so the last bits, and the bytes of
+    `submission.json`, can differ with and without AVX-512 on x86."""
+    arr -= arr.max(axis=1, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=1, keepdims=True)
+    return arr
 
 
 def _map_floats(fn, values: np.ndarray) -> np.ndarray:
@@ -189,18 +192,20 @@ def apply_box_deltas(boxes, deltas) -> np.ndarray:
         return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
 
 
-def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
+def _top_ids(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ids of the k highest probabilities of each row, highest first,
-    ties to the lower id: the first k columns of a stable argsort of
-    -probs, found by k first-occurrence argmax passes without sorting
-    the rows."""
-    rest = probs.copy()
-    rows = np.arange(len(rest))
-    ids = np.empty((len(rest), k), dtype=np.intp)
+    ties to the lower id, and those probabilities: the first k columns of
+    a stable argsort of -probs, found by k first-occurrence argmax passes
+    without sorting the rows. Each pass overwrites the values it takes
+    with -inf, so probs is left without them."""
+    rows = np.arange(len(probs))
+    ids = np.empty((len(probs), k), dtype=np.intp)
+    top = np.empty((len(probs), k), dtype=probs.dtype)
     for j in range(k):
-        ids[:, j] = rest.argmax(axis=1)
-        rest[rows, ids[:, j]] = -np.inf
-    return ids
+        ids[:, j] = probs.argmax(axis=1)
+        top[:, j] = probs[rows, ids[:, j]]
+        probs[rows, ids[:, j]] = -np.inf
+    return ids, top
 
 
 class RankedHypotheses:
@@ -416,16 +421,10 @@ def expand_hypotheses(
     k_noun = min(cfg.k_noun, n_nouns)
     k_verb = min(cfg.k_verb, n_verbs)
 
-    p_noun = _softmax_rows(batch.noun_logits[retained].astype(np.float64))
-    p_verb = _softmax_rows(batch.verb_logits[retained].astype(np.float64))
-    top_nouns = _top_ids(p_noun, k_noun)
-    top_verbs = _top_ids(p_verb, k_verb)
+    top_nouns, p_noun = _top_ids(_softmax_rows(batch.noun_logits[retained].astype(np.float64)), k_noun)
+    top_verbs, p_verb = _top_ids(_softmax_rows(batch.verb_logits[retained].astype(np.float64)), k_verb)
     prior = batch.objectness[retained].astype(np.float64) * batch.quality[retained].astype(np.float64)
-    score = (
-        prior[:, None, None]
-        * np.take_along_axis(p_noun, top_nouns, axis=1)[:, :, None]
-        * np.take_along_axis(p_verb, top_verbs, axis=1)[:, None, :]
-    )
+    score = prior[:, None, None] * p_noun[:, :, None] * p_verb[:, None, :]
     return RankedHypotheses(batch.proposal_boxes[retained], batch.box_deltas[retained[:, None], top_nouns],
                             batch.ttc_raw[retained], top_nouns, top_verbs, score)
 

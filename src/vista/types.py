@@ -406,26 +406,25 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
                 tie_break: tuple = ()) -> np.ndarray:
     """The rows that each example keeps, as indices into the rows of the
     tables one after another, in rank order; `code` gives each row's
-    example. Every row is ranked once by `canonical_order`, with the
-    `tie_break` columns and then the code as the last tie-breaks, and a
-    row is kept when fewer than top_k rows of its code rank above it
-    (every row when top_k is None). That order restricted to one code is
-    the code's own canonical order, ties included, so each example keeps
-    its first top_k rows. This is the one ranking within examples: the
+    example, a non-negative int. Every row is ranked once by
+    `canonical_order`, with the `tie_break` columns and then the code as
+    the last tie-breaks, and a row is kept when fewer than top_k rows of
+    its code rank above it (every row when top_k is None). That order
+    restricted to one code is the code's own canonical order, ties
+    included, so each example keeps its first top_k rows. This is the one ranking within examples: the
     reader, the ensemble's export cut and evaluate's top-k use it."""
     rank = canonical_order(tables, (code,) + tie_break)
     if top_k is None or top_k >= len(rank):
         return rank
     ranked_code = code[rank]
     by_code = np.argsort(ranked_code, kind="stable")  # each code's rank positions, in rank order
-    grouped = ranked_code[by_code]
-    # Each temporary is freed once used: the cut runs over every row given.
-    del ranked_code
-    first = np.searchsorted(grouped, grouped, side="left")  # where each code's run starts
-    del grouped
-    kept = np.empty(len(rank), dtype=bool)  # by rank position
-    kept[by_code] = np.arange(len(rank)) - first < top_k
-    del by_code, first
+    count = np.bincount(ranked_code)
+    del ranked_code  # freed once used: the cut runs over every row given
+    first = np.cumsum(count) - count  # where each code's run starts in by_code
+    take = np.minimum(count, top_k)  # each code keeps the first rows of its run
+    places = np.arange(take.sum()) + np.repeat(first - (np.cumsum(take) - take), take)
+    kept = np.zeros(len(rank), dtype=bool)  # by rank position
+    kept[by_code[places]] = True
     return rank[kept]
 
 

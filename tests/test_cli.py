@@ -1095,10 +1095,10 @@ class TestValidateParsesOnce:
         ("taxonomy.json", "valid taxonomy"),
     ])
     def test_one_json_loads_per_file(self, synth_dir, monkeypatch, capsys, name, kind):
-        # A submission is walked: each top-level value and each member of
-        # `results` is decoded once, in file order, and nothing is parsed
-        # whole. A ground truth or taxonomy is parsed whole, once, and the
-        # walk decodes none of its values first.
+        # A submission or ground truth is walked: each top-level value and
+        # each member of `results` or value of `annotations` is decoded once,
+        # in file order, and nothing is parsed whole. A taxonomy is parsed
+        # whole, once, and the walk decodes none of its values first.
         if name == "taxonomy.json":
             doc = json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]
             (synth_dir / name).write_text(json.dumps(doc))
@@ -1107,18 +1107,22 @@ class TestValidateParsesOnce:
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(1) or loads(text, **kw))
 
-        class Recording(json.JSONDecoder):
-            def raw_decode(self, text, idx=0):
-                value, end = super().raw_decode(text, idx)
-                decoded.append(value)
-                return value, end
+        scan = io_formats._SCAN
 
-        monkeypatch.setattr(io_formats, "_DECODER", Recording())
+        def recording(text, idx):
+            value, end = scan(text, idx)
+            decoded.append(value)
+            return value, end
+
+        monkeypatch.setattr(io_formats, "_SCAN", recording)
         assert main(["validate", str(synth_dir / name)]) == EXIT_OK
         assert kind in capsys.readouterr().out
         if kind == "valid submission":
             assert list(doc) == ["challenge", "results", "version"]
             assert (calls, decoded) == ([], [doc["challenge"], *doc["results"].values(), doc["version"]])
+        elif kind == "valid ground truth":
+            assert list(doc) == ["annotations", "taxonomy"]
+            assert (calls, decoded) == ([], [*doc["annotations"], doc["taxonomy"]])
         else:
             assert (calls, decoded) == ([1], [])
 

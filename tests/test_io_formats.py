@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from vista import io_formats
 from vista.errors import ValidationError
+from vista.cli import main
 from vista.io_formats import (
     _load_json,
+    ground_truth_from_dict,
     load_ground_truth,
     load_predictions,
     load_taxonomy,
@@ -25,7 +27,8 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import HypothesisTable, Taxonomy, as_gt_table, as_table, canonical_order, sort_canonical
+from vista.types import (GroundTruthTable, HypothesisTable, Taxonomy, as_gt_table, as_table, canonical_order,
+                         sort_canonical)
 
 from test_postprocess import columns
 
@@ -727,11 +730,12 @@ class TestStreamedSubmissions:
     document: the same tables, or the same exception and problems, and
     the same warnings in the same order."""
 
-    @pytest.mark.parametrize("chunk", [1, 3, io_formats._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
     @pytest.mark.parametrize("kind", list(STREAM_CORPUS))
     def test_read_as_the_whole_document(self, tmp_path, monkeypatch, kind, chunk):
         # A chunk of 1 or 3 bytes makes every token and every multi-byte
-        # character cross a chunk boundary.
+        # character cross a chunk boundary; one of 1 MiB, like the default
+        # chunk, holds every file of the corpus whole.
         monkeypatch.setattr(io_formats, "_CHUNK", chunk)
         wholes = []
         parse = io_formats._parse_json
@@ -820,6 +824,222 @@ class TestStreamedSubmissions:
             assert columns(preds[uid]) == columns(alone), uid
         assert source_ids(preds["a"]) == [None, 9, None, -1, 3, 3]
         assert source_ids(preds["b"]) == [None, 0, 0, 2, None]
+
+
+# -- the streamed ground-truth reader -----------------------------------------
+
+GT_TAXONOMY = {"nouns": ["n0", "n1", "n2"], "verbs": ["v0", "v1"]}
+
+
+def gt_entries(rng, n: int, unknown: bool = False) -> list[dict]:
+    entries = []
+    for i in range(n):
+        x, y = rng.uniform(0, 500, 2).tolist()
+        raw = {"example_uid": ["ex_0", "café", "\U0001f600 smile", 'q"b\\s'][i % 4],
+               "box": [x, y, x + 10.5, y + float(rng.uniform(1, 50))],
+               "noun_category_id": int(rng.integers(3)), "verb_category_id": int(rng.integers(2)),
+               "time_to_contact": float(rng.uniform(0, 2))}
+        if unknown and i % 5 == 1:
+            raw["score"] = 0.5
+        entries.append(raw)
+    return entries
+
+
+def gt_corpus() -> dict[str, tuple[bool, list[bytes]]]:
+    """Ground-truth files by kind: whether the streamed reader must walk
+    them (not read them whole), and their bytes. A `taxonomy_path` names
+    "taxonomy.json" next to the file."""
+    rng = np.random.default_rng(25)
+    doc = {"annotations": gt_entries(rng, 12, unknown=True), "taxonomy": GT_TAXONOMY,
+           "provenance": {"note": "ß", "values": [1, 2.5, None]}, "future": [1, {"a": None}]}
+    first = {"taxonomy": GT_TAXONOMY, "annotations": gt_entries(rng, 6)}  # taxonomy before annotations
+    written = [
+        json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        json.dumps(doc, separators=(",", ":")),
+        json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+        json.dumps(doc, indent=2).replace("\n", "\r\n"),
+        json.dumps(doc, indent="\t", ensure_ascii=False),
+        json.dumps(doc, indent=" \r\n\t") + " \n\t\r ",
+        json.dumps(first, indent=2),
+        json.dumps(first, separators=(",", ":")),
+        json.dumps({"taxonomy_path": "taxonomy.json", "annotations": gt_entries(rng, 5)}, indent=2),
+        json.dumps({"annotations": gt_entries(rng, 5), "taxonomy_path": "taxonomy.json"}),
+        json.dumps({"annotations": [], "taxonomy": GT_TAXONOMY}),
+        '{"annotations": [ \n ], "taxonomy": ' + json.dumps(GT_TAXONOMY) + "}",
+    ]
+    texts = [text.encode("utf-8") for text in written]
+
+    bad = gt_entries(rng, 14, unknown=True)
+    bad[1] = "junk"
+    bad[2] = None
+    del bad[3]["example_uid"]
+    bad[4]["example_uid"] = ""
+    bad[5].update(noun_category_id=2**70, verb_category_id=-(2**70))
+    bad[6].update(noun_category_id=7, time_to_contact=-1.0)  # outside the taxonomy and a bad ttc: stage 3 wins
+    bad[7].update(box=[0, 0, 1], time_to_contact="x")
+    bad[8]["box"] = [10.0, 10.0, 0.0, 0.0]
+    bad[9]["time_to_contact"] = float("nan")
+    bad[10]["verb_category_id"] = 2.5
+    bad[11].update(noun_category_id=-(2**70), time_to_contact=-1.0)
+    bad[13]["time_to_contact"] = -0.5  # the last problem, in the last batch
+    problems = [
+        {"annotations": bad, "taxonomy": GT_TAXONOMY},
+        {"taxonomy": GT_TAXONOMY, "annotations": bad, "extra": 1},
+        {"annotations": [7, [], "s"], "taxonomy": GT_TAXONOMY},
+        {"annotations": gt_entries(rng, 3)},  # no taxonomy
+        {"annotations": bad, "taxonomy": {"nouns": "n0"}},
+        {"annotations": bad, "taxonomy": {"nouns": ["n0", "n0"], "verbs": [1]}},
+        {"annotations": gt_entries(rng, 3), "taxonomy_path": 5},
+        {"annotations": gt_entries(rng, 3), "taxonomy_path": "missing.json"},
+        {"annotations": gt_entries(rng, 3), "taxonomy": GT_TAXONOMY, "taxonomy_path": 5, "provenance": None},
+    ]
+
+    def flip(data: bytes, k: int, value: int) -> bytes:
+        return data[:k] + bytes([value]) + data[k + 1:]
+
+    deep = "[" * 100_000
+    return {
+        "valid": (True, texts),
+        "problems": (True, [json.dumps(d, indent=1).encode() for d in problems] + [
+            ('{"annotations":[1.5e3 ,-2,"s" ,{"box":[]}],"taxonomy":' + json.dumps(GT_TAXONOMY) + "}").encode()]),
+        "truncated": (False, [data[:k] for data in texts[:3]
+                              for k in rng.integers(0, len(data), 8).tolist() + [len(data) - 2]]),
+        "flipped": (False, [flip(data, k, v) for data in texts[:3] for k, v in zip(
+            rng.integers(0, len(data), 8).tolist(), rng.integers(0, 256, 8).tolist())]),
+        "invalid utf-8": (False, [data[:k] + b"\xff" + data[k:] for data in texts[:2]
+                                  for k in rng.integers(0, len(data), 3).tolist()]),
+        "structure": (False, [text.encode() for text in (
+            "", "[]", "{}", '{"annotations": {}}', '{"annotations": null, "taxonomy": {}}',
+            '{"taxonomy": {"nouns": ["n"], "verbs": ["v"]}}', '{"annotations": [1,], "taxonomy": {}}',
+            '{"annotations": [1 2], "taxonomy": {}}', '{"annotations": [}, "taxonomy": {}}',
+            '{"annotations": [], "annotations": []}', '{"annotations": [], "taxonomy": {}, "taxonomy": {}}',
+            '{"annotations": [], "results": {}}', '{"nouns": [], "annotations": []}',
+            '{"annotations": [1.]}', f'{{"annotations": [{deep}]}}', f'{{"annotations": [{"7" * 5000}]}}',
+        )]),
+    }
+
+
+GT_CORPUS = gt_corpus()
+
+
+def gt_outcome(read, path):
+    """What a ground-truth reader makes of a file: the taxonomy and each
+    column bit for bit, or the exception's type and problems (or message);
+    and the warnings, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            taxonomy, table = read(path)
+        except ValidationError as e:
+            result = (type(e), e.problems)
+        except OSError as e:
+            result = (type(e), str(e))
+        else:
+            result = (taxonomy, [(name, column if isinstance(column, tuple) else
+                                  (column.dtype.str, column.shape, column.tobytes()))
+                                 for name, column in vars(table).items()])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def gt_read_whole(path):
+    return ground_truth_from_dict(_load_json(path), path)
+
+
+class TestStreamedGroundTruth:
+    """`load_ground_truth` walks a ground truth annotation by annotation;
+    whatever the file, it must read it as `ground_truth_from_dict` reads
+    the whole document: the same taxonomy and table, or the same exception
+    and problems, and the same warnings in the same order."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, io_formats._CHUNK])
+    @pytest.mark.parametrize("kind", list(GT_CORPUS))
+    def test_read_as_the_whole_document(self, tmp_path, monkeypatch, kind, chunk):
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        wholes = []
+        parse = io_formats._parse_json
+        monkeypatch.setattr(io_formats, "_parse_json", lambda data, path: wholes.append(path) or parse(data, path))
+        (tmp_path / "taxonomy.json").write_text(json.dumps(GT_TAXONOMY))
+        walked, files = GT_CORPUS[kind]
+        path = tmp_path / "gt.json"
+        for data in files:
+            path.write_bytes(data)
+            wholes.clear()
+            streamed = gt_outcome(load_ground_truth, path)
+            if walked:
+                assert [p for p in wholes if p == path] == [], data[:300]
+            assert streamed == gt_outcome(gt_read_whole, path), data[:300]
+
+    def test_problems_in_file_order_across_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_formats, "_CHUNK", 64)
+        path = tmp_path / "gt.json"
+        path.write_bytes(GT_CORPUS["problems"][1][0])
+        result, caught = gt_outcome(load_ground_truth, path)
+        quoted = 'q"b\\s'
+        assert result == (ValidationError, [
+            f"{path}: annotation 1: must be an object",
+            f"{path}: annotation 2: must be an object",
+            f"{path}: annotation 3: missing example_uid",
+            f"{path}: annotation 4: missing example_uid",
+            f"{path}: annotation 5 (uid café): noun_id {2**70} out of range [0, 3)",
+            f"{path}: annotation 5 (uid café): verb_id {-(2**70)} out of range [0, 2)",
+            f"{path}: annotation 6 (uid \U0001f600 smile): noun_id 7 out of range [0, 3)",
+            f"{path}: annotation 7 (uid {quoted}): box must be a 4-element [x1, y1, x2, y2] list, "
+            "got [0, 0, 1]",
+            f"{path}: annotation 7 (uid {quoted}): bad or missing category/ttc field "
+            "(could not convert string to float: 'x')",
+            f"{path}: annotation 8 (uid ex_0): box has x1 > x2: (10.0, 10.0, 0.0, 0.0); "
+            "box has y1 > y2: (10.0, 10.0, 0.0, 0.0)",
+            f"{path}: annotation 9 (uid café): ttc must be finite and >= 0, got nan",
+            f"{path}: annotation 10 (uid \U0001f600 smile): bad or missing category/ttc field "
+            "(verb_category_id must be a whole number, got 2.5)",
+            f"{path}: annotation 11 (uid {quoted}): noun_id {-(2**70)} out of range [0, 3)",
+            f"{path}: annotation 13 (uid café): ttc must be finite and >= 0, got -0.5",
+        ])
+        assert [message for _, message in caught] == [
+            f"{path}: annotation {i}: ignoring unknown fields ['score']" for i in (6, 11)]
+
+    def test_validate_gives_the_verdict_of_evaluate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(io_formats, "_CHUNK", 7)
+        (tmp_path / "taxonomy.json").write_text(json.dumps(GT_TAXONOMY))
+        (tmp_path / "sub.json").write_text('{"results": {}}')
+        path = tmp_path / "gt.json"
+        for kind in ("valid", "problems"):
+            for data in GT_CORPUS[kind][1]:
+                path.write_bytes(data)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    validated = main(["validate", str(path)])
+                    _, validate_err = capsys.readouterr()
+                    evaluated = main(["evaluate", str(path), str(tmp_path / "sub.json"), "--out", str(tmp_path)])
+                    _, evaluate_err = capsys.readouterr()
+                assert (validated, validate_err) == (evaluated, evaluate_err), data[:300]
+
+    def test_peak_allocation_bounded_by_the_columns(self, tmp_path):
+        # Reading the whole document held its text and every decoded
+        # annotation: 14.7 MB here, six times the columns. The walk holds
+        # the columns twice (each batch's, then joined) and about four
+        # chunks: one of text and the annotations decoded from it.
+        rng = np.random.default_rng(5)
+        n = 20_000
+        corners = rng.uniform(0, 500, (n, 4))
+        gts = GroundTruthTable(
+            uid=[f"ex_{i // 8:05d}" for i in range(n)],
+            boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
+            noun=rng.integers(0, 3, n), verb=rng.integers(0, 2, n), ttc=rng.uniform(0, 2, n))
+        path = tmp_path / "gt.json"
+        write_ground_truth(Taxonomy(tuple(GT_TAXONOMY["nouns"]), tuple(GT_TAXONOMY["verbs"])), gts, path)
+        tracemalloc.start()
+        try:
+            _, loaded = load_ground_truth(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.uid == gts.uid
+        assert [loaded.boxes.tolist(), loaded.noun.tolist(), loaded.verb.tolist(), loaded.ttc.tolist()] == [
+            gts.boxes.tolist(), gts.noun.tolist(), gts.verb.tolist(), gts.ttc.tolist()]
+        held = sum(sys.getsizeof(uid) for uid in loaded.uid) + sys.getsizeof(loaded.uid) + sum(
+            column.nbytes for column in (loaded.boxes, loaded.noun, loaded.verb, loaded.ttc))
+        assert peak < 2 * held + 4 * io_formats._CHUNK, f"peak {peak} bytes for columns of {held}"
 
 
 def read_at_depth(load, path, frames: int):

@@ -147,6 +147,13 @@ class TestSoftmax:
         with pytest.raises(ValidationError):
             softmax([1.0, math.inf])
 
+    def test_leaves_a_float64_input_as_it_was(self):
+        # The rows are computed in place, on a copy of an array the caller owns.
+        logits = np.array([0.5, -1.0, 2.0])
+        probs = softmax(logits)
+        assert logits.tolist() == [0.5, -1.0, 2.0]
+        assert not np.shares_memory(probs, logits)
+
 
 class TestTtcFromRaw:
     def test_zero_gives_ln2(self):
@@ -279,16 +286,18 @@ class TestExpandHypotheses:
         for k_noun, k_verb in ((1, 1), (2, 2), (3, 2), (4, 3)):
             ranked = expand_hypotheses(batch, TAXONOMY, InferenceConfig(k_noun=k_noun, k_verb=k_verb))
             table = ranked.head(len(ranked))
-            p_noun = postprocess._softmax_rows(tensors["noun_logits"])
-            p_verb = postprocess._softmax_rows(tensors["verb_logits"])
+            p_noun = postprocess._softmax_rows(tensors["noun_logits"].copy())
+            p_verb = postprocess._softmax_rows(tensors["verb_logits"].copy())
             nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
             verbs = np.argsort(-p_verb, axis=1, kind="stable")[:, :k_verb]
             pairs = {(int(n), int(v)) for p in range(6) for n in nouns[p] for v in verbs[p]}
             assert set(zip(table.noun.tolist(), table.verb.tolist())) == pairs
-            assert postprocess._top_ids(p_noun, k_noun).tolist() == nouns.tolist()
-            assert postprocess._top_ids(p_verb, k_verb).tolist() == verbs.tolist()
-        assert postprocess._top_ids(p_noun, 2).tolist() == [[1, 2]] * 6
-        assert postprocess._top_ids(p_verb, 2).tolist() == [[0, 1]] * 3 + [[1, 2]] * 3
+            for probs, ids in ((p_noun, nouns), (p_verb, verbs)):
+                top_ids, top = postprocess._top_ids(probs.copy(), ids.shape[1])
+                assert top_ids.tolist() == ids.tolist()
+                assert top.tobytes() == np.take_along_axis(probs, ids, axis=1).tobytes()
+        assert postprocess._top_ids(p_noun, 2)[0].tolist() == [[1, 2]] * 6
+        assert postprocess._top_ids(p_verb, 2)[0].tolist() == [[0, 1]] * 3 + [[1, 2]] * 3
 
     def test_no_proposals_no_hypotheses(self):
         assert len(expand(make_tensors(CounterRng(18), 0))) == 0
@@ -519,8 +528,8 @@ def full_expansion(batch, taxonomy, cfg):
     k_verb = min(cfg.k_verb, taxonomy.n_verbs)
     p_noun = postprocess._softmax_rows(batch.noun_logits[retained].astype(np.float64))
     p_verb = postprocess._softmax_rows(batch.verb_logits[retained].astype(np.float64))
-    top_nouns = postprocess._top_ids(p_noun, k_noun)
-    top_verbs = postprocess._top_ids(p_verb, k_verb)
+    top_nouns = np.argsort(-p_noun, axis=1, kind="stable")[:, :k_noun]
+    top_verbs = np.argsort(-p_verb, axis=1, kind="stable")[:, :k_verb]
     refined = apply_box_deltas(
         batch.proposal_boxes[retained].astype(np.float64)[:, None, :],
         batch.box_deltas[retained[:, None], top_nouns].astype(np.float64),
