@@ -49,15 +49,15 @@ batch = proposals_from_tensors(tensors)
 
 cfg = InferenceConfig(k_noun=3, k_verb=3, nms_iou=0.5, max_exports=10)
 expanded = expand_hypotheses(batch, taxonomy, cfg)
-print(f"{len(batch)} proposals -> {len(expanded)} scored hypotheses, {expanded.n_built} rows built")
+print(f"{len(batch)} proposals -> {len(expanded)} scored hypotheses, {len(expanded.table)} rows built")
 
 kept = class_aware_nms(expanded, cfg.nms_iou, cfg.max_exports)
 final = finalize_submission(kept, cfg.max_exports)
 print(f"with the export cap ({cfg.max_exports}) NMS stops at {len(kept)} survivors, "
-      f"having built {expanded.n_built} of {len(expanded)} rows; export keeps {len(final)}")
+      f"having built {len(expanded.table)} of {len(expanded)} rows; export keeps {len(final)}")
 
 every_survivor = class_aware_nms(expanded, cfg.nms_iou, len(expanded))
-print(f"without a cap it keeps {len(every_survivor)}, and all {expanded.n_built} rows are built\n")
+print(f"without a cap it keeps {len(every_survivor)}, and all {len(expanded.table)} rows are built\n")
 print("rank  noun    verb    ttc    score")
 for i, (noun, verb, ttc, score) in enumerate(
     zip(final.noun.tolist(), final.verb.tolist(), final.ttc.tolist(), final.score.tolist())

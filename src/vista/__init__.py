@@ -46,7 +46,6 @@ from .postprocess import (
     finalize_submission,
     nms_block,
     proposals_from_tensors,
-    run_inference_chain,
     softmax,
     ttc_column,
     ttc_from_raw,

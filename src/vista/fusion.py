@@ -5,7 +5,8 @@ sequence into one temporal token, feature-wise (per-channel) linear
 modulation of a feature map by that token, and a residual context MLP
 that fuses the token into each ROI feature vector. Parameters come from
 files; nothing here trains. `fuse_tensors` runs all three on the named
-tensors of one container.
+tensors of one container. Its bytes depend on the BLAS behind `@` and on
+numpy's SIMD dispatch of `exp`.
 
 Each parameter class declares the dims of its fields once, in the
 README's symbols, with `types.array_field`, and `INPUT_TENSORS` and

@@ -28,9 +28,11 @@ entries. A document it cannot walk that way (invalid JSON or UTF-8, a
 top level that is not an object, a repeated key, a list member of
 another type, a top-level key of a taxonomy) is parsed whole from the
 start of the same open file, and a file that cannot be read twice, such
-as a pipe, is parsed whole at once; `predictions_from_dict` and
-`ground_truth_from_dict` word its problems. The other JSON files are
-small and are read whole.
+as a pipe, is parsed whole at once. Either way a kind has one reader,
+`_SubmissionStream` or `_GroundTruthStream`: the walk flushes it each
+chunk's entries, `predictions_from_dict` and `ground_truth_from_dict` a
+parsed document's whole list, and the rest of the document finishes it.
+The other JSON files are small and are read whole.
 
 `read_document` alone tells what a file is, for `vista validate`: a
 tensor container by its magic, any other file as JSON, read as above and
@@ -252,16 +254,16 @@ def _box_column(boxes: list) -> tuple[np.ndarray, dict[int, str]]:
 
 
 class _Entries:
-    """Entries read as columns. `read` takes some lists of entries, each
-    field of every entry at once, and the rules of single fields and boxes
-    (problem stages object/uid 0, box 1 and fields 2); `check` holds the
-    whole columns to the taxonomy's id ranges (stage 3), `spec.rules` and
-    int64 (stage 4). A ground truth's batches are read one at a time and
-    checked once, after its taxonomy is known (`concat`).
+    """One batch of a reader's entries read as columns. `read` takes some
+    lists of entries, each field of every entry at once, and the rules of
+    single fields and boxes (problem stages object/uid 0, box 1 and fields
+    2); `check` holds the columns to the taxonomy's id ranges (stage 3),
+    `spec.rules` and int64 (stage 4), once the reader knows the taxonomy.
 
-    Every problem is appended to the caller's `problems`, keyed (list
-    position, entry index, stage) for `_raise_sorted`. A row's index is its
-    place in the columns; non-objects get none."""
+    Every problem is appended to the reader's `problems`, keyed (list
+    position, entry index, stage), so `_raise_sorted` gives file order
+    across batches. A row's index is its place in the columns; non-objects
+    get none."""
 
     def __init__(self, path, problems: list, spec: _EntrySpec, spans: list):
         self.path, self.problems, self.spec = path, problems, spec
@@ -291,12 +293,11 @@ class _Entries:
         return wide[r] if r in wide else self.columns[column][r].item()
 
     @classmethod
-    def read(cls, path, problems: list, lists: list, spec: _EntrySpec, unknown: list | None = None) -> _Entries:
+    def read(cls, path, problems: list, lists: list, spec: _EntrySpec, unknown: list) -> _Entries:
         """The entries of `lists`, (position, name, index of the first entry,
         entries) tuples that it empties, read as columns. Entries with
-        unknown fields are warned about, or, if `unknown` is a list,
-        appended to it as (fields, where) for the caller to warn about
-        later."""
+        unknown fields are appended to `unknown` as (fields, where), for
+        the reader to warn about once the whole document is read."""
         rows: list[dict] = []
         spans = []
         for position, name, first, entries in lists:
@@ -311,13 +312,8 @@ class _Entries:
         self = cls(path, problems, spec, spans)
 
         if not all(map(spec.keys.issuperset, rows)):
-            for r, raw in enumerate(rows):
-                if not spec.keys.issuperset(raw):
-                    where = f"{path}: {spec.name(*self.locate(r)[1:])}"
-                    if unknown is None:
-                        _warn_unknown(set(raw), spec.keys, where, stacklevel=5)
-                    else:
-                        unknown.append((set(raw), where))
+            unknown += [(set(raw), f"{path}: {spec.name(*self.locate(r)[1:])}")
+                        for r, raw in enumerate(rows) if not spec.keys.issuperset(raw)]
         if spec.uid_field is not None:
             column = list(map(dict.get, rows, repeat(spec.uid_field)))
             if not (set(map(type, column)) <= {str} and all(column)):
@@ -369,24 +365,6 @@ class _Entries:
         self.ok = ok
         return self
 
-    @classmethod
-    def concat(cls, parts: list[_Entries]) -> _Entries:
-        """The rows of parts, read with the same `problems`, one after
-        another."""
-        offsets = np.cumsum([0] + [len(part.ok) for part in parts]).tolist()
-        spans = [(position, name, start + offset, first, kept)
-                 for part, offset in zip(parts, offsets) for position, name, start, first, kept in part.spans]
-        whole = cls(parts[0].path, parts[0].problems, parts[0].spec, spans)
-        for name, column in parts[0].columns.items():
-            pieces = [part.columns[name] for part in parts]
-            whole.columns[name] = (list(chain.from_iterable(pieces)) if isinstance(column, list)
-                                   else np.concatenate(pieces))
-        whole.ok = np.concatenate([part.ok for part in parts])
-        for part, offset in zip(parts, offsets):
-            for column, wide in part.outside.items():
-                whole.outside.setdefault(column, {}).update((r + offset, value) for r, value in wide.items())
-        return whole
-
     def check(self, taxonomy: Taxonomy | None) -> None:
         """Hold the rows without a problem yet to the taxonomy's id ranges,
         if one is given, then to `spec.rules` and int64."""
@@ -423,18 +401,6 @@ def _raise_sorted(problems: list) -> None:
         raise ValidationError([message for _, message in problems])
 
 
-def _read_entries(path, problems: list, lists: list, spec: _EntrySpec, taxonomy: Taxonomy | None,
-                  unknown: list | None = None) -> tuple[dict, list[tuple[str | None, int, int]]]:
-    """The entries of `lists` read (`_Entries.read`, which `unknown` is
-    passed on to) and checked (`_Entries.check`): every problem, the
-    caller's `problems` too, raised sorted, or else the columns, by column
-    name, and each list's (name, first row, end row)."""
-    entries = _Entries.read(path, problems, lists, spec, unknown)
-    entries.check(taxonomy)
-    _raise_sorted(problems)
-    return entries.columns, entries.list_spans()
-
-
 # -- ground truth -----------------------------------------------------------
 
 def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
@@ -462,29 +428,28 @@ def _ground_truth_taxonomy(doc, path) -> Taxonomy:
 
 
 def ground_truth_from_dict(doc, path) -> tuple[Taxonomy, GroundTruthTable]:
-    """A parsed ground-truth document as its taxonomy and one
-    GroundTruthTable, with `_read_entries`. `path` names the document in
-    problems and locates its `taxonomy_path`. The annotations are taken
-    out of `doc`, so they are freed as they are read."""
-    taxonomy = _ground_truth_taxonomy(doc, path)
-    annotations = doc.pop("annotations", None)
+    """A parsed ground-truth document as `load_ground_truth` reads it: its
+    annotations are one batch of `_GroundTruthStream`, and the rest of it
+    the header. `path` names the document in problems and locates its
+    `taxonomy_path`. The annotations are taken out of `doc`, so they are
+    freed as they are read."""
+    annotations = doc.pop("annotations", None) if isinstance(doc, dict) else None
     if not isinstance(annotations, list):
+        _ground_truth_taxonomy(doc, path)  # a problem of the document or its taxonomy comes first
         raise ValidationError(f"{path}: missing or non-list 'annotations'")
-    lists = [(0, None, 0, annotations)]
-    del annotations  # the reader frees the annotations once it has read them
-    columns, _ = _read_entries(path, [], lists, _GROUND_TRUTH, taxonomy)
-    return taxonomy, GroundTruthTable(**columns)
+    reader = _GroundTruthStream(path)
+    reader.flush(annotations)
+    return reader.finish(doc)
 
 
 class _GroundTruthStream:
-    """`load_ground_truth` of a ground truth that `_walk_document` walks.
-    Each batch of annotations is read (`_Entries.read`) when it is
-    flushed, so only one chunk's annotations are alive next to the
-    columns. Once the whole text has been walked, and the taxonomy is
-    known (`json.dumps(sort_keys=True)` writes it after the annotations),
-    the columns are checked at once, the unknown fields warned about (top
-    level first, then annotations in file order) and every problem raised
-    in file order, as `ground_truth_from_dict` raises them."""
+    """The reader of a ground truth's annotations, in batches, each read
+    (`_Entries.read`) when it is flushed. Once the header gives the
+    taxonomy (`json.dumps(sort_keys=True)` writes it after the
+    annotations), the unknown fields are warned about (top level first,
+    then annotations in file order), every batch is checked, every
+    problem raised in file order, and the columns joined once, with one
+    string per example uid."""
 
     def __init__(self, path):
         self.path = path
@@ -505,11 +470,15 @@ class _GroundTruthStream:
             _warn_unknown(found, _GROUND_TRUTH.keys, where)
         if not self.parts:
             self.flush([])
-        entries = _Entries.concat(self.parts)
-        self.parts.clear()
-        entries.check(taxonomy)
+        for part in self.parts:
+            part.check(taxonomy)
         _raise_sorted(self.problems)
-        return taxonomy, GroundTruthTable(**entries.columns)
+        shared: dict[str, str] = {}
+        columns = {name: np.concatenate([part.columns[name] for part in self.parts])
+                   for name in ("boxes", "noun", "verb", "ttc")}
+        columns["uid"] = [shared.setdefault(uid, uid) for part in self.parts for uid in part.columns["uid"]]
+        self.parts.clear()
+        return taxonomy, GroundTruthTable(**columns)
 
 
 def write_ground_truth(taxonomy: Taxonomy, gts: GroundTruthTable, path) -> None:
@@ -589,36 +558,44 @@ def read_document(path) -> tuple[str, object]:
 
 
 def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """A parsed submission document as one HypothesisTable per example
-    uid, as `load_predictions` reads it. `path` names the document in
-    problems. The results are taken out of `doc`, so their entries are
-    freed as they are read."""
+    """A parsed submission document as `load_predictions` reads it: the
+    members of its `results` are one batch of `_SubmissionStream`, and the
+    rest of it the header. `path` names the document in problems. The
+    results are taken out of `doc`, so their entries are freed as they
+    are read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
-    _warn_unknown(set(doc), _KNOWN_SUBMISSION_KEYS, str(path))
     results = doc.pop("results", None)
     if not isinstance(results, dict):
+        _warn_unknown(set(doc), _KNOWN_SUBMISSION_KEYS, str(path))
         raise ValidationError(f"{path}: missing or non-object 'results'")
     members = list(results.items())
     del results
-    return _read_results(path, members, taxonomy)
+    reader = _SubmissionStream(path, taxonomy)
+    reader.flush(members)
+    return reader.finish(doc)
 
 
-def _read_results(path, members: list, taxonomy: Taxonomy | None,
-                  unknown: list | None = None) -> PredictionSet:
+def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, problems: list,
+                  unknown: list) -> PredictionSet:
     """(uid, entries) members of a submission's `results`, in file order,
-    as one HypothesisTable per uid, with `_read_entries` (which `unknown`
-    is passed on to), ranked by `rank_within` with the source id as the
-    tie-break, rows without one first, so no table depends on the order
-    of its entries. Every problem is raised, a value that is not a list
-    too. The members are emptied, so their entries are freed as they are
-    read."""
-    problems = [((u, -1, 0), f"{path}: results[{uid!r}] must be a list")
-                for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
-    lists = [(u, _copy(uid), 0, entries)
+    the first at position `first`, read into `problems` and `unknown`
+    (`_Entries.read` and `check`) as one HypothesisTable per uid, ranked
+    by `rank_within` with the source id as the tie-break, rows without
+    one first, so no table depends on the order of its entries. A value
+    that is not a list is a problem too, and no table is made once there
+    is one. The members are emptied, so their entries are freed as they
+    are read."""
+    problems += [((first + u, -1, 0), f"{path}: results[{uid!r}] must be a list")
+                 for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
+    lists = [(first + u, _copy(uid), 0, entries)
              for u, (uid, entries) in enumerate(members) if isinstance(entries, list)]
     members.clear()
-    columns, spans = _read_entries(path, problems, lists, _SUBMISSION, taxonomy, unknown)
+    batch = _Entries.read(path, problems, lists, _SUBMISSION, unknown)
+    batch.check(taxonomy)
+    if problems:
+        return {}
+    columns, spans = batch.columns, batch.list_spans()
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
     code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
@@ -628,34 +605,29 @@ def _read_results(path, members: list, taxonomy: Taxonomy | None,
 
 
 class _SubmissionStream:
-    """`load_predictions` of a submission that `_walk_document` walks: the
-    members of `results` are read by `_read_results` each time they are
-    flushed, so only one chunk's entries are alive next to the tables.
-    The problems of every batch are raised together, and the unknown
-    fields are warned about (top level first, then entries in file order)
-    only once the whole text has been walked, so that a document that is
-    then read whole raises its first problem before any warning."""
+    """The reader of a submission's `results`, in batches, each read by
+    `_read_results` when it is flushed. The problems of every batch are
+    raised together, in file order, and the unknown fields are warned
+    about (top level first, then entries in file order) only once the
+    header is known, so that a walked document that is then read whole
+    raises its first problem before any warning."""
 
     def __init__(self, path, taxonomy: Taxonomy | None):
         self.path, self.taxonomy = path, taxonomy
         self.preds: PredictionSet = {}
-        self.problems: list[str] = []  # each batch's, sorted, so all of them are sorted
+        self.problems: list = []  # keyed, for `_raise_sorted`
         self.unknown: list[tuple[set, str]] = []
+        self.count = 0  # the members read so far
 
     def flush(self, members: list) -> None:
-        try:
-            tables = _read_results(self.path, members, self.taxonomy, self.unknown)
-        except ValidationError as e:
-            self.problems.extend(e.problems)
-        else:
-            self.preds.update(tables)
+        first, self.count = self.count, self.count + len(members)
+        self.preds.update(_read_results(self.path, members, first, self.taxonomy, self.problems, self.unknown))
 
     def finish(self, header: dict) -> PredictionSet:
         _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path), stacklevel=4)
         for found, where in self.unknown:
             _warn_unknown(found, _SUBMISSION.keys, where)
-        if self.problems:
-            raise ValidationError(self.problems)
+        _raise_sorted(self.problems)
         return self.preds
 
 

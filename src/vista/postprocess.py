@@ -17,11 +17,11 @@ each export is its example's first survivors. One example is a block of
 one. The arithmetic is that of the scalar definitions, bit for bit, and
 elementwise, so a block gives each example the bits it gets alone: box
 centres are 0.5 * (x1 + x2), the size exp and the softplus go through
-`math` one value at a time (numpy's vectorised exp and log1p differ from
-it in the last bit for a few percent of inputs on some CPUs), and IoU
-keeps the operation order of the oracle's scalar IoU
-(`oracle._iou_scalar`). The softmax is the exception: it uses numpy's
-exp (`_softmax_rows`).
+`math` one value at a time, IoU keeps the operation order of the
+oracle's scalar IoU (`oracle._iou_scalar`), and the softmax uses numpy's
+exp (`_softmax_rows`). Those bits are not portable: they depend on
+numpy's AVX-512 dispatch and on glibc's FMA dispatch of `exp` and
+`log1p`, each of which changes the last bit of some values.
 
 `postprocess_container` reads a tensor container one example at a time,
 so only one example's tensors are held at once, next to what the rows
@@ -156,7 +156,8 @@ def ttc_from_raw(raw: float) -> float:
 def ttc_column(raw: np.ndarray) -> np.ndarray:
     """`ttc_from_raw` of each value of a float64 array of finite values,
     bit for bit: max, abs and negation are exact, the sum is IEEE, and exp
-    and log1p go through `math` one value at a time."""
+    and log1p go through `math` one value at a time, so their last bits
+    are glibc's, which depend on its FMA dispatch."""
     return np.maximum(raw, 0.0) + _map_floats(math.log1p, _map_floats(math.exp, -np.abs(raw)))
 
 
@@ -290,11 +291,6 @@ class RankedHypotheses:
 
     def __len__(self) -> int:
         return int(self.lengths.sum())
-
-    @property
-    def n_built(self) -> int:
-        """The number of rows built so far."""
-        return len(self.table)
 
     def head(self, n: int) -> HypothesisTable:
         """The first n rows in canonical order (all of them if n >= len) of
@@ -526,7 +522,7 @@ def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig,
     whole examples whose retained proposals add up to at most
     `boxes.EXAMPLE_BLOCK` (an example of more comes alone), one
     `nms_block` each, and only each example's export is kept. Each
-    example gets the export it gets alone (`run_inference_chain`). The
+    example gets the export it gets alone (`class_aware_nms`). The
     problems raised are those that reading the whole container first
     would find, of the first stage that finds any:
 
@@ -604,13 +600,3 @@ def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig,
                                                  sorted(chain_problems.items()) for p in problems])
     return exports
 
-
-def run_inference_chain(
-    batch: ProposalBatch,
-    taxonomy: Taxonomy,
-    cfg: InferenceConfig = InferenceConfig(),
-) -> HypothesisTable:
-    """expand -> class-aware NMS -> finalize, the full per-example chain."""
-    table = expand_hypotheses(batch, taxonomy, cfg)
-    table = class_aware_nms(table, cfg.nms_iou, cfg.max_exports)
-    return finalize_submission(table, cfg.max_exports)

@@ -240,7 +240,8 @@ def _set_columns(table, columns: dict[str, tuple], n: int, rules) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HypothesisTable:
-    """One example's hypotheses as columns; row i is one hypothesis.
+    """Hypotheses as columns, of one example or of a block of whole
+    examples; row i is one hypothesis.
 
     Each column is an array field with its dtype and dims (N the rows):
     box corners, noun and verb ids, ttc, score, and source ids with

@@ -30,7 +30,6 @@ from vista.postprocess import (
     expand_hypotheses,
     finalize_submission,
     proposals_from_tensors,
-    run_inference_chain,
     ttc_from_raw,
 )
 from vista.rng import CounterRng
@@ -40,7 +39,7 @@ from vista.types import GroundTruthInstance, StaHypothesis, as_gt_table, as_tabl
 from test_ensemble import compatible
 from test_evaluation import matches
 from test_fusion import probe_oracle, rand_array, zero_residual_mlp
-from test_postprocess import TAXONOMY, columns, make_hypothesis, make_tensors, row_set, table_of
+from test_postprocess import TAXONOMY, chain, columns, make_hypothesis, make_tensors, row_set, table_of
 
 CFG = EvalConfig()
 
@@ -155,10 +154,10 @@ def test_criterion_5_postprocessing_chain(tmp_path):
         a_path = tmp_path / "a.json"
         b_path = tmp_path / "b.json"
         write_submission(
-            {"ex": run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg)}, a_path
+            {"ex": chain(tensors, cfg)}, a_path
         )
         write_submission(
-            {"ex": run_inference_chain(proposals_from_tensors(reversed_rows), TAXONOMY, cfg)}, b_path
+            {"ex": chain(reversed_rows, cfg)}, b_path
         )
         assert a_path.read_bytes() == b_path.read_bytes()
         # proposal cap of 300

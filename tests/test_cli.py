@@ -843,27 +843,31 @@ class TestValidateCommand:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("cut", [False, True])
-    def test_submission_through_a_pipe_as_from_a_file(self, synth_dir, tmp_path, capsys, cut):
-        # A pipe cannot be read twice, so a submission through one is read
-        # whole; it must score, or fail, exactly as the same bytes in a file.
-        data = (synth_dir / "predictions_source_00.json").read_bytes()
+    @pytest.mark.parametrize("piped", ["submission", "ground_truth"])
+    def test_submission_through_a_pipe_as_from_a_file(self, synth_dir, tmp_path, capsys, cut, piped):
+        # A pipe cannot be read twice, so a submission or ground truth
+        # through one is read whole; it must score, or fail, exactly as the
+        # same bytes in a file.
+        inputs = {"ground_truth": str(synth_dir / "ground_truth.json"),
+                  "submission": str(synth_dir / "predictions_source_00.json")}
+        data = Path(inputs[piped]).read_bytes()
         if cut:
             data = data[: len(data) // 2]
-        (tmp_path / "sub.json").write_bytes(data)
-        gt = str(synth_dir / "ground_truth.json")
-        from_file = main(["evaluate", gt, str(tmp_path / "sub.json"), "--out", str(tmp_path / "file")])
+        inputs[piped] = str(tmp_path / "piped.json")
+        Path(inputs[piped]).write_bytes(data)
+        from_file = main(["evaluate", *inputs.values(), "--out", str(tmp_path / "file")])
         file_output = capsys.readouterr()
         read_end, write_end = os.pipe()
         os.write(write_end, data)  # it fits in the pipe's buffer
         os.close(write_end)
         try:
-            path = f"/dev/fd/{read_end}"
-            from_pipe = main(["evaluate", gt, path, "--out", str(tmp_path / "pipe")])
+            path = inputs[piped] = f"/dev/fd/{read_end}"
+            from_pipe = main(["evaluate", *inputs.values(), "--out", str(tmp_path / "pipe")])
         finally:
             os.close(read_end)
         pipe_output = capsys.readouterr()
         assert (from_pipe, pipe_output.out) == (from_file, file_output.out)
-        assert pipe_output.err == file_output.err.replace(str(tmp_path / "sub.json"), path)
+        assert pipe_output.err == file_output.err.replace(str(tmp_path / "piped.json"), path)
         if cut:
             assert from_pipe == EXIT_VALIDATION and "invalid JSON" in pipe_output.err
             return

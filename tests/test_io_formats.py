@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,123 @@ class TestStreamedGroundTruth:
         held = sum(sys.getsizeof(uid) for uid in loaded.uid) + sys.getsizeof(loaded.uid) + sum(
             column.nbytes for column in (loaded.boxes, loaded.noun, loaded.verb, loaded.ttc))
         assert peak < 2 * held + 4 * io_formats._CHUNK, f"peak {peak} bytes for columns of {held}"
+
+    @pytest.mark.parametrize("walked", [True, False])
+    def test_one_string_per_uid(self, tmp_path, monkeypatch, walked):
+        # Each annotation's uid is decoded as a string of its own; the
+        # table keeps one of them per example, across batches too.
+        monkeypatch.setattr(io_formats, "_CHUNK", 7)
+        rng = np.random.default_rng(8)
+        n = 40
+        corners = rng.uniform(0, 500, (n, 4))
+        gts = GroundTruthTable(
+            uid=[f"ex_{i % 5:03d}" for i in range(n)],
+            boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
+            noun=rng.integers(0, 3, n), verb=rng.integers(0, 2, n), ttc=rng.uniform(0, 2, n))
+        path = tmp_path / "gt.json"
+        write_ground_truth(Taxonomy(tuple(GT_TAXONOMY["nouns"]), tuple(GT_TAXONOMY["verbs"])), gts, path)
+        _, loaded = load_ground_truth(path) if walked else gt_read_whole(path)
+        assert loaded.uid == gts.uid
+        assert len(set(map(id, loaded.uid))) == len(set(loaded.uid)) == 5
+
+
+# -- generated documents: the walk against the whole read ---------------------
+
+GENERATED_TEXT = st.text(st.sampled_from(["a", "7", "\u00e9", "\U0001f600", '"', "\\", " ", "\n"]), max_size=4)
+WIDE_INTS = st.sampled_from([2**63, -(2**63) - 1, 2**70, -(2**70)])
+BAD_VALUES = st.sampled_from([None, True, "x", "1", "0.5", [1], {"a": 1}, 2.5, float("nan"), float("inf"), 10**400])
+IDS = st.one_of(st.integers(-1, 3), WIDE_INTS, BAD_VALUES)
+FLOATS = st.one_of(st.floats(-1, 3), BAD_VALUES)
+BOXES = st.one_of(st.lists(st.floats(-10, 500), min_size=4, max_size=4), st.lists(FLOATS, max_size=5), BAD_VALUES)
+
+
+@st.composite
+def valid_box(draw):
+    x, y = draw(st.floats(0, 500)), draw(st.floats(0, 500))
+    return [x, y, x + draw(st.floats(0.5, 50)), y + draw(st.floats(0.5, 50))]
+
+
+def generated_entry(fields: dict, valid: dict):
+    """An entry of the fields, each valid or not, perhaps with an unknown
+    field, or now and then a value that is not an object."""
+    anything = st.fixed_dictionaries({}, optional={**fields, "comment": GENERATED_TEXT})
+    return st.one_of(st.fixed_dictionaries(valid), st.fixed_dictionaries(valid), anything, BAD_VALUES)
+
+
+GENERATED_ENTRY = generated_entry(
+    {"box": BOXES, "noun_category_id": IDS, "verb_category_id": IDS, "time_to_contact": FLOATS,
+     "score": FLOATS, "source_id": IDS},
+    {"box": valid_box(), "noun_category_id": st.integers(0, 2), "verb_category_id": st.integers(0, 1),
+     "time_to_contact": st.floats(0, 2), "score": st.floats(0.01, 1)})
+GENERATED_ANNOTATION = generated_entry(
+    {"example_uid": st.one_of(GENERATED_TEXT, BAD_VALUES), "box": BOXES, "noun_category_id": IDS,
+     "verb_category_id": IDS, "time_to_contact": FLOATS},
+    {"example_uid": GENERATED_TEXT.filter(bool), "box": valid_box(), "noun_category_id": st.integers(0, 2),
+     "verb_category_id": st.integers(0, 1), "time_to_contact": st.floats(0, 2)})
+HEADER_VALUES = st.one_of(st.none(), st.integers(), GENERATED_TEXT, st.lists(st.floats(), max_size=2))
+# Repeated branches weight `one_of` toward documents with a list to walk,
+# so that many are read, or fail on their entries, across several batches.
+SUBMISSIONS = st.builds(
+    lambda header, results: {**header, **results},
+    st.dictionaries(st.sampled_from(["version", "challenge", "provenance", "future", "nouns"]), HEADER_VALUES,
+                    max_size=3),
+    st.one_of(*[st.fixed_dictionaries({"results": st.dictionaries(
+        GENERATED_TEXT, st.one_of(*[st.lists(GENERATED_ENTRY, max_size=4)] * 3, BAD_VALUES), max_size=4)})] * 3,
+        st.fixed_dictionaries({}, optional={"results": BAD_VALUES})))
+GROUND_TRUTHS = st.builds(
+    lambda header, taxonomy, annotations: {**header, **taxonomy, **annotations},
+    st.dictionaries(st.sampled_from(["provenance", "future", "results"]), HEADER_VALUES, max_size=2),
+    st.one_of(*[st.just({"taxonomy": GT_TAXONOMY})] * 2, st.just({"taxonomy_path": "taxonomy.json"}),
+              st.fixed_dictionaries({}, optional={
+                  "taxonomy": st.sampled_from([{"nouns": "n0"}, {"nouns": ["n0", "n0"], "verbs": [1]}, None]),
+                  "taxonomy_path": st.sampled_from([5, "missing.json", "taxonomy.json"])})),
+    st.one_of(*[st.fixed_dictionaries({"annotations": st.lists(GENERATED_ANNOTATION, max_size=8)})] * 3,
+              st.fixed_dictionaries({}, optional={"annotations": BAD_VALUES})))
+
+
+@st.composite
+def generated_bytes(draw, documents):
+    """A document serialised compactly or indented, its keys in either
+    order, escaped or not, with 0-3 bytes cut off its end (none in half
+    of them)."""
+    indented, sort_keys, ensure_ascii = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    text = json.dumps(draw(documents), indent=2 if indented else None, sort_keys=sort_keys,
+                      separators=None if indented else (",", ":"), ensure_ascii=ensure_ascii)
+    data = text.encode("utf-8")
+    return data[:len(data) - draw(st.sampled_from([0, 0, 0, 1, 2, 3]))]
+
+
+CHUNKS = st.sampled_from([1, 2, 3, 7, 64, io_formats._CHUNK])
+
+
+@pytest.fixture(scope="module")
+def generated_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("generated")
+    (path / "taxonomy.json").write_text(json.dumps(GT_TAXONOMY))
+    return path
+
+
+class TestGeneratedDocuments:
+    """Whatever the document, however it is written and cut, and whatever
+    the chunk, a loader gives what the parsed-whole reader gives of the
+    whole parse: the same tables bit for bit, or the same problems, and
+    the same warnings in order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=generated_bytes(SUBMISSIONS), chunk=CHUNKS)
+    def test_submissions(self, generated_dir, data, chunk):
+        path = generated_dir / "sub.json"
+        path.write_bytes(data)
+        with mock.patch.object(io_formats, "_CHUNK", chunk):
+            assert outcome(load_predictions, path) == outcome(read_whole, path), data
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=generated_bytes(GROUND_TRUTHS), chunk=CHUNKS)
+    def test_ground_truths(self, generated_dir, data, chunk):
+        path = generated_dir / "gt.json"
+        path.write_bytes(data)
+        with mock.patch.object(io_formats, "_CHUNK", chunk):
+            assert gt_outcome(load_ground_truth, path) == gt_outcome(gt_read_whole, path), data
 
 
 def read_at_depth(load, path, frames: int):

@@ -23,7 +23,6 @@ from vista.postprocess import (
     nms_block,
     postprocess_container,
     proposals_from_tensors,
-    run_inference_chain,
     softmax,
     ttc_column,
     ttc_from_raw,
@@ -79,7 +78,8 @@ def expand(tensors, cfg=InferenceConfig()):
 
 
 def chain(tensors, cfg=InferenceConfig()):
-    return run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg)
+    return class_aware_nms(expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg),
+                           cfg.nms_iou, cfg.max_exports)
 
 
 def make_hypothesis(rng, n_nouns=4, n_verbs=3):
@@ -635,7 +635,7 @@ class TestRankedExpansion:
         depths = data.draw(st.lists(st.integers(0, len(full) + 2), max_size=4), label="depths")
         for n in depths + [len(ranked)] + depths[:1]:
             assert column_bytes(ranked.head(n)) == column_bytes(full.head(n))
-        assert ranked.n_built == len(full)
+        assert len(ranked.table) == len(full)
 
     def test_head_in_any_order(self):
         tensors = make_tensors(CounterRng(45), 12)
@@ -669,7 +669,7 @@ class TestRankedExpansion:
         ranked = expand_hypotheses(proposals_from_tensors(tensors), TAXONOMY, cfg)
         class_aware_nms(ranked, cfg.nms_iou, cfg.max_exports)
         # NMS read no row of the last proposal: each scores below 1e-6.
-        assert ranked.head(ranked.n_built).score[-1] > 1e-6
+        assert ranked.head(len(ranked.table)).score[-1] > 1e-6
         tensors["proposal_boxes"][last] = [3.0, 3.0, 3.0, 9.0]
         with pytest.raises(ValidationError) as err:
             chain(tensors, cfg)
@@ -739,8 +739,8 @@ def record_blocks(monkeypatch):
 
 
 def alone(tensors, cfg):
-    """The column bytes of run_inference_chain of one example alone."""
-    return column_bytes(run_inference_chain(proposals_from_tensors(tensors), TAXONOMY, cfg))
+    """The column bytes of the chain of one example alone."""
+    return column_bytes(chain(tensors, cfg))
 
 
 BLOCK_CFG = InferenceConfig(k_noun=2, k_verb=3, max_exports=10)
