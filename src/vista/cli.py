@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 from .ensemble import EnsembleConfig, ensemble_predictions
@@ -240,19 +241,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as its message alone, not the line of vista that
+    issued it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
+    with warnings.catch_warnings():  # restores `showwarning` on the way out
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except ValidationError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_IO
+        except Exception:
+            traceback.print_exc()
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -226,9 +226,12 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     out: PredictionSet = {}
     for start, stop in count_blocks(sizes, boxes.EXAMPLE_BLOCK):
         block = uids[start:stop]
-        tables = [hyps.with_default_source(idx) for uid in block for idx, hyps in pooled[uid]]
+        members = [member for uid in block for member in pooled[uid]]
+        index = np.repeat([idx for idx, _ in members], [len(hyps) for _, hyps in members])
         example = np.repeat(np.arange(len(block)), sizes[start:stop])
-        merged, example = merge_group(group_hypotheses(HypothesisTable.concat(tables), cfg, example), cfg)
+        # The pooled table is freed once grouped, not held into the next block.
+        merged, example = merge_group(group_hypotheses(
+            HypothesisTable.concat([hyps for _, hyps in members]).with_default_source(index), cfg, example), cfg)
         rows = rank_within(merged, example, cfg.max_exports)
         rows = rows[np.argsort(example[rows], kind="stable")]  # one example after another
         ends = np.cumsum(np.bincount(example[rows], minlength=len(block))).tolist()

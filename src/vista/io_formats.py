@@ -21,7 +21,9 @@ object and uid, box, fields, taxonomy, values.
 `load_predictions` and `load_ground_truth` stream their document with
 one walker, `_walk_document`: it reads the file `_CHUNK` bytes at a time
 and walks the top-level object, and a submission's `results` member by
-member or a ground truth's `annotations` value by value, so a reader
+member or a ground truth's `annotations` a text's values at once (those
+up to its last "},", if they are all an array holds) and the rest value
+by value, so a reader
 holds about one chunk of text, the entries decoded since the last chunk
 and what it has read so far, never the whole text or all of its
 entries. A document it cannot walk that way (invalid JSON or UTF-8, a
@@ -297,7 +299,12 @@ class _Entries:
         """The entries of `lists`, (position, name, index of the first entry,
         entries) tuples that it empties, read as columns. Entries with
         unknown fields are appended to `unknown` as (fields, where), for
-        the reader to warn about once the whole document is read."""
+        the reader to warn about once the whole document is read. They are
+        looked for entry by entry only if an entry has a problem or the
+        entries have more fields in all than the known fields they hold,
+        which the uid, box and number passes count: with no problem, every
+        entry has each required field, and the optional ones are counted
+        by a default that tells a missing field from a null."""
         rows: list[dict] = []
         spans = []
         for position, name, first, entries in lists:
@@ -311,32 +318,43 @@ class _Entries:
             rows += entries
         self = cls(path, problems, spec, spans)
 
-        if not all(map(spec.keys.issuperset, rows)):
-            unknown += [(set(raw), f"{path}: {spec.name(*self.locate(r)[1:])}")
-                        for r, raw in enumerate(rows) if not spec.keys.issuperset(raw)]
+        n = len(rows)
+        known = n * (len(spec.keys) - len(spec.optional))  # the known fields present, if no row has a problem
+        bad_uid = False
         if spec.uid_field is not None:
             column = list(map(dict.get, rows, repeat(spec.uid_field)))
             if not (set(map(type, column)) <= {str} and all(column)):
+                bad_uid = True
                 for r in [r for r, uid in enumerate(column) if not (isinstance(uid, str) and uid)]:
                     self.report(r, 0, f"missing {spec.uid_field}")
                     column[r] = f"<{spec.name(*self.locate(r)[1:])}>"
             self.columns["uid"] = column
 
-        n = len(rows)
         boxes, box_problems = _box_column(list(map(dict.get, rows, repeat("box"))))
         self.columns["boxes"] = boxes
         values: dict[str, list] = {}  # each number column's values, as its problems word them
         field_problems: dict[int, str] = {}
         for field, column, kind in spec.numbers:
-            optional = field in spec.optional
-            raw = list(map(dict.get, rows, repeat(field), repeat(None if optional else _MISSING)))
-            if optional:
-                self.columns["has_" + column] = has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
+            raw = list(map(dict.get, rows, repeat(field), repeat(_MISSING)))
+            if field in spec.optional:
+                present = n - raw.count(_MISSING)
+                known += present
+                if not present:
+                    self.columns["has_" + column] = np.zeros(n, dtype=bool)
+                    values[column] = np.zeros(n, dtype=np.int64 if kind is int else np.float64)
+                    continue
+                has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
+                if present < n:
+                    has &= np.fromiter(map(is_not, raw, repeat(_MISSING)), dtype=bool, count=n)
                 if not has.all():
-                    raw = [0 if value is None else value for value in raw]
+                    raw = [value if kept else 0 for value, kept in zip(raw, has.tolist())]
+                self.columns["has_" + column] = has
             values[column], failed = _number_column(raw, kind, field)
             for r, message in failed.items():
                 field_problems.setdefault(r, message)
+        if bad_uid or box_problems or field_problems or sum(map(len, rows)) != known:
+            unknown += [(set(raw), f"{path}: {spec.name(*self.locate(r)[1:])}")
+                        for r, raw in enumerate(rows) if not spec.keys.issuperset(raw)]
         del rows
         lists.clear()  # the last references to the entries, which are most of the memory
         for field, column, kind in spec.numbers:
@@ -582,10 +600,11 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
     the first at position `first`, read into `problems` and `unknown`
     (`_Entries.read` and `check`) as one HypothesisTable per uid, ranked
     by `rank_within` with the source id as the tie-break, rows without
-    one first, so no table depends on the order of its entries. A value
-    that is not a list is a problem too, and no table is made once there
-    is one. The members are emptied, so their entries are freed as they
-    are read."""
+    one first, so no table depends on the order of its entries: the batch
+    is gathered once in that order and each uid's table is a slice of it.
+    A value that is not a list is a problem too, and no table is made
+    once there is one. The members are emptied, so their entries are
+    freed as they are read."""
     problems += [((first + u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                  for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
     lists = [(first + u, _copy(uid), 0, entries)
@@ -600,8 +619,8 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
     code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
     rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))
-    rows = rows[np.argsort(code[rows], kind="stable")]  # each uid's rows in its file span
-    return {uid: whole.take(rows[start:end]) for uid, start, end in spans}
+    ranked = whole.take(rows[np.argsort(code[rows], kind="stable")])  # each uid's rows in its file span
+    return {uid: ranked.take(slice(start, end)) for uid, start, end in spans}
 
 
 class _SubmissionStream:
@@ -638,8 +657,9 @@ class _SubmissionStream:
 # its text and live until the next chunk is read, so the chunk sets a
 # reader's peak: at 256 KiB, about 1 MB next to what it has read. Each
 # chunk's entries are one batch, which has a fixed cost: a 31 MB
-# submission read 8 uids at a time (a chunk of 256 KiB) takes 185 ms of
-# reading batches, 201 ms 4 at a time and 172 ms 32 at a time.
+# submission read 8 uids at a time (a chunk of 256 KiB) takes about 130
+# ms of reading batches, 150 ms 4 at a time and 115 ms 32 at a time
+# (medians over 5 reads each, on a 2-core Xeon with Python 3.11).
 _CHUNK = 1 << 18
 _WHITESPACE = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
 _SCAN = json.JSONDecoder().scan_once  # a value and the position after it, as json.loads decodes it
@@ -771,20 +791,46 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
                 raise _Unwalkable
             mark, pos = take(_punctuation, pos)
 
+    def take_block(pos: int) -> int:
+        """Decode the values from pos to the text's last "}," at once, as
+        the elements of one array, if those values are all that array
+        holds; returns the position after that comma, or pos if they are
+        not (the comma is in a string or a nested value, or the text there
+        is not JSON), and the values are left to the one-value loop."""
+        cut = text.rfind("},", pos)
+        if cut < 0:
+            return pos
+        try:
+            values, end = _SCAN("[" + text[pos:cut + 1] + "]", 0)
+        except (ValueError, StopIteration, RecursionError):  # JSONDecodeError is a ValueError
+            return pos
+        if end != cut + 3 - pos:
+            return pos
+        elements.extend(values)
+        return cut + 2
+
     def walk_array(pos: int) -> int:
         """Walk the array whose bracket ends before pos; returns the
-        position after its closing bracket. Each value is taken as `take`
-        takes a `_value`, with a comma or closing bracket after it, but
-        written out here, without a call per step: the array has a value
-        per annotation, thousands of them."""
+        position after its closing bracket. Once per text read, the values
+        up to its last "}," are decoded at once (`take_block`): each
+        annotation is an object, so that is all of them but the text's
+        tail. The rest are taken as `take` takes a `_value`, with a comma
+        or closing bracket after each, but written out here, without a
+        call per step; this loop alone tells a document it cannot walk."""
         mark, pos = take(_punctuation, pos)
         if mark == "]":
             return pos
         pos -= 1  # the first value starts at the mark
+        fresh = True  # whether text was read since the last `take_block`
         while True:
             if len(text) - pos < margin and not eof:
                 read_more(pos)
-                pos = 0
+                pos, fresh = 0, True
+            if fresh:
+                fresh, after = False, take_block(pos)
+                if after > pos:
+                    pos = after
+                    continue
             try:
                 value, end = _SCAN(text, _WHITESPACE(text, pos).end())
                 end = _WHITESPACE(text, end).end()
@@ -801,7 +847,7 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
                 return end + 1
             else:  # short of text, or not JSON: the next chunk tells
                 read_more(pos)
-                pos = 0
+                pos, fresh = 0, True
 
     def result(uid: str, pos: int) -> tuple[str, int]:
         entries, after, pos = take(_value, pos)
@@ -861,19 +907,26 @@ _SOURCE_LINE = '\n        "source_id": %r,'
 def _entries_text(table: HypothesisTable) -> str:
     """The entries of a table, in its row order, joined as in a JSON list.
 
-    The values are Python floats and ints (`tolist`), which `%r` writes
-    as the JSON encoder does: finite floats with `float.__repr__`, ints
-    with `int.__repr__`.
+    The values are Python floats and ints (`tolist`), written with `repr`
+    as the JSON encoder writes them: finite floats with `float.__repr__`,
+    ints with `int.__repr__`. Each column is written at once, and the
+    entries are one join of their texts between the pieces of `_ENTRY`.
     """
-    x1, y1, x2, y2 = table.boxes.T.tolist()
-    sources = (
-        [_SOURCE_LINE % source if has else "" for source, has in
-         zip(table.source.tolist(), table.has_source.tolist())]
-        if table.has_source.any() else repeat("", len(table))
-    )
-    rows = zip(x1, y1, x2, y2, table.noun.tolist(), table.score.tolist(), sources,
-               table.ttc.tolist(), table.verb.tolist())
-    return ",\n".join(map(_ENTRY.__mod__, rows))
+    first, *pieces = _ENTRY.split("%r")
+    before, after = pieces[5].split("%s")  # the piece after the score, around the source line
+    source = [repeat(before + after)]
+    if table.has_source.all():
+        opening, closing = _SOURCE_LINE.split("%r")
+        source = [repeat(before + opening), map(repr, table.source.tolist()), repeat(closing + after)]
+    elif table.has_source.any():
+        source = [repeat(before), [_SOURCE_LINE % value if has else "" for value, has in
+                                   zip(table.source.tolist(), table.has_source.tolist())], repeat(after)]
+    columns = [*table.boxes.T.tolist(), table.noun.tolist(), table.score.tolist(), table.ttc.tolist(),
+               table.verb.tolist()]
+    texts = [chain([first], repeat(",\n" + first))]  # each entry's opening, after a comma but the first's
+    for k, (column, piece) in enumerate(zip(columns, pieces)):
+        texts += [map(repr, column), *(source if k == 5 else [repeat(piece)])]
+    return "".join(chain.from_iterable(zip(*texts)))
 
 
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:

@@ -306,8 +306,9 @@ class HypothesisTable:
         """The first n rows; of a canonical table, the n highest ranked."""
         return self.take(slice(0, n))
 
-    def with_default_source(self, source: int) -> HypothesisTable:
-        """The table with `source` as the source of every row that has none."""
+    def with_default_source(self, source: int | np.ndarray) -> HypothesisTable:
+        """The table with `source` (one id, or one per row) as the source
+        of every row that has none."""
         return HypothesisTable.from_valid(
             self.boxes, self.noun, self.verb, self.ttc, self.score,
             np.where(self.has_source, self.source, source), np.ones(len(self), dtype=bool),

@@ -898,6 +898,32 @@ class TestValidateCommand:
             os.close(read_end)
         assert capsys.readouterr().out.startswith(f"{path}: valid {kind}")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_warnings_through_a_pipe_as_from_a_file(self, tmp_path, capsys):
+        # A file is walked and a pipe read whole, at other lines of vista;
+        # each warning is printed as its message alone, so both print the
+        # same lines, and the warnings module is left as it was.
+        data = json.dumps({"zz": 1, "results": {"u": [
+            {"box": [0, 0, 1, 1], "noun_category_id": 0, "verb_category_id": 0, "time_to_contact": 1.0,
+             "score": 0.5, "extra": {"a": [1]}}]}}).encode()
+        path = tmp_path / "w.json"
+        path.write_bytes(data)
+        shown, filters = warnings.showwarning, list(warnings.filters)
+        assert main(["validate", str(path)]) == EXIT_OK
+        from_file = capsys.readouterr().err
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # it fits in the pipe's buffer
+        os.close(write_end)
+        try:
+            piped = f"/dev/fd/{read_end}"
+            assert main(["validate", piped]) == EXIT_OK
+        finally:
+            os.close(read_end)
+        assert from_file.splitlines() == [f"warning: {path}: ignoring unknown fields ['zz']",
+                                          f"warning: {path}: results['u'][0]: ignoring unknown fields ['extra']"]
+        assert capsys.readouterr().err == from_file.replace(str(path), piped)
+        assert (warnings.showwarning, warnings.filters) == (shown, filters)
+
     def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch, capsys):
         # Reading the whole document peaks at 2.4-2.6 times the file size.
         path = tmp_path / "sub.json"
@@ -1101,8 +1127,10 @@ class TestValidateParsesOnce:
     def test_one_json_loads_per_file(self, synth_dir, monkeypatch, capsys, name, kind):
         # A submission or ground truth is walked: each top-level value and
         # each member of `results` or value of `annotations` is decoded once,
-        # in file order, and nothing is parsed whole. A taxonomy is parsed
-        # whole, once, and the walk decodes none of its values first.
+        # in file order, and nothing is parsed whole. The annotations are
+        # decoded a chunk's list at a time, so a ground truth's lists are
+        # recorded as their annotations. A taxonomy is parsed whole, once,
+        # and the walk decodes none of its values first.
         if name == "taxonomy.json":
             doc = json.loads((synth_dir / "ground_truth.json").read_text())["taxonomy"]
             (synth_dir / name).write_text(json.dumps(doc))
@@ -1115,7 +1143,10 @@ class TestValidateParsesOnce:
 
         def recording(text, idx):
             value, end = scan(text, idx)
-            decoded.append(value)
+            if kind == "valid ground truth" and isinstance(value, list):
+                decoded.extend(value)
+            else:
+                decoded.append(value)
             return value, end
 
         monkeypatch.setattr(io_formats, "_SCAN", recording)

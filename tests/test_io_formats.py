@@ -1061,9 +1061,129 @@ class TestStreamedGroundTruth:
         assert len(set(map(id, loaded.uid))) == len(set(loaded.uid)) == 5
 
 
+class TestAnnotationBlocks:
+    """Each chunk's annotations up to its last "}," are decoded at once,
+    and the rest one at a time: also all of them, when that "}," is in a
+    string or a nested value. Either way the table, problems and warnings
+    are those of the whole read."""
+
+    @staticmethod
+    def write(path, last: dict) -> list:
+        """A ground truth of 40 annotations, the last updated by `last`;
+        its annotations."""
+        annotations = gt_entries(np.random.default_rng(3), 40)
+        annotations[-1].update(last)
+        path.write_text(json.dumps({"annotations": annotations, "taxonomy": GT_TAXONOMY}, indent=2, sort_keys=True))
+        return annotations
+
+    @staticmethod
+    def decoded(monkeypatch, path) -> list:
+        """The values `_SCAN` decodes while the ground truth at path is loaded."""
+        values, scan = [], io_formats._SCAN
+        monkeypatch.setattr(io_formats, "_SCAN", lambda text, idx: values.append(scan(text, idx)[0]) or scan(text, idx))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_ground_truth(path)
+        monkeypatch.setattr(io_formats, "_SCAN", scan)
+        return values
+
+    def test_all_but_the_last_at_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "gt.json"
+        annotations = self.write(path, {})
+        assert self.decoded(monkeypatch, path) == [annotations[:-1], annotations[-1], GT_TAXONOMY]
+
+    @pytest.mark.parametrize("last", [{"example_uid": "a},b"}, {"example_uid": '"},"'}, {"example_uid": "\\},\\"},
+                                      {"extra": {"a": [1, {}], "b": None}}],
+                             ids=["comma-brace", "quoted", "backslashes", "nested"])
+    def test_comma_brace_after_the_last_annotation_starts(self, tmp_path, monkeypatch, last):
+        path = tmp_path / "gt.json"
+        annotations = self.write(path, last)
+        assert self.decoded(monkeypatch, path) == [*annotations, GT_TAXONOMY]
+        for chunk in (1, 2, 3, 7, 64, io_formats._CHUNK):
+            monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+            assert gt_outcome(load_ground_truth, path) == gt_outcome(gt_read_whole, path), chunk
+
+    def test_objects_after_the_annotations(self, tmp_path):
+        # The last "}," is in a list after the annotations, whose closing
+        # bracket is then inside the values up to it: they are not all an
+        # array holds, so they are decoded one at a time.
+        annotations = gt_entries(np.random.default_rng(5), 4)
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"annotations": annotations, "future": [{"a": 1}, {"b": 2}], "taxonomy": GT_TAXONOMY}))
+        walked = gt_outcome(load_ground_truth, path)
+        assert walked == gt_outcome(gt_read_whole, path)
+        assert [message for _, message in walked[1]] == [f"{path}: ignoring unknown fields ['future']"]
+
+    def test_mixed_elements_read_as_the_whole_document(self, tmp_path, monkeypatch):
+        annotations = gt_entries(np.random.default_rng(4), 12, unknown=True)
+        annotations[3:3] = [5, [{"a": 1}], None, "},", {"example_uid": "},", "box": {"a": {}}}]
+        path = tmp_path / "gt.json"
+        for text in (json.dumps({"annotations": annotations, "taxonomy": GT_TAXONOMY}, indent=2),
+                     json.dumps({"annotations": annotations, "taxonomy": GT_TAXONOMY}, separators=(",", ":"))):
+            path.write_text(text)
+            for chunk in (1, 2, 3, 7, 64, io_formats._CHUNK):
+                monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+                walked = gt_outcome(load_ground_truth, path)
+                assert walked == gt_outcome(gt_read_whole, path), chunk
+                assert walked[0][0] is ValidationError and len(walked[1]) == 3
+
+
+class TestEntryFieldCount:
+    """An entry has no unknown field when the entries have as many fields
+    in all as the known fields they hold, which the reader counts only
+    while no entry has a problem; else every entry's fields are checked."""
+
+    ENTRY = {"box": [0.0, 0.0, 1.0, 1.0], "noun_category_id": 0, "verb_category_id": 0, "time_to_contact": 1.0,
+             "score": 0.5}
+
+    def read(self, tmp_path, *entries) -> tuple:
+        """What `load_predictions` makes of a submission of one example of
+        the entries, which must be what the whole read makes of it."""
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"results": {"u": list(entries)}}))
+        walked = outcome(load_predictions, path)
+        assert walked == outcome(read_whole, path)
+        return walked[0], [message.replace(f"{path}: ", "") for _, message in walked[1]]
+
+    @staticmethod
+    def column(result, name: str) -> bytes:
+        """The bytes of one column of the one example's table."""
+        [(_, columns)] = result
+        return {column: data for column, _, _, data in columns}[name]
+
+    def test_an_unknown_field_in_place_of_a_missing_one(self, tmp_path):
+        entry = {**self.ENTRY, "scor": 0.5}
+        del entry["score"]
+        result, warned = self.read(tmp_path, self.ENTRY, entry)
+        assert result[0] is ValidationError and len(result[1]) == 1
+        assert warned == ["results['u'][1]: ignoring unknown fields ['scor']"]
+
+    def test_a_null_source_next_to_an_unknown_field(self, tmp_path):
+        result, warned = self.read(tmp_path, {**self.ENTRY, "source_id": None, "x": 1}, self.ENTRY)
+        assert self.column(result, "has_source") == bytes(2)
+        assert warned == ["results['u'][0]: ignoring unknown fields ['x']"]
+
+    def test_sources_on_some_entries(self, tmp_path):
+        entries = [{**self.ENTRY, "source_id": 1}, {**self.ENTRY, "x": [{}]}, {**self.ENTRY, "source_id": None},
+                   self.ENTRY]
+        result, warned = self.read(tmp_path, *entries)
+        assert sorted(self.column(result, "has_source")) == [0, 0, 0, 1]
+        assert warned == ["results['u'][1]: ignoring unknown fields ['x']"]
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_no_entry_with_a_source(self, tmp_path, unknown):
+        entries = [self.ENTRY, {**self.ENTRY, "x": 1} if unknown else self.ENTRY]
+        result, warned = self.read(tmp_path, *entries)
+        assert (self.column(result, "has_source"), self.column(result, "source")) == (bytes(2), bytes(16))
+        assert warned == (["results['u'][1]: ignoring unknown fields ['x']"] if unknown else [])
+
+
 # -- generated documents: the walk against the whole read ---------------------
 
-GENERATED_TEXT = st.text(st.sampled_from(["a", "7", "\u00e9", "\U0001f600", '"', "\\", " ", "\n"]), max_size=4)
+# Strings of a few pieces, some of which hold what ends an annotation in
+# the text ("}," and '"},"'), so that a chunk's last "}," may be in one.
+GENERATED_TEXT = st.lists(st.sampled_from(["a", "7", "\u00e9", "\U0001f600", '"', "\\", " ", "\n", "},", '"},"']),
+                          max_size=4).map("".join)
 WIDE_INTS = st.sampled_from([2**63, -(2**63) - 1, 2**70, -(2**70)])
 BAD_VALUES = st.sampled_from([None, True, "x", "1", "0.5", [1], {"a": 1}, 2.5, float("nan"), float("inf"), 10**400])
 IDS = st.one_of(st.integers(-1, 3), WIDE_INTS, BAD_VALUES)
@@ -1077,11 +1197,18 @@ def valid_box(draw):
     return [x, y, x + draw(st.floats(0.5, 50)), y + draw(st.floats(0.5, 50))]
 
 
+# The value of an unknown field: a string, or objects and lists nested
+# in it, whose closing braces are followed by commas in the text.
+UNKNOWN_VALUES = st.recursive(GENERATED_TEXT, lambda inner: st.one_of(
+    st.lists(inner, max_size=2), st.dictionaries(GENERATED_TEXT, inner, max_size=2)), max_leaves=4)
+
+
 def generated_entry(fields: dict, valid: dict):
     """An entry of the fields, each valid or not, perhaps with an unknown
     field, or now and then a value that is not an object."""
-    anything = st.fixed_dictionaries({}, optional={**fields, "comment": GENERATED_TEXT})
-    return st.one_of(st.fixed_dictionaries(valid), st.fixed_dictionaries(valid), anything, BAD_VALUES)
+    anything = st.fixed_dictionaries({}, optional={**fields, "comment": UNKNOWN_VALUES})
+    return st.one_of(st.fixed_dictionaries(valid), st.fixed_dictionaries(valid, optional={"comment": UNKNOWN_VALUES}),
+                     anything, BAD_VALUES)
 
 
 GENERATED_ENTRY = generated_entry(
@@ -1094,7 +1221,7 @@ GENERATED_ANNOTATION = generated_entry(
      "verb_category_id": IDS, "time_to_contact": FLOATS},
     {"example_uid": GENERATED_TEXT.filter(bool), "box": valid_box(), "noun_category_id": st.integers(0, 2),
      "verb_category_id": st.integers(0, 1), "time_to_contact": st.floats(0, 2)})
-HEADER_VALUES = st.one_of(st.none(), st.integers(), GENERATED_TEXT, st.lists(st.floats(), max_size=2))
+HEADER_VALUES = st.one_of(st.none(), st.integers(), GENERATED_TEXT, st.lists(st.floats(), max_size=2), UNKNOWN_VALUES)
 # Repeated branches weight `one_of` toward documents with a list to walk,
 # so that many are read, or fail on their entries, across several batches.
 SUBMISSIONS = st.builds(
@@ -1137,11 +1264,44 @@ def generated_dir(tmp_path_factory):
     return path
 
 
+def entry_warnings(path, data: bytes, kind: str) -> list[str]:
+    """The warnings about the unknown fields of a document's entries, in
+    file order, told from its parse alone: every object in `results`'
+    lists or in `annotations` with a field other than its known ones. A
+    reader gives them once it knows the document is of its kind and, of a
+    ground truth, the taxonomy; else none."""
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return []
+    if kind == "submission":
+        known = {"box", "noun_category_id", "verb_category_id", "time_to_contact", "score", "source_id"}
+        if not (isinstance(doc, dict) and isinstance(doc.get("results"), dict)):
+            return []
+        lists = [(f"results[{uid!r}][", "]", entries) for uid, entries in doc["results"].items()
+                 if isinstance(entries, list)]
+    else:
+        known = {"example_uid", "box", "noun_category_id", "verb_category_id", "time_to_contact"}
+        if not (isinstance(doc, dict) and isinstance(doc.get("annotations"), list)):
+            return []
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                io_formats._ground_truth_taxonomy(doc, path)
+        except (ValidationError, OSError):
+            return []
+        lists = [("annotation ", "", doc["annotations"])]
+    return [f"{path}: {before}{i}{after}: ignoring unknown fields {sorted(set(entry) - known)}"
+            for before, after, entries in lists for i, entry in enumerate(entries)
+            if isinstance(entry, dict) and not known.issuperset(entry)]
+
+
 class TestGeneratedDocuments:
     """Whatever the document, however it is written and cut, and whatever
     the chunk, a loader gives what the parsed-whole reader gives of the
     whole parse: the same tables bit for bit, or the same problems, and
-    the same warnings in order."""
+    the same warnings in order. Both share the reader of the entries, so
+    its warnings about unknown fields are also held to the parse."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=generated_bytes(SUBMISSIONS), chunk=CHUNKS)
@@ -1149,7 +1309,10 @@ class TestGeneratedDocuments:
         path = generated_dir / "sub.json"
         path.write_bytes(data)
         with mock.patch.object(io_formats, "_CHUNK", chunk):
-            assert outcome(load_predictions, path) == outcome(read_whole, path), data
+            walked = outcome(load_predictions, path)
+            assert walked == outcome(read_whole, path), data
+        assert [message for _, message in walked[1] if not message.startswith(f"{path}: ignoring")] == (
+            entry_warnings(path, data, "submission")), data
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=generated_bytes(GROUND_TRUTHS), chunk=CHUNKS)
@@ -1157,7 +1320,10 @@ class TestGeneratedDocuments:
         path = generated_dir / "gt.json"
         path.write_bytes(data)
         with mock.patch.object(io_formats, "_CHUNK", chunk):
-            assert gt_outcome(load_ground_truth, path) == gt_outcome(gt_read_whole, path), data
+            walked = gt_outcome(load_ground_truth, path)
+            assert walked == gt_outcome(gt_read_whole, path), data
+        assert [message for _, message in walked[1] if not message.startswith(f"{path}: ignoring")] == (
+            entry_warnings(path, data, "ground truth")), data
 
 
 def read_at_depth(load, path, frames: int):
