@@ -141,13 +141,13 @@ def _candidates(pred_key: np.ndarray, gt_key: np.ndarray, corners: list[np.ndarr
 def _greedy_match(blocks, tp: np.ndarray, n_gt: int) -> None:
     """Greedy matching over blocks of candidate pairs, each (prediction
     indices, ground-truth indices, IoU), grouped by prediction across
-    blocks; evaluate gives the pairs of one example block, one example
-    after another, in rank order within an example. Predictions take
-    their turn in that order; each takes the unmatched ground truth of
-    highest IoU among its candidates, the first in ground-truth order on
-    ties, and sets its TP flag in tp. The ground truths are 0, ...,
-    n_gt - 1. The state carries from one block to the next, so where the
-    blocks are cut does not change the flags."""
+    blocks; evaluate gives the pairs of one example block in its rank
+    order, where each example's predictions come in their own rank
+    order. Predictions take their turn in that order; each takes the
+    unmatched ground truth of highest IoU among its candidates, the first
+    in ground-truth order on ties, and sets its TP flag in tp. The ground
+    truths are 0, ..., n_gt - 1. The state carries from one block to the
+    next, so where the blocks are cut does not change the flags."""
     taken = [False] * n_gt
     current, best_g, best = -1, -1, -1.0
     for p, g, overlap in blocks:
@@ -185,6 +185,70 @@ def _by_example(code: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     return np.argsort(code, kind="stable"), bounds.tolist()
 
 
+def _ranked_block(tables: list[HypothesisTable], top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows each of the tables, one example each, keeps (`rank_within`),
+    as indices into their rows one after another, in rank order, and the
+    example of each of those rows, 0 for the first table."""
+    code = np.repeat(np.arange(len(tables)), [len(table) for table in tables])
+    rows = rank_within(tables, code, top_k)
+    return rows, code[rows]
+
+
+def _matched_blocks(tables: list[HypothesisTable], sizes: np.ndarray, gts: GroundTruthTable, gt_uid: np.ndarray,
+                    gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
+    """Match the examples, one table of `sizes` rows each, in blocks of
+    whole examples (see `evaluate`). The ground truths have the examples
+    `gt_uid` and the classes `gt_class`, indices into `classes`. Yields
+    each block's (first example, end example) and, for its kept rows in
+    the block's rank order, their classes (-1 for a noun that no ground
+    truth has), scores and TP flags by variant."""
+    n_classes = len(classes)
+    gt_by_example, gt_bounds = _by_example(gt_uid, len(tables))
+    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(tables)), boxes.EXAMPLE_BLOCK):
+        block = tables[start:stop]
+        rows, code = _ranked_block(block, cfg.top_k)
+        noun, pred_boxes, pred_verb, pred_ttc, score = (
+            HypothesisTable.column(block, name)[rows] for name in ("noun", "boxes", "verb", "ttc", "score"))
+        # Each noun's index in classes, or -1; nouns are >= 0, so none is the -1 appended.
+        at = np.searchsorted(classes, noun)
+        cls = np.where(np.append(classes, -1)[at] == noun, at, -1)
+        g = gt_by_example[gt_bounds[start]:gt_bounds[stop]]
+        pred_key = np.where(cls < 0, -1, code * n_classes + cls)  # -1: no ground truth has the noun
+        gt_key = (gt_uid[g] - start) * n_classes + gt_class[g]
+        corners, area = box_columns(pred_boxes, gts.boxes[g])
+        gt_verb, gt_ttc = gts.verb[g], gts.ttc[g]
+        pairs = [(i, j, overlap, pred_verb[i] == gt_verb[j], np.abs(pred_ttc[i] - gt_ttc[j]) < cfg.ttc_max_error)
+                 for i, j, overlap in _candidates(pred_key, gt_key, corners, area, cfg.iou_min)]
+        tp = {variant: np.zeros(len(rows), dtype=bool) for variant in ALL_VARIANTS}
+        for variant in ALL_VARIANTS:
+            _greedy_match(_variant_pairs(pairs, variant), tp[variant], len(g))
+        yield start, stop, cls, score, tp
+
+
+def _order_ties(by_class: np.ndarray, places: np.ndarray, run: np.ndarray, tables: list[HypothesisTable],
+                blocks: list[tuple[int, int, int, int]], top_k: int) -> None:
+    """Put the rows at `places` in by_class, which tie in class and score,
+    each `run` of them in storage order, into canonical order: by verb,
+    box corners and TTC, and then in storage order, which is uid order and
+    then rank order within an example. Their keys are gathered from their
+    blocks, (first example, end example, first kept row, end kept row) of
+    `tables`, ranked again, one block with such rows at a time."""
+    kept = by_class[places]
+    by_storage = np.argsort(kept)  # each block's rows are one slice of it
+    cuts = np.searchsorted(kept[by_storage], [first for _, _, first, _ in blocks[1:]])
+    keys = [np.empty(len(kept), dtype=np.int64)] + [np.empty(len(kept)) for _ in range(5)]  # verb, corners, TTC
+    for (start, stop, first, _), at in zip(blocks, np.split(by_storage, cuts)):
+        if len(at):
+            block = tables[start:stop]
+            rows = _ranked_block(block, top_k)[0][kept[at] - first]
+            columns = (HypothesisTable.column(block, "verb")[rows], *HypothesisTable.column(block, "boxes")[rows].T,
+                       HypothesisTable.column(block, "ttc")[rows])
+            for key, column in zip(keys, columns):
+                key[at] = column
+    del by_storage
+    by_class[places] = kept[np.lexsort((*keys[::-1], run))]
+
+
 def evaluate(
     preds: PredictionSet,
     gts: GroundTruthTable | list[GroundTruthInstance],
@@ -193,78 +257,101 @@ def evaluate(
     """Run the four-variant protocol over a prediction set.
 
     `preds` maps uids to HypothesisTables or lists of StaHypothesis, and
-    `gts` is a GroundTruthTable or a list of GroundTruthInstance. Every
-    row is ranked once (`rank_within`) and each example keeps its first
-    top_k; each class's AP reads its kept rows in that ranking. A match
-    never crosses an example, so the examples, in uid order, are matched
-    in blocks of whole examples whose hypotheses and ground truths add up
-    to at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone).
-    A block's candidate pairs (same example, same noun, IoU > iou_min)
-    are built once, grouped by prediction, one example after another, in
-    rank order within an example, and filtered for each variant by its
-    verb and TTC needs. Per variant, predictions are matched greedily in
-    that order, each to the unmatched candidate ground truth of highest
-    IoU, and set their TP flags in the variant's one array of flags.
+    `gts` is a GroundTruthTable or a list of GroundTruthInstance. A match
+    never crosses an example, so the examples, in uid order, are taken in
+    blocks of whole examples whose hypotheses and ground truths add up to
+    at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone). Each
+    block's rows are ranked on their own (`rank_within`), and each example
+    keeps its first top_k. A block's candidate pairs (same example, same
+    noun, IoU > iou_min) are built once, grouped by prediction in the
+    block's rank order, and filtered for each variant by its verb and TTC
+    needs. Per variant, predictions are matched greedily in that order,
+    each to the unmatched candidate ground truth of highest IoU, and set
+    their TP flags in the variant's one array of flags.
 
-    Next to its inputs, it holds the ranking, the kept rows' example
-    codes and nouns and the flags, and for one block at a time the
-    corners, verbs and TTCs of its kept rows and ground truths, its
-    candidate pairs, and temporaries of at most about PAIR_BLOCK pairs.
+    Each class's AP reads its kept rows by score, and rows of one class
+    and one score in canonical order with the uid last, as one ranking of
+    every row would give them: that order restricted to one class is the
+    class's own. The keys that order them are gathered again, block by
+    block, for those rows alone.
+
+    Next to its inputs, it holds per kept row only its class (an index
+    into the ground truth's nouns, or -1), its score, its four TP flags
+    and, once every block is matched, its place in the classes' order;
+    and for one block at a time the block's columns, the corners, verbs
+    and TTCs of its kept rows and ground truths, its candidate pairs, and
+    temporaries of at most about PAIR_BLOCK pairs.
     """
     # Lists stay accepted: the benchmark's oracle check passes synth's lists.
     by_uid = {uid: as_table(hyps) for uid, hyps in preds.items()}
     gts = as_gt_table(gts)
     uids = sorted(set(by_uid) | set(gts.uid))
-    # One table per example, in uid order: an example's rows are one run
-    # of the rows of the tables one after another.
     no_rows = HypothesisTable.concat([])
-    tables = [by_uid.get(uid, no_rows) for uid in uids]
+    tables = [by_uid.get(uid, no_rows) for uid in uids]  # one per example, in uid order
     sizes = np.array([len(table) for table in tables], dtype=np.int64)
-    row_first = (np.cumsum(sizes) - sizes).tolist()
-    row_uid = np.repeat(np.arange(len(uids)), sizes)
-    rows = rank_within(tables, row_uid, cfg.top_k)
-    pred_uid = row_uid[rows]
-    del row_uid
-    pred_noun = HypothesisTable.column(tables, "noun")[rows]
     uid_code = {uid: c for c, uid in enumerate(uids)}
     gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
-    n_pred, n_gt = len(rows), len(gts)
+    classes, gt_class, class_size = np.unique(gts.noun, return_inverse=True, return_counts=True)
+    n_classes, n_gt = len(classes), len(gts)
+    # Each example keeps min(size, top_k) rows; top_k may be beyond int64.
+    n_pred = int(np.minimum(sizes, min(cfg.top_k, int(sizes.max(initial=0)))).sum())
 
+    # The kept rows, one block after another, each block's in its rank order.
+    # The smallest int type that holds -1, ..., n_classes - 1 (and n_classes).
+    pred_class = np.empty(n_pred, dtype=np.min_scalar_type(-n_classes - 1))
+    pred_score = np.empty(n_pred, dtype=np.float64)
     tp = {variant: np.zeros(n_pred, dtype=bool) for variant in ALL_VARIANTS}
-    pred_by_example, pred_bounds = _by_example(pred_uid, len(uids))
-    gt_by_example, gt_bounds = _by_example(gt_uid, len(uids))
-    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(uids)), boxes.EXAMPLE_BLOCK):
-        p = pred_by_example[pred_bounds[start]:pred_bounds[stop]]  # rank positions
-        g = gt_by_example[gt_bounds[start]:gt_bounds[stop]]
-        local = rows[p] - row_first[start]  # into the rows of the block's tables
-        pred_boxes, pred_verb, pred_ttc = (HypothesisTable.column(tables[start:stop], name)[local]
-                                           for name in ("boxes", "verb", "ttc"))
-        nouns, noun_code = np.unique(np.concatenate([pred_noun[p], gts.noun[g]]), return_inverse=True)
-        key = (np.concatenate([pred_uid[p], gt_uid[g]]) - start) * len(nouns) + noun_code
-        corners, area = box_columns(pred_boxes, gts.boxes[g])
-        gt_verb, gt_ttc = gts.verb[g], gts.ttc[g]
-        pairs = [(p[i], j, overlap, pred_verb[i] == gt_verb[j], np.abs(pred_ttc[i] - gt_ttc[j]) < cfg.ttc_max_error)
-                 for i, j, overlap in _candidates(key[:len(p)], key[len(p):], corners, area, cfg.iou_min)]
+    class_count = np.zeros(n_classes + 1, dtype=np.int64)  # kept rows of each class, class -1 first
+    blocks = []  # (first example, end example, first kept row, end kept row) of each block
+    end = 0
+    for start, stop, cls, score, flags in _matched_blocks(tables, sizes, gts, gt_uid, gt_class, classes, cfg):
+        first, end = end, end + len(cls)
+        blocks.append((start, stop, first, end))
+        pred_class[first:end], pred_score[first:end] = cls, score
+        class_count += np.bincount(cls + 1, minlength=n_classes + 1)
         for variant in ALL_VARIANTS:
-            _greedy_match(_variant_pairs(pairs, variant), tp[variant], len(g))
-    del rows, pred_uid, pred_by_example  # before the class order is made
+            tp[variant][first:end] = flags[variant]
 
-    classes, class_size = np.unique(gts.noun, return_counts=True)
-    scored_classes = classes.tolist()
-    # Each class's predictions, in rank order, are one slice of by_noun.
-    by_noun = np.argsort(pred_noun, kind="stable")
-    class_first = np.searchsorted(pred_noun[by_noun], scored_classes, side="left")
-    class_end = np.searchsorted(pred_noun[by_noun], scored_classes, side="right")
+    # Each class's kept rows are one slice of by_class, by score; rows of
+    # one score keep their storage order, which is block order, so uid
+    # order, and then a block's rank order. A block's rows go to the next
+    # places of their classes, so no sort of every kept row is made.
+    class_end = np.cumsum(class_count)
+    placed = class_end - class_count  # the next place of each class
+    by_class = np.empty(n_pred, dtype=np.intp)
+    for _, _, first, end in blocks:
+        cls = pred_class[first:end].astype(np.intp) + 1
+        count = np.bincount(cls, minlength=n_classes + 1)
+        by_class[np.repeat(placed - (np.cumsum(count) - count), count) + np.arange(end - first)] = (
+            first + np.argsort(cls, kind="stable"))
+        placed += count
+    del pred_class
+    run_starts = np.ones(n_pred + 1, dtype=bool)  # where a run of one class and one score starts, and the end
+    for first, end in zip(class_end[:-1].tolist(), class_end[1:].tolist()):
+        if end - first < 2:
+            continue
+        rows = by_class[first:end]
+        score = pred_score[rows]
+        order = np.argsort(-score, kind="stable")
+        rows[:] = rows[order]
+        score = score[order]
+        run_starts[first + 1:end] = score[1:] != score[:-1]
+    del pred_score
+    places = np.flatnonzero(~(run_starts[:-1] & run_starts[1:]))  # the rows in a run of two or more
+    if len(places):
+        _order_ties(by_class, places, np.cumsum(run_starts[places]), tables, blocks, cfg.top_k)
+    del run_starts, places
 
     maps: dict[str, float] = {}  # by map_key
+    scored_classes = classes.tolist()
     per_noun_ap: dict[int, dict[str, float]] = {c: {} for c in scored_classes}
     all_counts: dict[str, dict[str, int]] = {}
     for variant in ALL_VARIANTS:
-        tp_by_noun = tp[variant][by_noun]
+        tp_by_class = tp[variant][by_class]
         aps = []
-        for cls, n_gt_cls, first, end in zip(scored_classes, class_size.tolist(), class_first.tolist(),
-                                             class_end.tolist()):
-            ap = average_precision(tp_by_noun[first:end], n_gt_cls)
+        for cls, n_gt_cls, first, end in zip(scored_classes, class_size.tolist(), class_end[:-1].tolist(),
+                                             class_end[1:].tolist()):
+            ap = average_precision(tp_by_class[first:end], n_gt_cls)
             per_noun_ap[cls][variant.value] = ap
             aps.append(ap)
         maps[variant.map_key] = 100.0 * float(np.mean(aps)) if aps else 0.0

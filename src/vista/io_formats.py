@@ -602,9 +602,11 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
     by `rank_within` with the source id as the tie-break, rows without
     one first, so no table depends on the order of its entries: the batch
     is gathered once in that order and each uid's table is a slice of it.
-    A value that is not a list is a problem too, and no table is made
-    once there is one. The members are emptied, so their entries are
-    freed as they are read."""
+    In a batch where no entry has a source id, the tables' `source` and
+    `has_source` are read-only zero-stride views of one zero, not columns
+    of zeros. A value that is not a list is a problem too, and no table
+    is made once there is one. The members are emptied, so their entries
+    are freed as they are read."""
     problems += [((first + u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                  for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
     lists = [(first + u, _copy(uid), 0, entries)
@@ -619,7 +621,13 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
     code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
     rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))
-    ranked = whole.take(rows[np.argsort(code[rows], kind="stable")])  # each uid's rows in its file span
+    rows = rows[np.argsort(code[rows], kind="stable")]  # each uid's rows in its file span
+    if whole.has_source.any():
+        ranked = whole.take(rows)
+    else:  # one zero stands for every row's source and has_source
+        ranked = HypothesisTable.from_valid(
+            *(column[rows] for column in (whole.boxes, whole.noun, whole.verb, whole.ttc, whole.score)),
+            *(np.broadcast_to(np.zeros((), dtype=dtype), len(rows)) for dtype in (np.int64, np.bool_)))
     return {uid: ranked.take(slice(start, end)) for uid, start, end in spans}
 
 

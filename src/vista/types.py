@@ -413,8 +413,9 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
     the last tie-breaks, and a row is kept when fewer than top_k rows of
     its code rank above it (every row when top_k is None). That order
     restricted to one code is the code's own canonical order, ties
-    included, so each example keeps its first top_k rows. This is the one ranking within examples: the
-    reader, the ensemble's export cut and evaluate's top-k use it."""
+    included, so each example keeps its first top_k rows. This is the one
+    ranking within examples: the reader, the ensemble's export cut and
+    evaluate's top-k, one block of whole examples at a time, use it."""
     rank = canonical_order(tables, (code,) + tie_break)
     if top_k is None or top_k >= len(rank):
         return rank
