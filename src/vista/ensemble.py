@@ -56,13 +56,12 @@ class Grouping:
     Group g is the rows bounds[g]:bounds[g + 1] of `table`. The groups are
     in the order of their seeds, and each group's members are in
     canonical order, so its seed (its highest-ranked member) comes first.
-    The hypotheses are one example's, or those of several examples with
-    the example code of each row in `example`; no group spans two.
+    `example` holds the example code of each row; no group spans two.
     """
 
     table: HypothesisTable
     bounds: np.ndarray
-    example: np.ndarray | None = None
+    example: np.ndarray
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -75,8 +74,9 @@ class Grouping:
 def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig(),
                      example: np.ndarray | None = None) -> Grouping:
     """Greedy seed-anchored grouping (not transitive closure), of one
-    example's hypotheses or of several examples' with the example code of
-    each row in `example`, each example as it would be grouped alone.
+    example's hypotheses (code 0) or of several examples' with the example
+    code of each row in `example`, each example as it would be grouped
+    alone.
 
     The groups are those of `boxes.greedy_owners` over the hypotheses in
     canonical order: each seed and the hypotheses it owns form a group.
@@ -101,8 +101,7 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
     owner = np.array(greedy_owners((table.verb, table.noun, code), joins, []), dtype=np.intp)
     seed = np.where(owner < 0, np.arange(n), owner)
     member_row = np.argsort(seed, kind="stable")  # by seed, each group in rank order, its seed first
-    return Grouping(table.take(member_row), np.append(np.flatnonzero(owner[member_row] < 0), n),
-                    None if example is None else code[member_row])
+    return Grouping(table.take(member_row), np.append(np.flatnonzero(owner[member_row] < 0), n), code[member_row])
 
 
 def _member_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -139,11 +138,9 @@ def _member_means(weight: np.ndarray, values: np.ndarray, bounds: np.ndarray) ->
     return means
 
 
-def merge_group(groups: Grouping,
-                cfg: EnsembleConfig = EnsembleConfig()) -> HypothesisTable | tuple[HypothesisTable, np.ndarray]:
+def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> tuple[HypothesisTable, np.ndarray]:
     """Collapse every group into one hypothesis, the rows of the result
-    in group order. Of a Grouping of several examples, the result is the
-    table and the example code of each of its rows.
+    in group order: the table and the example code of each of its rows.
 
     Box corners and TTC are score-weighted means over members; noun, verb
     and source come from the seed. The merged score is the mean member
@@ -194,7 +191,7 @@ def merge_group(groups: Grouping,
         source=table.source[seeds],
         has_source=table.has_source[seeds],
     )
-    return merged if groups.example is None else (merged, groups.example[seeds])
+    return merged, groups.example[seeds]
 
 
 def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | None = None) -> PredictionSet:
@@ -232,8 +229,7 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
         # The pooled table is freed once grouped, not held into the next block.
         merged, example = merge_group(group_hypotheses(
             HypothesisTable.concat([hyps for _, hyps in members]).with_default_source(index), cfg, example), cfg)
-        rows = rank_within(merged, example, cfg.max_exports)
-        rows = rows[np.argsort(example[rows], kind="stable")]  # one example after another
+        rows = rank_within(merged, example, cfg.max_exports)  # one example after another
         ends = np.cumsum(np.bincount(example[rows], minlength=len(block))).tolist()
         top = merged.take(rows)
         for uid, begin, end in zip(block, [0] + ends, ends):

@@ -141,11 +141,11 @@ def _candidates(pred_key: np.ndarray, gt_key: np.ndarray, corners: list[np.ndarr
 def _greedy_match(blocks, tp: np.ndarray, n_gt: int) -> None:
     """Greedy matching over blocks of candidate pairs, each (prediction
     indices, ground-truth indices, IoU), grouped by prediction across
-    blocks; evaluate gives the pairs of one example block in its rank
-    order, where each example's predictions come in their own rank
-    order. Predictions take their turn in that order; each takes the
-    unmatched ground truth of highest IoU among its candidates, the first
-    in ground-truth order on ties, and sets its TP flag in tp. The ground
+    blocks; evaluate gives the pairs of one example block, one example
+    after another and each example's predictions in their rank order.
+    Predictions take their turn in that order; each takes the unmatched
+    ground truth of highest IoU among its candidates, the first in
+    ground-truth order on ties, and sets its TP flag in tp. The ground
     truths are 0, ..., n_gt - 1. The state carries from one block to the
     next, so where the blocks are cut does not change the flags."""
     taken = [False] * n_gt
@@ -187,8 +187,9 @@ def _by_example(code: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
 
 def _ranked_block(tables: list[HypothesisTable], top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows each of the tables, one example each, keeps (`rank_within`),
-    as indices into their rows one after another, in rank order, and the
-    example of each of those rows, 0 for the first table."""
+    as indices into their rows one after another, one example after
+    another and each in its rank order, and the example of each of those
+    rows, 0 for the first table."""
     code = np.repeat(np.arange(len(tables)), [len(table) for table in tables])
     rows = rank_within(tables, code, top_k)
     return rows, code[rows]
@@ -199,9 +200,10 @@ def _matched_blocks(tables: list[HypothesisTable], sizes: np.ndarray, gts: Groun
     """Match the examples, one table of `sizes` rows each, in blocks of
     whole examples (see `evaluate`). The ground truths have the examples
     `gt_uid` and the classes `gt_class`, indices into `classes`. Yields
-    each block's (first example, end example) and, for its kept rows in
-    the block's rank order, their classes (-1 for a noun that no ground
-    truth has), scores and TP flags by variant."""
+    each block's (first example, end example) and, for its kept rows, one
+    example after another and each in its rank order, their classes (-1
+    for a noun that no ground truth has), scores and TP flags by
+    variant."""
     n_classes = len(classes)
     gt_by_example, gt_bounds = _by_example(gt_uid, len(tables))
     for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(tables)), boxes.EXAMPLE_BLOCK):
@@ -262,12 +264,12 @@ def evaluate(
     blocks of whole examples whose hypotheses and ground truths add up to
     at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone). Each
     block's rows are ranked on their own (`rank_within`), and each example
-    keeps its first top_k. A block's candidate pairs (same example, same
-    noun, IoU > iou_min) are built once, grouped by prediction in the
-    block's rank order, and filtered for each variant by its verb and TTC
-    needs. Per variant, predictions are matched greedily in that order,
-    each to the unmatched candidate ground truth of highest IoU, and set
-    their TP flags in the variant's one array of flags.
+    keeps its first top_k, one example after another. A block's candidate
+    pairs (same example, same noun, IoU > iou_min) are built once, grouped
+    by prediction in that order, and filtered for each variant by its
+    verb and TTC needs. Per variant, predictions are matched greedily in
+    that order, each to the unmatched candidate ground truth of highest
+    IoU, and set their TP flags in the variant's one array of flags.
 
     Each class's AP reads its kept rows by score, and rows of one class
     and one score in canonical order with the uid last, as one ranking of
@@ -296,7 +298,7 @@ def evaluate(
     # Each example keeps min(size, top_k) rows; top_k may be beyond int64.
     n_pred = int(np.minimum(sizes, min(cfg.top_k, int(sizes.max(initial=0)))).sum())
 
-    # The kept rows, one block after another, each block's in its rank order.
+    # The kept rows, one example after another, each example's in its rank order.
     # The smallest int type that holds -1, ..., n_classes - 1 (and n_classes).
     pred_class = np.empty(n_pred, dtype=np.min_scalar_type(-n_classes - 1))
     pred_score = np.empty(n_pred, dtype=np.float64)
@@ -313,9 +315,9 @@ def evaluate(
             tp[variant][first:end] = flags[variant]
 
     # Each class's kept rows are one slice of by_class, by score; rows of
-    # one score keep their storage order, which is block order, so uid
-    # order, and then a block's rank order. A block's rows go to the next
-    # places of their classes, so no sort of every kept row is made.
+    # one score keep their storage order, which is uid order and then an
+    # example's rank order. A block's rows go to the next places of their
+    # classes, so no sort of every kept row is made.
     class_end = np.cumsum(class_count)
     placed = class_end - class_count  # the next place of each class
     by_class = np.empty(n_pred, dtype=np.intp)

@@ -620,8 +620,7 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
     code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
-    rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))
-    rows = rows[np.argsort(code[rows], kind="stable")]  # each uid's rows in its file span
+    rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))  # one uid after another
     if whole.has_source.any():
         ranked = whole.take(rows)
     else:  # one zero stands for every row's source and has_source

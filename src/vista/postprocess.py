@@ -39,8 +39,8 @@ from . import boxes
 from .boxes import box_columns, greedy_owners, pair_iou
 from .errors import ValidationError
 from .io_formats import TensorFile
-from .types import (HypothesisTable, Taxonomy, array_field, box_rules, canonical_order, check_fields, contract,
-                    setting, shape_problems)
+from .types import (HypothesisTable, Taxonomy, array_field, box_rules, check_fields, contract, rank_within, setting,
+                    shape_problems)
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
 
 # Conventional clamp on log-size deltas so exp() cannot blow up boxes.
@@ -224,10 +224,10 @@ class RankedHypotheses:
 
     build(depth) builds, for each example e, its rows scoring at least
     its depth[e]-th highest score, ties included, in ascending (proposal,
-    noun, verb) rank order, and sorts them canonically, one example after
-    another. That is exact: the canonical key starts with -score, so the
-    rows scoring at least s, in canonical order, are a prefix of the
-    example's whole sorted table, and rows with equal scores keep the
+    noun, verb) rank order, and ranks them one example after another
+    (`rank_within`). That is exact: the canonical key starts with -score,
+    so the rows scoring at least s, in canonical order, are a prefix of
+    the example's whole sorted table, and rows with equal scores keep the
     relative order they would have there. A deeper build adds only rows
     scoring below every row of the example already built, so it extends
     the built prefix; no row is built twice, and each (proposal, noun) box
@@ -333,10 +333,8 @@ class RankedHypotheses:
             table = HypothesisTable(**columns)
         except ValidationError:
             table, example = self._drop_failing(columns, example)
-        # Canonical order, then one example after another: restricted to
-        # one example, that is the example's own canonical order.
-        order = canonical_order(table)
-        order = order[np.argsort(example[order], kind="stable")]
+        # One example after another, each in its own canonical order.
+        order = rank_within(table, example)
         example = example[order]
         counts = np.bincount(example, minlength=len(wanted))
         position = np.arange(len(example)) + np.repeat(self._n_built - (np.cumsum(counts) - counts), counts)

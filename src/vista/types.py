@@ -407,28 +407,23 @@ def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: t
 def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarray, top_k: int | None = None,
                 tie_break: tuple = ()) -> np.ndarray:
     """The rows that each example keeps, as indices into the rows of the
-    tables one after another, in rank order; `code` gives each row's
-    example, a non-negative int. Every row is ranked once by
-    `canonical_order`, with the `tie_break` columns and then the code as
-    the last tie-breaks, and a row is kept when fewer than top_k rows of
-    its code rank above it (every row when top_k is None). That order
-    restricted to one code is the code's own canonical order, ties
-    included, so each example keeps its first top_k rows. This is the one
-    ranking within examples: the reader, the ensemble's export cut and
-    evaluate's top-k, one block of whole examples at a time, use it."""
-    rank = canonical_order(tables, (code,) + tie_break)
+    tables one after another; `code` gives each row's example, a
+    non-negative int. The examples come one after another in ascending
+    code, each with its rows in canonical order (`canonical_order`, with
+    the `tie_break` columns), cut to its first top_k (every row when top_k
+    is None). Every row is ranked once, and one stable sort by code puts
+    each example's rows together: that order restricted to one code is
+    the code's own canonical order, ties included. This is the one
+    ranking within examples: the reader, postprocess's rows, the
+    ensemble's export cut and evaluate's top-k, one block of whole
+    examples at a time, use it."""
+    rank = canonical_order(tables, tie_break)
+    rank = rank[np.argsort(code[rank], kind="stable")]
     if top_k is None or top_k >= len(rank):
         return rank
     ranked_code = code[rank]
-    by_code = np.argsort(ranked_code, kind="stable")  # each code's rank positions, in rank order
-    count = np.bincount(ranked_code)
-    del ranked_code  # freed once used: the cut runs over every row given
-    first = np.cumsum(count) - count  # where each code's run starts in by_code
-    take = np.minimum(count, top_k)  # each code keeps the first rows of its run
-    places = np.arange(take.sum()) + np.repeat(first - (np.cumsum(take) - take), take)
-    kept = np.zeros(len(rank), dtype=bool)  # by rank position
-    kept[by_code[places]] = True
-    return rank[kept]
+    # A row's place in its code's run: its position less where the run starts.
+    return rank[np.arange(len(rank)) - np.searchsorted(ranked_code, ranked_code) < top_k]
 
 
 def sort_canonical(hyps):

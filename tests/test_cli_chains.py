@@ -5,13 +5,18 @@ arguments and assertions. As in CI, a numpy RuntimeWarning is an error.
 
 import io
 import json
+import runpy
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vista import boxes
 from vista.cli import EXIT_OK, main
+from vista.io_formats import write_tensor_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -62,3 +67,79 @@ def test_top_1_does_not_depend_on_the_entry_order(tmp_path, monkeypatch):
     vista("evaluate", "run/ground_truth.json", "run/predictions_source_00.json", "--top-k", "1", "--out", "top1")
     vista("evaluate", "run/ground_truth.json", "reversed.json", "--top-k", "1", "--out", "top1_reversed")
     assert Path("top1/report.txt").read_bytes() == Path("top1_reversed/report.txt").read_bytes()
+
+
+def test_a_cap_beyond_int64_keeps_every_ensembled_row(tmp_path, monkeypatch):
+    # a cap beyond int64 keeps every row, as a cap above the row count does
+    monkeypatch.chdir(tmp_path)
+    vista("synth", "--n-examples", "2", "--n-sources", "3", "--out", "run")
+    sources = sorted(Path("run").glob("predictions_source_*.json"))
+    vista("ensemble", *sources, "--max-exports", "9223372036854775808", "--out", "huge_cap")
+    vista("ensemble", *sources, "--max-exports", "100000", "--out", "big_cap")
+    huge, big = (json.loads(Path(d, "ensemble.json").read_text())["results"] for d in ("huge_cap", "big_cap"))
+    assert huge == big, "a cap beyond int64 changed the ensemble"
+
+
+def test_ensemble_blocks_give_each_example_its_entries_alone(tmp_path, monkeypatch):
+    # the ensemble takes blocks of whole examples at a time (three blocks
+    # of the 9,700 pooled hypotheses here): each example's entries are
+    # those it gets when it is ensembled alone. With one noun and one
+    # verb, every example has the class of its neighbours.
+    monkeypatch.chdir(tmp_path)
+    vista("synth", "--n-examples", "100", "--n-nouns", "1", "--n-verbs", "1", "--gts-per-example", "40",
+          "--n-sources", "3", "--box-jitter-sigma", "3", "--ttc-noise-sigma", "0.05", "--drop-prob", "0.2",
+          "--seed", "1", "--out", "blocks")
+    vista("ensemble", *sorted(Path("blocks").glob("predictions_source_*.json")), "--out", "blocks")
+    sources = [json.loads(Path(f"blocks/predictions_source_{s:02d}.json").read_text())["results"] for s in range(3)]
+    whole = json.loads(Path("blocks/ensemble.json").read_text())["results"]
+    for i, uid in enumerate(sorted(whole)):
+        alone = Path("alone", f"{i:03d}")
+        alone.mkdir(parents=True)
+        for s, results in enumerate(sources):
+            (alone / f"source_{s}.json").write_text(json.dumps({"results": {uid: results[uid]} if uid in results else {}}))
+        vista("ensemble", *sorted(alone.glob("source_*.json")), "--out", alone)
+        (entries,) = json.loads((alone / "ensemble.json").read_text())["results"].values()
+        assert json.dumps(whole[uid], indent=2) == json.dumps(entries, indent=2), uid
+
+
+def test_capped_postprocess_entries_are_the_first_uncapped_ones(tmp_path, monkeypatch):
+    # NMS settles the rows in rank windows and stops at the cap: each
+    # example's capped entries are the first of its uncapped ones
+    monkeypatch.chdir(tmp_path)
+    with redirect_stdout(io.StringIO()):
+        runpy.run_path(str(ROOT / "demos" / "03_postprocess_chain.py"), run_name="__main__")
+    vista("postprocess", "head_outputs.vstf", "taxonomy.json", "--max-exports", "3", "--out", "capped")
+    vista("postprocess", "head_outputs.vstf", "taxonomy.json", "--max-exports", "100000", "--out", "uncapped")
+    capped, every = (json.loads(Path(d, "submission.json").read_text())["results"] for d in ("capped", "uncapped"))
+    assert capped.keys() == every.keys() and all(capped[u] == every[u][:3] for u in every), (
+        "capped entries are not the first uncapped ones")
+
+
+def test_postprocess_blocks_give_each_example_its_entries_alone(tmp_path, monkeypatch):
+    # postprocess suppresses blocks of whole examples (four blocks of the
+    # 12,000 retained proposals here): each example's entries are those
+    # it gets when its container holds it alone.
+    monkeypatch.chdir(tmp_path)
+    rng, n, nouns, verbs = np.random.default_rng(3), 300, 8, 5
+    Path("blocks_taxonomy.json").write_text(json.dumps(
+        {"nouns": [f"n{i}" for i in range(nouns)], "verbs": [f"v{i}" for i in range(verbs)]}))
+    examples = {}
+    for e in range(40):
+        corner = rng.uniform(0, 600, (n, 2))
+        examples[f"ex{e:02d}"] = {
+            "proposal_boxes": np.hstack([corner, corner + rng.uniform(20, 200, (n, 2))]),
+            "objectness": rng.uniform(0.05, 1, n), "noun_logits": rng.normal(0, 2, (n, nouns)),
+            "verb_logits": rng.normal(0, 2, (n, verbs)), "box_deltas": rng.normal(0, 0.1, (n, nouns, 4)),
+            "ttc_raw": rng.normal(0, 1, n), "quality": rng.uniform(0.05, 1, n)}
+    write_tensor_file({f"{uid}/{name}": arr for uid, named in examples.items() for name, arr in named.items()},
+                      "blocks_heads.vstf")
+    Path("heads_alone").mkdir()
+    for uid, named in examples.items():
+        write_tensor_file({f"{uid}/{name}": arr for name, arr in named.items()}, f"heads_alone/{uid}.vstf")
+    vista("postprocess", "blocks_heads.vstf", "blocks_taxonomy.json", "--out", "pp_blocks")
+    whole = json.loads(Path("pp_blocks/submission.json").read_text())["results"]
+    assert len(whole) == 40, len(whole)
+    for uid, entries in whole.items():
+        vista("postprocess", f"heads_alone/{uid}.vstf", "blocks_taxonomy.json", "--out", f"heads_alone/{uid}")
+        (alone_entries,) = json.loads(Path("heads_alone", uid, "submission.json").read_text())["results"].values()
+        assert json.dumps(entries, indent=2) == json.dumps(alone_entries, indent=2), uid

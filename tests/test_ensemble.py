@@ -111,7 +111,7 @@ def merge_one(members, cfg=EnsembleConfig()):
     """merge_group of one group of exactly these members, in this order,
     the first the seed: a table of one row."""
     table = as_table(list(members))
-    merged = merge_group(Grouping(table, np.array([0, len(table)])), cfg)
+    merged, _ = merge_group(Grouping(table, np.array([0, len(table)]), np.zeros(len(table), dtype=np.int64)), cfg)
     assert len(merged) == 1
     return merged
 
@@ -192,7 +192,8 @@ class TestGroupingEquivalence:
             groups = group_hypotheses(as_table(hyps), cfg)
         expected = brute_force_groups(hyps, cfg)
         assert [columns(g.members) for g in groups] == [columns(as_table(g)) for g in expected]
-        assert columns(merge_group(groups, cfg)) == columns(as_table([scalar_merge(g, cfg) for g in expected]))
+        merged, _ = merge_group(groups, cfg)
+        assert columns(merged) == columns(as_table([scalar_merge(g, cfg) for g in expected]))
         assert in_blocks(lowers, block)
 
     def test_merge_is_bit_identical_to_member_by_member_sums(self):
@@ -214,7 +215,8 @@ class TestGroupingEquivalence:
             groups = group_hypotheses(as_table(members), cfg)
             assert len(groups) == 1
             expected = scalar_merge(sorted(members, key=rank_key), cfg)
-            assert columns(merge_group(groups, cfg)) == columns(as_table([expected]))
+            merged, _ = merge_group(groups, cfg)
+            assert columns(merged) == columns(as_table([expected]))
 
     def test_thresholds_are_inclusive(self):
         # IoU exactly 1 (identical boxes) and exactly 0.5, TTC gaps

@@ -155,8 +155,7 @@ ranked_rows = st.lists(
 def reference_rank_within(rows, top_k, tie_break: bool) -> list[int]:
     """Each code's rows sorted by the canonical key tuple, then the
     source (rows without one first) when `tie_break`, then row index, cut
-    to top_k; the rows kept, ranked by the same key with the code before
-    the row index."""
+    to top_k; the rows kept, sorted by code and then by the same key."""
     def key(i):
         x1, y1, w, h, noun, verb, ttc, score, source, has_source, code = rows[i]
         canonical = (-score, noun, verb, x1, y1, x1 + w, y1 + h, ttc)
@@ -166,7 +165,7 @@ def reference_rank_within(rows, top_k, tie_break: bool) -> list[int]:
     for code in {row[-1] for row in rows}:
         ranked = sorted((i for i, row in enumerate(rows) if row[-1] == code), key=key)
         kept += ranked if top_k is None else ranked[:top_k]
-    return sorted(kept, key=key)
+    return sorted(kept, key=lambda i: (rows[i][-1],) + key(i))
 
 
 def ranked_tables(rows, cuts: list[int]) -> list[HypothesisTable]:
@@ -189,6 +188,21 @@ class TestRankWithin:
         source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
         got = rank_within(tables if cuts else tables[0], code, top_k, source if tie_break else ())
         assert got.tolist() == reference_rank_within(rows, top_k, tie_break)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans(),
+           st.sampled_from([None, 1, 2, 3, 12, 2**63, 10**30]))
+    def test_each_code_gets_the_rows_it_gets_alone(self, rows, cuts, tie_break, top_k):
+        tables = ranked_tables(rows, cuts)
+        code = np.array([row[-1] for row in rows], dtype=np.int64)
+        source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
+        runs = []  # each code's rows as rank_within keeps them from a table of those rows alone
+        for c in range(3):
+            mine = np.flatnonzero(code == c)
+            alone = HypothesisTable.concat(tables).take(mine)
+            runs += mine[rank_within(alone, code[mine], top_k,
+                                     (alone.source, alone.has_source) if tie_break else ())].tolist()
+        assert rank_within(tables, code, top_k, source if tie_break else ()).tolist() == runs
 
     @pytest.mark.parametrize("top_k", [None, 1, 2**63])
     def test_empty(self, top_k):
