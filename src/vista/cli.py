@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except ValidationError as e:
+        except (ValidationError, UserWarning) as e:  # a UserWarning here is one the user's filters made an error
             print(f"error: {e}", file=sys.stderr)
             return EXIT_VALIDATION
         except OSError as e:

@@ -72,14 +72,15 @@ class Grouping:
 
 
 def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig(),
-                     example: np.ndarray | None = None) -> Grouping:
+                     example: np.ndarray | None = None, tie_break: tuple = ()) -> Grouping:
     """Greedy seed-anchored grouping (not transitive closure), of one
     example's hypotheses (code 0) or of several examples' with the example
     code of each row in `example`, each example as it would be grouped
     alone.
 
     The groups are those of `boxes.greedy_owners` over the hypotheses in
-    canonical order: each seed and the hypotheses it owns form a group.
+    canonical order, with the `tie_break` columns (`canonical_order`):
+    each seed and the hypotheses it owns form a group.
     The class is the example, noun and verb, and a hypothesis joins a
     lower-ranked one with an IoU >= box_iou_min (as `oracle._iou_scalar`
     computes it) and a TTC gap <= ttc_tolerance. The seed always belongs
@@ -87,7 +88,7 @@ def group_hypotheses(hyps: HypothesisTable, cfg: EnsembleConfig = EnsembleConfig
     zero-area box has IoU 0 with itself). The result is a partition: each
     input hypothesis lands in exactly one group.
     """
-    rank = canonical_order(hyps)
+    rank = canonical_order(hyps, tie_break)
     table = hyps.take(rank)
     n = len(table)
     code = np.zeros(n, dtype=np.int64) if example is None else example[rank]
@@ -199,6 +200,8 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
 
     Hypotheses missing a source_id are tagged with their source's index so
     cross-source agreement can be counted. Uids are unioned across sources.
+    Full ties (equal but for their source) go in source order, then by
+    source_id as written (none first), whatever the order of the entries.
 
     The examples, in uid order, are taken in blocks of whole examples
     whose pools add up to at most `boxes.EXAMPLE_BLOCK` hypotheses (an
@@ -226,9 +229,11 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
         members = [member for uid in block for member in pooled[uid]]
         index = np.repeat([idx for idx, _ in members], [len(hyps) for _, hyps in members])
         example = np.repeat(np.arange(len(block)), sizes[start:stop])
-        # The pooled table is freed once grouped, not held into the next block.
-        merged, example = merge_group(group_hypotheses(
-            HypothesisTable.concat([hyps for _, hyps in members]).with_default_source(index), cfg, example), cfg)
+        pool = HypothesisTable.concat([hyps for _, hyps in members])
+        groups = group_hypotheses(pool.with_default_source(index), cfg, example, (pool.source, pool.has_source, index))
+        del pool  # the pool and its groups are freed once used, not held into the next block
+        merged, example = merge_group(groups, cfg)
+        del groups
         rows = rank_within(merged, example, cfg.max_exports)  # one example after another
         ends = np.cumsum(np.bincount(example[rows], minlength=len(block))).tolist()
         top = merged.take(rows)

@@ -51,6 +51,7 @@ import math
 import os
 import stat
 import struct
+import sys
 import threading
 import warnings
 from bisect import bisect_right
@@ -72,7 +73,6 @@ from .types import (
     box_rules,
     ground_truth_rules,
     hypothesis_rules,
-    rank_within,
     sort_canonical,
 )
 
@@ -139,8 +139,10 @@ def _loads(text: str):
 
 def _warn_unknown(found: set[str], known: set[str], where: str, stacklevel: int = 3) -> None:
     extras = sorted(found - known)
-    if extras:
-        warnings.warn(f"{where}: ignoring unknown fields {extras}", stacklevel=stacklevel)
+    if extras:  # `warnings.warn` at stacklevel, without the registry that shows a message once per line of vista
+        caller = sys._getframe(stacklevel - 1)
+        warnings.warn_explicit(f"{where}: ignoring unknown fields {extras}", UserWarning, caller.f_code.co_filename,
+                               caller.f_lineno, module=caller.f_globals["__name__"], registry=None)
 
 
 # -- taxonomy ---------------------------------------------------------------
@@ -339,9 +341,10 @@ class _Entries:
             if field in spec.optional:
                 present = n - raw.count(_MISSING)
                 known += present
-                if not present:
-                    self.columns["has_" + column] = np.zeros(n, dtype=bool)
-                    values[column] = np.zeros(n, dtype=np.int64 if kind is int else np.float64)
+                if not present:  # read-only zero-stride views of one zero, not row-sized columns
+                    zero = np.zeros((), dtype=np.int64 if kind is int else np.float64)
+                    self.columns[column] = np.broadcast_to(zero, n)
+                    self.columns["has_" + column] = np.broadcast_to(np.zeros((), dtype=bool), n)
                     continue
                 has = np.fromiter(map(is_not, raw, repeat(None)), dtype=bool, count=n)
                 if present < n:
@@ -358,6 +361,8 @@ class _Entries:
         del rows
         lists.clear()  # the last references to the entries, which are most of the memory
         for field, column, kind in spec.numbers:
+            if column not in values:
+                continue
             try:
                 self.columns[column] = np.array(values[column], dtype=np.int64 if kind is int else np.float64)
             except OverflowError:
@@ -529,8 +534,9 @@ def _copy(text: str) -> str:
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     """Read a submission, once (`_read_json`), as one HypothesisTable per
-    example uid, in canonical order; the ids are checked against the
-    taxonomy's ranges only if one is given."""
+    example uid, its entries in file order (each stage ranks the rows it
+    takes); the ids are checked against the taxonomy's ranges only if one
+    is given."""
     with open(path, "rb") as file:
         walked, value = _read_json(file, path, {"results": _SubmissionStream(path, taxonomy)})
     return value if walked else predictions_from_dict(value, path, taxonomy)
@@ -598,15 +604,11 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
                   unknown: list) -> PredictionSet:
     """(uid, entries) members of a submission's `results`, in file order,
     the first at position `first`, read into `problems` and `unknown`
-    (`_Entries.read` and `check`) as one HypothesisTable per uid, ranked
-    by `rank_within` with the source id as the tie-break, rows without
-    one first, so no table depends on the order of its entries: the batch
-    is gathered once in that order and each uid's table is a slice of it.
-    In a batch where no entry has a source id, the tables' `source` and
-    `has_source` are read-only zero-stride views of one zero, not columns
-    of zeros. A value that is not a list is a problem too, and no table
-    is made once there is one. The members are emptied, so their entries
-    are freed as they are read."""
+    (`_Entries.read` and `check`) as one HypothesisTable per uid, its
+    entries in file order: each table is a slice of the batch's columns.
+    A value that is not a list is a problem too, and no table is made
+    once there is one. The members are emptied, so their entries are
+    freed as they are read."""
     problems += [((first + u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                  for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
     lists = [(first + u, _copy(uid), 0, entries)
@@ -616,18 +618,9 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
     batch.check(taxonomy)
     if problems:
         return {}
-    columns, spans = batch.columns, batch.list_spans()
     whole = HypothesisTable.from_valid(*itemgetter(
-        "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(columns))
-    code = np.repeat(np.arange(len(spans)), [end - start for _, start, end in spans])
-    rows = rank_within(whole, code, tie_break=(whole.source, whole.has_source))  # one uid after another
-    if whole.has_source.any():
-        ranked = whole.take(rows)
-    else:  # one zero stands for every row's source and has_source
-        ranked = HypothesisTable.from_valid(
-            *(column[rows] for column in (whole.boxes, whole.noun, whole.verb, whole.ttc, whole.score)),
-            *(np.broadcast_to(np.zeros((), dtype=dtype), len(rows)) for dtype in (np.int64, np.bool_)))
-    return {uid: ranked.take(slice(start, end)) for uid, start, end in spans}
+        "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(batch.columns))
+    return {uid: whole.take(slice(start, end)) for uid, start, end in batch.list_spans()}
 
 
 class _SubmissionStream:

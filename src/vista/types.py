@@ -20,7 +20,7 @@ from .boxes import Box2D
 from .errors import ValidationError
 
 # Per-example predictions keyed by example uid, each a HypothesisTable in
-# the canonical hypothesis ordering (see `canonical_order`). Lists of
+# any row order (the reader keeps file order; each stage ranks). Lists of
 # StaHypothesis in its place are accepted only where objects enter the
 # library: `synth`'s output, `as_table`, `evaluation.evaluate`,
 # `sort_canonical` (of one list) and the oracle.
@@ -248,8 +248,8 @@ class HypothesisTable:
     has_source, which marks the rows that have one (any int64 is one, -1
     too). The two are given together; without them no row has a source.
     The columns are read-only and are validated as whole arrays, with
-    `box_rules` and `hypothesis_rules`. Tables that the stages pass
-    between them are in canonical order (`sort_canonical`).
+    `box_rules` and `hypothesis_rules`. The rows may be in any order:
+    each stage ranks the rows it takes (`rank_within`).
     """
 
     boxes: np.ndarray = array_field("N", 4, dtype=np.float64)
@@ -404,20 +404,19 @@ def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: t
     return np.lexsort(tie_break + keys)
 
 
-def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarray, top_k: int | None = None,
-                tie_break: tuple = ()) -> np.ndarray:
+def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarray,
+                top_k: int | None = None) -> np.ndarray:
     """The rows that each example keeps, as indices into the rows of the
     tables one after another; `code` gives each row's example, a
     non-negative int. The examples come one after another in ascending
-    code, each with its rows in canonical order (`canonical_order`, with
-    the `tie_break` columns), cut to its first top_k (every row when top_k
-    is None). Every row is ranked once, and one stable sort by code puts
+    code, each with its rows in canonical order (`canonical_order`, full
+    ties in row order), cut to its first top_k (every row when top_k is
+    None). Every row is ranked once, and one stable sort by code puts
     each example's rows together: that order restricted to one code is
     the code's own canonical order, ties included. This is the one
-    ranking within examples: the reader, postprocess's rows, the
-    ensemble's export cut and evaluate's top-k, one block of whole
-    examples at a time, use it."""
-    rank = canonical_order(tables, tie_break)
+    ranking within examples, of postprocess's rows, the ensemble's export
+    cut and evaluate's top-k, one block of whole examples at a time."""
+    rank = canonical_order(tables)
     rank = rank[np.argsort(code[rank], kind="stable")]
     if top_k is None or top_k >= len(rank):
         return rank

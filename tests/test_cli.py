@@ -544,12 +544,39 @@ class TestFloatEdges:
         assert run_strict([command, *inputs, "--out", str(tmp_path / "out")], capsys) == (EXIT_OK, "")
 
 
-def run_cli(*argv, timeout=20):
-    """`vista` in a fresh interpreter, killed after `timeout` seconds."""
+def run_cli(*argv, timeout=20, flags=()):
+    """`vista` in a fresh interpreter given the `flags`, killed after
+    `timeout` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "vista.cli", *map(str, argv)], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "vista.cli", *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+class TestReaderWarnings:
+    """Each input's reader warnings are printed, under the user's -W
+    filters; one that the filters make an error is a problem of the input."""
+
+    def write(self, tmp_path) -> Path:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"zz": 1, "results": {"u": [
+            {"box": [0, 0, 1, 1], "noun_category_id": 0, "verb_category_id": 0, "time_to_contact": 1.0,
+             "score": 0.5, "extra": 2}]}}))
+        return path
+
+    def test_every_inputs_warnings_printed(self, tmp_path):
+        path = self.write(tmp_path)
+        done = run_cli("ensemble", path, path, "--out", tmp_path / "ens")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr.splitlines() == [f"warning: {path}: ignoring unknown fields ['zz']",
+                                            f"warning: {path}: results['u'][0]: ignoring unknown fields ['extra']"] * 2
+        silenced = run_cli("ensemble", path, path, "--out", tmp_path / "ens", flags=["-W", "ignore"])
+        assert (silenced.returncode, silenced.stderr) == (EXIT_OK, "")
+
+    def test_a_warning_made_an_error_exits_2(self, tmp_path):
+        path = self.write(tmp_path)
+        done = run_cli("validate", path, flags=["-W", "error::UserWarning"])
+        assert (done.returncode, done.stderr) == (EXIT_VALIDATION, f"error: {path}: ignoring unknown fields ['zz']\n")
 
 
 class TestEnsembleTerminates:

@@ -1,18 +1,20 @@
-"""Chains of `vista` commands that CI also runs from the installed entry
-point, run here in process through `vista.cli.main`, with the same synth
-arguments and assertions. As in CI, a numpy RuntimeWarning is an error.
+"""Chains of `vista` commands run in process through `vista.cli.main`:
+each example held to the example alone, the same entries whatever the
+cap or the entry order, and the same report however a document is
+written. A numpy RuntimeWarning is an error, as in CI's run of the
+installed entry point.
 """
 
 import io
 import json
 import runpy
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vista import boxes
+from vista import boxes, io_formats
 from vista.cli import EXIT_OK, main
 from vista.io_formats import write_tensor_file
 
@@ -27,19 +29,47 @@ def vista(*argv) -> None:
         assert main([str(arg) for arg in argv]) == EXIT_OK, argv
 
 
-def test_evaluate_counts_are_the_sums_over_the_examples_alone(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def run(tmp_path_factory) -> Path:
+    """A synth run of 2 examples and 3 sources, with its ensemble and the
+    ensemble's report."""
+    run = tmp_path_factory.mktemp("chains") / "run"
+    vista("synth", "--n-examples", "2", "--n-sources", "3", "--out", run)
+    vista("ensemble", *sorted(run.glob("predictions_source_*.json")), "--out", run)
+    vista("evaluate", run / "ground_truth.json", run / "ensemble.json", "--out", run)
+    return run
+
+
+@pytest.fixture(scope="module")
+def blocks(tmp_path_factory) -> Path:
+    """A synth run of 100 examples of one noun and one verb, 40 ground
+    truths each and 3 sources, with its ensemble and the ensemble's
+    report at top-k 100."""
+    blocks = tmp_path_factory.mktemp("chains") / "blocks"
+    vista("synth", "--n-examples", "100", "--n-nouns", "1", "--n-verbs", "1", "--gts-per-example", "40",
+          "--n-sources", "3", "--box-jitter-sigma", "3", "--ttc-noise-sigma", "0.05", "--drop-prob", "0.2",
+          "--seed", "1", "--out", blocks)
+    vista("ensemble", *sorted(blocks.glob("predictions_source_*.json")), "--out", blocks)
+    vista("evaluate", blocks / "ground_truth.json", blocks / "ensemble.json", "--top-k", "100", "--out", blocks)
+    return blocks
+
+
+def minify(source: Path, copy: str) -> None:
+    Path(copy).write_text(json.dumps(json.loads(source.read_text()), separators=(",", ":")))
+
+
+def with_crlf(source: Path, copy: str) -> None:
+    Path(copy).write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def test_evaluate_counts_are_the_sums_over_the_examples_alone(blocks, tmp_path, monkeypatch):
     # evaluate matches blocks of whole examples (two blocks of the 7,952
     # hypotheses and ground truths here): each variant's matched and
     # unmatched predictions are the sums over the examples evaluated
     # alone, which a block that mixed examples would break.
     monkeypatch.chdir(tmp_path)
-    vista("synth", "--n-examples", "100", "--n-nouns", "1", "--n-verbs", "1", "--gts-per-example", "40",
-          "--n-sources", "3", "--box-jitter-sigma", "3", "--ttc-noise-sigma", "0.05", "--drop-prob", "0.2",
-          "--seed", "1", "--out", "blocks")
-    vista("ensemble", *sorted(Path("blocks").glob("predictions_source_*.json")), "--out", "blocks")
-    vista("evaluate", "blocks/ground_truth.json", "blocks/ensemble.json", "--top-k", "100", "--out", "blocks")
-    gt = json.loads(Path("blocks/ground_truth.json").read_text())
-    results = json.loads(Path("blocks/ensemble.json").read_text())["results"]
+    gt = json.loads((blocks / "ground_truth.json").read_text())
+    results = json.loads((blocks / "ensemble.json").read_text())["results"]
     assert len(gt["annotations"]) + sum(map(len, results.values())) > boxes.EXAMPLE_BLOCK  # more than one block
     alone = []
     for i, uid in enumerate(sorted(set(results) | {a["example_uid"] for a in gt["annotations"]})):
@@ -50,48 +80,42 @@ def test_evaluate_counts_are_the_sums_over_the_examples_alone(tmp_path, monkeypa
         (scored / "ensemble.json").write_text(json.dumps({"results": {uid: results[uid]} if uid in results else {}}))
         vista("evaluate", scored / "ground_truth.json", scored / "ensemble.json", "--top-k", "100", "--out", scored)
         alone.append(json.loads((scored / "report.json").read_text())["counts"])
-    whole = json.loads(Path("blocks/report.json").read_text())["counts"]
+    whole = json.loads((blocks / "report.json").read_text())["counts"]
     for variant, counts in whole.items():
         for name in ("matched", "unmatched_predictions"):
             total = sum(c[variant][name] for c in alone)
             assert counts[name] == total, f"{variant} {name}: {counts[name]} of the whole, {total} over the examples alone"
 
 
-def test_top_1_does_not_depend_on_the_entry_order(tmp_path, monkeypatch):
+def test_top_1_does_not_depend_on_the_entry_order(run, tmp_path, monkeypatch):
     # every hypothesis is ranked once: an example's top-k is the same whatever its entry order
     monkeypatch.chdir(tmp_path)
-    vista("synth", "--n-examples", "2", "--n-sources", "3", "--out", "run")
-    doc = json.loads(Path("run/predictions_source_00.json").read_text())
+    doc = json.loads((run / "predictions_source_00.json").read_text())
     doc["results"] = {uid: entries[::-1] for uid, entries in doc["results"].items()}
     Path("reversed.json").write_text(json.dumps(doc))
-    vista("evaluate", "run/ground_truth.json", "run/predictions_source_00.json", "--top-k", "1", "--out", "top1")
-    vista("evaluate", "run/ground_truth.json", "reversed.json", "--top-k", "1", "--out", "top1_reversed")
+    vista("evaluate", run / "ground_truth.json", run / "predictions_source_00.json", "--top-k", "1", "--out", "top1")
+    vista("evaluate", run / "ground_truth.json", "reversed.json", "--top-k", "1", "--out", "top1_reversed")
     assert Path("top1/report.txt").read_bytes() == Path("top1_reversed/report.txt").read_bytes()
 
 
-def test_a_cap_beyond_int64_keeps_every_ensembled_row(tmp_path, monkeypatch):
+def test_a_cap_beyond_int64_keeps_every_ensembled_row(run, tmp_path, monkeypatch):
     # a cap beyond int64 keeps every row, as a cap above the row count does
     monkeypatch.chdir(tmp_path)
-    vista("synth", "--n-examples", "2", "--n-sources", "3", "--out", "run")
-    sources = sorted(Path("run").glob("predictions_source_*.json"))
+    sources = sorted(run.glob("predictions_source_*.json"))
     vista("ensemble", *sources, "--max-exports", "9223372036854775808", "--out", "huge_cap")
     vista("ensemble", *sources, "--max-exports", "100000", "--out", "big_cap")
     huge, big = (json.loads(Path(d, "ensemble.json").read_text())["results"] for d in ("huge_cap", "big_cap"))
     assert huge == big, "a cap beyond int64 changed the ensemble"
 
 
-def test_ensemble_blocks_give_each_example_its_entries_alone(tmp_path, monkeypatch):
+def test_ensemble_blocks_give_each_example_its_entries_alone(blocks, tmp_path, monkeypatch):
     # the ensemble takes blocks of whole examples at a time (three blocks
     # of the 9,700 pooled hypotheses here): each example's entries are
     # those it gets when it is ensembled alone. With one noun and one
     # verb, every example has the class of its neighbours.
     monkeypatch.chdir(tmp_path)
-    vista("synth", "--n-examples", "100", "--n-nouns", "1", "--n-verbs", "1", "--gts-per-example", "40",
-          "--n-sources", "3", "--box-jitter-sigma", "3", "--ttc-noise-sigma", "0.05", "--drop-prob", "0.2",
-          "--seed", "1", "--out", "blocks")
-    vista("ensemble", *sorted(Path("blocks").glob("predictions_source_*.json")), "--out", "blocks")
-    sources = [json.loads(Path(f"blocks/predictions_source_{s:02d}.json").read_text())["results"] for s in range(3)]
-    whole = json.loads(Path("blocks/ensemble.json").read_text())["results"]
+    sources = [json.loads((blocks / f"predictions_source_{s:02d}.json").read_text())["results"] for s in range(3)]
+    whole = json.loads((blocks / "ensemble.json").read_text())["results"]
     for i, uid in enumerate(sorted(whole)):
         alone = Path("alone", f"{i:03d}")
         alone.mkdir(parents=True)
@@ -143,3 +167,54 @@ def test_postprocess_blocks_give_each_example_its_entries_alone(tmp_path, monkey
         vista("postprocess", f"heads_alone/{uid}.vstf", "blocks_taxonomy.json", "--out", f"heads_alone/{uid}")
         (alone_entries,) = json.loads(Path("heads_alone", uid, "submission.json").read_text())["results"].values()
         assert json.dumps(entries, indent=2) == json.dumps(alone_entries, indent=2), uid
+
+
+def test_a_submission_scores_alike_however_it_is_written(run, tmp_path, monkeypatch):
+    # the streamed submission reader scores any re-serialisation alike
+    monkeypatch.chdir(tmp_path)
+    minify(run / "ensemble.json", "minified.json")
+    with_crlf(run / "ensemble.json", "crlf.json")
+    for copy in ("minified", "crlf"):
+        vista("evaluate", run / "ground_truth.json", f"{copy}.json", "--out", copy)
+        assert Path(copy, "report.txt").read_bytes() == (run / "report.txt").read_bytes(), copy
+
+
+def test_a_ground_truth_scores_alike_however_it_is_written(blocks, tmp_path, monkeypatch):
+    # and the streamed ground-truth reader (five chunks of annotations
+    # here) scores any re-serialisation of the ground truth alike
+    monkeypatch.chdir(tmp_path)
+    gt = blocks / "ground_truth.json"
+    assert gt.stat().st_size > 4 * io_formats._CHUNK
+    minify(gt, "gt_minified.json")
+    with_crlf(gt, "gt_crlf.json")
+    doc = json.loads(gt.read_text())
+    Path("gt_taxonomy_first.json").write_text(json.dumps({"taxonomy": doc.pop("taxonomy"), **doc}, indent=2))
+    for copy in ("gt_minified", "gt_crlf", "gt_taxonomy_first"):
+        vista("evaluate", f"{copy}.json", blocks / "ensemble.json", "--top-k", "100", "--out", copy)
+        assert Path(copy, "report.txt").read_bytes() == (blocks / "report.txt").read_bytes(), copy
+
+
+def test_commas_in_uids_and_an_unknown_object_field(blocks, tmp_path, monkeypatch):
+    # a chunk's annotations up to its last "}," are decoded at once only
+    # if that is all they are: with "}," in every uid and an unknown
+    # field holding an object, the ground truth scores alike however
+    # it is written, and validate warns of the field
+    monkeypatch.chdir(tmp_path)
+    gt = json.loads((blocks / "ground_truth.json").read_text())
+    sub = json.loads((blocks / "ensemble.json").read_text())
+    for a in gt["annotations"]:
+        a["example_uid"] += "},"
+    gt["annotations"][0]["extra"] = {"a": {"b": [1]}, "c": 2}
+    sub["results"] = {uid + "},": entries for uid, entries in sub["results"].items()}
+    Path("gt_commas.json").write_text(json.dumps(gt, indent=2, sort_keys=True))
+    Path("sub_commas.json").write_text(json.dumps(sub))
+    minify(Path("gt_commas.json"), "gt_commas_minified.json")
+    with_crlf(Path("gt_commas.json"), "gt_commas_crlf.json")
+    for copy in ("gt_commas", "gt_commas_minified", "gt_commas_crlf"):
+        vista("evaluate", f"{copy}.json", "sub_commas.json", "--top-k", "100", "--out", copy)
+    for copy in ("gt_commas_minified", "gt_commas_crlf"):
+        assert Path(copy, "report.txt").read_bytes() == Path("gt_commas/report.txt").read_bytes(), copy
+    err = io.StringIO()
+    with redirect_stderr(err):
+        vista("validate", "gt_commas.json")
+    assert "warning: gt_commas.json: annotation 0: ignoring unknown fields ['extra']" in err.getvalue().splitlines()

@@ -1,4 +1,7 @@
+import io
+import json
 import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import vista.ensemble as ensemble
 from vista import boxes
 from vista.boxes import Box2D
+from vista.cli import EXIT_OK, main
 from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import ValidationError
 from vista.oracle import _iou_scalar
@@ -363,6 +367,53 @@ source_rows = st.lists(
     ),
     max_size=5,
 )
+
+
+def tie(source=None, noun=0):
+    """A submission entry of score 0.5: the entries of one noun are full
+    ties, equal but for their source id."""
+    entry = {"box": [0, 0, 10, 10], "noun_category_id": noun, "verb_category_id": 0,
+             "time_to_contact": 1.0, "score": 0.5}
+    return entry if source is None else {**entry, "source_id": source}
+
+
+class TestFullTies:
+    # Each source's uids hold full ties with a missing, a -1 and a repeated
+    # source id. Which tie seeds a group decides the merged row's source id,
+    # so the ensemble orders full ties by source, then by source id as
+    # written (none first), and not by the order of a source's entries.
+    SOURCES = [
+        {"a": [tie(3), tie(), tie(-1), tie(5), tie(3), tie(-1, noun=1), tie(2, noun=1)],
+         "b": [tie(7), tie(-1), tie(7)]},
+        {"a": [tie(), tie(5), tie(noun=1)], "b": [tie(), tie(-1), tie(-1)]},
+        {"a": [tie(-1)], "b": [tie(4, noun=1), tie(-1, noun=1), tie(noun=1), tie(4, noun=1)]},
+    ]
+
+    def ensemble_bytes(self, root, permute) -> bytes:
+        """ensemble.json of the sources with each uid's entries permuted,
+        written and ensembled in `root` under the same relative names."""
+        root.mkdir()
+        names = []
+        for s, results in enumerate(self.SOURCES):
+            names.append(f"source_{s}.json")
+            (root / names[-1]).write_text(json.dumps({"results": {
+                uid: [entries[i] for i in permute(len(entries))] for uid, entries in results.items()}}))
+        with redirect_stdout(io.StringIO()):
+            assert main(["ensemble", *(str(root / name) for name in names), "--out", str(root)]) == EXIT_OK
+        return (root / "ensemble.json").read_bytes().replace(str(root).encode(), b"<root>")
+
+    def test_permuted_entries_ensemble_to_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(0)
+        permutations = {"written": np.arange, "reversed": lambda n: np.arange(n)[::-1],
+                        "rotated": lambda n: np.roll(np.arange(n), 1), "shuffled": rng.permutation}
+        written, *others = [self.ensemble_bytes(tmp_path / name, permute) for name, permute in permutations.items()]
+        # The seeds: a's noun 0 and b's noun 1 have no source id and take their
+        # source's index; a's noun 1 and b's noun 0 have -1 before 2 and 7.
+        results = json.loads(written)["results"]
+        assert {uid: {e["noun_category_id"]: e["source_id"] for e in entries} for uid, entries in results.items()} == {
+            "a": {0: 0, 1: -1}, "b": {0: -1, 1: 2}}
+        for name, got in zip(list(permutations)[1:], others):
+            assert got == written, name
 
 
 @st.composite

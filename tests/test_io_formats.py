@@ -28,7 +28,7 @@ from vista.io_formats import (
 )
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from vista.types import (GroundTruthTable, HypothesisTable, Taxonomy, as_gt_table, as_table, canonical_order,
+from vista.types import (GroundTruthTable, HypothesisTable, Taxonomy, as_gt_table, as_table,
                          sort_canonical)
 
 from test_postprocess import columns
@@ -327,7 +327,8 @@ class TestSubmissions:
             preds = load_predictions(path)
         assert len(preds["e1"]) == 1
 
-    def test_lists_resorted_canonically_on_load(self, tmp_path):
+    def test_lists_kept_in_file_order_on_load(self, tmp_path):
+        # The reader does not rank: each stage ranks the rows it takes.
         path = tmp_path / "sub.json"
         entries = [
             {"box": [0, 0, 1, 1], "noun_category_id": 0, "verb_category_id": 0,
@@ -336,7 +337,7 @@ class TestSubmissions:
         ]
         path.write_text(json.dumps({"results": {"e1": entries}}))
         preds = load_predictions(path)
-        assert preds["e1"].score.tolist() == [0.9, 0.5, 0.2]
+        assert preds["e1"].score.tolist() == [0.2, 0.9, 0.5]
 
 
 def entry(**fields):
@@ -412,12 +413,12 @@ class TestSubmissionColumns:
         rows = list(zip(preds["e"].score.tolist(), preds["e"].noun.tolist(), preds["e"].verb.tolist(),
                         preds["e"].ttc.tolist(), preds["e"].boxes.tolist(),
                         source_ids(preds["e"])))
-        expected = sorted((
+        expected = [
             (float(e["score"]), int(e["noun_category_id"]), int(e["verb_category_id"]),
              float(e["time_to_contact"]), [float(v) for v in e["box"]],
              None if "source_id" not in e else int(e["source_id"]))
             for e in raw
-        ), key=lambda row: -row[0])
+        ]
         assert rows == expected
         assert [type(v) for row in rows for v in row[:4]] == [float, int, int, float] * 4
 
@@ -796,10 +797,10 @@ class TestStreamedSubmissions:
             uid: columns(sort_canonical(table)) for uid, table in preds.items()}
         assert peak < size, f"peak {peak} bytes for a file of {size}"
 
-    def test_full_ties_ordered_within_each_uid_of_one_batch(self, tmp_path, monkeypatch):
+    def test_full_ties_kept_in_file_order_within_each_uid_of_one_batch(self, tmp_path, monkeypatch):
         # Both uids have rows of score 0.5, and each has full ties that only
-        # the source id splits, in an order that is not theirs; the whole
-        # file is one batch, ranked at once.
+        # the source id tells apart; the whole file is one batch, and each
+        # uid's table is its entries as written.
         tie = {"box": [0, 0, 10, 10], "score": 0.5}
         results = {
             "a": [entry(**tie, source_id=3), entry(score=0.75), entry(**tie), entry(**tie, source_id=-1),
@@ -821,10 +822,23 @@ class TestStreamedSubmissions:
                 verb=[e["verb_category_id"] for e in entries], ttc=[e["time_to_contact"] for e in entries],
                 score=[e["score"] for e in entries], source=[e.get("source_id", 0) for e in entries],
                 has_source=["source_id" in e for e in entries])
-            alone = table.take(canonical_order(table, (table.source, table.has_source)))
-            assert columns(preds[uid]) == columns(alone), uid
-        assert source_ids(preds["a"]) == [None, 9, None, -1, 3, 3]
-        assert source_ids(preds["b"]) == [None, 0, 0, 2, None]
+            assert columns(preds[uid]) == columns(table), uid
+        assert source_ids(preds["a"]) == [3, None, None, -1, 3, 9]
+        assert source_ids(preds["b"]) == [2, 0, None, None, 0]
+
+    def test_no_sort_on_load(self, tmp_path, monkeypatch):
+        # The reader keeps file order, so no sort of any size is made.
+        path = tmp_path / "sub.json"
+        write_submission(large_submission(), path)
+        sorted_sizes = []
+        for name in ("argsort", "lexsort", "sort"):
+            def counted(keys, *args, _name=name, _sort=getattr(np, name), **kwargs):
+                sorted_sizes.append(len(keys[0]) if _name == "lexsort" else np.size(keys))
+                return _sort(keys, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        loaded = load_predictions(path)
+        monkeypatch.undo()
+        assert len(loaded) == 100 and sorted_sizes == []
 
 
 # -- the streamed ground-truth reader -----------------------------------------

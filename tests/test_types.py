@@ -14,6 +14,7 @@ from vista.types import (
     StaHypothesis,
     as_gt_table,
     as_table,
+    canonical_order,
     rank_within,
     shape_problems,
 )
@@ -152,7 +153,7 @@ ranked_rows = st.lists(
 )
 
 
-def reference_rank_within(rows, top_k, tie_break: bool) -> list[int]:
+def reference_rank_within(rows, top_k, tie_break: bool = False) -> list[int]:
     """Each code's rows sorted by the canonical key tuple, then the
     source (rows without one first) when `tie_break`, then row index, cut
     to top_k; the rows kept, sorted by code and then by the same key."""
@@ -178,31 +179,40 @@ def ranked_tables(rows, cuts: list[int]) -> list[HypothesisTable]:
     ) for part in (rows[a:b] for a, b in zip(bounds, bounds[1:]))]
 
 
+class TestCanonicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans())
+    def test_equals_the_scalar_reference(self, rows, cuts, tie_break):
+        # Every row in one code: the reference's order of them all, uncut.
+        tables = ranked_tables(rows, cuts)
+        source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
+        got = canonical_order(tables if cuts else tables[0], source if tie_break else ())
+        one_code = [row[:-1] + (0,) for row in rows]
+        assert got.tolist() == reference_rank_within(one_code, None, tie_break)
+
+
 class TestRankWithin:
     @settings(max_examples=300, deadline=None)
-    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans(),
+    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3),
            st.sampled_from([None, 1, 2, 3, 12, 2**63, 10**30]))
-    def test_equals_the_scalar_reference(self, rows, cuts, tie_break, top_k):
+    def test_equals_the_scalar_reference(self, rows, cuts, top_k):
         tables = ranked_tables(rows, cuts)
         code = np.array([row[-1] for row in rows], dtype=np.int64)
-        source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
-        got = rank_within(tables if cuts else tables[0], code, top_k, source if tie_break else ())
-        assert got.tolist() == reference_rank_within(rows, top_k, tie_break)
+        got = rank_within(tables if cuts else tables[0], code, top_k)
+        assert got.tolist() == reference_rank_within(rows, top_k)
 
     @settings(max_examples=200, deadline=None)
-    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans(),
+    @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3),
            st.sampled_from([None, 1, 2, 3, 12, 2**63, 10**30]))
-    def test_each_code_gets_the_rows_it_gets_alone(self, rows, cuts, tie_break, top_k):
+    def test_each_code_gets_the_rows_it_gets_alone(self, rows, cuts, top_k):
         tables = ranked_tables(rows, cuts)
         code = np.array([row[-1] for row in rows], dtype=np.int64)
-        source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
         runs = []  # each code's rows as rank_within keeps them from a table of those rows alone
         for c in range(3):
             mine = np.flatnonzero(code == c)
             alone = HypothesisTable.concat(tables).take(mine)
-            runs += mine[rank_within(alone, code[mine], top_k,
-                                     (alone.source, alone.has_source) if tie_break else ())].tolist()
-        assert rank_within(tables, code, top_k, source if tie_break else ()).tolist() == runs
+            runs += mine[rank_within(alone, code[mine], top_k)].tolist()
+        assert rank_within(tables, code, top_k).tolist() == runs
 
     @pytest.mark.parametrize("top_k", [None, 1, 2**63])
     def test_empty(self, top_k):
