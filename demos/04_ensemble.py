@@ -10,7 +10,7 @@ from vista import (
     EvalConfig,
     NoiseConfig,
     as_gt_table,
-    as_table,
+    as_predictions,
     ensemble_predictions,
     evaluate,
     generate_scenario,
@@ -23,11 +23,11 @@ taxonomy, annotations = generate_scenario(
 noise = NoiseConfig(
     box_jitter_sigma=25, label_flip_prob=0.15, ttc_noise_sigma=0.15, drop_prob=0.1, seed=21
 )
-# synth gives lists of objects; the stages take tables.
+# synth gives lists of objects; the stages take tables, and a PredictionSet
+# holds each source's tables as runs.
 gts = as_gt_table(annotations)
 sources = [
-    {uid: as_table(hyps) for uid, hyps in source.items()}
-    for source in perturb_to_predictions(taxonomy, annotations, noise, n_sources=3)
+    as_predictions(source) for source in perturb_to_predictions(taxonomy, annotations, noise, n_sources=3)
 ]
 
 cfg = EvalConfig()

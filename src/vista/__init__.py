@@ -60,6 +60,7 @@ from .types import (
     StaHypothesis,
     Taxonomy,
     as_gt_table,
+    as_predictions,
     as_table,
     canonical_order,
     rank_within,

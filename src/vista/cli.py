@@ -37,7 +37,7 @@ from .io_formats import (
 from .postprocess import InferenceConfig, postprocess_container
 from .sampling import plan_frames
 from .synth import NoiseConfig, generate_scenario, perturb_to_predictions
-from .types import as_gt_table, as_table
+from .types import as_gt_table
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -152,8 +152,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args, config)
     write_ground_truth(taxonomy, as_gt_table(gts), out / "ground_truth.json")
     for s, preds in enumerate(sources):
-        write_submission({uid: as_table(hyps) for uid, hyps in preds.items()},
-                         out / f"predictions_source_{s:02d}.json")
+        write_submission(preds, out / f"predictions_source_{s:02d}.json")
     print(out / "ground_truth.json")
     return EXIT_OK
 
@@ -179,7 +178,7 @@ def cmd_validate(args) -> int:
     kind, value = read_document(path)
     counts = {
         "tensor container": lambda: f"{len(value)} tensors",
-        "submission": lambda: f"{len(value)} examples, {sum(map(len, value.values()))} hypotheses",
+        "submission": lambda: f"{len(value)} examples, {value.sizes().sum()} hypotheses",
         "ground truth": lambda: f"{len(value[1])} annotations",
         "taxonomy": lambda: f"{value.n_nouns} nouns / {value.n_verbs} verbs",
     }[kind]()

@@ -27,7 +27,15 @@ import numpy as np
 from . import boxes
 from .boxes import box_columns, count_blocks, greedy_owners, pair_iou
 from .errors import ValidationError
-from .types import HypothesisTable, PredictionSet, canonical_order, check_fields, rank_within, setting
+from .types import (
+    HypothesisTable,
+    PredictionSet,
+    as_predictions,
+    canonical_order,
+    check_fields,
+    rank_within,
+    setting,
+)
 from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py times it under this name)
 
 
@@ -198,45 +206,45 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> tup
 def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | None = None) -> PredictionSet:
     """Pool, group, merge and re-rank hypotheses per example across sources.
 
-    Hypotheses missing a source_id are tagged with their source's index so
-    cross-source agreement can be counted. Uids are unioned across sources.
-    Full ties (equal but for their source) go in source order, then by
-    source_id as written (none first), whatever the order of the entries.
+    Each source is a PredictionSet, or another mapping that
+    `as_predictions` takes. Hypotheses missing a source_id are tagged with
+    their source's index so cross-source agreement can be counted. Uids
+    are unioned across sources. Full ties (equal but for their source) go
+    in source order, then by source_id as written (none first), whatever
+    the order of the entries.
 
     The examples, in uid order, are taken in blocks of whole examples
     whose pools add up to at most `boxes.EXAMPLE_BLOCK` hypotheses (an
-    example of more comes alone). A block is grouped, merged and ranked at once, with
-    the example code of each row: no group spans two examples, and each
-    example keeps its first max_exports merged rows (`rank_within`), ties
-    in group order. So each example gets the rows it gets alone, in the
-    same order.
+    example of more comes alone). A block is pooled from the sources'
+    runs only when it is taken, source after source (`PredictionSet.rows`),
+    and grouped, merged and ranked at once, with the example code of each
+    row: no group spans two examples, and each example keeps its first
+    max_exports merged rows (`rank_within`), ties in group order. So each
+    example gets the rows it gets alone, in the same order. The result
+    holds one run per block: its kept rows, one example after another.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
     if cfg is None:
         cfg = EnsembleConfig(n_sources=len(sources))
 
-    pooled: dict[str, list[tuple[int, HypothesisTable]]] = {}
-    for idx, src in enumerate(sources):
-        for uid, hyps in src.items():
-            pooled.setdefault(uid, []).append((idx, hyps))
-    uids = sorted(pooled)
-    sizes = np.array([sum(len(hyps) for _, hyps in pooled[uid]) for uid in uids], dtype=np.int64)
+    sources = [as_predictions(src) for src in sources]
+    uids = sorted(set().union(*sources))
+    sizes = sum(src.sizes(uids) for src in sources)
 
-    out: PredictionSet = {}
+    runs = []
     for start, stop in count_blocks(sizes, boxes.EXAMPLE_BLOCK):
         block = uids[start:stop]
-        members = [member for uid in block for member in pooled[uid]]
-        index = np.repeat([idx for idx, _ in members], [len(hyps) for _, hyps in members])
-        example = np.repeat(np.arange(len(block)), sizes[start:stop])
-        pool = HypothesisTable.concat([hyps for _, hyps in members])
+        counts = [src.sizes(block) for src in sources]
+        index = np.repeat(np.arange(len(sources)), [int(count.sum()) for count in counts])
+        example = np.concatenate([np.repeat(np.arange(len(block)), count) for count in counts])
+        pool = HypothesisTable.concat([view for src in sources for view in src.rows(block)])
         groups = group_hypotheses(pool.with_default_source(index), cfg, example, (pool.source, pool.has_source, index))
         del pool  # the pool and its groups are freed once used, not held into the next block
         merged, example = merge_group(groups, cfg)
         del groups
         rows = rank_within(merged, example, cfg.max_exports)  # one example after another
-        ends = np.cumsum(np.bincount(example[rows], minlength=len(block))).tolist()
-        top = merged.take(rows)
-        for uid, begin, end in zip(block, [0] + ends, ends):
-            out[uid] = top.take(slice(begin, end))
-    return out
+        bounds = np.zeros(len(block) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(example[rows], minlength=len(block)), out=bounds[1:])
+        runs.append((merged.take(rows), block, bounds))
+    return PredictionSet(runs)

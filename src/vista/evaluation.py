@@ -27,7 +27,7 @@ from .types import (
     HypothesisTable,
     PredictionSet,
     as_gt_table,
-    as_table,
+    as_predictions,
     canonical_order,
     check_fields,
     rank_within,
@@ -185,70 +185,92 @@ def _by_example(code: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     return np.argsort(code, kind="stable"), bounds.tolist()
 
 
-def _ranked_block(tables: list[HypothesisTable], top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows each of the tables, one example each, keeps (`rank_within`),
-    as indices into their rows one after another, one example after
-    another and each in its rank order, and the example of each of those
-    rows, 0 for the first table."""
-    code = np.repeat(np.arange(len(tables)), [len(table) for table in tables])
+def _ranked_block(tables: list[HypothesisTable], sizes: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows each example of a block keeps (`rank_within`), given the
+    block's rows as tables one after another and each example's number of
+    them, as indices into those rows, one example after another and each
+    in its rank order, and the example of each of those rows, 0 for the
+    first."""
+    code = np.repeat(np.arange(len(sizes)), sizes)
     rows = rank_within(tables, code, top_k)
     return rows, code[rows]
 
 
-def _matched_blocks(tables: list[HypothesisTable], sizes: np.ndarray, gts: GroundTruthTable, gt_uid: np.ndarray,
-                    gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
-    """Match the examples, one table of `sizes` rows each, in blocks of
-    whole examples (see `evaluate`). The ground truths have the examples
-    `gt_uid` and the classes `gt_class`, indices into `classes`. Yields
-    each block's (first example, end example) and, for its kept rows, one
-    example after another and each in its rank order, their classes (-1
-    for a noun that no ground truth has), scores and TP flags by
-    variant."""
+def _match_block(tables: list[HypothesisTable], sizes: np.ndarray, g: np.ndarray, gt_code: np.ndarray,
+                 gts: GroundTruthTable, gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
+    """Match one block of whole examples (see `evaluate`), its rows the
+    tables one after another and `sizes` rows each, its ground truths the
+    rows g of gts, of its examples `gt_code` (0 for the first) and of the
+    classes gt_class[g], indices into `classes`. For its kept rows, one
+    example after another and each in its rank order: their classes (-1
+    for a noun that no ground truth has), scores and TP flags by variant.
+    What else it makes is freed when it returns."""
     n_classes = len(classes)
-    gt_by_example, gt_bounds = _by_example(gt_uid, len(tables))
-    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(tables)), boxes.EXAMPLE_BLOCK):
-        block = tables[start:stop]
-        rows, code = _ranked_block(block, cfg.top_k)
-        noun, pred_boxes, pred_verb, pred_ttc, score = (
-            HypothesisTable.column(block, name)[rows] for name in ("noun", "boxes", "verb", "ttc", "score"))
-        # Each noun's index in classes, or -1; nouns are >= 0, so none is the -1 appended.
-        at = np.searchsorted(classes, noun)
-        cls = np.where(np.append(classes, -1)[at] == noun, at, -1)
+    rows, code = _ranked_block(tables, sizes, cfg.top_k)
+    noun, pred_boxes, pred_verb, pred_ttc, score = (
+        HypothesisTable.column(tables, name)[rows] for name in ("noun", "boxes", "verb", "ttc", "score"))
+    # Each noun's index in classes, or -1; nouns are >= 0, so none is the -1 appended.
+    at = np.searchsorted(classes, noun)
+    cls = np.where(np.append(classes, -1)[at] == noun, at, -1)
+    pred_key = np.where(cls < 0, -1, code * n_classes + cls)  # -1: no ground truth has the noun
+    gt_key = gt_code * n_classes + gt_class[g]
+    corners, area = box_columns(pred_boxes, gts.boxes[g])
+    gt_verb, gt_ttc = gts.verb[g], gts.ttc[g]
+    pairs = [(i, j, overlap, pred_verb[i] == gt_verb[j], np.abs(pred_ttc[i] - gt_ttc[j]) < cfg.ttc_max_error)
+             for i, j, overlap in _candidates(pred_key, gt_key, corners, area, cfg.iou_min)]
+    tp = {variant: np.zeros(len(rows), dtype=bool) for variant in ALL_VARIANTS}
+    for variant in ALL_VARIANTS:
+        _greedy_match(_variant_pairs(pairs, variant), tp[variant], len(g))
+    return cls, score, tp
+
+
+def _matched_blocks(preds: PredictionSet, uids: list[str], sizes: np.ndarray, gts: GroundTruthTable,
+                    gt_uid: np.ndarray, gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
+    """Match the examples `uids`, of `sizes` rows each in preds, in blocks
+    of whole examples (see `evaluate`), each block's rows viewed only while
+    it is matched (`PredictionSet.rows`). The ground truths have the
+    examples `gt_uid`, indices into uids, and the classes `gt_class`,
+    indices into `classes`. Yields each block's (first example, end
+    example) and what `_match_block` gives for it."""
+    gt_by_example, gt_bounds = _by_example(gt_uid, len(uids))
+    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(uids)), boxes.EXAMPLE_BLOCK):
         g = gt_by_example[gt_bounds[start]:gt_bounds[stop]]
-        pred_key = np.where(cls < 0, -1, code * n_classes + cls)  # -1: no ground truth has the noun
-        gt_key = (gt_uid[g] - start) * n_classes + gt_class[g]
-        corners, area = box_columns(pred_boxes, gts.boxes[g])
-        gt_verb, gt_ttc = gts.verb[g], gts.ttc[g]
-        pairs = [(i, j, overlap, pred_verb[i] == gt_verb[j], np.abs(pred_ttc[i] - gt_ttc[j]) < cfg.ttc_max_error)
-                 for i, j, overlap in _candidates(pred_key, gt_key, corners, area, cfg.iou_min)]
-        tp = {variant: np.zeros(len(rows), dtype=bool) for variant in ALL_VARIANTS}
-        for variant in ALL_VARIANTS:
-            _greedy_match(_variant_pairs(pairs, variant), tp[variant], len(g))
-        yield start, stop, cls, score, tp
+        yield start, stop, *_match_block(preds.rows(uids[start:stop]), sizes[start:stop], g, gt_uid[g] - start,
+                                         gts, gt_class, classes, cfg)
 
 
-def _order_ties(by_class: np.ndarray, places: np.ndarray, run: np.ndarray, tables: list[HypothesisTable],
-                blocks: list[tuple[int, int, int, int]], top_k: int) -> None:
+def _order_ties(by_class: np.ndarray, places: np.ndarray, run_sizes: np.ndarray, preds: PredictionSet,
+                uids: list[str], sizes: np.ndarray, blocks: list[tuple[int, int, int, int]], top_k: int) -> None:
     """Put the rows at `places` in by_class, which tie in class and score,
-    each `run` of them in storage order, into canonical order: by verb,
-    box corners and TTC, and then in storage order, which is uid order and
-    then rank order within an example. Their keys are gathered from their
-    blocks, (first example, end example, first kept row, end kept row) of
-    `tables`, ranked again, one block with such rows at a time."""
+    in runs of `run_sizes` of them in storage order, into canonical order:
+    by verb, box corners and TTC, and then in storage order, which is uid
+    order and then rank order within an example. Their keys are gathered
+    from their blocks, (first example, end example, first kept row, end
+    kept row) of the examples `uids` of preds with `sizes` rows, ranked
+    again, one block with such rows at a time; each block finds its rows
+    in a slice of a map over the kept rows, so none are sorted to find
+    them. The runs are then sorted in pieces of whole runs of at most
+    `boxes.EXAMPLE_BLOCK` rows, or of one larger run alone."""
     kept = by_class[places]
-    by_storage = np.argsort(kept)  # each block's rows are one slice of it
-    cuts = np.searchsorted(kept[by_storage], [first for _, _, first, _ in blocks[1:]])
+    where = np.full(len(by_class), -1, dtype=np.intp)  # of each kept row, its place in kept, or -1
+    where[kept] = np.arange(len(kept))
     keys = [np.empty(len(kept), dtype=np.int64)] + [np.empty(len(kept)) for _ in range(5)]  # verb, corners, TTC
-    for (start, stop, first, _), at in zip(blocks, np.split(by_storage, cuts)):
-        if len(at):
-            block = tables[start:stop]
-            rows = _ranked_block(block, top_k)[0][kept[at] - first]
+    for start, stop, first, end in blocks:
+        mine = np.flatnonzero(where[first:end] >= 0)
+        if len(mine):
+            block = preds.rows(uids[start:stop])
+            rows = _ranked_block(block, sizes[start:stop], top_k)[0][mine]
             columns = (HypothesisTable.column(block, "verb")[rows], *HypothesisTable.column(block, "boxes")[rows].T,
                        HypothesisTable.column(block, "ttc")[rows])
+            at = where[first + mine]
             for key, column in zip(keys, columns):
                 key[at] = column
-    del by_storage
-    by_class[places] = kept[np.lexsort((*keys[::-1], run))]
+    del where
+    bounds = np.append(0, np.cumsum(run_sizes)).tolist()
+    for a, b in boxes.count_blocks(run_sizes, boxes.EXAMPLE_BLOCK):
+        lo, hi = bounds[a], bounds[b]
+        run = np.repeat(np.arange(b - a), run_sizes[a:b])
+        by_class[places[lo:hi]] = kept[lo:hi][np.lexsort((*(key[lo:hi] for key in keys[::-1]), run))]
 
 
 def evaluate(
@@ -258,7 +280,8 @@ def evaluate(
 ) -> EvalReport:
     """Run the four-variant protocol over a prediction set.
 
-    `preds` maps uids to HypothesisTables or lists of StaHypothesis, and
+    `preds` is a PredictionSet, or another mapping of uids to
+    HypothesisTables or lists of StaHypothesis (`as_predictions`), and
     `gts` is a GroundTruthTable or a list of GroundTruthInstance. A match
     never crosses an example, so the examples, in uid order, are taken in
     blocks of whole examples whose hypotheses and ground truths add up to
@@ -275,22 +298,22 @@ def evaluate(
     and one score in canonical order with the uid last, as one ranking of
     every row would give them: that order restricted to one class is the
     class's own. The keys that order them are gathered again, block by
-    block, for those rows alone.
+    block, for those rows alone, and sorted a piece of whole runs at a
+    time.
 
     Next to its inputs, it holds per kept row only its class (an index
     into the ground truth's nouns, or -1), its score, its four TP flags
     and, once every block is matched, its place in the classes' order;
-    and for one block at a time the block's columns, the corners, verbs
-    and TTCs of its kept rows and ground truths, its candidate pairs, and
-    temporaries of at most about PAIR_BLOCK pairs.
+    and for one block at a time views of the block's rows in the runs of
+    preds, the block's columns, the corners, verbs and TTCs of its kept
+    rows and ground truths, its candidate pairs, and temporaries of at
+    most about PAIR_BLOCK pairs, all freed before the next block.
     """
     # Lists stay accepted: the benchmark's oracle check passes synth's lists.
-    by_uid = {uid: as_table(hyps) for uid, hyps in preds.items()}
+    preds = as_predictions(preds)
     gts = as_gt_table(gts)
-    uids = sorted(set(by_uid) | set(gts.uid))
-    no_rows = HypothesisTable.concat([])
-    tables = [by_uid.get(uid, no_rows) for uid in uids]  # one per example, in uid order
-    sizes = np.array([len(table) for table in tables], dtype=np.int64)
+    uids = sorted(set(preds) | set(gts.uid))
+    sizes = preds.sizes(uids)  # of each example, in uid order
     uid_code = {uid: c for c, uid in enumerate(uids)}
     gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
     classes, gt_class, class_size = np.unique(gts.noun, return_inverse=True, return_counts=True)
@@ -306,7 +329,7 @@ def evaluate(
     class_count = np.zeros(n_classes + 1, dtype=np.int64)  # kept rows of each class, class -1 first
     blocks = []  # (first example, end example, first kept row, end kept row) of each block
     end = 0
-    for start, stop, cls, score, flags in _matched_blocks(tables, sizes, gts, gt_uid, gt_class, classes, cfg):
+    for start, stop, cls, score, flags in _matched_blocks(preds, uids, sizes, gts, gt_uid, gt_class, classes, cfg):
         first, end = end, end + len(cls)
         blocks.append((start, stop, first, end))
         pred_class[first:end], pred_score[first:end] = cls, score
@@ -341,7 +364,8 @@ def evaluate(
     del pred_score
     places = np.flatnonzero(~(run_starts[:-1] & run_starts[1:]))  # the rows in a run of two or more
     if len(places):
-        _order_ties(by_class, places, np.cumsum(run_starts[places]), tables, blocks, cfg.top_k)
+        run_sizes = np.diff(np.flatnonzero(np.append(run_starts[places], True)))
+        _order_ties(by_class, places, run_sizes, preds, uids, sizes, blocks, cfg.top_k)
     del run_starts, places
 
     maps: dict[str, float] = {}  # by map_key

@@ -70,6 +70,7 @@ from .types import (
     HypothesisTable,
     PredictionSet,
     Taxonomy,
+    as_predictions,
     box_rules,
     ground_truth_rules,
     hypothesis_rules,
@@ -533,10 +534,12 @@ def _copy(text: str) -> str:
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Read a submission, once (`_read_json`), as one HypothesisTable per
-    example uid, its entries in file order (each stage ranks the rows it
-    takes); the ids are checked against the taxonomy's ranges only if one
-    is given."""
+    """Read a submission, once (`_read_json`), as a PredictionSet of one
+    run per batch read: the batch's columns, its uids in file order and
+    their bounds, each example's entries in file order (each stage ranks
+    the rows it takes). The batches are not joined, and no table is made
+    per example. The ids are checked against the taxonomy's ranges only
+    if one is given."""
     with open(path, "rb") as file:
         walked, value = _read_json(file, path, {"results": _SubmissionStream(path, taxonomy)})
     return value if walked else predictions_from_dict(value, path, taxonomy)
@@ -583,10 +586,10 @@ def read_document(path) -> tuple[str, object]:
 
 def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> PredictionSet:
     """A parsed submission document as `load_predictions` reads it: the
-    members of its `results` are one batch of `_SubmissionStream`, and the
-    rest of it the header. `path` names the document in problems. The
-    results are taken out of `doc`, so their entries are freed as they
-    are read."""
+    members of its `results` are one batch of `_SubmissionStream`, so the
+    PredictionSet has one run, and the rest of it is the header. `path`
+    names the document in problems. The results are taken out of `doc`,
+    so their entries are freed as they are read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: submission document must be a JSON object")
     results = doc.pop("results", None)
@@ -601,14 +604,14 @@ def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> Predic
 
 
 def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, problems: list,
-                  unknown: list) -> PredictionSet:
+                  unknown: list) -> tuple[HypothesisTable, list[str], list[int]] | None:
     """(uid, entries) members of a submission's `results`, in file order,
     the first at position `first`, read into `problems` and `unknown`
-    (`_Entries.read` and `check`) as one HypothesisTable per uid, its
-    entries in file order: each table is a slice of the batch's columns.
-    A value that is not a list is a problem too, and no table is made
-    once there is one. The members are emptied, so their entries are
-    freed as they are read."""
+    (`_Entries.read` and `check`) as one run of a PredictionSet: the
+    batch's columns as one HypothesisTable, the uids and the bounds of
+    each uid's entries, in file order. A value that is not a list is a
+    problem too, and no run is made (None) once there is one. The members
+    are emptied, so their entries are freed as they are read."""
     problems += [((first + u, -1, 0), f"{path}: results[{uid!r}] must be a list")
                  for u, (uid, entries) in enumerate(members) if not isinstance(entries, list)]
     lists = [(first + u, _copy(uid), 0, entries)
@@ -617,37 +620,40 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
     batch = _Entries.read(path, problems, lists, _SUBMISSION, unknown)
     batch.check(taxonomy)
     if problems:
-        return {}
+        return None
     whole = HypothesisTable.from_valid(*itemgetter(
         "boxes", "noun", "verb", "ttc", "score", "source", "has_source")(batch.columns))
-    return {uid: whole.take(slice(start, end)) for uid, start, end in batch.list_spans()}
+    spans = batch.list_spans()
+    return whole, [uid for uid, _, _ in spans], [start for _, start, _ in spans] + [len(whole)]
 
 
 class _SubmissionStream:
     """The reader of a submission's `results`, in batches, each read by
-    `_read_results` when it is flushed. The problems of every batch are
-    raised together, in file order, and the unknown fields are warned
-    about (top level first, then entries in file order) only once the
-    header is known, so that a walked document that is then read whole
-    raises its first problem before any warning."""
+    `_read_results` into one run of the PredictionSet when it is flushed.
+    The problems of every batch are raised together, in file order, and
+    the unknown fields are warned about (top level first, then entries in
+    file order) only once the header is known, so that a walked document
+    that is then read whole raises its first problem before any warning."""
 
     def __init__(self, path, taxonomy: Taxonomy | None):
         self.path, self.taxonomy = path, taxonomy
-        self.preds: PredictionSet = {}
+        self.runs: list = []  # one per batch, for the PredictionSet
         self.problems: list = []  # keyed, for `_raise_sorted`
         self.unknown: list[tuple[set, str]] = []
         self.count = 0  # the members read so far
 
     def flush(self, members: list) -> None:
         first, self.count = self.count, self.count + len(members)
-        self.preds.update(_read_results(self.path, members, first, self.taxonomy, self.problems, self.unknown))
+        run = _read_results(self.path, members, first, self.taxonomy, self.problems, self.unknown)
+        if run is not None:
+            self.runs.append(run)
 
     def finish(self, header: dict) -> PredictionSet:
         _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path), stacklevel=4)
         for found, where in self.unknown:
             _warn_unknown(found, _SUBMISSION.keys, where)
         _raise_sorted(self.problems)
-        return self.preds
+        return PredictionSet(self.runs)
 
 
 # -- the streamed JSON reader -----------------------------------------------
@@ -930,7 +936,10 @@ def _entries_text(table: HypothesisTable) -> str:
 
 
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:
-    """Write a submission: every example's hypotheses in canonical order.
+    """Write a submission: every example's hypotheses in canonical order,
+    the examples in uid order. `preds` is a PredictionSet, or another
+    mapping that `as_predictions` takes (postprocess's exports, synth's
+    lists).
 
     The text is the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
     of the submission document, written from the columns: each entry is
@@ -944,6 +953,7 @@ def write_submission(preds: PredictionSet, path, provenance: dict | None = None)
         "" if provenance is None
         else '  "provenance": ' + json.dumps(provenance, indent=2, sort_keys=True).replace("\n", "\n  ") + ",\n"
     )
+    preds = as_predictions(preds)
     with Path(path).open("w") as file:
         file.write(f'{{\n  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},\n{provenance_line}  "results": {{')
         separator = "\n"

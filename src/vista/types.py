@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .boxes import Box2D
 from .errors import ValidationError
-
-# Per-example predictions keyed by example uid, each a HypothesisTable in
-# any row order (the reader keeps file order; each stage ranks). Lists of
-# StaHypothesis in its place are accepted only where objects enter the
-# library: `synth`'s output, `as_table`, `evaluation.evaluate`,
-# `sort_canonical` (of one list) and the oracle.
-PredictionSet = dict[str, "HypothesisTable"]
 
 
 def number_problems(name: str, value, integer: bool = False) -> list[str]:
@@ -159,9 +154,10 @@ class StaHypothesis:
 
     Objects are accepted only where they enter the library: `synth`
     returns them, `as_table` turns a list of them into the
-    HypothesisTable every other stage takes, and `evaluation.evaluate`,
-    `sort_canonical` and the oracle also take lists of them. They are not
-    checked on their own: the table checks every row."""
+    HypothesisTable every other stage takes, `as_predictions` does so for
+    a mapping of uids to lists of them, and `sort_canonical` and the
+    oracle also take lists of them. They are not checked on their own:
+    the table checks every row."""
 
     box: Box2D
     noun_id: int
@@ -333,6 +329,98 @@ def as_table(hyps) -> HypothesisTable:
         source=[0 if h.source_id is None else h.source_id for h in hyps],
         has_source=[h.source_id is not None for h in hyps],
     )
+
+
+# Per-example predictions keyed by example uid, as runs of rows: each run is
+# one HypothesisTable, the uids of its examples and CSR bounds, so that no
+# object is held per example. Rows are in any order within an example (the
+# reader keeps file order; each stage ranks).
+class PredictionSet(Mapping):
+    """A read-only mapping from example uid to its hypotheses, given as
+    runs: (table, uids, bounds), example i of a run having the rows
+    bounds[i]:bounds[i + 1] of its table. The submission reader makes one
+    run per batch it reads, and the ensemble one per block. A uid is in
+    one run only. It keeps the runs' tables (`tables`), and per uid only
+    its position, in run order, and where its rows begin and how many
+    there are.
+
+    `[uid]` makes a view of the example's rows. Iteration (the uids in run
+    order), `len`, `in`, `sizes` and `rows` make none per example. Any
+    other mapping of uids enters the library through `as_predictions`."""
+
+    __slots__ = ("tables", "_index", "_starts", "_begin", "_sizes")
+
+    def __init__(self, runs=()):
+        tables, index, starts, begin, sizes = [], {}, [], [], []
+        for table, uids, bounds in runs:
+            bounds = list(map(int, bounds))
+            tables.append(table)
+            starts.append(len(begin))
+            index.update(zip(uids, range(len(begin), len(begin) + len(uids))))
+            begin += bounds[:-1]
+            sizes += [end - first for first, end in zip(bounds, bounds[1:])]
+        if len(index) != len(begin):
+            raise ValueError("a uid is in two runs")
+        self.tables = tuple(tables)
+        self._index: dict[str, int] = index  # each uid's position, in run order
+        self._starts = starts  # the position of each run's first uid
+        self._begin = np.array(begin, dtype=np.int64)  # each position's first row in its run
+        self._sizes = np.array(sizes + [0], dtype=np.int64)  # its rows, and 0 for a uid not here
+
+    def _span(self, position: int) -> tuple[int, int, int]:
+        """The run of the uid at a position and the bounds of its rows."""
+        first = int(self._begin[position])
+        return bisect_right(self._starts, position) - 1, first, first + int(self._sizes[position])
+
+    def _view(self, run: int, first: int, end: int) -> HypothesisTable:
+        """Rows first, ..., end - 1 of a run: its table if they are all of it."""
+        table = self.tables[run]
+        return table if first == 0 and end == len(table) else table.take(slice(first, end))
+
+    def __getitem__(self, uid: str) -> HypothesisTable:
+        return self._view(*self._span(self._index[uid]))
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, uid) -> bool:
+        return uid in self._index
+
+    def sizes(self, uids=None) -> np.ndarray:
+        """The rows of each of the uids (every uid here, in run order, if
+        None), 0 for a uid not here, as int64."""
+        if uids is None:
+            return self._sizes[:-1]
+        return self._sizes[[self._index.get(uid, -1) for uid in uids]]
+
+    def rows(self, uids) -> list[HypothesisTable]:
+        """The rows of the uids, one uid after another (a uid not here has
+        none), as views of the runs: one per stretch of uids whose rows
+        follow each other in one run, the run's table itself if they are
+        all of it."""
+        spans = []
+        for position in map(self._index.get, uids):
+            if position is None:
+                continue
+            run, first, end = self._span(position)
+            if spans and spans[-1][0] == run and spans[-1][2] == first:
+                spans[-1][2] = end
+            else:
+                spans.append([run, first, end])
+        return [self._view(*span) for span in spans]
+
+
+def as_predictions(preds) -> PredictionSet:
+    """A PredictionSet as it is, or any other mapping from uid to a
+    HypothesisTable or a list of StaHypothesis (`as_table`) as one run per
+    uid, in its order: the tables are not copied."""
+    if isinstance(preds, PredictionSet):
+        return preds
+    return PredictionSet((table, (uid,), (0, len(table)))
+                         for uid, table in zip(preds, map(as_table, preds.values())))
 
 
 @dataclass(frozen=True, eq=False)

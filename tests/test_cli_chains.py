@@ -7,7 +7,9 @@ installed entry point.
 
 import io
 import json
+import os
 import runpy
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from vista import boxes, io_formats
-from vista.cli import EXIT_OK, main
+from vista.cli import EXIT_OK, EXIT_VALIDATION, main
 from vista.io_formats import write_tensor_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -218,3 +220,62 @@ def test_commas_in_uids_and_an_unknown_object_field(blocks, tmp_path, monkeypatc
     with redirect_stderr(err):
         vista("validate", "gt_commas.json")
     assert "warning: gt_commas.json: annotation 0: ignoring unknown fields ['extra']" in err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def entry_point_dir(run) -> Path:
+    """The working directory of CI's run of the installed entry point: the
+    synth run `run` in run/, what demos 02 and 03 write, and the fusion of
+    demo 02's inputs in run/fused.vstf."""
+    root, before = run.parent, Path.cwd()
+    os.chdir(root)
+    try:
+        with redirect_stdout(io.StringIO()):
+            for demo in ("02_fusion_kernels.py", "03_postprocess_chain.py"):
+                runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+        vista("fuse", "fusion_inputs.vstf", "--out", "run")
+    finally:
+        os.chdir(before)
+    return root
+
+
+def nan_last_float(path: Path) -> bytes:
+    """The container with its last float32 made NaN."""
+    data = bytearray(path.read_bytes())
+    data[-4:] = struct.pack("<f", float("nan"))
+    return bytes(data)
+
+
+# The bad inputs of CI's "Bad inputs exit 2 from the installed entry
+# point" step, made from the same files: (the bad file, how it is made
+# from the working directory, the command). Its nesting case is
+# `test_exit_codes.py::test_deeply_nested_json_exits_2[validate]`.
+BAD_INPUTS = {
+    "validate-container-cut-to-20-bytes": (
+        "cut.vstf", lambda d: (d / "run" / "fused.vstf").read_bytes()[:20], ["validate", "cut.vstf"]),
+    "postprocess-heads-cut-to-1000-bytes": (
+        "cut_heads.vstf", lambda d: (d / "head_outputs.vstf").read_bytes()[:1000],
+        ["postprocess", "cut_heads.vstf", "taxonomy.json", "--out", "bad"]),
+    "postprocess-nan-last-float": (
+        "nan_heads.vstf", lambda d: nan_last_float(d / "head_outputs.vstf"),
+        ["postprocess", "nan_heads.vstf", "taxonomy.json", "--out", "bad"]),
+    "plan-negative-time": (None, None, ["plan", "--time", "-1"]),
+    "synth-no-nouns": (None, None, ["synth", "--n-nouns", "0", "--out", "bad"]),
+    "evaluate-iou-min-1": (None, None, ["evaluate", "run/ground_truth.json", "run/predictions_source_00.json",
+                                        "--iou-min", "1.0", "--out", "bad"]),
+    "evaluate-submission-cut-to-500-bytes": (
+        "cut.json", lambda d: (d / "run" / "ensemble.json").read_bytes()[:500],
+        ["evaluate", "run/ground_truth.json", "cut.json", "--out", "bad"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2(entry_point_dir, monkeypatch, case):
+    monkeypatch.chdir(entry_point_dir)
+    target, make, argv = BAD_INPUTS[case]
+    if target is not None:
+        Path(target).write_bytes(make(entry_point_dir))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == EXIT_VALIDATION, err.getvalue()
+    assert err.getvalue().startswith("error: ")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from vista import io_formats
 from vista.errors import ValidationError
 from vista.cli import main
+from vista.evaluation import EvalConfig, evaluate
 from vista.io_formats import (
     _load_json,
     ground_truth_from_dict,
@@ -31,6 +32,7 @@ from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
 from vista.types import (GroundTruthTable, HypothesisTable, Taxonomy, as_gt_table, as_table,
                          sort_canonical)
 
+from test_evaluation import crowded_instance
 from test_postprocess import columns
 
 
@@ -840,6 +842,61 @@ class TestStreamedSubmissions:
         monkeypatch.undo()
         assert len(loaded) == 100 and sorted_sizes == []
 
+    # Read as one table per example, this submission held 1,228-1,233
+    # bytes per example above its columns' bases; as one run per batch,
+    # 185 (the uid, its place in the runs, and each batch's table). The
+    # bound is that plus 25%.
+    def test_bytes_held_per_example_above_the_columns(self, tmp_path):
+        rng = np.random.default_rng(5)
+        preds = {}
+        for u in range(1000):
+            corners = rng.uniform(0, 500, (10, 4))
+            preds[f"ex_{u:04d}"] = HypothesisTable(
+                boxes=np.concatenate([corners[:, :2], corners[:, :2] + corners[:, 2:]], axis=1),
+                noun=rng.integers(0, 10, 10), verb=rng.integers(0, 10, 10),
+                ttc=rng.uniform(0, 2, 10), score=rng.uniform(0.01, 1, 10))
+        path = tmp_path / "sub.json"
+        write_submission(preds, path)
+        del preds
+        tracemalloc.start()
+        try:
+            loaded = load_predictions(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        bases = {}  # each column's own array, by id: a view's base, or one zero for an absent column
+        for table in loaded.values():
+            for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source"):
+                column = getattr(table, name)
+                base = column if column.base is None else column.base
+                bases[id(base)] = base.nbytes
+        assert len(loaded) == 1000
+        assert held - sum(bases.values()) <= 231 * len(loaded)
+
+    def test_batches_out_of_uid_order_read_and_score_as_the_whole_document(self, tmp_path):
+        # 120 examples of 40 hypotheses, written in a shuffled uid order
+        # without `write_submission`'s sort: about 1.3 MB, so the walk reads
+        # it in several batches, and examples of one evaluate block come
+        # from different batches, out of order.
+        preds, gts = crowded_instance(120, n_preds=40)
+        order = np.random.default_rng(8).permutation(sorted(preds)).tolist()
+        results = {uid: [{"box": box, "noun_category_id": noun, "verb_category_id": verb,
+                          "time_to_contact": ttc, "score": score}
+                         for box, noun, verb, ttc, score in zip(
+                             preds[uid].boxes.tolist(), preds[uid].noun.tolist(), preds[uid].verb.tolist(),
+                             preds[uid].ttc.tolist(), preds[uid].score.tolist())]
+                   for uid in order[:-10]}  # the last 10 examples have ground truth only
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"results": results}, indent=2))
+        walked, whole = load_predictions(path), read_whole(path, None)
+        assert len(walked.tables) >= 3 and len(whole.tables) == 1
+        assert list(walked) == list(whole) == order[:-10]
+        assert {uid: columns(walked[uid]) for uid in walked} == {uid: columns(whole[uid]) for uid in whole}
+        tables = {uid: whole[uid] for uid in whole}
+        for top_k in (5, 100):
+            cfg = EvalConfig(top_k=top_k)
+            assert evaluate(walked, gts, cfg).to_dict() == evaluate(tables, gts, cfg).to_dict()
+
 
 # -- the streamed ground-truth reader -----------------------------------------
 
@@ -1258,13 +1315,18 @@ GROUND_TRUTHS = st.builds(
 
 @st.composite
 def generated_bytes(draw, documents):
-    """A document serialised compactly or indented, its keys in either
-    order, escaped or not, with 0-3 bytes cut off its end (none in half
-    of them)."""
-    indented, sort_keys, ensure_ascii = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
-    text = json.dumps(draw(documents), indent=2 if indented else None, sort_keys=sort_keys,
-                      separators=None if indented else (",", ":"), ensure_ascii=ensure_ascii)
-    data = text.encode("utf-8")
+    """A document serialised compactly, indented by 2 spaces or by tabs,
+    with LF or CRLF line ends, its keys in either order, escaped or not,
+    between runs of outer whitespace (none in half of them), with 0-3
+    bytes cut off its end (none in half of them). JSON text has no raw
+    newline inside a string, so every newline is one of the layout's."""
+    indent, sort_keys, ensure_ascii = draw(st.sampled_from([None, 2, "\t"])), draw(st.booleans()), draw(st.booleans())
+    text = json.dumps(draw(documents), indent=indent, sort_keys=sort_keys,
+                      separators=None if indent else (",", ":"), ensure_ascii=ensure_ascii)
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    outer = st.sampled_from(["", "", "", " ", "\n", "\r\n", "\t \r\n "])
+    data = (draw(outer) + text + draw(outer)).encode("utf-8")
     return data[:len(data) - draw(st.sampled_from([0, 0, 0, 1, 2, 3]))]
 
 
