@@ -23,17 +23,18 @@ one walker, `_walk_document`: it reads the file `_CHUNK` bytes at a time
 and walks the top-level object, and a submission's `results` member by
 member or a ground truth's `annotations` a text's values at once (those
 up to its last "},", if they are all an array holds) and the rest value
-by value, so a reader
-holds about one chunk of text, the entries decoded since the last chunk
-and what it has read so far, never the whole text or all of its
-entries. A document it cannot walk that way (invalid JSON or UTF-8, a
-top level that is not an object, a repeated key, a list member of
-another type, a top-level key of a taxonomy) is parsed whole from the
-start of the same open file, and a file that cannot be read twice, such
-as a pipe, is parsed whole at once. Either way a kind has one reader,
-`_SubmissionStream` or `_GroundTruthStream`: the walk flushes it each
-chunk's entries, `predictions_from_dict` and `ground_truth_from_dict` a
-parsed document's whole list, and the rest of the document finishes it.
+by value, so a reader holds about one chunk of text, the entries decoded
+since the last chunk and what it has read so far, never the whole text
+or all of its entries. A file that cannot be read twice, such as a pipe,
+is copied into memory and walked from its bytes there as a file is, so
+it holds about the file's size more. Only a document the walker cannot
+walk (invalid JSON or UTF-8, a top level that is not an object, a
+repeated key, a list member of another type, a top-level key of a
+taxonomy) is parsed whole, from the start of the same file or copy.
+Either way a kind has one reader, `_SubmissionStream` or
+`_GroundTruthStream`: the walk flushes it each chunk's entries,
+`predictions_from_dict` and `ground_truth_from_dict` a parsed document's
+whole list, and the rest of the document finishes it.
 The other JSON files are small and are read whole.
 
 `read_document` alone tells what a file is, for `vista validate`: a
@@ -46,15 +47,17 @@ gets the same verdict from every command.
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import math
 import os
+import shutil
 import stat
 import struct
-import sys
 import threading
 import warnings
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -92,11 +95,17 @@ def _dump_json(doc, path) -> None:
 
 
 def _load_json(path):
-    return _parse_json(Path(path).read_bytes(), path)
+    with open(path, "rb") as file:
+        return _parse_json(file, path)
 
 
-def _parse_json(data: bytes, path):
-    """The document of a JSON file's bytes; `path` names it in problems."""
+def _parse_json(file, path):
+    """The document of an open binary JSON file, read whole from its start
+    and closed, freeing a copy in memory, before it is decoded; `path`
+    names it in problems."""
+    file.seek(0)
+    data = file.read()
+    file.close()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -138,12 +147,11 @@ def _loads(text: str):
     return outcome["value"]
 
 
-def _warn_unknown(found: set[str], known: set[str], where: str, stacklevel: int = 3) -> None:
+def _warn_unknown(found: set[str], known: set[str], where: str) -> None:
     extras = sorted(found - known)
-    if extras:  # `warnings.warn` at stacklevel, without the registry that shows a message once per line of vista
-        caller = sys._getframe(stacklevel - 1)
-        warnings.warn_explicit(f"{where}: ignoring unknown fields {extras}", UserWarning, caller.f_code.co_filename,
-                               caller.f_lineno, module=caller.f_globals["__name__"], registry=None)
+    if extras:  # at this function, without the registry that shows a message once per line of vista
+        warnings.warn_explicit(f"{where}: ignoring unknown fields {extras}", UserWarning, __file__,
+                               _warn_unknown.__code__.co_firstlineno, module=__name__, registry=None)
 
 
 # -- taxonomy ---------------------------------------------------------------
@@ -440,7 +448,7 @@ def _ground_truth_taxonomy(doc, path) -> Taxonomy:
     `taxonomy_path`, once its unknown top-level fields are warned about."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: ground-truth document must be a JSON object")
-    _warn_unknown(set(doc), _KNOWN_GT_KEYS, str(path), stacklevel=4)
+    _warn_unknown(set(doc), _KNOWN_GT_KEYS, str(path))
     if "taxonomy" in doc:
         return taxonomy_from_dict(doc["taxonomy"], where=f"{path}: taxonomy")
     if "taxonomy_path" in doc:
@@ -546,19 +554,21 @@ def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
 
 
 def _read_json(file, path, readers: dict, head: bytes = b"") -> tuple[str | None, object]:
-    """An open JSON file, `head` read of it already: if `_walk_document`
-    walks it, the key of `readers` whose list it walks and what that
-    reader makes of the document, else (None, its document, read whole)."""
-    if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-        try:
-            file.seek(0)
-            walked, header = _walk_document(file, {key: reader.flush for key, reader in readers.items()})
-        except _Unwalkable:
-            file.seek(0)
-            head = b""
-        else:
-            return walked, readers[walked].finish(header)
-    return None, _parse_json(head + file.read(), path)
+    """An open JSON file, `head` read of it already, walked by
+    `_walk_document`: the key of `readers` whose list it walks and what
+    that reader makes of it. A pipe is copied into memory, `head` first,
+    and walked there the same way. Only a document the walk does not
+    cover is parsed whole (`_parse_json`): (None, its document)."""
+    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        copy = io.BytesIO()
+        copy.write(head)
+        shutil.copyfileobj(file, copy)
+        file = copy
+    with suppress(_Unwalkable):
+        file.seek(0)
+        walked, header = _walk_document(file, {key: reader.flush for key, reader in readers.items()})
+        return walked, readers[walked].finish(header)
+    return None, _parse_json(file, path)
 
 
 def read_document(path) -> tuple[str, object]:
@@ -649,7 +659,7 @@ class _SubmissionStream:
             self.runs.append(run)
 
     def finish(self, header: dict) -> PredictionSet:
-        _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path), stacklevel=4)
+        _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path))
         for found, where in self.unknown:
             _warn_unknown(found, _SUBMISSION.keys, where)
         _raise_sorted(self.problems)
@@ -701,11 +711,12 @@ def _key(text: str, pos: int) -> tuple[str, int]:
     return key, pos
 
 
-def _value(text: str, pos: int) -> tuple[object, str, int]:
-    """The value after the whitespace at pos and the comma or closing brace
-    after it, and the position after that brace or comma. The end of a
-    number is known only from the character after it, so a value is
-    taken only once that punctuation has been read."""
+def _value(text: str, pos: int, marks: str = ",}") -> tuple[object, str, int]:
+    """The value after the whitespace at pos and the one of `marks` after
+    it, a comma or the closing brace of an object (or, given ",]", the
+    closing bracket of an array), and the position after that mark. The
+    end of a number is known only from the character after it, so a value
+    is taken only once that punctuation has been read."""
     try:
         value, pos = _SCAN(text, _WHITESPACE(text, pos).end())
     except (json.JSONDecodeError, StopIteration):
@@ -713,7 +724,7 @@ def _value(text: str, pos: int) -> tuple[object, str, int]:
     except (ValueError, RecursionError):  # an int beyond the digit limit; nesting too deep
         raise _Unwalkable
     after, pos = _punctuation(text, pos)
-    if after not in ",}":
+    if after not in marks:
         raise _Short
     return value, after, pos
 
@@ -742,7 +753,7 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
     members of `_LISTS`, one that `flushes` does not name, a top-level
     key of a taxonomy), this raises `_Unwalkable`."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    text, eof, elements, walked = "", False, [], None
+    text, eof, elements, walked, reads = "", False, [], None, 0
     header: dict = {}
     margin = _CHUNK // 4  # the text left ahead of the walk when the next chunk is read
 
@@ -750,10 +761,10 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         """Drop the text before pos, flush the elements and add the next
         chunk's text. The walked text is freed first, because reading
         the elements is when the most memory is held."""
-        nonlocal text, eof
+        nonlocal text, eof, reads
         if eof:
             raise _Unwalkable
-        text = text[pos:]
+        text, reads = text[pos:], reads + 1
         if elements:
             flushes[walked](elements)
         chunk = file.read(_CHUNK)
@@ -763,13 +774,13 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         except UnicodeDecodeError:
             raise _Unwalkable
 
-    def take(step, pos: int):
+    def take(step, pos: int, *args):
         if len(text) - pos < margin and not eof:
             read_more(pos)
             pos = 0
         while True:
             try:
-                return step(text, pos)
+                return step(text, pos, *args)
             except _Short:
                 read_more(pos)
                 pos = 0
@@ -802,7 +813,7 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         the elements of one array, if those values are all that array
         holds; returns the position after that comma, or pos if they are
         not (the comma is in a string or a nested value, or the text there
-        is not JSON), and the values are left to the one-value loop."""
+        is not JSON), and the values are left to `_value`."""
         cut = text.rfind("},", pos)
         if cut < 0:
             return pos
@@ -820,40 +831,21 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         position after its closing bracket. Once per text read, the values
         up to its last "}," are decoded at once (`take_block`): each
         annotation is an object, so that is all of them but the text's
-        tail. The rest are taken as `take` takes a `_value`, with a comma
-        or closing bracket after each, but written out here, without a
-        call per step; this loop alone tells a document it cannot walk."""
+        tail. Each value after those is taken as a `_value` of the array,
+        with a comma or its closing bracket after it. A pipe's annotations
+        are walked here too, from its bytes in memory; the whole-document
+        parse reads only a document that this walk rejects."""
         mark, pos = take(_punctuation, pos)
         if mark == "]":
             return pos
         pos -= 1  # the first value starts at the mark
-        fresh = True  # whether text was read since the last `take_block`
-        while True:
-            if len(text) - pos < margin and not eof:
-                read_more(pos)
-                pos, fresh = 0, True
-            if fresh:
-                fresh, after = False, take_block(pos)
-                if after > pos:
-                    pos = after
-                    continue
-            try:
-                value, end = _SCAN(text, _WHITESPACE(text, pos).end())
-                end = _WHITESPACE(text, end).end()
-                mark = text[end]  # an IndexError at the end of the text
-            except (json.JSONDecodeError, StopIteration, IndexError):
-                mark = None
-            except (ValueError, RecursionError):
-                raise _Unwalkable
-            if mark == ",":
-                elements.append(value)
-                pos = end + 1
-            elif mark == "]":
-                elements.append(value)
-                return end + 1
-            else:  # short of text, or not JSON: the next chunk tells
-                read_more(pos)
-                pos, fresh = 0, True
+        blocked = -1  # the read whose text `take_block` last tried
+        while mark != "]":
+            if blocked != reads:
+                blocked, pos = reads, take_block(pos)
+            value, mark, pos = take(_value, pos, ",]")
+            elements.append(value)
+        return pos
 
     def result(uid: str, pos: int) -> tuple[str, int]:
         entries, after, pos = take(_value, pos)
@@ -937,9 +929,10 @@ def _entries_text(table: HypothesisTable) -> str:
 
 def write_submission(preds: PredictionSet, path, provenance: dict | None = None) -> None:
     """Write a submission: every example's hypotheses in canonical order,
-    the examples in uid order. `preds` is a PredictionSet, or another
-    mapping that `as_predictions` takes (postprocess's exports, synth's
-    lists).
+    full ties by source (`sort_canonical`), so that the bytes do not
+    depend on the order of its rows, and the examples in uid order.
+    `preds` is a PredictionSet, or another mapping that `as_predictions`
+    takes (postprocess's exports, synth's lists).
 
     The text is the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
     of the submission document, written from the columns: each entry is

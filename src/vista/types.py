@@ -467,14 +467,14 @@ def as_gt_table(gts) -> GroundTruthTable:
 
 
 def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: tuple = ()) -> np.ndarray:
-    """The row indices that put a table in canonical order, the total
-    order on hypotheses: score descending, then ascending (noun, verb, x1,
-    y1, x2, y2, ttc). It makes every downstream sort, truncation and
-    tie-break bitwise reproducible. The sort is a stable lexsort, so full
-    ties keep their row order unless the `tie_break` columns order them,
-    the last the most significant, as in `np.lexsort`. When no two scores
-    are equal, the score alone orders the rows and one stable argsort of
-    it gives the same indices.
+    """The row indices that put a table in canonical order: score
+    descending, then ascending (noun, verb, x1, y1, x2, y2, ttc). It makes
+    every downstream sort, truncation and tie-break bitwise reproducible.
+    The sort is a stable lexsort, so full ties (rows equal but for their
+    source) keep their row order unless the `tie_break` columns order
+    them, the last the most significant, as in `np.lexsort`. When no two
+    scores are equal, the score alone orders the rows and one stable
+    argsort of it gives the same indices.
 
     Given a list of tables, it orders their rows one after another, and
     pools the key columns other than the score only when two scores are
@@ -515,9 +515,12 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
 
 def sort_canonical(hyps):
     """Put a HypothesisTable, or a list of StaHypothesis, in canonical
-    order (`canonical_order`). A list comes back as the same objects
-    reordered: `synth` sorts its lists with it."""
+    order (`canonical_order`), full ties by source as the ensemble orders
+    them within one: none first, then ascending source id. A list comes
+    back as the same objects reordered: `synth` sorts its lists with it."""
+    table = as_table(hyps)
+    order = canonical_order(table, (table.source, table.has_source))
     if isinstance(hyps, HypothesisTable):
-        return hyps.take(canonical_order(hyps))
+        return hyps.take(order)
     # Lists stay accepted: synth and the benchmark's oracle check sort them.
-    return [hyps[i] for i in canonical_order(as_table(hyps)).tolist()]
+    return [hyps[i] for i in order.tolist()]

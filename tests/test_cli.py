@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -873,8 +874,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("piped", ["submission", "ground_truth"])
     def test_submission_through_a_pipe_as_from_a_file(self, synth_dir, tmp_path, capsys, cut, piped):
         # A pipe cannot be read twice, so a submission or ground truth
-        # through one is read whole; it must score, or fail, exactly as the
-        # same bytes in a file.
+        # through one is walked from its bytes in memory; it must score, or
+        # fail, exactly as the same bytes in a file.
         inputs = {"ground_truth": str(synth_dir / "ground_truth.json"),
                   "submission": str(synth_dir / "predictions_source_00.json")}
         data = Path(inputs[piped]).read_bytes()
@@ -927,9 +928,9 @@ class TestValidateCommand:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_warnings_through_a_pipe_as_from_a_file(self, tmp_path, capsys):
-        # A file is walked and a pipe read whole, at other lines of vista;
-        # each warning is printed as its message alone, so both print the
-        # same lines, and the warnings module is left as it was.
+        # A file is walked from its open file and a pipe from its bytes in
+        # memory; each warning is printed as its message alone, so both
+        # print the same lines, and the warnings module is left as it was.
         data = json.dumps({"zz": 1, "results": {"u": [
             {"box": [0, 0, 1, 1], "noun_category_id": 0, "verb_category_id": 0, "time_to_contact": 1.0,
              "score": 0.5, "extra": {"a": [1]}}]}}).encode()
@@ -951,21 +952,40 @@ class TestValidateCommand:
         assert capsys.readouterr().err == from_file.replace(str(path), piped)
         assert (warnings.showwarning, warnings.filters) == (shown, filters)
 
-    def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch, capsys):
-        # Reading the whole document peaks at 2.4-2.6 times the file size.
+    @pytest.mark.parametrize("source, bound", [pytest.param("file", 1, id="file"), pytest.param(
+        "pipe", 2, id="pipe", marks=pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd"))])
+    def test_peak_allocation_below_the_file_size(self, tmp_path, monkeypatch, capsys, source, bound):
+        # Reading the whole document peaks at 2.4-2.6 times the file size. A
+        # pipe is walked from its bytes in memory, at about 1.4 times.
         path = tmp_path / "sub.json"
         write_submission(large_submission(), path)
         size = path.stat().st_size
         assert size > 2_500_000
         monkeypatch.setattr(io_formats, "_CHUNK", 64 * 1024)
+        read = str(path)
+        if source == "pipe":  # larger than a pipe's buffer, so fed by a thread
+            data = path.read_bytes()
+            read_end, write_end = os.pipe()
+            read = f"/dev/fd/{read_end}"
+
+            def feed() -> None:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(data)
+
+            writer = threading.Thread(target=feed)
+            writer.start()
         tracemalloc.start()
         try:
-            assert main(["validate", str(path)]) == EXIT_OK
+            assert main(["validate", read]) == EXIT_OK
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert capsys.readouterr().out == f"{path}: valid submission, 100 examples, 10000 hypotheses\n"
-        assert peak < size, f"peak {peak} bytes for a file of {size}"
+            if source == "pipe":
+                os.close(read_end)
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+        assert capsys.readouterr().out == f"{read}: valid submission, 100 examples, 10000 hypotheses\n"
+        assert peak < bound * size, f"peak {peak} bytes for a file of {size}"
 
     def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.vstf"

@@ -1,19 +1,21 @@
+import io
 import json
 import os
 import sys
 import tempfile
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vista import io_formats
 from vista.errors import ValidationError
-from vista.cli import main
+from vista.cli import EXIT_OK, main
 from vista.evaluation import EvalConfig, evaluate
 from vista.io_formats import (
     _load_json,
@@ -1372,12 +1374,30 @@ def entry_warnings(path, data: bytes, kind: str) -> list[str]:
             if isinstance(entry, dict) and not known.issuperset(entry)]
 
 
+def piped_outcome(read, data: bytes, path):
+    """What `outcome` gives of the bytes read through a pipe, with the
+    pipe's name in its messages replaced by path."""
+    assert len(data) < 16384  # it fits in the pipe's buffer
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        piped = f"/dev/fd/{read_end}"
+        result, caught = outcome(read, piped)
+    finally:
+        os.close(read_end)
+    if isinstance(result, tuple):  # the problems
+        result = (result[0], [problem.replace(piped, str(path)) for problem in result[1]])
+    return result, [(category, message.replace(piped, str(path))) for category, message in caught]
+
+
 class TestGeneratedDocuments:
     """Whatever the document, however it is written and cut, and whatever
     the chunk, a loader gives what the parsed-whole reader gives of the
     whole parse: the same tables bit for bit, or the same problems, and
-    the same warnings in order. Both share the reader of the entries, so
-    its warnings about unknown fields are also held to the parse."""
+    the same warnings in order, and a submission through a pipe what it
+    gives of the file. The two readers share the reader of the entries,
+    so its warnings about unknown fields are also held to the parse."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=generated_bytes(SUBMISSIONS), chunk=CHUNKS)
@@ -1387,6 +1407,8 @@ class TestGeneratedDocuments:
         with mock.patch.object(io_formats, "_CHUNK", chunk):
             walked = outcome(load_predictions, path)
             assert walked == outcome(read_whole, path), data
+            if os.path.isdir("/dev/fd"):
+                assert piped_outcome(load_predictions, data, path) == walked, data
         assert [message for _, message in walked[1] if not message.startswith(f"{path}: ignoring")] == (
             entry_warnings(path, data, "submission")), data
 
@@ -1400,6 +1422,54 @@ class TestGeneratedDocuments:
             assert walked == gt_outcome(gt_read_whole, path), data
         assert [message for _, message in walked[1] if not message.startswith(f"{path}: ignoring")] == (
             entry_warnings(path, data, "ground truth")), data
+
+
+# A uid's entries drawn from a few values, so that most are full ties,
+# rows told apart by their source id alone (none, -1 or 3).
+TIED_ENTRY = st.builds(lambda noun, score, source: entry(noun_category_id=noun, score=score, **(
+    {} if source is None else {"source_id": source})), st.sampled_from([0, 1]), st.sampled_from([0.5, 0.25]),
+    st.sampled_from([None, -1, 3]))
+TIED_RESULTS = st.dictionaries(st.sampled_from(["a", "b", "c"]), st.lists(TIED_ENTRY, max_size=6), max_size=3)
+
+
+@st.composite
+def permuted_sources(draw):
+    """Two submissions' results, and the same with each uid's entries in
+    another order."""
+    sources = [draw(TIED_RESULTS), draw(TIED_RESULTS)]
+    return sources, [{uid: draw(st.permutations(entries)) for uid, entries in results.items()}
+                     for results in sources]
+
+
+class TestEntryOrder:
+    """Whatever the order of each uid's entries in the files, vista writes
+    the same bytes: of each submission as loaded and written, of the
+    ensemble of both and of the report on the first."""
+
+    def outputs(self, root: Path, sources: list[dict]) -> list[bytes]:
+        root.mkdir()
+        names = []
+        for s, results in enumerate(sources):
+            names.append(str(root / f"source_{s}.json"))
+            Path(names[-1]).write_text(json.dumps({"results": results}))
+            write_submission(load_predictions(names[-1]), root / f"written_{s}.json")
+        annotations = [{"example_uid": uid, "box": [0, 0, 10, 10], "noun_category_id": 1, "verb_category_id": 0,
+                        "time_to_contact": 0.5} for uid in "abc"]
+        (root / "gt.json").write_text(json.dumps({"taxonomy": GT_TAXONOMY, "annotations": annotations}))
+        with redirect_stdout(io.StringIO()):
+            assert main(["ensemble", *names, "--out", str(root)]) == EXIT_OK
+            assert main(["evaluate", str(root / "gt.json"), names[0], "--out", str(root)]) == EXIT_OK
+        return [(root / name).read_bytes().replace(str(root).encode(), b"<root>")
+                for name in ("written_0.json", "written_1.json", "ensemble.json", "report.json")]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=permuted_sources())
+    @example(pair=([{"a": [entry(source_id=3), entry(), entry(source_id=-1)]}, {}],
+                   [{"a": [entry(source_id=-1), entry(), entry(source_id=3)]}, {}]))
+    def test_same_bytes_in_any_entry_order(self, pair):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, permuted = (self.outputs(Path(tmp) / name, sources) for name, sources in zip("wp", pair))
+            assert permuted == written, pair
 
 
 def read_at_depth(load, path, frames: int):
