@@ -57,7 +57,6 @@ import struct
 import threading
 import warnings
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -95,17 +94,11 @@ def _dump_json(doc, path) -> None:
 
 
 def _load_json(path):
-    with open(path, "rb") as file:
-        return _parse_json(file, path)
+    return _parse_json(Path(path).read_bytes(), path)
 
 
-def _parse_json(file, path):
-    """The document of an open binary JSON file, read whole from its start
-    and closed, freeing a copy in memory, before it is decoded; `path`
-    names it in problems."""
-    file.seek(0)
-    data = file.read()
-    file.close()
+def _parse_json(data: bytes, path):
+    """The document of a JSON file's bytes; `path` names it in problems."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -564,11 +557,21 @@ def _read_json(file, path, readers: dict, head: bytes = b"") -> tuple[str | None
         copy.write(head)
         shutil.copyfileobj(file, copy)
         file = copy
-    with suppress(_Unwalkable):
+    try:
         file.seek(0)
         walked, header = _walk_document(file, {key: reader.flush for key, reader in readers.items()})
+    except _Unwalkable:  # parsed whole below, once the walk's text is freed with its traceback
+        pass
+    else:
         return walked, readers[walked].finish(header)
-    return None, _parse_json(file, path)
+    return None, _parse_json(_read_whole(file), path)
+
+
+def _read_whole(file) -> bytes:
+    """An open binary file's bytes from its start; it is closed, freeing a pipe's copy, before they are decoded."""
+    file.seek(0)
+    with file:
+        return file.read()
 
 
 def read_document(path) -> tuple[str, object]:

@@ -209,6 +209,32 @@ class TestPostprocessCommand:
         assert set(preds) == {"heads"}
         assert 0 < len(preds["heads"]) <= 100
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("piped", ["taxonomy", "config"])
+    def test_taxonomy_or_config_through_a_pipe_as_from_a_file(self, tmp_path, piped):
+        # A taxonomy or config is read whole, so a pipe of its bytes reads
+        # as the file does.
+        heads, taxonomy, config = tmp_path / "heads.vstf", tmp_path / "taxonomy.json", tmp_path / "config.json"
+        self.make_head_outputs(heads, 20)
+        self.write_taxonomy(taxonomy)
+        config.write_text(json.dumps({"max_exports": 5}))
+        inputs = {"taxonomy": str(taxonomy), "config": str(config)}
+        argv = lambda out: ["postprocess", str(heads), inputs["taxonomy"], "--config", inputs["config"],
+                            "--out", str(tmp_path / out)]
+        assert main(argv("file")) == EXIT_OK
+        read_end, write_end = os.pipe()
+        os.write(write_end, Path(inputs[piped]).read_bytes())  # it fits in the pipe's buffer
+        os.close(write_end)
+        try:
+            inputs[piped] = f"/dev/fd/{read_end}"
+            assert main(argv("pipe")) == EXIT_OK
+        finally:
+            os.close(read_end)
+        submissions = [json.loads((tmp_path / out / "submission.json").read_text()) for out in ("file", "pipe")]
+        for submission in submissions:
+            del submission["provenance"]
+        assert submissions[0] == submissions[1] and len(submissions[0]["results"]["heads"]) == 5
+
     def test_empty_proposals_exit_0(self, tmp_path):
         heads = tmp_path / "empty.vstf"
         taxonomy = tmp_path / "taxonomy.json"
