@@ -6,7 +6,6 @@ boosts the ones that several sources agree on.
 """
 
 from vista import (
-    EnsembleConfig,
     EvalConfig,
     NoiseConfig,
     as_gt_table,
@@ -35,7 +34,7 @@ for i, src in enumerate(sources):
     report = evaluate(src, gts, cfg)
     print(f"source {i}: Overall mAP = {report.map_overall:6.2f}")
 
-merged = ensemble_predictions(sources, EnsembleConfig(n_sources=3))
+merged = ensemble_predictions(sources)  # agreement is counted out of the 3 sources given
 report = evaluate(merged, gts, cfg)
 print(f"ensemble: Overall mAP = {report.map_overall:6.2f}")
 

@@ -49,7 +49,7 @@ EXIT_INTERNAL = 3
 # they set.
 _KEYS = {"ttc_max_error": "ttc_tol", "ttc_tolerance": "ttc_tol", "box_iou_min": "iou_min"}
 # The defaulted parameters that are not settings: the command passes them.
-_PASSED = {EnsembleConfig: ("n_sources",), generate_scenario: ("seed",)}
+_PASSED = {generate_scenario: ("seed",)}
 
 
 def _parameters(callee) -> list[tuple[str, inspect.Parameter]]:
@@ -122,7 +122,7 @@ def cmd_postprocess(args) -> int:
     config = _load_config(args)
     cfg = InferenceConfig(**_settings(args, config, InferenceConfig))
     taxonomy = load_taxonomy(args.taxonomy)
-    preds = postprocess_container(args.head_outputs, taxonomy, cfg, default_uid=Path(args.head_outputs).stem)
+    preds = postprocess_container(args.head_outputs, taxonomy, cfg)
     out = _out_dir(args, config)
     provenance = {"head_outputs": str(args.head_outputs), "taxonomy": str(args.taxonomy),
                   "config": dataclasses.asdict(cfg)}
@@ -133,12 +133,12 @@ def cmd_postprocess(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config = _load_config(args)
-    cfg = EnsembleConfig(n_sources=len(args.predictions), **_settings(args, config, EnsembleConfig))
+    cfg = EnsembleConfig(**_settings(args, config, EnsembleConfig))
     taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else None
-    sources = [load_predictions(path, taxonomy) for path in args.predictions]
-    merged = ensemble_predictions(sources, cfg)
+    merged = ensemble_predictions([load_predictions(path, taxonomy) for path in args.predictions], cfg)
     out = _out_dir(args, config)
-    provenance = {"inputs": [str(p) for p in args.predictions], "config": dataclasses.asdict(cfg)}
+    provenance = {"inputs": [str(p) for p in args.predictions],
+                  "config": {**dataclasses.asdict(cfg), "n_sources": len(args.predictions)}}
     write_submission(merged, out / "ensemble.json", provenance=provenance)
     print(out / "ensemble.json")
     return EXIT_OK

@@ -41,10 +41,10 @@ from .types import sort_canonical  # noqa: F401  (unused here; bench/spans.py ti
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """The ensemble's settings; the N of its agreement factor is the number of sources given."""
     box_iou_min: float = setting(0.5, "in (0, 1]")
     ttc_tolerance: float = setting(0.25, "positive")
     agreement_weight: float = setting(0.5, "in [0, 1]")   # alpha in the agreement factor
-    n_sources: int = setting(1, ">= 1")
     max_exports: int = setting(100, ">= 1")
 
     __post_init__ = check_fields
@@ -147,17 +147,19 @@ def _member_means(weight: np.ndarray, values: np.ndarray, bounds: np.ndarray) ->
     return means
 
 
-def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> tuple[HypothesisTable, np.ndarray]:
+def merge_group(groups: Grouping, n_sources: int,
+                cfg: EnsembleConfig = EnsembleConfig()) -> tuple[HypothesisTable, np.ndarray]:
     """Collapse every group into one hypothesis, the rows of the result
     in group order: the table and the example code of each of its rows.
 
     Box corners and TTC are score-weighted means over members; noun, verb
     and source come from the seed. The merged score is the mean member
     score times the agreement factor (1 - alpha) + alpha * u / n_sources,
-    where u is the number of distinct sources represented in the group
-    (members without a source count as one more). A group whose merged
-    score underflows to 0.0 is dropped, as `expand_hypotheses` drops such
-    pairs: it would rank below every other hypothesis.
+    where n_sources is the number of sources pooled and u the number of
+    distinct sources represented in the group, at most n_sources (members
+    without a source count as one more). A group whose merged score
+    underflows to 0.0 is dropped, as `expand_hypotheses` drops such pairs:
+    it would rank below every other hypothesis.
 
     Every mean is finite, since it lies within finite values. Near the
     float maximum, a group whose score sum overflows takes its mean score
@@ -187,7 +189,7 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> tup
     first_of_kind[1:] = np.diff(np.stack([group, has_source, source])[:, by_source], axis=1).any(axis=0)
     distinct = np.bincount(group[by_source][first_of_kind], minlength=len(sizes))
     alpha = cfg.agreement_weight
-    agreement = (1.0 - alpha) + alpha * np.minimum(distinct, cfg.n_sources) / cfg.n_sources
+    agreement = (1.0 - alpha) + alpha * np.minimum(distinct, n_sources) / n_sources
     score = mean * agreement
     kept = np.flatnonzero(score > 0.0)
     seeds = bounds[kept]
@@ -203,15 +205,15 @@ def merge_group(groups: Grouping, cfg: EnsembleConfig = EnsembleConfig()) -> tup
     return merged, groups.example[seeds]
 
 
-def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | None = None) -> PredictionSet:
+def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig = EnsembleConfig()) -> PredictionSet:
     """Pool, group, merge and re-rank hypotheses per example across sources.
 
     Each source is a PredictionSet, or another mapping that
     `as_predictions` takes. Hypotheses missing a source_id are tagged with
-    their source's index so cross-source agreement can be counted. Uids
-    are unioned across sources. Full ties (equal but for their source) go
-    in source order, then by source_id as written (none first), whatever
-    the order of the entries.
+    their source's index so cross-source agreement can be counted, out of
+    the number of sources given. Uids are unioned across sources. Full
+    ties (equal but for their source) go in source order, then by
+    source_id as written (none first), whatever the order of the entries.
 
     The examples, in uid order, are taken in blocks of whole examples
     whose pools add up to at most `boxes.EXAMPLE_BLOCK` hypotheses (an
@@ -219,15 +221,12 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
     runs only when it is taken, source after source (`PredictionSet.rows`),
     and grouped, merged and ranked at once, with the example code of each
     row: no group spans two examples, and each example keeps its first
-    max_exports merged rows (`rank_within`), ties in group order. So each
-    example gets the rows it gets alone, in the same order. The result
-    holds one run per block: its kept rows, one example after another.
+    max_exports merged rows (`rank_within`). So each example gets the rows
+    it gets alone, in the same order. The result holds one run per block:
+    its kept rows, one example after another.
     """
     if not sources:
         raise ValidationError("ensemble needs at least one source")
-    if cfg is None:
-        cfg = EnsembleConfig(n_sources=len(sources))
-
     sources = [as_predictions(src) for src in sources]
     uids = sorted(set().union(*sources))
     sizes = sum(src.sizes(uids) for src in sources)
@@ -241,7 +240,7 @@ def ensemble_predictions(sources: list[PredictionSet], cfg: EnsembleConfig | Non
         pool = HypothesisTable.concat([view for src in sources for view in src.rows(block)])
         groups = group_hypotheses(pool.with_default_source(index), cfg, example, (pool.source, pool.has_source, index))
         del pool  # the pool and its groups are freed once used, not held into the next block
-        merged, example = merge_group(groups, cfg)
+        merged, example = merge_group(groups, len(sources), cfg)
         del groups
         rows = rank_within(merged, example, cfg.max_exports)  # one example after another
         bounds = np.zeros(len(block) + 1, dtype=np.int64)

@@ -693,6 +693,23 @@ class _Short(Exception):
     """A step of `_walk_document` needs more text than has been read."""
 
 
+# How far from the end of a text a step can fail because the text was cut
+# there: "-Infinity" cut to "-Infinit" fails at its "-", 8 characters from
+# the end, the farthest of any token (a cut "\uXXXX" escape fails within
+# 5, a cut exponent such as "1e+" within 2).
+_CUT = len("-Infinity")
+
+
+def _failure(text: str, at: int, message: str = "") -> Exception:
+    """What a step that failed at `at` raises: `_Short` if the end of the
+    text may have cut it (a string that runs to the end, or a failure
+    within `_CUT` characters of it), else `_Unwalkable`, so that a syntax
+    error stops the walk where it is found."""
+    if message.startswith("Unterminated string") or len(text) - at < _CUT:
+        return _Short()
+    return _Unwalkable()
+
+
 def _punctuation(text: str, pos: int) -> tuple[str, int]:
     """The character after the whitespace at pos, and the position after it."""
     pos = _WHITESPACE(text, pos).end()
@@ -706,8 +723,8 @@ def _key(text: str, pos: int) -> tuple[str, int]:
     position after the colon that follows it."""
     try:
         key, pos = json.decoder.scanstring(text, pos)
-    except json.JSONDecodeError:
-        raise _Short
+    except json.JSONDecodeError as e:
+        raise _failure(text, e.pos, e.msg)
     colon, pos = _punctuation(text, pos)
     if colon != ":":
         raise _Unwalkable
@@ -722,13 +739,15 @@ def _value(text: str, pos: int, marks: str = ",}") -> tuple[object, str, int]:
     is taken only once that punctuation has been read."""
     try:
         value, pos = _SCAN(text, _WHITESPACE(text, pos).end())
-    except (json.JSONDecodeError, StopIteration):
-        raise _Short
+    except json.JSONDecodeError as e:
+        raise _failure(text, e.pos, e.msg)
+    except StopIteration as e:  # no value starts at its position
+        raise _failure(text, e.value)
     except (ValueError, RecursionError):  # an int beyond the digit limit; nesting too deep
         raise _Unwalkable
     after, pos = _punctuation(text, pos)
     if after not in marks:
-        raise _Short
+        raise _failure(text, pos - 1)
     return value, after, pos
 
 
@@ -744,17 +763,19 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
     given them, which it empties. Returns that key and the other
     top-level members, by key.
 
-    The next chunk is read once less than a quarter of a chunk of text
-    is left ahead of the walk, so a value crosses the end of the text
-    only if it is longer than that: at 256 KiB, longer than a 100-entry
-    uid list (about 31 KB), which a sixteenth cut and decoded again in
-    one of about 19 lists. A step the text read so far does not
-    complete is tried again with one more chunk, so a token may cross
-    any number of chunks. At what `json.loads` rejects, and at documents
-    this walk does not cover (a top level that is not an object, a
-    repeated key, a walked member of another type, no member or two
-    members of `_LISTS`, one that `flushes` does not name, a top-level
-    key of a taxonomy), this raises `_Unwalkable`."""
+    The next chunk is read once less than a quarter of a chunk of text is
+    left ahead of the walk, so a value crosses the end of the text only if
+    it is longer than that: at 256 KiB, longer than a 100-entry uid list
+    (about 31 KB), which a sixteenth cut and decoded again in one of about
+    19 lists. A step that the end of the text may have cut (`_failure`) is
+    tried again with one more chunk, so a token may cross any number of
+    chunks; any other failure is a syntax error, and the walk stops where
+    it finds it, without reading the rest of the file. At what
+    `json.loads` rejects, and at documents this walk does not cover (a top
+    level that is not an object, a repeated key, a walked member of
+    another type, no member or two members of `_LISTS`, one that `flushes`
+    does not name, a top-level key of a taxonomy), this raises
+    `_Unwalkable`."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     text, eof, elements, walked, reads = "", False, [], None, 0
     header: dict = {}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -508,21 +509,20 @@ def proposals_from_tensors(tensors: dict[str, np.ndarray]) -> ProposalBatch:
     return ProposalBatch(**{name: tensors[name] for name in REQUIRED_TENSORS})
 
 
-def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig,
-                          default_uid: str) -> dict[str, HypothesisTable]:
+def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig) -> dict[str, HypothesisTable]:
     """The export of every example of a tensor container, by uid.
 
-    Tensor names may be plain (single example, keyed by `default_uid`) or
-    prefixed "<uid>/<name>" for multi-example containers. The examples are
-    read one at a time in uid order: each one's tensors are read
-    (`TensorFile`), checked, made into a batch and expanded, and only its
-    RankedHypotheses is kept. The examples are suppressed in blocks of
-    whole examples whose retained proposals add up to at most
-    `boxes.EXAMPLE_BLOCK` (an example of more comes alone), one
-    `nms_block` each, and only each example's export is kept. Each
-    example gets the export it gets alone (`class_aware_nms`). The
-    problems raised are those that reading the whole container first
-    would find, of the first stage that finds any:
+    Tensor names may be plain (single example, keyed by the file's stem:
+    "heads" for "heads.vstf") or prefixed "<uid>/<name>" for multi-example
+    containers. The examples are read one at a time in uid order: each
+    one's tensors are read (`TensorFile`), checked, made into a batch and
+    expanded, and only its RankedHypotheses is kept. The examples are
+    suppressed in blocks of whole examples whose retained proposals add up
+    to at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone), one
+    `nms_block` each, and only each example's export is kept. Each example
+    gets the export it gets alone (`class_aware_nms`). The problems raised
+    are those that reading the whole container first would find, of the
+    first stage that finds any:
 
     1. the first structural or non-finite fault in file order, alone;
     2. every tensor of an example that more than one name gives;
@@ -538,7 +538,7 @@ def postprocess_container(path, taxonomy: Taxonomy, cfg: InferenceConfig,
         names: dict[str, dict[str, list[str]]] = {}
         for name in container.index:
             uid, _, base = name.rpartition("/")
-            names.setdefault(uid or default_uid, {}).setdefault(base, []).append(name)
+            names.setdefault(uid or Path(path).stem, {}).setdefault(base, []).append(name)
         names = dict(sorted(names.items()))
         given_twice = [f"example {uid!r}: tensor {base!r} given as {' and '.join(map(repr, given))}"
                        for uid, named in names.items() for base, given in named.items() if len(given) > 1]

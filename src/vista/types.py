@@ -468,13 +468,14 @@ def as_gt_table(gts) -> GroundTruthTable:
 
 def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: tuple = ()) -> np.ndarray:
     """The row indices that put a table in canonical order: score
-    descending, then ascending (noun, verb, x1, y1, x2, y2, ttc). It makes
-    every downstream sort, truncation and tie-break bitwise reproducible.
-    The sort is a stable lexsort, so full ties (rows equal but for their
-    source) keep their row order unless the `tie_break` columns order
-    them, the last the most significant, as in `np.lexsort`. When no two
-    scores are equal, the score alone orders the rows and one stable
-    argsort of it gives the same indices.
+    descending, then ascending (noun, verb, x1, y1, x2, y2, ttc), then
+    the `tie_break` columns, the last the most significant, as in
+    `np.lexsort`, then each row's own source: none first, then ascending
+    source id. The order is total: rows it ties are equal in every
+    column, so the order of the indices does not depend on the order of
+    the rows, and every downstream sort, truncation and tie-break is
+    bitwise reproducible. When no two scores are equal, the score alone
+    orders the rows and one stable argsort of it gives the same indices.
 
     Given a list of tables, it orders their rows one after another, and
     pools the key columns other than the score only when two scores are
@@ -489,7 +490,7 @@ def canonical_order(table: HypothesisTable | list[HypothesisTable], tie_break: t
         return by_score
     b = column("boxes")
     keys = (column("ttc"), b[:, 3], b[:, 2], b[:, 1], b[:, 0], column("verb"), column("noun"), -score)
-    return np.lexsort(tie_break + keys)
+    return np.lexsort((column("source"), column("has_source")) + tie_break + keys)
 
 
 def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarray,
@@ -497,13 +498,13 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
     """The rows that each example keeps, as indices into the rows of the
     tables one after another; `code` gives each row's example, a
     non-negative int. The examples come one after another in ascending
-    code, each with its rows in canonical order (`canonical_order`, full
-    ties in row order), cut to its first top_k (every row when top_k is
-    None). Every row is ranked once, and one stable sort by code puts
-    each example's rows together: that order restricted to one code is
-    the code's own canonical order, ties included. This is the one
-    ranking within examples, of postprocess's rows, the ensemble's export
-    cut and evaluate's top-k, one block of whole examples at a time."""
+    code, each with its rows in canonical order (`canonical_order`, a
+    total order), cut to its first top_k (every row when top_k is None).
+    Every row is ranked once, and one stable sort by code puts each
+    example's rows together: that order restricted to one code is the
+    code's own canonical order. This is the one ranking within examples,
+    of postprocess's rows, the ensemble's export cut and evaluate's top-k,
+    one block of whole examples at a time."""
     rank = canonical_order(tables)
     rank = rank[np.argsort(code[rank], kind="stable")]
     if top_k is None or top_k >= len(rank):
@@ -515,11 +516,9 @@ def rank_within(tables: HypothesisTable | list[HypothesisTable], code: np.ndarra
 
 def sort_canonical(hyps):
     """Put a HypothesisTable, or a list of StaHypothesis, in canonical
-    order (`canonical_order`), full ties by source as the ensemble orders
-    them within one: none first, then ascending source id. A list comes
-    back as the same objects reordered: `synth` sorts its lists with it."""
-    table = as_table(hyps)
-    order = canonical_order(table, (table.source, table.has_source))
+    order (`canonical_order`). A list comes back as the same objects
+    reordered: `synth` sorts its lists with it."""
+    order = canonical_order(as_table(hyps))
     if isinstance(hyps, HypothesisTable):
         return hyps.take(order)
     # Lists stay accepted: synth and the benchmark's oracle check sort them.

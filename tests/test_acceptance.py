@@ -244,8 +244,8 @@ def test_criterion_7_ensemble_sanity():
                 )
                 for s in range(1, 4)
             ]
-            groups = group_hypotheses(as_table(members), EnsembleConfig(n_sources=4))
-            merged, _ = merge_group(groups, EnsembleConfig(n_sources=4))
+            groups = group_hypotheses(as_table(members))
+            merged, _ = merge_group(groups, 4)
             for g, box, ttc in zip(groups, merged.boxes.tolist(), merged.ttc.tolist(), strict=True):
                 for i in range(4):
                     corners = g.members.boxes[:, i].tolist()

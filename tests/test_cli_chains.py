@@ -246,6 +246,13 @@ def nan_last_float(path: Path) -> bytes:
     return bytes(data)
 
 
+def stray_comma(path: Path) -> bytes:
+    """The document with a comma inserted before its first "score"."""
+    data = path.read_bytes()
+    first = data.index(b'"score"')
+    return data[:first] + b"," + data[first:]
+
+
 # The bad inputs of CI's "Bad inputs exit 2 from the installed entry
 # point" step, made from the same files: (the bad file, how it is made
 # from the working directory, the command). Its nesting case is
@@ -266,6 +273,8 @@ BAD_INPUTS = {
     "evaluate-submission-cut-to-500-bytes": (
         "cut.json", lambda d: (d / "run" / "ensemble.json").read_bytes()[:500],
         ["evaluate", "run/ground_truth.json", "cut.json", "--out", "bad"]),
+    "validate-stray-comma-before-the-first-score": (
+        "comma.json", lambda d: stray_comma(d / "run" / "ensemble.json"), ["validate", "comma.json"]),
 }
 
 

@@ -13,6 +13,7 @@ from vista.boxes import Box2D
 from vista.cli import EXIT_OK, main
 from vista.ensemble import EnsembleConfig, Grouping, ensemble_predictions, group_hypotheses, merge_group
 from vista.errors import ValidationError
+from vista.io_formats import write_submission
 from vista.oracle import _iou_scalar
 from vista.rng import CounterRng
 from vista.types import HypothesisTable, StaHypothesis, as_table, sort_canonical
@@ -111,11 +112,12 @@ class TestGroupHypotheses:
             assert sum(len(g.members) for g in groups) == len(hyps)
 
 
-def merge_one(members, cfg=EnsembleConfig()):
+def merge_one(members, n_sources, cfg=EnsembleConfig()):
     """merge_group of one group of exactly these members, in this order,
     the first the seed: a table of one row."""
     table = as_table(list(members))
-    merged, _ = merge_group(Grouping(table, np.array([0, len(table)]), np.zeros(len(table), dtype=np.int64)), cfg)
+    groups = Grouping(table, np.array([0, len(table)]), np.zeros(len(table), dtype=np.int64))
+    merged, _ = merge_group(groups, n_sources, cfg)
     assert len(merged) == 1
     return merged
 
@@ -133,8 +135,9 @@ def scalar_compatible(a, b, cfg):
 
 def brute_force_groups(hyps, cfg):
     """Greedy seed-anchored grouping over hypothesis objects with the
-    scalar `scalar_compatible`; the seed always joins its own group."""
-    remaining = sorted(hyps, key=rank_key)
+    scalar `scalar_compatible`, in canonical order, full ties by source
+    (none first); the seed always joins its own group."""
+    remaining = sorted(hyps, key=lambda h: (*rank_key(h), h.source_id is not None, h.source_id or 0))
     groups = []
     while remaining:
         seed, rest = remaining[0], remaining[1:]
@@ -152,14 +155,14 @@ def sequential_sum(values):
     return total
 
 
-def scalar_merge(members, cfg):
+def scalar_merge(members, cfg, n_sources):
     """One group merged with Python floats, member by member."""
     total = sequential_sum(h.score for h in members)
     weights = [h.score / total for h in members]
     corners = [sequential_sum(w * h.box.corners()[i] for w, h in zip(weights, members)) for i in range(4)]
     u = len({h.source_id for h in members})
     alpha = cfg.agreement_weight
-    agreement = (1.0 - alpha) + alpha * min(u, cfg.n_sources) / cfg.n_sources
+    agreement = (1.0 - alpha) + alpha * min(u, n_sources) / n_sources
     seed = members[0]
     return StaHypothesis(
         Box2D(*corners), seed.noun_id, seed.verb_id,
@@ -190,21 +193,21 @@ class TestGroupingEquivalence:
             StaHypothesis(Box2D(min(a, c), min(b, d), max(a, c), max(b, d)), noun, verb, ttc, score, source)
             for a, b, c, d, noun, verb, ttc, score, source in raw
         ]
-        cfg = EnsembleConfig(box_iou_min=box_iou_min, ttc_tolerance=0.25, n_sources=3)
+        cfg = EnsembleConfig(box_iou_min=box_iou_min, ttc_tolerance=0.25)
         with pytest.MonkeyPatch.context() as patch:
             lowers = record_pair_blocks(patch, ensemble, block)
             groups = group_hypotheses(as_table(hyps), cfg)
         expected = brute_force_groups(hyps, cfg)
         assert [columns(g.members) for g in groups] == [columns(as_table(g)) for g in expected]
-        merged, _ = merge_group(groups, cfg)
-        assert columns(merged) == columns(as_table([scalar_merge(g, cfg) for g in expected]))
+        merged, _ = merge_group(groups, 3, cfg)
+        assert columns(merged) == columns(as_table([scalar_merge(g, cfg, 3) for g in expected]))
         assert in_blocks(lowers, block)
 
     def test_merge_is_bit_identical_to_member_by_member_sums(self):
         # Groups of up to 24 members: numpy's pairwise summation would
         # round differently from 8 members on.
         rng = CounterRng(77)
-        cfg = EnsembleConfig(n_sources=5)
+        cfg = EnsembleConfig()
         for _ in range(40):
             base = random_hyp(rng)
             members = [
@@ -218,8 +221,8 @@ class TestGroupingEquivalence:
             ]
             groups = group_hypotheses(as_table(members), cfg)
             assert len(groups) == 1
-            expected = scalar_merge(sorted(members, key=rank_key), cfg)
-            merged, _ = merge_group(groups, cfg)
+            expected = scalar_merge(sorted(members, key=rank_key), cfg, 5)
+            merged, _ = merge_group(groups, 5, cfg)
             assert columns(merged) == columns(as_table([expected]))
 
     def test_thresholds_are_inclusive(self):
@@ -242,29 +245,27 @@ class TestGroupingEquivalence:
 class TestMergeGroup:
     def test_singleton_identity(self):
         h = hyp(score=0.7, source=0)
-        cfg = EnsembleConfig(n_sources=1)
-        merged = merge_one([h], cfg)
+        merged = merge_one([h], 1)
         assert columns(merged) == columns(as_table([h]))
 
     def test_equal_weight_corner_average(self):
         a = hyp(x1=0, y1=0, x2=2, y2=2, score=0.5, source=0)
         b = hyp(x1=0, y1=0, x2=4, y2=4, score=0.5, source=0)
-        merged = merge_one([a, b])
+        merged = merge_one([a, b], 1)
         assert merged.boxes.tolist() == [[0, 0, 3, 3]]
 
     def test_weighted_ttc_mean(self):
         a = hyp(ttc=1.0, score=0.6, source=0)
         b = hyp(ttc=2.0, score=0.2, source=0)
-        merged = merge_one([a, b])
+        merged = merge_one([a, b], 1)
         assert merged.ttc[0] == pytest.approx(1.25)
 
     def test_agreement_factor_monotone_in_sources(self):
         a = hyp(score=0.5, source=0)
         b = hyp(score=0.5, source=0)
         c = hyp(score=0.5, source=1)
-        cfg = EnsembleConfig(n_sources=2)
-        same_source = merge_one([a, b], cfg)
-        cross_source = merge_one([a, c], cfg)
+        same_source = merge_one([a, b], 2)
+        cross_source = merge_one([a, c], 2)
         assert cross_source.score[0] > same_source.score[0]
 
     def test_convex_hull_property(self):
@@ -289,7 +290,7 @@ class TestMergeGroup:
                     )
                 )
             members.sort(key=lambda h: -h.score)
-            merged = merge_one(members, EnsembleConfig(n_sources=4))
+            merged = merge_one(members, 4)
             for i in range(4):
                 corners = [m.box.corners()[i] for m in members]
                 assert min(corners) - 1e-9 <= merged.boxes[0, i] <= max(corners) + 1e-9
@@ -298,7 +299,29 @@ class TestMergeGroup:
 
     def test_empty_group_rejected(self):
         with pytest.raises((ValidationError, IndexError)):
-            merge_one([])
+            merge_one([], 1)
+
+
+class TestSourceCount:
+    # Three sources, the first two agreeing: agreement is counted out of 3.
+    SOURCES = [{"u": as_table([h])} for h in (hyp(score=0.7), hyp(x1=1, score=0.7), hyp(x1=100, x2=120, score=0.7))]
+
+    def test_agreement_is_counted_out_of_the_sources_given_whatever_the_config(self):
+        default = ensemble_predictions(self.SOURCES)["u"]
+        assert default.score.tolist() == pytest.approx([0.7 * (0.5 + 0.5 * 2 / 3), 0.7 * (0.5 + 0.5 / 3)])
+        given = ensemble_predictions(self.SOURCES, EnsembleConfig(box_iou_min=0.5))["u"]
+        assert columns(given) == columns(default)
+
+    def test_the_command_records_the_number_of_inputs(self, tmp_path):
+        # The provenance keeps the bytes it had when n_sources was a setting.
+        names = [str(tmp_path / f"source_{s}.json") for s in range(len(self.SOURCES))]
+        for name, source in zip(names, self.SOURCES):
+            write_submission(source, name)
+        with redirect_stdout(io.StringIO()):
+            assert main(["ensemble", *names, "--out", str(tmp_path)]) == EXIT_OK
+        provenance = json.loads((tmp_path / "ensemble.json").read_text())["provenance"]
+        assert provenance["config"] == {"agreement_weight": 0.5, "box_iou_min": 0.5, "max_exports": 100,
+                                        "n_sources": 3, "ttc_tolerance": 0.25}
 
 
 class TestEnsemblePredictions:
@@ -430,7 +453,7 @@ def ensemble_instances(draw):
                     for a, b, c, d, noun, verb, ttc, score, src in draw(source_rows)
                 ]))
     cfg = EnsembleConfig(agreement_weight=draw(st.sampled_from([0.5, 1.0])),
-                         n_sources=n_sources + draw(st.integers(0, 1)), max_exports=draw(st.sampled_from([1, 2, 100])))
+                         max_exports=draw(st.sampled_from([1, 2, 100])))
     return sources, cfg
 
 
@@ -458,13 +481,14 @@ class TestExampleBlocks:
         assert concatenated(blocked) == concatenated(alone)
 
     def test_an_underflowing_group_is_dropped_in_its_block(self, monkeypatch):
-        # u0's one hypothesis merges to 5e-324 * 1/4, which underflows;
-        # u1's and u2's tie with each other and keep their rows.
+        # Of four sources, three empty, u0's one hypothesis merges to
+        # 5e-324 * 1/4, which underflows; u1's and u2's tie with each other
+        # and keep their rows.
         tiny, half = as_table([hyp(score=5e-324)]), as_table([hyp(score=0.5)])
-        cfg = EnsembleConfig(agreement_weight=1.0, n_sources=4)
+        cfg = EnsembleConfig(agreement_weight=1.0)
         for block in (1, 1 << 17):
             monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", block)
-            merged = ensemble_predictions([{"u0": tiny, "u1": half, "u2": half}], cfg)
+            merged = ensemble_predictions([{"u0": tiny, "u1": half, "u2": half}, {}, {}, {}], cfg)
             assert [len(merged[uid]) for uid in ("u0", "u1", "u2")] == [0, 1, 1]
             assert merged["u1"].score.tolist() == merged["u2"].score.tolist() == [0.125]
 

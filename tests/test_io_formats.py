@@ -1424,6 +1424,87 @@ class TestGeneratedDocuments:
             entry_warnings(path, data, "ground truth")), data
 
 
+class CountedReads:
+    """A binary file that counts the bytes read from it."""
+
+    def __init__(self, file):
+        self.file, self.count = file, 0
+
+    def read(self, n: int) -> bytes:
+        data = self.file.read(n)
+        self.count += len(data)
+        return data
+
+
+def walk(data: bytes, key: str) -> tuple[str, dict, list]:
+    """`_walk_document` of a document's bytes, walking `key`: the key, the
+    header and every element flushed."""
+    elements = []
+
+    def flush(batch: list) -> None:
+        elements.extend(batch)
+        batch.clear()
+
+    return (*io_formats._walk_document(io.BytesIO(data), {key: flush}), elements)
+
+
+# Values whose tokens a cut turns into others that still scan part of the
+# way: the special floats, exponents, escapes (a quote, a two-byte letter,
+# a surrogate pair) and non-ASCII uids.
+SPECIAL_FLOATS = [float("-inf"), float("nan"), float("inf"), 1e-300, 3.25e10, -0.0]
+ODD_UIDS = ['quote"d', "café", "smile\U0001F600", "日本", "plain"]
+
+
+def special_documents() -> list[tuple[str, bytes]]:
+    """Submissions and ground truths holding every value above, indented
+    and minified, with non-ASCII text escaped and raw; 3.25e10 is written
+    as 3.25E+10."""
+    entries = [{"box": [SPECIAL_FLOATS[(i + k) % 6] for k in range(4)], "noun_category_id": i % 3,
+                "verb_category_id": 1, "score": SPECIAL_FLOATS[i % 6], "time_to_contact": SPECIAL_FLOATS[-i % 6],
+                **([{}, {"source_id": None}, {"source_id": -1}][i % 3])} for i in range(12)]
+    submission = {"challenge": "ego4d_sta", "results": {uid: entries[u:] for u, uid in enumerate(ODD_UIDS)},
+                  "version": "1.0"}
+    annotations = [{"example_uid": uid, **{k: v for k, v in entry.items() if k not in ("score", "source_id")}}
+                   for uid in ODD_UIDS for entry in entries]
+    ground_truth = {"annotations": annotations, "taxonomy": {"nouns": ["é", "b", "c"], "verbs": ["v", "w"]}}
+    return [(key, json.dumps(doc, indent=indent, separators=None if indent else (",", ":"),
+                             ensure_ascii=ascii).replace("32500000000.0", "3.25E+10").encode())
+            for key, doc in (("results", submission), ("annotations", ground_truth))
+            for indent in (2, None) for ascii in (True, False)]
+
+
+class TestWalkedOrStopped:
+    """The walker reads a valid document through, at any chunk, and stops
+    at a syntax error where it finds it."""
+
+    @pytest.mark.parametrize("chunk", [5, 11, 61, 997, 4096])
+    def test_valid_documents_are_walked_at_any_chunk(self, monkeypatch, chunk):
+        # A rule that took a cut token for a syntax error would leave these
+        # to the whole-document parse, and every value test would still pass.
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        for key, data in special_documents():
+            doc = json.loads(data)
+            expected = list(doc.pop(key).items()) if key == "results" else doc.pop(key)
+            walked, header, elements = walk(data, key)
+            assert (walked, json.dumps(header), json.dumps(elements)) == (key, json.dumps(doc), json.dumps(expected))
+
+    def test_a_stray_comma_stops_the_walk_where_it_is_found(self, tmp_path):
+        path = tmp_path / "sub.json"
+        write_submission(crowded_instance(100)[0], path)
+        data = path.read_bytes()
+        assert len(data) > 3_000_000
+        first = data.index(b'"score"')
+        path.write_bytes(data[:first] + b"," + data[first:])
+        with open(path, "rb") as file:
+            counted = CountedReads(file)
+            with pytest.raises(io_formats._Unwalkable):
+                io_formats._walk_document(counted, {"results": list.clear})
+        assert counted.count <= 2 * io_formats._CHUNK
+        # The whole-document parse words the error.
+        with pytest.raises(ValidationError, match="Expecting property name enclosed in double quotes"):
+            load_predictions(path)
+
+
 # A uid's entries drawn from a few values, so that most are full ties,
 # rows told apart by their source id alone (none, -1 or 3).
 TIED_ENTRY = st.builds(lambda noun, score, source: entry(noun_category_id=noun, score=score, **(

@@ -773,10 +773,18 @@ class TestExampleBlocks:
         monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 40)
         blocks = record_blocks(monkeypatch)
         decoded = count_decoded_boxes(monkeypatch)
-        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG, "heads")
+        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG)
         assert {uid: column_bytes(export) for uid, export in exports.items()} == expected
         assert blocks == [[0, 20], [40], [1, 30], [30], [30], [30]]
         assert len(decoded) > 0 and len(set(decoded)) == len(decoded)
+
+    def test_a_plain_container_keys_its_example_by_the_file_stem(self, tmp_path):
+        path = tmp_path / "x.vstf"
+        write_tensor_file(make_tensors(CounterRng(65), 10), path)
+        for given in (path, str(path)):
+            exports = postprocess_container(given, TAXONOMY, BLOCK_CFG)
+            assert list(exports) == ["x"]
+            assert column_bytes(exports["x"]) == alone(read_tensor_file(path), BLOCK_CFG)
 
 
 class TestBlockProblems:
@@ -792,7 +800,7 @@ class TestBlockProblems:
         expected = {uid: alone(tensors, BLOCK_CFG) for uid, tensors in examples.items()}
         read_as_given(monkeypatch, tmp_path / "heads.vstf", examples)
         blocks = record_blocks(monkeypatch)
-        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG, "heads")
+        exports = postprocess_container(tmp_path / "heads.vstf", TAXONOMY, BLOCK_CFG)
         assert blocks == [[60, 40]]
         assert {uid: column_bytes(export) for uid, export in exports.items()} == expected
         assert len(exports["b_deep"]) < BLOCK_CFG.max_exports  # so it read every window
@@ -804,7 +812,7 @@ class TestBlockProblems:
         monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 12)
         blocks = record_blocks(monkeypatch)
         with pytest.raises(ValidationError) as err:
-            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10), "heads")
+            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10))
         assert blocks == [[6, 6], [6, 6]]
         assert err.value.problems == ROW_PROBLEMS
 
@@ -817,7 +825,7 @@ class TestBlockProblems:
         monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 6)
         blocks = record_blocks(monkeypatch)
         with pytest.raises(ValidationError) as err:
-            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10), "heads")
+            postprocess_container(tmp_path / "heads.vstf", TAXONOMY, InferenceConfig(max_exports=10))
         assert blocks == [[6], [6]]  # a and c; d's block is never suppressed
         assert err.value.problems == ["example 'e': proposal 2: quality must be in (0, 1], got 1.5"]
 
@@ -833,10 +841,10 @@ class TestBlockMemory:
         """The allocation peak of postprocess_container beyond what its
         result holds."""
         cfg = InferenceConfig()
-        postprocess_container(path, taxonomy, cfg, "heads")  # numpy's lazily made state is not counted
+        postprocess_container(path, taxonomy, cfg)  # numpy's lazily made state is not counted
         tracemalloc.start()
         try:
-            exports = postprocess_container(path, taxonomy, cfg, "heads")
+            exports = postprocess_container(path, taxonomy, cfg)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -61,7 +61,6 @@ SETTINGS = [
     ("EnsembleConfig", config(EnsembleConfig), "box_iou_min", IN_0_1_RIGHT),
     ("EnsembleConfig", config(EnsembleConfig), "ttc_tolerance", POSITIVE),
     ("EnsembleConfig", config(EnsembleConfig), "agreement_weight", IN_0_1),
-    ("EnsembleConfig", config(EnsembleConfig), "n_sources", INT_AT_LEAST_1),
     ("EnsembleConfig", config(EnsembleConfig), "max_exports", INT_AT_LEAST_1),
     ("EvalConfig", config(EvalConfig), "iou_min", IN_0_1_OPEN),
     ("EvalConfig", config(EvalConfig), "ttc_max_error", POSITIVE),

@@ -141,7 +141,7 @@ class TestTableShapes:
 
 # One row: corners on a coarse grid, few ids, ttcs and scores, a source
 # id or none, and an example code from three, so that scores tie within
-# and across codes and full ties are split only by the tie-break columns.
+# and across codes and full ties are split only by the source.
 ranked_rows = st.lists(
     st.tuples(
         st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
@@ -153,14 +153,13 @@ ranked_rows = st.lists(
 )
 
 
-def reference_rank_within(rows, top_k, tie_break: bool = False) -> list[int]:
+def reference_rank_within(rows, top_k) -> list[int]:
     """Each code's rows sorted by the canonical key tuple, then the
-    source (rows without one first) when `tie_break`, then row index, cut
-    to top_k; the rows kept, sorted by code and then by the same key."""
+    source (rows without one first), then row index, cut to top_k; the
+    rows kept, sorted by code and then by the same key."""
     def key(i):
         x1, y1, w, h, noun, verb, ttc, score, source, has_source, code = rows[i]
-        canonical = (-score, noun, verb, x1, y1, x1 + w, y1 + h, ttc)
-        return canonical + ((has_source, source) if tie_break else ()) + (code, i)
+        return (-score, noun, verb, x1, y1, x1 + w, y1 + h, ttc, has_source, source, code, i)
 
     kept = []
     for code in {row[-1] for row in rows}:
@@ -184,11 +183,12 @@ class TestCanonicalOrder:
     @given(ranked_rows, st.lists(st.integers(0, 12), max_size=3), st.booleans())
     def test_equals_the_scalar_reference(self, rows, cuts, tie_break):
         # Every row in one code: the reference's order of them all, uncut.
+        # The source breaks the last ties, given as tie-break columns or not.
         tables = ranked_tables(rows, cuts)
         source = HypothesisTable.column(tables, "source"), HypothesisTable.column(tables, "has_source")
         got = canonical_order(tables if cuts else tables[0], source if tie_break else ())
         one_code = [row[:-1] + (0,) for row in rows]
-        assert got.tolist() == reference_rank_within(one_code, None, tie_break)
+        assert got.tolist() == reference_rank_within(one_code, None)
 
 
 class TestRankWithin:
