@@ -23,6 +23,7 @@ from .errors import ValidationError
 from .evaluation import EvalConfig, evaluate, format_report_table
 from .fusion import fuse_tensors
 from .io_formats import (
+    SubmissionFile,
     _dump_json,
     _load_json,
     load_ground_truth,
@@ -102,8 +103,8 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args)
     cfg = EvalConfig(**_settings(args, config, EvalConfig))
     taxonomy, gts = load_ground_truth(args.ground_truth)
-    preds = load_predictions(args.predictions, taxonomy)
-    report = evaluate(preds, gts, cfg)
+    with SubmissionFile(args.predictions, taxonomy) as preds:
+        report = evaluate(preds, gts, cfg)
     out = _out_dir(args, config)
     doc = report.to_dict()
     doc["provenance"] = {
@@ -178,7 +179,7 @@ def cmd_validate(args) -> int:
     kind, value = read_document(path)
     counts = {
         "tensor container": lambda: f"{len(value)} tensors",
-        "submission": lambda: f"{len(value)} examples, {value.sizes().sum()} hypotheses",
+        "submission": lambda: "{} examples, {} hypotheses".format(*value),
         "ground truth": lambda: f"{len(value[1])} annotations",
         "taxonomy": lambda: f"{value.n_nouns} nouns / {value.n_verbs} verbs",
     }[kind]()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .types import (
     GroundTruthInstance,
     GroundTruthTable,
     HypothesisTable,
-    PredictionSet,
     as_gt_table,
     as_predictions,
     canonical_order,
@@ -185,6 +185,13 @@ def _by_example(code: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     return np.argsort(code, kind="stable"), bounds.tolist()
 
 
+def _class_of(noun: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Each noun's index in classes, or -1 for a noun that no ground truth
+    has; nouns are >= 0, so none is the -1 appended."""
+    at = np.searchsorted(classes, noun)
+    return np.where(np.append(classes, -1)[at] == noun, at, -1)
+
+
 def _ranked_block(tables: list[HypothesisTable], sizes: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows each example of a block keeps (`rank_within`), given the
     block's rows as tables one after another and each example's number of
@@ -209,9 +216,7 @@ def _match_block(tables: list[HypothesisTable], sizes: np.ndarray, g: np.ndarray
     rows, code = _ranked_block(tables, sizes, cfg.top_k)
     noun, pred_boxes, pred_verb, pred_ttc, score = (
         HypothesisTable.column(tables, name)[rows] for name in ("noun", "boxes", "verb", "ttc", "score"))
-    # Each noun's index in classes, or -1; nouns are >= 0, so none is the -1 appended.
-    at = np.searchsorted(classes, noun)
-    cls = np.where(np.append(classes, -1)[at] == noun, at, -1)
+    cls = _class_of(noun, classes)
     pred_key = np.where(cls < 0, -1, code * n_classes + cls)  # -1: no ground truth has the noun
     gt_key = gt_code * n_classes + gt_class[g]
     corners, area = box_columns(pred_boxes, gts.boxes[g])
@@ -224,49 +229,166 @@ def _match_block(tables: list[HypothesisTable], sizes: np.ndarray, g: np.ndarray
     return cls, score, tp
 
 
-def _matched_blocks(preds: PredictionSet, uids: list[str], sizes: np.ndarray, gts: GroundTruthTable,
-                    gt_uid: np.ndarray, gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
-    """Match the examples `uids`, of `sizes` rows each in preds, in blocks
-    of whole examples (see `evaluate`), each block's rows viewed only while
-    it is matched (`PredictionSet.rows`). The ground truths have the
-    examples `gt_uid`, indices into uids, and the classes `gt_class`,
-    indices into `classes`. Yields each block's (first example, end
-    example) and what `_match_block` gives for it."""
-    gt_by_example, gt_bounds = _by_example(gt_uid, len(uids))
-    for start, stop in count_blocks(sizes + np.bincount(gt_uid, minlength=len(uids)), boxes.EXAMPLE_BLOCK):
-        g = gt_by_example[gt_bounds[start]:gt_bounds[stop]]
-        yield start, stop, *_match_block(preds.rows(uids[start:stop]), sizes[start:stop], g, gt_uid[g] - start,
-                                         gts, gt_class, classes, cfg)
+class _Blocks:
+    """A consumer of runs, (table, uids, bounds), that pools their
+    examples, in the order they come, into blocks of whole examples by
+    `count_blocks`' rule at `boxes.EXAMPLE_BLOCK`: the most examples that
+    add up to at most that, or one example of more alone. An example counts
+    its rows and its ground truths: those of code c, `gt_code`'s of its
+    uid, are at gt_bounds[c], ..., gt_bounds[c + 1] - 1 in the ground
+    truths grouped by example, and the code of a uid without any is
+    len(gt_code). So the blocks do not depend on where the runs cut the
+    examples. Each block is given to `block(tables, uids, sizes)`, its rows
+    as views of the runs' tables, once the next example does not fit in it
+    (`flush`), and the last by `close`."""
+
+    def __init__(self, gt_code: dict[str, int], gt_bounds: list[int]):
+        self.gt_code, self.gt_bounds = gt_code, gt_bounds
+        self.pieces: list = []  # (table, uids, sizes) of the examples pooled for the next block
+        self.count = 0  # what they count
+
+    def __call__(self, run) -> None:
+        table, uids, bounds = run
+        bounds = np.asarray(bounds, dtype=np.int64)
+        sizes = np.diff(bounds)
+        # The examples pooled so far, the start of one block, count as one item ahead of the run's.
+        head = [self.count] if self.pieces else []
+        counts = head + [size + self.gt_bounds[c + 1] - self.gt_bounds[c]
+                         for size, c in zip(sizes.tolist(), self.codes(uids))]
+        cuts = list(count_blocks(np.array(counts, dtype=np.int64), boxes.EXAMPLE_BLOCK))
+        for k, (start, stop) in enumerate(cuts):
+            a, b = max(start - len(head), 0), stop - len(head)  # the run's examples in the cut
+            if a < b:
+                self.pieces.append((table.take(slice(bounds[a], bounds[b])), uids[a:b], sizes[a:b]))
+            if k + 1 < len(cuts):
+                self.flush()
+            else:
+                self.count = sum(counts[start:stop])
+
+    def codes(self, uids: list[str]) -> list[int]:
+        """The `gt_code` of each uid."""
+        return list(map(self.gt_code.get, uids, repeat(len(self.gt_code))))
+
+    def close(self) -> None:
+        """Give the last block, once every run has come."""
+        self.flush()
+
+    def flush(self) -> None:
+        """Give the examples pooled so far, if any, as one block."""
+        if self.pieces:
+            tables, uids, sizes = zip(*self.pieces)
+            self.pieces, self.count = [], 0
+            self.block(list(tables), [uid for part in uids for uid in part], np.concatenate(sizes))
 
 
-def _order_ties(by_class: np.ndarray, places: np.ndarray, run_sizes: np.ndarray, preds: PredictionSet,
-                uids: list[str], sizes: np.ndarray, blocks: list[tuple[int, int, int, int]], top_k: int) -> None:
+class _Matched(_Blocks):
+    """The first walk of `evaluate`: each block matched as it is pooled
+    (`_match_block`), keeping for its kept rows only their classes, in the
+    smallest int type that holds -1, ..., n_classes, their scores and
+    their TP flags by variant, one array of each per block, and the uids
+    in the order they came."""
+
+    def __init__(self, gts: GroundTruthTable, gt_order: np.ndarray, gt_code: dict[str, int], gt_bounds: list[int],
+                 gt_class: np.ndarray, classes: np.ndarray, cfg: EvalConfig):
+        super().__init__(gt_code, gt_bounds)
+        self.gts, self.gt_order, self.gt_class, self.classes, self.cfg = gts, gt_order, gt_class, classes, cfg
+        self.class_type = np.min_scalar_type(-len(classes) - 1)
+        self.cls: list[np.ndarray] = []
+        self.score: list[np.ndarray] = []
+        self.tp: dict[MatchVariant, list[np.ndarray]] = {variant: [] for variant in ALL_VARIANTS}
+        self.uids: list[str] = []
+
+    def block(self, tables: list[HypothesisTable], uids: list[str], sizes: np.ndarray) -> None:
+        spans = [(self.gt_bounds[c], self.gt_bounds[c + 1]) for c in self.codes(uids)]
+        g = np.concatenate([self.gt_order[first:end] for first, end in spans] + [np.empty(0, dtype=np.intp)])
+        gt_code = np.repeat(np.arange(len(uids)), [end - first for first, end in spans])
+        cls, score, tp = _match_block(tables, sizes, g, gt_code, self.gts, self.gt_class, self.classes, self.cfg)
+        self.cls.append(cls.astype(self.class_type))
+        self.score.append(score)
+        for variant in ALL_VARIANTS:
+            self.tp[variant].append(tp[variant])
+        self.uids += uids
+
+
+class _TieKeys(_Blocks):
+    """The second walk of `evaluate`, over the same runs and so the same
+    blocks as the first (`_Matched`), whose (first kept row, end kept row)
+    are `blocks`. Each block that holds a kept row with a place in `where`
+    (not -1) is ranked again, and those rows' keys are set at their places
+    in `keys`: verb, box corners, TTC and the rank of their uid, `rank` of
+    its example in the order the examples came. The places are those of
+    tied runs, (end place, class, score) each in `runs`. A block whose uids
+    are not the first walk's, whose kept rows are not as many, or with a
+    gathered row whose class or score is not its run's, or blocks that
+    are not as many, mean that the source changed between the walks: a
+    ValidationError."""
+
+    def __init__(self, matched: _Matched, blocks: list[tuple[int, int]], where: np.ndarray, keys: list[np.ndarray],
+                 rank: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray], name: str):
+        super().__init__(matched.gt_code, matched.gt_bounds)
+        self.classes, self.top_k, self.uids = matched.classes, matched.cfg.top_k, matched.uids
+        self.blocks, self.where, self.keys, self.rank, self.runs, self.name = blocks, where, keys, rank, runs, name
+        self.n = self.seen = 0  # the blocks and the examples gathered
+
+    def changed(self) -> ValidationError:
+        return ValidationError(f"{self.name}: changed while it was read")
+
+    def block(self, tables: list[HypothesisTable], uids: list[str], sizes: np.ndarray) -> None:
+        seen, self.seen = self.seen, self.seen + len(uids)
+        if self.n == len(self.blocks) or uids != self.uids[seen:self.seen]:
+            raise self.changed()
+        first, end = self.blocks[self.n]
+        self.n += 1
+        mine = np.flatnonzero(self.where[first:end] >= 0)
+        if not len(mine):
+            return
+        rows, code = _ranked_block(tables, sizes, self.top_k)
+        if len(rows) != end - first:
+            raise self.changed()
+        rows, at = rows[mine], self.where[first + mine]
+        noun, score = (HypothesisTable.column(tables, name)[rows] for name in ("noun", "score"))
+        run_end, run_class, run_score = self.runs
+        run = np.searchsorted(run_end, at, side="right")
+        if not (np.array_equal(_class_of(noun, self.classes), run_class[run])
+                and np.array_equal(score, run_score[run])):
+            raise self.changed()
+        columns = (HypothesisTable.column(tables, "verb")[rows], *HypothesisTable.column(tables, "boxes")[rows].T,
+                   HypothesisTable.column(tables, "ttc")[rows], self.rank[seen + code[mine]])
+        for key, column in zip(self.keys, columns):
+            key[at] = column
+
+    def close(self) -> None:
+        self.flush()
+        if self.n != len(self.blocks):
+            raise self.changed()
+
+
+def _order_ties(by_class: np.ndarray, places: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray], source,
+                matched: _Matched, blocks: list[tuple[int, int]]) -> None:
     """Put the rows at `places` in by_class, which tie in class and score,
-    in runs of `run_sizes` of them in storage order, into canonical order:
-    by verb, box corners and TTC, and then in storage order, which is uid
-    order and then rank order within an example. Their keys are gathered
-    from their blocks, (first example, end example, first kept row, end
-    kept row) of the examples `uids` of preds with `sizes` rows, ranked
-    again, one block with such rows at a time; each block finds its rows
-    in a slice of a map over the kept rows, so none are sorted to find
-    them. The runs are then sorted in pieces of whole runs of at most
+    in runs, (size, class, score) each in `runs`, of rows in storage
+    order, into canonical order: by verb, box corners and TTC, then by
+    uid, and then in storage order, which within an example is its rank
+    order. Their keys are gathered by a second walk of the source
+    (`_TieKeys`), block by block, for those rows alone; each block finds
+    its rows in a slice of a map over the kept rows, so none are sorted to
+    find them. The runs are then sorted in pieces of whole runs of at most
     `boxes.EXAMPLE_BLOCK` rows, or of one larger run alone."""
+    run_sizes, run_class, run_score = runs
+    bounds = np.append(0, np.cumsum(run_sizes))
     kept = by_class[places]
     where = np.full(len(by_class), -1, dtype=np.intp)  # of each kept row, its place in kept, or -1
     where[kept] = np.arange(len(kept))
-    keys = [np.empty(len(kept), dtype=np.int64)] + [np.empty(len(kept)) for _ in range(5)]  # verb, corners, TTC
-    for start, stop, first, end in blocks:
-        mine = np.flatnonzero(where[first:end] >= 0)
-        if len(mine):
-            block = preds.rows(uids[start:stop])
-            rows = _ranked_block(block, sizes[start:stop], top_k)[0][mine]
-            columns = (HypothesisTable.column(block, "verb")[rows], *HypothesisTable.column(block, "boxes")[rows].T,
-                       HypothesisTable.column(block, "ttc")[rows])
-            at = where[first + mine]
-            for key, column in zip(keys, columns):
-                key[at] = column
-    del where
-    bounds = np.append(0, np.cumsum(run_sizes)).tolist()
+    # Of each example, in the order they came, its uid's rank, in the smallest type that holds it.
+    rank = np.empty(len(matched.uids), dtype=np.min_scalar_type(len(matched.uids)))
+    rank[sorted(range(len(rank)), key=matched.uids.__getitem__)] = np.arange(len(rank))
+    # verb, corners, TTC and the uid's rank
+    keys = [np.empty(len(kept), dtype=np.int64)] + [np.empty(len(kept)) for _ in range(5)] + [
+        np.empty(len(kept), dtype=rank.dtype)]
+    source.walk(lambda: _TieKeys(matched, blocks, where, keys, rank, (bounds[1:], run_class, run_score),
+                                 source.name)).close()
+    del where, rank
+    bounds = bounds.tolist()
     for a, b in boxes.count_blocks(run_sizes, boxes.EXAMPLE_BLOCK):
         lo, hi = bounds[a], bounds[b]
         run = np.repeat(np.arange(b - a), run_sizes[a:b])
@@ -274,83 +396,88 @@ def _order_ties(by_class: np.ndarray, places: np.ndarray, run_sizes: np.ndarray,
 
 
 def evaluate(
-    preds: PredictionSet,
+    preds,
     gts: GroundTruthTable | list[GroundTruthInstance],
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:
-    """Run the four-variant protocol over a prediction set.
+    """Run the four-variant protocol over a submission's predictions.
 
-    `preds` is a PredictionSet, or another mapping of uids to
-    HypothesisTables or lists of StaHypothesis (`as_predictions`), and
-    `gts` is a GroundTruthTable or a list of GroundTruthInstance. A match
-    never crosses an example, so the examples, in uid order, are taken in
-    blocks of whole examples whose hypotheses and ground truths add up to
-    at most `boxes.EXAMPLE_BLOCK` (an example of more comes alone). Each
-    block's rows are ranked on their own (`rank_within`), and each example
-    keeps its first top_k, one example after another. A block's candidate
-    pairs (same example, same noun, IoU > iou_min) are built once, grouped
-    by prediction in that order, and filtered for each variant by its
-    verb and TTC needs. Per variant, predictions are matched greedily in
-    that order, each to the unmatched candidate ground truth of highest
-    IoU, and set their TP flags in the variant's one array of flags.
+    `preds` is a source of runs that can be walked more than once: a
+    `io_formats.SubmissionFile`, which reads the file as it is walked, or
+    a PredictionSet; any other mapping of uids to HypothesisTables or
+    lists of StaHypothesis is made one (`as_predictions`). `gts` is a
+    GroundTruthTable or a list of GroundTruthInstance.
+
+    One walk passes the runs in the order they come, and their examples
+    are pooled, in that order, into blocks of whole examples whose
+    hypotheses and ground truths add up to at most `boxes.EXAMPLE_BLOCK`
+    (an example of more comes alone; `_Blocks`). A match never crosses an
+    example, so each block is matched as soon as it is full. Its rows are
+    ranked on their own (`rank_within`), and each example keeps its first
+    top_k, one example after another. A block's candidate pairs (same
+    example, same noun, IoU > iou_min) are built once, grouped by
+    prediction in that order, and filtered for each variant by its verb
+    and TTC needs. Per variant, predictions are matched greedily in that
+    order, each to the unmatched candidate ground truth of highest IoU,
+    and set their TP flags. Examples with ground truth alone keep no row.
 
     Each class's AP reads its kept rows by score, and rows of one class
     and one score in canonical order with the uid last, as one ranking of
     every row would give them: that order restricted to one class is the
-    class's own. The keys that order them are gathered again, block by
-    block, for those rows alone, and sorted a piece of whole runs at a
-    time.
+    class's own. Only if two kept rows tie in class and score, the source
+    is walked a second time, to gather the keys that order them for those
+    rows alone (`_order_ties`); a row that does not come back with the
+    class and score of the first walk is a ValidationError, "<name>:
+    changed while it was read".
 
-    Next to its inputs, it holds per kept row only its class (an index
-    into the ground truth's nouns, or -1), its score, its four TP flags
-    and, once every block is matched, its place in the classes' order;
-    and for one block at a time views of the block's rows in the runs of
-    preds, the block's columns, the corners, verbs and TTCs of its kept
-    rows and ground truths, its candidate pairs, and temporaries of at
-    most about PAIR_BLOCK pairs, all freed before the next block.
+    Next to the ground truth, it holds per kept row only its class (an
+    index into the ground truth's nouns, or -1), its score, its four TP
+    flags and, once every block is matched, its place in the classes'
+    order; per example its uid; and for one block at a time views of the
+    block's rows in the runs, the block's columns, the corners, verbs and
+    TTCs of its kept rows and ground truths, its candidate pairs, and
+    temporaries of at most about PAIR_BLOCK pairs, all freed before the
+    next block. The source holds what it reads of one batch at a time.
+    Tied rows hold their keys until they are ordered.
     """
     # Lists stay accepted: the benchmark's oracle check passes synth's lists.
-    preds = as_predictions(preds)
+    source = preds if hasattr(preds, "walk") else as_predictions(preds)
     gts = as_gt_table(gts)
-    uids = sorted(set(preds) | set(gts.uid))
-    sizes = preds.sizes(uids)  # of each example, in uid order
-    uid_code = {uid: c for c, uid in enumerate(uids)}
-    gt_uid = np.array([uid_code[uid] for uid in gts.uid], dtype=np.int64)
     classes, gt_class, class_size = np.unique(gts.noun, return_inverse=True, return_counts=True)
     n_classes, n_gt = len(classes), len(gts)
-    # Each example keeps min(size, top_k) rows; top_k may be beyond int64.
-    n_pred = int(np.minimum(sizes, min(cfg.top_k, int(sizes.max(initial=0)))).sum())
+    gt_code: dict[str, int] = {}  # each ground-truth uid's code, in file order
+    gt_uid = np.array([gt_code.setdefault(uid, len(gt_code)) for uid in gts.uid], dtype=np.int64)
+    gt_order, gt_bounds = _by_example(gt_uid, len(gt_code))
+    gt_bounds.append(gt_bounds[-1])  # no ground truth for the code of a uid without any
+    del gt_uid
 
-    # The kept rows, one example after another, each example's in its rank order.
-    # The smallest int type that holds -1, ..., n_classes - 1 (and n_classes).
-    pred_class = np.empty(n_pred, dtype=np.min_scalar_type(-n_classes - 1))
-    pred_score = np.empty(n_pred, dtype=np.float64)
-    tp = {variant: np.zeros(n_pred, dtype=bool) for variant in ALL_VARIANTS}
-    class_count = np.zeros(n_classes + 1, dtype=np.int64)  # kept rows of each class, class -1 first
-    blocks = []  # (first example, end example, first kept row, end kept row) of each block
-    end = 0
-    for start, stop, cls, score, flags in _matched_blocks(preds, uids, sizes, gts, gt_uid, gt_class, classes, cfg):
-        first, end = end, end + len(cls)
-        blocks.append((start, stop, first, end))
-        pred_class[first:end], pred_score[first:end] = cls, score
-        class_count += np.bincount(cls + 1, minlength=n_classes + 1)
-        for variant in ALL_VARIANTS:
-            tp[variant][first:end] = flags[variant]
+    matched = source.walk(lambda: _Matched(gts, gt_order, gt_code, gt_bounds, gt_class, classes, cfg))
+    matched.close()
+    # The kept rows, one block after another, each example's in its rank order.
+    ends = np.cumsum([0] + [len(cls) for cls in matched.cls]).tolist()
+    blocks = list(zip(ends[:-1], ends[1:]))  # (first kept row, end kept row) of each block
+    n_pred = ends[-1]
+    # Each column's pieces are freed once it is joined.
+    pred_class = np.concatenate(matched.cls + [np.empty(0, dtype=matched.class_type)])
+    matched.cls = []
+    pred_score = np.concatenate(matched.score + [np.empty(0)])
+    matched.score = []
+    tp = {variant: np.concatenate(matched.tp.pop(variant) + [np.empty(0, dtype=bool)]) for variant in ALL_VARIANTS}
+    class_count = np.bincount(pred_class.astype(np.intp) + 1, minlength=n_classes + 1)  # class -1 first
 
     # Each class's kept rows are one slice of by_class, by score; rows of
-    # one score keep their storage order, which is uid order and then an
-    # example's rank order. A block's rows go to the next places of their
-    # classes, so no sort of every kept row is made.
+    # one score keep their storage order, which is the order the examples
+    # came in and then an example's rank order. A block's rows go to the
+    # next places of their classes, so no sort of every kept row is made.
     class_end = np.cumsum(class_count)
     placed = class_end - class_count  # the next place of each class
     by_class = np.empty(n_pred, dtype=np.intp)
-    for _, _, first, end in blocks:
+    for first, end in blocks:
         cls = pred_class[first:end].astype(np.intp) + 1
         count = np.bincount(cls, minlength=n_classes + 1)
         by_class[np.repeat(placed - (np.cumsum(count) - count), count) + np.arange(end - first)] = (
             first + np.argsort(cls, kind="stable"))
         placed += count
-    del pred_class
     run_starts = np.ones(n_pred + 1, dtype=bool)  # where a run of one class and one score starts, and the end
     for first, end in zip(class_end[:-1].tolist(), class_end[1:].tolist()):
         if end - first < 2:
@@ -361,12 +488,14 @@ def evaluate(
         rows[:] = rows[order]
         score = score[order]
         run_starts[first + 1:end] = score[1:] != score[:-1]
-    del pred_score
     places = np.flatnonzero(~(run_starts[:-1] & run_starts[1:]))  # the rows in a run of two or more
+    starts = np.flatnonzero(run_starts[places])  # where in places each such run starts
+    firsts = by_class[places[starts]]
+    runs = np.diff(np.append(starts, len(places))), pred_class[firsts], pred_score[firsts]
+    del run_starts, starts, firsts, pred_class, pred_score
     if len(places):
-        run_sizes = np.diff(np.flatnonzero(np.append(run_starts[places], True)))
-        _order_ties(by_class, places, run_sizes, preds, uids, sizes, blocks, cfg.top_k)
-    del run_starts, places
+        _order_ties(by_class, places, runs, source, matched, blocks)
+    del places, runs
 
     maps: dict[str, float] = {}  # by map_key
     scored_classes = classes.tolist()

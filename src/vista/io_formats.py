@@ -18,24 +18,32 @@ a uid a non-empty string; a missing or null `source_id` means none.
 Problems are listed entry by entry, in file order, and within an entry:
 object and uid, box, fields, taxonomy, values.
 
-`load_predictions` and `load_ground_truth` stream their document with
-one walker, `_walk_document`: it reads the file `_CHUNK` bytes at a time
-and walks the top-level object, and a submission's `results` member by
-member or a ground truth's `annotations` a text's values at once (those
-up to its last "},", if they are all an array holds) and the rest value
-by value, so a reader holds about one chunk of text, the entries decoded
-since the last chunk and what it has read so far, never the whole text
-or all of its entries. A file that cannot be read twice, such as a pipe,
-is copied into memory and walked from its bytes there as a file is, so
-it holds about the file's size more. Only a document the walker cannot
-walk (invalid JSON or UTF-8, a top level that is not an object, a
-repeated key, a list member of another type, a top-level key of a
-taxonomy) is parsed whole, from the start of the same file or copy.
-Either way a kind has one reader, `_SubmissionStream` or
+A submission and a ground truth are streamed by one walker,
+`_walk_document`: it reads the file `_CHUNK` bytes at a time and walks
+the top-level object, and a submission's `results` member by member or a
+ground truth's `annotations` a text's values at once (those up to its
+last "},", if they are all an array holds) and the rest value by value,
+so a reader holds about one chunk of text, the entries decoded since the
+last chunk and what it makes of them, never the whole text or all of its
+entries. A file that cannot be read twice, such as a pipe, is copied into
+memory and walked from its bytes there as a file is, so it holds about
+the file's size more. A syntax error that json.loads words is raised
+where the walk finds it, worded as the whole parse words it. Only a
+document the walk cannot walk otherwise (invalid UTF-8, a top level that
+is not an object, a repeated key, a list member of another type, a
+top-level key of a taxonomy) is parsed whole, from the start of the same
+file or copy. Either way a kind has one reader, `_SubmissionStream` or
 `_GroundTruthStream`: the walk flushes it each chunk's entries,
 `predictions_from_dict` and `ground_truth_from_dict` a parsed document's
-whole list, and the rest of the document finishes it.
-The other JSON files are small and are read whole.
+whole list, and the rest of the document finishes it. The other JSON
+files are small and are read whole.
+
+A submission is read as runs, one per batch of entries: a table, its
+uids and their bounds. `SubmissionFile` passes each run to a consumer as
+it is read, and can be walked again: `load_predictions` keeps every run
+(a PredictionSet), `evaluation.evaluate` matches each and keeps only
+what it scores of each kept row, and `read_document` counts them. So
+what reading a submission holds is set by what its consumer keeps.
 
 `read_document` alone tells what a file is, for `vista validate`: a
 tensor container by its magic, any other file as JSON, read as above and
@@ -432,7 +440,7 @@ def load_ground_truth(path) -> tuple[Taxonomy, GroundTruthTable]:
     """Read a ground truth, once (`_read_json`), as its taxonomy and one
     GroundTruthTable."""
     with open(path, "rb") as file:
-        walked, value = _read_json(file, path, {"annotations": _GroundTruthStream(path)})
+        walked, value = _read_json(_replayable(file), path, {"annotations": _GroundTruthStream(path)})
     return value if walked else ground_truth_from_dict(value, path)
 
 
@@ -535,36 +543,81 @@ def _copy(text: str) -> str:
 
 
 def load_predictions(path, taxonomy: Taxonomy | None = None) -> PredictionSet:
-    """Read a submission, once (`_read_json`), as a PredictionSet of one
-    run per batch read: the batch's columns, its uids in file order and
-    their bounds, each example's entries in file order (each stage ranks
-    the rows it takes). The batches are not joined, and no table is made
-    per example. The ids are checked against the taxonomy's ranges only
-    if one is given."""
-    with open(path, "rb") as file:
-        walked, value = _read_json(file, path, {"results": _SubmissionStream(path, taxonomy)})
-    return value if walked else predictions_from_dict(value, path, taxonomy)
+    """Read a submission, once (`SubmissionFile`), as a PredictionSet of
+    one run per batch read: the consumer that keeps every run. A run is the
+    batch's columns, its uids in file order and their bounds, each
+    example's entries in file order (each stage ranks the rows it takes).
+    The batches are not joined, and no table is made per example. The ids
+    are checked against the taxonomy's ranges only if one is given."""
+    runs: list = []
+
+    def keep():
+        runs.clear()  # a document read whole after a walk is read again from its start
+        return runs.append
+
+    with SubmissionFile(path, taxonomy) as source:
+        source.walk(keep)
+    return PredictionSet(runs)
 
 
-def _read_json(file, path, readers: dict, head: bytes = b"") -> tuple[str | None, object]:
-    """An open JSON file, `head` read of it already, walked by
-    `_walk_document`: the key of `readers` whose list it walks and what
-    that reader makes of it. A pipe is copied into memory, `head` first,
-    and walked there the same way. Only a document the walk does not
-    cover is parsed whole (`_parse_json`): (None, its document)."""
-    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-        copy = io.BytesIO()
-        copy.write(head)
-        shutil.copyfileobj(file, copy)
-        file = copy
+def _replayable(file, head: bytes = b""):
+    """An open binary file that can be read from its start again: a
+    regular file as it is, else (a pipe) its bytes, `head` read of it
+    already first, copied into memory."""
+    if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        return file
+    copy = io.BytesIO()
+    copy.write(head)
+    shutil.copyfileobj(file, copy)
+    return copy
+
+
+def _read_json(file, path, readers: dict) -> tuple[str | None, object]:
+    """A `_replayable` JSON file walked from its start by `_walk_document`:
+    the key of `readers` whose list it walks and what that reader makes of
+    it. A syntax error that json.loads words where the walk stops is
+    raised as `_parse_json` words it (`_syntax_error`), and the walk's
+    text is never held whole. Only a document the walk does not cover is
+    parsed whole (`_parse_json`): (None, its document)."""
     try:
         file.seek(0)
         walked, header = _walk_document(file, {key: reader.flush for key, reader in readers.items()})
+    except _Invalid as stop:
+        found = stop.at, stop.message
     except _Unwalkable:  # parsed whole below, once the walk's text is freed with its traceback
-        pass
+        found = None
     else:
         return walked, readers[walked].finish(header)
+    message = found and _syntax_error(file, *found)
+    if message:
+        raise ValidationError(f"{path}: {message}")
     return None, _parse_json(_read_whole(file), path)
+
+
+def _syntax_error(file, at: int, message: str) -> str | None:
+    """json.loads' error `message` at character `at` of an open binary
+    file's text, worded with its line and column as `_parse_json` words
+    it; or None if the text is not UTF-8, which `_parse_json` reports
+    first. The file is decoded from its start `_CHUNK` bytes at a time,
+    and only the newlines before `at` are counted, so no more than a chunk
+    of its text is held."""
+    file.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, newline, start = 1, -1, 0  # the last newline before at; where the text starts
+    while True:
+        chunk = file.read(_CHUNK)
+        try:
+            text = decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError:
+            return None
+        if start < at:
+            before = min(at - start, len(text))
+            line += text.count("\n", 0, before)
+            last = text.rfind("\n", 0, before)
+            newline = start + last if last >= 0 else newline
+        start += len(text)
+        if not chunk:
+            return f"invalid JSON at line {line} column {at - newline}: {message}"
 
 
 def _read_whole(file) -> bytes:
@@ -578,18 +631,27 @@ def read_document(path) -> tuple[str, object]:
     """The kind of the file at path and its value, read once: a "tensor
     container" (its index, every tensor checked), else JSON (`_read_json`)
     told by the top-level key `results`, `annotations` or `nouns`, in that
-    order: a "submission", "ground truth" or "taxonomy"."""
+    order: a "submission" (its numbers of examples and of hypotheses,
+    counted run by run, so that no row is kept), "ground truth" or
+    "taxonomy"."""
+    counts = [0, 0]
+
+    def count(run) -> None:
+        counts[0] += len(run[1])
+        counts[1] += len(run[0])
+
     with open(path, "rb") as file:
         if (head := file.read(len(TENSOR_MAGIC))) == TENSOR_MAGIC:
             container = TensorFile(path, file)
             container.check_finite()
             return "tensor container", container.index
-        readers = {"results": _SubmissionStream(path, None), "annotations": _GroundTruthStream(path)}
-        walked, doc = _read_json(file, path, readers, head)
+        readers = {"results": _SubmissionStream(path, None, count), "annotations": _GroundTruthStream(path)}
+        walked, doc = _read_json(_replayable(file, head), path, readers)
     if walked is not None:  # a walked document has one of the two keys, not both
-        return ("submission" if walked == "results" else "ground truth"), doc
+        return ("submission", tuple(counts)) if walked == "results" else ("ground truth", doc)
     if isinstance(doc, dict) and "results" in doc:
-        return "submission", predictions_from_dict(doc, path)
+        preds = predictions_from_dict(doc, path)
+        return "submission", (len(preds), int(preds.sizes().sum()))
     if isinstance(doc, dict) and "annotations" in doc:
         return "ground truth", ground_truth_from_dict(doc, path)
     if isinstance(doc, dict) and "nouns" in doc:
@@ -611,9 +673,11 @@ def predictions_from_dict(doc, path, taxonomy: Taxonomy | None = None) -> Predic
         raise ValidationError(f"{path}: missing or non-object 'results'")
     members = list(results.items())
     del results
-    reader = _SubmissionStream(path, taxonomy)
+    runs: list = []
+    reader = _SubmissionStream(path, taxonomy, runs.append)
     reader.flush(members)
-    return reader.finish(doc)
+    reader.finish(doc)
+    return PredictionSet(runs)
 
 
 def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, problems: list,
@@ -642,15 +706,17 @@ def _read_results(path, members: list, first: int, taxonomy: Taxonomy | None, pr
 
 class _SubmissionStream:
     """The reader of a submission's `results`, in batches, each read by
-    `_read_results` into one run of the PredictionSet when it is flushed.
-    The problems of every batch are raised together, in file order, and
-    the unknown fields are warned about (top level first, then entries in
-    file order) only once the header is known, so that a walked document
-    that is then read whole raises its first problem before any warning."""
+    `_read_results` into one run when it is flushed and passed to
+    `consume`, which keeps it (`load_predictions`), matches it
+    (`evaluation.evaluate`) or counts it (`read_document`). A batch after
+    one with a problem makes no run. The problems of every batch are
+    raised together, in file order, and the unknown fields are warned
+    about (top level first, then entries in file order), if `warn`, only
+    once the header is known, so that a walked document that is then read
+    whole raises its first problem before any warning."""
 
-    def __init__(self, path, taxonomy: Taxonomy | None):
-        self.path, self.taxonomy = path, taxonomy
-        self.runs: list = []  # one per batch, for the PredictionSet
+    def __init__(self, path, taxonomy: Taxonomy | None, consume: Callable, warn: bool = True):
+        self.path, self.taxonomy, self.consume, self.warn = path, taxonomy, consume, warn
         self.problems: list = []  # keyed, for `_raise_sorted`
         self.unknown: list[tuple[set, str]] = []
         self.count = 0  # the members read so far
@@ -659,14 +725,64 @@ class _SubmissionStream:
         first, self.count = self.count, self.count + len(members)
         run = _read_results(self.path, members, first, self.taxonomy, self.problems, self.unknown)
         if run is not None:
-            self.runs.append(run)
+            self.consume(run)
 
-    def finish(self, header: dict) -> PredictionSet:
-        _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path))
-        for found, where in self.unknown:
-            _warn_unknown(found, _SUBMISSION.keys, where)
+    def finish(self, header: dict) -> None:
+        if self.warn:
+            _warn_unknown(set(header), _KNOWN_SUBMISSION_KEYS, str(self.path))
+            for found, where in self.unknown:
+                _warn_unknown(found, _SUBMISSION.keys, where)
         _raise_sorted(self.problems)
-        return PredictionSet(self.runs)
+
+
+class SubmissionFile:
+    """A submission file as a source of runs that can be walked more than
+    once, opened once: `walk(start)` reads the file from its start
+    (`_read_json`) and passes each batch's run, (table, uids, bounds), to
+    the consumer that start() makes, as it is read, and returns that
+    consumer. So a consumer that keeps only what it makes of each run
+    holds about one batch of the file at a time.
+
+    Every walk passes the same runs, as long as the file does not change.
+    A pipe is copied into memory when the file is opened, and each walk
+    reads that copy. A document the walk does not cover is read whole,
+    once: if a walk stops after some runs were passed, start() makes a
+    fresh consumer, and the runs of the whole document are kept and
+    passed to it, and to every later walk (`PredictionSet.walk`). Only
+    the first walk warns about unknown fields. Use it as a context
+    manager, which closes the file."""
+
+    def __init__(self, path, taxonomy: Taxonomy | None = None):
+        self.path, self.taxonomy, self.name = path, taxonomy, str(path)
+        self._whole: PredictionSet | None = None  # the runs of a document read whole
+        self._walks = 0
+        file = open(path, "rb")
+        try:
+            self._file = _replayable(file)
+        except BaseException:
+            file.close()
+            raise
+        if self._file is not file:
+            file.close()  # a pipe, copied
+
+    def __enter__(self) -> SubmissionFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def walk(self, start: Callable):
+        if self._whole is None:
+            consume = start()
+            stream = _SubmissionStream(self.path, self.taxonomy, consume, warn=self._walks == 0)
+            self._walks += 1
+            walked, doc = _read_json(self._file, self.path, {"results": stream})
+            if walked is not None:
+                return consume
+            if self._walks > 1:  # an earlier walk read it through
+                raise ValidationError(f"{self.path}: changed while it was read")
+            self._whole = predictions_from_dict(doc, self.path, self.taxonomy)
+        return self._whole.walk(start)
 
 
 # -- the streamed JSON reader -----------------------------------------------
@@ -689,8 +805,24 @@ class _Unwalkable(Exception):
     """The document is not one `_walk_document` walks; it is read whole."""
 
 
+class _Invalid(_Unwalkable):
+    """The walk stopped at a syntax error that json.loads words: its
+    message, at character `at` of the step's text, and of the document's
+    once the walk has added the text it dropped."""
+
+    def __init__(self, at: int, message: str):
+        super().__init__(at, message)
+        self.at, self.message = at, message
+
+
 class _Short(Exception):
-    """A step of `_walk_document` needs more text than has been read."""
+    """A step of `_walk_document` needs more text than has been read. Its
+    `invalid` is the syntax error json.loads gave the step (`_Invalid`),
+    or None: the document's error if the file has no more text."""
+
+    def __init__(self, invalid: _Invalid | None = None):
+        super().__init__(invalid)
+        self.invalid = invalid
 
 
 # How far from the end of a text a step can fail because the text was cut
@@ -700,14 +832,16 @@ class _Short(Exception):
 _CUT = len("-Infinity")
 
 
-def _failure(text: str, at: int, message: str = "") -> Exception:
+def _failure(text: str, at: int, message: str | None = None) -> Exception:
     """What a step that failed at `at` raises: `_Short` if the end of the
     text may have cut it (a string that runs to the end, or a failure
-    within `_CUT` characters of it), else `_Unwalkable`, so that a syntax
-    error stops the walk where it is found."""
-    if message.startswith("Unterminated string") or len(text) - at < _CUT:
-        return _Short()
-    return _Unwalkable()
+    within `_CUT` characters of it), else `_Invalid` with json.loads'
+    message, if it gave one, or `_Unwalkable`, so that a syntax error
+    stops the walk where it is found."""
+    invalid = None if message is None else _Invalid(at, message)
+    if (message or "").startswith("Unterminated string") or len(text) - at < _CUT:
+        return _Short(invalid)
+    return invalid or _Unwalkable()
 
 
 def _punctuation(text: str, pos: int) -> tuple[str, int]:
@@ -769,15 +903,18 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
     (about 31 KB), which a sixteenth cut and decoded again in one of about
     19 lists. A step that the end of the text may have cut (`_failure`) is
     tried again with one more chunk, so a token may cross any number of
-    chunks; any other failure is a syntax error, and the walk stops where
-    it finds it, without reading the rest of the file. At what
+    chunks, or, at the end of the file, fails as it did; any other failure
+    is a syntax error, and the walk stops where it finds it, without
+    reading the rest of the file. At what
     `json.loads` rejects, and at documents this walk does not cover (a top
     level that is not an object, a repeated key, a walked member of
     another type, no member or two members of `_LISTS`, one that `flushes`
     does not name, a top-level key of a taxonomy), this raises
-    `_Unwalkable`."""
+    `_Unwalkable`: `_Invalid`, at its character in the document, where a
+    step of json's scanner failed with a message."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     text, eof, elements, walked, reads = "", False, [], None, 0
+    dropped = 0  # the characters before text
     header: dict = {}
     margin = _CHUNK // 4  # the text left ahead of the walk when the next chunk is read
 
@@ -785,10 +922,10 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         """Drop the text before pos, flush the elements and add the next
         chunk's text. The walked text is freed first, because reading
         the elements is when the most memory is held."""
-        nonlocal text, eof, reads
+        nonlocal text, eof, reads, dropped
         if eof:
             raise _Unwalkable
-        text, reads = text[pos:], reads + 1
+        text, reads, dropped = text[pos:], reads + 1, dropped + pos
         if elements:
             flushes[walked](elements)
         chunk = file.read(_CHUNK)
@@ -805,9 +942,16 @@ def _walk_document(file, flushes: dict[str, Callable]) -> tuple[str, dict]:
         while True:
             try:
                 return step(text, pos, *args)
-            except _Short:
-                read_more(pos)
-                pos = 0
+            except _Short as short:
+                if not (eof and short.invalid):  # else the text holds the rest of the file
+                    read_more(pos)
+                    pos = 0
+                    continue
+                stop = short.invalid
+            except _Invalid as invalid:
+                stop = invalid
+            stop.at += dropped
+            raise stop
 
     def walk_object(pos: int, member) -> int:
         """Walk the object whose brace ends before pos, passing each key

@@ -345,10 +345,11 @@ class PredictionSet(Mapping):
     there are.
 
     `[uid]` makes a view of the example's rows. Iteration (the uids in run
-    order), `len`, `in`, `sizes` and `rows` make none per example. Any
-    other mapping of uids enters the library through `as_predictions`."""
+    order), `len`, `in`, `sizes`, `rows` and `walk` make none per example.
+    Any other mapping of uids enters the library through `as_predictions`."""
 
     __slots__ = ("tables", "_index", "_starts", "_begin", "_sizes")
+    name = "predictions"  # what a problem of a walk calls it
 
     def __init__(self, runs=()):
         tables, index, starts, begin, sizes = [], {}, [], [], []
@@ -411,6 +412,20 @@ class PredictionSet(Mapping):
             else:
                 spans.append([run, first, end])
         return [self._view(*span) for span in spans]
+
+    def walk(self, start):
+        """Pass each run with a uid, (table, uids, bounds), in run order to
+        the consumer that start() makes, and return that consumer. Every
+        walk passes the same runs: a submission file's reader walks alike
+        (`io_formats.SubmissionFile`)."""
+        consume = start()
+        uids = list(self._index)
+        for run, (table, first) in enumerate(zip(self.tables, self._starts)):
+            end = self._starts[run + 1] if run + 1 < len(self._starts) else len(uids)
+            if first < end:
+                begin = self._begin[first:end].tolist()
+                consume((table, uids[first:end], begin + [begin[-1] + int(self._sizes[end - 1])]))
+        return consume
 
 
 def as_predictions(preds) -> PredictionSet:

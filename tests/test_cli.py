@@ -25,6 +25,7 @@ from vista.fusion import (
 from vista.io_formats import load_predictions, read_tensor_file, write_submission, write_tensor_file
 from vista.rng import CounterRng
 
+from test_evaluation import crowded_instance
 from test_fusion import rand_array
 from test_io_formats import large_submission, opened_paths, vstf_record
 
@@ -1012,6 +1013,27 @@ class TestValidateCommand:
                 assert not writer.is_alive()
         assert capsys.readouterr().out == f"{read}: valid submission, 100 examples, 10000 hypotheses\n"
         assert peak < bound * size, f"peak {peak} bytes for a file of {size}"
+
+    def test_a_submission_is_counted_without_keeping_its_rows(self, tmp_path, monkeypatch, capsys):
+        # 3.1 MB of 10,000 rows, whose columns take 0.73 MB: keeping every
+        # run, the read peaks at 1.01 MB with chunks of 64 KiB; counting
+        # them, at 0.40 MB, about a chunk's text and entries.
+        preds = crowded_instance(100)[0]
+        column_bytes = sum(getattr(table, name).nbytes for table in preds.values()
+                           for name in ("boxes", "noun", "verb", "ttc", "score", "source", "has_source"))
+        path = tmp_path / "sub.json"
+        write_submission(preds, path)
+        del preds
+        assert path.stat().st_size > 3_000_000
+        monkeypatch.setattr(io_formats, "_CHUNK", 64 * 1024)
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(path)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == f"{path}: valid submission, 100 examples, 10000 hypotheses\n"
+        assert peak < column_bytes, f"peak {peak} bytes for columns of {column_bytes}"
 
     def test_non_utf8_tensor_name_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.vstf"

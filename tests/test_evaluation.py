@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 import tracemalloc
 from collections import Counter
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vista import boxes, evaluation
+from vista import boxes, evaluation, io_formats
 from vista.boxes import Box2D, count_blocks
 from vista.errors import ValidationError
 from vista.evaluation import (
@@ -17,8 +19,8 @@ from vista.evaluation import (
     format_report_table,
     top_k_filter,
 )
-from vista.cli import EXIT_OK, main
-from vista.io_formats import write_ground_truth, write_submission
+from vista.cli import EXIT_OK, EXIT_VALIDATION, main
+from vista.io_formats import SubmissionFile, _load_json, predictions_from_dict, write_ground_truth, write_submission
 from vista.oracle import _iou_scalar, brute_force_evaluate
 from vista.rng import CounterRng
 from vista.synth import NoiseConfig, generate_scenario, perturb_to_predictions
@@ -361,23 +363,28 @@ def preds_of(pairs) -> dict:
 
 def evaluate_in_blocks(preds, gts, cfg, pair_block, example_block):
     """evaluate with PAIR_BLOCK set to pair_block and boxes.EXAMPLE_BLOCK
-    to example_block, and the (block size, blocks) of each of its
-    `count_blocks` calls: the example blocks it matches, which shows that
-    the size took effect."""
+    to example_block, and the example blocks it matches, in order, each as
+    the count of each of its examples, hypotheses plus ground truths,
+    checked to be `count_blocks`' cut at example_block of the examples in
+    the order they came, which shows that the size took effect."""
     saved = evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK
-    calls = []
+    blocks = []
+    match = evaluation._match_block
 
-    def recording_count_blocks(counts, block):
-        calls.append((block, list(count_blocks(counts, block))))
-        return iter(calls[-1][1])
+    def recording_match_block(tables, sizes, g, gt_code, *rest):
+        blocks.append((sizes + np.bincount(gt_code, minlength=len(sizes))).tolist())
+        return match(tables, sizes, g, gt_code, *rest)
 
     evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK = pair_block, example_block
-    evaluation.count_blocks = recording_count_blocks
+    evaluation._match_block = recording_match_block
     try:
-        return evaluate(preds, gts, cfg), calls
+        report = evaluate(preds, gts, cfg)
     finally:
         evaluation.PAIR_BLOCK, boxes.EXAMPLE_BLOCK = saved
-        evaluation.count_blocks = count_blocks
+        evaluation._match_block = match
+    counts = np.array([count for block in blocks for count in block], dtype=np.int64)
+    assert [stop - start for start, stop in count_blocks(counts, example_block)] == list(map(len, blocks))
+    return report, blocks
 
 
 class TestOracleEquivalence:
@@ -398,13 +405,11 @@ class TestOracleEquivalence:
     def test_blocks_do_not_change_the_report(self, gts, pairs, top_k, block, example_block):
         preds = preds_of(pairs)
         cfg = EvalConfig(iou_min=0.1, top_k=top_k)
-        blocked, calls = evaluate_in_blocks(preds, gts, cfg, block, example_block)
-        ((size, cut),) = calls
-        assert size == example_block
-        n_examples = len(set(preds) | {g.example_uid for g in gts})
-        assert [start for start, _ in cut] + [n_examples] == [0] + [stop for _, stop in cut]
+        blocked, blocks = evaluate_in_blocks(preds, gts, cfg, block, example_block)
+        # Every example with predictions is matched once; one with ground truth alone keeps no row.
+        assert sum(map(len, blocks)) == len(preds)
         if example_block == 1:
-            assert len(cut) == n_examples
+            assert len(blocks) == len(preds)
         assert blocked == evaluate(preds, gts, cfg)
         assert_as_oracle(blocked, brute_force_evaluate(preds, gts, cfg))
 
@@ -521,8 +526,8 @@ class TestBoundedMemory:
         preds, gts = crowded_instance(40)
         for top_k in (5, 100):
             cfg = EvalConfig(top_k=top_k)
-            blocked, calls = evaluate_in_blocks(preds, gts, cfg, block, block)
-            assert [(size, len(cut)) for size, cut in calls] == [(block, 1 if block == 1 << 17 else 40)]
+            blocked, blocks = evaluate_in_blocks(preds, gts, cfg, block, block)
+            assert len(blocks) == (1 if block == 1 << 17 else 40)
             assert blocked.to_dict() == evaluate(preds, gts, cfg).to_dict()
 
     # On this instance (100k hypotheses, 7.75 MB of tables) the peak was
@@ -540,6 +545,9 @@ class TestBoundedMemory:
     # tables coerced to one run per uid), each block's views and columns
     # freed before the next, and the tied rows found without a sort:
     # 0.363x, 0.088x, 1.247x and 0.157x. The bounds are those plus 25%.
+    # With the runs walked in the order they come, each block matched as
+    # it is pooled, and the tied rows' keys, their uid's rank too,
+    # gathered by a second walk: 0.385x, 0.086x, 1.277x and 0.177x.
     @pytest.mark.parametrize("top_k, tied, bound", [(100, False, 0.454), (5, False, 0.11), (100, True, 1.559),
                                                     (5, True, 0.196)], ids=["100", "5", "100-tied", "5-tied"])
     def test_peak_allocation_within_a_multiple_of_the_tables(self, top_k, tied, bound):
@@ -580,3 +588,159 @@ class TestBoundedMemory:
             evaluate(instance, gts, EvalConfig(top_k=100))
             monkeypatch.undo()
             assert sorted_sizes and max(sorted_sizes) <= max(len(gts), boxes.EXAMPLE_BLOCK, largest_run)
+
+
+def results_text(preds: dict, order: list[str]) -> str:
+    """A submission document of preds, its uids written in `order` and
+    each uid's rows in their table's order, not as `write_submission`
+    sorts them."""
+    return json.dumps({"results": {uid: [
+        {"box": box, "noun_category_id": noun, "verb_category_id": verb, "time_to_contact": ttc, "score": score}
+        for box, noun, verb, ttc, score in zip(preds[uid].boxes.tolist(), preds[uid].noun.tolist(),
+                                               preds[uid].verb.tolist(), preds[uid].ttc.tolist(),
+                                               preds[uid].score.tolist())] for uid in order}}, indent=1)
+
+
+def walked(path, gts, cfg, walks: list | None = None):
+    """evaluate of the submission at path as `vista evaluate` reads it,
+    appending to `walks` each walk of the file."""
+    with SubmissionFile(path) as source:
+        if walks is not None:
+            walk = source.walk
+            source.walk = lambda start: walks.append(1) or walk(start)
+        return evaluate(source, gts, cfg)
+
+
+class TestStreamedEvaluation:
+    """`evaluate` of a `SubmissionFile` matches each block of examples as
+    the file is read, keeps only what it scores of each kept row, and
+    orders tied rows from a second walk of the file."""
+
+    # What a kept row holds, which the peak may grow by: its class (2
+    # bytes for 128 nouns), score, four TP flags and place in the classes'
+    # order. The slack covers what grows with the ground truth (about 60
+    # bytes an annotation), which the caller holds anyway.
+    KEPT_ROW_BYTES = 2 + 8 + 4 + 8
+    SLACK = 256 * 1024
+
+    @pytest.mark.parametrize("top_k", [5, 100])
+    def test_peak_grows_by_the_kept_rows_alone(self, tmp_path, top_k):
+        # 300 more examples of 100 rows: 2.2 MB more of columns, had they
+        # been held; 0.18 MB (top-5) and 0.55 MB (top-100) more at the peak.
+        peaks = []
+        for n in (100, 400):
+            preds, gts = crowded_instance(n)
+            path = tmp_path / f"sub{n}.json"
+            write_submission(preds, path)
+            del preds
+            tracemalloc.start()
+            try:
+                walked(path, gts, EvalConfig(top_k=top_k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 300 * min(top_k, 100) * self.KEPT_ROW_BYTES + self.SLACK, peaks
+
+    @staticmethod
+    def tied_instance():
+        """Eight small examples with scores rounded to one decimal, the
+        last a copy of the first under its own uid: ties in class and score
+        within and across examples, and full ties across two examples. Few
+        enough rows per class for the oracle."""
+        preds, gts = crowded_instance(8, n_preds=6, n_gts=3, seed=4)
+        preds = {uid: HypothesisTable(boxes=t.boxes, noun=t.noun, verb=t.verb, ttc=t.ttc,
+                                      score=np.maximum(np.round(t.score, 1), 0.1)) for uid, t in preds.items()}
+        preds["ex0007"] = preds["ex0000"]
+        return preds, gts
+
+    @staticmethod
+    def objects(preds, gts):
+        """The instance as the oracle takes it: lists of StaHypothesis and GroundTruthInstance."""
+        return ({uid: [StaHypothesis(Box2D(*box), noun, verb, ttc, score) for box, noun, verb, ttc, score in zip(
+            t.boxes.tolist(), t.noun.tolist(), t.verb.tolist(), t.ttc.tolist(), t.score.tolist())]
+            for uid, t in preds.items()},
+            [GroundTruthInstance(uid, Box2D(*box), noun, verb, ttc) for uid, box, noun, verb, ttc in zip(
+                gts.uid, gts.boxes.tolist(), gts.noun.tolist(), gts.verb.tolist(), gts.ttc.tolist())])
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_tied_rows_out_of_uid_order_score_as_the_dict_and_the_oracle(self, tmp_path, monkeypatch, source):
+        # Chunks of 512 bytes read an example or two at a time, and blocks
+        # of 20 hypotheses and ground truths take one to three examples.
+        if source == "pipe" and not os.path.isdir("/dev/fd"):
+            pytest.skip("needs /dev/fd")
+        preds, gts = self.tied_instance()
+        order = ["ex0005", "ex0007", "ex0001", "ex0000", "ex0003", "ex0006", "ex0002", "ex0004"]
+        data = results_text(preds, order).encode()
+        assert len(data) < 16384  # it fits in a pipe's buffer
+        monkeypatch.setattr(io_formats, "_CHUNK", 512)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 20)
+        path = tmp_path / "sub.json"
+        path.write_bytes(data)
+        read_end = None
+        if source == "pipe":
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+        for top_k in (1, 5):
+            cfg = EvalConfig(top_k=top_k)
+            walks = []
+            try:
+                report = walked(path, gts, cfg, walks)
+            finally:
+                if read_end is not None:
+                    os.close(read_end)
+                    read_end = None
+            assert walks == [1, 1]  # the second walk orders the ties
+            assert report.to_dict() == evaluate(preds, gts, cfg).to_dict()
+            assert_as_oracle(report, brute_force_evaluate(*self.objects(preds, gts), cfg))
+            if source == "pipe":
+                break
+
+    def test_a_uid_repeated_after_the_first_chunk_scores_as_the_whole_document(self, tmp_path, monkeypatch):
+        # The walk matches blocks of the first uids before it meets the
+        # repeat; the whole parse keeps the last value, and the evaluation
+        # starts again from it, so the walk's blocks never reach the report.
+        preds, gts = crowded_instance(30, n_preds=20)
+        path = tmp_path / "sub.json"
+        path.write_text(results_text(preds, sorted(preds)).replace('"ex0029"', '"ex0002": [],\n "ex0029"'))
+        monkeypatch.setattr(io_formats, "_CHUNK", 4096)
+        monkeypatch.setattr(boxes, "EXAMPLE_BLOCK", 64)
+        assert path.stat().st_size > 20 * 4096
+        matched = []
+        init = evaluation._Matched.__init__
+        monkeypatch.setattr(evaluation._Matched, "__init__", lambda self, *args: matched.append(self) or init(self, *args))
+        whole = predictions_from_dict(_load_json(path), path)
+        assert len(whole["ex0002"]) == 0
+        for top_k in (5, 100):
+            matched.clear()
+            cfg = EvalConfig(top_k=top_k)
+            report = walked(path, gts, cfg)
+            assert len(matched) == 2 and len(matched[0].cls) > 0  # blocks matched before the restart
+            assert report.to_dict() == evaluate(whole, gts, cfg).to_dict()
+
+    @pytest.mark.parametrize("rewrite", ["scores", "a repeated uid"])
+    def test_a_file_rewritten_between_the_walks_exits_2(self, tmp_path, monkeypatch, capsys, rewrite):
+        preds, gts = self.tied_instance()
+        write_ground_truth(CROWDED_TAXONOMY, gts, tmp_path / "gt.json")
+        path = tmp_path / "sub.json"
+        text = results_text(preds, sorted(preds))
+        path.write_text(text)
+        if rewrite == "scores":
+            changed = text.replace('"score": 0.', '"score": 0.0')  # every score divided by ten
+        else:
+            changed = text.replace('"ex0001"', '"ex0000"')
+        walk = SubmissionFile.walk
+
+        def rewriting_walk(source, start):
+            if walks:
+                path.write_text(changed)
+            walks.append(1)
+            return walk(source, start)
+
+        walks = []
+        monkeypatch.setattr(SubmissionFile, "walk", rewriting_walk)
+        assert main(["evaluate", str(tmp_path / "gt.json"), str(path), "--out", str(tmp_path / "out")]) == (
+            EXIT_VALIDATION)
+        assert walks == [1, 1]
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"

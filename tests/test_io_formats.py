@@ -24,6 +24,7 @@ from vista.io_formats import (
     load_predictions,
     load_taxonomy,
     predictions_from_dict,
+    read_document,
     read_tensor_file,
     write_ground_truth,
     write_submission,
@@ -1424,6 +1425,62 @@ class TestGeneratedDocuments:
             entry_warnings(path, data, "ground truth")), data
 
 
+# Bytes inserted into a generated document: punctuation out of place, a
+# letter, a quote or backslash that changes a string, and a byte that is
+# not UTF-8 on its own.
+STRAY = st.sampled_from([b",", b":", b"}", b"]", b"x", b'"', b"\\", b"\xe9"])
+
+
+class TestSyntaxErrors:
+    """A syntax error that the walk finds, whatever the document and the
+    chunk, gives what the whole parse gives: the same message, with the
+    same line and column, or the UTF-8 problem the whole parse finds first."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=generated_bytes(SUBMISSIONS), at=st.floats(0, 1, exclude_max=True), stray=STRAY, chunk=CHUNKS)
+    def test_submissions(self, generated_dir, data, at, stray, chunk):
+        path = generated_dir / "sub.json"
+        k = int(at * len(data))
+        path.write_bytes(data[:k] + stray + data[k:])
+        with mock.patch.object(io_formats, "_CHUNK", chunk):
+            assert outcome(load_predictions, path) == outcome(read_whole, path), data
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=generated_bytes(GROUND_TRUTHS), at=st.floats(0, 1, exclude_max=True), stray=STRAY, chunk=CHUNKS)
+    def test_ground_truths(self, generated_dir, data, at, stray, chunk):
+        path = generated_dir / "gt.json"
+        k = int(at * len(data))
+        path.write_bytes(data[:k] + stray + data[k:])
+        with mock.patch.object(io_formats, "_CHUNK", chunk):
+            assert gt_outcome(load_ground_truth, path) == gt_outcome(gt_read_whole, path), data
+
+    # Lines of every ending, the error on the fourth line, after a
+    # multi-byte character and after several chunks at small ones; and a
+    # file cut inside a value, whose error is at the end of its text.
+    WORDED = {
+        "stray comma": ('{"results": {"caf\u00e9 \U0001f600": [],\r\n"b": [],\n\n  "c": [{"box": [0, 0, 1, 1],, "x": 1}]}}',
+                        "line 4 column 30: Expecting property name enclosed in double quotes"),
+        "cut": ('{"results": {"caf\u00e9": [],\r\n"b": [{"box": [0, 0, 1, 1], "score": 0.',
+                "line 2 column 39: Expecting ',' delimiter"),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    @pytest.mark.parametrize("kind", list(WORDED))
+    def test_worded_without_the_whole_parse(self, tmp_path, monkeypatch, kind, chunk):
+        text, error = self.WORDED[kind]
+        data = text.encode("utf-8")
+        path = tmp_path / "sub.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError) as whole:
+            io_formats._parse_json(data, path)
+        assert str(whole.value).endswith(error)
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        monkeypatch.setattr(io_formats, "_parse_json", None)  # never called
+        with pytest.raises(ValidationError) as walked:
+            load_predictions(path)
+        assert walked.value.problems == whole.value.problems
+
+
 class CountedReads:
     """A binary file that counts the bytes read from it."""
 
@@ -1500,9 +1557,42 @@ class TestWalkedOrStopped:
             with pytest.raises(io_formats._Unwalkable):
                 io_formats._walk_document(counted, {"results": list.clear})
         assert counted.count <= 2 * io_formats._CHUNK
-        # The whole-document parse words the error.
+        # The reader words the error as the whole-document parse does.
         with pytest.raises(ValidationError, match="Expecting property name enclosed in double quotes"):
             load_predictions(path)
+
+    def test_a_stray_comma_is_worded_at_the_peak_of_the_valid_file(self, tmp_path, monkeypatch):
+        # Parsed whole to word it, the error peaked at about 2.5 times the
+        # file's size; worded where the walk stops, once the file is read
+        # through as UTF-8, below what `vista validate` of the valid file
+        # holds (a chunk's text and entries, 0.96 and 0.86 MB here).
+        path = tmp_path / "sub.json"
+        write_submission(crowded_instance(100)[0], path)
+        data = path.read_bytes()
+        assert len(data) > 3_000_000
+        first = data.index(b'"score"')
+        comma = tmp_path / "comma.json"
+        comma.write_bytes(data[:first] + b"," + data[first:])
+        with pytest.raises(ValidationError) as whole:
+            io_formats._parse_json(comma.read_bytes(), comma)
+
+        def unused(data, path):
+            raise AssertionError("parsed whole")
+
+        monkeypatch.setattr(io_formats, "_parse_json", unused)
+        peaks = []
+        for read in (path, comma):
+            tracemalloc.start()
+            try:
+                try:
+                    read_document(read)
+                except ValidationError as e:
+                    assert e.problems == whole.value.problems
+                    assert str(e).endswith("line 13 column 9: Expecting property name enclosed in double quotes")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * io_formats._CHUNK, peaks
 
 
 # A uid's entries drawn from a few values, so that most are full ties,
